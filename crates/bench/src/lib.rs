@@ -11,7 +11,7 @@
 //! | `fig6` | Fig. 6 — queue throughput vs. core count |
 //! | `table2` | Table II — power and energy per operation |
 //! | `ablation` | Reservation-capacity ablation |
-//! | `perf_smoke` | Simulator-performance smoke: event-driven and translated speedups |
+//! | `perf_smoke` | Simulator-performance smoke: speedup over the reference stepper, sharded speedup |
 //! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
 //!
 //! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
@@ -61,9 +61,7 @@ use std::time::{Duration, Instant};
 
 use lrscwait_asm::Program;
 use lrscwait_core::SyncArch;
-use lrscwait_kernels::{
-    HistImpl, HistogramKernel, MatmulKernel, QueueKernel, VerifyError, Workload,
-};
+use lrscwait_kernels::{HistImpl, VerifyError, Workload};
 use lrscwait_sim::{
     ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
     RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
@@ -392,22 +390,13 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Runs on the naive reference stepper instead of the event-driven
-    /// scheduler (differential testing and performance baselining; results
+    /// Runs on the naive reference stepper instead of the production
+    /// stepper (differential testing and performance baselining; results
     /// are bit-identical, only slower to produce). Equivalent to building
     /// the config with `SimConfig::builder().exec_mode(ExecMode::Reference)`.
     #[must_use]
     pub fn reference(mut self) -> Experiment<'w> {
         self.cfg.exec_mode = ExecMode::Reference;
-        self
-    }
-
-    /// Overrides the execution mode (see [`ExecMode`]; results are
-    /// bit-identical across all modes, only the host-side speed differs).
-    /// The figure binaries route `--exec` through this.
-    #[must_use]
-    pub fn exec(mut self, mode: ExecMode) -> Experiment<'w> {
-        self.cfg.exec_mode = mode;
         self
     }
 
@@ -889,8 +878,8 @@ pub struct PerfSummary {
     pub total_sim_cycles: u64,
     /// Total host wall-clock seconds spent inside `Machine::run`.
     pub total_host_seconds: f64,
-    /// Extra named figures to include in the JSON (e.g. the event-driven
-    /// vs. reference speedup measured by `perf_smoke`).
+    /// Extra named figures to include in the JSON (e.g. the speedup over
+    /// the reference stepper measured by `perf_smoke`).
     pub extra: Vec<(String, f64)>,
     /// Named string metadata for the JSON (host CPU count, git revision,
     /// shard count, exec mode — run provenance for cross-machine
@@ -1361,9 +1350,9 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--
                        [--enforce-sharded] [--exec MODE]
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
-  --exec MODE      execution mode for every experiment: event (default),
-                   reference, or translated — results are bit-identical,
-                   only simulator speed differs
+  --exec MODE      execution mode for every experiment: translated (default)
+                   or reference — results are bit-identical, only
+                   simulator speed differs
   --out DIR        results directory (default: results)
   --baseline FILE  committed BENCH_sim.json to guard simulator throughput
                    against (fails when more than 2x slower; perf_smoke)
@@ -1405,7 +1394,7 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--exec",
         "MODE",
-        "execution mode: event (default), reference, or translated",
+        "execution mode: translated (default) or reference",
     ),
     ("--out", "DIR", "results directory (default: results)"),
     (
@@ -1467,15 +1456,21 @@ pub fn flag_listing() -> String {
     out
 }
 
-/// The closest known flag by edit distance (≤ 3), for a did-you-mean
-/// hint on typos.
-fn closest_flag(input: &str) -> Option<&'static str> {
-    FLAGS
-        .iter()
-        .map(|(flag, _, _)| (*flag, edit_distance(input, flag)))
+/// `--exec` values and the modes they select.
+const EXEC_MODES: [(&str, ExecMode); 2] = [
+    ("translated", ExecMode::Translated),
+    ("reference", ExecMode::Reference),
+];
+
+/// A ` (did you mean `x`?)` hint naming the closest candidate by edit
+/// distance (≤ 3), or nothing when the input resembles none of them.
+fn did_you_mean<'a>(input: &str, candidates: impl Iterator<Item = &'a str>) -> String {
+    candidates
+        .map(|name| (name, edit_distance(input, name)))
         .filter(|&(_, d)| d <= 3)
         .min_by_key(|&(_, d)| d)
-        .map(|(flag, _)| flag)
+        .map(|(name, _)| format!(" (did you mean `{name}`?)"))
+        .unwrap_or_default()
 }
 
 /// Plain Levenshtein distance (flag names are short; no need for
@@ -1521,7 +1516,7 @@ pub struct BenchArgs {
     /// reset.
     pub resume: Option<PathBuf>,
     /// Execution-mode override for every experiment the binary runs
-    /// (`None`: keep each config's own mode, normally event-driven).
+    /// (`None`: keep each config's own mode, normally translated).
     pub exec: Option<ExecMode>,
     /// Enable the host-side phase profiler on every experiment and write
     /// the `<fig>.profile.json` / `.prom` artifacts.
@@ -1612,17 +1607,16 @@ impl BenchArgs {
                     let value = it.next().ok_or_else(|| {
                         BenchError::Usage(format!("--exec needs a mode\n{USAGE}"))
                     })?;
-                    parsed.exec = Some(match value.as_str() {
-                        "event" => ExecMode::EventDriven,
-                        "reference" => ExecMode::Reference,
-                        "translated" => ExecMode::Translated,
-                        other => {
-                            return Err(BenchError::Usage(format!(
-                                "--exec: unknown mode `{other}` \
-                                 (expected event, reference or translated)\n{USAGE}"
-                            )));
-                        }
-                    });
+                    let Some(&(_, mode)) = EXEC_MODES.iter().find(|(name, _)| *name == value)
+                    else {
+                        let names = EXEC_MODES.iter().map(|(name, _)| *name);
+                        return Err(BenchError::Usage(format!(
+                            "--exec: unknown mode `{value}`{} \
+                             (expected translated or reference)\n{USAGE}",
+                            did_you_mean(&value, names)
+                        )));
+                    };
+                    parsed.exec = Some(mode);
                 }
                 "--profile" => parsed.profile = true,
                 "--heartbeat" => {
@@ -1649,9 +1643,7 @@ impl BenchArgs {
                 }
                 "-h" | "--help" => return Err(BenchError::Help),
                 other => {
-                    let hint = closest_flag(other)
-                        .map(|flag| format!(" (did you mean `{flag}`?)"))
-                        .unwrap_or_default();
+                    let hint = did_you_mean(other, FLAGS.iter().map(|(flag, _, _)| *flag));
                     return Err(BenchError::Usage(format!(
                         "unknown flag `{other}`{hint}\n{}",
                         flag_listing()
@@ -1878,79 +1870,10 @@ pub fn fmt_tp(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Runs a histogram configuration and returns the measurement.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&HistogramKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_histogram(
-    _arch: SyncArch,
-    impl_: HistImpl,
-    bins: u32,
-    iters: u32,
-    cfg: SimConfig,
-) -> Measurement {
-    let num_cores = cfg.topology.num_cores as u32;
-    let kernel = HistogramKernel::new(impl_, bins, iters, num_cores);
-    Experiment::new(&kernel, cfg)
-        .x(bins)
-        .run()
-        .expect("histogram benchmark must complete")
-}
-
-/// Runs a queue configuration with `active` participating cores.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&QueueKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_queue(
-    _arch: SyncArch,
-    impl_: lrscwait_kernels::QueueImpl,
-    active: u32,
-    iters: u32,
-    cfg: SimConfig,
-) -> Measurement {
-    let kernel = QueueKernel::new(impl_, iters, active);
-    Experiment::new(&kernel, cfg)
-        .x(active)
-        .run()
-        .expect("queue benchmark must complete")
-}
-
-/// Worker region cycles (max across workers) of a matmul run.
-///
-/// # Panics
-///
-/// Panics when the experiment fails in any way.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Experiment::new(&MatmulKernel, cfg)` instead"
-)]
-#[must_use]
-pub fn run_matmul(kernel: &MatmulKernel, _arch: SyncArch, cfg: SimConfig) -> (u64, SimStats) {
-    let m = Experiment::new(kernel, cfg)
-        .run()
-        .expect("matmul benchmark must complete");
-    let cycles = m
-        .max_region_cycles(0..kernel.workers as usize)
-        .expect("every worker measured a region");
-    (cycles, m.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrscwait_kernels::{PollerKind, QueueImpl};
+    use lrscwait_kernels::{HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel};
 
     #[test]
     fn histogram_experiment_small() {
@@ -2250,12 +2173,19 @@ mod tests {
         assert!(BenchArgs::parse(["--checkpoint".to_string()]).is_err());
         assert!(BenchArgs::parse(["--resume".to_string()]).is_err());
         assert!(BenchArgs::parse(["--exec".to_string()]).is_err());
-        assert!(BenchArgs::parse(["--exec", "jit"].map(String::from)).is_err());
-        for (name, mode) in [
-            ("event", ExecMode::EventDriven),
-            ("reference", ExecMode::Reference),
-            ("translated", ExecMode::Translated),
-        ] {
+        // `event` named the deleted third mode: rejected like any other
+        // unknown value; a near-miss of a live mode gets a suggestion.
+        let msg = BenchArgs::parse(["--exec", "event"].map(String::from))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("--exec: unknown mode `event`"), "{msg}");
+        assert!(msg.contains("expected translated or reference"), "{msg}");
+        assert!(!msg.contains("did you mean"), "{msg}");
+        let msg = BenchArgs::parse(["--exec", "translate"].map(String::from))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("did you mean `translated`?"), "{msg}");
+        for (name, mode) in EXEC_MODES {
             let args = BenchArgs::parse(["--exec", name].map(String::from)).unwrap();
             assert_eq!(args.exec, Some(mode));
             let cfg = args.configure(SimConfig::builder().cores(2).build().unwrap());
@@ -2309,12 +2239,14 @@ mod tests {
             .unwrap();
         let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 8, 4);
         let fast = Experiment::new(&kernel, cfg).x(2).run().unwrap();
-        for mode in [ExecMode::Reference, ExecMode::Translated] {
-            let other = Experiment::new(&kernel, cfg).x(2).exec(mode).run().unwrap();
-            assert_eq!(fast.cycles, other.cycles, "{mode:?}");
-            assert_eq!(fast.stats, other.stats, "{mode:?}");
-            assert_eq!(fast.csv_row(), other.csv_row(), "{mode:?}");
-        }
+        let reference = Experiment::new(&kernel, cfg)
+            .x(2)
+            .reference()
+            .run()
+            .unwrap();
+        assert_eq!(fast.cycles, reference.cycles);
+        assert_eq!(fast.stats, reference.stats);
+        assert_eq!(fast.csv_row(), reference.csv_row());
     }
 
     #[test]
@@ -2381,7 +2313,7 @@ mod tests {
             total_sim_cycles: 1_000_000,
             total_host_seconds: 0.5,
             extra: vec![("speedup_vs_reference".to_string(), 7.25)],
-            meta: vec![("exec_mode".to_string(), "event-driven".to_string())],
+            meta: vec![("exec_mode".to_string(), "translated".to_string())],
         };
         assert!((summary.sim_cycles_per_sec() - 2.0e6).abs() < 1e-9);
         let path = write_bench_json(&dir, &summary).unwrap();

@@ -123,7 +123,7 @@ pub struct Table1Row {
     pub area_kge: f64,
     /// Relative to the baseline tile.
     pub area_percent: f64,
-    /// The paper's published value (for EXPERIMENTS.md comparison).
+    /// The paper's published value (printed beside the model by `table1`).
     pub paper_kge: Option<f64>,
 }
 

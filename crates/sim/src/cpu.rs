@@ -235,14 +235,15 @@ pub struct Core {
     /// Last cycle the translated fast path has already charged into
     /// `stats` for this core (superblocks run ahead of the machine
     /// clock; per-cycle visits before this point must not double-count
-    /// stalls, and `fast_forward` must not re-credit them). Always `0`
-    /// outside `ExecMode::Translated`; transient simulation state, never
-    /// serialized — snapshots reset it on restore.
+    /// stalls, and the ready queue's lazy stall credit must not re-credit
+    /// them). Always `0` in `ExecMode::Reference`; transient simulation
+    /// state, never serialized — snapshots reset it on restore.
     pub charged_until: u64,
-    /// Cycle at which the core last entered `WaitingMem` or `Barrier`
-    /// (event-driven lazy accounting: the sleep/barrier cycle total is
-    /// settled as a single delta on wake instead of one increment per
-    /// parked cycle).
+    /// Cycle at which the core last left the runnable set: it entered
+    /// `WaitingMem` or `Barrier`, or was deferred to the ready queue
+    /// until `ready_at` (lazy accounting: the sleep/barrier/stall cycle
+    /// total is settled as a single delta on wake or re-admission instead
+    /// of one increment per skipped cycle).
     pub parked_at: u64,
     /// In-flight blocking operation (when `state == WaitingMem`).
     pub pending: Option<PendingMem>,

@@ -35,15 +35,16 @@
 //! stays on the coordinating thread.
 //!
 //! **Determinism contract:** results are bit-identical for *any* shard
-//! count (and all three [`ExecMode`]s — the differential and tracing
-//! suites enforce `shards=1` ≡ `shards=N` ≡ `Reference` ≡ `Translated`
+//! count (and both [`ExecMode`]s — the differential and tracing
+//! suites enforce `shards=1` ≡ `shards=N` ≡ `Reference`
 //! on summaries, statistics, CSV bytes and trace streams). Three rules
 //! make this hold:
 //!
 //! * every cross-shard merge (dirty banks, dirty cores, runnable set,
-//!   debug prints, trace events) is performed in bank-id / core-id order —
-//!   shards own contiguous, ordered ranges and accumulate in ascending
-//!   order, so concatenation in shard order *is* the global order;
+//!   deferred cores, debug prints, trace events) is performed in bank-id /
+//!   core-id order — shards own contiguous, ordered ranges and accumulate
+//!   in ascending order, so concatenation in shard order *is* the global
+//!   order;
 //! * the barrier release (the one genuinely order-sensitive accounting
 //!   site) is deferred to a single-threaded sub-phase after stepping and
 //!   charges every released core the same `now − parked_at` delta,
@@ -52,38 +53,48 @@
 //!   cycles stay allocation-free (enforced by the counting-allocator
 //!   suite).
 //!
-//! # Event-driven scheduling
+//! # Event scheduling
 //!
 //! The paper's whole point is that LRSCwait cores *sleep* instead of
 //! polling, so in the interesting regimes almost every core is parked in a
-//! wait queue or at the barrier. The default execution mode
-//! ([`ExecMode::EventDriven`]) makes the simulator's cost track *events*
-//! instead of `cores × cycles`:
+//! wait queue or at the barrier. The production stepper
+//! ([`ExecMode::Translated`], the default) makes the simulator's cost track
+//! *issue events* instead of `cores × cycles` — a core is visited only in
+//! a cycle it can issue in:
 //!
 //! * **Runnable set.** Phase 4 walks an always-sorted list of the cores in
-//!   [`CoreState::Running`]. Cores leave it when they halt, park at the
-//!   barrier, or block on memory, and re-enter on response delivery or
-//!   barrier release — a parked core costs zero work per cycle.
-//! * **Lazy parked accounting.** Sleep/barrier cycle counters are settled
-//!   as one `now − parked_at` delta on wake (and flushed on
-//!   [`Machine::stats`]) instead of one increment per parked cycle.
-//! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] asks both
-//!   networks for their [`next_ready_at`](Network::next_ready_at) and the
-//!   runnable cores for their earliest `ready_at`; when the next event is
-//!   more than one cycle away (and no outbox holds backpressured traffic),
-//!   the cycle counter jumps straight to it. Long all-asleep phases — the
-//!   common case under LRSCwait — cost O(events), and an all-parked
+//!   [`CoreState::Running`] that may issue this cycle. Cores leave it when
+//!   they halt, park at the barrier, or block on memory, and re-enter on
+//!   response delivery or barrier release — a parked core costs zero work
+//!   per cycle.
+//! * **Ready queue.** A `Running` core whose `ready_at` lies beyond the
+//!   next cycle after its visit (branch penalty, divide latency, a
+//!   superblock that ran ahead) also leaves the runnable set and waits in
+//!   a min-heap keyed by `(ready_at, core)`; it is re-admitted through the
+//!   same sorted merge as woken cores at exactly cycle `ready_at`. Cores
+//!   blocked by a full outbox, a full store buffer or an undrained fence
+//!   retry every cycle (`ready_at ≤ now + 1`) and stay in the set.
+//! * **Lazy accounting.** Sleep/barrier cycle counters are settled as one
+//!   `now − parked_at` delta on wake, and the stall cycles of a deferred
+//!   core as one `(ready_at − 1) − max(parked_at, charged_until)` delta on
+//!   re-admission (both flushed on [`Machine::stats`] and
+//!   [`Machine::snapshot`]), instead of one increment per skipped visit.
+//! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] skips
+//!   straight to the next event when the runnable set and the outboxes
+//!   are empty: the earlier of the ready queue's head and both networks'
+//!   [`next_ready_at`](Network::next_ready_at). Long all-asleep phases —
+//!   the common case under LRSCwait — cost O(events), and an all-parked
 //!   deadlock jumps directly to the watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, dirty-bank/dirty-core lists, the runnable set and
-//!   its merge scratch, the networks' scan sets, the per-shard scratches)
-//!   is reused; steady-state cycles perform zero heap allocations.
+//!   its merge scratch, the ready queue, the networks' scan sets, the
+//!   per-shard scratches) is reused; steady-state cycles perform zero heap
+//!   allocations.
 //!
-//! # Translated fast path
+//! # Superblocks
 //!
-//! [`ExecMode::Translated`] keeps the event-driven scheduling and swaps
-//! the per-instruction interpreter dispatch for superblock execution:
-//! the program image is pre-lowered into micro-ops (once per
+//! Instead of dispatching one instruction per visit, the production
+//! stepper pre-lowers the program image into micro-ops (once per
 //! [`DecodedProgram`], shared across machines and restores), and a
 //! runnable core executes a whole straight-line-plus-branches run in one
 //! tight loop (`crate::translate::run_block`), re-entering the
@@ -91,20 +102,19 @@
 //! exactly where the NoC, the adapters, or the timing model must observe
 //! the core. Superblocks run *ahead* of the machine clock up to the run
 //! loop's horizon (watchdog/target, so both stay cycle-exact); the
-//! cycles already charged are tracked in `Core::charged_until` so
-//! per-cycle visits and `fast_forward` never double-count. Internal
-//! micro-ops are trace-silent in every mode, so trace streams are
-//! unchanged.
+//! cycles already charged are tracked in `Core::charged_until` so the
+//! lazy stall credit never double-counts. Internal micro-ops are
+//! trace-silent in both modes, so trace streams are unchanged.
 //!
 //! # Equivalence guarantee
 //!
-//! Event-driven and translated execution are *optimizations, not model
-//! changes*: cycle counts, every statistic, and therefore every
-//! benchmark CSV byte are identical to the naive reference stepper
+//! The production stepper is an *optimization, not a model change*:
+//! cycle counts, every statistic, and therefore every benchmark CSV byte
+//! are identical to the naive reference stepper
 //! ([`ExecMode::Reference`]), which visits all cores every cycle with
 //! eager per-cycle accounting. The differential test suite
 //! (`crates/sim/tests/differential.rs` and the workspace-level
-//! `tests/differential.rs`) runs all three modes — and multiple shard
+//! `tests/differential.rs`) runs both modes — and multiple shard
 //! counts — across the kernel × architecture matrix and asserts
 //! bit-identical [`RunSummary`]/[`SimStats`] and byte-identical sweep
 //! CSVs. Barrier-release accounting is visit-order-free by construction:
@@ -127,7 +137,8 @@
 //! monomorphized over a no-op trace context, so untraced runs pay no
 //! per-step tracing branch at all.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -147,7 +158,7 @@ use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg, ShardScratch};
 use crate::shard::{Job, WorkerPool};
-use crate::stats::{ExitReason, RunSummary, SimStats};
+use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 
 /// Fatal simulation error (software bug in a kernel or harness misuse).
@@ -306,13 +317,20 @@ pub struct Machine {
     /// stateful part) are not captured by snapshots: combining mutations
     /// with mid-run checkpoint/restore is unsupported.
     chaos: Chaos,
-    /// Cores in `Running` state, sorted ascending (event-driven Phase 4).
+    /// `Running` cores that may issue next cycle, sorted ascending (the
+    /// Phase 4 walk list).
     runnable: Vec<u32>,
-    /// Cores that became `Running` outside the Phase 4 walk (response
-    /// deliveries, barrier releases), merged into `runnable` next walk.
+    /// `Running` cores that cannot issue before `now + 2`, as a min-heap
+    /// of `(ready_at, core)`: each is re-admitted to `runnable` at exactly
+    /// cycle `ready_at`, with `Core::parked_at` holding the cycle it was
+    /// deferred at. Derived state — never serialized, emptied on restore.
+    ready_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Cores that re-enter `runnable` from outside the Phase 4 walk
+    /// (response deliveries, barrier releases, ready-queue re-admissions),
+    /// merged in sorted before the next walk.
     pending_wake: Vec<u32>,
     /// Cores with a non-empty request outbox, sorted ascending
-    /// (event-driven Phase 5).
+    /// (Phase 5 of the production stepper).
     dirty_cores: Vec<u32>,
     /// Worker pool for `cfg.shards > 1`; `None` runs phases inline.
     pool: Option<WorkerPool>,
@@ -328,15 +346,15 @@ pub struct Machine {
     core_scratch: Vec<u32>,
     merge_scratch: Vec<u32>,
     /// Superblock translation of the program image, built at
-    /// construction when `cfg.exec_mode == ExecMode::Translated` (kept
-    /// `None` otherwise) and shared with the `DecodedProgram`'s cache —
+    /// construction unless `cfg.exec_mode == ExecMode::Reference` (kept
+    /// `None` there) and shared with the `DecodedProgram`'s cache —
     /// sweeps and snapshot restores reuse it, never rebuild it.
     translation: Option<Arc<Translation>>,
     /// Cycle horizon superblocks may run ahead to. Set by
     /// [`Machine::run_until`] for the duration of the run loop (clamped
     /// to the watchdog and the target) and reset to 0 on exit, so direct
     /// [`Machine::step_cycle`] callers execute exactly one instruction
-    /// per core per visit in every mode.
+    /// per core per visit in both modes.
     step_limit: u64,
 }
 
@@ -429,8 +447,10 @@ impl Machine {
         // Translate at construction (not lazily in the run loop) so the
         // steady-state cycle stays allocation-free and sweep workers
         // sharing the image behind an `Arc` translate exactly once.
-        let translation =
-            (cfg.exec_mode == ExecMode::Translated).then(|| Arc::clone(program.translation()));
+        let translation = cfg
+            .exec_mode
+            .event_scheduled()
+            .then(|| Arc::clone(program.translation()));
         let mut machine = Machine {
             topo,
             program: Arc::clone(&program),
@@ -454,6 +474,7 @@ impl Machine {
             chaos: Chaos::from_plan(cfg.chaos),
             park_kind: vec![OpKind::Load; num_cores],
             runnable: (0..num_cores as u32).collect(),
+            ready_queue: BinaryHeap::with_capacity(num_cores),
             pending_wake: Vec::with_capacity(num_cores),
             dirty_cores: Vec::with_capacity(num_cores),
             pool: (cfg.shards > 1).then(|| WorkerPool::new(cfg.shards, num_banks, num_cores)),
@@ -494,8 +515,8 @@ impl Machine {
         self.cfg.shards
     }
 
-    /// The superblock translation this machine executes with — `Some`
-    /// exactly in [`ExecMode::Translated`]. The `Arc` is shared with the
+    /// The superblock translation this machine executes with — `None`
+    /// exactly in [`ExecMode::Reference`]. The `Arc` is shared with the
     /// program image's cache (`DecodedProgram::translation`), so two
     /// machines on the same image — or one machine across a
     /// [`Machine::restore`] — return pointer-identical translations.
@@ -714,44 +735,48 @@ impl Machine {
             adapters.wakeups += s.wakeups;
             adapters.reservations_broken += s.reservations_broken;
         }
-        let lazy = self.cfg.exec_mode.event_scheduled();
         SimStats {
-            cores: self
-                .cores
-                .iter()
-                .map(|c| {
-                    let mut stats = c.stats;
-                    if lazy {
-                        // Flush the deferred parked-cycle delta for cores
-                        // still asleep: the reference would have counted
-                        // one cycle per Phase 4 visit since parking.
-                        match c.state {
-                            CoreState::WaitingMem => {
-                                stats.sleep_cycles += self.cycle - c.parked_at;
-                            }
-                            CoreState::Barrier => {
-                                stats.barrier_cycles += self.cycle - c.parked_at;
-                            }
-                            CoreState::Running | CoreState::Halted => {}
-                        }
-                    }
-                    stats
-                })
-                .collect(),
+            cores: self.settled_core_stats(),
             req_network: self.req_net.stats(),
             resp_network: self.resp_net.stats(),
             adapters,
         }
     }
 
+    /// Per-core statistics with every lazily-accounted delta settled up
+    /// to the current cycle — what the reference stepper's eager
+    /// one-per-visit counting has added up to by now: parked cycles for
+    /// cores still asleep or at the barrier, stall cycles for cores still
+    /// in the ready queue.
+    fn settled_core_stats(&self) -> Vec<CoreStats> {
+        let mut stats: Vec<CoreStats> = self.cores.iter().map(|c| c.stats).collect();
+        if self.cfg.exec_mode.event_scheduled() {
+            for (core, stats) in self.cores.iter().zip(&mut stats) {
+                match core.state {
+                    CoreState::WaitingMem => stats.sleep_cycles += self.cycle - core.parked_at,
+                    CoreState::Barrier => stats.barrier_cycles += self.cycle - core.parked_at,
+                    CoreState::Running | CoreState::Halted => {}
+                }
+            }
+        }
+        for &Reverse((_, c)) in &self.ready_queue {
+            let core = &self.cores[c as usize];
+            // Saturating: after a run that stopped on a guest fault, a
+            // superblock may already have charged beyond `cycle`.
+            stats[c as usize].stall_cycles += self
+                .cycle
+                .saturating_sub(core.parked_at.max(core.charged_until));
+        }
+        stats
+    }
+
     /// Runs until every core halts or the watchdog fires.
     ///
-    /// In [`ExecMode::EventDriven`] mode, cycles in which provably nothing
-    /// can happen — every runnable core is pipeline-stalled, the outboxes
-    /// are drained, and no network flit becomes movable — are skipped by
-    /// jumping the cycle counter straight to the next event (or to the
-    /// watchdog limit, whichever comes first). Skipped stall cycles are
-    /// credited in bulk so statistics stay bit-identical to stepping.
+    /// Outside [`ExecMode::Reference`], cycles in which provably nothing
+    /// can happen — no core can issue, the outboxes are drained, and no
+    /// network flit becomes movable — are skipped by jumping the cycle
+    /// counter straight to the next event (or to the watchdog limit,
+    /// whichever comes first).
     ///
     /// # Errors
     ///
@@ -766,11 +791,11 @@ impl Machine {
     ///
     /// Stopping at `target` is *transparent*: continuing afterwards (with
     /// another `run_until` or [`Machine::run`]) produces exactly the
-    /// machine an uninterrupted run would have — fast-forward jumps are
-    /// clamped at the target and their bulk stall credit splits exactly
-    /// across the stop. This is the hook open-loop harnesses use to
-    /// interleave host work ([`Machine::inject_store`],
-    /// [`Machine::snapshot`]) with simulation at precise cycles.
+    /// machine an uninterrupted run would have — fast-forward jumps and
+    /// superblock run-ahead are clamped at the target. This is the hook
+    /// open-loop harnesses use to interleave host work
+    /// ([`Machine::inject_store`], [`Machine::snapshot`]) with simulation
+    /// at precise cycles.
     ///
     /// Returns [`ExitReason::TargetReached`] with `cycles >= target` only
     /// when the machine is still live at the target; halt and watchdog
@@ -786,7 +811,7 @@ impl Machine {
         // counter, but never past the watchdog or the stop target, so
         // both stay cycle-exact. Reset on every exit so direct
         // `step_cycle` callers get single-instruction horizons (and the
-        // per-cycle differential tests can compare all modes step by
+        // per-cycle differential tests can compare both modes step by
         // step).
         self.step_limit = self.cfg.max_cycles.min(target);
         let wall_start = (!self.profiler.is_off()).then(std::time::Instant::now);
@@ -829,65 +854,34 @@ impl Machine {
     ///
     /// A cycle can only be skipped when stepping it would change nothing:
     /// no outbox holds traffic (pending injections touch network
-    /// statistics every cycle), every runnable core still waits on
-    /// `ready_at`, and no flit in either network becomes movable. The one
-    /// observable effect of such a cycle — a stall tick per runnable core
-    /// — is credited in bulk.
+    /// statistics every cycle), no core can issue (the runnable set is
+    /// empty — every `Running` core waits in the ready queue, its stall
+    /// cycles credited lazily), and no flit in either network becomes
+    /// movable.
     ///
     /// `limit` clamps the jump (watchdog, or a [`Machine::run_until`]
-    /// target). Clamping is loss-free for the statistics: a jump
-    /// interrupted at `t` credits `t − now` stalls now and the resumed
-    /// jump credits the rest, summing to what the unclamped jump would
-    /// have credited.
+    /// target).
     fn fast_forward(&mut self, limit: u64) {
-        if !self.dirty_banks.is_empty() || !self.dirty_cores.is_empty() {
+        if !self.runnable.is_empty() || !self.dirty_banks.is_empty() || !self.dirty_cores.is_empty()
+        {
             return;
         }
+        // Cheapest source first, skipping the network scans once the very
+        // next cycle is known to have work. `u64::MAX` means no event can
+        // ever occur (all-parked deadlock): jump straight to the limit
+        // (normally the watchdog).
         let now = self.cycle;
-        let horizon = now + 1;
-        let mut next = u64::MAX;
-        // Cheapest scan first, bailing as soon as the very next cycle is
-        // known to have work: compute-bound phases (every core issuing
-        // with ready_at == now + 1) exit on the first core and never pay
-        // the network scans.
-        for &c in &self.runnable {
-            let ready_at = self.cores[c as usize].ready_at;
-            if ready_at <= horizon {
-                return;
-            }
-            next = next.min(ready_at);
+        let mut next = self
+            .ready_queue
+            .peek()
+            .map_or(u64::MAX, |&Reverse((t, _))| t);
+        if next > now + 1 {
+            next = next.min(self.req_net.next_ready_at().unwrap_or(u64::MAX));
         }
-        if let Some(t) = self.req_net.next_ready_at() {
-            if t <= horizon {
-                return;
-            }
-            next = next.min(t);
+        if next > now + 1 {
+            next = next.min(self.resp_net.next_ready_at().unwrap_or(u64::MAX));
         }
-        if let Some(t) = self.resp_net.next_ready_at() {
-            if t <= horizon {
-                return;
-            }
-            next = next.min(t);
-        }
-        debug_assert!(next > horizon);
-        // `next == u64::MAX` means no event can ever occur (all-parked
-        // deadlock): jump straight to the limit (normally the watchdog).
-        let target = (next - 1).min(limit);
-        if target <= now {
-            return;
-        }
-        for i in 0..self.runnable.len() {
-            let c = self.runnable[i] as usize;
-            // A superblock that ran ahead already charged this core's
-            // stalls up to `charged_until`; only credit the cycles
-            // beyond it (always all of them outside Translated mode,
-            // where `charged_until` stays 0).
-            let from = now.max(self.cores[c].charged_until);
-            if target > from {
-                self.cores[c].stats.stall_cycles += target - from;
-            }
-        }
-        self.cycle = target;
+        self.cycle = now.max(next.saturating_sub(1).min(limit));
     }
 
     /// Advances the machine by exactly one cycle (see the module docs for
@@ -966,19 +960,18 @@ impl Machine {
             }
         }
         self.reset_scratch();
-        let bank_job = Job::Banks {
-            reqs: req_buf.as_ptr(),
-            reqs_len: req_buf.len(),
-            order: self.req_order.as_ptr(),
-            order_len: self.req_order.len(),
-            banks: self.banks.as_mut_ptr(),
-            adapters: self.adapters.as_mut_ptr(),
-            bank_outbox: self.bank_outbox.as_mut_ptr(),
-            num_banks,
-            tracing,
-        };
         if let Some(pool) = &mut self.pool {
-            pool.dispatch(bank_job);
+            pool.dispatch(Job::Banks {
+                reqs: req_buf.as_ptr(),
+                reqs_len: req_buf.len(),
+                order: self.req_order.as_ptr(),
+                order_len: self.req_order.len(),
+                banks: self.banks.as_mut_ptr(),
+                adapters: self.adapters.as_mut_ptr(),
+                bank_outbox: self.bank_outbox.as_mut_ptr(),
+                num_banks,
+                tracing,
+            });
         } else {
             phases::service_banks(
                 0,
@@ -1091,37 +1084,35 @@ impl Machine {
         self.resp_buf = resp_buf;
         clock.lap(Phase::RespDelivery);
 
-        // Phase 4: step the cores (event-driven: runnable set only;
-        // translated: runnable set + superblock fast path; reference:
-        // every core with eager parked accounting).
+        // Phase 4: step the cores (production stepper: the runnable set,
+        // superblocks where the pc enters one; reference: every core with
+        // eager parked accounting).
         if self.cfg.exec_mode.event_scheduled() {
+            self.readmit_ready_cores(now);
             self.merge_pending_wakes();
         }
         self.reset_scratch();
         // Superblocks may run ahead to the run loop's horizon; outside
         // `run`/`run_until` the horizon collapses to `now` (exactly one
-        // instruction per visit, like the interpreter modes).
+        // instruction per visit, like the reference stepper).
         let horizon = self.step_limit.max(now);
-        let core_job = Job::Cores {
-            cores: self.cores.as_mut_ptr(),
-            qnodes: self.qnodes.as_mut_ptr(),
-            core_outbox: self.core_outbox.as_mut_ptr(),
-            park_kind: self.park_kind.as_mut_ptr(),
-            runnable: self.runnable.as_ptr(),
-            runnable_len: self.runnable.len(),
-            program: Arc::as_ptr(&self.program),
-            translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
-            cfg: &self.cfg,
-            num_banks,
-            now,
-            horizon,
-            mode: self.cfg.exec_mode,
-            tracing,
-        };
         if let Some(pool) = &mut self.pool {
-            pool.dispatch(core_job);
+            pool.dispatch(Job::Cores {
+                cores: self.cores.as_mut_ptr(),
+                qnodes: self.qnodes.as_mut_ptr(),
+                core_outbox: self.core_outbox.as_mut_ptr(),
+                park_kind: self.park_kind.as_mut_ptr(),
+                runnable: self.runnable.as_ptr(),
+                runnable_len: self.runnable.len(),
+                program: Arc::as_ptr(&self.program),
+                translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
+                cfg: &self.cfg,
+                num_banks,
+                now,
+                horizon,
+                tracing,
+            });
         } else {
-            let translation = self.translation.as_deref();
             let mut ctx = CorePhase {
                 core_lo: 0,
                 cores: &mut self.cores,
@@ -1132,26 +1123,17 @@ impl Machine {
                 cfg: &self.cfg,
                 num_banks,
             };
-            match self.cfg.exec_mode {
-                ExecMode::EventDriven => phases::step_runnable_cores(
+            match self.translation.as_deref() {
+                Some(translation) => phases::step_translated_cores(
                     &mut ctx,
-                    &self.runnable,
-                    now,
-                    &mut self.seq_scratch,
-                    tracing,
-                ),
-                ExecMode::Translated => phases::step_translated_cores(
-                    &mut ctx,
-                    translation.expect("translated machine builds its translation at construction"),
+                    translation,
                     &self.runnable,
                     now,
                     horizon,
                     &mut self.seq_scratch,
                     tracing,
                 ),
-                ExecMode::Reference => {
-                    phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing);
-                }
+                None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
             }
         }
         clock.lap(Phase::CoreStep);
@@ -1268,8 +1250,9 @@ impl Machine {
 
     /// Folds the core phase's per-shard outputs into the machine, in shard
     /// (= core id) order: trace events, debug prints, halt/barrier counts,
-    /// the rebuilt runnable set and the dirty-core merge. Returns the
-    /// lowest-core fatal error, if any shard faulted.
+    /// the rebuilt runnable set, the newly deferred cores and the
+    /// dirty-core merge. Returns the lowest-core fatal error, if any shard
+    /// faulted.
     fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
         self.drain_shard_traces(now);
         let shards = self.shard_count();
@@ -1303,6 +1286,13 @@ impl Machine {
                 let kept = std::mem::take(&mut self.scratch_at(s).kept_runnable);
                 self.merge_scratch.extend_from_slice(&kept);
                 self.scratch_at(s).kept_runnable = kept;
+
+                let deferred = std::mem::take(&mut self.scratch_at(s).deferred);
+                for &c in &deferred {
+                    let ready_at = self.cores[c as usize].ready_at;
+                    self.ready_queue.push(Reverse((ready_at, c)));
+                }
+                self.scratch_at(s).deferred = deferred;
 
                 let add = std::mem::take(&mut self.scratch_at(s).new_dirty_cores);
                 let mut scratch = std::mem::take(&mut self.bank_scratch);
@@ -1390,7 +1380,7 @@ impl Machine {
     }
 
     /// Queues a request on a core's outbox (sequential Phase 3 path),
-    /// tracking outbox dirtiness for the event-driven Phase 5.
+    /// tracking outbox dirtiness for Phase 5.
     fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
         self.core_outbox[c].push_back(msg);
         let id = c as u32;
@@ -1399,8 +1389,26 @@ impl Machine {
         }
     }
 
-    /// Merges cores woken outside the Phase 4 walk into the sorted
-    /// runnable set.
+    /// Moves every deferred core whose issue cycle is `now` from the ready
+    /// queue to the pending-wake list, crediting the stall cycles the
+    /// per-cycle walk would have charged on the visits it skipped
+    /// (`parked_at + 1 ..= now − 1`, minus those a superblock already
+    /// charged in-block).
+    fn readmit_ready_cores(&mut self, now: u64) {
+        while let Some(&Reverse((t, c))) = self.ready_queue.peek() {
+            if t > now {
+                break;
+            }
+            debug_assert_eq!(t, now, "deferred core re-admitted late");
+            self.ready_queue.pop();
+            let core = &mut self.cores[c as usize];
+            core.stats.stall_cycles += (t - 1) - core.parked_at.max(core.charged_until);
+            self.pending_wake.push(c);
+        }
+    }
+
+    /// Merges cores that re-enter from outside the Phase 4 walk into the
+    /// sorted runnable set.
     fn merge_pending_wakes(&mut self) {
         if self.pending_wake.is_empty() {
             return;
@@ -1536,9 +1544,9 @@ impl Machine {
     /// bit-identical to never having stopped: summaries, statistics,
     /// benchmark CSV bytes and trace-event suffixes all match, across
     /// execution modes and shard counts (the snapshot holds no mode- or
-    /// shard-dependent state: lazily-accounted parked cycles are settled
-    /// into the statistics at snapshot time, and the runnable/dirty
-    /// worklists are recomputed on restore).
+    /// shard-dependent state: lazily-accounted parked and stall cycles are
+    /// settled into the statistics at snapshot time, and the
+    /// runnable/ready/dirty worklists are recomputed on restore).
     ///
     /// Call between cycles (before [`Machine::run`], or after `run` /
     /// [`Machine::run_until`] returned), never from inside a stepping
@@ -1572,17 +1580,19 @@ impl Machine {
         out.put_u64(program_fingerprint(&self.program));
         out.put_u64(self.cycle);
 
-        let lazy = self.cfg.exec_mode.event_scheduled();
-        for core in &self.cores {
+        // Same flush as `Machine::stats`, so the serialized statistics are
+        // identical in both execution modes.
+        let settled = self.settled_core_stats();
+        for (core, stats) in self.cores.iter().zip(&settled) {
             for r in core.regs {
                 out.put_u32(r);
             }
             out.put_u32(core.pc);
             out.put_u8(core_state_code(core.state));
             out.put_u64(core.ready_at);
-            // Canonical park time: parked-cycle deltas up to now are
+            // Canonical park time: lazily-accounted deltas up to now are
             // settled into the statistics below, so the restored core's
-            // charging starts at the snapshot cycle. (For running/halted
+            // charging starts at the snapshot cycle. (For runnable/halted
             // cores the field is dead — rewritten on the next park.)
             out.put_u64(self.cycle);
             match core.pending {
@@ -1603,18 +1613,6 @@ impl Machine {
                 None => out.put_bool(false),
             }
             out.put_u32(core.outstanding_stores);
-            let mut stats = core.stats;
-            if lazy {
-                // Same flush as `Machine::stats`: the reference would have
-                // counted one parked cycle per Phase 4 visit since the
-                // park, so the serialized statistics are identical in both
-                // execution modes.
-                match core.state {
-                    CoreState::WaitingMem => stats.sleep_cycles += self.cycle - core.parked_at,
-                    CoreState::Barrier => stats.barrier_cycles += self.cycle - core.parked_at,
-                    CoreState::Running | CoreState::Halted => {}
-                }
-            }
             out.put_u64(stats.instret);
             out.put_u64(stats.active_cycles);
             out.put_u64(stats.stall_cycles);
@@ -1787,9 +1785,11 @@ impl Machine {
         }
 
         // Derived state. At a cycle boundary the worklists are functions
-        // of the serialized state: the runnable set is exactly the cores
-        // in `Running` (pending wakes are always merged before the cycle
-        // ends), and a bank/core is dirty iff its outbox is non-empty.
+        // of the serialized state: every `Running` core starts in the
+        // runnable set (pending wakes are always merged before the cycle
+        // ends; the ready queue starts empty and refills as the first
+        // walk defers the cores that cannot issue yet), and a bank/core
+        // is dirty iff its outbox is non-empty.
         self.halted = self
             .cores
             .iter()
@@ -1801,6 +1801,7 @@ impl Machine {
             .filter(|c| c.state == CoreState::Barrier)
             .count();
         self.pending_wake.clear();
+        self.ready_queue.clear();
         self.runnable.clear();
         self.runnable.extend(
             self.cores

@@ -132,6 +132,10 @@ pub(crate) struct ShardScratch {
     pub new_dirty_banks: Vec<u32>,
     /// Runnable cores that stay runnable after stepping (ascending).
     pub kept_runnable: Vec<u32>,
+    /// Runnable cores that stay `Running` but cannot issue before
+    /// `now + 2` (ascending): they leave the walk for the machine's
+    /// ready queue until their issue cycle.
+    pub deferred: Vec<u32>,
     /// Cores whose request outbox went empty → non-empty (ascending).
     pub new_dirty_cores: Vec<u32>,
     /// MMIO debug prints this cycle: `(core, value)` (ascending core).
@@ -153,6 +157,7 @@ impl ShardScratch {
     pub fn reset(&mut self) {
         self.new_dirty_banks.clear();
         self.kept_runnable.clear();
+        self.deferred.clear();
         self.new_dirty_cores.clear();
         self.prints.clear();
         self.newly_halted = 0;
@@ -283,98 +288,18 @@ pub(crate) struct CorePhase<'a> {
     pub num_banks: u32,
 }
 
-/// Steps this shard's slice of the runnable set (event-driven mode),
-/// compacting cores that stay `Running` into `scratch.kept_runnable`.
+/// Steps this shard's slice of the runnable set (the production
+/// stepper): a runnable core whose pc enters a superblock executes the
+/// whole block (up to `horizon`) in one call, any other pc takes one
+/// interpreter step. Cores that stay `Running` are compacted into
+/// `scratch.kept_runnable`, or into `scratch.deferred` when they cannot
+/// issue before `now + 2` (the machine re-admits those at exactly
+/// `ready_at`, crediting the skipped stall cycles as one delta).
 ///
 /// `runnable` must be the ascending sub-slice of the global runnable set
 /// that falls inside this shard's core range. On a fatal error the
 /// unstepped tail is preserved in the kept list (post-mortem state), the
 /// error recorded in the scratch, and stepping stops.
-pub(crate) fn step_runnable_cores(
-    ctx: &mut CorePhase<'_>,
-    runnable: &[u32],
-    now: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        kept_runnable,
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        track_dirty: true,
-    };
-    if tracing {
-        walk_runnable(
-            ctx,
-            runnable,
-            now,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut BufTrace(trace),
-        );
-    } else {
-        walk_runnable(
-            ctx,
-            runnable,
-            now,
-            kept_runnable,
-            &mut out,
-            error,
-            error_core,
-            &mut NoTrace,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_runnable<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    runnable: &[u32],
-    now: u64,
-    kept_runnable: &mut Vec<u32>,
-    out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
-    trace: &mut T,
-) {
-    for (i, &c) in runnable.iter().enumerate() {
-        let result = ctx.step_running_core(c, now, out, trace);
-        // The keep check runs even for a faulting core: a core that is
-        // still `Running` after its fatal error (e.g. a breakpoint)
-        // stays in the set, like every other observable of the
-        // post-mortem state.
-        if ctx.cores[(c - ctx.core_lo) as usize].state == CoreState::Running {
-            kept_runnable.push(c);
-        }
-        if let Err(e) = result {
-            *error = Some(e);
-            *error_core = c;
-            // Preserve the unstepped tail so the machine state stays
-            // consistent for post-mortem inspection.
-            kept_runnable.extend_from_slice(&runnable[i + 1..]);
-            return;
-        }
-    }
-}
-
-/// Steps this shard's slice of the runnable set in translated mode:
-/// identical scheduling to [`step_runnable_cores`], but a runnable core
-/// whose pc enters a superblock executes the whole block (up to
-/// `horizon`) in one call instead of one instruction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
@@ -387,6 +312,7 @@ pub(crate) fn step_translated_cores(
 ) {
     let ShardScratch {
         kept_runnable,
+        deferred,
         new_dirty_cores,
         prints,
         newly_halted,
@@ -403,6 +329,12 @@ pub(crate) fn step_translated_cores(
         newly_barrier,
         track_dirty: true,
     };
+    let mut lists = WalkLists {
+        kept_runnable,
+        deferred,
+        error,
+        error_core,
+    };
     if tracing {
         walk_translated(
             ctx,
@@ -410,10 +342,8 @@ pub(crate) fn step_translated_cores(
             runnable,
             now,
             horizon,
-            kept_runnable,
+            &mut lists,
             &mut out,
-            error,
-            error_core,
             &mut BufTrace(trace),
         );
     } else {
@@ -423,13 +353,20 @@ pub(crate) fn step_translated_cores(
             runnable,
             now,
             horizon,
-            kept_runnable,
+            &mut lists,
             &mut out,
-            error,
-            error_core,
             &mut NoTrace,
         );
     }
+}
+
+/// Where a runnable-set walk files each visited core (a borrowed-apart
+/// view of the shard scratch).
+struct WalkLists<'a> {
+    kept_runnable: &'a mut Vec<u32>,
+    deferred: &'a mut Vec<u32>,
+    error: &'a mut Option<SimError>,
+    error_core: &'a mut u32,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -439,22 +376,34 @@ fn walk_translated<T: TraceCtx>(
     runnable: &[u32],
     now: u64,
     horizon: u64,
-    kept_runnable: &mut Vec<u32>,
+    lists: &mut WalkLists<'_>,
     out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
     trace: &mut T,
 ) {
     for (i, &c) in runnable.iter().enumerate() {
         let result = ctx.step_core_translated(c, translation, now, horizon, out, trace);
-        // Same kept/fault-tail semantics as `walk_runnable`.
-        if ctx.cores[(c - ctx.core_lo) as usize].state == CoreState::Running {
-            kept_runnable.push(c);
+        // The keep check runs even for a faulting core: a core that is
+        // still `Running` after its fatal error (e.g. a breakpoint)
+        // stays in the set, like every other observable of the
+        // post-mortem state.
+        let core = &mut ctx.cores[(c - ctx.core_lo) as usize];
+        if core.state == CoreState::Running {
+            if core.ready_at > now + 1 {
+                // Nothing can change this core before `ready_at` (only
+                // parked cores are woken from outside the walk), so every
+                // visit until then would be a no-op stall.
+                core.parked_at = now;
+                lists.deferred.push(c);
+            } else {
+                lists.kept_runnable.push(c);
+            }
         }
         if let Err(e) = result {
-            *error = Some(e);
-            *error_core = c;
-            kept_runnable.extend_from_slice(&runnable[i + 1..]);
+            *lists.error = Some(e);
+            *lists.error_core = c;
+            // Preserve the unstepped tail so the machine state stays
+            // consistent for post-mortem inspection.
+            lists.kept_runnable.extend_from_slice(&runnable[i + 1..]);
             return;
         }
     }
@@ -859,7 +808,7 @@ impl CorePhase<'_> {
     }
 
     /// Queues a request on the core's own outbox, recording the empty →
-    /// non-empty transition for the event-driven Phase 5 merge.
+    /// non-empty transition for the Phase 5 merge.
     fn push_outbox(&mut self, c: u32, msg: ReqMsg, out: &mut StepOut<'_>) {
         let i = self.local(c);
         if out.track_dirty && self.core_outbox[i].is_empty() {

@@ -43,7 +43,7 @@ use lrscwait_core::{Qnode, SyncAdapter};
 use lrscwait_telemetry::{PoolTelemetry, WorkerUtil};
 use lrscwait_trace::OpKind;
 
-use crate::config::{ExecMode, SimConfig};
+use crate::config::SimConfig;
 use crate::cpu::{Core, DecodedProgram};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg, ShardScratch};
 use crate::translate::Translation;
@@ -106,13 +106,12 @@ pub(crate) enum Job {
         runnable_len: usize,
         program: *const DecodedProgram,
         cfg: *const SimConfig,
-        /// Superblock translation; null unless `mode` is `Translated`.
+        /// Superblock translation; null selects the reference walk.
         translation: *const Translation,
         num_banks: u32,
         now: u64,
-        /// Run-ahead ceiling for translated superblocks (`now` otherwise).
+        /// Run-ahead ceiling for superblocks (`now` outside the run loop).
         horizon: u64,
-        mode: ExecMode,
         tracing: bool,
     },
 }
@@ -480,7 +479,6 @@ unsafe fn execute(shared: &Shared, job: &Job, shard: usize) {
             num_banks,
             now,
             horizon,
-            mode,
             tracing,
         } => {
             let (lo, hi) = shared.core_ranges[shard];
@@ -495,29 +493,14 @@ unsafe fn execute(shared: &Shared, job: &Job, shard: usize) {
                 cfg: &*cfg,
                 num_banks,
             };
-            match mode {
-                ExecMode::EventDriven => {
-                    let runnable = std::slice::from_raw_parts(runnable, runnable_len);
-                    let start = runnable.partition_point(|&c| c < lo);
-                    let end = runnable.partition_point(|&c| c < hi);
-                    phases::step_runnable_cores(
-                        &mut ctx,
-                        &runnable[start..end],
-                        now,
-                        scratch,
-                        tracing,
-                    );
-                }
-                ExecMode::Reference => {
-                    phases::step_all_cores(&mut ctx, now, scratch, tracing);
-                }
-                ExecMode::Translated => {
+            match translation.as_ref() {
+                Some(translation) => {
                     let runnable = std::slice::from_raw_parts(runnable, runnable_len);
                     let start = runnable.partition_point(|&c| c < lo);
                     let end = runnable.partition_point(|&c| c < hi);
                     phases::step_translated_cores(
                         &mut ctx,
-                        &*translation,
+                        translation,
                         &runnable[start..end],
                         now,
                         horizon,
@@ -525,6 +508,7 @@ unsafe fn execute(shared: &Shared, job: &Job, shard: usize) {
                         tracing,
                     );
                 }
+                None => phases::step_all_cores(&mut ctx, now, scratch, tracing),
             }
         }
     }

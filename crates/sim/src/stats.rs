@@ -31,9 +31,10 @@ use lrscwait_noc::NetworkStats;
 ///   hardware barrier.
 ///
 /// The buckets are disjoint; cycles after a core halts are in none of
-/// them. Both execution modes produce identical splits (the lazy
-/// event-driven accounting settles `now − parked_at` deltas on wake so
-/// the sums match the reference stepper bit-for-bit).
+/// them. Both execution modes produce identical splits (the production
+/// stepper's lazy accounting settles parked and deferred deltas on wake
+/// and re-admission, so the sums match the reference stepper
+/// bit-for-bit).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired.

@@ -1,5 +1,5 @@
-//! Superblock translation and execution — the `ExecMode::Translated`
-//! fast path.
+//! Superblock translation and execution — the production stepper's
+//! (`ExecMode::Translated`) fast path.
 //!
 //! A [`Translation`] lowers every instruction of a
 //! [`DecodedProgram`](crate::cpu::DecodedProgram) into a
@@ -19,11 +19,11 @@
 //! branch), and one `stall_cycles` per cycle the pipeline waits between
 //! in-block issues. It runs *ahead* of the machine clock; the cycles it
 //! has already accounted are recorded in `Core::charged_until` so the
-//! per-cycle scheduler and `fast_forward` never double-charge them.
-//! Internal micro-ops touch no memory and emit no trace events — in
-//! every mode those instructions are trace-silent — so statistics,
-//! trace streams, and snapshots stay bit-identical with the
-//! interpreter-only modes.
+//! per-cycle scheduler and the ready queue's lazy stall credit never
+//! double-charge them. Internal micro-ops touch no memory and emit no
+//! trace events — in both modes those instructions are trace-silent —
+//! so statistics, trace streams, and snapshots stay bit-identical with
+//! the reference interpreter.
 
 use lrscwait_isa::{AluOp, JumpTarget, MicroOp};
 
@@ -107,8 +107,8 @@ enum Cont {
 /// On exit `core.pc` points at the next instruction to execute,
 /// `core.ready_at` at its earliest issue cycle, and `core.charged_until`
 /// at the last cycle already accounted into `core.stats` — later
-/// per-cycle visits and `fast_forward` must only charge cycles beyond
-/// it.
+/// per-cycle visits and the deferred-stall credit must only charge
+/// cycles beyond it.
 pub(crate) fn run_block(
     core: &mut Core,
     trans: &Translation,

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
-use lrscwait_sim::{ExecMode, Machine, SimConfig};
+use lrscwait_sim::{Machine, SimConfig};
 
 struct CountingAllocator;
 
@@ -42,7 +42,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 fn steady_state_cycles_do_not_allocate() {
     single_shard_steady_state();
     sharded_steady_state();
-    translated_steady_state();
+    busy_loop_steady_state();
 }
 
 fn single_shard_steady_state() {
@@ -152,10 +152,12 @@ fn sharded_steady_state() {
     assert!(stats.adapters.amos > 400, "sharded workload kept running");
 }
 
-/// The translated fast path must be just as allocation-free: the
-/// micro-op image is built once at machine construction, and
-/// `run_block` threads through it with no heap traffic.
-fn translated_steady_state() {
+/// A branchy compute loop must be just as allocation-free: the micro-op
+/// image is built once at machine construction, `run_block` threads
+/// through it with no heap traffic, and the ready queue — every taken
+/// branch defers its core past the penalty cycle — never outgrows the
+/// capacity it was built with.
+fn busy_loop_steady_state() {
     let src = r#"
         _start:
             la   a0, counter
@@ -177,7 +179,6 @@ fn translated_steady_state() {
     let cfg = SimConfig::builder()
         .cores(8)
         .arch(SyncArch::Colibri { queues: 2 })
-        .exec_mode(ExecMode::Translated)
         .max_cycles(u64::MAX)
         .build()
         .expect("valid config");
@@ -195,12 +196,12 @@ fn translated_steady_state() {
     assert_eq!(
         after - before,
         0,
-        "translated steady-state cycles must not touch the heap"
+        "busy-loop steady-state cycles must not touch the heap"
     );
 
     let stats = machine.stats();
     assert!(
         stats.adapters.amos > 1000,
-        "translated workload kept running"
+        "busy-loop workload kept running"
     );
 }

@@ -1,5 +1,5 @@
-//! Differential equivalence suite: the event-driven scheduler and the
-//! translated superblock stepper must match the naive reference stepper
+//! Differential equivalence suite: the production stepper (runnable set,
+//! ready queue, superblocks) must match the naive reference stepper
 //! bit-for-bit — cycle counts, exit reasons, every statistic, and the
 //! debug log — on every synchronization architecture, **and for every
 //! shard count**: bank-sharded parallel execution (`SimConfig::shards >
@@ -8,38 +8,36 @@
 //! `Experiment`) lives in the workspace-level `tests/differential.rs`;
 //! this file exercises the machine directly with targeted assembly.
 
+mod common;
+
+use common::STALL_MIX;
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
-use lrscwait_sim::{ExecMode, ExitReason, Machine, RunSummary, SimConfig, SimStats};
+use lrscwait_sim::{CoreTiming, ExecMode, ExitReason, Machine, RunSummary, SimConfig, SimStats};
 
-/// Runs `src` under all three execution modes — and, for each mode, both
-/// a single shard and a multi-shard worker pool — and asserts
-/// bit-identical observable results, returning the (identical) summary
-/// and stats.
+/// Runs `src` under both execution modes — and, for each mode, both a
+/// single shard and a multi-shard worker pool — and asserts bit-identical
+/// observable results, returning the (identical) summary and stats.
 fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimStats) {
     let program = Assembler::new().assemble(src).expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
 
     let mut fast = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
-    assert_eq!(fast.mode(), ExecMode::EventDriven, "event-driven default");
+    assert_eq!(fast.mode(), ExecMode::Translated, "translated default");
     assert_eq!(fast.shards(), 1, "single shard default");
     let fast_summary = fast.run().expect("fast run");
 
     // The shard count must be observationally irrelevant: pick one that
     // does not divide the geometry evenly so range remainders are covered.
     let shards = cfg.topology.num_cores.min(3);
-    for (mode, label) in [
-        (ExecMode::Reference, "reference"),
-        (ExecMode::Translated, "translated"),
-        (ExecMode::EventDriven, "sharded event-driven"),
-        (ExecMode::Reference, "sharded reference"),
-        (ExecMode::Translated, "sharded translated"),
+    for (mode, shards, label) in [
+        (ExecMode::Reference, 1, "reference"),
+        (ExecMode::Translated, shards, "sharded translated"),
+        (ExecMode::Reference, shards, "sharded reference"),
     ] {
         let mut other_cfg = cfg;
         other_cfg.exec_mode = mode;
-        if label.starts_with("sharded") {
-            other_cfg.shards = shards;
-        }
+        other_cfg.shards = shards;
         let mut other = Machine::with_decoded(other_cfg, decoded.clone()).expect("loads");
         let other_summary = other.run().expect(label);
         assert_eq!(fast_summary, other_summary, "{what}: {label} run summary");
@@ -259,7 +257,7 @@ fn spinning_watchdog_is_equivalent() {
 
 #[test]
 fn all_asleep_watchdog_is_equivalent_and_fast() {
-    // Every core parks on a monitor nobody ever writes: the event-driven
+    // Every core parks on a monitor nobody ever writes: the fast
     // run must fast-forward straight to the watchdog while reporting the
     // exact same statistics as the reference grinding through every cycle.
     let src = r#"
@@ -346,10 +344,50 @@ fn store_backpressure_is_equivalent() {
 }
 
 #[test]
+fn stall_mix_is_equivalent() {
+    for arch in all_archs() {
+        let (summary, stats) = assert_equivalent(STALL_MIX, SimConfig::small(8, arch), "stall mix");
+        assert_eq!(summary.exit, ExitReason::AllHalted);
+        assert!(
+            stats.req_network.inject_stalls > 0,
+            "{arch}: the store burst must backpressure the outboxes"
+        );
+    }
+}
+
+#[test]
+fn deferred_only_watchdog_is_equivalent() {
+    // Every core sits out one enormous divide: nothing is runnable, asleep
+    // or in flight, so the ready queue alone must carry the fast run to the
+    // watchdog — and settle the stall cycles of cores that never re-enter.
+    let cfg = SimConfig::builder()
+        .cores(4)
+        .timing(CoreTiming {
+            div_latency: 1_000_000,
+            ..CoreTiming::default()
+        })
+        .max_cycles(50_000)
+        .build()
+        .unwrap();
+    let src = "_start: li t0, 7\n div t1, t0, t0\n ecall\n";
+    let (summary, stats) = assert_equivalent(src, cfg, "deferred-only watchdog");
+    assert_eq!(summary.exit, ExitReason::Watchdog);
+    assert_eq!(summary.cycles, 50_000);
+    for core in &stats.cores {
+        assert_eq!(core.active_cycles, 2, "li and div issued");
+        assert_eq!(core.active_cycles + core.stall_cycles, 50_000);
+    }
+}
+
+#[test]
 fn step_cycle_equivalence_without_run_loop() {
     // Drive both machines manually through step_cycle (no fast-forward
-    // path at all) and compare statistics at every cycle boundary.
-    let src = r#"
+    // and no superblock run-ahead: the horizon collapses to one
+    // instruction per visit) and compare statistics, the debug log and
+    // the snapshot bytes at every cycle boundary — including the
+    // boundaries where cores sit in the ready queue with their stall
+    // cycles still unsettled.
+    let amoadd = r#"
         _start:
             la   a0, counter
             li   a1, 1
@@ -362,29 +400,34 @@ fn step_cycle_equivalence_without_run_loop() {
         .data
         counter: .word 0
     "#;
-    let program = Assembler::new().assemble(src).unwrap();
-    let decoded = Machine::decode(&program).unwrap();
-    let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
-    let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();
-    let mut ref_cfg = cfg;
-    ref_cfg.exec_mode = ExecMode::Reference;
-    let mut reference = Machine::with_decoded(ref_cfg, decoded.clone()).unwrap();
-    // Direct step_cycle has no run-ahead horizon, so the translated
-    // stepper must stay per-cycle exact here too.
-    let mut trans_cfg = cfg;
-    trans_cfg.exec_mode = ExecMode::Translated;
-    let mut translated = Machine::with_decoded(trans_cfg, decoded).unwrap();
-    for cycle in 0..400 {
-        fast.step_cycle().unwrap();
-        reference.step_cycle().unwrap();
-        translated.step_cycle().unwrap();
-        assert_eq!(fast.cycles(), reference.cycles());
-        assert_eq!(fast.stats(), reference.stats(), "divergence at {cycle}");
-        assert_eq!(fast.cycles(), translated.cycles());
-        assert_eq!(
-            fast.stats(),
-            translated.stats(),
-            "translated divergence at {cycle}"
-        );
+    for (src, what) in [(amoadd, "amoadd"), (STALL_MIX, "stall mix")] {
+        let program = Assembler::new().assemble(src).unwrap();
+        let decoded = Machine::decode(&program).unwrap();
+        let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
+        let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();
+        let mut ref_cfg = cfg;
+        ref_cfg.exec_mode = ExecMode::Reference;
+        let mut reference = Machine::with_decoded(ref_cfg, decoded).unwrap();
+        for cycle in 0..600 {
+            fast.step_cycle().unwrap();
+            reference.step_cycle().unwrap();
+            assert_eq!(fast.cycles(), reference.cycles());
+            assert_eq!(
+                fast.stats(),
+                reference.stats(),
+                "{what}: divergence at {cycle}"
+            );
+            assert_eq!(
+                fast.debug_log(),
+                reference.debug_log(),
+                "{what}: at {cycle}"
+            );
+            assert_eq!(
+                fast.snapshot(),
+                reference.snapshot(),
+                "{what}: snapshot bytes at {cycle}"
+            );
+        }
+        assert_eq!(fast.halted_cores(), 4, "{what}: ran to completion");
     }
 }

@@ -57,7 +57,7 @@ fn run_observed(mode: ExecMode, shards: usize, profiled: bool) -> Observed {
     let summary = machine.run().expect("runs");
     if profiled {
         let profile = machine.profile().expect("profiling machine has a profile");
-        // The event-driven modes fast-forward idle stretches; only the
+        // The production stepper fast-forwards idle stretches; only the
         // stepped (non-skipped) cycles are profiled.
         assert!(profile.stepped_cycles > 0);
         assert!(profile.stepped_cycles <= summary.cycles);
@@ -82,8 +82,6 @@ fn run_observed(mode: ExecMode, shards: usize, profiled: bool) -> Observed {
 #[test]
 fn profiler_never_perturbs_simulation() {
     for (mode, shards) in [
-        (ExecMode::EventDriven, 1),
-        (ExecMode::EventDriven, 3),
         (ExecMode::Reference, 1),
         (ExecMode::Reference, 2),
         (ExecMode::Translated, 1),

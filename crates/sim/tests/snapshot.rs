@@ -7,17 +7,18 @@
 //! chosen to land mid-wait (parked cores, armed monitors, populated
 //! reservation queues) and mid-flight (flits in both networks).
 
+mod common;
+
+use common::STALL_MIX;
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
 use lrscwait_trace::{RecordingSink, SharedSink, TraceEvent};
 
 /// Mode/shard combinations exercised on each side of a snapshot.
-const COMBOS: [(ExecMode, usize); 5] = [
-    (ExecMode::EventDriven, 1),
-    (ExecMode::Reference, 1),
+const COMBOS: [(ExecMode, usize); 3] = [
     (ExecMode::Translated, 1),
-    (ExecMode::EventDriven, 3),
+    (ExecMode::Reference, 1),
     (ExecMode::Translated, 3),
 ];
 
@@ -29,7 +30,8 @@ fn configured(base: SimConfig, mode: ExecMode, shards: usize) -> SimConfig {
 }
 
 /// Asserts `run-to-end` ≡ `run-to-k + snapshot + restore + run-to-end`
-/// for every (mode, shards) pair on both sides of the snapshot.
+/// for every (mode, shards) pair on both sides of the snapshot, and that
+/// the snapshot bytes themselves do not depend on the pair that took them.
 fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str) {
     let program = Assembler::new().assemble(src).expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
@@ -47,6 +49,7 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
         "{what}: interrupt point is mid-run"
     );
 
+    let mut canonical: Option<Vec<u8>> = None;
     for (mode_a, shards_a) in COMBOS {
         let cfg_a = configured(base_cfg, mode_a, shards_a);
         let mut first = Machine::with_decoded(cfg_a, decoded.clone()).expect("loads");
@@ -58,6 +61,11 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
         );
         assert_eq!(stop.cycles, k, "{what}: {mode_a:?}/{shards_a} exact stop");
         let bytes = first.snapshot();
+        assert_eq!(
+            canonical.get_or_insert_with(|| bytes.clone()),
+            &bytes,
+            "{what}: {mode_a:?}/{shards_a} snapshot bytes at {k}"
+        );
 
         for (mode_b, shards_b) in COMBOS {
             let cfg_b = configured(base_cfg, mode_b, shards_b);
@@ -70,6 +78,16 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
             assert_eq!(base_stats, second.stats(), "{ctx}: statistics");
             assert_eq!(base.debug_log(), second.debug_log(), "{ctx}: debug log");
         }
+
+        // Rewinding the machine that took the snapshot must discard the
+        // worklists (runnable set, ready queue) it has built since.
+        first.run_until(k + 9).expect("run past the snapshot");
+        first.restore(&bytes).expect("restore in place");
+        let summary = first.run().expect("rewound run");
+        let ctx = format!("{what}: {mode_a:?}/{shards_a} rewound");
+        assert_eq!(base_summary, summary, "{ctx}: run summary");
+        assert_eq!(base_stats, first.stats(), "{ctx}: statistics");
+        assert_eq!(base.debug_log(), first.debug_log(), "{ctx}: debug log");
     }
 }
 
@@ -206,13 +224,31 @@ fn mwait_mailbox_snapshot_round_trip() {
 }
 
 #[test]
-fn restored_trace_stream_is_the_suffix() {
-    let program = Assembler::new()
-        .assemble(CONTENDED_COUNTER)
-        .expect("assembles");
-    let decoded = Machine::decode(&program).expect("decodes");
+fn stall_mix_snapshot_round_trip() {
+    // Interrupt points spread over a whole round, so snapshots land on
+    // cores waiting out divides and branch penalties in the ready queue
+    // (their stall cycles not yet credited), on full store buffers and on
+    // retrying fences.
     let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
-    let k = 60;
+    for k in (1..120).step_by(7) {
+        assert_snapshot_equivalent(STALL_MIX, cfg, k, "stall mix");
+    }
+}
+
+#[test]
+fn restored_trace_stream_is_the_suffix() {
+    let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
+    assert_restored_trace_is_suffix(CONTENDED_COUNTER, cfg, 60);
+    // The first round's back-to-back divides: every core passes through
+    // the ready queue somewhere in this window.
+    for k in 8..32 {
+        assert_restored_trace_is_suffix(STALL_MIX, cfg, k);
+    }
+}
+
+fn assert_restored_trace_is_suffix(src: &str, cfg: SimConfig, k: u64) {
+    let program = Assembler::new().assemble(src).expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
 
     // Uninterrupted traced run.
     let full = SharedSink::new(RecordingSink::new());
@@ -450,25 +486,42 @@ fn restore_reuses_cached_translation() {
     let summary = second.run().expect("resumed run");
     assert_eq!(summary.exit, ExitReason::AllHalted);
 
-    // A non-translated machine carries no translation at all.
+    // The reference stepper carries no translation at all.
     let plain =
-        Machine::with_decoded(configured(cfg, ExecMode::EventDriven, 1), decoded).expect("loads");
+        Machine::with_decoded(configured(cfg, ExecMode::Reference, 1), decoded).expect("loads");
     assert!(plain.translation().is_none());
 }
 
 #[test]
 fn run_until_is_transparent() {
     // Chopping a run into arbitrary run_until segments must not change
-    // anything, including the fast-forward stall accounting.
-    let program = Assembler::new().assemble(MWAIT_MAILBOX).expect("assembles");
-    let decoded = Machine::decode(&program).expect("decodes");
+    // anything: fast-forward jumps, superblock run-ahead and the lazy
+    // stall credit of deferred cores all split exactly across a stop.
     let cfg = SimConfig::small(4, SyncArch::LrscWaitIdeal);
+    assert_chopped_run_is_identical(MWAIT_MAILBOX, cfg, 7, 13);
+    // One stop at every single cycle of the stall-heavy program.
+    let summary = assert_chopped_run_is_identical(STALL_MIX, cfg, 1, u64::MAX);
+    for k in 2..summary.cycles {
+        assert_chopped_run_is_identical(STALL_MIX, cfg, k, u64::MAX);
+    }
+}
+
+/// Runs `src` uninterrupted and again stopping at `first`, `first + step`,
+/// … and asserts the two runs are indistinguishable.
+fn assert_chopped_run_is_identical(
+    src: &str,
+    cfg: SimConfig,
+    first: u64,
+    step: u64,
+) -> lrscwait_sim::RunSummary {
+    let program = Assembler::new().assemble(src).expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
 
     let mut base = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
     let base_summary = base.run().expect("uninterrupted");
 
     let mut chopped = Machine::with_decoded(cfg, decoded).expect("loads");
-    let mut target = 7;
+    let mut target = first;
     loop {
         let summary = chopped.run_until(target).expect("segment");
         if summary.exit != ExitReason::TargetReached {
@@ -476,7 +529,9 @@ fn run_until_is_transparent() {
             break;
         }
         assert!(summary.cycles >= target);
-        target += 13;
+        target = target.saturating_add(step);
     }
     assert_eq!(base.stats(), chopped.stats(), "chopped run statistics");
+    assert_eq!(base.debug_log(), chopped.debug_log(), "chopped debug log");
+    base_summary
 }

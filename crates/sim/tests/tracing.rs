@@ -1,7 +1,6 @@
 //! Machine-level tracing tests: the emitted event stream is complete,
 //! internally consistent, and — like every other observable — identical
-//! across the event-driven scheduler, the reference stepper, and the
-//! translated superblock stepper.
+//! between the production stepper and the reference stepper.
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::{SyncArch, SyncEvent};
@@ -52,11 +51,9 @@ fn trace_stream_is_identical_across_exec_modes_and_shards() {
     // parallel phases buffer per shard and drain in shard order, which
     // reproduces the single-sharded emission order exactly.
     for arch in [SyncArch::LrscWaitIdeal, SyncArch::Colibri { queues: 2 }] {
-        let (fast, fast_cycles) = record_run(arch, ExecMode::EventDriven, 1);
+        let (fast, fast_cycles) = record_run(arch, ExecMode::Translated, 1);
         for (mode, shards) in [
             (ExecMode::Reference, 1),
-            (ExecMode::Translated, 1),
-            (ExecMode::EventDriven, 3),
             (ExecMode::Reference, 2),
             (ExecMode::Translated, 3),
         ] {
@@ -79,7 +76,7 @@ fn trace_stream_is_identical_across_exec_modes_and_shards() {
 
 #[test]
 fn stream_starts_with_geometry_and_balances_parks() {
-    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::EventDriven, 2);
+    let (events, _) = record_run(SyncArch::Colibri { queues: 2 }, ExecMode::Translated, 2);
     assert!(
         matches!(
             events.first(),

@@ -33,7 +33,7 @@
 //!
 //! `ARCHITECTURE.md` at the repository root is the guided tour: one
 //! paragraph per crate, the nine sub-phases of a simulated cycle, the
-//! three execution modes, and the determinism contract.
+//! two execution modes, and the determinism contract.
 //!
 //! # Quickstart
 //!

@@ -1,6 +1,6 @@
-//! Kernel-level differential equivalence: the event-driven scheduler,
-//! the naive reference stepper, and the translated superblock stepper
-//! must produce byte-identical benchmark results — cycle counts, full
+//! Kernel-level differential equivalence: the production stepper and
+//! the naive reference stepper must produce byte-identical benchmark
+//! results — cycle counts, full
 //! statistics, and the rendered sweep CSV — across the kernel ×
 //! architecture matrix. The machine-level suite with targeted assembly
 //! lives in `crates/sim/tests/differential.rs`.
@@ -16,20 +16,18 @@ use lrscwait_bench::{Experiment, Measurement, Sweep};
 
 fn assert_equivalent(kernel: &dyn Workload, cfg: SimConfig, what: &str) -> Measurement {
     let fast = Experiment::new(kernel, cfg).x(1).run().expect(what);
-    for mode in [ExecMode::Reference, ExecMode::Translated] {
-        let other = Experiment::new(kernel, cfg)
-            .x(1)
-            .exec(mode)
-            .run()
-            .expect(what);
-        assert_eq!(fast.cycles, other.cycles, "{what}: {mode:?} cycle count");
-        assert_eq!(fast.stats, other.stats, "{what}: {mode:?} statistics");
-        assert_eq!(
-            fast.csv_row(),
-            other.csv_row(),
-            "{what}: {mode:?} rendered CSV row"
-        );
-    }
+    let reference = Experiment::new(kernel, cfg)
+        .x(1)
+        .reference()
+        .run()
+        .expect(what);
+    assert_eq!(fast.cycles, reference.cycles, "{what}: cycle count");
+    assert_eq!(fast.stats, reference.stats, "{what}: statistics");
+    assert_eq!(
+        fast.csv_row(),
+        reference.csv_row(),
+        "{what}: rendered CSV row"
+    );
     fast
 }
 
@@ -145,16 +143,7 @@ fn sharded_barrier_matrix_is_equivalent() {
             .reference()
             .run()
             .expect(&what);
-        let sharded_trans = Experiment::new(&kernel, build(4))
-            .x(1)
-            .exec(ExecMode::Translated)
-            .run()
-            .expect(&what);
-        for (m, label) in [
-            (&sharded, "shards=4"),
-            (&sharded_ref, "shards=4 ref"),
-            (&sharded_trans, "shards=4 translated"),
-        ] {
+        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
             assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
             assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
             assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
@@ -194,15 +183,13 @@ fn barrier_trace_streams_are_identical_across_modes_and_shards() {
         (BarrierImpl::TreeAmo, SyncArch::Lrsc),
         (BarrierImpl::HwMmio, SyncArch::Lrsc),
     ] {
-        let (base_events, base_m) = record(impl_, arch, ExecMode::EventDriven, 1);
+        let (base_events, base_m) = record(impl_, arch, ExecMode::Translated, 1);
         assert!(
             !base_events.is_empty(),
             "{impl_:?}: stream must be non-empty"
         );
         for (mode, shards) in [
             (ExecMode::Reference, 1),
-            (ExecMode::Translated, 1),
-            (ExecMode::EventDriven, 4),
             (ExecMode::Reference, 2),
             (ExecMode::Translated, 4),
         ] {
@@ -250,8 +237,8 @@ fn rcu_matrix_is_equivalent() {
 fn sharded_rcu_matrix_is_equivalent() {
     // Grace periods park the writer on reader-owned counter lines that
     // live in different banks, so the cross-shard merge sub-phase carries
-    // the wakeups — shards=1, shards=4 and the sharded reference and
-    // translated steppers must agree byte-for-byte.
+    // the wakeups — shards=1, shards=4 and the sharded reference stepper
+    // must agree byte-for-byte.
     for arch in RCU_ARCHES {
         let kernel = rcu_kernel();
         let build = |shards: usize| {
@@ -271,16 +258,7 @@ fn sharded_rcu_matrix_is_equivalent() {
             .reference()
             .run()
             .expect(&what);
-        let sharded_trans = Experiment::new(&kernel, build(4))
-            .x(1)
-            .exec(ExecMode::Translated)
-            .run()
-            .expect(&what);
-        for (m, label) in [
-            (&sharded, "shards=4"),
-            (&sharded_ref, "shards=4 ref"),
-            (&sharded_trans, "shards=4 translated"),
-        ] {
+        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
             assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
             assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
             assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
@@ -313,12 +291,10 @@ fn rcu_trace_streams_are_identical_across_modes_and_shards() {
         (sink.take().events, m)
     };
     for arch in [SyncArch::Lrsc, SyncArch::Colibri { queues: 4 }] {
-        let (base_events, base_m) = record(arch, ExecMode::EventDriven, 1);
+        let (base_events, base_m) = record(arch, ExecMode::Translated, 1);
         assert!(!base_events.is_empty(), "rcu on {arch}: stream non-empty");
         for (mode, shards) in [
             (ExecMode::Reference, 1),
-            (ExecMode::Translated, 1),
-            (ExecMode::EventDriven, 4),
             (ExecMode::Reference, 2),
             (ExecMode::Translated, 4),
         ] {
@@ -361,16 +337,7 @@ fn sharded_kernel_matrix_is_equivalent() {
             .reference()
             .run()
             .expect(&what);
-        let sharded_trans = Experiment::new(&kernel, build(4))
-            .x(1)
-            .exec(ExecMode::Translated)
-            .run()
-            .expect(&what);
-        for (m, label) in [
-            (&sharded, "shards=4"),
-            (&sharded_ref, "shards=4 ref"),
-            (&sharded_trans, "shards=4 translated"),
-        ] {
+        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
             assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
             assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
             assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
@@ -416,11 +383,12 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
                 let cfg = SimConfig::builder()
                     .cores(8)
                     .arch(arch)
+                    .exec_mode(mode)
                     .shards(shards)
                     .max_cycles(50_000_000)
                     .build()?;
                 let kernel = HistogramKernel::new(impl_, bins, 8, 8);
-                Experiment::new(&kernel, cfg).x(bins).exec(mode).run()
+                Experiment::new(&kernel, cfg).x(bins).run()
             })
             .expect("sweep completes");
         let mut text = String::from("series,bins,updates_per_cycle,lo,hi,cycles,stalls\n");
@@ -431,7 +399,7 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
         text
     };
 
-    let baseline = render(ExecMode::EventDriven, 1);
+    let baseline = render(ExecMode::Translated, 1);
     assert_eq!(
         baseline,
         render(ExecMode::Reference, 1),
@@ -439,17 +407,7 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
     );
     assert_eq!(
         baseline,
-        render(ExecMode::Translated, 1),
-        "translated CSV bytes diverge"
-    );
-    assert_eq!(
-        baseline,
-        render(ExecMode::EventDriven, 4),
-        "sharded CSV bytes diverge"
-    );
-    assert_eq!(
-        baseline,
         render(ExecMode::Translated, 4),
-        "sharded translated CSV bytes diverge"
+        "sharded CSV bytes diverge"
     );
 }

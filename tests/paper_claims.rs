@@ -1,6 +1,6 @@
 //! Scaled-down checks of the paper's headline claims — small configurations
 //! so they run in the normal test suite; the full-scale numbers come from
-//! the `lrscwait-bench` binaries (see EXPERIMENTS.md).
+//! the `lrscwait-bench` binaries (see "Running experiments" in README.md).
 
 use std::collections::HashMap;
 
