@@ -1,7 +1,8 @@
 //! Backpressured hierarchical network-on-chip model for the LRSCwait
 //! simulator.
 //!
-//! Two layers:
+//! Two layers, plus [`IdSet`], the ordered id set both the network and
+//! the simulator keep their ascending-id worklists in:
 //!
 //! * [`Network`] — a generic store-and-forward fabric of FIFO nodes with
 //!   per-node service rate, queue capacity, hop latency, head-of-line
@@ -27,8 +28,10 @@
 //! assert_eq!(delivered, vec!["lrwait"]);
 //! ```
 
+mod idset;
 mod network;
 mod topology;
 
+pub use idset::IdSet;
 pub use network::{Network, NetworkStats, NocEvent, NodeId, NodeSpec, Route};
 pub use topology::{LinkSpecs, MempoolTopology, TopologyConfig};

@@ -12,7 +12,7 @@
 //! are delivered in order (every node is a FIFO). The Colibri protocol
 //! relies on this for its (bank → core) channels.
 
-use std::collections::VecDeque;
+use crate::idset::IdSet;
 
 /// Index of a node within a [`Network`].
 pub type NodeId = u32;
@@ -96,22 +96,58 @@ impl Route {
     }
 }
 
+/// A message in flight. It stays in one slab slot from injection to
+/// delivery; a hop updates `hop` and `ready_at` in place.
 #[derive(Clone, Debug)]
 struct Flit<P> {
-    payload: P,
+    /// `None` once delivered (the slot is then on the free list).
+    payload: Option<P>,
     route: Route,
     hop: u8,
     ready_at: u64,
 }
 
-#[derive(Clone, Debug)]
-struct Node<P> {
-    spec: NodeSpec,
-    queue: VecDeque<Flit<P>>,
+/// A node's service parameters and its FIFO: a fixed ring of `capacity`
+/// slab handles at `ring[base..base + capacity]`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    rate: u32,
+    capacity: u32,
+    latency: u32,
+    base: u32,
+    head: u32,
+    len: u32,
+}
+
+impl Node {
+    /// Ring index of the front handle.
+    fn front(&self) -> usize {
+        (self.base + self.head) as usize
+    }
+
+    /// Drops the front handle.
+    fn pop(&mut self) {
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+        self.len -= 1;
+    }
+
+    /// Claims the ring index behind the back handle. The caller has
+    /// checked `len < capacity`.
+    fn push(&mut self) -> usize {
+        let mut at = self.head + self.len;
+        if at >= self.capacity {
+            at -= self.capacity;
+        }
+        self.len += 1;
+        (self.base + at) as usize
+    }
 }
 
 /// An observable transport event, emitted through the tracing hooks
-/// ([`Network::try_send_traced`], [`Network::advance_traced`]).
+/// ([`Network::try_send_extra_traced`], [`Network::advance_traced`]).
 ///
 /// The events carry node ids only — the network is payload-agnostic, so
 /// semantic context (which core, which request) is the caller's to add.
@@ -160,17 +196,35 @@ pub struct NetworkStats {
 }
 
 /// A backpressured store-and-forward network carrying payloads of type `P`.
+///
+/// # Storage
+///
+/// A flit is written once, at injection, into a slab slot, updated in
+/// place by every hop (`hop`, `ready_at`) and read once, at delivery; what
+/// a hop moves from one node's ring to the next is its `u32` slab handle.
+/// The rings are fixed slices of one arena — every push is preceded by a
+/// capacity check, so a ring never grows — and the slab grows to the
+/// high-water mark of flits in flight, recycling slots through a free
+/// list.
+///
+/// # Processing order
+///
+/// [`advance`](Network::advance) visits the nodes that hold a message in
+/// ascending node id rotated by `now % active_count` — the determinism
+/// contract. The active set is an [`IdSet`], whose iteration order *is*
+/// ascending id, so the order needs no sorting.
 #[derive(Clone, Debug)]
 pub struct Network<P> {
-    nodes: Vec<Node<P>>,
-    /// Node ids with at least one queued flit, unordered (`active_flag`
-    /// dedups). Keeping it unsorted makes activation O(1); `advance`
-    /// sorts its working snapshot once per cycle, which is cheaper than
-    /// the per-activation sorted inserts it replaces once more than a
-    /// handful of routers carry traffic.
-    active: Vec<NodeId>,
-    active_flag: Vec<bool>,
-    /// Reusable sorted, rotated-order snapshot for `advance`
+    nodes: Vec<Node>,
+    /// Handle rings of all nodes, back to back.
+    ring: Vec<u32>,
+    slab: Vec<Flit<P>>,
+    /// Delivered slab slots, reused before the slab grows. Its capacity
+    /// follows the slab's, so recycling never allocates.
+    free: Vec<u32>,
+    /// Nodes with a non-empty queue.
+    active: IdSet,
+    /// Reusable rotated snapshot of `active` for `advance`
     /// (allocation-free steady state).
     scratch: Vec<NodeId>,
     stats: NetworkStats,
@@ -179,20 +233,44 @@ pub struct Network<P> {
 impl<P> Network<P> {
     /// Creates a network with the given node specifications. Node ids are
     /// indices into `specs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the capacities do not sum to a 32-bit ring index.
     #[must_use]
     pub fn new(specs: Vec<NodeSpec>) -> Network<P> {
+        let mut base = 0u32;
         let nodes = specs
-            .into_iter()
-            .map(|spec| Node {
-                spec,
-                queue: VecDeque::new(),
+            .iter()
+            .map(|spec| {
+                let capacity = u32::try_from(spec.capacity).expect("node capacity fits in 32 bits");
+                let node = Node {
+                    rate: spec.rate,
+                    capacity,
+                    latency: spec.latency,
+                    base,
+                    head: 0,
+                    len: 0,
+                };
+                base = base
+                    .checked_add(capacity)
+                    .expect("total capacity fits in 32 bits");
+                node
             })
             .collect::<Vec<_>>();
         let n = nodes.len();
         Network {
             nodes,
-            active: Vec::with_capacity(n),
-            active_flag: vec![false; n],
+            // Zeroed pages stay untouched (and out of the resident set)
+            // until a ring is first used.
+            ring: vec![0; base as usize],
+            // One flit per node, not per queue slot: traffic rarely holds
+            // more in flight, and the slab grows if it does. Reserving the
+            // summed capacity (megabytes at 1024 cores) would, on release,
+            // raise glibc's dynamic mmap threshold for the whole process.
+            slab: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
+            active: IdSet::new(n),
             scratch: Vec::with_capacity(n),
             stats: NetworkStats::default(),
         }
@@ -215,8 +293,34 @@ impl<P> Network<P> {
     pub fn in_flight(&self) -> usize {
         self.active
             .iter()
-            .map(|&id| self.nodes[id as usize].queue.len())
+            .map(|id| self.nodes[id as usize].len as usize)
             .sum()
+    }
+
+    /// Stores a flit in a recycled or new slab slot and queues its handle
+    /// at the back of the node `route` names at `hop`, whose capacity the
+    /// caller has checked.
+    fn enqueue(&mut self, payload: P, route: Route, hop: u8, ready_at: u64) {
+        let flit = Flit {
+            payload: Some(payload),
+            route,
+            hop,
+            ready_at,
+        };
+        let handle = if let Some(handle) = self.free.pop() {
+            self.slab[handle as usize] = flit;
+            handle
+        } else {
+            self.slab.push(flit);
+            self.free.reserve(self.slab.capacity());
+            (self.slab.len() - 1) as u32
+        };
+        let id = route.hops[usize::from(hop)];
+        let node = &mut self.nodes[id as usize];
+        if node.len == 0 {
+            self.active.insert(id);
+        }
+        self.ring[node.push()] = handle;
     }
 
     /// Visits every in-flight flit in a canonical order — ascending node
@@ -230,60 +334,64 @@ impl<P> Network<P> {
     where
         F: FnMut(&P, Route, u8, u64),
     {
-        for node in &self.nodes {
-            for flit in &node.queue {
-                visit(&flit.payload, flit.route, flit.hop, flit.ready_at);
+        for id in self.active.iter() {
+            let mut node = self.nodes[id as usize];
+            while node.len > 0 {
+                let flit = &self.slab[self.ring[node.front()] as usize];
+                let payload = flit.payload.as_ref().expect("queued flit holds a payload");
+                visit(payload, flit.route, flit.hop, flit.ready_at);
+                node.pop();
             }
         }
     }
 
     /// Re-enqueues one flit during a checkpoint restore, bypassing
-    /// capacity checks and statistics (the flit was already accounted for
-    /// when it was first injected).
+    /// statistics (the flit was already accounted for when it was first
+    /// injected).
     ///
     /// Callers must replay flits in the canonical
     /// [`for_each_flit`](Network::for_each_flit) order onto a network with
     /// no in-flight messages.
     ///
+    /// # Errors
+    ///
+    /// Returns the payload back when the flit's node already holds
+    /// `capacity` flits — no state [`for_each_flit`](Network::for_each_flit)
+    /// can have produced.
+    ///
     /// # Panics
     ///
     /// Panics when `hop` is out of range for `route` or names a node this
     /// network does not have.
-    pub fn push_flit(&mut self, route: Route, hop: u8, ready_at: u64, payload: P) {
+    pub fn push_flit(&mut self, route: Route, hop: u8, ready_at: u64, payload: P) -> Result<(), P> {
         assert!(usize::from(hop) < route.len(), "flit hop beyond its route");
         let id = route.hops()[usize::from(hop)];
         assert!(
             (id as usize) < self.nodes.len(),
             "flit queued at nonexistent node"
         );
-        self.nodes[id as usize].queue.push_back(Flit {
-            payload,
-            route,
-            hop,
-            ready_at,
-        });
-        self.mark_active(id);
+        let node = &self.nodes[id as usize];
+        if node.len >= node.capacity {
+            return Err(payload);
+        }
+        self.enqueue(payload, route, hop, ready_at);
+        Ok(())
     }
 
     /// Drops every in-flight flit (restore starts from an empty fabric).
     pub fn clear_in_flight(&mut self) {
-        for &id in &self.active {
-            self.nodes[id as usize].queue.clear();
-            self.active_flag[id as usize] = false;
+        for id in self.active.iter() {
+            let node = &mut self.nodes[id as usize];
+            (node.head, node.len) = (0, 0);
         }
         self.active.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 
     /// Overwrites the accumulated statistics (restored from a checkpoint).
     pub fn set_stats(&mut self, stats: NetworkStats) {
         self.stats = stats;
-    }
-
-    fn mark_active(&mut self, id: NodeId) {
-        if !self.active_flag[id as usize] {
-            self.active_flag[id as usize] = true;
-            self.active.push(id);
-        }
     }
 
     /// Earliest cycle at which any queued flit becomes movable, or `None`
@@ -300,8 +408,7 @@ impl<P> Network<P> {
     pub fn next_ready_at(&self) -> Option<u64> {
         self.active
             .iter()
-            .filter_map(|&id| self.nodes[id as usize].queue.front())
-            .map(|flit| flit.ready_at)
+            .map(|id| self.slab[self.ring[self.nodes[id as usize].front()] as usize].ready_at)
             .min()
     }
 
@@ -312,38 +419,19 @@ impl<P> Network<P> {
     /// Returns the payload back when the first node's queue is full — the
     /// caller must stall and retry (backpressure reaches the source).
     pub fn try_send(&mut self, route: Route, payload: P, now: u64) -> Result<(), P> {
-        self.try_send_traced(route, payload, now, &mut |_| {})
+        self.try_send_extra_traced(route, payload, now, 0, &mut |_| {})
     }
 
-    /// [`try_send`](Network::try_send) with a tracing hook: `emit` receives
-    /// [`NocEvent::Injected`] on success and [`NocEvent::InjectStalled`] on
-    /// refusal. Behaviour and statistics are identical to the untraced
-    /// entry point.
+    /// [`try_send`](Network::try_send) with a tracing hook and `extra`
+    /// cycles of additional injection latency on top of the first node's
+    /// configured latency (chaos-injected NoC jitter).
     ///
-    /// # Errors
-    ///
-    /// Returns the payload back when the first node's queue is full — the
-    /// caller must stall and retry (backpressure reaches the source).
-    pub fn try_send_traced<F>(
-        &mut self,
-        route: Route,
-        payload: P,
-        now: u64,
-        emit: &mut F,
-    ) -> Result<(), P>
-    where
-        F: FnMut(NocEvent),
-    {
-        self.try_send_extra_traced(route, payload, now, 0, emit)
-    }
-
-    /// [`try_send_traced`](Network::try_send_traced) with `extra` cycles of
-    /// additional injection latency on top of the first node's configured
-    /// latency (chaos-injected NoC jitter). FIFO order within the node is
-    /// preserved by construction — a later flit cannot overtake the queue
-    /// front, so [`next_ready_at`](Network::next_ready_at) (the front
-    /// flit) remains the binding fast-forward bound. `extra = 0` is
-    /// bit-identical to the plain entry point.
+    /// `emit` receives [`NocEvent::Injected`] on success and
+    /// [`NocEvent::InjectStalled`] on refusal; a no-op closure is
+    /// monomorphized away. FIFO order within the node is preserved by
+    /// construction — a later flit cannot overtake the queue front, so
+    /// [`next_ready_at`](Network::next_ready_at) (the front flit) remains
+    /// the binding fast-forward bound.
     ///
     /// # Errors
     ///
@@ -361,43 +449,36 @@ impl<P> Network<P> {
         F: FnMut(NocEvent),
     {
         let first = route.hops()[0];
-        let node = &mut self.nodes[first as usize];
-        if node.queue.len() >= node.spec.capacity {
+        let node = &self.nodes[first as usize];
+        if node.len >= node.capacity {
             self.stats.inject_stalls += 1;
             emit(NocEvent::InjectStalled { node: first });
             return Err(payload);
         }
-        let ready_at = now + u64::from(node.spec.latency) + u64::from(extra);
-        node.queue.push_back(Flit {
-            payload,
-            route,
-            hop: 0,
-            ready_at,
-        });
+        let ready_at = now + u64::from(node.latency) + u64::from(extra);
+        self.enqueue(payload, route, 0, ready_at);
         self.stats.injected += 1;
         emit(NocEvent::Injected { node: first });
-        self.mark_active(first);
         Ok(())
     }
 
     /// Advances the network by one cycle, appending delivered payloads to
     /// `out`.
     ///
-    /// Nodes are processed in a sorted order *rotated by the cycle number*:
-    /// rotation provides round-robin fairness between producers competing
-    /// for a full downstream queue (e.g. remote ingress vs. local cores at
-    /// a saturated bank), which real fabrics implement with round-robin
-    /// arbiters. Without it, a retry storm can starve one producer forever.
+    /// Nodes are processed in ascending id order *rotated by the cycle
+    /// number*: rotation provides round-robin fairness between producers
+    /// competing for a full downstream queue (e.g. remote ingress vs. local
+    /// cores at a saturated bank), which real fabrics implement with
+    /// round-robin arbiters. Without it, a retry storm can starve one
+    /// producer forever.
     pub fn advance(&mut self, now: u64, out: &mut Vec<P>) {
         self.advance_traced(now, out, &mut |_| {});
     }
 
     /// [`advance`](Network::advance) with a tracing hook: `emit` receives
     /// [`NocEvent::Delivered`] for every payload appended to `out` and
-    /// [`NocEvent::HolBlocked`] for every head-of-line blocking occurrence.
-    /// Behaviour, delivery order and statistics are identical to the
-    /// untraced entry point, which calls this with a no-op closure the
-    /// compiler removes.
+    /// [`NocEvent::HolBlocked`] for every head-of-line blocking occurrence
+    /// (a no-op closure is monomorphized away).
     pub fn advance_traced<F>(&mut self, now: u64, out: &mut Vec<P>, emit: &mut F)
     where
         F: FnMut(NocEvent),
@@ -405,60 +486,53 @@ impl<P> Network<P> {
         if self.active.is_empty() {
             return;
         }
-        // The processing order is canonical regardless of how `active` is
-        // currently permuted: sort the snapshot ascending, then rotate by
-        // the cycle number. One O(k log k) sort per cycle replaces the
-        // O(k) sorted insert per activation the old scheme paid.
+        // The cycle's visit list is fixed up front: a node that receives
+        // its first flit during this call joins `active` but not `order`
+        // (its flit is not ready before `now + latency` anyway).
         let mut order = std::mem::take(&mut self.scratch);
-        order.clear();
-        order.extend_from_slice(&self.active);
-        order.sort_unstable();
-        let rotation = (now as usize) % order.len();
-        order.rotate_left(rotation);
-        self.active.clear();
+        let rotation = (now % self.active.len() as u64) as usize;
+        self.active.rotated_into(rotation, &mut order);
         for &id in &order {
-            self.active_flag[id as usize] = false;
-            let rate = self.nodes[id as usize].spec.rate;
+            // `nodes[id]` is re-read through the index at every use: a
+            // route may revisit `id`, so `nodes[next]` can alias it. (A
+            // local copy written back after the loop also costs a
+            // store-forwarding stall per visit.)
+            let at = id as usize;
             let mut moved = 0;
-            while moved < rate {
-                let node = &mut self.nodes[id as usize];
-                let Some(front) = node.queue.front() else {
-                    break;
-                };
-                if front.ready_at > now {
+            while moved < self.nodes[at].rate && self.nodes[at].len > 0 {
+                let handle = self.ring[self.nodes[at].front()];
+                let flit = &mut self.slab[handle as usize];
+                if flit.ready_at > now {
                     break; // strict FIFO: later flits wait behind it
                 }
-                let at_last_hop = usize::from(front.hop) + 1 == front.route.len();
-                if at_last_hop {
-                    let flit = node.queue.pop_front().expect("front exists");
+                let next_hop = usize::from(flit.hop) + 1;
+                if next_hop == flit.route.len() {
+                    let payload = flit.payload.take();
+                    self.free.push(handle);
                     self.stats.delivered += 1;
                     emit(NocEvent::Delivered { node: id });
-                    out.push(flit.payload);
+                    out.push(payload.expect("queued flit holds a payload"));
                 } else {
-                    let next = front.route.hops()[usize::from(front.hop) + 1];
-                    let next_free = {
-                        let next_node = &self.nodes[next as usize];
-                        next_node.queue.len() < next_node.spec.capacity
-                    };
-                    if !next_free {
+                    let next = flit.route.hops[next_hop];
+                    let next_node = &mut self.nodes[next as usize];
+                    if next_node.len >= next_node.capacity {
                         self.stats.hol_blocks += 1;
                         emit(NocEvent::HolBlocked { node: id });
                         break; // head-of-line blocking
                     }
-                    let mut flit = self.nodes[id as usize]
-                        .queue
-                        .pop_front()
-                        .expect("front exists");
-                    flit.hop += 1;
-                    flit.ready_at = now + u64::from(self.nodes[next as usize].spec.latency);
-                    self.nodes[next as usize].queue.push_back(flit);
+                    flit.hop = next_hop as u8;
+                    flit.ready_at = now + u64::from(next_node.latency);
+                    if next_node.len == 0 {
+                        self.active.insert(next);
+                    }
+                    self.ring[next_node.push()] = handle;
                     self.stats.hops += 1;
-                    self.mark_active(next);
                 }
+                self.nodes[at].pop();
                 moved += 1;
             }
-            if !self.nodes[id as usize].queue.is_empty() {
-                self.mark_active(id);
+            if self.nodes[at].len == 0 {
+                self.active.remove(id);
             }
         }
         self.scratch = order;
@@ -669,7 +743,7 @@ mod tests {
         let mut restored = Network::<u32>::new(specs);
         restored.clear_in_flight();
         for (p, r, hop, ready_at) in saved {
-            restored.push_flit(r, hop, ready_at, p);
+            restored.push_flit(r, hop, ready_at, p).unwrap();
         }
         restored.set_stats(stats);
         let mut out_r = Vec::new();
@@ -681,6 +755,20 @@ mod tests {
         assert_eq!(net.stats(), restored.stats());
         assert_eq!(net.in_flight(), 0);
         assert_eq!(restored.in_flight(), 0);
+    }
+
+    #[test]
+    fn push_flit_refuses_a_flit_beyond_node_capacity() {
+        let mut net = single_node_net(); // capacity 2
+        let route = Route::new(&[0]);
+        assert_eq!(net.push_flit(route, 0, 5, 1), Ok(()));
+        assert_eq!(net.push_flit(route, 0, 5, 2), Ok(()));
+        assert_eq!(net.push_flit(route, 0, 5, 3), Err(3), "ring is full");
+        assert_eq!(net.in_flight(), 2);
+        let mut out = Vec::new();
+        net.advance(5, &mut out);
+        net.advance(6, &mut out);
+        assert_eq!(out, vec![1, 2], "the accepted flits are intact");
     }
 
     #[test]

@@ -40,11 +40,14 @@
 //! on summaries, statistics, CSV bytes and trace streams). Three rules
 //! make this hold:
 //!
-//! * every cross-shard merge (dirty banks, dirty cores, runnable set,
-//!   deferred cores, debug prints, trace events) is performed in bank-id /
-//!   core-id order — shards own contiguous, ordered ranges and accumulate
-//!   in ascending order, so concatenation in shard order *is* the global
-//!   order;
+//! * every ordered worklist (dirty banks, dirty cores, the runnable set)
+//!   is an [`IdSet`], walked in ascending id whatever order its members
+//!   were inserted in; shards only read it during a parallel phase and
+//!   report per-shard lists the coordinator applies as inserts and
+//!   removes afterwards. The order-carrying lists (deferred cores, debug
+//!   prints, trace events) are drained in shard order — shards own
+//!   contiguous, ordered ranges and accumulate in ascending order, so
+//!   concatenation in shard order *is* the global order;
 //! * the barrier release (the one genuinely order-sensitive accounting
 //!   site) is deferred to a single-threaded sub-phase after stepping and
 //!   charges every released core the same `now − parked_at` delta,
@@ -62,16 +65,18 @@
 //! *issue events* instead of `cores × cycles` — a core is visited only in
 //! a cycle it can issue in:
 //!
-//! * **Runnable set.** Phase 4 walks an always-sorted list of the cores in
-//!   [`CoreState::Running`] that may issue this cycle. Cores leave it when
+//! * **Runnable set.** Phase 4 walks, in ascending id, the set of cores in
+//!   [`CoreState::Running`] that may issue this cycle; with the set empty
+//!   the phase is skipped (as is bank service in a cycle that delivered
+//!   no request). Cores leave it when
 //!   they halt, park at the barrier, or block on memory, and re-enter on
 //!   response delivery or barrier release — a parked core costs zero work
 //!   per cycle.
 //! * **Ready queue.** A `Running` core whose `ready_at` lies beyond the
 //!   next cycle after its visit (branch penalty, divide latency, a
 //!   superblock that ran ahead) also leaves the runnable set and waits in
-//!   a min-heap keyed by `(ready_at, core)`; it is re-admitted through the
-//!   same sorted merge as woken cores at exactly cycle `ready_at`. Cores
+//!   a min-heap keyed by `(ready_at, core)`; it is re-admitted, like a
+//!   woken core, by insertion at exactly cycle `ready_at`. Cores
 //!   blocked by a full outbox, a full store buffer or an undrained fence
 //!   retry every cycle (`ready_at ≤ now + 1`) and stay in the set.
 //! * **Lazy accounting.** Sleep/barrier cycle counters are settled as one
@@ -86,9 +91,9 @@
 //!   the common case under LRSCwait — cost O(events), and an all-parked
 //!   deadlock jumps directly to the watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
-//!   (message buffers, dirty-bank/dirty-core lists, the runnable set and
-//!   its merge scratch, the ready queue, the networks' scan sets, the
-//!   per-shard scratches) is reused; steady-state cycles perform zero heap
+//!   (message buffers, the dirty-bank/dirty-core/runnable sets, the ready
+//!   queue, the networks' rings and visit lists, the per-shard scratches)
+//!   is reused; steady-state cycles perform zero heap
 //!   allocations.
 //!
 //! # Superblocks
@@ -149,7 +154,7 @@ use lrscwait_core::{
     AdapterStats, MemRequest, MemResponse, Qnode, StateError, StateReader, StateWriter, SyncAdapter,
 };
 use lrscwait_isa::{MemWidth, Reg};
-use lrscwait_noc::{MempoolTopology, Network, NetworkStats, Route};
+use lrscwait_noc::{IdSet, MempoolTopology, Network, NetworkStats, Route};
 use lrscwait_telemetry::{Phase, PhaseProfile, Profiler, ProfilerConfig};
 
 use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
@@ -284,8 +289,8 @@ pub struct Machine {
     resp_net: Network<RespMsg>,
     core_outbox: Vec<VecDeque<ReqMsg>>,
     bank_outbox: Vec<VecDeque<RespMsg>>,
-    /// Banks with a non-empty response outbox, sorted ascending.
-    dirty_banks: Vec<u32>,
+    /// Banks with a non-empty response outbox (the Phase 2 walk list).
+    dirty_banks: IdSet,
     cycle: u64,
     halted: usize,
     barrier_waiting: usize,
@@ -317,21 +322,18 @@ pub struct Machine {
     /// stateful part) are not captured by snapshots: combining mutations
     /// with mid-run checkpoint/restore is unsupported.
     chaos: Chaos,
-    /// `Running` cores that may issue next cycle, sorted ascending (the
-    /// Phase 4 walk list).
-    runnable: Vec<u32>,
+    /// `Running` cores that may issue next cycle (the Phase 4 walk list).
+    /// Cores re-enter by insertion: response deliveries, barrier releases
+    /// and ready-queue re-admissions.
+    runnable: IdSet,
     /// `Running` cores that cannot issue before `now + 2`, as a min-heap
     /// of `(ready_at, core)`: each is re-admitted to `runnable` at exactly
     /// cycle `ready_at`, with `Core::parked_at` holding the cycle it was
     /// deferred at. Derived state — never serialized, emptied on restore.
     ready_queue: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Cores that re-enter `runnable` from outside the Phase 4 walk
-    /// (response deliveries, barrier releases, ready-queue re-admissions),
-    /// merged in sorted before the next walk.
-    pending_wake: Vec<u32>,
-    /// Cores with a non-empty request outbox, sorted ascending
-    /// (Phase 5 of the production stepper).
-    dirty_cores: Vec<u32>,
+    /// Cores with a non-empty request outbox (Phase 5 of the production
+    /// stepper).
+    dirty_cores: IdSet,
     /// Worker pool for `cfg.shards > 1`; `None` runs phases inline.
     pool: Option<WorkerPool>,
     /// The single shard's scratch when no pool exists.
@@ -342,9 +344,6 @@ pub struct Machine {
     /// Delivered requests of this cycle as (bank, delivery index), sorted —
     /// the bank-id-ordered service schedule shared by all shard counts.
     req_order: Vec<(u32, u32)>,
-    bank_scratch: Vec<u32>,
-    core_scratch: Vec<u32>,
-    merge_scratch: Vec<u32>,
     /// Superblock translation of the program image, built at
     /// construction unless `cfg.exec_mode == ExecMode::Reference` (kept
     /// `None` there) and shared with the `DecodedProgram`'s cache —
@@ -464,7 +463,7 @@ impl Machine {
             resp_net: MempoolTopology::new(cfg.topology).build_response_network(),
             core_outbox: vec![VecDeque::new(); num_cores],
             bank_outbox: vec![VecDeque::new(); num_banks],
-            dirty_banks: Vec::new(),
+            dirty_banks: IdSet::new(num_banks),
             cycle: 0,
             halted: 0,
             barrier_waiting: 0,
@@ -473,23 +472,20 @@ impl Machine {
             profiler: Profiler::Off,
             chaos: Chaos::from_plan(cfg.chaos),
             park_kind: vec![OpKind::Load; num_cores],
-            runnable: (0..num_cores as u32).collect(),
+            runnable: IdSet::new(num_cores),
             ready_queue: BinaryHeap::with_capacity(num_cores),
-            pending_wake: Vec::with_capacity(num_cores),
-            dirty_cores: Vec::with_capacity(num_cores),
+            dirty_cores: IdSet::new(num_cores),
             pool: (cfg.shards > 1).then(|| WorkerPool::new(cfg.shards, num_banks, num_cores)),
             seq_scratch: ShardScratch::default(),
             req_buf: Vec::new(),
             resp_buf: Vec::new(),
             req_order: Vec::new(),
-            bank_scratch: Vec::with_capacity(num_banks),
-            core_scratch: Vec::with_capacity(num_cores),
-            merge_scratch: Vec::with_capacity(num_cores),
             translation,
             step_limit: 0,
             cfg,
         };
 
+        refill(&mut machine.runnable, 0..num_cores as u32);
         // Load the initialized data image.
         for (i, chunk) in program.data.chunks(4).enumerate() {
             let mut word = [0u8; 4];
@@ -698,7 +694,6 @@ impl Machine {
                 });
             }
         }
-        let was_empty = self.bank_outbox[bank as usize].is_empty();
         let mut queued = false;
         for (core, resp) in out {
             if core == HOST_CORE {
@@ -708,10 +703,8 @@ impl Machine {
             self.bank_outbox[bank as usize].push_back(RespMsg { core, resp });
             queued = true;
         }
-        if was_empty && queued {
-            if let Err(pos) = self.dirty_banks.binary_search(&bank) {
-                self.dirty_banks.insert(pos, bank);
-            }
+        if queued {
+            self.dirty_banks.insert(bank);
         }
     }
 
@@ -897,6 +890,7 @@ impl Machine {
         self.cycle += 1;
         let now = self.cycle;
         let tracing = !self.tracer.is_off();
+        let event_scheduled = self.cfg.exec_mode.event_scheduled();
         let num_banks = self.banks.len() as u32;
         // Owned clock so the laps below don't borrow `self.profiler`
         // across the `&mut self` phase bodies; committed at the end.
@@ -905,158 +899,129 @@ impl Machine {
         // Phase 1a: advance the request network (sequential).
         let mut req_buf = std::mem::take(&mut self.req_buf);
         req_buf.clear();
-        if tracing {
-            let tracer = &mut self.tracer;
-            self.req_net
-                .advance_traced(now, &mut req_buf, &mut |event| {
-                    tracer.emit(now, || TraceEvent::Noc {
-                        net: NetDir::Request,
-                        event,
-                    });
-                });
-        } else {
-            self.req_net.advance(now, &mut req_buf);
-        }
+        net_advance(
+            &mut self.req_net,
+            &mut self.tracer,
+            NetDir::Request,
+            now,
+            &mut req_buf,
+        );
         clock.lap(Phase::ReqNetAdvance);
 
         // Phase 1b: service the delivered requests, grouped by destination
         // bank and processed in (bank id, delivery index) order — the one
         // schedule every shard count shares. Within a bank, delivery order
-        // is preserved (the per-(core, bank) FIFO Colibri relies on).
-        self.req_order.clear();
-        self.req_order
-            .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
-        self.req_order.sort_unstable();
-        // Chaos eviction pre-pass (sequential, before the parallel bank
-        // service): walk the service schedule and spuriously evict
-        // reservations immediately before their requests are serviced.
-        // A spurious `sc`/`scwait` failure *is* such an eviction — the
-        // adapters' own fail paths then advance their queues exactly as
-        // for a reservation lost to an intervening write, so all protocol
-        // state stays consistent by construction. Decisions are stateless
-        // hashes of (seed, cycle, bank, delivery index) — identical in
-        // every exec mode and shard count.
-        if let Chaos::On(state) = self.chaos {
-            let plan = state.plan;
-            if plan.evict_per_mille > 0 || plan.sc_fail_per_mille > 0 {
-                let order = std::mem::take(&mut self.req_order);
-                let adapters = &mut self.adapters;
-                let tracer = &mut self.tracer;
-                for &(bank, idx) in &order {
-                    let req = &req_buf[idx as usize].req;
-                    let is_sc = matches!(req, MemRequest::Sc { .. } | MemRequest::ScWait { .. });
-                    let evict = if is_sc {
-                        plan.fail_sc(now, bank, idx)
-                    } else {
-                        plan.evict_request(now, bank, idx)
-                    };
-                    if evict {
-                        adapters[bank as usize].chaos_evict(req.addr(), &mut |event| {
-                            tracer.emit(now, || TraceEvent::Sync { bank, event });
-                        });
-                    }
-                }
-                self.req_order = order;
+        // is preserved (the per-(core, bank) FIFO Colibri relies on). A
+        // cycle that delivered nothing has nothing to service or merge.
+        if !req_buf.is_empty() {
+            self.req_order.clear();
+            self.req_order
+                .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
+            self.req_order.sort_unstable();
+            self.chaos_evict_before_service(&req_buf, now);
+            self.reset_scratch();
+            if let Some(pool) = &mut self.pool {
+                pool.dispatch(Job::Banks {
+                    reqs: req_buf.as_ptr(),
+                    reqs_len: req_buf.len(),
+                    order: self.req_order.as_ptr(),
+                    order_len: self.req_order.len(),
+                    banks: self.banks.as_mut_ptr(),
+                    adapters: self.adapters.as_mut_ptr(),
+                    bank_outbox: self.bank_outbox.as_mut_ptr(),
+                    num_banks,
+                    tracing,
+                });
+            } else {
+                phases::service_banks(
+                    0,
+                    &mut self.banks,
+                    &mut self.adapters,
+                    &mut self.bank_outbox,
+                    num_banks,
+                    &req_buf,
+                    &self.req_order,
+                    &mut self.seq_scratch,
+                    tracing,
+                );
             }
-        }
-        self.reset_scratch();
-        if let Some(pool) = &mut self.pool {
-            pool.dispatch(Job::Banks {
-                reqs: req_buf.as_ptr(),
-                reqs_len: req_buf.len(),
-                order: self.req_order.as_ptr(),
-                order_len: self.req_order.len(),
-                banks: self.banks.as_mut_ptr(),
-                adapters: self.adapters.as_mut_ptr(),
-                bank_outbox: self.bank_outbox.as_mut_ptr(),
-                num_banks,
-                tracing,
-            });
-        } else {
-            phases::service_banks(
-                0,
-                &mut self.banks,
-                &mut self.adapters,
-                &mut self.bank_outbox,
-                num_banks,
-                &req_buf,
-                &self.req_order,
-                &mut self.seq_scratch,
-                tracing,
-            );
+            clock.lap(Phase::BankService);
+            self.drain_shard_traces(now);
+            for s in 0..self.shard_count() {
+                let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
+                for &bank in &scratch.new_dirty_banks {
+                    self.dirty_banks.insert(bank);
+                }
+            }
+            clock.lap(Phase::CrossShardMerge);
         }
         self.req_buf = req_buf;
-        clock.lap(Phase::BankService);
-        self.drain_shard_traces(now);
-        self.merge_new_dirty_banks();
-        clock.lap(Phase::CrossShardMerge);
 
         // Phase 2: flush bank outboxes into the response network, in bank
         // id order (deterministic for every shard count).
-        if !self.dirty_banks.is_empty() {
-            let mut still_dirty = std::mem::take(&mut self.bank_scratch);
-            still_dirty.clear();
-            let dirty = std::mem::take(&mut self.dirty_banks);
-            for &bank in &dirty {
-                while let Some(&msg) = self.bank_outbox[bank as usize].front() {
-                    // Chaos: mutations rewrite/drop the response and wake
-                    // delay / jitter add injection latency. Mutation
-                    // counters are committed only when the message actually
-                    // leaves the outbox, so network backpressure cannot
-                    // double-count a candidate.
-                    let (send, extra, staged) = match &self.chaos {
-                        Chaos::Off => (Some(msg), 0, None),
-                        Chaos::On(state) => {
-                            let mut staged = *state;
-                            let send = staged.mutate_response(msg.resp).map(|resp| RespMsg {
-                                core: msg.core,
-                                resp,
-                            });
-                            let extra = state.plan.response_delay(now, bank, msg.core, &msg.resp);
-                            (send, extra, Some(staged))
-                        }
-                    };
-                    let Some(send) = send else {
-                        // Mutation dropped the response on the floor.
-                        self.bank_outbox[bank as usize].pop_front();
-                        self.chaos = Chaos::On(staged.expect("drop implies chaos on"));
-                        continue;
-                    };
-                    let route = self.topo.response_route(bank as usize, send.core as usize);
-                    match self.resp_try_send(route, send, now, extra) {
-                        Ok(()) => {
-                            self.bank_outbox[bank as usize].pop_front();
-                            if let Some(staged) = staged {
-                                self.chaos = Chaos::On(staged);
-                            }
-                        }
-                        Err(_) => break,
+        let mut next = self.dirty_banks.next_from(0);
+        while let Some(bank) = next {
+            while let Some(&msg) = self.bank_outbox[bank as usize].front() {
+                // Chaos: mutations rewrite/drop the response and wake
+                // delay / jitter add injection latency. Mutation
+                // counters are committed only when the message actually
+                // leaves the outbox, so network backpressure cannot
+                // double-count a candidate.
+                let (send, extra, staged) = match &self.chaos {
+                    Chaos::Off => (Some(msg), 0, None),
+                    Chaos::On(state) => {
+                        let mut staged = *state;
+                        let send = staged.mutate_response(msg.resp).map(|resp| RespMsg {
+                            core: msg.core,
+                            resp,
+                        });
+                        let extra = state.plan.response_delay(now, bank, msg.core, &msg.resp);
+                        (send, extra, Some(staged))
                     }
-                }
-                if !self.bank_outbox[bank as usize].is_empty() {
-                    still_dirty.push(bank);
+                };
+                let Some(send) = send else {
+                    // Mutation dropped the response on the floor.
+                    self.bank_outbox[bank as usize].pop_front();
+                    self.chaos = Chaos::On(staged.expect("drop implies chaos on"));
+                    continue;
+                };
+                let route = self.topo.response_route(bank as usize, send.core as usize);
+                let sent = net_try_send(
+                    &mut self.resp_net,
+                    &mut self.tracer,
+                    NetDir::Response,
+                    route,
+                    send,
+                    now,
+                    extra,
+                );
+                match sent {
+                    Ok(()) => {
+                        self.bank_outbox[bank as usize].pop_front();
+                        if let Some(staged) = staged {
+                            self.chaos = Chaos::On(staged);
+                        }
+                    }
+                    Err(_) => break,
                 }
             }
-            self.dirty_banks = still_dirty;
-            self.bank_scratch = dirty;
+            if self.bank_outbox[bank as usize].is_empty() {
+                self.dirty_banks.remove(bank);
+            }
+            next = self.dirty_banks.next_from(bank + 1);
         }
         clock.lap(Phase::BankFlush);
 
         // Phase 3: responses reach cores (through their Qnodes).
         let mut resp_buf = std::mem::take(&mut self.resp_buf);
         resp_buf.clear();
-        if tracing {
-            let tracer = &mut self.tracer;
-            self.resp_net
-                .advance_traced(now, &mut resp_buf, &mut |event| {
-                    tracer.emit(now, || TraceEvent::Noc {
-                        net: NetDir::Response,
-                        event,
-                    });
-                });
-        } else {
-            self.resp_net.advance(now, &mut resp_buf);
-        }
+        net_advance(
+            &mut self.resp_net,
+            &mut self.tracer,
+            NetDir::Response,
+            now,
+            &mut resp_buf,
+        );
         clock.lap(Phase::RespNetAdvance);
         for msg in &resp_buf {
             let c = msg.core as usize;
@@ -1086,61 +1051,62 @@ impl Machine {
 
         // Phase 4: step the cores (production stepper: the runnable set,
         // superblocks where the pc enters one; reference: every core with
-        // eager parked accounting).
-        if self.cfg.exec_mode.event_scheduled() {
+        // eager parked accounting). With nothing runnable the production
+        // stepper has no core to visit and no per-shard output to fold.
+        if event_scheduled {
             self.readmit_ready_cores(now);
-            self.merge_pending_wakes();
         }
-        self.reset_scratch();
-        // Superblocks may run ahead to the run loop's horizon; outside
-        // `run`/`run_until` the horizon collapses to `now` (exactly one
-        // instruction per visit, like the reference stepper).
-        let horizon = self.step_limit.max(now);
-        if let Some(pool) = &mut self.pool {
-            pool.dispatch(Job::Cores {
-                cores: self.cores.as_mut_ptr(),
-                qnodes: self.qnodes.as_mut_ptr(),
-                core_outbox: self.core_outbox.as_mut_ptr(),
-                park_kind: self.park_kind.as_mut_ptr(),
-                runnable: self.runnable.as_ptr(),
-                runnable_len: self.runnable.len(),
-                program: Arc::as_ptr(&self.program),
-                translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
-                cfg: &self.cfg,
-                num_banks,
-                now,
-                horizon,
-                tracing,
-            });
-        } else {
-            let mut ctx = CorePhase {
-                core_lo: 0,
-                cores: &mut self.cores,
-                qnodes: &mut self.qnodes,
-                core_outbox: &mut self.core_outbox,
-                park_kind: &mut self.park_kind,
-                program: &self.program,
-                cfg: &self.cfg,
-                num_banks,
-            };
-            match self.translation.as_deref() {
-                Some(translation) => phases::step_translated_cores(
-                    &mut ctx,
-                    translation,
-                    &self.runnable,
+        if !(event_scheduled && self.runnable.is_empty()) {
+            self.reset_scratch();
+            // Superblocks may run ahead to the run loop's horizon; outside
+            // `run`/`run_until` the horizon collapses to `now` (exactly one
+            // instruction per visit, like the reference stepper).
+            let horizon = self.step_limit.max(now);
+            if let Some(pool) = &mut self.pool {
+                pool.dispatch(Job::Cores {
+                    cores: self.cores.as_mut_ptr(),
+                    qnodes: self.qnodes.as_mut_ptr(),
+                    core_outbox: self.core_outbox.as_mut_ptr(),
+                    park_kind: self.park_kind.as_mut_ptr(),
+                    runnable: &self.runnable,
+                    program: Arc::as_ptr(&self.program),
+                    translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
+                    cfg: &self.cfg,
+                    num_banks,
                     now,
                     horizon,
-                    &mut self.seq_scratch,
                     tracing,
-                ),
-                None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
+                });
+            } else {
+                let mut ctx = CorePhase {
+                    core_lo: 0,
+                    cores: &mut self.cores,
+                    qnodes: &mut self.qnodes,
+                    core_outbox: &mut self.core_outbox,
+                    park_kind: &mut self.park_kind,
+                    program: &self.program,
+                    cfg: &self.cfg,
+                    num_banks,
+                };
+                match self.translation.as_deref() {
+                    Some(translation) => phases::step_translated_cores(
+                        &mut ctx,
+                        translation,
+                        self.runnable.iter(),
+                        now,
+                        horizon,
+                        &mut self.seq_scratch,
+                        tracing,
+                    ),
+                    None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
+                }
             }
-        }
-        clock.lap(Phase::CoreStep);
-        let step_error = self.merge_core_phase(now);
-        clock.lap(Phase::CrossShardMerge);
-        if let Some(err) = step_error {
-            return Err(err);
+            clock.lap(Phase::CoreStep);
+            let step_error = self.merge_core_phase(now);
+            clock.lap(Phase::CrossShardMerge);
+            if let Some(err) = step_error {
+                return Err(err);
+            }
         }
 
         // Sequential sub-phase: barrier release. Deferred here so the
@@ -1152,46 +1118,30 @@ impl Machine {
         // Phase 5: flush core outboxes into the request network. The start
         // index rotates each cycle so no core gets static injection
         // priority (round-robin arbitration, as in the real fabric).
-        if self.cfg.exec_mode.event_scheduled() {
-            if !self.dirty_cores.is_empty() {
-                let n = self.cores.len();
-                let start = match &self.chaos {
-                    Chaos::On(state) if state.plan.perturb_arbitration => {
-                        state.plan.arbitration_start(now, n as u64) as u32
-                    }
-                    _ => (now % n as u64) as u32,
-                };
-                let dirty = std::mem::take(&mut self.dirty_cores);
-                let split = dirty.partition_point(|&c| c < start);
-                for &c in dirty[split..].iter().chain(dirty[..split].iter()) {
-                    self.drain_core_outbox(c as usize, now);
-                }
-                let mut keep = std::mem::take(&mut self.core_scratch);
-                keep.clear();
-                keep.extend(
-                    dirty
-                        .iter()
-                        .copied()
-                        .filter(|&c| !self.core_outbox[c as usize].is_empty()),
-                );
-                self.dirty_cores = keep;
-                self.core_scratch = dirty;
-            }
-
-            // Barrier releases become runnable next cycle; merge now
-            // so `fast_forward` sees their `ready_at`.
-            self.merge_pending_wakes();
-        } else {
-            let n = self.cores.len();
+        if !(event_scheduled && self.dirty_cores.is_empty()) {
+            let n = self.cores.len() as u32;
             let start = match &self.chaos {
                 Chaos::On(state) if state.plan.perturb_arbitration => {
-                    state.plan.arbitration_start(now, n as u64) as usize
+                    state.plan.arbitration_start(now, u64::from(n)) as u32
                 }
-                _ => (now as usize) % n,
+                _ => (now % u64::from(n)) as u32,
             };
-            for i in 0..n {
-                let c = (start + i) % n;
-                self.drain_core_outbox(c, now);
+            if event_scheduled {
+                // From core `start` upwards, then the cores below it.
+                for (lo, hi) in [(start, n), (0, start)] {
+                    let mut next = self.dirty_cores.next_from(lo);
+                    while let Some(c) = next.filter(|&c| c < hi) {
+                        self.drain_core_outbox(c as usize, now);
+                        if self.core_outbox[c as usize].is_empty() {
+                            self.dirty_cores.remove(c);
+                        }
+                        next = self.dirty_cores.next_from(c + 1);
+                    }
+                }
+            } else {
+                for i in 0..n {
+                    self.drain_core_outbox(((start + i) % n) as usize, now);
+                }
             }
         }
         clock.lap(Phase::CoreFlush);
@@ -1212,12 +1162,37 @@ impl Machine {
         }
     }
 
-    /// Mutable access to shard `s`'s scratch (coordinator, between
-    /// phases).
-    fn scratch_at(&mut self, s: usize) -> &mut ShardScratch {
-        match &mut self.pool {
-            Some(pool) => pool.scratch_mut(s),
-            None => &mut self.seq_scratch,
+    /// Chaos eviction pre-pass (sequential, before the parallel bank
+    /// service): walks the service schedule and spuriously evicts
+    /// reservations immediately before their requests are serviced.
+    /// A spurious `sc`/`scwait` failure *is* such an eviction — the
+    /// adapters' own fail paths then advance their queues exactly as
+    /// for a reservation lost to an intervening write, so all protocol
+    /// state stays consistent by construction. Decisions are stateless
+    /// hashes of (seed, cycle, bank, delivery index) — identical in
+    /// every exec mode and shard count.
+    fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
+        let Chaos::On(state) = self.chaos else {
+            return;
+        };
+        let plan = state.plan;
+        if plan.evict_per_mille == 0 && plan.sc_fail_per_mille == 0 {
+            return;
+        }
+        let tracer = &mut self.tracer;
+        for &(bank, idx) in &self.req_order {
+            let req = &req_buf[idx as usize].req;
+            let is_sc = matches!(req, MemRequest::Sc { .. } | MemRequest::ScWait { .. });
+            let evict = if is_sc {
+                plan.fail_sc(now, bank, idx)
+            } else {
+                plan.evict_request(now, bank, idx)
+            };
+            if evict {
+                self.adapters[bank as usize].chaos_evict(req.addr(), &mut |event| {
+                    tracer.emit(now, || TraceEvent::Sync { bank, event });
+                });
+            }
         }
     }
 
@@ -1228,81 +1203,48 @@ impl Machine {
             return;
         }
         for s in 0..self.shard_count() {
-            let mut buf = std::mem::take(&mut self.scratch_at(s).trace);
-            for event in buf.drain(..) {
+            let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
+            for event in scratch.trace.drain(..) {
                 self.tracer.emit(now, || event);
             }
-            self.scratch_at(s).trace = buf;
-        }
-    }
-
-    /// Merges the bank phase's empty → non-empty outbox transitions into
-    /// the sorted dirty-bank list.
-    fn merge_new_dirty_banks(&mut self) {
-        for s in 0..self.shard_count() {
-            let add = std::mem::take(&mut self.scratch_at(s).new_dirty_banks);
-            let mut scratch = std::mem::take(&mut self.bank_scratch);
-            merge_sorted(&mut self.dirty_banks, &add, &mut scratch);
-            self.bank_scratch = scratch;
-            self.scratch_at(s).new_dirty_banks = add;
         }
     }
 
     /// Folds the core phase's per-shard outputs into the machine, in shard
     /// (= core id) order: trace events, debug prints, halt/barrier counts,
-    /// the rebuilt runnable set, the newly deferred cores and the
-    /// dirty-core merge. Returns the lowest-core fatal error, if any shard
-    /// faulted.
+    /// the cores that left the runnable set (parked or deferred to the
+    /// ready queue) and the newly dirty cores. Returns the lowest-core
+    /// fatal error, if any shard faulted.
     fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
         self.drain_shard_traces(now);
-        let shards = self.shard_count();
         let event_driven = self.cfg.exec_mode.event_scheduled();
         let mut error: Option<(u32, SimError)> = None;
-        if event_driven {
-            self.merge_scratch.clear();
-        }
-        for s in 0..shards {
+        for s in 0..self.shard_count() {
+            let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
             // Prints → debug log (ascending core order by construction).
-            let mut prints = std::mem::take(&mut self.scratch_at(s).prints);
-            for &(core, value) in &prints {
+            for &(core, value) in &scratch.prints {
                 self.debug_log.push((now, core, value));
             }
-            prints.clear();
-            self.scratch_at(s).prints = prints;
-
-            let (newly_halted, newly_barrier, shard_error) = {
-                let sc = self.scratch_at(s);
-                let err = sc.error.take().map(|e| (sc.error_core, e));
-                (sc.newly_halted, sc.newly_barrier, err)
-            };
-            self.halted += newly_halted as usize;
-            self.barrier_waiting += newly_barrier as usize;
-            if let Some((core, err)) = shard_error {
-                if error.as_ref().is_none_or(|(c, _)| core < *c) {
-                    error = Some((core, err));
+            self.halted += scratch.newly_halted as usize;
+            self.barrier_waiting += scratch.newly_barrier as usize;
+            if let Some(err) = scratch.error.take() {
+                if error.as_ref().is_none_or(|(c, _)| scratch.error_core < *c) {
+                    error = Some((scratch.error_core, err));
                 }
             }
             if event_driven {
-                let kept = std::mem::take(&mut self.scratch_at(s).kept_runnable);
-                self.merge_scratch.extend_from_slice(&kept);
-                self.scratch_at(s).kept_runnable = kept;
-
-                let deferred = std::mem::take(&mut self.scratch_at(s).deferred);
-                for &c in &deferred {
+                for &c in &scratch.left_runnable {
+                    self.runnable.remove(c);
+                }
+                for &c in &scratch.deferred {
+                    self.runnable.remove(c);
                     let ready_at = self.cores[c as usize].ready_at;
                     self.ready_queue.push(Reverse((ready_at, c)));
                 }
-                self.scratch_at(s).deferred = deferred;
-
-                let add = std::mem::take(&mut self.scratch_at(s).new_dirty_cores);
-                let mut scratch = std::mem::take(&mut self.bank_scratch);
-                merge_sorted(&mut self.dirty_cores, &add, &mut scratch);
-                self.bank_scratch = scratch;
-                self.scratch_at(s).new_dirty_cores = add;
+                for &c in &scratch.new_dirty_cores {
+                    self.dirty_cores.insert(c);
+                }
             }
-        }
-        if event_driven {
-            std::mem::swap(&mut self.runnable, &mut self.merge_scratch);
         }
         error.map(|(_, err)| err)
     }
@@ -1319,7 +1261,16 @@ impl Machine {
                 Chaos::On(state) => state.plan.request_jitter(now, c as u32, ordinal),
             };
             let route = self.topo.request_route(c, msg.bank as usize);
-            match self.req_try_send(route, msg, now, extra) {
+            let sent = net_try_send(
+                &mut self.req_net,
+                &mut self.tracer,
+                NetDir::Request,
+                route,
+                msg,
+                now,
+                extra,
+            );
+            match sent {
                 Ok(()) => {
                     self.core_outbox[c].pop_front();
                     ordinal += 1;
@@ -1329,68 +1280,15 @@ impl Machine {
         }
     }
 
-    /// Request-network injection with the tracing hook applied when a
-    /// sink is attached (identical behaviour either way) and `extra`
-    /// cycles of chaos-injected latency (0 outside chaos runs).
-    fn req_try_send(
-        &mut self,
-        route: lrscwait_noc::Route,
-        msg: ReqMsg,
-        now: u64,
-        extra: u32,
-    ) -> Result<(), ReqMsg> {
-        if self.tracer.is_off() {
-            self.req_net
-                .try_send_extra_traced(route, msg, now, extra, &mut |_| {})
-        } else {
-            let tracer = &mut self.tracer;
-            self.req_net
-                .try_send_extra_traced(route, msg, now, extra, &mut |event| {
-                    tracer.emit(now, || TraceEvent::Noc {
-                        net: NetDir::Request,
-                        event,
-                    });
-                })
-        }
-    }
-
-    /// Response-network injection with the tracing hook applied when a
-    /// sink is attached (identical behaviour either way) and `extra`
-    /// cycles of chaos-injected latency (0 outside chaos runs).
-    fn resp_try_send(
-        &mut self,
-        route: lrscwait_noc::Route,
-        msg: RespMsg,
-        now: u64,
-        extra: u32,
-    ) -> Result<(), RespMsg> {
-        if self.tracer.is_off() {
-            self.resp_net
-                .try_send_extra_traced(route, msg, now, extra, &mut |_| {})
-        } else {
-            let tracer = &mut self.tracer;
-            self.resp_net
-                .try_send_extra_traced(route, msg, now, extra, &mut |event| {
-                    tracer.emit(now, || TraceEvent::Noc {
-                        net: NetDir::Response,
-                        event,
-                    });
-                })
-        }
-    }
-
     /// Queues a request on a core's outbox (sequential Phase 3 path),
     /// tracking outbox dirtiness for Phase 5.
     fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
         self.core_outbox[c].push_back(msg);
-        let id = c as u32;
-        if let Err(pos) = self.dirty_cores.binary_search(&id) {
-            self.dirty_cores.insert(pos, id);
-        }
+        self.dirty_cores.insert(c as u32);
     }
 
     /// Moves every deferred core whose issue cycle is `now` from the ready
-    /// queue to the pending-wake list, crediting the stall cycles the
+    /// queue back into the runnable set, crediting the stall cycles the
     /// per-cycle walk would have charged on the visits it skipped
     /// (`parked_at + 1 ..= now − 1`, minus those a superblock already
     /// charged in-block).
@@ -1403,35 +1301,9 @@ impl Machine {
             self.ready_queue.pop();
             let core = &mut self.cores[c as usize];
             core.stats.stall_cycles += (t - 1) - core.parked_at.max(core.charged_until);
-            self.pending_wake.push(c);
+            let fresh = self.runnable.insert(c);
+            debug_assert!(fresh, "deferred core was still runnable");
         }
-    }
-
-    /// Merges cores that re-enter from outside the Phase 4 walk into the
-    /// sorted runnable set.
-    fn merge_pending_wakes(&mut self) {
-        if self.pending_wake.is_empty() {
-            return;
-        }
-        self.pending_wake.sort_unstable();
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        merged.clear();
-        let (a, b) = (&self.runnable, &self.pending_wake);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i] <= b[j] {
-                debug_assert_ne!(a[i], b[j], "core woken while already runnable");
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.pending_wake.clear();
-        self.merge_scratch = std::mem::replace(&mut self.runnable, merged);
     }
 
     fn complete_response(&mut self, c: usize, resp: MemResponse, now: u64) {
@@ -1474,12 +1346,13 @@ impl Machine {
     /// Event-driven bookkeeping after a blocking response delivery at
     /// `now`: settle the lazy sleep-cycle delta (the reference counts a
     /// sleep cycle per Phase 4 visit, i.e. for cycles `parked_at+1 ..
-    /// now-1`; the core runs again in this cycle's Phase 4) and queue the
-    /// core for the runnable set.
+    /// now-1`; the core runs again in this cycle's Phase 4) and put the
+    /// core back in the runnable set.
     fn wake_from_sleep(&mut self, c: usize, now: u64) {
         if self.cfg.exec_mode.event_scheduled() {
             self.cores[c].stats.sleep_cycles += now - 1 - self.cores[c].parked_at;
-            self.pending_wake.push(c as u32);
+            let fresh = self.runnable.insert(c as u32);
+            debug_assert!(fresh, "core woken while already runnable");
         }
     }
 
@@ -1508,7 +1381,7 @@ impl Machine {
                     });
                     if event_driven {
                         core.stats.barrier_cycles += now - core.parked_at;
-                        self.pending_wake.push(x as u32);
+                        self.runnable.insert(x as u32);
                     }
                 }
             }
@@ -1553,10 +1426,6 @@ impl Machine {
     /// phase.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        debug_assert!(
-            self.pending_wake.is_empty(),
-            "snapshot must be taken between cycles"
-        );
         let mut out = StateWriter::new();
         for b in SNAP_MAGIC {
             out.put_u8(b);
@@ -1786,8 +1655,7 @@ impl Machine {
 
         // Derived state. At a cycle boundary the worklists are functions
         // of the serialized state: every `Running` core starts in the
-        // runnable set (pending wakes are always merged before the cycle
-        // ends; the ready queue starts empty and refills as the first
+        // runnable set (the ready queue starts empty and refills as the first
         // walk defers the cores that cannot issue yet), and a bank/core
         // is dirty iff its outbox is non-empty.
         self.halted = self
@@ -1800,32 +1668,15 @@ impl Machine {
             .iter()
             .filter(|c| c.state == CoreState::Barrier)
             .count();
-        self.pending_wake.clear();
         self.ready_queue.clear();
-        self.runnable.clear();
-        self.runnable.extend(
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.state == CoreState::Running)
-                .map(|(i, _)| i as u32),
-        );
-        self.dirty_banks.clear();
-        self.dirty_banks.extend(
-            self.bank_outbox
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(i, _)| i as u32),
-        );
-        self.dirty_cores.clear();
-        self.dirty_cores.extend(
-            self.core_outbox
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(i, _)| i as u32),
-        );
+        let running = (0..)
+            .zip(&self.cores)
+            .filter(|(_, c)| c.state == CoreState::Running);
+        refill(&mut self.runnable, running.map(|(i, _)| i));
+        let banks = (0..).zip(&self.bank_outbox).filter(|(_, q)| !q.is_empty());
+        refill(&mut self.dirty_banks, banks.map(|(i, _)| i));
+        let cores = (0..).zip(&self.core_outbox).filter(|(_, q)| !q.is_empty());
+        refill(&mut self.dirty_cores, cores.map(|(i, _)| i));
         Ok(())
     }
 }
@@ -2064,35 +1915,69 @@ fn load_net<P>(
         }
         let ready_at = src.take_u64()?;
         let payload = load(src)?;
-        net.push_flit(Route::new(&hops[..len]), hop, ready_at, payload);
+        net.push_flit(Route::new(&hops[..len]), hop, ready_at, payload)
+            .map_err(|_| StateError::Invalid("flit beyond node capacity"))?;
     }
     Ok(())
 }
 
-/// Merges the sorted, disjoint `add` list into the sorted `dst` list,
-/// using `scratch` as the reusable merge buffer (allocation-free once
-/// capacities are warm).
-fn merge_sorted(dst: &mut Vec<u32>, add: &[u32], scratch: &mut Vec<u32>) {
-    if add.is_empty() {
-        return;
+/// Shard `s`'s scratch (coordinator, between phases). Takes the two
+/// fields rather than the machine so callers can fold the scratch into
+/// other fields while holding it.
+fn scratch_at<'a>(
+    pool: &'a mut Option<WorkerPool>,
+    seq_scratch: &'a mut ShardScratch,
+    s: usize,
+) -> &'a mut ShardScratch {
+    match pool {
+        Some(pool) => pool.scratch_mut(s),
+        None => seq_scratch,
     }
-    if dst.is_empty() {
-        dst.extend_from_slice(add);
-        return;
+}
+
+/// Replaces the members of a worklist set.
+fn refill(set: &mut IdSet, ids: impl Iterator<Item = u32>) {
+    set.clear();
+    for id in ids {
+        set.insert(id);
     }
-    scratch.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < dst.len() && j < add.len() {
-        if dst[i] <= add[j] {
-            debug_assert_ne!(dst[i], add[j], "merge lists must be disjoint");
-            scratch.push(dst[i]);
-            i += 1;
-        } else {
-            scratch.push(add[j]);
-            j += 1;
-        }
+}
+
+/// [`Network::advance`] on one of the two networks, with the tracing hook
+/// applied when a sink is attached (identical behaviour either way).
+fn net_advance<P>(
+    net: &mut Network<P>,
+    tracer: &mut Tracer,
+    dir: NetDir,
+    now: u64,
+    out: &mut Vec<P>,
+) {
+    if tracer.is_off() {
+        net.advance(now, out);
+    } else {
+        net.advance_traced(now, out, &mut |event| {
+            tracer.emit(now, || TraceEvent::Noc { net: dir, event });
+        });
     }
-    scratch.extend_from_slice(&dst[i..]);
-    scratch.extend_from_slice(&add[j..]);
-    std::mem::swap(dst, scratch);
+}
+
+/// Injection into one of the two networks, with the tracing hook applied
+/// when a sink is attached (identical behaviour either way) and `extra`
+/// cycles of chaos-injected latency (0 outside chaos runs).
+fn net_try_send<P>(
+    net: &mut Network<P>,
+    tracer: &mut Tracer,
+    dir: NetDir,
+    route: Route,
+    msg: P,
+    now: u64,
+    extra: u32,
+) -> Result<(), P> {
+    if tracer.is_off() {
+        net.try_send_extra_traced(route, msg, now, extra, &mut |_| {})
+    } else {
+        net.try_send_extra_traced(route, msg, now, extra, &mut |event| {
+            tracer.emit(now, || TraceEvent::Noc { net: dir, event });
+        })
+    }
 }

@@ -9,14 +9,16 @@
 //! a bank adapter touches only its own words, queue state and outbox, and
 //! a stepping core touches only its own registers, Qnode and request
 //! outbox. The only ordering-sensitive artifacts a parallel phase produces
-//! are *merge lists* — which banks became ready to flush, which cores
-//! became runnable or dirty, which trace events and debug prints occurred.
-//! Each shard accumulates those into its own [`ShardScratch`] in ascending
-//! id order; because shard ranges are contiguous and themselves ordered,
-//! concatenating the shard scratches in shard order reproduces exactly the
-//! global ascending-id order a single-sharded walk produces. Every merge
-//! the coordinator performs is therefore a deterministic, bank-id- (or
-//! core-id-) ordered merge — the machine's determinism contract.
+//! are *report lists* — which banks became ready to flush, which cores
+//! left the runnable set or became dirty, which trace events and debug
+//! prints occurred. Each shard accumulates those into its own
+//! [`ShardScratch`] in ascending id order; because shard ranges are
+//! contiguous and themselves ordered, draining the shard scratches in
+//! shard order reproduces exactly the global ascending-id order a
+//! single-sharded walk produces. Membership reports are applied to the
+//! machine's `IdSet` worklists (whose walk order is ascending id by
+//! construction), ordered streams are appended — the machine's
+//! determinism contract either way.
 //!
 //! # Tracing without branches
 //!
@@ -130,11 +132,12 @@ pub(crate) struct ShardScratch {
     pub adapter_out: Vec<(u32, MemResponse)>,
     /// Banks whose outbox went empty → non-empty this cycle (ascending).
     pub new_dirty_banks: Vec<u32>,
-    /// Runnable cores that stay runnable after stepping (ascending).
-    pub kept_runnable: Vec<u32>,
-    /// Runnable cores that stay `Running` but cannot issue before
-    /// `now + 2` (ascending): they leave the walk for the machine's
-    /// ready queue until their issue cycle.
+    /// Visited cores that are no longer `Running` (halted, parked on
+    /// memory or at the barrier): they leave the runnable set.
+    pub left_runnable: Vec<u32>,
+    /// Visited cores that stay `Running` but cannot issue before
+    /// `now + 2` (ascending): they leave the runnable set for the
+    /// machine's ready queue until their issue cycle.
     pub deferred: Vec<u32>,
     /// Cores whose request outbox went empty → non-empty (ascending).
     pub new_dirty_cores: Vec<u32>,
@@ -156,7 +159,7 @@ impl ShardScratch {
     /// Clears all per-cycle accumulators (capacity is retained).
     pub fn reset(&mut self) {
         self.new_dirty_banks.clear();
-        self.kept_runnable.clear();
+        self.left_runnable.clear();
         self.deferred.clear();
         self.new_dirty_cores.clear();
         self.prints.clear();
@@ -291,27 +294,28 @@ pub(crate) struct CorePhase<'a> {
 /// Steps this shard's slice of the runnable set (the production
 /// stepper): a runnable core whose pc enters a superblock executes the
 /// whole block (up to `horizon`) in one call, any other pc takes one
-/// interpreter step. Cores that stay `Running` are compacted into
-/// `scratch.kept_runnable`, or into `scratch.deferred` when they cannot
-/// issue before `now + 2` (the machine re-admits those at exactly
-/// `ready_at`, crediting the skipped stall cycles as one delta).
+/// interpreter step. Cores that stop `Running` are reported in
+/// `scratch.left_runnable`, cores that cannot issue before `now + 2` in
+/// `scratch.deferred` (the machine re-admits those at exactly `ready_at`,
+/// crediting the skipped stall cycles as one delta); the coordinator
+/// removes both from the runnable set after the walk.
 ///
-/// `runnable` must be the ascending sub-slice of the global runnable set
-/// that falls inside this shard's core range. On a fatal error the
-/// unstepped tail is preserved in the kept list (post-mortem state), the
-/// error recorded in the scratch, and stepping stops.
+/// `runnable` must yield, ascending, the members of the global runnable
+/// set that fall inside this shard's core range. On a fatal error the
+/// error is recorded in the scratch and stepping stops; the unstepped
+/// tail simply stays in the set (post-mortem state).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
-    runnable: &[u32],
+    runnable: impl Iterator<Item = u32>,
     now: u64,
     horizon: u64,
     scratch: &mut ShardScratch,
     tracing: bool,
 ) {
     let ShardScratch {
-        kept_runnable,
+        left_runnable,
         deferred,
         new_dirty_cores,
         prints,
@@ -330,7 +334,7 @@ pub(crate) fn step_translated_cores(
         track_dirty: true,
     };
     let mut lists = WalkLists {
-        kept_runnable,
+        left_runnable,
         deferred,
         error,
         error_core,
@@ -363,7 +367,7 @@ pub(crate) fn step_translated_cores(
 /// Where a runnable-set walk files each visited core (a borrowed-apart
 /// view of the shard scratch).
 struct WalkLists<'a> {
-    kept_runnable: &'a mut Vec<u32>,
+    left_runnable: &'a mut Vec<u32>,
     deferred: &'a mut Vec<u32>,
     error: &'a mut Option<SimError>,
     error_core: &'a mut u32,
@@ -373,37 +377,32 @@ struct WalkLists<'a> {
 fn walk_translated<T: TraceCtx>(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
-    runnable: &[u32],
+    runnable: impl Iterator<Item = u32>,
     now: u64,
     horizon: u64,
     lists: &mut WalkLists<'_>,
     out: &mut StepOut<'_>,
     trace: &mut T,
 ) {
-    for (i, &c) in runnable.iter().enumerate() {
+    for c in runnable {
         let result = ctx.step_core_translated(c, translation, now, horizon, out, trace);
-        // The keep check runs even for a faulting core: a core that is
+        // The state check runs even for a faulting core: a core that is
         // still `Running` after its fatal error (e.g. a breakpoint)
         // stays in the set, like every other observable of the
         // post-mortem state.
         let core = &mut ctx.cores[(c - ctx.core_lo) as usize];
-        if core.state == CoreState::Running {
-            if core.ready_at > now + 1 {
-                // Nothing can change this core before `ready_at` (only
-                // parked cores are woken from outside the walk), so every
-                // visit until then would be a no-op stall.
-                core.parked_at = now;
-                lists.deferred.push(c);
-            } else {
-                lists.kept_runnable.push(c);
-            }
+        if core.state != CoreState::Running {
+            lists.left_runnable.push(c);
+        } else if core.ready_at > now + 1 {
+            // Nothing can change this core before `ready_at` (only
+            // parked cores are woken from outside the walk), so every
+            // visit until then would be a no-op stall.
+            core.parked_at = now;
+            lists.deferred.push(c);
         }
         if let Err(e) = result {
             *lists.error = Some(e);
             *lists.error_core = c;
-            // Preserve the unstepped tail so the machine state stays
-            // consistent for post-mortem inspection.
-            lists.kept_runnable.extend_from_slice(&runnable[i + 1..]);
             return;
         }
     }

@@ -40,6 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use lrscwait_core::{Qnode, SyncAdapter};
+use lrscwait_noc::IdSet;
 use lrscwait_telemetry::{PoolTelemetry, WorkerUtil};
 use lrscwait_trace::OpKind;
 
@@ -102,8 +103,8 @@ pub(crate) enum Job {
         qnodes: *mut Qnode,
         core_outbox: *mut VecDeque<ReqMsg>,
         park_kind: *mut OpKind,
-        runnable: *const u32,
-        runnable_len: usize,
+        /// The runnable set; each shard walks the members in its range.
+        runnable: *const IdSet,
         program: *const DecodedProgram,
         cfg: *const SimConfig,
         /// Superblock translation; null selects the reference walk.
@@ -472,7 +473,6 @@ unsafe fn execute(shared: &Shared, job: &Job, shard: usize) {
             core_outbox,
             park_kind,
             runnable,
-            runnable_len,
             program,
             cfg,
             translation,
@@ -495,13 +495,10 @@ unsafe fn execute(shared: &Shared, job: &Job, shard: usize) {
             };
             match translation.as_ref() {
                 Some(translation) => {
-                    let runnable = std::slice::from_raw_parts(runnable, runnable_len);
-                    let start = runnable.partition_point(|&c| c < lo);
-                    let end = runnable.partition_point(|&c| c < hi);
                     phases::step_translated_cores(
                         &mut ctx,
                         translation,
-                        &runnable[start..end],
+                        (*runnable).iter_from(lo).take_while(|&c| c < hi),
                         now,
                         horizon,
                         scratch,

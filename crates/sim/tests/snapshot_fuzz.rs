@@ -136,3 +136,57 @@ fn hostile_section_lengths_are_typed_errors() {
         let _ = restore_is_total(&mutant, "hostile u32");
     }
 }
+
+#[test]
+fn a_flit_beyond_node_capacity_is_a_typed_error() {
+    // A node's queue is a fixed ring, so an image that queues more flits
+    // on it than its capacity must be refused, not grown into. Build one
+    // from a snapshot with a single request flit in flight by repeating
+    // that flit's record 17 times — more than any node of the default
+    // link specs holds (16).
+    let mut m = fresh_machine();
+    let mut target = 60;
+    loop {
+        m.run_until(target).expect("runs");
+        let net = m.stats().req_network;
+        if net.injected - net.delivered == 1 {
+            break;
+        }
+        target += 1;
+        assert!(target < 2_000, "no cycle with one request in flight");
+    }
+    let good = m.snapshot();
+    let stats = m.stats();
+    // Each network section starts with its five counters, which locates
+    // it: request statistics, flit count, flit records, response section.
+    let section = |net: &lrscwait_noc::NetworkStats, from: usize| {
+        let counters = [
+            net.injected,
+            net.inject_stalls,
+            net.hops,
+            net.delivered,
+            net.hol_blocks,
+        ];
+        let needle: Vec<u8> = counters.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let found = good[from..].windows(needle.len()).position(|w| w == needle);
+        from + found.expect("network section present")
+    };
+    let count_at = section(&stats.req_network, 0) + 40;
+    assert_eq!(good[count_at..count_at + 4], 1u32.to_le_bytes());
+    let record = count_at + 4..section(&stats.resp_network, count_at + 4);
+
+    let mut hostile = good[..count_at].to_vec();
+    hostile.extend(17u32.to_le_bytes());
+    for _ in 0..17 {
+        hostile.extend(&good[record.clone()]);
+    }
+    hostile.extend(&good[record.end..]);
+    match fresh_machine().restore(&hostile) {
+        Err(SimError::BadSnapshot { what }) => assert!(
+            what.contains("flit beyond node capacity"),
+            "rejected for another reason: {what}"
+        ),
+        other => panic!("an overfull node must be a BadSnapshot, got {other:?}"),
+    }
+    assert!(restore_is_total(&good, "the unmodified image"));
+}

@@ -411,3 +411,122 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
         "sharded CSV bytes diverge"
     );
 }
+
+/// FNV-1a-64 over the cycle count and every counter of a [`SimStats`], in
+/// declaration order.
+fn schedule_digest(cycles: u64, stats: &lrscwait::sim::SimStats) -> u64 {
+    let mut words = vec![cycles];
+    for c in &stats.cores {
+        words.extend([
+            c.instret,
+            c.active_cycles,
+            c.stall_cycles,
+            c.sleep_cycles,
+            c.barrier_cycles,
+            c.ops,
+            c.region_start.unwrap_or(u64::MAX),
+            c.region_end.unwrap_or(u64::MAX),
+        ]);
+    }
+    for n in [&stats.req_network, &stats.resp_network] {
+        words.extend([
+            n.injected,
+            n.inject_stalls,
+            n.hops,
+            n.delivered,
+            n.hol_blocks,
+        ]);
+    }
+    let a = &stats.adapters;
+    words.extend([
+        a.requests,
+        a.loads,
+        a.stores,
+        a.amos,
+        a.sc_success,
+        a.sc_failure,
+        a.wait_enqueued,
+        a.wait_failfast,
+        a.scwait_success,
+        a.scwait_failure,
+        a.successor_updates,
+        a.wakeups,
+        a.reservations_broken,
+    ]);
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
+        })
+}
+
+#[test]
+fn schedule_is_pinned_against_the_recorded_parent() {
+    // Both steppers share one `Network`, so a changed NoC arbitration
+    // order moves fast and `Reference` together and no equivalence test
+    // above would notice. These digests were recorded at the commit before
+    // the NoC storage rebuild (PR 13); a digest that moves means simulated
+    // results moved. Re-record only for a deliberate model change.
+    let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
+    let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
+    let barrier = BarrierKernel::new(BarrierImpl::CentralLrscWait, 1, 1024);
+    let runs: [(&str, &dyn Workload, usize, SyncArch, u64, u64); 3] = [
+        (
+            "lrsc 1-bin histogram",
+            &hist,
+            64,
+            SyncArch::Lrsc,
+            77_813,
+            0x9bad_dbf2_9aa3_c0de,
+        ),
+        (
+            "colibri queue",
+            &queue,
+            16,
+            SyncArch::Colibri { queues: 4 },
+            1_809,
+            0x3313_b3d0_bdfe_6af4,
+        ),
+        (
+            "1024-core central barrier",
+            &barrier,
+            1024,
+            SyncArch::Colibri { queues: 4 },
+            24_640,
+            0xee01_14fb_55f9_676b,
+        ),
+    ];
+    for (what, kernel, cores, arch, cycles, digest) in runs {
+        for (mode, shards) in [
+            (ExecMode::Translated, 1),
+            (ExecMode::Translated, 3),
+            (ExecMode::Reference, 1),
+            (ExecMode::Reference, 3),
+        ] {
+            let geometry = if cores == 1024 {
+                SimConfig::builder().mempool_cores(cores)
+            } else {
+                SimConfig::builder().cores(cores)
+            };
+            let cfg = geometry
+                .arch(arch)
+                .exec_mode(mode)
+                .shards(shards)
+                .max_cycles(50_000_000)
+                .build()
+                .unwrap();
+            let m = Experiment::new(kernel, cfg).x(1).run().expect(what);
+            assert!(
+                m.stats.req_network.hol_blocks > 0,
+                "{what}: must exercise head-of-line blocking"
+            );
+            assert_eq!(m.cycles, cycles, "{what} {mode:?} shards={shards}: cycles");
+            assert_eq!(
+                schedule_digest(m.cycles, &m.stats),
+                digest,
+                "{what} {mode:?} shards={shards}: (cycles, SimStats) digest"
+            );
+        }
+    }
+}
