@@ -185,6 +185,9 @@ impl Assembler {
         let mut data_loc = self.data_base;
         let mut bss_loc = 0u32; // relative; rebased after pass 1
         let mut bss_labels: Vec<(String, u32)> = Vec::new();
+        // Line of the directive that last grew the bss: it gets the blame
+        // when the rebased segment does not fit below 2^32.
+        let mut bss_line = 0;
 
         for (line, stmt) in stmts {
             let err = |message: String| AsmError { line, message };
@@ -255,7 +258,7 @@ impl Assembler {
                                     },
                                     size: bytes / 4,
                                 });
-                                text_loc += bytes;
+                                advance(&mut text_loc, bytes, line)?;
                             }
                             Section::Data => {
                                 let bytes = pad(data_loc);
@@ -269,10 +272,12 @@ impl Assembler {
                                     },
                                     size: bytes,
                                 });
-                                data_loc += bytes;
+                                advance(&mut data_loc, bytes, line)?;
                             }
                             Section::Bss => {
-                                bss_loc += pad(bss_loc);
+                                let bytes = pad(bss_loc);
+                                advance(&mut bss_loc, bytes, line)?;
+                                bss_line = line;
                             }
                         }
                     }
@@ -303,11 +308,12 @@ impl Assembler {
                             },
                             size: size_units,
                         });
-                        *loc += 4 * if section == Section::Text {
-                            size_units
+                        let bytes = if section == Section::Text {
+                            4 * size_units
                         } else {
-                            size_units / 4
+                            size_units
                         };
+                        advance(loc, bytes, line)?;
                     }
                     ".space" | ".zero" => {
                         let ctx = ExprContext {
@@ -335,9 +341,12 @@ impl Assembler {
                                     },
                                     size: n,
                                 });
-                                data_loc += n;
+                                advance(&mut data_loc, n, line)?;
                             }
-                            Section::Bss => bss_loc += n,
+                            Section::Bss => {
+                                advance(&mut bss_loc, n, line)?;
+                                bss_line = line;
+                            }
                         }
                     }
                     other => return Err(err(format!("unknown directive `{other}`"))),
@@ -356,13 +365,16 @@ impl Assembler {
                         stmt: Stmt::Instr { mnemonic, operands },
                         size: words,
                     });
-                    text_loc += 4 * words;
+                    advance(&mut text_loc, 4 * words, line)?;
                 }
             }
         }
 
         // Rebase bss after the data segment, 64-byte aligned.
-        let bss_base = (data_loc + 63) & !63;
+        let mut bss_base = data_loc;
+        advance(&mut bss_base, (64 - data_loc % 64) % 64, bss_line)?;
+        let mut bss_end = bss_base;
+        advance(&mut bss_end, bss_loc, bss_line)?;
         for (name, rel) in bss_labels {
             if symbols.insert(name.clone(), bss_base + rel).is_some() {
                 return Err(AsmError {
@@ -446,6 +458,17 @@ impl Assembler {
             source_lines,
         })
     }
+}
+
+/// Advances a location counter by `bytes`. A section may not reach the
+/// end of the 32-bit address space: the counters are addresses, and a
+/// wrapped one would alias labels and size a multi-gigabyte image.
+fn advance(loc: &mut u32, bytes: u32, line: u32) -> Result<(), AsmError> {
+    *loc = loc.checked_add(bytes).ok_or_else(|| AsmError {
+        line,
+        message: "section grows past the end of the 32-bit address space".to_string(),
+    })?;
+    Ok(())
 }
 
 fn current_loc(section: Section, text: u32, data: u32, bss: u32) -> u32 {

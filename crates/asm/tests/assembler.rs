@@ -273,6 +273,17 @@ fn error_cases_report_lines() {
         (".bss\nv: .word 3\n", 2, "not allowed"),
         (".unknown 3\n", 1, "unknown directive"),
         ("slli a0, a0, 40\n", 1, "out of range"),
+        // A location counter is an address: it must not wrap, neither in
+        // one step nor by a `.word` on top of a huge `.space` ...
+        (".data\n.space 0xfffffff0\n.word 1\n", 2, "address space"),
+        (".data\n.space 0xfffffefc\n.word 1, 2\n", 3, "address space"),
+        (".bss\n.space 0xffffffff\n.space 5\n", 3, "address space"),
+        // ... and the bss, placed after the data, must fit below 2^32 too.
+        (
+            ".data\nv: .word 1\n.bss\n.space 0xffffff00\n",
+            4,
+            "address space",
+        ),
     ];
     for (src, line, needle) in cases {
         let e = assemble(src).unwrap_err();

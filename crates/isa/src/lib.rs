@@ -52,7 +52,7 @@ pub use disasm::disasm;
 pub use encode::encode;
 pub use instr::{AluOp, AmoOp, BranchOp, CsrOp, Instr, MemWidth};
 pub use reg::Reg;
-pub use uop::{JumpTarget, MicroOp};
+pub use uop::{MicroOp, UopKind};
 
 /// Major opcode shared by RV32A and the Xlrscwait extension.
 pub const OPCODE_AMO: u32 = 0b010_1111;

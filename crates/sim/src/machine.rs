@@ -105,11 +105,15 @@
 //! tight loop (`crate::translate::run_block`), re-entering the
 //! interpreter at every load/store/AMO/CSR/fence/ecall boundary — i.e.
 //! exactly where the NoC, the adapters, or the timing model must observe
-//! the core. Superblocks run *ahead* of the machine clock up to the run
-//! loop's horizon (watchdog/target, so both stay cycle-exact); the
-//! cycles already charged are tracked in `Core::charged_until` so the
-//! lazy stall credit never double-counts. Internal micro-ops are
-//! trace-silent in both modes, so trace streams are unchanged.
+//! the core. Inside a superblock timing does not depend on data, so a
+//! run of single-cycle micro-ops is accounted once and a taken
+//! `addi`/`bnez` delay loop is retired arithmetically (formulas in
+//! `crate::translate`). Superblocks run *ahead* of the machine clock up
+//! to the run loop's horizon (watchdog/target, so both stay
+//! cycle-exact); the cycles already charged are tracked in
+//! `Core::charged_until` so the lazy stall credit never double-counts.
+//! Internal micro-ops are trace-silent in both modes, so trace streams
+//! are unchanged.
 //!
 //! # Equivalence guarantee
 //!

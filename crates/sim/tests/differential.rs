@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::STALL_MIX;
+use common::{branch_penalty_rows, COUNTDOWN_FOREVER, STALL_MIX};
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{CoreTiming, ExecMode, ExitReason, Machine, RunSummary, SimConfig, SimStats};
@@ -346,12 +346,14 @@ fn store_backpressure_is_equivalent() {
 #[test]
 fn stall_mix_is_equivalent() {
     for arch in all_archs() {
-        let (summary, stats) = assert_equivalent(STALL_MIX, SimConfig::small(8, arch), "stall mix");
-        assert_eq!(summary.exit, ExitReason::AllHalted);
-        assert!(
-            stats.req_network.inject_stalls > 0,
-            "{arch}: the store burst must backpressure the outboxes"
-        );
+        for cfg in branch_penalty_rows(SimConfig::small(8, arch)) {
+            let (summary, stats) = assert_equivalent(STALL_MIX, cfg, "stall mix");
+            assert_eq!(summary.exit, ExitReason::AllHalted);
+            assert!(
+                stats.req_network.inject_stalls > 0,
+                "{arch}: the store burst must backpressure the outboxes"
+            );
+        }
     }
 }
 
@@ -377,6 +379,30 @@ fn deferred_only_watchdog_is_equivalent() {
         assert_eq!(core.active_cycles, 2, "li and div issued");
         assert_eq!(core.active_cycles + core.stall_cycles, 50_000);
     }
+
+    // The same with every core inside a delay loop that never counts
+    // down: one superblock visit retires the whole countdown up to the
+    // watchdog, then the core waits in the ready queue for a cycle that
+    // never comes.
+    let base = SimConfig::builder()
+        .cores(4)
+        .max_cycles(50_000)
+        .build()
+        .unwrap();
+    for cfg in branch_penalty_rows(base) {
+        let period = 2 + u64::from(cfg.timing.branch_penalty);
+        let (summary, stats) = assert_equivalent(COUNTDOWN_FOREVER, cfg, "countdown watchdog");
+        assert_eq!(summary.exit, ExitReason::Watchdog);
+        assert_eq!(summary.cycles, 50_000);
+        for core in &stats.cores {
+            // `li` at cycle 0, then one `addi` + `bnez` per period.
+            assert_eq!(
+                core.instret,
+                1 + 2 * (49_999 / period) + (49_999 % period).min(2)
+            );
+            assert_eq!(core.active_cycles + core.stall_cycles, 50_000);
+        }
+    }
 }
 
 #[test]
@@ -400,15 +426,21 @@ fn step_cycle_equivalence_without_run_loop() {
         .data
         counter: .word 0
     "#;
-    for (src, what) in [(amoadd, "amoadd"), (STALL_MIX, "stall mix")] {
+    let base = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
+    let [default, no_penalty, long_penalty] = branch_penalty_rows(base);
+    for (src, cfg, what) in [
+        (amoadd, default, "amoadd"),
+        (STALL_MIX, default, "stall mix"),
+        (STALL_MIX, no_penalty, "stall mix, branch penalty 0"),
+        (STALL_MIX, long_penalty, "stall mix, branch penalty 3"),
+    ] {
         let program = Assembler::new().assemble(src).unwrap();
         let decoded = Machine::decode(&program).unwrap();
-        let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
         let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();
         let mut ref_cfg = cfg;
         ref_cfg.exec_mode = ExecMode::Reference;
         let mut reference = Machine::with_decoded(ref_cfg, decoded).unwrap();
-        for cycle in 0..600 {
+        for cycle in 0..1200 {
             fast.step_cycle().unwrap();
             reference.step_cycle().unwrap();
             assert_eq!(fast.cycles(), reference.cycles());

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::STALL_MIX;
+use common::{branch_penalty_rows, COUNTDOWN_FOREVER, STALL_MIX};
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
@@ -232,6 +232,14 @@ fn stall_mix_snapshot_round_trip() {
     let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
     for k in (1..120).step_by(7) {
         assert_snapshot_equivalent(STALL_MIX, cfg, k, "stall mix");
+    }
+    // The rest of the first round — delay loops and the long straight-line
+    // run — under every branch penalty: a restored core re-enters a
+    // superblock wherever its pc stopped.
+    for cfg in branch_penalty_rows(cfg) {
+        for k in (120..330).step_by(7) {
+            assert_snapshot_equivalent(STALL_MIX, cfg, k, "stall mix countdowns");
+        }
     }
 }
 
@@ -500,9 +508,20 @@ fn run_until_is_transparent() {
     let cfg = SimConfig::small(4, SyncArch::LrscWaitIdeal);
     assert_chopped_run_is_identical(MWAIT_MAILBOX, cfg, 7, 13);
     // One stop at every single cycle of the stall-heavy program.
-    let summary = assert_chopped_run_is_identical(STALL_MIX, cfg, 1, u64::MAX);
-    for k in 2..summary.cycles {
-        assert_chopped_run_is_identical(STALL_MIX, cfg, k, u64::MAX);
+    for cfg in branch_penalty_rows(cfg) {
+        let summary = assert_chopped_run_is_identical(STALL_MIX, cfg, 1, u64::MAX);
+        for k in 2..summary.cycles {
+            assert_chopped_run_is_identical(STALL_MIX, cfg, k, u64::MAX);
+        }
+        // A countdown that outlives the run: cut by the stop target at
+        // every single cycle, and in the end by the watchdog.
+        let mut short = cfg;
+        short.max_cycles = 150;
+        for k in 1..150 {
+            let summary = assert_chopped_run_is_identical(COUNTDOWN_FOREVER, short, k, u64::MAX);
+            assert_eq!(summary.exit, ExitReason::Watchdog);
+        }
+        assert_chopped_run_is_identical(COUNTDOWN_FOREVER, short, 1, 1);
     }
 }
 
