@@ -441,7 +441,9 @@ impl Assembler {
                         source_lines.push(item.line);
                     }
                 }
-                _ => unreachable!("bss items are not materialized"),
+                (Stmt::Directive { name, .. }, Section::Bss) => {
+                    return Err(err(format!("internal: directive {name} in bss")))
+                }
             }
         }
 

@@ -11,7 +11,7 @@
 //! | `fig6` | Fig. 6 — queue throughput vs. core count |
 //! | `table2` | Table II — power and energy per operation |
 //! | `ablation` | Reservation-capacity ablation |
-//! | `perf_smoke` | Simulator-performance smoke: speedup over the reference stepper, sharded speedup |
+//! | `perf_smoke` | Simulator-performance smoke: speedup over the reference stepper, profiler overhead |
 //! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
 //!
 //! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
@@ -47,6 +47,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod litmus;
 
@@ -882,7 +884,7 @@ pub struct PerfSummary {
     /// the reference stepper measured by `perf_smoke`).
     pub extra: Vec<(String, f64)>,
     /// Named string metadata for the JSON (host CPU count, git revision,
-    /// shard count, exec mode — run provenance for cross-machine
+    /// exec mode — run provenance for cross-machine
     /// comparisons). [`write_bench_json`] injects `host_cpus` and
     /// `git_rev` automatically when absent.
     pub meta: Vec<(String, String)>,
@@ -1038,11 +1040,9 @@ pub fn git_revision() -> String {
 }
 
 /// Writes the figure-level profile artifact `<dir>/<fig>.profile.json`
-/// (schema `lrscwait.profile-set.v1`: one entry per profiled sweep
-/// point, plus the merged aggregate with its embedded Amdahl report) and
-/// the Prometheus rendering of the aggregate to `<dir>/<fig>.profile.prom`.
-/// Also prints the aggregate Amdahl report to stderr — the sweep's
-/// sequential bottleneck named right where the numbers were produced.
+/// (schema `lrscwait.profile-set.v2`: one entry per profiled sweep
+/// point, plus the merged aggregate) and the Prometheus rendering of the
+/// aggregate to `<dir>/<fig>.profile.prom`.
 ///
 /// Returns `Ok(None)` when no measurement carries a profile (the sweep
 /// ran without `--profile`).
@@ -1069,7 +1069,7 @@ pub fn write_profile_json(
 
 /// The lower-level sibling of [`write_profile_json`] for harnesses that
 /// measure something other than a [`Measurement`] (e.g. the open-loop
-/// traffic figure): writes the same `lrscwait.profile-set.v1` artifact
+/// traffic figure): writes the same `lrscwait.profile-set.v2` artifact
 /// from bare `(label, x, profile)` points. Returns `Ok(None)` when
 /// `points` is empty.
 ///
@@ -1089,7 +1089,7 @@ pub fn write_profile_set(
     for (_, _, profile) in &points[1..] {
         aggregate.merge(profile);
     }
-    let mut out = String::from("{\n  \"schema\": \"lrscwait.profile-set.v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"lrscwait.profile-set.v2\",\n");
     let _ = writeln!(out, "  \"name\": \"{fig}\",");
     out.push_str("  \"points\": [\n");
     for (i, (label, x, profile)) in points.iter().enumerate() {
@@ -1120,12 +1120,7 @@ pub fn write_profile_set(
             source,
         }
     })?;
-    eprintln!(
-        "wrote {} (and {})\n{}",
-        path.display(),
-        prom_path.display(),
-        aggregate.amdahl().render()
-    );
+    eprintln!("wrote {} (and {})", path.display(), prom_path.display());
     Ok(Some(path))
 }
 
@@ -1347,7 +1342,7 @@ pub fn arch_for(impl_: HistImpl, colibri_queues: usize) -> SyncArch {
 /// Usage text shared by every figure binary.
 pub const USAGE: &str = "\
 usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--trace]
-                       [--enforce-sharded] [--exec MODE]
+                       [--exec MODE]
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
   --exec MODE      execution mode for every experiment: translated (default)
@@ -1359,20 +1354,14 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--
   --trace          also attach an analysis sink per sweep point and write
                    <fig>.trace.csv (handoff latency p50/p99/max per point;
                    fig3 and fig6)
-  --enforce-sharded  fail instead of skipping the >=2x sharded-speedup bar
-                   when the host has fewer CPUs than shards, and hold the
-                   measured busy speedup to >=2x (perf_smoke; the CI
-                   bench-smoke job passes this on hosted multi-core
-                   runners)
   --checkpoint FILE  write a machine snapshot to FILE when the run ends
                    (written even when the watchdog fired, so a saturated
                    run can be resumed with a larger cycle budget)
   --resume FILE    restore the machine from a snapshot written by
                    --checkpoint instead of starting from reset
   --profile        enable the host-side phase profiler: every experiment
-                   collects per-phase step timings and worker utilization,
-                   and the binary writes <fig>.profile.json plus a
-                   Prometheus rendering and an Amdahl report (results
+                   collects per-phase step timings, and the binary writes
+                   <fig>.profile.json plus a Prometheus rendering (results
                    stay bit-identical; host overhead is a few percent)
   --heartbeat SECS  emit a progress line to stderr every SECS seconds
                    per experiment: cycles vs budget, live Mcycles/s,
@@ -1406,11 +1395,6 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
         "--trace",
         "",
         "per-point synchronization analysis; writes <fig>.trace.csv",
-    ),
-    (
-        "--enforce-sharded",
-        "",
-        "make the >=2x sharded-speedup bar mandatory (perf_smoke)",
     ),
     (
         "--checkpoint",
@@ -1505,10 +1489,6 @@ pub struct BenchArgs {
     /// Attach an [`AnalysisSink`] per sweep point and emit the
     /// figure-level `<fig>.trace.csv` artifact (fig3/fig6).
     pub trace: bool,
-    /// Treat the ≥2x sharded-speedup bar as mandatory (perf_smoke): a
-    /// host with fewer CPUs than shards is an error rather than a skip,
-    /// and the measured busy speedup must clear 2x.
-    pub enforce_sharded: bool,
     /// Write a machine snapshot here when the run ends (even on
     /// watchdog), for later `--resume`.
     pub checkpoint: Option<PathBuf>,
@@ -1536,7 +1516,6 @@ impl Default for BenchArgs {
             out: PathBuf::from("results"),
             baseline: None,
             trace: false,
-            enforce_sharded: false,
             checkpoint: None,
             resume: None,
             exec: None,
@@ -1590,7 +1569,6 @@ impl BenchArgs {
                     parsed.baseline = Some(PathBuf::from(value));
                 }
                 "--trace" => parsed.trace = true,
-                "--enforce-sharded" => parsed.enforce_sharded = true,
                 "--checkpoint" => {
                     let value = it.next().ok_or_else(|| {
                         BenchError::Usage(format!("--checkpoint needs a file\n{USAGE}"))
@@ -2094,14 +2072,14 @@ mod tests {
         let doc = json::parse(&text).expect("profile set must be valid JSON");
         assert_eq!(
             doc.get("schema").and_then(json::Json::as_str),
-            Some("lrscwait.profile-set.v1")
+            Some("lrscwait.profile-set.v2")
         );
         let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
         assert_eq!(points.len(), 1);
         let agg = doc.get("aggregate").expect("aggregate present");
         assert_eq!(
             agg.get("schema").and_then(json::Json::as_str),
-            Some("lrscwait.profile.v1")
+            Some("lrscwait.profile.v2")
         );
         // The embedded phase entries must re-sum to the sampled total.
         let phases = agg.get("phases").and_then(json::Json::as_arr).unwrap();
@@ -2112,11 +2090,10 @@ mod tests {
             .sum();
         let sampled = agg.get("sampled_ns").and_then(json::Json::as_f64).unwrap();
         assert!((json_sum - sampled).abs() < 0.5, "{json_sum} vs {sampled}");
-        assert!(agg.get("amdahl").is_some(), "Amdahl report embedded");
 
         let prom = std::fs::read_to_string(dir.join("unit.profile.prom")).unwrap();
         assert!(prom.contains("sim_phase_ns_total"), "{prom}");
-        assert!(prom.contains("sim_amdahl_sequential_fraction"), "{prom}");
+        assert!(prom.contains("sim_phase_share"), "{prom}");
 
         // Un-profiled measurements produce no artifact at all.
         let plain = Experiment::new(
@@ -2150,7 +2127,6 @@ mod tests {
                 "--baseline",
                 "b.json",
                 "--trace",
-                "--enforce-sharded",
                 "--checkpoint",
                 "ckpt.snap",
                 "--resume",
@@ -2166,7 +2142,6 @@ mod tests {
         assert_eq!(args.out, PathBuf::from("outdir"));
         assert_eq!(args.baseline, Some(PathBuf::from("b.json")));
         assert!(args.trace);
-        assert!(args.enforce_sharded);
         assert_eq!(args.checkpoint, Some(PathBuf::from("ckpt.snap")));
         assert_eq!(args.resume, Some(PathBuf::from("prev.snap")));
         assert_eq!(args.exec, Some(ExecMode::Translated));
@@ -2196,10 +2171,6 @@ mod tests {
             "without --exec every config keeps its own mode"
         );
         assert!(!BenchArgs::default().trace, "trace artifacts are opt-in");
-        assert!(
-            !BenchArgs::default().enforce_sharded,
-            "the sharded bar defaults to host-capability gating"
-        );
     }
 
     #[test]

@@ -196,12 +196,12 @@ impl AdapterStats {
 /// on the transport delivering messages between a fixed (bank, core) pair in
 /// FIFO order, which both the test harness and the NoC guarantee.
 ///
-/// Adapters must be [`Send`]: the simulator's bank-sharded execution mode
-/// services disjoint sets of banks on worker threads, so every adapter
-/// (together with its bank's words and outbox) may be handed to a thread
-/// other than the one that built it. An adapter is only ever *used* by one
-/// thread at a time — no `Sync` requirement — and plain-data adapters (all
-/// shipped ones) satisfy the bound automatically.
+/// Adapters must be [`Send`]: a machine is stepped by one thread, but
+/// sweeps build and run independent machines on worker threads, so every
+/// adapter may live on a thread other than the one that configured it. An
+/// adapter is only ever *used* by one thread at a time — no `Sync`
+/// requirement — and plain-data adapters (all shipped ones) satisfy the
+/// bound automatically.
 pub trait SyncAdapter: fmt::Debug + Send {
     /// Processes one request from `src`, appending `(destination core,
     /// response)` pairs to `out` in send order, and reporting every

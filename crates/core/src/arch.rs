@@ -31,8 +31,8 @@ pub enum SyncArch {
     },
 }
 
-// The simulator's bank-sharded execution mode moves adapter and Qnode
-// state across threads; keep the whole family `Send` by construction.
+// Sweeps run whole machines on worker threads, adapter and Qnode state
+// included; keep the whole family `Send` by construction.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<LrscAdapter>();
@@ -47,7 +47,7 @@ impl SyncArch {
     /// queue variant.
     ///
     /// The returned box is [`Send`] (a [`SyncAdapter`] supertrait bound):
-    /// bank-sharded simulation may service this adapter on a worker
+    /// a sweep may run the machine owning this adapter on a worker
     /// thread.
     #[must_use]
     pub fn build(&self, num_cores: usize) -> Box<dyn SyncAdapter> {

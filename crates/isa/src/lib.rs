@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod csr;
 mod decode;
 mod disasm;

@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod barrier;
 mod histogram;
 mod litmus;

@@ -28,6 +28,8 @@
 //! assert_eq!(delivered, vec!["lrwait"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod idset;
 mod network;
 mod topology;

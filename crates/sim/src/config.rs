@@ -141,24 +141,6 @@ pub enum ConfigError {
         /// Offending index.
         index: usize,
     },
-    /// The machine must have at least one simulation shard.
-    ZeroShards,
-    /// More simulation shards than cores — every shard must own at least
-    /// one core in the sharded stepping phase.
-    ShardsExceedCores {
-        /// Configured shard count.
-        shards: usize,
-        /// Configured core count.
-        cores: usize,
-    },
-    /// More simulation shards than banks — every shard must own at least
-    /// one bank in the sharded request-service phase.
-    ShardsExceedBanks {
-        /// Configured shard count.
-        shards: usize,
-        /// Resulting bank count.
-        banks: usize,
-    },
     /// Core count not divisible into tiles.
     IndivisibleTiles {
         /// Configured core count.
@@ -205,21 +187,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroWaitSlots => {
                 write!(f, "centralized LRSCwait queue needs at least one slot")
-            }
-            ConfigError::ZeroShards => {
-                write!(f, "simulation needs at least one shard")
-            }
-            ConfigError::ShardsExceedCores { shards, cores } => {
-                write!(
-                    f,
-                    "{shards} simulation shards exceed {cores} cores (need >= 1 core per shard)"
-                )
-            }
-            ConfigError::ShardsExceedBanks { shards, banks } => {
-                write!(
-                    f,
-                    "{shards} simulation shards exceed {banks} banks (need >= 1 bank per shard)"
-                )
             }
             ConfigError::ArgIndexOutOfRange { index } => {
                 write!(f, "benchmark argument index {index} outside 0..{NUM_ARGS}")
@@ -272,13 +239,6 @@ pub struct SimConfig {
     pub args: [u32; NUM_ARGS],
     /// How the machine schedules core stepping (see [`ExecMode`]).
     pub exec_mode: ExecMode,
-    /// Number of simulation shards (host worker threads) the machine's
-    /// parallel phases run on. `1` (the default) keeps every phase on the
-    /// calling thread; `n > 1` services banks and steps cores on a
-    /// persistent pool of `n − 1` workers plus the caller, with results
-    /// bit-identical to `shards == 1` (see the `Machine` docs for the
-    /// determinism contract). Validated: `1 ≤ shards ≤ min(cores, banks)`.
-    pub shards: usize,
     /// Optional chaos fault-injection plan (see [`FaultPlan`]). `None`
     /// (the default) disables the engine entirely — one predictable
     /// branch per injection site, results bit-identical to a build
@@ -299,8 +259,8 @@ impl SimConfig {
     /// let cfg = SimConfig::builder().cores(8).build().unwrap();
     /// assert_eq!(cfg.topology.num_cores, 8);
     /// assert_eq!(cfg.exec_mode, ExecMode::Translated);
-    /// // Validation happens at build(): more shards than cores is rejected.
-    /// assert!(SimConfig::builder().cores(4).shards(64).build().is_err());
+    /// // Validation happens at build(): a machine without cores is rejected.
+    /// assert!(SimConfig::builder().cores(0).build().is_err());
     /// ```
     #[must_use]
     pub fn builder() -> SimConfigBuilder {
@@ -318,7 +278,6 @@ impl SimConfig {
             max_cycles: 10_000_000,
             args: [0; NUM_ARGS],
             exec_mode: ExecMode::Translated,
-            shards: 1,
             chaos: None,
         }
     }
@@ -334,7 +293,6 @@ impl SimConfig {
             max_cycles: 2_000_000,
             args: [0; NUM_ARGS],
             exec_mode: ExecMode::Translated,
-            shards: 1,
             chaos: None,
         }
     }
@@ -399,21 +357,6 @@ impl SimConfig {
             SyncArch::LrscWait { slots: 0 } => return Err(ConfigError::ZeroWaitSlots),
             _ => {}
         }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards > cores {
-            return Err(ConfigError::ShardsExceedCores {
-                shards: self.shards,
-                cores,
-            });
-        }
-        if self.shards > banks {
-            return Err(ConfigError::ShardsExceedBanks {
-                shards: self.shards,
-                banks,
-            });
-        }
         if self.max_cycles == 0 {
             return Err(ConfigError::ZeroMaxCycles);
         }
@@ -460,7 +403,6 @@ pub struct SimConfigBuilder {
     max_cycles: u64,
     args: Vec<(usize, u32)>,
     exec_mode: ExecMode,
-    shards: usize,
     chaos: Option<FaultPlan>,
 }
 
@@ -482,7 +424,6 @@ impl SimConfigBuilder {
             max_cycles: 2_000_000,
             args: Vec::new(),
             exec_mode: ExecMode::Translated,
-            shards: 1,
             chaos: None,
         }
     }
@@ -594,35 +535,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the number of simulation shards (host worker threads) the
-    /// machine's parallel phases run on.
-    ///
-    /// With `n > 1` the machine services banks and steps cores on a
-    /// persistent pool of `n − 1` worker threads plus the calling thread,
-    /// with each shard owning a disjoint, contiguous range of banks and
-    /// cores. Results are **bit-identical** to a single-sharded run: every
-    /// cross-shard merge happens in bank-id / core-id order behind a phase
-    /// barrier (see the `Machine` docs for the full determinism contract).
-    ///
-    /// Validated at [`build`](Self::build): `1 ≤ shards ≤ cores` and
-    /// `shards ≤ banks`, so every shard owns at least one bank and one
-    /// core.
-    ///
-    /// ```
-    /// use lrscwait_sim::SimConfig;
-    ///
-    /// # fn main() -> Result<(), lrscwait_sim::ConfigError> {
-    /// let cfg = SimConfig::builder().cores(16).shards(4).build()?;
-    /// assert_eq!(cfg.shards, 4);
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> SimConfigBuilder {
-        self.shards = shards;
-        self
-    }
-
     /// Enables chaos fault injection with the given [`FaultPlan`]
     /// (validated at [`build`](Self::build): all rates ≤ 1000 per mille).
     ///
@@ -670,7 +582,6 @@ impl SimConfigBuilder {
             max_cycles: self.max_cycles,
             args,
             exec_mode: self.exec_mode,
-            shards: self.shards,
             chaos: self.chaos,
         };
         cfg.validate()?;
@@ -842,50 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_shards_default_to_one() {
-        assert_eq!(SimConfig::builder().cores(4).build().unwrap().shards, 1);
-        assert_eq!(SimConfig::mempool(SyncArch::Lrsc).shards, 1);
-        assert_eq!(SimConfig::small(4, SyncArch::Lrsc).shards, 1);
-    }
-
-    #[test]
-    fn builder_accepts_shards_up_to_cores() {
-        let cfg = SimConfig::builder().cores(8).shards(8).build().unwrap();
-        assert_eq!(cfg.shards, 8);
-    }
-
-    #[test]
-    fn builder_rejects_zero_shards() {
-        let err = SimConfig::builder().cores(4).shards(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroShards);
-    }
-
-    #[test]
-    fn builder_rejects_shards_exceeding_cores() {
-        let err = SimConfig::builder().cores(4).shards(5).build().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ShardsExceedCores {
-                shards: 5,
-                cores: 4
-            }
-        );
-    }
-
-    #[test]
-    fn shard_bank_bound_holds_at_the_boundary() {
-        // The interleaved memory map already requires banks >= cores, so
-        // `shards <= cores` implies `shards <= banks` for any config that
-        // passes the earlier checks; the bank bound in `validate` is a
-        // defensive invariant. Exercise the boundary: shards == cores with
-        // the minimum bank surplus still validates.
-        let mut topo = TopologyConfig::small(8);
-        topo.banks_per_tile = 4; // exactly 8 banks for 8 cores
-        let cfg = SimConfig::builder().topology(topo).shards(8).build();
-        assert_eq!(cfg.map(|c| c.shards), Ok(8));
-    }
-
-    #[test]
     fn builder_chaos_defaults_off_and_rejects_bad_rates() {
         assert!(SimConfig::builder()
             .cores(2)
@@ -940,17 +807,6 @@ mod tests {
             .to_string(),
             ConfigError::ZeroColibriQueues.to_string(),
             ConfigError::ArgIndexOutOfRange { index: 9 }.to_string(),
-            ConfigError::ZeroShards.to_string(),
-            ConfigError::ShardsExceedCores {
-                shards: 8,
-                cores: 4,
-            }
-            .to_string(),
-            ConfigError::ShardsExceedBanks {
-                shards: 8,
-                banks: 4,
-            }
-            .to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -13,10 +13,9 @@
 //! * an MMIO harness device provides barriers, op counters, measured-region
 //!   markers and arguments — standing in for MemPool's runtime.
 //!
-//! Simulation itself scales across host threads: `SimConfig::builder()
-//! .shards(n)` services banks and steps cores on a persistent worker
-//! pool with bit-identical results for any shard count (see the
-//! [`Machine`] docs for the phase structure and determinism contract).
+//! One thread steps one [`Machine`] (see its docs for the phase structure
+//! and the determinism contract); independent machines run side by side on
+//! as many host threads as a sweep cares to use.
 //!
 //! # Quickstart
 //!
@@ -45,11 +44,12 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod cpu;
 mod machine;
 mod phases;
-mod shard;
 mod stats;
 mod translate;
 

@@ -6,55 +6,34 @@
 //! 1. Advance the request network; delivered requests are grouped by
 //!    destination bank and serviced **in bank-id order** (and, within one
 //!    bank, in delivery order) by the bank's [`SyncAdapter`]; responses
-//!    land in the bank's outbox. This is the first parallel phase: with
-//!    `shards > 1` each worker services a contiguous range of banks.
+//!    land in the bank's outbox.
 //! 2. Flush bank outboxes into the response network in **bank-id order**
 //!    (FIFO per bank, so the (bank → core) ordering Colibri relies on
 //!    holds).
 //! 3. Advance the response network; deliveries pass through the core's
 //!    [`Qnode`] (which may swallow `SuccessorUpdate`s or emit `WakeUp`s)
 //!    and complete the core's in-flight operation.
-//! 4. Step the cores by one instruction in **core-id order** — the second
-//!    parallel phase (contiguous core ranges per shard). Barrier arrivals
-//!    and halts are only *recorded* here; the barrier-release check runs
-//!    once, single-threaded, after the walk, so its accounting never
-//!    depends on visit order.
+//! 4. Step the cores by one instruction in **core-id order**. Barrier
+//!    arrivals and halts are only *recorded* here; the barrier-release
+//!    check runs once after the walk, so its accounting never depends on
+//!    visit order.
 //! 5. Flush core outboxes into the request network (backpressure stalls
 //!    the core), with the per-cycle rotated round-robin start.
 //!
-//! # Bank-sharded parallel execution
+//! One host thread steps one machine, start to finish. A `Machine` is
+//! `Send` (as is every [`SyncAdapter`]), so the way to use more CPUs is to
+//! build independent machines on independent threads — which is what the
+//! bench crate's `Sweep` does for every figure.
 //!
-//! [`SimConfig::shards`]` = n > 1` runs phases 1 and 4 on a persistent
-//! pool of `n − 1` worker threads plus the caller (no per-cycle spawn; the
-//! pool parks between phases). Sharding exploits state that is already
-//! independent within a cycle: a bank adapter touches only its own words,
-//! queue registers and outbox; a stepping core touches only its own
-//! registers, Qnode and request outbox. Phases are separated by barriers,
-//! and everything ordering-sensitive — network advancement, outbox
-//! flushing, response delivery, barrier release, statistics aggregation —
-//! stays on the coordinating thread.
-//!
-//! **Determinism contract:** results are bit-identical for *any* shard
-//! count (and both [`ExecMode`]s — the differential and tracing
-//! suites enforce `shards=1` ≡ `shards=N` ≡ `Reference`
-//! on summaries, statistics, CSV bytes and trace streams). Three rules
-//! make this hold:
-//!
-//! * every ordered worklist (dirty banks, dirty cores, the runnable set)
-//!   is an [`IdSet`], walked in ascending id whatever order its members
-//!   were inserted in; shards only read it during a parallel phase and
-//!   report per-shard lists the coordinator applies as inserts and
-//!   removes afterwards. The order-carrying lists (deferred cores, debug
-//!   prints, trace events) are drained in shard order — shards own
-//!   contiguous, ordered ranges and accumulate in ascending order, so
-//!   concatenation in shard order *is* the global order;
-//! * the barrier release (the one genuinely order-sensitive accounting
-//!   site) is deferred to a single-threaded sub-phase after stepping and
-//!   charges every released core the same `now − parked_at` delta,
-//!   independent of visit order;
-//! * shard-local scratch is reused each cycle, so sharded steady-state
-//!   cycles stay allocation-free (enforced by the counting-allocator
-//!   suite).
+//! **Determinism contract:** a run is a pure function of configuration,
+//! program and host injections, and both [`ExecMode`]s produce
+//! bit-identical summaries, statistics, CSV bytes and trace streams (the
+//! differential and tracing suites enforce `Translated` ≡ `Reference`).
+//! Every ordered worklist (dirty banks, dirty cores, the runnable set) is
+//! an [`IdSet`], walked in ascending id whatever order its members were
+//! inserted in, and the barrier release (the one genuinely order-sensitive
+//! accounting site) is its own sub-phase after stepping, charging every
+//! released core the same `now − parked_at` delta.
 //!
 //! # Event scheduling
 //!
@@ -92,9 +71,8 @@
 //!   deadlock jumps directly to the watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, the dirty-bank/dirty-core/runnable sets, the ready
-//!   queue, the networks' rings and visit lists, the per-shard scratches)
-//!   is reused; steady-state cycles perform zero heap
-//!   allocations.
+//!   queue, the networks' rings and visit lists) is reused; steady-state
+//!   cycles perform zero heap allocations.
 //!
 //! # Superblocks
 //!
@@ -123,11 +101,11 @@
 //! ([`ExecMode::Reference`]), which visits all cores every cycle with
 //! eager per-cycle accounting. The differential test suite
 //! (`crates/sim/tests/differential.rs` and the workspace-level
-//! `tests/differential.rs`) runs both modes — and multiple shard
-//! counts — across the kernel × architecture matrix and asserts
-//! bit-identical [`RunSummary`]/[`SimStats`] and byte-identical sweep
-//! CSVs. Barrier-release accounting is visit-order-free by construction:
-//! the release happens in a sequential sub-phase after stepping, charging
+//! `tests/differential.rs`) runs both modes across the kernel ×
+//! architecture matrix and asserts bit-identical
+//! [`RunSummary`]/[`SimStats`] and byte-identical sweep CSVs.
+//! Barrier-release accounting is visit-order-free by construction: the
+//! release happens in its own sub-phase after stepping, charging
 //! each released core `now − parked_at` barrier cycles (which is exactly
 //! what the reference's eager one-per-visit counting adds up to).
 //!
@@ -139,12 +117,10 @@
 //! bank adapters' synchronization events and the networks' transport
 //! events. Tracing is an *observer, never a steering input*: results are
 //! bit-identical with and without a sink, and the event stream itself is
-//! identical across execution modes *and shard counts* (enforced by
-//! `crates/sim/tests/tracing.rs`) — parallel phases buffer their events
-//! per shard and the coordinator drains the buffers in shard (= id)
-//! order. With no sink attached — the default — the phase bodies are
-//! monomorphized over a no-op trace context, so untraced runs pay no
-//! per-step tracing branch at all.
+//! identical across execution modes (enforced by
+//! `crates/sim/tests/tracing.rs`). With no sink attached — the default —
+//! the phase bodies are monomorphized over a no-op trace context, so
+//! untraced runs pay no per-step tracing branch at all.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -165,8 +141,7 @@ use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
-use crate::phases::{self, CorePhase, ReqMsg, RespMsg, ShardScratch};
-use crate::shard::{Job, WorkerPool};
+use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
 use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 
@@ -299,10 +274,8 @@ pub struct Machine {
     halted: usize,
     barrier_waiting: usize,
     debug_log: Vec<(u64, u32, u32)>,
-    /// Tracing switch: [`Tracer::Off`] by default. Parallel phases buffer
-    /// events per shard; the coordinator drains the buffers in shard
-    /// order, so the stream is identical for any shard count (tracing
-    /// observes, it never steers).
+    /// Tracing switch: [`Tracer::Off`] by default (tracing observes, it
+    /// never steers).
     tracer: Tracer,
     /// Per-core blocking-operation kind; gives [`TraceEvent::Wake`] its
     /// cause. Maintained unconditionally (not just while tracing) so the
@@ -318,13 +291,13 @@ pub struct Machine {
     /// construction. [`Chaos::Off`] (the default) follows the
     /// `tracer`/`profiler` discipline: one predictable branch per
     /// injection site, results bit-identical to a build without the
-    /// engine. All injection happens in sequential coordinator code
-    /// (eviction pre-pass, bank-outbox flush, core-outbox drain,
-    /// arbitration start), keyed on quantities the determinism contract
-    /// already fixes — so chaos-on runs are equally deterministic across
-    /// exec modes and shard counts. Mutation candidate counters (the only
-    /// stateful part) are not captured by snapshots: combining mutations
-    /// with mid-run checkpoint/restore is unsupported.
+    /// engine. All injection happens in `step_cycle` itself (eviction
+    /// pre-pass, bank-outbox flush, core-outbox drain, arbitration
+    /// start), keyed on quantities the determinism contract already
+    /// fixes — so chaos-on runs are equally deterministic across exec
+    /// modes. Mutation candidate counters (the only stateful part) are
+    /// not captured by snapshots: combining mutations with mid-run
+    /// checkpoint/restore is unsupported.
     chaos: Chaos,
     /// `Running` cores that may issue next cycle (the Phase 4 walk list).
     /// Cores re-enter by insertion: response deliveries, barrier releases
@@ -338,16 +311,15 @@ pub struct Machine {
     /// Cores with a non-empty request outbox (Phase 5 of the production
     /// stepper).
     dirty_cores: IdSet,
-    /// Worker pool for `cfg.shards > 1`; `None` runs phases inline.
-    pool: Option<WorkerPool>,
-    /// The single shard's scratch when no pool exists.
-    seq_scratch: ShardScratch,
     // Scratch buffers (allocation-free steady state).
     req_buf: Vec<ReqMsg>,
     resp_buf: Vec<RespMsg>,
     /// Delivered requests of this cycle as (bank, delivery index), sorted —
-    /// the bank-id-ordered service schedule shared by all shard counts.
+    /// the bank-id-ordered service schedule.
     req_order: Vec<(u32, u32)>,
+    /// Response buffer handed to [`SyncAdapter::handle`] during bank
+    /// service.
+    adapter_out: Vec<(u32, MemResponse)>,
     /// Superblock translation of the program image, built at
     /// construction unless `cfg.exec_mode == ExecMode::Reference` (kept
     /// `None` there) and shared with the `DecodedProgram`'s cache —
@@ -366,7 +338,6 @@ impl fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("cores", &self.cores.len())
             .field("banks", &self.banks.len())
-            .field("shards", &self.cfg.shards)
             .field("cycle", &self.cycle)
             .field("halted", &self.halted)
             .finish()
@@ -415,8 +386,7 @@ impl Machine {
     }
 
     /// Builds a machine around an already-decoded (possibly shared)
-    /// program image. With [`SimConfig::shards`]` > 1` this also spawns
-    /// the persistent worker pool (joined again when the machine drops).
+    /// program image.
     ///
     /// # Errors
     ///
@@ -479,11 +449,10 @@ impl Machine {
             runnable: IdSet::new(num_cores),
             ready_queue: BinaryHeap::with_capacity(num_cores),
             dirty_cores: IdSet::new(num_cores),
-            pool: (cfg.shards > 1).then(|| WorkerPool::new(cfg.shards, num_banks, num_cores)),
-            seq_scratch: ShardScratch::default(),
             req_buf: Vec::new(),
             resp_buf: Vec::new(),
             req_order: Vec::new(),
+            adapter_out: Vec::new(),
             translation,
             step_limit: 0,
             cfg,
@@ -507,14 +476,6 @@ impl Machine {
         self.cfg.exec_mode
     }
 
-    /// Number of simulation shards (1 = fully inline), fixed at
-    /// construction by [`SimConfig::shards`] (select it through
-    /// [`crate::SimConfigBuilder::shards`]).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.cfg.shards
-    }
-
     /// The superblock translation this machine executes with — `None`
     /// exactly in [`ExecMode::Reference`]. The `Arc` is shared with the
     /// program image's cache (`DecodedProgram::translation`), so two
@@ -531,12 +492,10 @@ impl Machine {
     ///
     /// Tracing never perturbs simulation: cycle counts, statistics and
     /// memory contents are bit-identical with and without a sink (the
-    /// sink only observes), and the event stream itself is identical for
-    /// every shard count (parallel phases buffer per shard; the
-    /// coordinator drains in shard order). With no sink attached (the
-    /// default) the phase bodies are monomorphized over a no-op context —
-    /// the differential and counting-allocator suites run untraced and
-    /// prove the hot path unchanged.
+    /// sink only observes). With no sink attached (the default) the phase
+    /// bodies are monomorphized over a no-op context — the differential
+    /// and counting-allocator suites run untraced and prove the hot path
+    /// unchanged.
     ///
     /// To read results back after [`Machine::run`], hand in a
     /// [`lrscwait_trace::SharedSink`] clone and keep the other handle.
@@ -558,8 +517,7 @@ impl Machine {
         !self.tracer.is_off()
     }
 
-    /// Enables the host-side phase profiler (off by default) and, when
-    /// the machine is sharded, the worker pool's utilization counters.
+    /// Enables the host-side phase profiler (off by default).
     ///
     /// Profiling is strictly host-side: it reads monotonic clocks between
     /// `step_cycle` sub-phases and never touches simulated state, so
@@ -569,9 +527,6 @@ impl Machine {
     /// predictable branch, mirroring the [`Tracer`] discipline.
     pub fn enable_profiler(&mut self, cfg: ProfilerConfig) {
         self.profiler = Profiler::enabled(cfg);
-        if let Some(pool) = &self.pool {
-            pool.enable_telemetry();
-        }
     }
 
     /// Whether the phase profiler is collecting.
@@ -585,12 +540,7 @@ impl Machine {
     /// cumulative.
     #[must_use]
     pub fn profile(&self) -> Option<PhaseProfile> {
-        let workers = self
-            .pool
-            .as_ref()
-            .map(WorkerPool::worker_util)
-            .unwrap_or_default();
-        self.profiler.snapshot(self.shard_count(), workers)
+        self.profiler.snapshot()
     }
 
     /// Current cycle count.
@@ -664,7 +614,7 @@ impl Machine {
     ///
     /// Injections are machine state like any other event: runs performing
     /// the same injections at the same cycles stay bit-identical across
-    /// execution modes, shard counts and tracing.
+    /// execution modes and tracing.
     ///
     /// # Panics
     ///
@@ -886,21 +836,17 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on kernel bugs. On an error the faulting
-    /// core's shard stops stepping at the fault while other shards finish
-    /// their cycle; the reported error is the one on the lowest core id,
-    /// matching the single-sharded walk.
+    /// Returns [`SimError`] on kernel bugs: stepping stops at the first
+    /// faulting core in id order, and that fault is the one reported.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         self.cycle += 1;
         let now = self.cycle;
-        let tracing = !self.tracer.is_off();
         let event_scheduled = self.cfg.exec_mode.event_scheduled();
-        let num_banks = self.banks.len() as u32;
         // Owned clock so the laps below don't borrow `self.profiler`
         // across the `&mut self` phase bodies; committed at the end.
         let mut clock = self.profiler.begin_cycle();
 
-        // Phase 1a: advance the request network (sequential).
+        // Phase 1a: advance the request network.
         let mut req_buf = std::mem::take(&mut self.req_buf);
         req_buf.clear();
         net_advance(
@@ -913,56 +859,33 @@ impl Machine {
         clock.lap(Phase::ReqNetAdvance);
 
         // Phase 1b: service the delivered requests, grouped by destination
-        // bank and processed in (bank id, delivery index) order — the one
-        // schedule every shard count shares. Within a bank, delivery order
-        // is preserved (the per-(core, bank) FIFO Colibri relies on). A
-        // cycle that delivered nothing has nothing to service or merge.
+        // bank and processed in (bank id, delivery index) order. Within a
+        // bank, delivery order is preserved (the per-(core, bank) FIFO
+        // Colibri relies on). A cycle that delivered nothing has nothing
+        // to service.
         if !req_buf.is_empty() {
             self.req_order.clear();
             self.req_order
                 .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
             self.req_order.sort_unstable();
             self.chaos_evict_before_service(&req_buf, now);
-            self.reset_scratch();
-            if let Some(pool) = &mut self.pool {
-                pool.dispatch(Job::Banks {
-                    reqs: req_buf.as_ptr(),
-                    reqs_len: req_buf.len(),
-                    order: self.req_order.as_ptr(),
-                    order_len: self.req_order.len(),
-                    banks: self.banks.as_mut_ptr(),
-                    adapters: self.adapters.as_mut_ptr(),
-                    bank_outbox: self.bank_outbox.as_mut_ptr(),
-                    num_banks,
-                    tracing,
-                });
-            } else {
-                phases::service_banks(
-                    0,
-                    &mut self.banks,
-                    &mut self.adapters,
-                    &mut self.bank_outbox,
-                    num_banks,
-                    &req_buf,
-                    &self.req_order,
-                    &mut self.seq_scratch,
-                    tracing,
-                );
-            }
+            phases::service_banks(
+                &mut self.banks,
+                &mut self.adapters,
+                &mut self.bank_outbox,
+                &mut self.dirty_banks,
+                &req_buf,
+                &self.req_order,
+                &mut self.adapter_out,
+                &mut self.tracer,
+                now,
+            );
             clock.lap(Phase::BankService);
-            self.drain_shard_traces(now);
-            for s in 0..self.shard_count() {
-                let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
-                for &bank in &scratch.new_dirty_banks {
-                    self.dirty_banks.insert(bank);
-                }
-            }
-            clock.lap(Phase::CrossShardMerge);
         }
         self.req_buf = req_buf;
 
         // Phase 2: flush bank outboxes into the response network, in bank
-        // id order (deterministic for every shard count).
+        // id order.
         let mut next = self.dirty_banks.next_from(0);
         while let Some(bank) = next {
             while let Some(&msg) = self.bank_outbox[bank as usize].front() {
@@ -1056,66 +979,46 @@ impl Machine {
         // Phase 4: step the cores (production stepper: the runnable set,
         // superblocks where the pc enters one; reference: every core with
         // eager parked accounting). With nothing runnable the production
-        // stepper has no core to visit and no per-shard output to fold.
+        // stepper has no core to visit.
         if event_scheduled {
             self.readmit_ready_cores(now);
         }
         if !(event_scheduled && self.runnable.is_empty()) {
-            self.reset_scratch();
             // Superblocks may run ahead to the run loop's horizon; outside
             // `run`/`run_until` the horizon collapses to `now` (exactly one
             // instruction per visit, like the reference stepper).
             let horizon = self.step_limit.max(now);
-            if let Some(pool) = &mut self.pool {
-                pool.dispatch(Job::Cores {
-                    cores: self.cores.as_mut_ptr(),
-                    qnodes: self.qnodes.as_mut_ptr(),
-                    core_outbox: self.core_outbox.as_mut_ptr(),
-                    park_kind: self.park_kind.as_mut_ptr(),
-                    runnable: &self.runnable,
-                    program: Arc::as_ptr(&self.program),
-                    translation: self.translation.as_deref().map_or(std::ptr::null(), |t| t),
-                    cfg: &self.cfg,
-                    num_banks,
+            let mut ctx = CorePhase {
+                cores: &mut self.cores,
+                qnodes: &mut self.qnodes,
+                core_outbox: &mut self.core_outbox,
+                park_kind: &mut self.park_kind,
+                program: &self.program,
+                cfg: &self.cfg,
+                num_banks: self.banks.len() as u32,
+                halted: &mut self.halted,
+                barrier_waiting: &mut self.barrier_waiting,
+                debug_log: &mut self.debug_log,
+                dirty_cores: &mut self.dirty_cores,
+            };
+            let stepped = match self.translation.as_deref() {
+                Some(translation) => phases::step_translated_cores(
+                    &mut ctx,
+                    translation,
+                    &mut self.runnable,
+                    &mut self.ready_queue,
                     now,
                     horizon,
-                    tracing,
-                });
-            } else {
-                let mut ctx = CorePhase {
-                    core_lo: 0,
-                    cores: &mut self.cores,
-                    qnodes: &mut self.qnodes,
-                    core_outbox: &mut self.core_outbox,
-                    park_kind: &mut self.park_kind,
-                    program: &self.program,
-                    cfg: &self.cfg,
-                    num_banks,
-                };
-                match self.translation.as_deref() {
-                    Some(translation) => phases::step_translated_cores(
-                        &mut ctx,
-                        translation,
-                        self.runnable.iter(),
-                        now,
-                        horizon,
-                        &mut self.seq_scratch,
-                        tracing,
-                    ),
-                    None => phases::step_all_cores(&mut ctx, now, &mut self.seq_scratch, tracing),
-                }
-            }
+                    &mut self.tracer,
+                ),
+                None => phases::step_all_cores(&mut ctx, now, &mut self.tracer),
+            };
             clock.lap(Phase::CoreStep);
-            let step_error = self.merge_core_phase(now);
-            clock.lap(Phase::CrossShardMerge);
-            if let Some(err) = step_error {
-                return Err(err);
-            }
+            stepped?;
         }
 
-        // Sequential sub-phase: barrier release. Deferred here so the
-        // accounting is independent of the stepping order (and therefore
-        // of the shard count).
+        // Barrier release: its own sub-phase after the walk, so the
+        // accounting is independent of the stepping order.
         self.release_barrier_if_ready(now);
         clock.lap(Phase::BarrierRelease);
 
@@ -1153,28 +1056,15 @@ impl Machine {
         Ok(())
     }
 
-    /// Number of shards the phases run across.
-    fn shard_count(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::shards)
-    }
-
-    /// Clears every shard scratch for the next parallel phase.
-    fn reset_scratch(&mut self) {
-        match &mut self.pool {
-            Some(pool) => pool.reset_scratch(),
-            None => self.seq_scratch.reset(),
-        }
-    }
-
-    /// Chaos eviction pre-pass (sequential, before the parallel bank
-    /// service): walks the service schedule and spuriously evicts
-    /// reservations immediately before their requests are serviced.
+    /// Chaos eviction pre-pass (before bank service): walks the service
+    /// schedule and spuriously evicts reservations immediately before
+    /// their requests are serviced.
     /// A spurious `sc`/`scwait` failure *is* such an eviction — the
     /// adapters' own fail paths then advance their queues exactly as
     /// for a reservation lost to an intervening write, so all protocol
     /// state stays consistent by construction. Decisions are stateless
     /// hashes of (seed, cycle, bank, delivery index) — identical in
-    /// every exec mode and shard count.
+    /// every exec mode.
     fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
         let Chaos::On(state) = self.chaos else {
             return;
@@ -1200,64 +1090,10 @@ impl Machine {
         }
     }
 
-    /// Emits the parallel phase's buffered trace events in shard (= id)
-    /// order — identical to the order a single-sharded walk emits in.
-    fn drain_shard_traces(&mut self, now: u64) {
-        if self.tracer.is_off() {
-            return;
-        }
-        for s in 0..self.shard_count() {
-            let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
-            for event in scratch.trace.drain(..) {
-                self.tracer.emit(now, || event);
-            }
-        }
-    }
-
-    /// Folds the core phase's per-shard outputs into the machine, in shard
-    /// (= core id) order: trace events, debug prints, halt/barrier counts,
-    /// the cores that left the runnable set (parked or deferred to the
-    /// ready queue) and the newly dirty cores. Returns the lowest-core
-    /// fatal error, if any shard faulted.
-    fn merge_core_phase(&mut self, now: u64) -> Option<SimError> {
-        self.drain_shard_traces(now);
-        let event_driven = self.cfg.exec_mode.event_scheduled();
-        let mut error: Option<(u32, SimError)> = None;
-        for s in 0..self.shard_count() {
-            let scratch = scratch_at(&mut self.pool, &mut self.seq_scratch, s);
-            // Prints → debug log (ascending core order by construction).
-            for &(core, value) in &scratch.prints {
-                self.debug_log.push((now, core, value));
-            }
-            self.halted += scratch.newly_halted as usize;
-            self.barrier_waiting += scratch.newly_barrier as usize;
-            if let Some(err) = scratch.error.take() {
-                if error.as_ref().is_none_or(|(c, _)| scratch.error_core < *c) {
-                    error = Some((scratch.error_core, err));
-                }
-            }
-            if event_driven {
-                for &c in &scratch.left_runnable {
-                    self.runnable.remove(c);
-                }
-                for &c in &scratch.deferred {
-                    self.runnable.remove(c);
-                    let ready_at = self.cores[c as usize].ready_at;
-                    self.ready_queue.push(Reverse((ready_at, c)));
-                }
-                for &c in &scratch.new_dirty_cores {
-                    self.dirty_cores.insert(c);
-                }
-            }
-        }
-        error.map(|(_, err)| err)
-    }
-
     /// Injects a core's queued requests until the network backpressures.
     fn drain_core_outbox(&mut self, c: usize, now: u64) {
         // Ordinal of the request within this core's drain this cycle —
-        // the chaos request-jitter key (identical across exec modes and
-        // shard counts: the drain is sequential coordinator code).
+        // the chaos request-jitter key (identical across exec modes).
         let mut ordinal = 0u32;
         while let Some(&msg) = self.core_outbox[c].front() {
             let extra = match &self.chaos {
@@ -1284,8 +1120,8 @@ impl Machine {
         }
     }
 
-    /// Queues a request on a core's outbox (sequential Phase 3 path),
-    /// tracking outbox dirtiness for Phase 5.
+    /// Queues a request on a core's outbox (Phase 3 path), tracking
+    /// outbox dirtiness for Phase 5.
     fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
         self.core_outbox[c].push_back(msg);
         self.dirty_cores.insert(c as u32);
@@ -1362,12 +1198,12 @@ impl Machine {
 
     /// Releases the barrier when every still-running core has arrived.
     ///
-    /// Runs once per cycle, single-threaded, *after* the stepping phase —
-    /// never inside it — so the accounting is independent of the order
-    /// cores were visited in (and therefore of the shard count): every
-    /// released core is charged `now − parked_at` barrier cycles, exactly
-    /// what the reference's eager one-per-Phase-4-visit counting adds up
-    /// to, and re-enters the runnable set with `ready_at = now + 1`.
+    /// Runs once per cycle, *after* the stepping phase — never inside
+    /// it — so the accounting is independent of the order cores were
+    /// visited in: every released core is charged `now − parked_at`
+    /// barrier cycles, exactly what the reference's eager
+    /// one-per-Phase-4-visit counting adds up to, and re-enters the
+    /// runnable set with `ready_at = now + 1`.
     fn release_barrier_if_ready(&mut self, now: u64) {
         let running = self.cores.len() - self.halted;
         if running > 0 && self.barrier_waiting == running {
@@ -1420,10 +1256,10 @@ impl Machine {
     /// Restoring the buffer with [`Machine::restore`] and continuing is
     /// bit-identical to never having stopped: summaries, statistics,
     /// benchmark CSV bytes and trace-event suffixes all match, across
-    /// execution modes and shard counts (the snapshot holds no mode- or
-    /// shard-dependent state: lazily-accounted parked and stall cycles are
-    /// settled into the statistics at snapshot time, and the
-    /// runnable/ready/dirty worklists are recomputed on restore).
+    /// execution modes (the snapshot holds no mode-dependent state:
+    /// lazily-accounted parked and stall cycles are settled into the
+    /// statistics at snapshot time, and the runnable/ready/dirty
+    /// worklists are recomputed on restore).
     ///
     /// Call between cycles (before [`Machine::run`], or after `run` /
     /// [`Machine::run_until`] returned), never from inside a stepping
@@ -1536,8 +1372,8 @@ impl Machine {
     ///
     /// The machine must have been built with the same geometry (cores,
     /// banks, SPM size) and synchronization architecture the snapshot was
-    /// taken with; execution mode, shard count and tracing may all differ
-    /// — continuing from the restored state is bit-identical to the
+    /// taken with; execution mode and tracing may both differ —
+    /// continuing from the restored state is bit-identical to the
     /// uninterrupted run in any combination. A tracing machine emits the
     /// uninterrupted stream's suffix (after its own `Start` event).
     ///
@@ -1923,20 +1759,6 @@ fn load_net<P>(
             .map_err(|_| StateError::Invalid("flit beyond node capacity"))?;
     }
     Ok(())
-}
-
-/// Shard `s`'s scratch (coordinator, between phases). Takes the two
-/// fields rather than the machine so callers can fold the scratch into
-/// other fields while holding it.
-fn scratch_at<'a>(
-    pool: &'a mut Option<WorkerPool>,
-    seq_scratch: &'a mut ShardScratch,
-    s: usize,
-) -> &'a mut ShardScratch {
-    match pool {
-        Some(pool) => pool.scratch_mut(s),
-        None => seq_scratch,
-    }
 }
 
 /// Replaces the members of a worklist set.

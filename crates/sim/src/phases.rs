@@ -1,40 +1,30 @@
-//! The bodies of `Machine::step_cycle`'s two data-parallel phases —
-//! per-bank request service and per-core stepping — extracted so they can
-//! run either inline (one shard, the default) or on the persistent worker
-//! pool (`crate::shard`), over a *contiguous range* of banks or cores.
+//! The bodies of `Machine::step_cycle`'s two largest phases — per-bank
+//! request service and per-core stepping — kept apart from the machine so
+//! that each borrows exactly the machine fields it touches.
 //!
-//! # Why ranges make parallelism deterministic
-//!
-//! Within one cycle, all cross-bank and cross-core work is commutative:
-//! a bank adapter touches only its own words, queue state and outbox, and
-//! a stepping core touches only its own registers, Qnode and request
-//! outbox. The only ordering-sensitive artifacts a parallel phase produces
-//! are *report lists* — which banks became ready to flush, which cores
-//! left the runnable set or became dirty, which trace events and debug
-//! prints occurred. Each shard accumulates those into its own
-//! [`ShardScratch`] in ascending id order; because shard ranges are
-//! contiguous and themselves ordered, draining the shard scratches in
-//! shard order reproduces exactly the global ascending-id order a
-//! single-sharded walk produces. Membership reports are applied to the
-//! machine's `IdSet` worklists (whose walk order is ascending id by
-//! construction), ordered streams are appended — the machine's
-//! determinism contract either way.
+//! Both bodies update the machine's worklists as they go: bank service
+//! marks a bank dirty the moment its outbox fills, the core walk takes a
+//! parked, halted or deferred core out of the runnable set (and files a
+//! deferred one in the ready queue) right after visiting it. The order
+//! contracts are the simulated machine's own: requests are serviced in
+//! `(bank, delivery index)` order, cores step in ascending id.
 //!
 //! # Tracing without branches
 //!
 //! Both phase bodies are generic over a [`TraceCtx`]: the untraced
-//! instantiation ([`NoTrace`]) compiles every emit site to nothing — the
-//! per-step `is_off()` branch the previous implementation paid is gone
-//! entirely from the hot loop (one branch per *phase* per cycle selects
-//! the instantiation). The traced instantiation ([`BufTrace`]) appends to
-//! a per-shard buffer that the coordinator drains in shard order, so the
-//! observed event stream is identical for any shard count.
+//! instantiation ([`NoTrace`]) compiles every emit site to nothing, so the
+//! hot loop carries no per-step `is_off()` branch (one branch per *phase*
+//! per cycle selects the instantiation). The traced instantiation
+//! ([`SinkTrace`]) hands each event to the machine's sink, stamped with the
+//! current cycle.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use lrscwait_core::{MemRequest, MemResponse, Qnode, SyncAdapter, WordStorage};
 use lrscwait_isa::AmoOp;
-use lrscwait_trace::{OpKind, TraceEvent};
+use lrscwait_noc::IdSet;
+use lrscwait_trace::{OpKind, TraceEvent, Tracer};
 
 use crate::config::{mmio_reg, SimConfig, MMIO_BASE, MMIO_SIZE, NUM_ARGS, ROM_BASE};
 use crate::cpu::{
@@ -90,11 +80,10 @@ impl WordStorage for BankView<'_> {
 
 /// Trace-emission context a phase body is monomorphized over.
 ///
-/// [`NoTrace`] (untraced runs) compiles every emit site away; [`BufTrace`]
-/// appends to a per-shard buffer the coordinator later drains in shard
-/// order. Either way the phase body itself contains no per-event
-/// `is_off()` branch.
-pub(crate) trait TraceCtx {
+/// [`NoTrace`] (untraced runs) compiles every emit site away; [`SinkTrace`]
+/// records into the machine's sink. Either way the phase body itself
+/// contains no per-event `is_off()` branch.
+trait TraceCtx {
     /// Whether events are recorded (drives the few sites that maintain
     /// trace-only side state, e.g. the park-cause table).
     const ENABLED: bool;
@@ -103,7 +92,7 @@ pub(crate) trait TraceCtx {
 }
 
 /// The zero-cost untraced context.
-pub(crate) struct NoTrace;
+struct NoTrace;
 
 impl TraceCtx for NoTrace {
     const ENABLED: bool = false;
@@ -111,159 +100,98 @@ impl TraceCtx for NoTrace {
     fn emit(&mut self, _event: impl FnOnce() -> TraceEvent) {}
 }
 
-/// Buffering trace context: events land in the shard's scratch buffer in
-/// emission order (ascending bank/core id within the shard).
-pub(crate) struct BufTrace<'a>(pub &'a mut Vec<TraceEvent>);
+/// Recording trace context: events go to the attached sink at cycle `now`,
+/// in emission order (ascending bank/core id).
+struct SinkTrace<'a> {
+    tracer: &'a mut Tracer,
+    now: u64,
+}
 
-impl TraceCtx for BufTrace<'_> {
+impl TraceCtx for SinkTrace<'_> {
     const ENABLED: bool = true;
     #[inline]
     fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        self.0.push(event());
+        self.tracer.emit(self.now, event);
     }
 }
 
-/// Per-shard accumulation state. One instance per shard lives in the
-/// `Machine`; all vectors reach a steady-state capacity and are reused,
-/// so sharded cycles stay allocation-free.
-#[derive(Debug, Default)]
-pub(crate) struct ShardScratch {
-    /// Reusable response buffer handed to `SyncAdapter::handle`.
-    pub adapter_out: Vec<(u32, MemResponse)>,
-    /// Banks whose outbox went empty → non-empty this cycle (ascending).
-    pub new_dirty_banks: Vec<u32>,
-    /// Visited cores that are no longer `Running` (halted, parked on
-    /// memory or at the barrier): they leave the runnable set.
-    pub left_runnable: Vec<u32>,
-    /// Visited cores that stay `Running` but cannot issue before
-    /// `now + 2` (ascending): they leave the runnable set for the
-    /// machine's ready queue until their issue cycle.
-    pub deferred: Vec<u32>,
-    /// Cores whose request outbox went empty → non-empty (ascending).
-    pub new_dirty_cores: Vec<u32>,
-    /// MMIO debug prints this cycle: `(core, value)` (ascending core).
-    pub prints: Vec<(u32, u32)>,
-    /// Cores that halted during this phase.
-    pub newly_halted: u32,
-    /// Cores that arrived at the barrier during this phase.
-    pub newly_barrier: u32,
-    /// First fatal error in this shard (lowest core id within the shard).
-    pub error: Option<SimError>,
-    /// Core id the error occurred on (for cross-shard arbitration).
-    pub error_core: u32,
-    /// Buffered trace events (only populated when a sink is attached).
-    pub trace: Vec<TraceEvent>,
-}
-
-impl ShardScratch {
-    /// Clears all per-cycle accumulators (capacity is retained).
-    pub fn reset(&mut self) {
-        self.new_dirty_banks.clear();
-        self.left_runnable.clear();
-        self.deferred.clear();
-        self.new_dirty_cores.clear();
-        self.prints.clear();
-        self.newly_halted = 0;
-        self.newly_barrier = 0;
-        self.error = None;
-        self.error_core = 0;
-        debug_assert!(self.trace.is_empty(), "trace buffer drained every cycle");
-    }
-}
-
-/// Services every delivered request whose destination bank lies in
-/// `[bank_lo, bank_lo + banks.len())`, in bank-id order (and, within one
+/// Services every delivered request in bank-id order (and, within one
 /// bank, in delivery order): the adapter performs its side effects on the
-/// bank words and appends responses to the bank's outbox.
+/// bank words and appends responses to the bank's outbox, which joins
+/// `dirty_banks` when it goes empty → non-empty.
 ///
-/// `order` is the cycle's full delivery list sorted by `(bank, delivery
-/// index)`; the caller has already narrowed it to this shard's banks.
+/// `order` is the cycle's delivery list sorted by `(bank, delivery
+/// index)`; `adapter_out` is the reusable response buffer handed to
+/// [`SyncAdapter::handle`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn service_banks(
-    bank_lo: u32,
     banks: &mut [Vec<u32>],
     adapters: &mut [Box<dyn SyncAdapter>],
     bank_outbox: &mut [VecDeque<RespMsg>],
-    num_banks: u32,
+    dirty_banks: &mut IdSet,
     reqs: &[ReqMsg],
     order: &[(u32, u32)],
-    scratch: &mut ShardScratch,
-    tracing: bool,
+    adapter_out: &mut Vec<(u32, MemResponse)>,
+    tracer: &mut Tracer,
+    now: u64,
 ) {
-    let ShardScratch {
-        adapter_out,
-        new_dirty_banks,
-        trace,
-        ..
-    } = scratch;
-    if tracing {
+    if tracer.is_off() {
         service_banks_inner(
-            bank_lo,
             banks,
             adapters,
             bank_outbox,
-            num_banks,
+            dirty_banks,
             reqs,
             order,
             adapter_out,
-            new_dirty_banks,
-            &mut BufTrace(trace),
+            &mut NoTrace,
         );
     } else {
         service_banks_inner(
-            bank_lo,
             banks,
             adapters,
             bank_outbox,
-            num_banks,
+            dirty_banks,
             reqs,
             order,
             adapter_out,
-            new_dirty_banks,
-            &mut NoTrace,
+            &mut SinkTrace { tracer, now },
         );
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn service_banks_inner<T: TraceCtx>(
-    bank_lo: u32,
     banks: &mut [Vec<u32>],
     adapters: &mut [Box<dyn SyncAdapter>],
     bank_outbox: &mut [VecDeque<RespMsg>],
-    num_banks: u32,
+    dirty_banks: &mut IdSet,
     reqs: &[ReqMsg],
     order: &[(u32, u32)],
     adapter_out: &mut Vec<(u32, MemResponse)>,
-    new_dirty_banks: &mut Vec<u32>,
     trace: &mut T,
 ) {
+    let num_banks = banks.len() as u32;
     for &(bank, idx) in order {
         let msg = &reqs[idx as usize];
         debug_assert_eq!(msg.bank, bank);
-        let local = (bank - bank_lo) as usize;
+        let b = bank as usize;
         let mut view = BankView {
-            words: &mut banks[local],
+            words: &mut banks[b],
             num_banks,
             bank,
         };
         adapter_out.clear();
         if T::ENABLED {
-            adapters[local].handle_traced(
-                msg.src,
-                &msg.req,
-                &mut view,
-                adapter_out,
-                &mut |event| {
-                    trace.emit(|| TraceEvent::Sync { bank, event });
-                },
-            );
+            adapters[b].handle_traced(msg.src, &msg.req, &mut view, adapter_out, &mut |event| {
+                trace.emit(|| TraceEvent::Sync { bank, event });
+            });
         } else {
-            adapters[local].handle(msg.src, &msg.req, &mut view, adapter_out);
+            adapters[b].handle(msg.src, &msg.req, &mut view, adapter_out);
         }
-        let outbox = &mut bank_outbox[local];
+        let outbox = &mut bank_outbox[b];
         if outbox.is_empty() && !adapter_out.is_empty() {
-            new_dirty_banks.push(bank);
+            dirty_banks.insert(bank);
         }
         for (core, resp) in adapter_out.drain(..) {
             outbox.push_back(RespMsg { core, resp });
@@ -271,17 +199,15 @@ fn service_banks_inner<T: TraceCtx>(
     }
 }
 
-/// The per-core stepping phase over one contiguous shard of cores.
+/// The per-core stepping phase.
 ///
-/// Owns mutable access to the shard's cores, Qnodes, request outboxes and
-/// park-cause table, plus the shared read-only program and configuration.
-/// All ordering-sensitive side effects (halt/barrier counts, debug prints,
-/// newly-dirty cores, trace events) go to the [`ShardScratch`]; barrier
-/// *release* is deferred to the machine's sequential sub-phase, which is
-/// what makes stepping shardable in the first place.
+/// Borrows the machine fields a stepping core touches — its registers,
+/// Qnode, request outbox and park cause — plus the machine-wide tallies a
+/// step can move (halt and barrier counts, the debug log, the dirty-core
+/// set) and the shared read-only program and configuration. Barrier
+/// *release* is not here: it runs in the machine's sequential sub-phase
+/// after the walk, so its accounting never depends on visit order.
 pub(crate) struct CorePhase<'a> {
-    /// First global core id of this shard.
-    pub core_lo: u32,
     pub cores: &'a mut [Core],
     pub qnodes: &'a mut [Qnode],
     pub core_outbox: &'a mut [VecDeque<ReqMsg>],
@@ -289,205 +215,108 @@ pub(crate) struct CorePhase<'a> {
     pub program: &'a DecodedProgram,
     pub cfg: &'a SimConfig,
     pub num_banks: u32,
+    pub halted: &'a mut usize,
+    pub barrier_waiting: &'a mut usize,
+    pub debug_log: &'a mut Vec<(u64, u32, u32)>,
+    pub dirty_cores: &'a mut IdSet,
 }
 
-/// Steps this shard's slice of the runnable set (the production
-/// stepper): a runnable core whose pc enters a superblock executes the
-/// whole block (up to `horizon`) in one call, any other pc takes one
-/// interpreter step. Cores that stop `Running` are reported in
-/// `scratch.left_runnable`, cores that cannot issue before `now + 2` in
-/// `scratch.deferred` (the machine re-admits those at exactly `ready_at`,
-/// crediting the skipped stall cycles as one delta); the coordinator
-/// removes both from the runnable set after the walk.
+/// Steps the runnable set in ascending core id (the production stepper):
+/// a runnable core whose pc enters a superblock executes the whole block
+/// (up to `horizon`) in one call, any other pc takes one interpreter
+/// step. A visited core that stopped `Running` leaves `runnable`; one that
+/// cannot issue before `now + 2` leaves it for `ready_queue` (the machine
+/// re-admits it at exactly `ready_at`, crediting the skipped stall cycles
+/// as one delta).
 ///
-/// `runnable` must yield, ascending, the members of the global runnable
-/// set that fall inside this shard's core range. On a fatal error the
-/// error is recorded in the scratch and stepping stops; the unstepped
-/// tail simply stays in the set (post-mortem state).
+/// # Errors
+///
+/// Returns the first fatal error in core order and stops stepping; the
+/// unstepped tail simply stays in the set (post-mortem state).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
-    runnable: impl Iterator<Item = u32>,
+    runnable: &mut IdSet,
+    ready_queue: &mut BinaryHeap<Reverse<(u64, u32)>>,
     now: u64,
     horizon: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        left_runnable,
-        deferred,
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        track_dirty: true,
-    };
-    let mut lists = WalkLists {
-        left_runnable,
-        deferred,
-        error,
-        error_core,
-    };
-    if tracing {
-        walk_translated(
-            ctx,
-            translation,
-            runnable,
-            now,
-            horizon,
-            &mut lists,
-            &mut out,
-            &mut BufTrace(trace),
-        );
+    tracer: &mut Tracer,
+) -> Result<(), SimError> {
+    if tracer.is_off() {
+        let trace = &mut NoTrace;
+        walk_translated(ctx, translation, runnable, ready_queue, now, horizon, trace)
     } else {
-        walk_translated(
-            ctx,
-            translation,
-            runnable,
-            now,
-            horizon,
-            &mut lists,
-            &mut out,
-            &mut NoTrace,
-        );
+        let trace = &mut SinkTrace { tracer, now };
+        walk_translated(ctx, translation, runnable, ready_queue, now, horizon, trace)
     }
 }
 
-/// Where a runnable-set walk files each visited core (a borrowed-apart
-/// view of the shard scratch).
-struct WalkLists<'a> {
-    left_runnable: &'a mut Vec<u32>,
-    deferred: &'a mut Vec<u32>,
-    error: &'a mut Option<SimError>,
-    error_core: &'a mut u32,
-}
-
-#[allow(clippy::too_many_arguments)]
 fn walk_translated<T: TraceCtx>(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
-    runnable: impl Iterator<Item = u32>,
+    runnable: &mut IdSet,
+    ready_queue: &mut BinaryHeap<Reverse<(u64, u32)>>,
     now: u64,
     horizon: u64,
-    lists: &mut WalkLists<'_>,
-    out: &mut StepOut<'_>,
     trace: &mut T,
-) {
-    for c in runnable {
-        let result = ctx.step_core_translated(c, translation, now, horizon, out, trace);
+) -> Result<(), SimError> {
+    let mut next = runnable.next_from(0);
+    while let Some(c) = next {
+        let result = ctx.step_core_translated(c, translation, now, horizon, trace);
         // The state check runs even for a faulting core: a core that is
         // still `Running` after its fatal error (e.g. a breakpoint)
         // stays in the set, like every other observable of the
         // post-mortem state.
-        let core = &mut ctx.cores[(c - ctx.core_lo) as usize];
+        let core = &mut ctx.cores[c as usize];
         if core.state != CoreState::Running {
-            lists.left_runnable.push(c);
+            runnable.remove(c);
         } else if core.ready_at > now + 1 {
             // Nothing can change this core before `ready_at` (only
             // parked cores are woken from outside the walk), so every
             // visit until then would be a no-op stall.
             core.parked_at = now;
-            lists.deferred.push(c);
+            runnable.remove(c);
+            ready_queue.push(Reverse((core.ready_at, c)));
         }
-        if let Err(e) = result {
-            *lists.error = Some(e);
-            *lists.error_core = c;
-            return;
-        }
+        result?;
+        next = runnable.next_from(c + 1);
     }
+    Ok(())
 }
 
-/// Visits every core of this shard (reference mode): eager accounting for
-/// parked states, then the shared running-core step.
+/// Visits every core in ascending id (reference mode): eager accounting
+/// for parked states, then the shared running-core step.
+///
+/// # Errors
+///
+/// Returns the first fatal error in core order and stops stepping.
 pub(crate) fn step_all_cores(
     ctx: &mut CorePhase<'_>,
     now: u64,
-    scratch: &mut ShardScratch,
-    tracing: bool,
-) {
-    let ShardScratch {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        error,
-        error_core,
-        trace,
-        ..
-    } = scratch;
-    let mut out = StepOut {
-        new_dirty_cores,
-        prints,
-        newly_halted,
-        newly_barrier,
-        // The reference stepper drains every outbox each cycle and never
-        // reads the dirty set; recording it would only grow the merge.
-        track_dirty: false,
-    };
-    if tracing {
-        walk_all(ctx, now, &mut out, error, error_core, &mut BufTrace(trace));
+    tracer: &mut Tracer,
+) -> Result<(), SimError> {
+    if tracer.is_off() {
+        walk_all(ctx, now, &mut NoTrace)
     } else {
-        walk_all(ctx, now, &mut out, error, error_core, &mut NoTrace);
+        walk_all(ctx, now, &mut SinkTrace { tracer, now })
     }
 }
 
-fn walk_all<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    now: u64,
-    out: &mut StepOut<'_>,
-    error: &mut Option<SimError>,
-    error_core: &mut u32,
-    trace: &mut T,
-) {
-    let n = ctx.cores.len() as u32;
-    for c in ctx.core_lo..ctx.core_lo + n {
-        let local = (c - ctx.core_lo) as usize;
-        match ctx.cores[local].state {
-            CoreState::Halted => continue,
-            CoreState::Barrier => {
-                ctx.cores[local].stats.barrier_cycles += 1;
-                continue;
-            }
-            CoreState::WaitingMem => {
-                ctx.cores[local].stats.sleep_cycles += 1;
-                continue;
-            }
-            CoreState::Running => {}
-        }
-        if let Err(e) = ctx.step_running_core(c, now, out, trace) {
-            *error = Some(e);
-            *error_core = c;
-            return;
+fn walk_all<T: TraceCtx>(ctx: &mut CorePhase<'_>, now: u64, trace: &mut T) -> Result<(), SimError> {
+    for c in 0..ctx.cores.len() as u32 {
+        let core = &mut ctx.cores[c as usize];
+        match core.state {
+            CoreState::Halted => {}
+            CoreState::Barrier => core.stats.barrier_cycles += 1,
+            CoreState::WaitingMem => core.stats.sleep_cycles += 1,
+            CoreState::Running => ctx.step_running_core(c, now, trace)?,
         }
     }
-}
-
-/// The ordering-sensitive outputs of a stepping walk (a borrowed-apart
-/// view of the shard scratch).
-pub(crate) struct StepOut<'a> {
-    new_dirty_cores: &'a mut Vec<u32>,
-    prints: &'a mut Vec<(u32, u32)>,
-    newly_halted: &'a mut u32,
-    newly_barrier: &'a mut u32,
-    track_dirty: bool,
+    Ok(())
 }
 
 impl CorePhase<'_> {
-    fn local(&self, c: u32) -> usize {
-        (c - self.core_lo) as usize
-    }
-
     /// Bank holding the word at `addr`.
     fn bank_of(&self, addr: u32) -> u32 {
         (addr / 4) % self.num_banks
@@ -504,16 +333,15 @@ impl CorePhase<'_> {
         &mut self,
         c: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
             self.cores[i].stats.stall_cycles += 1;
             return Ok(());
         }
         self.cores[i].stats.active_cycles += 1;
-        self.interp_step(c, now, out, trace)
+        self.interp_step(c, now, trace)
     }
 
     /// Steps one runnable core in translated mode. Scheduling guards are
@@ -528,10 +356,9 @@ impl CorePhase<'_> {
         translation: &Translation,
         now: u64,
         horizon: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
             if now > self.cores[i].charged_until {
                 self.cores[i].stats.stall_cycles += 1;
@@ -550,7 +377,7 @@ impl CorePhase<'_> {
             return Ok(());
         }
         self.cores[i].stats.active_cycles += 1;
-        self.interp_step(c, now, out, trace)
+        self.interp_step(c, now, trace)
     }
 
     /// Executes exactly one instruction on core `c` through the decoded-
@@ -560,10 +387,9 @@ impl CorePhase<'_> {
         &mut self,
         c: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         let action = {
             let program = self.program;
             let timing = self.cfg.timing;
@@ -591,20 +417,20 @@ impl CorePhase<'_> {
         match action {
             Action::Done => Ok(()),
             Action::Halt => {
-                self.halt_core(c, out, trace);
+                self.halt_core(c, trace);
                 Ok(())
             }
-            Action::Mem(intent) => self.apply_intent(c, intent, now, out, trace),
+            Action::Mem(intent) => self.apply_intent(c, intent, now, trace),
         }
     }
 
     /// Marks a core halted. The barrier-release check this may enable runs
     /// in the machine's sequential sub-phase after the stepping walk.
-    fn halt_core<T: TraceCtx>(&mut self, c: u32, out: &mut StepOut<'_>, trace: &mut T) {
-        let i = self.local(c);
+    fn halt_core<T: TraceCtx>(&mut self, c: u32, trace: &mut T) {
+        let i = c as usize;
         if self.cores[i].state != CoreState::Halted {
             self.cores[i].state = CoreState::Halted;
-            *out.newly_halted += 1;
+            *self.halted += 1;
             trace.emit(|| TraceEvent::Halt { core: c });
         }
     }
@@ -614,10 +440,9 @@ impl CorePhase<'_> {
         c: u32,
         intent: MemIntent,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) -> Result<(), SimError> {
-        let i = self.local(c);
+        let i = c as usize;
         match intent {
             MemIntent::Fence => {
                 if self.cores[i].outstanding_stores == 0 && self.core_outbox[i].is_empty() {
@@ -667,13 +492,13 @@ impl CorePhase<'_> {
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
                 self.emit_park(c, OpKind::Load, trace);
-                self.push_request(c, MemRequest::Load { addr: addr & !3 }, out, trace);
+                self.push_request(c, MemRequest::Load { addr: addr & !3 }, trace);
                 Ok(())
             }
             MemIntent::Store { addr, value, width } => {
                 if (MMIO_BASE..MMIO_BASE + MMIO_SIZE).contains(&addr) {
                     self.cores[i].pc += 4;
-                    self.mmio_write(c, addr - MMIO_BASE, value, now, out, trace);
+                    self.mmio_write(c, addr - MMIO_BASE, value, now, trace);
                     return Ok(());
                 }
                 if addr >= self.cfg.spm_bytes {
@@ -696,7 +521,6 @@ impl CorePhase<'_> {
                         value: lane_value,
                         mask,
                     },
-                    out,
                     trace,
                 );
                 Ok(())
@@ -752,7 +576,7 @@ impl CorePhase<'_> {
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
                 self.emit_park(c, amo_op_kind(op), trace);
-                self.push_request(c, req, out, trace);
+                self.push_request(c, req, trace);
                 Ok(())
             }
         }
@@ -763,7 +587,7 @@ impl CorePhase<'_> {
     /// that machine state (and hence snapshots) does not depend on whether
     /// tracing is enabled; only the event emission is gated.
     fn emit_park<T: TraceCtx>(&mut self, c: u32, kind: OpKind, trace: &mut T) {
-        self.park_kind[self.local(c)] = kind;
+        self.park_kind[c as usize] = kind;
         if T::ENABLED {
             trace.emit(|| TraceEvent::Park {
                 core: c,
@@ -772,21 +596,15 @@ impl CorePhase<'_> {
         }
     }
 
-    fn push_request<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        req: MemRequest,
-        out: &mut StepOut<'_>,
-        trace: &mut T,
-    ) {
-        let wakeup = self.qnodes[self.local(c)].on_core_request(&req);
+    fn push_request<T: TraceCtx>(&mut self, c: u32, req: MemRequest, trace: &mut T) {
+        let wakeup = self.qnodes[c as usize].on_core_request(&req);
         let bank = self.bank_of(req.addr());
         trace.emit(|| TraceEvent::ReqSent {
             core: c,
             bank,
             kind: req_kind(&req),
         });
-        self.push_outbox(c, ReqMsg { src: c, bank, req }, out);
+        self.push_outbox(c, ReqMsg { src: c, bank, req });
         if let Some(wk) = wakeup {
             let wk_bank = self.bank_of(wk.addr());
             trace.emit(|| TraceEvent::ReqSent {
@@ -801,19 +619,15 @@ impl CorePhase<'_> {
                     bank: wk_bank,
                     req: wk,
                 },
-                out,
             );
         }
     }
 
-    /// Queues a request on the core's own outbox, recording the empty →
-    /// non-empty transition for the Phase 5 merge.
-    fn push_outbox(&mut self, c: u32, msg: ReqMsg, out: &mut StepOut<'_>) {
-        let i = self.local(c);
-        if out.track_dirty && self.core_outbox[i].is_empty() {
-            out.new_dirty_cores.push(c);
-        }
-        self.core_outbox[i].push_back(msg);
+    /// Queues a request on the core's own outbox, marking it dirty for
+    /// Phase 5.
+    fn push_outbox(&mut self, c: u32, msg: ReqMsg) {
+        self.core_outbox[c as usize].push_back(msg);
+        self.dirty_cores.insert(c);
     }
 
     fn mmio_read(&self, c: u32, offset: u32, now: u64) -> u32 {
@@ -836,12 +650,11 @@ impl CorePhase<'_> {
         offset: u32,
         value: u32,
         now: u64,
-        out: &mut StepOut<'_>,
         trace: &mut T,
     ) {
-        let i = self.local(c);
+        let i = c as usize;
         match offset {
-            mmio_reg::EXIT => self.halt_core(c, out, trace),
+            mmio_reg::EXIT => self.halt_core(c, trace),
             mmio_reg::OP_COUNT => self.cores[i].stats.ops += u64::from(value),
             mmio_reg::REGION => {
                 if value != 0 {
@@ -857,14 +670,14 @@ impl CorePhase<'_> {
             mmio_reg::BARRIER => {
                 // Arrival only: the release check (and its accounting) runs
                 // once per cycle in the machine's sequential sub-phase, so
-                // it never races across shards and charges every released
-                // core identically regardless of visit order.
+                // it charges every released core identically regardless
+                // of visit order.
                 self.cores[i].state = CoreState::Barrier;
                 self.cores[i].parked_at = now;
-                *out.newly_barrier += 1;
+                *self.barrier_waiting += 1;
                 trace.emit(|| TraceEvent::BarrierArrive { core: c });
             }
-            mmio_reg::PRINT => out.prints.push((c, value)),
+            mmio_reg::PRINT => self.debug_log.push((now, c, value)),
             _ => {}
         }
     }

@@ -6,14 +6,14 @@
 //! 1. **Chaos-off bit-identity.** A config with `chaos: None` and one
 //!    carrying a *quiet* plan (all rates zero, no mutation) are
 //!    indistinguishable — run summaries, statistics, debug logs and
-//!    trace-event streams match byte-for-byte across every execution
-//!    mode and shard count. The engine follows the `Tracer`/`Profiler`
+//!    trace-event streams match byte-for-byte in every execution
+//!    mode. The engine follows the `Tracer`/`Profiler`
 //!    discipline: off means one predictable branch, not "small noise".
 //!
 //! 2. **Chaos-on determinism.** An *active* plan makes runs differ from
 //!    clean ones (it must actually inject), but the injected run itself
-//!    is a pure function of the seed: every (mode, shards) combination
-//!    under the same plan produces identical summaries, statistics and
+//!    is a pure function of the seed: both execution modes
+//!    under the same plan produce identical summaries, statistics and
 //!    trace streams, because every injection site keys on quantities the
 //!    existing determinism contract already fixes.
 
@@ -44,13 +44,8 @@ const KERNEL: &str = r#"
     counter: .word 0
 "#;
 
-/// Every (mode, shards) combination the determinism contract covers.
-const COMBOS: [(ExecMode, usize); 4] = [
-    (ExecMode::Translated, 1),
-    (ExecMode::Reference, 1),
-    (ExecMode::Reference, 2),
-    (ExecMode::Translated, 3),
-];
+/// Every execution mode the determinism contract covers.
+const MODES: [ExecMode; 2] = [ExecMode::Translated, ExecMode::Reference];
 
 struct Observation {
     summary: lrscwait_sim::RunSummary,
@@ -59,13 +54,9 @@ struct Observation {
     trace: Vec<(u64, TraceEvent)>,
 }
 
-fn observe(arch: SyncArch, mode: ExecMode, shards: usize, chaos: Option<FaultPlan>) -> Observation {
+fn observe(arch: SyncArch, mode: ExecMode, chaos: Option<FaultPlan>) -> Observation {
     let program = Assembler::new().assemble(KERNEL).expect("assembles");
-    let mut builder = SimConfig::builder()
-        .cores(4)
-        .arch(arch)
-        .exec_mode(mode)
-        .shards(shards);
+    let mut builder = SimConfig::builder().cores(4).arch(arch).exec_mode(mode);
     if let Some(plan) = chaos {
         builder = builder.chaos(plan);
     }
@@ -106,31 +97,20 @@ fn test_archs() -> [SyncArch; 2] {
 #[test]
 fn quiet_plan_is_bit_identical_to_chaos_off() {
     for arch in test_archs() {
-        for (mode, shards) in COMBOS {
-            let off = observe(arch, mode, shards, None);
-            let quiet = observe(arch, mode, shards, Some(FaultPlan::quiet(42)));
-            assert_observations_match(
-                &off,
-                &quiet,
-                &format!("{arch}: quiet vs off ({mode:?}, {shards} shards)"),
-            );
+        for mode in MODES {
+            let off = observe(arch, mode, None);
+            let quiet = observe(arch, mode, Some(FaultPlan::quiet(42)));
+            assert_observations_match(&off, &quiet, &format!("{arch}: quiet vs off ({mode:?})"));
         }
     }
 }
 
 #[test]
-fn active_plan_is_deterministic_across_modes_and_shards() {
+fn active_plan_is_deterministic_across_modes() {
     for arch in test_archs() {
-        let (mode0, shards0) = COMBOS[0];
-        let baseline = observe(arch, mode0, shards0, Some(FaultPlan::standard(7)));
-        for (mode, shards) in &COMBOS[1..] {
-            let other = observe(arch, *mode, *shards, Some(FaultPlan::standard(7)));
-            assert_observations_match(
-                &baseline,
-                &other,
-                &format!("{arch}: chaos-on ({mode:?}, {shards} shards)"),
-            );
-        }
+        let translated = observe(arch, ExecMode::Translated, Some(FaultPlan::standard(7)));
+        let reference = observe(arch, ExecMode::Reference, Some(FaultPlan::standard(7)));
+        assert_observations_match(&translated, &reference, &format!("{arch}: chaos-on"));
     }
 }
 
@@ -139,8 +119,8 @@ fn active_plan_actually_perturbs_the_run() {
     // Sanity check on the other side of the contract: an active plan must
     // not be a no-op, or the whole litmus suite tests nothing.
     let arch = SyncArch::Colibri { queues: 2 };
-    let off = observe(arch, ExecMode::Translated, 1, None);
-    let on = observe(arch, ExecMode::Translated, 1, Some(FaultPlan::standard(7)));
+    let off = observe(arch, ExecMode::Translated, None);
+    let on = observe(arch, ExecMode::Translated, Some(FaultPlan::standard(7)));
     assert_ne!(
         off.summary.cycles, on.summary.cycles,
         "an active fault plan must change the run"
@@ -154,8 +134,8 @@ fn active_plan_actually_perturbs_the_run() {
 #[test]
 fn different_seeds_diverge() {
     let arch = SyncArch::Colibri { queues: 2 };
-    let a = observe(arch, ExecMode::Translated, 1, Some(FaultPlan::standard(7)));
-    let b = observe(arch, ExecMode::Translated, 1, Some(FaultPlan::standard(8)));
+    let a = observe(arch, ExecMode::Translated, Some(FaultPlan::standard(7)));
+    let b = observe(arch, ExecMode::Translated, Some(FaultPlan::standard(8)));
     assert_ne!(
         (a.summary.cycles, a.stats.adapters.reservations_broken),
         (b.summary.cycles, b.stats.adapters.reservations_broken),

@@ -1,9 +1,7 @@
 //! Differential equivalence suite: the production stepper (runnable set,
 //! ready queue, superblocks) must match the naive reference stepper
 //! bit-for-bit — cycle counts, exit reasons, every statistic, and the
-//! debug log — on every synchronization architecture, **and for every
-//! shard count**: bank-sharded parallel execution (`SimConfig::shards >
-//! 1`) must be indistinguishable from the single-threaded walk. The
+//! debug log — on every synchronization architecture. The
 //! kernel-level matrix (histogram/queue/matmul through the bench
 //! `Experiment`) lives in the workspace-level `tests/differential.rs`;
 //! this file exercises the machine directly with targeted assembly.
@@ -15,8 +13,7 @@ use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
 use lrscwait_sim::{CoreTiming, ExecMode, ExitReason, Machine, RunSummary, SimConfig, SimStats};
 
-/// Runs `src` under both execution modes — and, for each mode, both a
-/// single shard and a multi-shard worker pool — and asserts bit-identical
+/// Runs `src` under both execution modes and asserts bit-identical
 /// observable results, returning the (identical) summary and stats.
 fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimStats) {
     let program = Assembler::new().assemble(src).expect("assembles");
@@ -24,30 +21,15 @@ fn assert_equivalent(src: &str, cfg: SimConfig, what: &str) -> (RunSummary, SimS
 
     let mut fast = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
     assert_eq!(fast.mode(), ExecMode::Translated, "translated default");
-    assert_eq!(fast.shards(), 1, "single shard default");
     let fast_summary = fast.run().expect("fast run");
 
-    // The shard count must be observationally irrelevant: pick one that
-    // does not divide the geometry evenly so range remainders are covered.
-    let shards = cfg.topology.num_cores.min(3);
-    for (mode, shards, label) in [
-        (ExecMode::Reference, 1, "reference"),
-        (ExecMode::Translated, shards, "sharded translated"),
-        (ExecMode::Reference, shards, "sharded reference"),
-    ] {
-        let mut other_cfg = cfg;
-        other_cfg.exec_mode = mode;
-        other_cfg.shards = shards;
-        let mut other = Machine::with_decoded(other_cfg, decoded.clone()).expect("loads");
-        let other_summary = other.run().expect(label);
-        assert_eq!(fast_summary, other_summary, "{what}: {label} run summary");
-        assert_eq!(fast.stats(), other.stats(), "{what}: {label} statistics");
-        assert_eq!(
-            fast.debug_log(),
-            other.debug_log(),
-            "{what}: {label} debug log"
-        );
-    }
+    let mut reference_cfg = cfg;
+    reference_cfg.exec_mode = ExecMode::Reference;
+    let mut reference = Machine::with_decoded(reference_cfg, decoded).expect("loads");
+    let reference_summary = reference.run().expect("reference run");
+    assert_eq!(fast_summary, reference_summary, "{what}: run summary");
+    assert_eq!(fast.stats(), reference.stats(), "{what}: statistics");
+    assert_eq!(fast.debug_log(), reference.debug_log(), "{what}: debug log");
     (fast_summary, fast.stats())
 }
 

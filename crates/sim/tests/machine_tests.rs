@@ -2,7 +2,7 @@
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
-use lrscwait_sim::{ExitReason, Machine, SimConfig, SimError};
+use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
 
 fn run_program(src: &str, cfg: SimConfig) -> Machine {
     let program = Assembler::new().assemble(src).expect("assembles");
@@ -423,37 +423,10 @@ fn full_mempool_geometry_boots() {
 }
 
 #[test]
-fn sharded_machine_runs_and_reports_shards() {
-    // A worker-pool machine boots, computes the right answer, and the
-    // pool is joined cleanly on drop (no hang, no panic). Equivalence to
-    // the single-sharded machine is proven exhaustively in
-    // `differential.rs`; this is the plain functional smoke.
-    let src = r#"
-        _start:
-            la   a0, counter
-            li   a1, 1
-            amoadd.w a2, a1, (a0)
-            ecall
-        .data
-        counter: .word 0
-    "#;
-    let cfg = SimConfig::builder()
-        .cores(8)
-        .arch(SyncArch::Colibri { queues: 2 })
-        .shards(4)
-        .build()
-        .unwrap();
-    let m = run_program(src, cfg);
-    assert_eq!(m.shards(), 4);
-    let p = Assembler::new().assemble(src).unwrap();
-    assert_eq!(m.read_word(p.symbol("counter")), 8);
-}
-
-#[test]
-fn sharded_machine_surfaces_lowest_core_fault() {
-    // Every core stores through a wild pointer; the reported error must
-    // name core 0 — the same core a single-sharded walk faults on — no
-    // matter which shard's worker hit its fault first.
+fn fault_on_every_core_surfaces_the_lowest_core() {
+    // Every core stores through a wild pointer; the walk stops at the
+    // first faulting core in id order, so the reported error names core 0
+    // in both exec modes.
     let src = r#"
         _start:
             li   t0, 0x00F00000
@@ -461,16 +434,16 @@ fn sharded_machine_surfaces_lowest_core_fault() {
             ecall
     "#;
     let program = Assembler::new().assemble(src).unwrap();
-    for shards in [1usize, 4] {
+    for mode in [ExecMode::Translated, ExecMode::Reference] {
         let cfg = SimConfig::builder()
             .cores(8)
-            .shards(shards)
+            .exec_mode(mode)
             .build()
             .unwrap();
         let mut m = Machine::new(cfg, &program).unwrap();
         match m.run() {
             Err(SimError::Fault { core, .. }) => {
-                assert_eq!(core, 0, "{shards} shards: lowest-core fault wins");
+                assert_eq!(core, 0, "{mode:?}: lowest-core fault wins");
             }
             other => panic!("expected fault, got {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! Host-side profiler tests: enabling the phase profiler must not
 //! perturb anything the simulation observes — run summaries, statistics,
 //! debug logs, and the full trace stream stay bit-identical with the
-//! profiler on or off, for every execution mode and shard count. The
+//! profiler on or off, in both execution modes. The
 //! profile itself must be internally consistent: phase times sum exactly
 //! to the sampled time, which never exceeds wall time.
 
@@ -37,13 +37,12 @@ struct Observed {
     trace: Vec<(u64, TraceEvent)>,
 }
 
-fn run_observed(mode: ExecMode, shards: usize, profiled: bool) -> Observed {
+fn run_observed(mode: ExecMode, profiled: bool) -> Observed {
     let program = Assembler::new().assemble(KERNEL).expect("assembles");
     let cfg = SimConfig::builder()
         .cores(4)
         .arch(SyncArch::LrscWait { slots: 2 })
         .exec_mode(mode)
-        .shards(shards)
         .build()
         .expect("valid config");
     let mut machine = Machine::new(cfg, &program).expect("loads");
@@ -81,15 +80,10 @@ fn run_observed(mode: ExecMode, shards: usize, profiled: bool) -> Observed {
 
 #[test]
 fn profiler_never_perturbs_simulation() {
-    for (mode, shards) in [
-        (ExecMode::Reference, 1),
-        (ExecMode::Reference, 2),
-        (ExecMode::Translated, 1),
-        (ExecMode::Translated, 3),
-    ] {
-        let off = run_observed(mode, shards, false);
-        let on = run_observed(mode, shards, true);
-        let what = format!("{mode:?} x {shards} shards");
+    for mode in [ExecMode::Reference, ExecMode::Translated] {
+        let off = run_observed(mode, false);
+        let on = run_observed(mode, true);
+        let what = format!("{mode:?}");
         assert_eq!(off.cycles, on.cycles, "{what}: cycle count");
         assert_eq!(off.stats, on.stats, "{what}: statistics");
         assert_eq!(off.debug_log, on.debug_log, "{what}: debug log");
@@ -111,60 +105,27 @@ fn profiler_never_perturbs_simulation() {
 #[test]
 fn profile_is_internally_consistent() {
     let program = Assembler::new().assemble(KERNEL).expect("assembles");
-    for shards in [1usize, 3] {
-        let cfg = SimConfig::builder()
-            .cores(4)
-            .arch(SyncArch::LrscWait { slots: 2 })
-            .shards(shards)
-            .build()
-            .expect("valid config");
-        let mut machine = Machine::new(cfg, &program).expect("loads");
-        machine.enable_profiler(ProfilerConfig { sample_every: 2 });
-        machine.run().expect("runs");
-        let profile = machine.profile().expect("profile present");
-
-        // Laps are contiguous: phase times sum *exactly* to the sampled
-        // step time, which the wall clock (covering the whole run loop,
-        // sampled or not) must dominate.
-        let phase_sum: u64 = profile.phases.iter().map(|s| s.ns).sum();
-        assert_eq!(phase_sum, profile.sampled_ns, "laps are contiguous");
-        assert!(
-            profile.sampled_ns <= profile.wall_ns,
-            "sampled {} <= wall {}",
-            profile.sampled_ns,
-            profile.wall_ns
-        );
-        assert_eq!(profile.sample_every, 2);
-        assert!(profile.sampled_cycles >= profile.stepped_cycles / 2);
-        assert_eq!(profile.shards, shards);
-        assert_eq!(profile.workers.len(), shards - 1, "one counter per worker");
-
-        // The Amdahl report derived from a real run is well-formed.
-        let report = profile.amdahl();
-        assert!((report.sequential_fraction + report.parallel_fraction - 1.0).abs() < 1e-9);
-        assert!(report.render().contains("next Amdahl wall"));
-    }
-}
-
-#[test]
-fn sharded_profile_sees_worker_activity() {
-    let program = Assembler::new().assemble(KERNEL).expect("assembles");
     let cfg = SimConfig::builder()
         .cores(4)
         .arch(SyncArch::LrscWait { slots: 2 })
-        .shards(2)
         .build()
         .expect("valid config");
     let mut machine = Machine::new(cfg, &program).expect("loads");
-    machine.enable_profiler(ProfilerConfig::default());
+    machine.enable_profiler(ProfilerConfig { sample_every: 2 });
     machine.run().expect("runs");
     let profile = machine.profile().expect("profile present");
-    assert_eq!(profile.workers.len(), 1);
-    let worker = &profile.workers[0];
-    assert_eq!(worker.shard, 1, "workers are shards 1..N");
+
+    // Laps are contiguous: phase times sum *exactly* to the sampled
+    // step time, which the wall clock (covering the whole run loop,
+    // sampled or not) must dominate.
+    let phase_sum: u64 = profile.phases.iter().map(|s| s.ns).sum();
+    assert_eq!(phase_sum, profile.sampled_ns, "laps are contiguous");
     assert!(
-        worker.jobs > 0,
-        "the worker executed parallel phase jobs while profiled"
+        profile.sampled_ns <= profile.wall_ns,
+        "sampled {} <= wall {}",
+        profile.sampled_ns,
+        profile.wall_ns
     );
-    assert!(worker.busy_ns > 0, "executed jobs accumulate busy time");
+    assert_eq!(profile.sample_every, 2);
+    assert!(profile.sampled_cycles >= profile.stepped_cycles / 2);
 }

@@ -1,9 +1,8 @@
 //! Checkpoint/restore differential suite: running to cycle `N` must be
 //! bit-identical to running to cycle `K`, snapshotting, restoring (into a
 //! fresh machine) and continuing to `N` — on summaries, statistics, the
-//! debug log and trace-event streams — for every combination of execution
-//! mode and shard count on *both* sides of the snapshot, and across the
-//! synchronization architectures. The interrupt points are deliberately
+//! debug log and trace-event streams — for every execution mode on *both*
+//! sides of the snapshot, and across the synchronization architectures. The interrupt points are deliberately
 //! chosen to land mid-wait (parked cores, armed monitors, populated
 //! reservation queues) and mid-flight (flits in both networks).
 
@@ -15,23 +14,18 @@ use lrscwait_core::SyncArch;
 use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
 use lrscwait_trace::{RecordingSink, SharedSink, TraceEvent};
 
-/// Mode/shard combinations exercised on each side of a snapshot.
-const COMBOS: [(ExecMode, usize); 3] = [
-    (ExecMode::Translated, 1),
-    (ExecMode::Reference, 1),
-    (ExecMode::Translated, 3),
-];
+/// Execution modes exercised on each side of a snapshot.
+const MODES: [ExecMode; 2] = [ExecMode::Translated, ExecMode::Reference];
 
-fn configured(base: SimConfig, mode: ExecMode, shards: usize) -> SimConfig {
+fn configured(base: SimConfig, mode: ExecMode) -> SimConfig {
     let mut cfg = base;
     cfg.exec_mode = mode;
-    cfg.shards = shards;
     cfg
 }
 
 /// Asserts `run-to-end` ≡ `run-to-k + snapshot + restore + run-to-end`
-/// for every (mode, shards) pair on both sides of the snapshot, and that
-/// the snapshot bytes themselves do not depend on the pair that took them.
+/// for every mode on both sides of the snapshot, and that the snapshot
+/// bytes themselves do not depend on the mode that took them.
 fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str) {
     let program = Assembler::new().assemble(src).expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
@@ -50,30 +44,30 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
     );
 
     let mut canonical: Option<Vec<u8>> = None;
-    for (mode_a, shards_a) in COMBOS {
-        let cfg_a = configured(base_cfg, mode_a, shards_a);
+    for mode_a in MODES {
+        let cfg_a = configured(base_cfg, mode_a);
         let mut first = Machine::with_decoded(cfg_a, decoded.clone()).expect("loads");
         let stop = first.run_until(k).expect("run to interrupt");
         assert_eq!(
             stop.exit,
             ExitReason::TargetReached,
-            "{what}: {mode_a:?}/{shards_a} stops at the target"
+            "{what}: {mode_a:?} stops at the target"
         );
-        assert_eq!(stop.cycles, k, "{what}: {mode_a:?}/{shards_a} exact stop");
+        assert_eq!(stop.cycles, k, "{what}: {mode_a:?} exact stop");
         let bytes = first.snapshot();
         assert_eq!(
             canonical.get_or_insert_with(|| bytes.clone()),
             &bytes,
-            "{what}: {mode_a:?}/{shards_a} snapshot bytes at {k}"
+            "{what}: {mode_a:?} snapshot bytes at {k}"
         );
 
-        for (mode_b, shards_b) in COMBOS {
-            let cfg_b = configured(base_cfg, mode_b, shards_b);
+        for mode_b in MODES {
+            let cfg_b = configured(base_cfg, mode_b);
             let mut second = Machine::with_decoded(cfg_b, decoded.clone()).expect("loads");
             second.restore(&bytes).expect("restore");
             assert_eq!(second.cycles(), k, "restored cycle counter");
             let summary = second.run().expect("resumed run");
-            let ctx = format!("{what}: {mode_a:?}/{shards_a} → {mode_b:?}/{shards_b}");
+            let ctx = format!("{what}: {mode_a:?} → {mode_b:?}");
             assert_eq!(base_summary, summary, "{ctx}: run summary");
             assert_eq!(base_stats, second.stats(), "{ctx}: statistics");
             assert_eq!(base.debug_log(), second.debug_log(), "{ctx}: debug log");
@@ -84,7 +78,7 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
         first.run_until(k + 9).expect("run past the snapshot");
         first.restore(&bytes).expect("restore in place");
         let summary = first.run().expect("rewound run");
-        let ctx = format!("{what}: {mode_a:?}/{shards_a} rewound");
+        let ctx = format!("{what}: {mode_a:?} rewound");
         assert_eq!(base_summary, summary, "{ctx}: run summary");
         assert_eq!(base_stats, first.stats(), "{ctx}: statistics");
         assert_eq!(base.debug_log(), first.debug_log(), "{ctx}: debug log");
@@ -296,9 +290,9 @@ fn assert_restored_trace_is_suffix(src: &str, cfg: SimConfig, k: u64) {
 }
 
 #[test]
-fn injected_stores_are_mode_and_shard_invariant() {
+fn injected_stores_are_mode_invariant() {
     // Host-injected mailbox writes must wake consumers identically in
-    // every execution mode and shard count, and survive a snapshot taken
+    // every execution mode, and survive a snapshot taken
     // between injections.
     let src = r#"
         _start:
@@ -355,21 +349,18 @@ fn injected_stores_are_mode_and_shard_invariant() {
         Machine::with_decoded(base_cfg, decoded.clone()).expect("loads"),
         false,
     );
-    for (mode, shards) in COMBOS {
-        let cfg = configured(base_cfg, mode, shards);
+    for mode in MODES {
+        let cfg = configured(base_cfg, mode);
         let same = drive(
             Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
             false,
         );
-        assert_eq!(reference, same, "{mode:?}/{shards}: injected run");
+        assert_eq!(reference, same, "{mode:?}: injected run");
         let snapped = drive(
             Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
             true,
         );
-        assert_eq!(
-            reference, snapped,
-            "{mode:?}/{shards}: snapshot mid-injection"
-        );
+        assert_eq!(reference, snapped, "{mode:?}: snapshot mid-injection");
     }
 }
 
@@ -446,18 +437,15 @@ fn restore_rejects_stale_program_image() {
     // Same geometry and architecture, different program.
     let other = Assembler::new().assemble(MWAIT_MAILBOX).expect("assembles");
     let other = Machine::decode(&other).expect("decodes");
-    for (mode, shards) in COMBOS {
+    for mode in MODES {
         let mut target =
-            Machine::with_decoded(configured(cfg, mode, shards), other.clone()).expect("loads");
+            Machine::with_decoded(configured(cfg, mode), other.clone()).expect("loads");
         let err = target.restore(&bytes).expect_err("stale image");
         assert!(
             matches!(err, SimError::BadSnapshot { .. }),
-            "{mode:?}/{shards}: typed error, got {err:?}"
+            "{mode:?}: typed error, got {err:?}"
         );
-        assert!(
-            err.to_string().contains("program image"),
-            "{mode:?}/{shards}: {err}"
-        );
+        assert!(err.to_string().contains("program image"), "{mode:?}: {err}");
     }
 }
 
@@ -473,7 +461,6 @@ fn restore_reuses_cached_translation() {
     let cfg = configured(
         SimConfig::small(4, SyncArch::Colibri { queues: 2 }),
         ExecMode::Translated,
-        1,
     );
 
     let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
@@ -496,7 +483,7 @@ fn restore_reuses_cached_translation() {
 
     // The reference stepper carries no translation at all.
     let plain =
-        Machine::with_decoded(configured(cfg, ExecMode::Reference, 1), decoded).expect("loads");
+        Machine::with_decoded(configured(cfg, ExecMode::Reference), decoded).expect("loads");
     assert!(plain.translation().is_none());
 }
 

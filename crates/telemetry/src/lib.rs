@@ -1,15 +1,12 @@
 //! Host-side self-profiling and metrics for the LRSCwait simulator.
 //!
 //! `crates/trace` answers *guest* questions — where do simulated cycles
-//! go, lock by lock. This crate answers the *host* questions the ROADMAP
-//! keeps asking before anyone parallelizes the next phase: where does
-//! host wall-clock go inside `Machine::step_cycle`, how much time do
-//! shard workers burn spinning versus parked, what does Amdahl's law say
-//! the next profitable shard target is, and is a billion-cycle sweep
-//! still alive. Everything here observes the simulator from outside the
-//! simulated clock: attaching a profiler never changes simulated
-//! results, which stay bit-identical with profiling on or off (the
-//! differential suites enforce this).
+//! go, lock by lock. This crate answers the *host* questions: where does
+//! host wall-clock go inside `Machine::step_cycle`, and is a
+//! billion-cycle sweep still alive. Everything here observes the
+//! simulator from outside the simulated clock: attaching a profiler never
+//! changes simulated results, which stay bit-identical with profiling on
+//! or off (the differential suites enforce this).
 //!
 //! The pieces, mirroring the [`Tracer`] discipline of `crates/trace`
 //! (off is one predictable branch, phase bodies stay monomorphized):
@@ -17,17 +14,12 @@
 //! * [`Profiler`] — the enum-dispatch switch the simulator holds. When
 //!   [`Profiler::Off`] (the default) every instrumentation site reduces
 //!   to one predictable branch and no clock is read. When on, the
-//!   coordinator laces monotonic timestamps between the sub-phases of
+//!   stepper laces monotonic timestamps between the sub-phases of
 //!   every *sampled* cycle (one cycle in [`ProfilerConfig::sample_every`])
 //!   through a [`CycleClock`], so per-phase *shares* converge while the
 //!   hot loop pays only a countdown on unsampled cycles.
-//! * [`PoolTelemetry`] — per-worker busy / spin / parked nanosecond
-//!   counters the shard worker pool feeds, cache-line padded, enabled
-//!   together with the profiler.
 //! * [`PhaseProfile`] — the immutable snapshot a run produces: per-phase
-//!   nanoseconds, worker utilization, wall time, and the derived
-//!   [`AmdahlReport`] naming the top non-parallelized phase (the next
-//!   Amdahl wall) with projected speedups at higher shard counts.
+//!   nanoseconds and wall time.
 //! * [`MetricsRegistry`] — typed counters / gauges / histograms with
 //!   deterministic-schema JSON and Prometheus text exposition, the
 //!   format profiles are exported in.
@@ -38,15 +30,14 @@
 //!
 //! [`Tracer`]: https://docs.rs/lrscwait-trace
 
-pub mod amdahl;
+#![forbid(unsafe_code)]
+
 pub mod heartbeat;
 pub mod metrics;
 pub mod profiler;
 
-pub use amdahl::AmdahlReport;
 pub use heartbeat::{Heartbeat, HeartbeatLine};
 pub use metrics::MetricsRegistry;
 pub use profiler::{
-    CycleClock, Phase, PhaseProfile, PhaseStat, PoolTelemetry, Profiler, ProfilerConfig,
-    WorkerUtil, NUM_PHASES,
+    CycleClock, Phase, PhaseProfile, PhaseStat, Profiler, ProfilerConfig, NUM_PHASES,
 };

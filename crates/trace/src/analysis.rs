@@ -43,7 +43,7 @@ pub const ANALYSIS_RESERVOIR_CAP: usize = 4096;
 
 /// Algorithm-R reservoir: a uniform random sample of a stream, bounded to
 /// `cap` entries, driven by a seeded [`SplitMix64`] so identical event
-/// streams — e.g. the same run at different shard counts — retain
+/// streams — e.g. the same run in both execution modes — retain
 /// identical samples.
 #[derive(Clone, Debug)]
 struct Reservoir<T> {
@@ -258,8 +258,8 @@ impl AnalysisSink {
     #[must_use]
     pub fn new() -> AnalysisSink {
         // Fixed, distinct seeds per reservoir: identical event streams
-        // (the determinism contract across exec modes and shard counts)
-        // must retain identical samples.
+        // (the determinism contract across exec modes) must retain
+        // identical samples.
         AnalysisSink {
             counters: SyncCounters::default(),
             releases: Vec::new(),

@@ -40,6 +40,8 @@
 //!   (tee to several sinks), and [`SharedSink`] (hand a sink to a
 //!   `Machine` and read it back after the run).
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 mod heatmap;
 pub mod json;

@@ -24,7 +24,7 @@
 //! | [`noc`] | Backpressured hierarchical interconnect |
 //! | [`sim`] | Cycle-accurate MemPool-like manycore simulator |
 //! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis |
-//! | [`telemetry`] | Host-side observability: phase profiler, Amdahl report, worker metrics, heartbeat |
+//! | [`telemetry`] | Host-side observability: phase profiler, metrics registry, heartbeat |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |
@@ -32,7 +32,7 @@
 //! | `lrscwait-bench` | `Experiment`/`Sweep` runners regenerating every figure and table |
 //!
 //! `ARCHITECTURE.md` at the repository root is the guided tour: one
-//! paragraph per crate, the nine sub-phases of a simulated cycle, the
+//! paragraph per crate, the eight sub-phases of a simulated cycle, the
 //! two execution modes, and the determinism contract.
 //!
 //! # Quickstart
@@ -94,6 +94,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use lrscwait_asm as asm;
 pub use lrscwait_chaos as chaos;

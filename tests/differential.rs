@@ -120,50 +120,16 @@ fn barrier_matrix_is_equivalent() {
 }
 
 #[test]
-fn sharded_barrier_matrix_is_equivalent() {
-    // The barrier kernels stress exactly the phase the sharded machine
-    // serializes (the barrier-release sub-phase) — shards=1, shards=4 and
-    // the sharded reference stepper must agree byte-for-byte.
-    for (impl_, arch) in BARRIER_MATRIX {
-        let kernel = BarrierKernel::new(impl_, 3, 8);
-        let build = |shards: usize| {
-            SimConfig::builder()
-                .cores(8)
-                .arch(arch)
-                .shards(shards)
-                .max_cycles(50_000_000)
-                .build()
-                .unwrap()
-        };
-        let what = format!("sharded barrier {impl_:?} on {arch}");
-        let base = Experiment::new(&kernel, build(1)).x(1).run().expect(&what);
-        let sharded = Experiment::new(&kernel, build(4)).x(1).run().expect(&what);
-        let sharded_ref = Experiment::new(&kernel, build(4))
-            .x(1)
-            .reference()
-            .run()
-            .expect(&what);
-        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
-            assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
-            assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
-            assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
-        }
-    }
-}
-
-#[test]
-fn barrier_trace_streams_are_identical_across_modes_and_shards() {
+fn barrier_trace_streams_are_identical_across_modes() {
     // Not just the aggregates: the full structured event stream of a
     // barrier run — park/wake, barrier arrive/release, adapter and NoC
-    // events, cycle-stamped — must be identical for every (exec mode,
-    // shard count) combination.
-    let record = |impl_: BarrierImpl, arch: SyncArch, mode: ExecMode, shards: usize| {
+    // events, cycle-stamped — must be identical in both exec modes.
+    let record = |impl_: BarrierImpl, arch: SyncArch, mode: ExecMode| {
         let kernel = BarrierKernel::new(impl_, 3, 8);
         let cfg = SimConfig::builder()
             .cores(8)
             .arch(arch)
             .exec_mode(mode)
-            .shards(shards)
             .max_cycles(50_000_000)
             .build()
             .unwrap();
@@ -183,26 +149,17 @@ fn barrier_trace_streams_are_identical_across_modes_and_shards() {
         (BarrierImpl::TreeAmo, SyncArch::Lrsc),
         (BarrierImpl::HwMmio, SyncArch::Lrsc),
     ] {
-        let (base_events, base_m) = record(impl_, arch, ExecMode::Translated, 1);
+        let (base_events, base_m) = record(impl_, arch, ExecMode::Translated);
         assert!(
             !base_events.is_empty(),
             "{impl_:?}: stream must be non-empty"
         );
-        for (mode, shards) in [
-            (ExecMode::Reference, 1),
-            (ExecMode::Reference, 2),
-            (ExecMode::Translated, 4),
-        ] {
-            let (events, m) = record(impl_, arch, mode, shards);
-            assert_eq!(
-                base_m.cycles, m.cycles,
-                "{impl_:?} {mode:?} shards={shards}"
-            );
-            assert_eq!(
-                base_events, events,
-                "{impl_:?} on {arch}: trace stream diverges for {mode:?} shards={shards}"
-            );
-        }
+        let (events, m) = record(impl_, arch, ExecMode::Reference);
+        assert_eq!(base_m.cycles, m.cycles, "{impl_:?} reference");
+        assert_eq!(
+            base_events, events,
+            "{impl_:?} on {arch}: reference trace stream diverges"
+        );
     }
 }
 
@@ -234,51 +191,17 @@ fn rcu_matrix_is_equivalent() {
 }
 
 #[test]
-fn sharded_rcu_matrix_is_equivalent() {
-    // Grace periods park the writer on reader-owned counter lines that
-    // live in different banks, so the cross-shard merge sub-phase carries
-    // the wakeups — shards=1, shards=4 and the sharded reference stepper
-    // must agree byte-for-byte.
-    for arch in RCU_ARCHES {
-        let kernel = rcu_kernel();
-        let build = |shards: usize| {
-            SimConfig::builder()
-                .cores(8)
-                .arch(arch)
-                .shards(shards)
-                .max_cycles(50_000_000)
-                .build()
-                .unwrap()
-        };
-        let what = format!("sharded rcu on {arch}");
-        let base = Experiment::new(&kernel, build(1)).x(1).run().expect(&what);
-        let sharded = Experiment::new(&kernel, build(4)).x(1).run().expect(&what);
-        let sharded_ref = Experiment::new(&kernel, build(4))
-            .x(1)
-            .reference()
-            .run()
-            .expect(&what);
-        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
-            assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
-            assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
-            assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
-        }
-    }
-}
-
-#[test]
-fn rcu_trace_streams_are_identical_across_modes_and_shards() {
+fn rcu_trace_streams_are_identical_across_modes() {
     // The full structured event stream of an RCU run — the writer's
     // park/wake on straggling reader counters, region markers around each
-    // grace period, adapter and NoC events — must be identical for every
-    // (exec mode, shard count) combination.
-    let record = |arch: SyncArch, mode: ExecMode, shards: usize| {
+    // grace period, adapter and NoC events — must be identical in both
+    // exec modes.
+    let record = |arch: SyncArch, mode: ExecMode| {
         let kernel = rcu_kernel();
         let cfg = SimConfig::builder()
             .cores(8)
             .arch(arch)
             .exec_mode(mode)
-            .shards(shards)
             .max_cycles(50_000_000)
             .build()
             .unwrap();
@@ -291,81 +214,21 @@ fn rcu_trace_streams_are_identical_across_modes_and_shards() {
         (sink.take().events, m)
     };
     for arch in [SyncArch::Lrsc, SyncArch::Colibri { queues: 4 }] {
-        let (base_events, base_m) = record(arch, ExecMode::Translated, 1);
+        let (base_events, base_m) = record(arch, ExecMode::Translated);
         assert!(!base_events.is_empty(), "rcu on {arch}: stream non-empty");
-        for (mode, shards) in [
-            (ExecMode::Reference, 1),
-            (ExecMode::Reference, 2),
-            (ExecMode::Translated, 4),
-        ] {
-            let (events, m) = record(arch, mode, shards);
-            assert_eq!(base_m.cycles, m.cycles, "rcu {mode:?} shards={shards}");
-            assert_eq!(
-                base_events, events,
-                "rcu on {arch}: trace stream diverges for {mode:?} shards={shards}"
-            );
-        }
+        let (events, m) = record(arch, ExecMode::Reference);
+        assert_eq!(base_m.cycles, m.cycles, "rcu reference");
+        assert_eq!(
+            base_events, events,
+            "rcu on {arch}: reference trace stream diverges"
+        );
     }
 }
 
 #[test]
-fn sharded_kernel_matrix_is_equivalent() {
-    // Bank-sharded parallel simulation must be observationally identical
-    // to the single-threaded walk for real kernels: the full measurement
-    // (cycles, statistics, CSV row) from shards=1, shards=4, and the
-    // sharded *reference* stepper must agree byte-for-byte.
-    for (impl_, arch) in [
-        (HistImpl::AmoAdd, SyncArch::Lrsc),
-        (HistImpl::LrscWait, SyncArch::Colibri { queues: 4 }),
-        (HistImpl::LrscWait, SyncArch::LrscWait { slots: 2 }),
-    ] {
-        let kernel = HistogramKernel::new(impl_, 2, 8, 8);
-        let build = |shards: usize| {
-            SimConfig::builder()
-                .cores(8)
-                .arch(arch)
-                .shards(shards)
-                .max_cycles(50_000_000)
-                .build()
-                .unwrap()
-        };
-        let what = format!("sharded histogram {impl_:?} on {arch}");
-        let base = Experiment::new(&kernel, build(1)).x(1).run().expect(&what);
-        let sharded = Experiment::new(&kernel, build(4)).x(1).run().expect(&what);
-        let sharded_ref = Experiment::new(&kernel, build(4))
-            .x(1)
-            .reference()
-            .run()
-            .expect(&what);
-        for (m, label) in [(&sharded, "shards=4"), (&sharded_ref, "shards=4 ref")] {
-            assert_eq!(base.cycles, m.cycles, "{what}: {label} cycle count");
-            assert_eq!(base.stats, m.stats, "{what}: {label} statistics");
-            assert_eq!(base.csv_row(), m.csv_row(), "{what}: {label} CSV row");
-        }
-    }
-
-    // The queue kernel exercises the Colibri Qnode bounce path.
-    let kernel = QueueKernel::new(QueueImpl::LrscWaitDirect, 6, 8);
-    let build = |shards: usize| {
-        SimConfig::builder()
-            .cores(8)
-            .arch(SyncArch::Colibri { queues: 4 })
-            .shards(shards)
-            .max_cycles(50_000_000)
-            .build()
-            .unwrap()
-    };
-    let base = Experiment::new(&kernel, build(1)).x(1).run().unwrap();
-    let sharded = Experiment::new(&kernel, build(3)).x(1).run().unwrap();
-    assert_eq!(base.cycles, sharded.cycles, "sharded queue cycle count");
-    assert_eq!(base.stats, sharded.stats, "sharded queue statistics");
-}
-
-#[test]
-fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
+fn sweep_csv_bytes_are_identical_across_modes() {
     // A whole (impl × bins) sweep rendered to CSV text must come out
-    // byte-for-byte the same from both schedulers — and from the
-    // bank-sharded parallel machine.
+    // byte-for-byte the same from both schedulers.
     let points: Vec<(HistImpl, SyncArch, u32)> = [
         (HistImpl::AmoAdd, SyncArch::Lrsc),
         (HistImpl::LrscWait, SyncArch::Colibri { queues: 4 }),
@@ -375,7 +238,7 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
     .flat_map(|(impl_, arch)| [1u32, 4, 16].map(move |bins| (impl_, arch, bins)))
     .collect();
 
-    let render = |mode: ExecMode, shards: usize| -> String {
+    let render = |mode: ExecMode| -> String {
         let measurements = Sweep::new("diff-csv")
             .threads(4)
             .quiet()
@@ -384,7 +247,6 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
                     .cores(8)
                     .arch(arch)
                     .exec_mode(mode)
-                    .shards(shards)
                     .max_cycles(50_000_000)
                     .build()?;
                 let kernel = HistogramKernel::new(impl_, bins, 8, 8);
@@ -399,16 +261,10 @@ fn sweep_csv_bytes_are_identical_across_modes_and_shards() {
         text
     };
 
-    let baseline = render(ExecMode::Translated, 1);
     assert_eq!(
-        baseline,
-        render(ExecMode::Reference, 1),
+        render(ExecMode::Translated),
+        render(ExecMode::Reference),
         "reference CSV bytes diverge"
-    );
-    assert_eq!(
-        baseline,
-        render(ExecMode::Translated, 4),
-        "sharded CSV bytes diverge"
     );
 }
 
@@ -498,12 +354,7 @@ fn schedule_is_pinned_against_the_recorded_parent() {
         ),
     ];
     for (what, kernel, cores, arch, cycles, digest) in runs {
-        for (mode, shards) in [
-            (ExecMode::Translated, 1),
-            (ExecMode::Translated, 3),
-            (ExecMode::Reference, 1),
-            (ExecMode::Reference, 3),
-        ] {
+        for mode in [ExecMode::Translated, ExecMode::Reference] {
             let geometry = if cores == 1024 {
                 SimConfig::builder().mempool_cores(cores)
             } else {
@@ -512,7 +363,6 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             let cfg = geometry
                 .arch(arch)
                 .exec_mode(mode)
-                .shards(shards)
                 .max_cycles(50_000_000)
                 .build()
                 .unwrap();
@@ -521,11 +371,11 @@ fn schedule_is_pinned_against_the_recorded_parent() {
                 m.stats.req_network.hol_blocks > 0,
                 "{what}: must exercise head-of-line blocking"
             );
-            assert_eq!(m.cycles, cycles, "{what} {mode:?} shards={shards}: cycles");
+            assert_eq!(m.cycles, cycles, "{what} {mode:?}: cycles");
             assert_eq!(
                 schedule_digest(m.cycles, &m.stats),
                 digest,
-                "{what} {mode:?} shards={shards}: (cycles, SimStats) digest"
+                "{what} {mode:?}: (cycles, SimStats) digest"
             );
         }
     }
