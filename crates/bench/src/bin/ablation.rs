@@ -10,8 +10,7 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    fmt_tp, markdown_table, write_bench_json, write_csv, BenchArgs, BenchError, Experiment,
-    PerfSummary,
+    fmt_tp, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
@@ -57,11 +56,11 @@ fn run() -> Result<(), BenchError> {
         Ok(m)
     })?;
 
-    let perf = PerfSummary::from_measurements("ablation", &results);
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "ablation",
+        results.iter().map(|m| (m.cycles, m.host_seconds)),
+    );
     args.write_profile("ablation", &results)?;
-    args.guard_baseline(&perf)?;
 
     let rows: Vec<Vec<String>> = results
         .iter()

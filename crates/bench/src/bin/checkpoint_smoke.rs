@@ -18,9 +18,7 @@
 
 use std::process::ExitCode;
 
-use lrscwait_bench::{
-    check_claim, write_bench_json, BenchArgs, BenchError, Experiment, PerfSummary,
-};
+use lrscwait_bench::{check_claim, log_throughput, BenchArgs, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
 use lrscwait_sim::SimConfig;
@@ -129,9 +127,9 @@ fn run() -> Result<(), BenchError> {
         measurements.push(resumed);
     }
 
-    let perf = PerfSummary::from_measurements("checkpoint_smoke", measurements.iter());
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
-    args.write_profile("checkpoint_smoke", &measurements)?;
-    args.guard_baseline(&perf)
+    log_throughput(
+        "checkpoint_smoke",
+        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
+    );
+    args.write_profile("checkpoint_smoke", &measurements)
 }

@@ -6,8 +6,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, find_throughput, markdown_table, write_bench_json, write_csv, BenchArgs,
-    BenchError, Experiment, Measurement, PerfSummary,
+    check_claim, find_throughput, log_throughput, markdown_table, write_csv, BenchArgs, BenchError,
+    Experiment, Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
@@ -59,11 +59,11 @@ fn run() -> Result<(), BenchError> {
         Ok(m)
     })?;
 
-    let perf = PerfSummary::from_measurements("fig4", &measurements);
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "fig4",
+        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
+    );
     args.write_profile("fig4", &measurements)?;
-    args.guard_baseline(&perf)?;
 
     let rows: Vec<Vec<String>> = measurements.iter().map(Measurement::csv_row).collect();
 

@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, markdown_table, write_bench_json, write_csv, BenchArgs, BenchError, Experiment,
-    PerfSummary,
+    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{MatmulKernel, PollerKind};
@@ -118,12 +117,12 @@ fn run() -> Result<(), BenchError> {
         Ok((p, cycles, m))
     })?;
 
-    let perf = PerfSummary::from_measurements("fig5", results.iter().map(|(_, _, m)| m));
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "fig5",
+        results.iter().map(|(_, _, m)| (m.cycles, m.host_seconds)),
+    );
     let fig5_measurements: Vec<_> = results.iter().map(|(_, _, m)| m.clone()).collect();
     args.write_profile("fig5", &fig5_measurements)?;
-    args.guard_baseline(&perf)?;
 
     // Baselines: idle pollers, one per worker count.
     let baseline: HashMap<u32, u64> = results

@@ -5,8 +5,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, find_throughput, markdown_table, write_bench_json, write_csv, write_trace_csv,
-    BenchArgs, BenchError, Experiment, Measurement, PerfSummary, TracePoint,
+    check_claim, find_throughput, log_throughput, markdown_table, write_csv, write_trace_csv,
+    BenchArgs, BenchError, Experiment, Measurement, TracePoint,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{QueueImpl, QueueKernel};
@@ -97,11 +97,11 @@ fn run() -> Result<(), BenchError> {
         write_trace_csv(&args.out, "fig6", &trace_points)?;
     }
 
-    let perf = PerfSummary::from_measurements("fig6", &measurements);
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "fig6",
+        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
+    );
     args.write_profile("fig6", &measurements)?;
-    args.guard_baseline(&perf)?;
 
     let rows: Vec<Vec<String>> = measurements.iter().map(Measurement::csv_row).collect();
 

@@ -36,8 +36,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, markdown_table, write_bench_json, write_csv, BenchArgs, BenchError, Experiment,
-    Measurement, PerfSummary,
+    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
+    Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};
@@ -195,14 +195,15 @@ fn run() -> Result<(), BenchError> {
         "every barrier point hit the watchdog — no figure to report",
     )?;
 
-    let perf =
-        PerfSummary::from_measurements("fig_barriers", results.iter().map(|p| &p.measurement));
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
     let barrier_measurements: Vec<Measurement> =
         results.iter().map(|p| p.measurement.clone()).collect();
+    log_throughput(
+        "fig_barriers",
+        barrier_measurements
+            .iter()
+            .map(|m| (m.cycles, m.host_seconds)),
+    );
     args.write_profile("fig_barriers", &barrier_measurements)?;
-    args.guard_baseline(&perf)?;
 
     // Main figure CSV: one row per (algorithm, arch, cores) point.
     let rows: Vec<Vec<String>> = results

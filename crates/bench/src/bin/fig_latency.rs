@@ -29,8 +29,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lrscwait_bench::{
-    check_claim, markdown_table, write_bench_json, write_csv, write_profile_set, BenchArgs,
-    BenchError, PerfSummary,
+    check_claim, log_throughput, markdown_table, write_csv, write_profile_set, BenchArgs,
+    BenchError,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::ServiceKernel;
@@ -229,16 +229,10 @@ fn run() -> Result<(), BenchError> {
         })
     })?;
 
-    let perf = PerfSummary {
-        name: "fig_latency".to_string(),
-        experiments: results.len(),
-        total_sim_cycles: results.iter().map(|p| p.summary.cycles).sum(),
-        total_host_seconds: results.iter().map(|p| p.host_seconds).sum(),
-        extra: Vec::new(),
-        meta: Vec::new(),
-    };
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "fig_latency",
+        results.iter().map(|p| (p.summary.cycles, p.host_seconds)),
+    );
     if args.profile {
         let profile_points: Vec<(String, u32, PhaseProfile)> = results
             .iter()
@@ -250,7 +244,6 @@ fn run() -> Result<(), BenchError> {
             .collect();
         write_profile_set(&args.out, "fig_latency", &profile_points)?;
     }
-    args.guard_baseline(&perf)?;
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -43,8 +43,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, markdown_table, write_bench_json, write_csv, BenchArgs, BenchError, Experiment,
-    Measurement, PerfSummary,
+    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
+    Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::RcuKernel;
@@ -234,12 +234,12 @@ fn run() -> Result<(), BenchError> {
         "every RCU point hit the watchdog — no figure to report",
     )?;
 
-    let perf = PerfSummary::from_measurements("fig_rcu", results.iter().map(|p| &p.measurement));
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
     let measurements: Vec<Measurement> = results.iter().map(|p| p.measurement.clone()).collect();
+    log_throughput(
+        "fig_rcu",
+        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
+    );
     args.write_profile("fig_rcu", &measurements)?;
-    args.guard_baseline(&perf)?;
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -5,8 +5,7 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, markdown_table, write_bench_json, write_csv, BenchArgs, BenchError, Experiment,
-    PerfSummary,
+    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
@@ -88,12 +87,12 @@ fn run() -> Result<(), BenchError> {
             ))
         },
     )?;
-    let perf = PerfSummary::from_measurements("table2", measured.iter().map(|(_, m)| m));
-    perf.log();
-    write_bench_json(&args.out, &perf)?;
+    log_throughput(
+        "table2",
+        measured.iter().map(|(_, m)| (m.cycles, m.host_seconds)),
+    );
     let table2_measurements: Vec<_> = measured.iter().map(|(_, m)| m.clone()).collect();
     args.write_profile("table2", &table2_measurements)?;
-    args.guard_baseline(&perf)?;
     let measured: Vec<Row> = measured.into_iter().map(|(row, _)| row).collect();
 
     let get = |label: &str| -> Result<f64, BenchError> {

@@ -11,14 +11,12 @@
 //! | `fig6` | Fig. 6 — queue throughput vs. core count |
 //! | `table2` | Table II — power and energy per operation |
 //! | `ablation` | Reservation-capacity ablation |
-//! | `perf_smoke` | Simulator-performance smoke: speedup over the reference stepper, profiler overhead |
 //! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
 //!
 //! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
-//! parallelism), `--out DIR` (results directory, default `results/`) and
-//! `--baseline FILE` (committed `BENCH_sim.json` throughput guard),
-//! writes `<DIR>/<name>.csv` plus a `BENCH_sim.json` throughput summary
-//! ([`PerfSummary`]) and prints a markdown rendering to stdout —
+//! parallelism) and `--out DIR` (results directory, default `results/`),
+//! writes `<DIR>/<name>.csv`, prints a markdown rendering to stdout and a
+//! one-line simulator-throughput report to stderr ([`log_throughput`]) —
 //! except `table1`, which evaluates the area model without simulating
 //! and therefore reports no simulator throughput.
 //!
@@ -68,7 +66,7 @@ use lrscwait_sim::{
     ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
     RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
 };
-use lrscwait_telemetry::Heartbeat;
+use lrscwait_telemetry::{heartbeat::escape, Heartbeat};
 use lrscwait_trace::{
     AnalysisSink, FanoutSink, PerfettoSink, SharedSink, StreamingPerfettoSink, SyncAnalysis,
     TraceSink,
@@ -866,190 +864,37 @@ impl Sweep {
     }
 }
 
-/// Aggregate simulator-throughput numbers for one sweep: how many cycles
-/// were simulated, how long the host took, and the resulting
-/// cycles-per-second rate — the figure that makes simulator performance
-/// regressions visible across PRs via `BENCH_sim.json`.
-#[derive(Clone, Debug)]
-pub struct PerfSummary {
-    /// Sweep / binary name.
-    pub name: String,
-    /// Number of experiments aggregated.
-    pub experiments: usize,
-    /// Total simulated cycles across experiments.
-    pub total_sim_cycles: u64,
-    /// Total host wall-clock seconds spent inside `Machine::run`.
-    pub total_host_seconds: f64,
-    /// Extra named figures to include in the JSON (e.g. the speedup over
-    /// the reference stepper measured by `perf_smoke`).
-    pub extra: Vec<(String, f64)>,
-    /// Named string metadata for the JSON (host CPU count, git revision,
-    /// exec mode — run provenance for cross-machine
-    /// comparisons). [`write_bench_json`] injects `host_cpus` and
-    /// `git_rev` automatically when absent.
-    pub meta: Vec<(String, String)>,
-}
-
-impl PerfSummary {
-    /// Aggregates the perf numbers of a finished sweep. Accepts anything
-    /// yielding `&Measurement` so callers holding tuples can aggregate
-    /// without cloning.
-    #[must_use]
-    pub fn from_measurements<'a, I>(name: impl Into<String>, measurements: I) -> PerfSummary
-    where
-        I: IntoIterator<Item = &'a Measurement>,
-    {
-        let mut summary = PerfSummary {
-            name: name.into(),
-            experiments: 0,
-            total_sim_cycles: 0,
-            total_host_seconds: 0.0,
-            extra: Vec::new(),
-            meta: Vec::new(),
-        };
-        for m in measurements {
-            summary.experiments += 1;
-            summary.total_sim_cycles += m.cycles;
-            summary.total_host_seconds += m.host_seconds;
-        }
-        summary
+/// Prints the one-line throughput report every simulating binary emits on
+/// stderr, from each run's `(simulated cycles, host seconds)`.
+pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
+    let (mut experiments, mut sim_cycles, mut host_seconds) = (0usize, 0u64, 0.0f64);
+    for (cycles, seconds) in runs {
+        experiments += 1;
+        sim_cycles += cycles;
+        host_seconds += seconds;
     }
-
-    /// Adds a named figure to the JSON output.
-    #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: f64) -> PerfSummary {
-        self.extra.push((key.into(), value));
-        self
-    }
-
-    /// Adds a named string metadata entry to the JSON output.
-    #[must_use]
-    pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> PerfSummary {
-        self.meta.push((key.into(), value.into()));
-        self
-    }
-
-    /// Aggregate simulated cycles per host second.
-    #[must_use]
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.total_host_seconds > 0.0 {
-            self.total_sim_cycles as f64 / self.total_host_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Renders the summary as a small JSON object (no external
-    /// dependencies; keys are fixed identifiers, values are numbers).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"name\": \"{}\",", self.name);
-        for (key, value) in &self.meta {
-            let _ = writeln!(out, "  \"{key}\": \"{value}\",");
-        }
-        let _ = writeln!(out, "  \"experiments\": {},", self.experiments);
-        let _ = writeln!(out, "  \"total_sim_cycles\": {},", self.total_sim_cycles);
-        let _ = writeln!(
-            out,
-            "  \"total_host_seconds\": {:.6},",
-            self.total_host_seconds
-        );
-        for (key, value) in &self.extra {
-            let _ = writeln!(out, "  \"{key}\": {value:.6},");
-        }
-        let _ = writeln!(
-            out,
-            "  \"sim_cycles_per_sec\": {:.1}",
-            self.sim_cycles_per_sec()
-        );
-        out.push_str("}\n");
-        out
-    }
-
-    /// Prints the one-line throughput report sweeps emit on stderr.
-    pub fn log(&self) {
-        eprintln!(
-            "{}: simulated {} cycles over {} experiments in {:.2}s host time ({:.2} Mcycles/s)",
-            self.name,
-            self.total_sim_cycles,
-            self.experiments,
-            self.total_host_seconds,
-            self.sim_cycles_per_sec() / 1e6,
-        );
-    }
-}
-
-/// Writes the aggregate simulator throughput to `<dir>/BENCH_sim.json`
-/// (most recent sweep; the name CI uploads) and to the per-sweep
-/// `<dir>/BENCH_sim.<name>.json` so binaries sharing a results directory
-/// don't clobber each other's records.
-///
-/// # Errors
-///
-/// Returns [`BenchError::Io`] when the directory or file cannot be
-/// written.
-pub fn write_bench_json(dir: &Path, summary: &PerfSummary) -> Result<PathBuf, BenchError> {
-    std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
-        path: dir.display().to_string(),
-        source,
-    })?;
-    // Run provenance: every written record carries the host CPU count
-    // and (when available) the git revision, so numbers from different
-    // machines or commits are never compared blind.
-    let mut summary = summary.clone();
-    if !summary.meta.iter().any(|(k, _)| k == "host_cpus") {
-        let cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-        summary.meta.push(("host_cpus".into(), cpus.to_string()));
-    }
-    if !summary.meta.iter().any(|(k, _)| k == "git_rev") {
-        summary.meta.push(("git_rev".into(), git_revision()));
-    }
-    let json = summary.render_json();
-    // `BENCH_sim.json` is the fixed name CI uploads and the baseline guard
-    // reads; it holds the most recent sweep. The per-sweep copy keeps every
-    // binary's throughput record when several run into the same directory.
-    let named = dir.join(format!("BENCH_sim.{}.json", summary.name));
-    std::fs::write(&named, &json).map_err(|source| BenchError::Io {
-        path: named.display().to_string(),
-        source,
-    })?;
-    let path = dir.join("BENCH_sim.json");
-    std::fs::write(&path, json).map_err(|source| BenchError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    eprintln!("wrote {} (and {})", path.display(), named.display());
-    Ok(path)
-}
-
-/// The short git revision of the working tree, or `"unknown"` when git
-/// (or a repository) is unavailable — best-effort run provenance, never
-/// an error.
-#[must_use]
-pub fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let per_sec = if host_seconds > 0.0 {
+        sim_cycles as f64 / host_seconds
+    } else {
+        0.0
+    };
+    eprintln!(
+        "{name}: simulated {sim_cycles} cycles over {experiments} experiments in \
+         {host_seconds:.2}s host time ({:.2} Mcycles/s)",
+        per_sec / 1e6,
+    );
 }
 
 /// Writes the figure-level profile artifact `<dir>/<fig>.profile.json`
 /// (schema `lrscwait.profile-set.v2`: one entry per profiled sweep
-/// point, plus the merged aggregate) and the Prometheus rendering of the
-/// aggregate to `<dir>/<fig>.profile.prom`.
+/// point, plus the merged aggregate).
 ///
 /// Returns `Ok(None)` when no measurement carries a profile (the sweep
 /// ran without `--profile`).
 ///
 /// # Errors
 ///
-/// Returns [`BenchError::Io`] when the directory or files cannot be
+/// Returns [`BenchError::Io`] when the directory or file cannot be
 /// written.
 pub fn write_profile_json(
     dir: &Path,
@@ -1075,7 +920,7 @@ pub fn write_profile_json(
 ///
 /// # Errors
 ///
-/// Returns [`BenchError::Io`] when the directory or files cannot be
+/// Returns [`BenchError::Io`] when the directory or file cannot be
 /// written.
 pub fn write_profile_set(
     dir: &Path,
@@ -1096,7 +941,8 @@ pub fn write_profile_set(
         let sep = if i + 1 == points.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"label\": \"{label}\", \"x\": {x}, \"profile\": {}}}{sep}",
+            "    {{\"label\": \"{}\", \"x\": {x}, \"profile\": {}}}{sep}",
+            escape(label),
             profile.to_json().trim_end(),
         );
     }
@@ -1113,167 +959,8 @@ pub fn write_profile_set(
         path: path.display().to_string(),
         source,
     })?;
-    let prom_path = dir.join(format!("{fig}.profile.prom"));
-    std::fs::write(&prom_path, aggregate.registry().to_prometheus()).map_err(|source| {
-        BenchError::Io {
-            path: prom_path.display().to_string(),
-            source,
-        }
-    })?;
-    eprintln!("wrote {} (and {})", path.display(), prom_path.display());
+    eprintln!("wrote {}", path.display());
     Ok(Some(path))
-}
-
-/// Reads one numeric field out of a `BENCH_sim.json`-style file (a flat
-/// JSON object of string or numeric values — enough for the CI baseline
-/// guard without a JSON dependency).
-///
-/// # Errors
-///
-/// Returns [`BenchError::Io`] when the file cannot be read and
-/// [`BenchError::ClaimFailed`] when the field is missing or not a number.
-pub fn read_bench_field(path: &Path, field: &str) -> Result<f64, BenchError> {
-    let text = std::fs::read_to_string(path).map_err(|source| BenchError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    let needle = format!("\"{field}\"");
-    let start = text
-        .find(&needle)
-        .ok_or_else(|| BenchError::ClaimFailed(format!("{}: no field {field}", path.display())))?;
-    let rest = &text[start + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':').ok_or_else(|| {
-        BenchError::ClaimFailed(format!("{}: malformed field {field}", path.display()))
-    })?;
-    let number: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    number.parse().map_err(|_| {
-        BenchError::ClaimFailed(format!(
-            "{}: field {field} is not a number (`{number}`)",
-            path.display()
-        ))
-    })
-}
-
-/// Flattens every numeric leaf of a parsed JSON document into
-/// `(dotted.path, value)` pairs, in document order. Array elements are
-/// indexed (`points.0.x`); booleans and strings are skipped. This is how
-/// `bench_diff` turns two `BENCH_sim.json` / `<fig>.profile.json` files
-/// into comparable key sets without caring about their exact schema.
-pub fn flatten_numeric(
-    json: &lrscwait_trace::json::Json,
-    prefix: &str,
-    out: &mut Vec<(String, f64)>,
-) {
-    use lrscwait_trace::json::Json;
-    match json {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Obj(pairs) => {
-            for (key, value) in pairs {
-                let path = if prefix.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{prefix}.{key}")
-                };
-                flatten_numeric(value, &path, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, value) in items.iter().enumerate() {
-                flatten_numeric(value, &format!("{prefix}.{i}"), out);
-            }
-        }
-        Json::Null | Json::Bool(_) | Json::Str(_) => {}
-    }
-}
-
-/// One row of a [`diff_table`]: a dotted key with its old/new values.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiffRow {
-    /// Dotted JSON path.
-    pub key: String,
-    /// Value in the old file (`None`: key only in the new file).
-    pub old: Option<f64>,
-    /// Value in the new file (`None`: key removed).
-    pub new: Option<f64>,
-}
-
-impl DiffRow {
-    /// Relative change new/old − 1, when both sides exist and old ≠ 0.
-    #[must_use]
-    pub fn relative_change(&self) -> Option<f64> {
-        match (self.old, self.new) {
-            (Some(old), Some(new)) if old != 0.0 => Some(new / old - 1.0),
-            _ => None,
-        }
-    }
-}
-
-/// Pairs up two flattened numeric key sets: every key from either side,
-/// old-file order first, then new-only keys in new-file order.
-#[must_use]
-pub fn diff_rows(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<DiffRow> {
-    let new_map: HashMap<&str, f64> = new.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let old_keys: std::collections::HashSet<&str> = old.iter().map(|(k, _)| k.as_str()).collect();
-    let mut rows: Vec<DiffRow> = old
-        .iter()
-        .map(|(key, value)| DiffRow {
-            key: key.clone(),
-            old: Some(*value),
-            new: new_map.get(key.as_str()).copied(),
-        })
-        .collect();
-    rows.extend(
-        new.iter()
-            .filter(|(key, _)| !old_keys.contains(key.as_str()))
-            .map(|(key, value)| DiffRow {
-                key: key.clone(),
-                old: None,
-                new: Some(*value),
-            }),
-    );
-    rows
-}
-
-/// Renders a regression/improvement table for two flattened files: one
-/// markdown row per key whose relative change exceeds `threshold` (or
-/// that appears on only one side). Returns `None` when nothing moved.
-#[must_use]
-pub fn diff_table(rows: &[DiffRow], threshold: f64) -> Option<String> {
-    let moved: Vec<&DiffRow> = rows
-        .iter()
-        .filter(|row| match row.relative_change() {
-            Some(change) => change.abs() > threshold,
-            // Keys on one side only are always worth showing.
-            None => !(row.old.is_none() && row.new.is_none()),
-        })
-        .filter(|row| row.old.is_none() || row.new.is_none() || row.relative_change().is_some())
-        .collect();
-    if moved.is_empty() {
-        return None;
-    }
-    let fmt_cell = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.4}"));
-    let table_rows: Vec<Vec<String>> = moved
-        .iter()
-        .map(|row| {
-            let change = row
-                .relative_change()
-                .map_or_else(|| "n/a".to_string(), |c| format!("{:+.1}%", c * 100.0));
-            vec![
-                row.key.clone(),
-                fmt_cell(row.old),
-                fmt_cell(row.new),
-                change,
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["key", "old", "new", "change"],
-        &table_rows,
-    ))
 }
 
 /// Finds the throughput of series `label` at x value `x`.
@@ -1341,16 +1028,13 @@ pub fn arch_for(impl_: HistImpl, colibri_queues: usize) -> SyncArch {
 
 /// Usage text shared by every figure binary.
 pub const USAGE: &str = "\
-usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--trace]
-                       [--exec MODE]
+usage: <figure binary> [--quick] [--threads N] [--out DIR] [--trace] [--exec MODE]
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
   --exec MODE      execution mode for every experiment: translated (default)
                    or reference — results are bit-identical, only
                    simulator speed differs
   --out DIR        results directory (default: results)
-  --baseline FILE  committed BENCH_sim.json to guard simulator throughput
-                   against (fails when more than 2x slower; perf_smoke)
   --trace          also attach an analysis sink per sweep point and write
                    <fig>.trace.csv (handoff latency p50/p99/max per point;
                    fig3 and fig6)
@@ -1361,8 +1045,8 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--baseline FILE] [--
                    --checkpoint instead of starting from reset
   --profile        enable the host-side phase profiler: every experiment
                    collects per-phase step timings, and the binary writes
-                   <fig>.profile.json plus a Prometheus rendering (results
-                   stay bit-identical; host overhead is a few percent)
+                   <fig>.profile.json (results stay bit-identical; host
+                   overhead is a few percent)
   --heartbeat SECS  emit a progress line to stderr every SECS seconds
                    per experiment: cycles vs budget, live Mcycles/s,
                    ETA, checkpoint age
@@ -1387,11 +1071,6 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     ),
     ("--out", "DIR", "results directory (default: results)"),
     (
-        "--baseline",
-        "FILE",
-        "committed BENCH_sim.json to guard simulator throughput against",
-    ),
-    (
         "--trace",
         "",
         "per-point synchronization analysis; writes <fig>.trace.csv",
@@ -1409,7 +1088,7 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--profile",
         "",
-        "host-side phase profiler; writes <fig>.profile.json/.prom",
+        "host-side phase profiler; writes <fig>.profile.json",
     ),
     (
         "--heartbeat",
@@ -1484,8 +1163,6 @@ pub struct BenchArgs {
     pub threads: Option<usize>,
     /// Results directory.
     pub out: PathBuf,
-    /// Committed baseline `BENCH_sim.json` to compare against.
-    pub baseline: Option<PathBuf>,
     /// Attach an [`AnalysisSink`] per sweep point and emit the
     /// figure-level `<fig>.trace.csv` artifact (fig3/fig6).
     pub trace: bool,
@@ -1499,7 +1176,7 @@ pub struct BenchArgs {
     /// (`None`: keep each config's own mode, normally translated).
     pub exec: Option<ExecMode>,
     /// Enable the host-side phase profiler on every experiment and write
-    /// the `<fig>.profile.json` / `.prom` artifacts.
+    /// the `<fig>.profile.json` artifact.
     pub profile: bool,
     /// Emit a heartbeat progress line every this many seconds per
     /// experiment.
@@ -1514,7 +1191,6 @@ impl Default for BenchArgs {
             quick: false,
             threads: None,
             out: PathBuf::from("results"),
-            baseline: None,
             trace: false,
             checkpoint: None,
             resume: None,
@@ -1561,12 +1237,6 @@ impl BenchArgs {
                         BenchError::Usage(format!("--out needs a directory\n{USAGE}"))
                     })?;
                     parsed.out = PathBuf::from(value);
-                }
-                "--baseline" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--baseline needs a file\n{USAGE}"))
-                    })?;
-                    parsed.baseline = Some(PathBuf::from(value));
                 }
                 "--trace" => parsed.trace = true,
                 "--checkpoint" => {
@@ -1670,13 +1340,12 @@ impl BenchArgs {
         exp
     }
 
-    /// Writes `<out>/<fig>.profile.json` / `.prom` from a finished
-    /// sweep's measurements when `--profile` was given (no-op
-    /// otherwise).
+    /// Writes `<out>/<fig>.profile.json` from a finished sweep's
+    /// measurements when `--profile` was given (no-op otherwise).
     ///
     /// # Errors
     ///
-    /// Returns [`BenchError::Io`] when the artifacts cannot be written.
+    /// Returns [`BenchError::Io`] when the artifact cannot be written.
     pub fn write_profile(&self, fig: &str, measurements: &[Measurement]) -> Result<(), BenchError> {
         if self.profile {
             write_profile_json(&self.out, fig, measurements)?;
@@ -1692,36 +1361,6 @@ impl BenchArgs {
             Some(t) => sweep.threads(t),
             None => sweep,
         }
-    }
-
-    /// Applies the committed-baseline throughput guard when `--baseline`
-    /// was given (no-op otherwise): compares the sweep's aggregate
-    /// simulated-cycles-per-second against the baseline file's
-    /// `sim_cycles_per_sec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::ClaimFailed`] when throughput dropped more
-    /// than 2x below the baseline, and [`BenchError::Io`] when the
-    /// baseline file cannot be read.
-    pub fn guard_baseline(&self, summary: &PerfSummary) -> Result<(), BenchError> {
-        let Some(path) = &self.baseline else {
-            return Ok(());
-        };
-        let committed = read_bench_field(path, "sim_cycles_per_sec")?;
-        let measured = summary.sim_cycles_per_sec();
-        println!(
-            "{}: {measured:.0} sim cycles/s vs committed baseline {committed:.0} ({:.2}x)",
-            summary.name,
-            measured / committed
-        );
-        check_claim(
-            measured * 2.0 >= committed,
-            format!(
-                "simulator throughput regressed more than 2x: {measured:.0} cycles/s \
-                 vs baseline {committed:.0}"
-            ),
-        )
     }
 }
 
@@ -1993,57 +1632,6 @@ mod tests {
     }
 
     #[test]
-    fn flatten_and_diff_numeric_json() {
-        use lrscwait_trace::json;
-        let old = json::parse(
-            r#"{"a": 1, "b": {"c": 2.5}, "arr": [1, 2], "s": "text", "gone": 4, "same": 3}"#,
-        )
-        .unwrap();
-        let new = json::parse(r#"{"a": 2, "b": {"c": 2.5}, "arr": [1, 3], "same": 3, "fresh": 7}"#)
-            .unwrap();
-        let mut old_flat = Vec::new();
-        flatten_numeric(&old, "", &mut old_flat);
-        let mut new_flat = Vec::new();
-        flatten_numeric(&new, "", &mut new_flat);
-        assert_eq!(
-            old_flat,
-            vec![
-                ("a".to_string(), 1.0),
-                ("b.c".to_string(), 2.5),
-                ("arr.0".to_string(), 1.0),
-                ("arr.1".to_string(), 2.0),
-                ("gone".to_string(), 4.0),
-                ("same".to_string(), 3.0),
-            ],
-            "strings are skipped, paths are dotted, arrays indexed"
-        );
-
-        let rows = diff_rows(&old_flat, &new_flat);
-        let row = |key: &str| rows.iter().find(|r| r.key == key).unwrap();
-        assert_eq!(row("a").relative_change(), Some(1.0));
-        assert_eq!(row("b.c").relative_change(), Some(0.0));
-        assert_eq!(row("gone").new, None);
-        let fresh = row("fresh");
-        assert_eq!((fresh.old, fresh.new), (None, Some(7.0)));
-
-        let table = diff_table(&rows, 0.01).expect("a and arr.1 moved");
-        assert!(table.contains("| a |"), "{table}");
-        assert!(table.contains("+100.0%"), "{table}");
-        assert!(table.contains("| gone |"), "one-sided keys always show");
-        assert!(table.contains("| fresh |"), "{table}");
-        assert!(
-            !table.contains("| b.c |") && !table.contains("| same |"),
-            "unmoved keys stay out:\n{table}"
-        );
-        // Nothing above a huge threshold except the one-sided keys.
-        let rows_same = diff_rows(&old_flat, &old_flat);
-        assert!(
-            diff_table(&rows_same, 0.01).is_none(),
-            "identical files must diff clean"
-        );
-    }
-
-    #[test]
     fn profile_artifact_self_validates() {
         use lrscwait_trace::json;
         let cfg = SimConfig::builder()
@@ -2065,7 +1653,13 @@ mod tests {
         );
 
         let dir = std::env::temp_dir().join(format!("lrscwait-profile-{}", std::process::id()));
-        let path = write_profile_json(&dir, "unit", std::slice::from_ref(&m))
+        // A label is caller-chosen text: quotes and backslashes must
+        // survive the round trip through the artifact.
+        let quoted = Measurement {
+            label: r#"he said "hi"\"#.to_string(),
+            ..m.clone()
+        };
+        let path = write_profile_json(&dir, "unit", &[m.clone(), quoted.clone()])
             .unwrap()
             .expect("a profiled measurement must produce the artifact");
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2075,7 +1669,11 @@ mod tests {
             Some("lrscwait.profile-set.v2")
         );
         let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(points.len(), 1);
+        assert_eq!(points.len(), 2);
+        assert_eq!(
+            points[1].get("label").and_then(json::Json::as_str),
+            Some(quoted.label.as_str())
+        );
         let agg = doc.get("aggregate").expect("aggregate present");
         assert_eq!(
             agg.get("schema").and_then(json::Json::as_str),
@@ -2090,10 +1688,6 @@ mod tests {
             .sum();
         let sampled = agg.get("sampled_ns").and_then(json::Json::as_f64).unwrap();
         assert!((json_sum - sampled).abs() < 0.5, "{json_sum} vs {sampled}");
-
-        let prom = std::fs::read_to_string(dir.join("unit.profile.prom")).unwrap();
-        assert!(prom.contains("sim_phase_ns_total"), "{prom}");
-        assert!(prom.contains("sim_phase_share"), "{prom}");
 
         // Un-profiled measurements produce no artifact at all.
         let plain = Experiment::new(
@@ -2124,8 +1718,6 @@ mod tests {
                 "3",
                 "--out",
                 "outdir",
-                "--baseline",
-                "b.json",
                 "--trace",
                 "--checkpoint",
                 "ckpt.snap",
@@ -2140,7 +1732,6 @@ mod tests {
         assert!(args.quick);
         assert_eq!(args.threads, Some(3));
         assert_eq!(args.out, PathBuf::from("outdir"));
-        assert_eq!(args.baseline, Some(PathBuf::from("b.json")));
         assert!(args.trace);
         assert_eq!(args.checkpoint, Some(PathBuf::from("ckpt.snap")));
         assert_eq!(args.resume, Some(PathBuf::from("prev.snap")));
@@ -2273,26 +1864,6 @@ mod tests {
         let row = m.csv_row();
         assert_eq!(row.len(), 7, "stall column present");
         assert_eq!(row[6], m.stats.total_stall_cycles().to_string());
-    }
-
-    #[test]
-    fn perf_summary_round_trips_through_json() {
-        let dir = std::env::temp_dir().join(format!("lrscwait-bench-{}", std::process::id()));
-        let summary = PerfSummary {
-            name: "unit".to_string(),
-            experiments: 3,
-            total_sim_cycles: 1_000_000,
-            total_host_seconds: 0.5,
-            extra: vec![("speedup_vs_reference".to_string(), 7.25)],
-            meta: vec![("exec_mode".to_string(), "translated".to_string())],
-        };
-        assert!((summary.sim_cycles_per_sec() - 2.0e6).abs() < 1e-9);
-        let path = write_bench_json(&dir, &summary).unwrap();
-        assert_eq!(path.file_name().unwrap(), "BENCH_sim.json");
-        assert!((read_bench_field(&path, "sim_cycles_per_sec").unwrap() - 2.0e6).abs() < 1.0);
-        assert!((read_bench_field(&path, "speedup_vs_reference").unwrap() - 7.25).abs() < 1e-9);
-        assert!(read_bench_field(&path, "no_such_field").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -192,7 +192,10 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
-fn escape(value: &str) -> String {
+/// Escapes `value` for use inside a double-quoted JSON string
+/// (backslashes and quotes).
+#[must_use]
+pub fn escape(value: &str) -> String {
     value.replace('\\', "\\\\").replace('"', "\\\"")
 }
 

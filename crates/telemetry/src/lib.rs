@@ -1,4 +1,4 @@
-//! Host-side self-profiling and metrics for the LRSCwait simulator.
+//! Host-side self-profiling for the LRSCwait simulator.
 //!
 //! `crates/trace` answers *guest* questions — where do simulated cycles
 //! go, lock by lock. This crate answers the *host* questions: where does
@@ -19,10 +19,8 @@
 //!   through a [`CycleClock`], so per-phase *shares* converge while the
 //!   hot loop pays only a countdown on unsampled cycles.
 //! * [`PhaseProfile`] — the immutable snapshot a run produces: per-phase
-//!   nanoseconds and wall time.
-//! * [`MetricsRegistry`] — typed counters / gauges / histograms with
-//!   deterministic-schema JSON and Prometheus text exposition, the
-//!   format profiles are exported in.
+//!   nanoseconds and wall time, rendered as deterministic-schema JSON
+//!   (`lrscwait.profile.v2`).
 //! * [`Heartbeat`] — progress-line bookkeeping for long sweeps: live
 //!   Mcycles/s since the previous beat, ETA against the cycle budget,
 //!   age of the last checkpoint. Pure computation and formatting; the
@@ -33,11 +31,9 @@
 #![forbid(unsafe_code)]
 
 pub mod heartbeat;
-pub mod metrics;
 pub mod profiler;
 
 pub use heartbeat::{Heartbeat, HeartbeatLine};
-pub use metrics::MetricsRegistry;
 pub use profiler::{
     CycleClock, Phase, PhaseProfile, PhaseStat, Profiler, ProfilerConfig, NUM_PHASES,
 };

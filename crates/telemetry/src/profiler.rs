@@ -18,8 +18,6 @@
 
 use std::time::Instant;
 
-use crate::metrics::MetricsRegistry;
-
 /// Number of distinct [`Phase`]s.
 pub const NUM_PHASES: usize = 8;
 
@@ -373,25 +371,6 @@ impl PhaseProfile {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Exports the profile into a [`MetricsRegistry`] (counters for raw
-    /// nanoseconds and cycles, gauges for shares) for Prometheus text
-    /// exposition.
-    #[must_use]
-    pub fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("sim_run_wall_ns_total", self.wall_ns);
-        reg.counter("sim_stepped_cycles_total", self.stepped_cycles);
-        reg.counter("sim_sampled_cycles_total", self.sampled_cycles);
-        reg.counter("sim_phase_sampled_ns_total", self.sampled_ns);
-        reg.gauge("sim_profile_sample_every", f64::from(self.sample_every));
-        for stat in &self.phases {
-            let labels = &[("phase", stat.phase.name())];
-            reg.counter_labeled("sim_phase_ns_total", labels, stat.ns);
-            reg.gauge_labeled("sim_phase_share", labels, self.share(stat.phase));
-        }
-        reg
     }
 }
 

@@ -24,7 +24,7 @@
 //! | [`noc`] | Backpressured hierarchical interconnect |
 //! | [`sim`] | Cycle-accurate MemPool-like manycore simulator |
 //! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis |
-//! | [`telemetry`] | Host-side observability: phase profiler, metrics registry, heartbeat |
+//! | [`telemetry`] | Host-side observability: phase profiler, heartbeat |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |

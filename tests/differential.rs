@@ -55,19 +55,31 @@ fn histogram_matrix_is_equivalent() {
 
 #[test]
 fn queue_matrix_is_equivalent() {
-    for (impl_, arch) in [
-        (QueueImpl::LrscWaitDirect, SyncArch::Colibri { queues: 4 }),
-        (QueueImpl::LrscMs, SyncArch::Lrsc),
-        (QueueImpl::TicketRing, SyncArch::Lrsc),
+    let small = || SimConfig::builder().cores(8).max_cycles(50_000_000);
+    let colibri = SyncArch::Colibri { queues: 4 };
+    for (impl_, arch, iters, cores, geometry) in [
+        (QueueImpl::LrscWaitDirect, colibri, 6, 8, small()),
+        (QueueImpl::LrscMs, SyncArch::Lrsc, 6, 8, small()),
+        (QueueImpl::TicketRing, SyncArch::Lrsc, 6, 8, small()),
+        // The paper's 256-core MemPool geometry: every core contends on
+        // one Colibri-owned queue, so at any instant almost the whole
+        // machine is asleep in hardware wait queues — the fast-forward and
+        // wake-chain paths at a scale no 8-core row reaches.
+        (
+            QueueImpl::LrscWaitDirect,
+            colibri,
+            4,
+            256,
+            SimConfig::builder().mempool(),
+        ),
     ] {
-        let kernel = QueueKernel::new(impl_, 6, 8);
-        let cfg = SimConfig::builder()
-            .cores(8)
-            .arch(arch)
-            .max_cycles(50_000_000)
-            .build()
-            .unwrap();
-        assert_equivalent(&kernel, cfg, &format!("queue {impl_:?} on {arch}"));
+        let kernel = QueueKernel::new(impl_, iters, cores);
+        let cfg = geometry.arch(arch).build().unwrap();
+        assert_equivalent(
+            &kernel,
+            cfg,
+            &format!("queue {impl_:?} on {arch}, {cores} cores"),
+        );
     }
 }
 
