@@ -1,0 +1,848 @@
+//! One workload run against one machine configuration: [`Experiment`], the
+//! [`Measurement`] it produces and the [`BenchError`] it can fail with.
+
+use std::collections::HashMap;
+use std::error::Error;
+use std::fmt;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
+
+use lrscwait_asm::Program;
+use lrscwait_core::SyncArch;
+use lrscwait_kernels::{HistImpl, VerifyError, Workload};
+use lrscwait_sim::{
+    ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
+    RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
+};
+use lrscwait_telemetry::Heartbeat;
+use lrscwait_trace::{
+    AnalysisSink, FanoutSink, PerfettoSink, SharedSink, StreamingPerfettoSink, SyncAnalysis,
+    TraceSink,
+};
+
+use crate::args::USAGE;
+use crate::report::fmt_tp;
+use crate::sweep::{lock_ignoring_poison, retry_transient_io};
+
+/// Everything that can go wrong while producing a benchmark number.
+///
+/// The harness is `Result`-based end to end: a failed experiment surfaces
+/// as a typed error instead of a panic, so sweeps can report *which* point
+/// failed and runners can decide what to do about it.
+#[derive(Debug)]
+pub enum BenchError {
+    /// The simulator configuration was rejected.
+    Config(ConfigError),
+    /// The machine could not be built or the program could not load.
+    Load(SimError),
+    /// The simulation itself faulted (kernel bug).
+    Run(SimError),
+    /// The watchdog fired before every core halted — a DNF point.
+    Watchdog {
+        /// Label of the offending experiment.
+        label: String,
+        /// Cycle count when the watchdog fired.
+        cycles: u64,
+        /// Why the point did not finish: which part of the machine was
+        /// still live when the budget ran out.
+        reason: String,
+        /// Final-cycle machine snapshot, when the experiment was
+        /// configured with a checkpoint path — exactly the state worth
+        /// resuming with a larger budget or post-morteming.
+        snapshot: Option<PathBuf>,
+    },
+    /// The run completed but computed wrong results.
+    Verify {
+        /// Label of the offending experiment.
+        label: String,
+        /// What was wrong.
+        source: VerifyError,
+    },
+    /// A required measurement point is missing from a sweep result.
+    MissingPoint {
+        /// Series label searched for.
+        series: String,
+        /// X value searched for.
+        x: u32,
+    },
+    /// An expected measurement (region cycles, throughput) was not taken.
+    MissingMeasurement {
+        /// Label of the offending experiment.
+        label: String,
+        /// What was missing.
+        what: &'static str,
+    },
+    /// A quantitative claim about the results did not hold.
+    ClaimFailed(String),
+    /// Results could not be written.
+    Io {
+        /// Path being written.
+        path: String,
+        /// Underlying I/O error.
+        source: std::io::Error,
+    },
+    /// Bad command-line usage.
+    Usage(String),
+    /// `-h`/`--help` was requested (not a failure; [`run_main`] prints the
+    /// text to stdout and exits 0).
+    ///
+    /// [`run_main`]: crate::run_main
+    Help,
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchError::Config(e) => write!(f, "invalid configuration: {e}"),
+            BenchError::Load(e) => write!(f, "failed to load program: {e}"),
+            BenchError::Run(e) => write!(f, "simulation faulted: {e}"),
+            BenchError::Watchdog {
+                label,
+                cycles,
+                reason,
+                snapshot,
+            } => {
+                write!(
+                    f,
+                    "{label}: watchdog fired after {cycles} cycles ({reason})"
+                )?;
+                if let Some(path) = snapshot {
+                    write!(f, "; final-cycle snapshot: {}", path.display())?;
+                }
+                Ok(())
+            }
+            BenchError::Verify { label, source } => {
+                write!(f, "{label}: verification failed: {source}")
+            }
+            BenchError::MissingPoint { series, x } => {
+                write!(f, "sweep produced no measurement for {series} at x={x}")
+            }
+            BenchError::MissingMeasurement { label, what } => {
+                write!(f, "{label}: run produced no {what}")
+            }
+            BenchError::ClaimFailed(msg) => write!(f, "claim failed: {msg}"),
+            BenchError::Io { path, source } => write!(f, "{path}: {source}"),
+            BenchError::Usage(msg) => write!(f, "{msg}"),
+            BenchError::Help => write!(f, "{USAGE}"),
+        }
+    }
+}
+
+impl Error for BenchError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            BenchError::Config(e) => Some(e),
+            BenchError::Load(e) | BenchError::Run(e) => Some(e),
+            BenchError::Verify { source, .. } => Some(source),
+            BenchError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
+impl From<ConfigError> for BenchError {
+    fn from(e: ConfigError) -> BenchError {
+        BenchError::Config(e)
+    }
+}
+
+/// Process-wide decoded-program cache.
+///
+/// Sweep points routinely assemble byte-identical programs (only MMIO
+/// arguments differ across the x-axis), and every [`Machine`] used to
+/// re-decode its own copy. The cache keys on a content fingerprint and
+/// hands every worker the same [`Arc<DecodedProgram>`], so decoding and
+/// the text/raw/source-line buffers are shared across the whole sweep.
+/// Lookups hash the borrowed program (no allocation); the full content is
+/// cloned only once, when a program is first inserted. The cache is
+/// process-lifetime and unbounded, which is fine for the handful of
+/// distinct kernels a bench process assembles.
+fn program_fingerprint(program: &Program) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    program.text.hash(&mut hasher);
+    program.source_lines.hash(&mut hasher);
+    program.entry.hash(&mut hasher);
+    program.data_base.hash(&mut hasher);
+    program.data.hash(&mut hasher);
+    program.bss_base.hash(&mut hasher);
+    program.bss_size.hash(&mut hasher);
+    hasher.finish()
+}
+
+fn program_matches(decoded: &DecodedProgram, program: &Program) -> bool {
+    decoded.raw == program.text
+        && decoded.source_lines == program.source_lines
+        && decoded.entry == program.entry
+        && decoded.data_base == program.data_base
+        && decoded.data == program.data
+        && decoded.bss_base == program.bss_base
+        && decoded.bss_size == program.bss_size
+}
+
+fn decode_shared(program: &Program) -> Result<Arc<DecodedProgram>, SimError> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<DecodedProgram>>>> = OnceLock::new();
+    let fingerprint = program_fingerprint(program);
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    if let Some(decoded) = lock_ignoring_poison(cache).get(&fingerprint) {
+        if program_matches(decoded, program) {
+            return Ok(Arc::clone(decoded));
+        }
+        // Fingerprint collision between distinct programs (vanishingly
+        // rare): decode fresh without caching rather than evict.
+        return Machine::decode(program);
+    }
+    let decoded = Machine::decode(program)?;
+    Ok(Arc::clone(
+        lock_ignoring_poison(cache)
+            .entry(fingerprint)
+            .or_insert(decoded),
+    ))
+}
+
+/// A measured throughput point.
+#[derive(Clone, Debug)]
+pub struct Measurement {
+    /// Series label (legend entry).
+    pub label: String,
+    /// X value (bins, cores, …).
+    pub x: u32,
+    /// Aggregate throughput in operations per cycle (0 when the workload
+    /// counts no ops).
+    pub throughput: f64,
+    /// Slowest per-core throughput (fairness band).
+    pub lo: f64,
+    /// Fastest per-core throughput (fairness band).
+    pub hi: f64,
+    /// Total cycles simulated.
+    pub cycles: u64,
+    /// Host wall-clock seconds spent inside [`Machine::run`] (simulator
+    /// throughput reporting; deliberately excluded from the CSV so result
+    /// files stay byte-deterministic).
+    pub host_seconds: f64,
+    /// Full statistics (for the energy model and diagnostics).
+    pub stats: SimStats,
+    /// Host-side phase profile of the run (`None` unless the experiment
+    /// was [`profiled`](Experiment::profiled)). Excluded from the CSV —
+    /// host timings are not deterministic.
+    pub profile: Option<PhaseProfile>,
+}
+
+impl Measurement {
+    /// The standard figure CSV row:
+    /// `[label, x, throughput, lo, hi, cycles, stall_cycles]`.
+    #[must_use]
+    pub fn csv_row(&self) -> Vec<String> {
+        vec![
+            self.label.clone(),
+            self.x.to_string(),
+            fmt_tp(self.throughput),
+            fmt_tp(self.lo),
+            fmt_tp(self.hi),
+            self.cycles.to_string(),
+            self.stats.total_stall_cycles().to_string(),
+        ]
+    }
+
+    /// Simulated cycles per host second for this run.
+    #[must_use]
+    pub fn sim_cycles_per_sec(&self) -> f64 {
+        if self.host_seconds > 0.0 {
+            self.cycles as f64 / self.host_seconds
+        } else {
+            0.0
+        }
+    }
+
+    /// Longest measured-region length among `cores`, when every one of them
+    /// wrote both region markers (e.g. the worker partition of the matmul
+    /// interference workload).
+    #[must_use]
+    pub fn max_region_cycles(&self, cores: std::ops::Range<usize>) -> Option<u64> {
+        self.stats.cores.get(cores).and_then(|slice| {
+            slice
+                .iter()
+                .map(lrscwait_sim::CoreStats::region_cycles)
+                .collect::<Option<Vec<_>>>()
+                .and_then(|v| v.into_iter().max())
+        })
+    }
+}
+
+/// One workload run against one machine configuration.
+///
+/// Builder-style: construct with [`Experiment::new`], optionally attach a
+/// series [`label`](Experiment::label) and [`x`](Experiment::x) value, then
+/// [`run`](Experiment::run). The run loads the program, applies the
+/// workload's MMIO arguments and memory initialization, simulates to
+/// completion, enforces the watchdog, and functionally verifies the result
+/// — no benchmark number without a correct run:
+///
+/// ```
+/// use lrscwait_bench::Experiment;
+/// use lrscwait_core::SyncArch;
+/// use lrscwait_kernels::{HistImpl, HistogramKernel};
+/// use lrscwait_sim::SimConfig;
+///
+/// # fn main() -> Result<(), lrscwait_bench::BenchError> {
+/// let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 16, 4);
+/// let cfg = SimConfig::builder()
+///     .cores(4)
+///     .arch(SyncArch::Lrsc)
+///     .build()?;
+/// let m = Experiment::new(&kernel, cfg).label("amoadd").x(4).run()?;
+/// assert_eq!(m.label, "amoadd");
+/// assert!(m.throughput > 0.0); // 64 verified increments happened
+/// # Ok(())
+/// # }
+/// ```
+pub struct Experiment<'w> {
+    workload: &'w dyn Workload,
+    cfg: SimConfig,
+    label: Option<String>,
+    x: u32,
+    sink: Option<Box<dyn TraceSink>>,
+    checkpoint: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    profile: bool,
+    heartbeat: Option<(u64, Option<PathBuf>)>,
+    inspect: Option<InspectHook<'w>>,
+}
+
+/// Post-verify machine hook (see [`Experiment::inspect`]).
+type InspectHook<'w> = Box<dyn FnOnce(&Machine) + 'w>;
+
+impl<'w> Experiment<'w> {
+    /// Pairs a workload with a machine configuration.
+    #[must_use]
+    pub fn new(workload: &'w dyn Workload, cfg: SimConfig) -> Experiment<'w> {
+        Experiment {
+            workload,
+            cfg,
+            label: None,
+            x: 0,
+            sink: None,
+            checkpoint: None,
+            resume: None,
+            profile: false,
+            heartbeat: None,
+            inspect: None,
+        }
+    }
+
+    /// Overrides the series label (default: the workload's own label).
+    #[must_use]
+    pub fn label(mut self, label: impl Into<String>) -> Experiment<'w> {
+        self.label = Some(label.into());
+        self
+    }
+
+    /// Sets the x-axis value recorded in the measurement.
+    #[must_use]
+    pub fn x(mut self, x: u32) -> Experiment<'w> {
+        self.x = x;
+        self
+    }
+
+    /// Runs on the naive reference stepper instead of the production
+    /// stepper (differential testing and performance baselining; results
+    /// are bit-identical, only slower to produce). Equivalent to building
+    /// the config with `SimConfig::builder().exec_mode(ExecMode::Reference)`.
+    #[must_use]
+    pub fn reference(mut self) -> Experiment<'w> {
+        self.cfg.exec_mode = ExecMode::Reference;
+        self
+    }
+
+    /// Writes a machine snapshot (`Machine::snapshot`) to `path` when the
+    /// run ends. The snapshot is written *even when the watchdog fires*,
+    /// so a run that exhausted its cycle budget can be resumed with a
+    /// larger one via [`resume`](Experiment::resume).
+    #[must_use]
+    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Experiment<'w> {
+        self.checkpoint = Some(path.into());
+        self
+    }
+
+    /// Restores the machine from a snapshot file before running, instead
+    /// of starting from reset. The snapshot must match this experiment's
+    /// architecture and geometry (`Machine::restore` checks and rejects
+    /// mismatches). The workload's `init` still runs first, so restored
+    /// state wins over any host-side initialization.
+    #[must_use]
+    pub fn resume(mut self, path: impl Into<PathBuf>) -> Experiment<'w> {
+        self.resume = Some(path.into());
+        self
+    }
+
+    /// Enables the host-side phase profiler for this run; the
+    /// [`Measurement`] then carries a [`PhaseProfile`]. Profiling is
+    /// strictly host-side — results are bit-identical to an unprofiled
+    /// run (the sim crate's differential suite proves it).
+    #[must_use]
+    pub fn profiled(mut self) -> Experiment<'w> {
+        self.profile = true;
+        self
+    }
+
+    /// Emits a heartbeat progress line to stderr every `secs` seconds
+    /// while the run executes (and appends an NDJSON record to
+    /// `ndjson` when given): cycles simulated against the watchdog
+    /// budget, live Mcycles/s, ETA, and checkpoint age. Implemented by
+    /// chunking the run through [`Machine::run_until`], which is
+    /// transparent — results stay bit-identical to an uninterrupted run.
+    #[must_use]
+    pub fn heartbeat(mut self, secs: u64, ndjson: Option<PathBuf>) -> Experiment<'w> {
+        self.heartbeat = Some((secs.max(1), ndjson));
+        self
+    }
+
+    /// Registers a closure that receives the finished, *verified* machine
+    /// just before [`run`](Experiment::run) returns. `run` consumes the
+    /// machine, so this is the hook for workloads whose guest memory
+    /// carries measurements beyond the standard [`Measurement`] fields —
+    /// e.g. the RCU kernel's per-sync grace-period cycle stamps. The hook
+    /// only observes (`&Machine`); it cannot change the result.
+    #[must_use]
+    pub fn inspect(mut self, hook: impl FnOnce(&Machine) + 'w) -> Experiment<'w> {
+        self.inspect = Some(Box::new(hook));
+        self
+    }
+
+    /// Attaches a trace sink for this run (see `lrscwait-trace`).
+    /// Tracing never changes results — the measurement is bit-identical
+    /// to an untraced run. Hand in a [`SharedSink`] clone to read the
+    /// sink back afterwards, or use the [`analyzed`](Experiment::analyzed)
+    /// / [`perfetto`](Experiment::perfetto) conveniences.
+    ///
+    /// Calling this more than once (directly, or implicitly through the
+    /// conveniences) fans the event stream out to every attached sink —
+    /// a second sink never silently replaces the first.
+    #[must_use]
+    pub fn sink(mut self, sink: Box<dyn TraceSink>) -> Experiment<'w> {
+        self.sink = Some(match self.sink {
+            Some(existing) => Box::new(FanoutSink::new().with(existing).with(sink)),
+            None => sink,
+        });
+        self
+    }
+
+    /// Runs the experiment with an [`AnalysisSink`] attached and returns
+    /// the measurement together with the derived synchronization
+    /// analysis: lock handoff latency distribution (p50/p99/max),
+    /// wait-queue occupancy over time, and SC-failure / retry-abort
+    /// causes.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Experiment::run).
+    pub fn analyzed(self) -> Result<(Measurement, SyncAnalysis), BenchError> {
+        let shared = SharedSink::new(AnalysisSink::new());
+        let measurement = self.sink(Box::new(shared.clone())).run()?;
+        Ok((measurement, shared.take().finish()))
+    }
+
+    /// Runs the experiment with a [`PerfettoSink`] attached and writes
+    /// the Chrome-trace/Perfetto JSON (per-core tracks plus wait-queue
+    /// depth and runnable-core counter tracks) to `path`. Open the file
+    /// at <https://ui.perfetto.dev>.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Experiment::run), plus [`BenchError::Io`] when the
+    /// trace file cannot be written.
+    pub fn perfetto(self, path: &Path) -> Result<Measurement, BenchError> {
+        let shared = SharedSink::new(PerfettoSink::new());
+        let measurement = self.sink(Box::new(shared.clone())).run()?;
+        let json = shared.take().finish();
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
+                path: dir.display().to_string(),
+                source,
+            })?;
+        }
+        std::fs::write(path, json).map_err(|source| BenchError::Io {
+            path: path.display().to_string(),
+            source,
+        })?;
+        Ok(measurement)
+    }
+
+    /// Runs the experiment with a [`StreamingPerfettoSink`] attached:
+    /// the Chrome-trace/Perfetto JSON is written *incrementally* to
+    /// `path` through a buffered writer, so host memory stays constant
+    /// for full-scale traces (the buffered
+    /// [`perfetto`](Experiment::perfetto) convenience holds every event
+    /// in memory until the run ends). Output bytes are identical to the
+    /// buffered sink fed the same stream.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Experiment::run), plus [`BenchError::Io`] when the
+    /// trace file cannot be created or written.
+    pub fn perfetto_streaming(self, path: &Path) -> Result<Measurement, BenchError> {
+        let sink = StreamingPerfettoSink::create(path).map_err(|source| BenchError::Io {
+            path: path.display().to_string(),
+            source,
+        })?;
+        let shared = SharedSink::new(sink);
+        let handle = shared.clone();
+        let measurement = self.sink(Box::new(handle)).run()?;
+        shared
+            .with(lrscwait_trace::StreamingPerfettoSink::close)
+            .map_err(|source| BenchError::Io {
+                path: path.display().to_string(),
+                source,
+            })?;
+        Ok(measurement)
+    }
+
+    /// Runs the experiment to completion.
+    ///
+    /// # Errors
+    ///
+    /// * [`BenchError::Config`] — workload arguments outside the MMIO window
+    ///   or an inconsistent machine configuration;
+    /// * [`BenchError::Load`] — the program image does not fit or decode;
+    /// * [`BenchError::Run`] — the simulation faulted;
+    /// * [`BenchError::Watchdog`] — not every core halted in time;
+    /// * [`BenchError::Verify`] — the computation produced wrong results,
+    ///   including a mismatched MMIO op count;
+    /// * [`BenchError::Io`] — a [`resume`](Experiment::resume) snapshot
+    ///   could not be read or a [`checkpoint`](Experiment::checkpoint)
+    ///   snapshot could not be written;
+    /// * [`BenchError::Load`] — a resume snapshot was malformed or does
+    ///   not match this experiment's architecture/geometry.
+    pub fn run(self) -> Result<Measurement, BenchError> {
+        let label = self.label.unwrap_or_else(|| self.workload.label());
+        let mut cfg = self.cfg;
+        for (i, value) in self.workload.args() {
+            if i >= NUM_ARGS {
+                return Err(BenchError::Config(ConfigError::ArgIndexOutOfRange {
+                    index: i,
+                }));
+            }
+            cfg.args[i] = value;
+        }
+        let program = self.workload.program();
+        let decoded = decode_shared(&program).map_err(BenchError::Load)?;
+        let budget = cfg.max_cycles;
+        let mut machine = Machine::with_decoded(cfg, decoded).map_err(BenchError::Load)?;
+        if let Some(sink) = self.sink {
+            machine.set_tracer(sink);
+        }
+        if self.profile {
+            machine.enable_profiler(ProfilerConfig::default());
+        }
+        self.workload.init(&mut machine);
+        if let Some(path) = &self.resume {
+            let bytes = std::fs::read(path).map_err(|source| BenchError::Io {
+                path: path.display().to_string(),
+                source,
+            })?;
+            machine.restore(&bytes).map_err(BenchError::Load)?;
+        }
+        let started = Instant::now();
+        let summary = match &self.heartbeat {
+            Some((secs, ndjson)) => run_with_heartbeat(
+                &mut machine,
+                &label,
+                *secs,
+                ndjson.as_deref(),
+                self.checkpoint.as_deref(),
+                budget,
+            )?,
+            None => machine.run().map_err(BenchError::Run)?,
+        };
+        let host_seconds = started.elapsed().as_secs_f64();
+        let profile = machine.profile();
+        let mut snapshot_path = None;
+        if let Some(path) = &self.checkpoint {
+            // Deliberately before the watchdog check: a saturated run's
+            // snapshot is exactly the one worth resuming with more budget.
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
+                    path: dir.display().to_string(),
+                    source,
+                })?;
+            }
+            let bytes = machine.snapshot();
+            retry_transient_io(|| std::fs::write(path, &bytes)).map_err(|source| {
+                BenchError::Io {
+                    path: path.display().to_string(),
+                    source,
+                }
+            })?;
+            snapshot_path = Some(path.clone());
+        }
+        if summary.exit != ExitReason::AllHalted {
+            let live = machine.cores() - machine.halted_cores();
+            return Err(BenchError::Watchdog {
+                label,
+                cycles: summary.cycles,
+                reason: format!(
+                    "{live} of {} cores never halted within the {budget}-cycle budget",
+                    machine.cores()
+                ),
+                snapshot: snapshot_path,
+            });
+        }
+        self.workload
+            .verify(&machine)
+            .map_err(|source| BenchError::Verify {
+                label: label.clone(),
+                source,
+            })?;
+        let stats = machine.stats();
+        if let Some(expected) = self.workload.expected_ops() {
+            let actual = stats.total_ops();
+            if actual != expected {
+                return Err(BenchError::Verify {
+                    label,
+                    source: VerifyError::Conservation {
+                        what: "MMIO op counter",
+                        expected,
+                        actual,
+                    },
+                });
+            }
+        }
+        if let Some(hook) = self.inspect {
+            hook(&machine);
+        }
+        let (lo, hi) = stats.throughput_range().unwrap_or((0.0, 0.0));
+        Ok(Measurement {
+            label,
+            x: self.x,
+            throughput: stats.throughput().unwrap_or(0.0),
+            lo,
+            hi,
+            cycles: summary.cycles,
+            host_seconds,
+            stats,
+            profile,
+        })
+    }
+}
+
+/// Runs a machine to completion in [`Machine::run_until`] chunks,
+/// emitting a heartbeat line every `secs` seconds. Chunking is
+/// transparent (see `run_until`), so results are bit-identical to one
+/// uninterrupted [`Machine::run`]; the chunk size adapts toward a
+/// quarter of the heartbeat interval so beats land close to schedule
+/// without a per-cycle clock read.
+fn run_with_heartbeat(
+    machine: &mut Machine,
+    label: &str,
+    secs: u64,
+    ndjson: Option<&Path>,
+    checkpoint: Option<&Path>,
+    budget: u64,
+) -> Result<RunSummary, BenchError> {
+    let interval = Duration::from_secs(secs.max(1));
+    let mut heartbeat = Heartbeat::new(label, interval, budget);
+    let mut chunk: u64 = 100_000;
+    loop {
+        let target = machine.cycles().saturating_add(chunk);
+        let chunk_started = Instant::now();
+        let summary = machine.run_until(target).map_err(BenchError::Run)?;
+        if summary.exit != ExitReason::TargetReached {
+            return Ok(summary);
+        }
+        let chunk_secs = chunk_started.elapsed().as_secs_f64();
+        if chunk_secs > 0.0 {
+            let per_sec = chunk as f64 / chunk_secs;
+            let desired = per_sec * interval.as_secs_f64() / 4.0;
+            chunk = (desired as u64).clamp(10_000, 1_000_000_000);
+        }
+        let now = Instant::now();
+        if heartbeat.due(now) {
+            let checkpoint_age = checkpoint
+                .and_then(|p| std::fs::metadata(p).ok())
+                .and_then(|meta| meta.modified().ok())
+                .and_then(|written| written.elapsed().ok());
+            let line = heartbeat.beat(now, machine.cycles(), checkpoint_age);
+            eprintln!("{}", line.render_text());
+            if let Some(path) = ndjson {
+                use std::io::Write as _;
+                let mut file = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .map_err(|source| BenchError::Io {
+                        path: path.display().to_string(),
+                        source,
+                    })?;
+                writeln!(file, "{}", line.render_ndjson()).map_err(|source| BenchError::Io {
+                    path: path.display().to_string(),
+                    source,
+                })?;
+            }
+        }
+    }
+}
+
+/// Standard mapping of a figure legend entry to (kernel impl, architecture).
+#[must_use]
+pub fn arch_for(impl_: HistImpl, colibri_queues: usize) -> SyncArch {
+    match impl_ {
+        HistImpl::AmoAdd | HistImpl::Lrsc | HistImpl::TicketLock | HistImpl::TasLock => {
+            SyncArch::Lrsc
+        }
+        HistImpl::LrscWait | HistImpl::ColibriLock | HistImpl::McsMwaitLock => SyncArch::Colibri {
+            queues: colibri_queues,
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lrscwait_kernels::{HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel};
+
+    #[test]
+    fn histogram_experiment_small() {
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .arch(SyncArch::Lrsc)
+            .build()
+            .unwrap();
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 8, 8, 4);
+        let m = Experiment::new(&kernel, cfg).x(8).run().unwrap();
+        assert!(m.throughput > 0.0);
+        assert!(m.lo <= m.hi);
+        assert_eq!(m.stats.total_ops(), 32);
+        assert_eq!(m.label, "Atomic Add");
+        assert_eq!(m.x, 8);
+    }
+
+    #[test]
+    fn queue_experiment_small() {
+        let arch = SyncArch::Colibri { queues: 4 };
+        let cfg = SimConfig::builder().cores(4).arch(arch).build().unwrap();
+        let kernel = QueueKernel::new(QueueImpl::LrscWaitDirect, 8, 4);
+        let m = Experiment::new(&kernel, cfg).x(4).run().unwrap();
+        assert!(m.throughput > 0.0);
+        assert_eq!(m.stats.total_ops(), 64);
+    }
+
+    #[test]
+    fn matmul_experiment_small() {
+        let arch = SyncArch::Lrsc;
+        let kernel = MatmulKernel::new(8, 2, 4, PollerKind::Idle);
+        let cfg = SimConfig::builder().cores(4).arch(arch).build().unwrap();
+        let m = Experiment::new(&kernel, cfg).run().unwrap();
+        let cycles = m.max_region_cycles(0..2).unwrap();
+        assert!(cycles > 100);
+        // Verification ran: the result matrix was checked against init().
+    }
+
+    #[test]
+    fn experiment_label_override() {
+        let cfg = SimConfig::builder().cores(2).build().unwrap();
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 4, 2);
+        let m = Experiment::new(&kernel, cfg)
+            .label("Roofline")
+            .x(4)
+            .run()
+            .unwrap();
+        assert_eq!(m.label, "Roofline");
+    }
+
+    #[test]
+    fn watchdog_is_typed_error() {
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .arch(SyncArch::Lrsc)
+            .max_cycles(50)
+            .build()
+            .unwrap();
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 8, 64, 4);
+        let err = Experiment::new(&kernel, cfg).run().unwrap_err();
+        assert!(matches!(err, BenchError::Watchdog { .. }), "{err}");
+    }
+
+    #[test]
+    fn arch_mapping() {
+        assert_eq!(arch_for(HistImpl::AmoAdd, 4), SyncArch::Lrsc);
+        assert_eq!(
+            arch_for(HistImpl::McsMwaitLock, 4),
+            SyncArch::Colibri { queues: 4 }
+        );
+    }
+
+    #[test]
+    fn reference_mode_is_bit_identical() {
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .arch(SyncArch::Colibri { queues: 2 })
+            .build()
+            .unwrap();
+        let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 8, 4);
+        let fast = Experiment::new(&kernel, cfg).x(2).run().unwrap();
+        let reference = Experiment::new(&kernel, cfg)
+            .x(2)
+            .reference()
+            .run()
+            .unwrap();
+        assert_eq!(fast.cycles, reference.cycles);
+        assert_eq!(fast.stats, reference.stats);
+        assert_eq!(fast.csv_row(), reference.csv_row());
+    }
+
+    #[test]
+    fn checkpoint_resume_round_trip_matches_uninterrupted() {
+        let dir = std::env::temp_dir().join(format!("lrscwait-ckpt-{}", std::process::id()));
+        let ckpt = dir.join("mid.snap");
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
+        let full = SimConfig::builder().cores(4).build().unwrap();
+        let base = Experiment::new(&kernel, full).run().unwrap();
+
+        // A budget-starved run still writes its snapshot before erroring.
+        let starved = SimConfig::builder()
+            .cores(4)
+            .max_cycles(base.cycles / 2)
+            .build()
+            .unwrap();
+        let err = Experiment::new(&kernel, starved)
+            .checkpoint(&ckpt)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, BenchError::Watchdog { .. }), "{err}");
+        assert!(ckpt.exists(), "checkpoint must be written on watchdog");
+
+        // Resuming with the full budget lands exactly where the
+        // uninterrupted run did.
+        let resumed = Experiment::new(&kernel, full).resume(&ckpt).run().unwrap();
+        assert_eq!(resumed.cycles, base.cycles);
+        assert_eq!(resumed.stats, base.stats);
+
+        // Unreadable and malformed snapshots produce typed errors.
+        let missing = Experiment::new(&kernel, full)
+            .resume(dir.join("no-such.snap"))
+            .run()
+            .unwrap_err();
+        assert!(matches!(missing, BenchError::Io { .. }), "{missing}");
+        let garbage = dir.join("garbage.snap");
+        std::fs::write(&garbage, b"not a snapshot").unwrap();
+        let bad = Experiment::new(&kernel, full)
+            .resume(&garbage)
+            .run()
+            .unwrap_err();
+        assert!(matches!(bad, BenchError::Load(_)), "{bad}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn measurement_reports_host_time_and_stalls() {
+        let cfg = SimConfig::builder().cores(4).build().unwrap();
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
+        let m = Experiment::new(&kernel, cfg).x(4).run().unwrap();
+        assert!(m.host_seconds > 0.0, "run must be timed");
+        assert!(m.sim_cycles_per_sec() > 0.0);
+        let row = m.csv_row();
+        assert_eq!(row.len(), 7, "stall column present");
+        assert_eq!(row[6], m.stats.total_stall_cycles().to_string());
+    }
+}

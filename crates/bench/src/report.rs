@@ -1,0 +1,407 @@
+//! What a figure binary does with finished measurements: CSV, trace and
+//! profile artifacts, the markdown table, claim checks and the `main`
+//! wrapper.
+
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+use lrscwait_sim::PhaseProfile;
+use lrscwait_telemetry::heartbeat::escape;
+use lrscwait_trace::SyncAnalysis;
+
+use crate::args::USAGE;
+use crate::experiment::{BenchError, Measurement};
+
+/// Prints the one-line throughput report every simulating binary emits on
+/// stderr, from each run's `(simulated cycles, host seconds)`.
+pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
+    let (mut experiments, mut sim_cycles, mut host_seconds) = (0usize, 0u64, 0.0f64);
+    for (cycles, seconds) in runs {
+        experiments += 1;
+        sim_cycles += cycles;
+        host_seconds += seconds;
+    }
+    let per_sec = if host_seconds > 0.0 {
+        sim_cycles as f64 / host_seconds
+    } else {
+        0.0
+    };
+    eprintln!(
+        "{name}: simulated {sim_cycles} cycles over {experiments} experiments in \
+         {host_seconds:.2}s host time ({:.2} Mcycles/s)",
+        per_sec / 1e6,
+    );
+}
+
+/// Writes the figure-level profile artifact `<dir>/<fig>.profile.json`
+/// (schema `lrscwait.profile-set.v2`: one entry per profiled sweep
+/// point, plus the merged aggregate).
+///
+/// Returns `Ok(None)` when no measurement carries a profile (the sweep
+/// ran without `--profile`).
+///
+/// # Errors
+///
+/// Returns [`BenchError::Io`] when the directory or file cannot be
+/// written.
+pub fn write_profile_json(
+    dir: &Path,
+    fig: &str,
+    measurements: &[Measurement],
+) -> Result<Option<PathBuf>, BenchError> {
+    let points: Vec<(String, u32, PhaseProfile)> = measurements
+        .iter()
+        .filter_map(|m| {
+            m.profile
+                .as_ref()
+                .map(|p| (m.label.clone(), m.x, p.clone()))
+        })
+        .collect();
+    write_profile_set(dir, fig, &points)
+}
+
+/// The lower-level sibling of [`write_profile_json`] for harnesses that
+/// measure something other than a [`Measurement`] (e.g. the open-loop
+/// traffic figure): writes the same `lrscwait.profile-set.v2` artifact
+/// from bare `(label, x, profile)` points. Returns `Ok(None)` when
+/// `points` is empty.
+///
+/// # Errors
+///
+/// Returns [`BenchError::Io`] when the directory or file cannot be
+/// written.
+pub fn write_profile_set(
+    dir: &Path,
+    fig: &str,
+    points: &[(String, u32, PhaseProfile)],
+) -> Result<Option<PathBuf>, BenchError> {
+    let Some((_, _, first)) = points.first() else {
+        return Ok(None);
+    };
+    let mut aggregate = first.clone();
+    for (_, _, profile) in &points[1..] {
+        aggregate.merge(profile);
+    }
+    let mut out = String::from("{\n  \"schema\": \"lrscwait.profile-set.v2\",\n");
+    let _ = writeln!(out, "  \"name\": \"{fig}\",");
+    out.push_str("  \"points\": [\n");
+    for (i, (label, x, profile)) in points.iter().enumerate() {
+        let sep = if i + 1 == points.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"label\": \"{}\", \"x\": {x}, \"profile\": {}}}{sep}",
+            escape(label),
+            profile.to_json().trim_end(),
+        );
+    }
+    out.push_str("  ],\n");
+    let _ = writeln!(out, "  \"aggregate\": {}", aggregate.to_json().trim_end());
+    out.push_str("}\n");
+
+    std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
+        path: dir.display().to_string(),
+        source,
+    })?;
+    let path = dir.join(format!("{fig}.profile.json"));
+    std::fs::write(&path, out).map_err(|source| BenchError::Io {
+        path: path.display().to_string(),
+        source,
+    })?;
+    eprintln!("wrote {}", path.display());
+    Ok(Some(path))
+}
+
+/// Finds the throughput of series `label` at x value `x`.
+///
+/// # Errors
+///
+/// Returns [`BenchError::MissingPoint`] when the sweep has no such point.
+pub fn find_throughput(
+    measurements: &[Measurement],
+    label: &str,
+    x: u32,
+) -> Result<f64, BenchError> {
+    measurements
+        .iter()
+        .find(|m| m.label == label && m.x == x)
+        .map(|m| m.throughput)
+        .ok_or_else(|| BenchError::MissingPoint {
+            series: label.to_string(),
+            x,
+        })
+}
+
+/// Standard `main` wrapper for the figure binaries: runs `f`, prints help
+/// to stdout (exit 0) and errors to stderr (exit 2).
+pub fn run_main(name: &str, f: impl FnOnce() -> Result<(), BenchError>) -> std::process::ExitCode {
+    match f() {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(BenchError::Help) => {
+            println!("{USAGE}");
+            std::process::ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{name}: error: {e}");
+            std::process::ExitCode::from(2)
+        }
+    }
+}
+
+/// Turns a failed quantitative claim into a typed error (replacing
+/// `assert!`-driven control flow on bench run paths).
+///
+/// # Errors
+///
+/// Returns [`BenchError::ClaimFailed`] when `condition` is false.
+pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), BenchError> {
+    if condition {
+        Ok(())
+    } else {
+        Err(BenchError::ClaimFailed(message.into()))
+    }
+}
+
+/// One sweep point's trace-derived synchronization metrics — the raw
+/// material of the figure-level `<fig>.trace.csv` artifact.
+#[derive(Clone, Debug)]
+pub struct TracePoint {
+    /// Series label (legend entry).
+    pub label: String,
+    /// X value (bins, cores, …).
+    pub x: u32,
+    /// The per-point synchronization analysis.
+    pub analysis: SyncAnalysis,
+}
+
+impl TracePoint {
+    /// Bundles one measured point's analysis.
+    #[must_use]
+    pub fn new(label: impl Into<String>, x: u32, analysis: SyncAnalysis) -> TracePoint {
+        TracePoint {
+            label: label.into(),
+            x,
+            analysis,
+        }
+    }
+}
+
+/// Writes the figure-level trace artifact `<dir>/<fig>.trace.csv`: one
+/// row per sweep point with the lock-handoff latency distribution
+/// (count, p50, p99, max) and wait-queue occupancy (max, mean) derived
+/// from the point's event stream — per-handoff evidence to sit next to
+/// the throughput figure CSV.
+///
+/// # Errors
+///
+/// Returns [`BenchError::Io`] when the directory or file cannot be
+/// written.
+pub fn write_trace_csv(
+    dir: &Path,
+    fig: &str,
+    points: &[TracePoint],
+) -> Result<PathBuf, BenchError> {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.label.clone(),
+                p.x.to_string(),
+                p.analysis.handoff.count.to_string(),
+                p.analysis.handoff.p50.to_string(),
+                p.analysis.handoff.p99.to_string(),
+                p.analysis.handoff.max.to_string(),
+                p.analysis.occupancy.max.to_string(),
+                format!("{:.4}", p.analysis.occupancy.mean),
+            ]
+        })
+        .collect();
+    write_csv(
+        dir,
+        &format!("{fig}.trace"),
+        &[
+            "series",
+            "x",
+            "handoffs",
+            "handoff_p50",
+            "handoff_p99",
+            "handoff_max",
+            "occupancy_max",
+            "occupancy_mean",
+        ],
+        &rows,
+    )
+}
+
+/// Writes rows as `<dir>/<name>.csv`, creating the directory.
+///
+/// # Errors
+///
+/// Returns [`BenchError::Io`] when the directory or file cannot be written.
+pub fn write_csv(
+    dir: &Path,
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> Result<PathBuf, BenchError> {
+    std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
+        path: dir.display().to_string(),
+        source,
+    })?;
+    let mut text = header.join(",");
+    text.push('\n');
+    for row in rows {
+        text.push_str(&row.join(","));
+        text.push('\n');
+    }
+    let path = dir.join(format!("{name}.csv"));
+    std::fs::write(&path, text).map_err(|source| BenchError::Io {
+        path: path.display().to_string(),
+        source,
+    })?;
+    eprintln!("wrote {}", path.display());
+    Ok(path)
+}
+
+/// Renders a markdown table.
+#[must_use]
+pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "| {} |", header.join(" | "));
+    let _ = writeln!(
+        out,
+        "|{}|",
+        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
+    for row in rows {
+        let _ = writeln!(out, "| {} |", row.join(" | "));
+    }
+    out
+}
+
+/// Formats a throughput in the paper's updates-per-cycle style.
+#[must_use]
+pub fn fmt_tp(v: f64) -> String {
+    format!("{v:.4}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::Experiment;
+    use lrscwait_core::SyncArch;
+    use lrscwait_kernels::{HistImpl, HistogramKernel};
+    use lrscwait_sim::SimConfig;
+
+    #[test]
+    fn markdown_rendering() {
+        let md = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
+        assert!(md.contains("| a | b |"));
+        assert!(md.contains("| 1 | 2 |"));
+    }
+
+    #[test]
+    fn profile_artifact_self_validates() {
+        use lrscwait_trace::json;
+        let cfg = SimConfig::builder()
+            .cores(4)
+            .arch(SyncArch::Lrsc)
+            .build()
+            .unwrap();
+        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
+        let m = Experiment::new(&kernel, cfg).x(4).profiled().run().unwrap();
+        let profile = m.profile.as_ref().expect("profiled run carries a profile");
+        let phase_sum: u64 = profile.phases.iter().map(|s| s.ns).sum();
+        assert_eq!(
+            phase_sum, profile.sampled_ns,
+            "contiguous laps: phase times must sum to the sampled total"
+        );
+        assert!(
+            profile.sampled_ns <= profile.wall_ns,
+            "sampled time cannot exceed the run-loop wall time"
+        );
+
+        let dir = std::env::temp_dir().join(format!("lrscwait-profile-{}", std::process::id()));
+        // A label is caller-chosen text: quotes and backslashes must
+        // survive the round trip through the artifact.
+        let quoted = Measurement {
+            label: r#"he said "hi"\"#.to_string(),
+            ..m.clone()
+        };
+        let path = write_profile_json(&dir, "unit", &[m.clone(), quoted.clone()])
+            .unwrap()
+            .expect("a profiled measurement must produce the artifact");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = json::parse(&text).expect("profile set must be valid JSON");
+        assert_eq!(
+            doc.get("schema").and_then(json::Json::as_str),
+            Some("lrscwait.profile-set.v2")
+        );
+        let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
+        assert_eq!(points.len(), 2);
+        assert_eq!(
+            points[1].get("label").and_then(json::Json::as_str),
+            Some(quoted.label.as_str())
+        );
+        let agg = doc.get("aggregate").expect("aggregate present");
+        assert_eq!(
+            agg.get("schema").and_then(json::Json::as_str),
+            Some("lrscwait.profile.v2")
+        );
+        // The embedded phase entries must re-sum to the sampled total.
+        let phases = agg.get("phases").and_then(json::Json::as_arr).unwrap();
+        assert_eq!(phases.len(), lrscwait_telemetry::NUM_PHASES);
+        let json_sum: f64 = phases
+            .iter()
+            .filter_map(|p| p.get("ns").and_then(json::Json::as_f64))
+            .sum();
+        let sampled = agg.get("sampled_ns").and_then(json::Json::as_f64).unwrap();
+        assert!((json_sum - sampled).abs() < 0.5, "{json_sum} vs {sampled}");
+
+        // Un-profiled measurements produce no artifact at all.
+        let plain = Experiment::new(
+            &kernel,
+            SimConfig::builder()
+                .cores(4)
+                .arch(SyncArch::Lrsc)
+                .build()
+                .unwrap(),
+        )
+        .x(4)
+        .run()
+        .unwrap();
+        assert!(
+            write_profile_json(&dir, "none", std::slice::from_ref(&plain))
+                .unwrap()
+                .is_none()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_csv_has_handoff_percentiles_per_point() {
+        let arch = SyncArch::Colibri { queues: 4 };
+        let cfg = SimConfig::builder().cores(4).arch(arch).build().unwrap();
+        let kernel = HistogramKernel::new(HistImpl::LrscWait, 1, 8, 4);
+        let (m, analysis) = Experiment::new(&kernel, cfg).x(1).analyzed().unwrap();
+        assert!(analysis.handoff.count > 0, "contended run must hand off");
+        let dir = std::env::temp_dir().join(format!("lrscwait-tracecsv-{}", std::process::id()));
+        let points = vec![TracePoint::new(m.label.clone(), m.x, analysis.clone())];
+        let path = write_trace_csv(&dir, "figX", &points).unwrap();
+        assert!(path.ends_with("figX.trace.csv"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some(
+                "series,x,handoffs,handoff_p50,handoff_p99,handoff_max,\
+                 occupancy_max,occupancy_mean"
+            )
+        );
+        let row = lines.next().expect("one data row");
+        assert!(
+            row.starts_with(&format!("{},1,{}", m.label, analysis.handoff.count)),
+            "{row}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
