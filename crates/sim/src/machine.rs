@@ -846,7 +846,41 @@ impl Machine {
         // across the `&mut self` phase bodies; committed at the end.
         let mut clock = self.profiler.begin_cycle();
 
-        // Phase 1a: advance the request network.
+        self.req_net_advance(now);
+        clock.lap(Phase::ReqNetAdvance);
+        // A cycle that delivered nothing has nothing to service.
+        if !self.req_buf.is_empty() {
+            self.bank_service(now);
+            clock.lap(Phase::BankService);
+        }
+        self.bank_flush(now);
+        clock.lap(Phase::BankFlush);
+        self.resp_net_advance(now);
+        clock.lap(Phase::RespNetAdvance);
+        self.resp_delivery(now);
+        clock.lap(Phase::RespDelivery);
+        // With nothing runnable the production stepper has no core to
+        // visit.
+        if event_scheduled {
+            self.readmit_ready_cores(now);
+        }
+        if !(event_scheduled && self.runnable.is_empty()) {
+            let stepped = self.core_step(now);
+            clock.lap(Phase::CoreStep);
+            stepped?;
+        }
+        self.barrier_release(now);
+        clock.lap(Phase::BarrierRelease);
+        if !(event_scheduled && self.dirty_cores.is_empty()) {
+            self.core_flush(now);
+        }
+        clock.lap(Phase::CoreFlush);
+        self.profiler.commit(&clock);
+        Ok(())
+    }
+
+    /// Phase 1a: advance the request network.
+    fn req_net_advance(&mut self, now: u64) {
         let mut req_buf = std::mem::take(&mut self.req_buf);
         req_buf.clear();
         net_advance(
@@ -856,36 +890,37 @@ impl Machine {
             now,
             &mut req_buf,
         );
-        clock.lap(Phase::ReqNetAdvance);
-
-        // Phase 1b: service the delivered requests, grouped by destination
-        // bank and processed in (bank id, delivery index) order. Within a
-        // bank, delivery order is preserved (the per-(core, bank) FIFO
-        // Colibri relies on). A cycle that delivered nothing has nothing
-        // to service.
-        if !req_buf.is_empty() {
-            self.req_order.clear();
-            self.req_order
-                .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
-            self.req_order.sort_unstable();
-            self.chaos_evict_before_service(&req_buf, now);
-            phases::service_banks(
-                &mut self.banks,
-                &mut self.adapters,
-                &mut self.bank_outbox,
-                &mut self.dirty_banks,
-                &req_buf,
-                &self.req_order,
-                &mut self.adapter_out,
-                &mut self.tracer,
-                now,
-            );
-            clock.lap(Phase::BankService);
-        }
         self.req_buf = req_buf;
+    }
 
-        // Phase 2: flush bank outboxes into the response network, in bank
-        // id order.
+    /// Phase 1b: service the delivered requests, grouped by destination
+    /// bank and processed in (bank id, delivery index) order. Within a
+    /// bank, delivery order is preserved (the per-(core, bank) FIFO
+    /// Colibri relies on).
+    fn bank_service(&mut self, now: u64) {
+        let req_buf = std::mem::take(&mut self.req_buf);
+        self.req_order.clear();
+        self.req_order
+            .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
+        self.req_order.sort_unstable();
+        self.chaos_evict_before_service(&req_buf, now);
+        phases::service_banks(
+            &mut self.banks,
+            &mut self.adapters,
+            &mut self.bank_outbox,
+            &mut self.dirty_banks,
+            &req_buf,
+            &self.req_order,
+            &mut self.adapter_out,
+            &mut self.tracer,
+            now,
+        );
+        self.req_buf = req_buf;
+    }
+
+    /// Phase 2: flush bank outboxes into the response network, in bank
+    /// id order.
+    fn bank_flush(&mut self, now: u64) {
         let mut next = self.dirty_banks.next_from(0);
         while let Some(bank) = next {
             while let Some(&msg) = self.bank_outbox[bank as usize].front() {
@@ -937,9 +972,10 @@ impl Machine {
             }
             next = self.dirty_banks.next_from(bank + 1);
         }
-        clock.lap(Phase::BankFlush);
+    }
 
-        // Phase 3: responses reach cores (through their Qnodes).
+    /// Phase 3a: advance the response network.
+    fn resp_net_advance(&mut self, now: u64) {
         let mut resp_buf = std::mem::take(&mut self.resp_buf);
         resp_buf.clear();
         net_advance(
@@ -949,7 +985,12 @@ impl Machine {
             now,
             &mut resp_buf,
         );
-        clock.lap(Phase::RespNetAdvance);
+        self.resp_buf = resp_buf;
+    }
+
+    /// Phase 3b: responses reach cores (through their Qnodes).
+    fn resp_delivery(&mut self, now: u64) {
+        let resp_buf = std::mem::take(&mut self.resp_buf);
         for msg in &resp_buf {
             let c = msg.core as usize;
             let output = self.qnodes[c].on_response(msg.resp);
@@ -974,86 +1015,73 @@ impl Machine {
             }
         }
         self.resp_buf = resp_buf;
-        clock.lap(Phase::RespDelivery);
+    }
 
-        // Phase 4: step the cores (production stepper: the runnable set,
-        // superblocks where the pc enters one; reference: every core with
-        // eager parked accounting). With nothing runnable the production
-        // stepper has no core to visit.
+    /// Phase 4: step the cores (production stepper: the runnable set,
+    /// superblocks where the pc enters one; reference: every core with
+    /// eager parked accounting).
+    fn core_step(&mut self, now: u64) -> Result<(), SimError> {
+        // Superblocks may run ahead to the run loop's horizon; outside
+        // `run`/`run_until` the horizon collapses to `now` (exactly one
+        // instruction per visit, like the reference stepper).
+        let horizon = self.step_limit.max(now);
+        let mut ctx = CorePhase {
+            cores: &mut self.cores,
+            qnodes: &mut self.qnodes,
+            core_outbox: &mut self.core_outbox,
+            park_kind: &mut self.park_kind,
+            program: &self.program,
+            cfg: &self.cfg,
+            num_banks: self.banks.len() as u32,
+            halted: &mut self.halted,
+            barrier_waiting: &mut self.barrier_waiting,
+            debug_log: &mut self.debug_log,
+            dirty_cores: &mut self.dirty_cores,
+        };
+        let stepped = match self.translation.as_deref() {
+            Some(translation) => phases::step_translated_cores(
+                &mut ctx,
+                translation,
+                &mut self.runnable,
+                &mut self.ready_queue,
+                now,
+                horizon,
+                &mut self.tracer,
+            ),
+            None => phases::step_all_cores(&mut ctx, now, &mut self.tracer),
+        };
+        stepped
+    }
+
+    /// Phase 5: flush core outboxes into the request network. The start
+    /// index rotates each cycle so no core gets static injection
+    /// priority (round-robin arbitration, as in the real fabric).
+    fn core_flush(&mut self, now: u64) {
+        let event_scheduled = self.cfg.exec_mode.event_scheduled();
+        let n = self.cores.len() as u32;
+        let start = match &self.chaos {
+            Chaos::On(state) if state.plan.perturb_arbitration => {
+                state.plan.arbitration_start(now, u64::from(n)) as u32
+            }
+            _ => (now % u64::from(n)) as u32,
+        };
         if event_scheduled {
-            self.readmit_ready_cores(now);
-        }
-        if !(event_scheduled && self.runnable.is_empty()) {
-            // Superblocks may run ahead to the run loop's horizon; outside
-            // `run`/`run_until` the horizon collapses to `now` (exactly one
-            // instruction per visit, like the reference stepper).
-            let horizon = self.step_limit.max(now);
-            let mut ctx = CorePhase {
-                cores: &mut self.cores,
-                qnodes: &mut self.qnodes,
-                core_outbox: &mut self.core_outbox,
-                park_kind: &mut self.park_kind,
-                program: &self.program,
-                cfg: &self.cfg,
-                num_banks: self.banks.len() as u32,
-                halted: &mut self.halted,
-                barrier_waiting: &mut self.barrier_waiting,
-                debug_log: &mut self.debug_log,
-                dirty_cores: &mut self.dirty_cores,
-            };
-            let stepped = match self.translation.as_deref() {
-                Some(translation) => phases::step_translated_cores(
-                    &mut ctx,
-                    translation,
-                    &mut self.runnable,
-                    &mut self.ready_queue,
-                    now,
-                    horizon,
-                    &mut self.tracer,
-                ),
-                None => phases::step_all_cores(&mut ctx, now, &mut self.tracer),
-            };
-            clock.lap(Phase::CoreStep);
-            stepped?;
-        }
-
-        // Barrier release: its own sub-phase after the walk, so the
-        // accounting is independent of the stepping order.
-        self.release_barrier_if_ready(now);
-        clock.lap(Phase::BarrierRelease);
-
-        // Phase 5: flush core outboxes into the request network. The start
-        // index rotates each cycle so no core gets static injection
-        // priority (round-robin arbitration, as in the real fabric).
-        if !(event_scheduled && self.dirty_cores.is_empty()) {
-            let n = self.cores.len() as u32;
-            let start = match &self.chaos {
-                Chaos::On(state) if state.plan.perturb_arbitration => {
-                    state.plan.arbitration_start(now, u64::from(n)) as u32
-                }
-                _ => (now % u64::from(n)) as u32,
-            };
-            if event_scheduled {
-                // From core `start` upwards, then the cores below it.
-                for (lo, hi) in [(start, n), (0, start)] {
-                    let mut next = self.dirty_cores.next_from(lo);
-                    while let Some(c) = next.filter(|&c| c < hi) {
-                        self.drain_core_outbox(c as usize, now);
-                        if self.core_outbox[c as usize].is_empty() {
-                            self.dirty_cores.remove(c);
-                        }
-                        next = self.dirty_cores.next_from(c + 1);
+            // From core `start` upwards, then the cores below it.
+            for (lo, hi) in [(start, n), (0, start)] {
+                let mut next = self.dirty_cores.next_from(lo);
+                while let Some(c) = next.filter(|&c| c < hi) {
+                    self.drain_core_outbox(c as usize, now);
+                    if self.core_outbox[c as usize].is_empty() {
+                        self.dirty_cores.remove(c);
                     }
-                }
-            } else {
-                for i in 0..n {
-                    self.drain_core_outbox(((start + i) % n) as usize, now);
+                    next = self.dirty_cores.next_from(c + 1);
                 }
             }
+        } else {
+            for i in 0..n {
+                self.drain_core_outbox(((start + i) % n) as usize, now);
+            }
         }
-        clock.lap(Phase::CoreFlush);
-        self.profiler.commit(&clock);
-        Ok(())
     }
 
     /// Chaos eviction pre-pass (before bank service): walks the service
@@ -1204,7 +1232,7 @@ impl Machine {
     /// barrier cycles, exactly what the reference's eager
     /// one-per-Phase-4-visit counting adds up to, and re-enters the
     /// runnable set with `ready_at = now + 1`.
-    fn release_barrier_if_ready(&mut self, now: u64) {
+    fn barrier_release(&mut self, now: u64) {
         let running = self.cores.len() - self.halted;
         if running > 0 && self.barrier_waiting == running {
             let event_driven = self.cfg.exec_mode.event_scheduled();
