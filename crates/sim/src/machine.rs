@@ -118,9 +118,13 @@
 //! events. Tracing is an *observer, never a steering input*: results are
 //! bit-identical with and without a sink, and the event stream itself is
 //! identical across execution modes (enforced by
-//! `crates/sim/tests/tracing.rs`). With no sink attached — the default —
-//! the phase bodies are monomorphized over a no-op trace context, so
-//! untraced runs pay no per-step tracing branch at all.
+//! `crates/sim/tests/tracing.rs`). There is one stepper, traced or not:
+//! every emit site is `tracer.emit(now, || TraceEvent::…)`, which with no
+//! sink attached — the default — is one predictable branch that never
+//! builds the event (`crates/sim/tests/alloc_free.rs` proves the untraced
+//! cycle allocation-free). The two observers that take a callback instead
+//! of returning events, [`SyncAdapter::handle`] and [`Network::advance`] /
+//! `try_send`, are called in their untraced form while the tracer is off.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -492,9 +496,9 @@ impl Machine {
     ///
     /// Tracing never perturbs simulation: cycle counts, statistics and
     /// memory contents are bit-identical with and without a sink (the
-    /// sink only observes). With no sink attached (the default) the phase
-    /// bodies are monomorphized over a no-op context — the differential
-    /// and counting-allocator suites run untraced and prove the hot path
+    /// sink only observes). With no sink attached (the default) every emit
+    /// site is one untaken branch — the differential and
+    /// counting-allocator suites run untraced and prove the hot path
     /// unchanged.
     ///
     /// To read results back after [`Machine::run`], hand in a
@@ -881,16 +885,14 @@ impl Machine {
 
     /// Phase 1a: advance the request network.
     fn req_net_advance(&mut self, now: u64) {
-        let mut req_buf = std::mem::take(&mut self.req_buf);
-        req_buf.clear();
+        self.req_buf.clear();
         net_advance(
             &mut self.req_net,
             &mut self.tracer,
             NetDir::Request,
             now,
-            &mut req_buf,
+            &mut self.req_buf,
         );
-        self.req_buf = req_buf;
     }
 
     /// Phase 1b: service the delivered requests, grouped by destination
@@ -976,16 +978,14 @@ impl Machine {
 
     /// Phase 3a: advance the response network.
     fn resp_net_advance(&mut self, now: u64) {
-        let mut resp_buf = std::mem::take(&mut self.resp_buf);
-        resp_buf.clear();
+        self.resp_buf.clear();
         net_advance(
             &mut self.resp_net,
             &mut self.tracer,
             NetDir::Response,
             now,
-            &mut resp_buf,
+            &mut self.resp_buf,
         );
-        self.resp_buf = resp_buf;
     }
 
     /// Phase 3b: responses reach cores (through their Qnodes).
@@ -1037,6 +1037,7 @@ impl Machine {
             barrier_waiting: &mut self.barrier_waiting,
             debug_log: &mut self.debug_log,
             dirty_cores: &mut self.dirty_cores,
+            tracer: &mut self.tracer,
         };
         let stepped = match self.translation.as_deref() {
             Some(translation) => phases::step_translated_cores(
@@ -1046,9 +1047,8 @@ impl Machine {
                 &mut self.ready_queue,
                 now,
                 horizon,
-                &mut self.tracer,
             ),
-            None => phases::step_all_cores(&mut ctx, now, &mut self.tracer),
+            None => phases::step_all_cores(&mut ctx, now),
         };
         stepped
     }

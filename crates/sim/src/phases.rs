@@ -9,14 +9,13 @@
 //! contracts are the simulated machine's own: requests are serviced in
 //! `(bank, delivery index)` order, cores step in ascending id.
 //!
-//! # Tracing without branches
+//! # Tracing
 //!
-//! Both phase bodies are generic over a [`TraceCtx`]: the untraced
-//! instantiation ([`NoTrace`]) compiles every emit site to nothing, so the
-//! hot loop carries no per-step `is_off()` branch (one branch per *phase*
-//! per cycle selects the instantiation). The traced instantiation
-//! ([`SinkTrace`]) hands each event to the machine's sink, stamped with the
-//! current cycle.
+//! Every emit site is `tracer.emit(now, || TraceEvent::…)`, the same idiom
+//! `Machine` uses at its own sites: with [`Tracer::Off`] that is one
+//! predictable branch and the event is never built. Bank service picks
+//! [`SyncAdapter::handle`] over `handle_traced` when the tracer is off, so
+//! an untraced adapter is never handed an observer at all.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -78,43 +77,6 @@ impl WordStorage for BankView<'_> {
     }
 }
 
-/// Trace-emission context a phase body is monomorphized over.
-///
-/// [`NoTrace`] (untraced runs) compiles every emit site away; [`SinkTrace`]
-/// records into the machine's sink. Either way the phase body itself
-/// contains no per-event `is_off()` branch.
-trait TraceCtx {
-    /// Whether events are recorded (drives the few sites that maintain
-    /// trace-only side state, e.g. the park-cause table).
-    const ENABLED: bool;
-    /// Emits one event; the constructor is never evaluated when disabled.
-    fn emit(&mut self, event: impl FnOnce() -> TraceEvent);
-}
-
-/// The zero-cost untraced context.
-struct NoTrace;
-
-impl TraceCtx for NoTrace {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn emit(&mut self, _event: impl FnOnce() -> TraceEvent) {}
-}
-
-/// Recording trace context: events go to the attached sink at cycle `now`,
-/// in emission order (ascending bank/core id).
-struct SinkTrace<'a> {
-    tracer: &'a mut Tracer,
-    now: u64,
-}
-
-impl TraceCtx for SinkTrace<'_> {
-    const ENABLED: bool = true;
-    #[inline]
-    fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        self.tracer.emit(self.now, event);
-    }
-}
-
 /// Services every delivered request in bank-id order (and, within one
 /// bank, in delivery order): the adapter performs its side effects on the
 /// bank words and appends responses to the bank's outbox, which joins
@@ -135,42 +97,6 @@ pub(crate) fn service_banks(
     tracer: &mut Tracer,
     now: u64,
 ) {
-    if tracer.is_off() {
-        service_banks_inner(
-            banks,
-            adapters,
-            bank_outbox,
-            dirty_banks,
-            reqs,
-            order,
-            adapter_out,
-            &mut NoTrace,
-        );
-    } else {
-        service_banks_inner(
-            banks,
-            adapters,
-            bank_outbox,
-            dirty_banks,
-            reqs,
-            order,
-            adapter_out,
-            &mut SinkTrace { tracer, now },
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn service_banks_inner<T: TraceCtx>(
-    banks: &mut [Vec<u32>],
-    adapters: &mut [Box<dyn SyncAdapter>],
-    bank_outbox: &mut [VecDeque<RespMsg>],
-    dirty_banks: &mut IdSet,
-    reqs: &[ReqMsg],
-    order: &[(u32, u32)],
-    adapter_out: &mut Vec<(u32, MemResponse)>,
-    trace: &mut T,
-) {
     let num_banks = banks.len() as u32;
     for &(bank, idx) in order {
         let msg = &reqs[idx as usize];
@@ -182,12 +108,12 @@ fn service_banks_inner<T: TraceCtx>(
             bank,
         };
         adapter_out.clear();
-        if T::ENABLED {
-            adapters[b].handle_traced(msg.src, &msg.req, &mut view, adapter_out, &mut |event| {
-                trace.emit(|| TraceEvent::Sync { bank, event });
-            });
-        } else {
+        if tracer.is_off() {
             adapters[b].handle(msg.src, &msg.req, &mut view, adapter_out);
+        } else {
+            adapters[b].handle_traced(msg.src, &msg.req, &mut view, adapter_out, &mut |event| {
+                tracer.emit(now, || TraceEvent::Sync { bank, event });
+            });
         }
         let outbox = &mut bank_outbox[b];
         if outbox.is_empty() && !adapter_out.is_empty() {
@@ -219,6 +145,7 @@ pub(crate) struct CorePhase<'a> {
     pub barrier_waiting: &'a mut usize,
     pub debug_log: &'a mut Vec<(u64, u32, u32)>,
     pub dirty_cores: &'a mut IdSet,
+    pub tracer: &'a mut Tracer,
 }
 
 /// Steps the runnable set in ascending core id (the production stepper):
@@ -233,7 +160,6 @@ pub(crate) struct CorePhase<'a> {
 ///
 /// Returns the first fatal error in core order and stops stepping; the
 /// unstepped tail simply stays in the set (post-mortem state).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
@@ -241,29 +167,10 @@ pub(crate) fn step_translated_cores(
     ready_queue: &mut BinaryHeap<Reverse<(u64, u32)>>,
     now: u64,
     horizon: u64,
-    tracer: &mut Tracer,
-) -> Result<(), SimError> {
-    if tracer.is_off() {
-        let trace = &mut NoTrace;
-        walk_translated(ctx, translation, runnable, ready_queue, now, horizon, trace)
-    } else {
-        let trace = &mut SinkTrace { tracer, now };
-        walk_translated(ctx, translation, runnable, ready_queue, now, horizon, trace)
-    }
-}
-
-fn walk_translated<T: TraceCtx>(
-    ctx: &mut CorePhase<'_>,
-    translation: &Translation,
-    runnable: &mut IdSet,
-    ready_queue: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    now: u64,
-    horizon: u64,
-    trace: &mut T,
 ) -> Result<(), SimError> {
     let mut next = runnable.next_from(0);
     while let Some(c) = next {
-        let result = ctx.step_core_translated(c, translation, now, horizon, trace);
+        let result = ctx.step_core_translated(c, translation, now, horizon);
         // The state check runs even for a faulting core: a core that is
         // still `Running` after its fatal error (e.g. a breakpoint)
         // stays in the set, like every other observable of the
@@ -291,26 +198,14 @@ fn walk_translated<T: TraceCtx>(
 /// # Errors
 ///
 /// Returns the first fatal error in core order and stops stepping.
-pub(crate) fn step_all_cores(
-    ctx: &mut CorePhase<'_>,
-    now: u64,
-    tracer: &mut Tracer,
-) -> Result<(), SimError> {
-    if tracer.is_off() {
-        walk_all(ctx, now, &mut NoTrace)
-    } else {
-        walk_all(ctx, now, &mut SinkTrace { tracer, now })
-    }
-}
-
-fn walk_all<T: TraceCtx>(ctx: &mut CorePhase<'_>, now: u64, trace: &mut T) -> Result<(), SimError> {
+pub(crate) fn step_all_cores(ctx: &mut CorePhase<'_>, now: u64) -> Result<(), SimError> {
     for c in 0..ctx.cores.len() as u32 {
         let core = &mut ctx.cores[c as usize];
         match core.state {
             CoreState::Halted => {}
             CoreState::Barrier => core.stats.barrier_cycles += 1,
             CoreState::WaitingMem => core.stats.sleep_cycles += 1,
-            CoreState::Running => ctx.step_running_core(c, now, trace)?,
+            CoreState::Running => ctx.step_running_core(c, now)?,
         }
     }
     Ok(())
@@ -329,19 +224,14 @@ impl CorePhase<'_> {
     }
 
     /// Steps one core known to be in [`CoreState::Running`].
-    fn step_running_core<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        now: u64,
-        trace: &mut T,
-    ) -> Result<(), SimError> {
+    fn step_running_core(&mut self, c: u32, now: u64) -> Result<(), SimError> {
         let i = c as usize;
         if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
             self.cores[i].stats.stall_cycles += 1;
             return Ok(());
         }
         self.cores[i].stats.active_cycles += 1;
-        self.interp_step(c, now, trace)
+        self.interp_step(c, now)
     }
 
     /// Steps one runnable core in translated mode. Scheduling guards are
@@ -350,13 +240,12 @@ impl CorePhase<'_> {
     /// re-charged as per-visit stalls. A pc with a superblock entry runs
     /// the block; boundary instructions (and out-of-text pcs, which must
     /// fault exactly like the interpreter) take the interpreter path.
-    fn step_core_translated<T: TraceCtx>(
+    fn step_core_translated(
         &mut self,
         c: u32,
         translation: &Translation,
         now: u64,
         horizon: u64,
-        trace: &mut T,
     ) -> Result<(), SimError> {
         let i = c as usize;
         if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
@@ -377,18 +266,13 @@ impl CorePhase<'_> {
             return Ok(());
         }
         self.cores[i].stats.active_cycles += 1;
-        self.interp_step(c, now, trace)
+        self.interp_step(c, now)
     }
 
     /// Executes exactly one instruction on core `c` through the decoded-
     /// instruction interpreter and applies its action. Shared tail of
     /// [`Self::step_running_core`] and [`Self::step_core_translated`].
-    fn interp_step<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        now: u64,
-        trace: &mut T,
-    ) -> Result<(), SimError> {
+    fn interp_step(&mut self, c: u32, now: u64) -> Result<(), SimError> {
         let i = c as usize;
         let action = {
             let program = self.program;
@@ -417,31 +301,25 @@ impl CorePhase<'_> {
         match action {
             Action::Done => Ok(()),
             Action::Halt => {
-                self.halt_core(c, trace);
+                self.halt_core(c, now);
                 Ok(())
             }
-            Action::Mem(intent) => self.apply_intent(c, intent, now, trace),
+            Action::Mem(intent) => self.apply_intent(c, intent, now),
         }
     }
 
     /// Marks a core halted. The barrier-release check this may enable runs
     /// in the machine's sequential sub-phase after the stepping walk.
-    fn halt_core<T: TraceCtx>(&mut self, c: u32, trace: &mut T) {
+    fn halt_core(&mut self, c: u32, now: u64) {
         let i = c as usize;
         if self.cores[i].state != CoreState::Halted {
             self.cores[i].state = CoreState::Halted;
             *self.halted += 1;
-            trace.emit(|| TraceEvent::Halt { core: c });
+            self.tracer.emit(now, || TraceEvent::Halt { core: c });
         }
     }
 
-    fn apply_intent<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        intent: MemIntent,
-        now: u64,
-        trace: &mut T,
-    ) -> Result<(), SimError> {
+    fn apply_intent(&mut self, c: u32, intent: MemIntent, now: u64) -> Result<(), SimError> {
         let i = c as usize;
         match intent {
             MemIntent::Fence => {
@@ -491,14 +369,14 @@ impl CorePhase<'_> {
                 self.cores[i].state = CoreState::WaitingMem;
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
-                self.emit_park(c, OpKind::Load, trace);
-                self.push_request(c, MemRequest::Load { addr: addr & !3 }, trace);
+                self.emit_park(c, OpKind::Load, now);
+                self.push_request(c, MemRequest::Load { addr: addr & !3 }, now);
                 Ok(())
             }
             MemIntent::Store { addr, value, width } => {
                 if (MMIO_BASE..MMIO_BASE + MMIO_SIZE).contains(&addr) {
                     self.cores[i].pc += 4;
-                    self.mmio_write(c, addr - MMIO_BASE, value, now, trace);
+                    self.mmio_write(c, addr - MMIO_BASE, value, now);
                     return Ok(());
                 }
                 if addr >= self.cfg.spm_bytes {
@@ -521,7 +399,7 @@ impl CorePhase<'_> {
                         value: lane_value,
                         mask,
                     },
-                    trace,
+                    now,
                 );
                 Ok(())
             }
@@ -575,8 +453,8 @@ impl CorePhase<'_> {
                 self.cores[i].state = CoreState::WaitingMem;
                 self.cores[i].parked_at = now;
                 self.cores[i].pc += 4;
-                self.emit_park(c, amo_op_kind(op), trace);
-                self.push_request(c, req, trace);
+                self.emit_park(c, amo_op_kind(op), now);
+                self.push_request(c, req, now);
                 Ok(())
             }
         }
@@ -586,20 +464,18 @@ impl CorePhase<'_> {
     /// for the later wake event. The cause is recorded unconditionally so
     /// that machine state (and hence snapshots) does not depend on whether
     /// tracing is enabled; only the event emission is gated.
-    fn emit_park<T: TraceCtx>(&mut self, c: u32, kind: OpKind, trace: &mut T) {
+    fn emit_park(&mut self, c: u32, kind: OpKind, now: u64) {
         self.park_kind[c as usize] = kind;
-        if T::ENABLED {
-            trace.emit(|| TraceEvent::Park {
-                core: c,
-                cause: kind,
-            });
-        }
+        self.tracer.emit(now, || TraceEvent::Park {
+            core: c,
+            cause: kind,
+        });
     }
 
-    fn push_request<T: TraceCtx>(&mut self, c: u32, req: MemRequest, trace: &mut T) {
+    fn push_request(&mut self, c: u32, req: MemRequest, now: u64) {
         let wakeup = self.qnodes[c as usize].on_core_request(&req);
         let bank = self.bank_of(req.addr());
-        trace.emit(|| TraceEvent::ReqSent {
+        self.tracer.emit(now, || TraceEvent::ReqSent {
             core: c,
             bank,
             kind: req_kind(&req),
@@ -607,7 +483,7 @@ impl CorePhase<'_> {
         self.push_outbox(c, ReqMsg { src: c, bank, req });
         if let Some(wk) = wakeup {
             let wk_bank = self.bank_of(wk.addr());
-            trace.emit(|| TraceEvent::ReqSent {
+            self.tracer.emit(now, || TraceEvent::ReqSent {
                 core: c,
                 bank: wk_bank,
                 kind: OpKind::WakeUp,
@@ -644,27 +520,21 @@ impl CorePhase<'_> {
         }
     }
 
-    fn mmio_write<T: TraceCtx>(
-        &mut self,
-        c: u32,
-        offset: u32,
-        value: u32,
-        now: u64,
-        trace: &mut T,
-    ) {
+    fn mmio_write(&mut self, c: u32, offset: u32, value: u32, now: u64) {
         let i = c as usize;
         match offset {
-            mmio_reg::EXIT => self.halt_core(c, trace),
+            mmio_reg::EXIT => self.halt_core(c, now),
             mmio_reg::OP_COUNT => self.cores[i].stats.ops += u64::from(value),
             mmio_reg::REGION => {
                 if value != 0 {
                     if self.cores[i].stats.region_start.is_none() {
                         self.cores[i].stats.region_start = Some(now);
                     }
-                    trace.emit(|| TraceEvent::RegionEnter { core: c });
+                    self.tracer
+                        .emit(now, || TraceEvent::RegionEnter { core: c });
                 } else {
                     self.cores[i].stats.region_end = Some(now);
-                    trace.emit(|| TraceEvent::RegionExit { core: c });
+                    self.tracer.emit(now, || TraceEvent::RegionExit { core: c });
                 }
             }
             mmio_reg::BARRIER => {
@@ -675,7 +545,8 @@ impl CorePhase<'_> {
                 self.cores[i].state = CoreState::Barrier;
                 self.cores[i].parked_at = now;
                 *self.barrier_waiting += 1;
-                trace.emit(|| TraceEvent::BarrierArrive { core: c });
+                self.tracer
+                    .emit(now, || TraceEvent::BarrierArrive { core: c });
             }
             mmio_reg::PRINT => self.debug_log.push((now, c, value)),
             _ => {}
