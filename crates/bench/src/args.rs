@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use lrscwait_sim::{ExecMode, SimConfig};
 
 use crate::experiment::{BenchError, Experiment, Measurement};
-use crate::report::write_profile_json;
+use crate::report::{log_throughput, write_profile_json, write_trace_csv};
 use crate::sweep::Sweep;
 
 /// Usage text shared by every figure binary.
@@ -21,19 +21,14 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--trace] [--exec MOD
   --out DIR        results directory (default: results)
   --trace          also attach an analysis sink per sweep point and write
                    <fig>.trace.csv (handoff latency p50/p99/max per point;
-                   fig3 and fig6)
-  --checkpoint FILE  write a machine snapshot to FILE when the run ends
-                   (written even when the watchdog fired, so a saturated
-                   run can be resumed with a larger cycle budget)
-  --resume FILE    restore the machine from a snapshot written by
-                   --checkpoint instead of starting from reset
+                   every simulating binary except fig_latency)
   --profile        enable the host-side phase profiler: every experiment
                    collects per-phase step timings, and the binary writes
                    <fig>.profile.json (results stay bit-identical; host
                    overhead is a few percent)
   --heartbeat SECS  emit a progress line to stderr every SECS seconds
                    per experiment: cycles vs budget, live Mcycles/s,
-                   ETA, checkpoint age
+                   ETA
   --heartbeat-file FILE  also append each heartbeat as an NDJSON record
                    to FILE
   -h, --help       show this help";
@@ -58,16 +53,6 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
         "--trace",
         "",
         "per-point synchronization analysis; writes <fig>.trace.csv",
-    ),
-    (
-        "--checkpoint",
-        "FILE",
-        "write a machine snapshot to FILE when the run ends",
-    ),
-    (
-        "--resume",
-        "FILE",
-        "restore the machine from a --checkpoint snapshot",
     ),
     (
         "--profile",
@@ -150,16 +135,10 @@ pub struct BenchArgs {
     /// Results directory.
     pub out: PathBuf,
     /// Attach an [`AnalysisSink`] per sweep point and emit the
-    /// figure-level `<fig>.trace.csv` artifact (fig3/fig6).
+    /// figure-level `<fig>.trace.csv` artifact.
     ///
     /// [`AnalysisSink`]: lrscwait_trace::AnalysisSink
     pub trace: bool,
-    /// Write a machine snapshot here when the run ends (even on
-    /// watchdog), for later `--resume`.
-    pub checkpoint: Option<PathBuf>,
-    /// Restore the machine from this snapshot instead of starting from
-    /// reset.
-    pub resume: Option<PathBuf>,
     /// Execution-mode override for every experiment the binary runs
     /// (`None`: keep each config's own mode, normally translated).
     pub exec: Option<ExecMode>,
@@ -180,8 +159,6 @@ impl Default for BenchArgs {
             threads: None,
             out: PathBuf::from("results"),
             trace: false,
-            checkpoint: None,
-            resume: None,
             exec: None,
             profile: false,
             heartbeat: None,
@@ -227,18 +204,6 @@ impl BenchArgs {
                     parsed.out = PathBuf::from(value);
                 }
                 "--trace" => parsed.trace = true,
-                "--checkpoint" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--checkpoint needs a file\n{USAGE}"))
-                    })?;
-                    parsed.checkpoint = Some(PathBuf::from(value));
-                }
-                "--resume" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--resume needs a file\n{USAGE}"))
-                    })?;
-                    parsed.resume = Some(PathBuf::from(value));
-                }
                 "--exec" => {
                     let value = it.next().ok_or_else(|| {
                         BenchError::Usage(format!("--exec needs a mode\n{USAGE}"))
@@ -311,8 +276,9 @@ impl BenchArgs {
     }
 
     /// Applies the observability flags to an experiment: `--profile`
-    /// enables the phase profiler, `--heartbeat`/`--heartbeat-file`
-    /// attach the periodic progress line. Figure binaries pass every
+    /// enables the phase profiler, `--trace` the synchronization
+    /// analysis, `--heartbeat`/`--heartbeat-file` attach the periodic
+    /// progress line. Figure binaries pass every
     /// experiment they build through this (like [`configure`] for
     /// configs), so the flags work uniformly across all of them.
     ///
@@ -322,21 +288,30 @@ impl BenchArgs {
         if self.profile {
             exp = exp.profiled();
         }
+        if self.trace {
+            exp = exp.traced();
+        }
         if let Some(secs) = self.heartbeat {
             exp = exp.heartbeat(secs, self.heartbeat_file.clone());
         }
         exp
     }
 
-    /// Writes `<out>/<fig>.profile.json` from a finished sweep's
-    /// measurements when `--profile` was given (no-op otherwise).
+    /// What every simulating binary does with a finished sweep besides
+    /// its own CSV: the one-line throughput report on stderr, then
+    /// `<out>/<fig>.profile.json` under `--profile` and
+    /// `<out>/<fig>.trace.csv` under `--trace`.
     ///
     /// # Errors
     ///
-    /// Returns [`BenchError::Io`] when the artifact cannot be written.
-    pub fn write_profile(&self, fig: &str, measurements: &[Measurement]) -> Result<(), BenchError> {
+    /// Returns [`BenchError::Io`] when an artifact cannot be written.
+    pub fn finish(&self, fig: &str, measurements: &[Measurement]) -> Result<(), BenchError> {
+        log_throughput(fig, measurements.iter().map(|m| (m.cycles, m.host_seconds)));
         if self.profile {
             write_profile_json(&self.out, fig, measurements)?;
+        }
+        if self.trace {
+            write_trace_csv(&self.out, fig, measurements)?;
         }
         Ok(())
     }
@@ -427,10 +402,6 @@ mod tests {
                 "--out",
                 "outdir",
                 "--trace",
-                "--checkpoint",
-                "ckpt.snap",
-                "--resume",
-                "prev.snap",
                 "--exec",
                 "translated",
             ]
@@ -441,11 +412,7 @@ mod tests {
         assert_eq!(args.threads, Some(3));
         assert_eq!(args.out, PathBuf::from("outdir"));
         assert!(args.trace);
-        assert_eq!(args.checkpoint, Some(PathBuf::from("ckpt.snap")));
-        assert_eq!(args.resume, Some(PathBuf::from("prev.snap")));
         assert_eq!(args.exec, Some(ExecMode::Translated));
-        assert!(BenchArgs::parse(["--checkpoint".to_string()]).is_err());
-        assert!(BenchArgs::parse(["--resume".to_string()]).is_err());
         assert!(BenchArgs::parse(["--exec".to_string()]).is_err());
         // `event` named the deleted third mode: rejected like any other
         // unknown value; a near-miss of a live mode gets a suggestion.

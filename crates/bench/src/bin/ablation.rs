@@ -9,9 +9,7 @@
 
 use std::process::ExitCode;
 
-use lrscwait_bench::{
-    fmt_tp, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
-};
+use lrscwait_bench::{fmt_tp, markdown_table, write_csv, BenchArgs, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
 use lrscwait_sim::SimConfig;
@@ -56,11 +54,7 @@ fn run() -> Result<(), BenchError> {
         Ok(m)
     })?;
 
-    log_throughput(
-        "ablation",
-        results.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("ablation", &results)?;
+    args.finish("ablation", &results)?;
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -1,6 +1,5 @@
 //! `checkpoint_smoke` — CI smoke test for machine checkpoint/restore
-//! through the bench harness (`Experiment::checkpoint` / `resume`, i.e.
-//! the `--checkpoint` / `--resume` CLI flags).
+//! through the bench harness (`Experiment::checkpoint` / `resume`).
 //!
 //! The round trip it proves, per architecture:
 //!
@@ -13,12 +12,11 @@
 //! 3. a missing snapshot file fails with a typed I/O error, a malformed
 //!    one with a typed load error — never a panic or a silent fresh run.
 //!
-//! `--checkpoint FILE` overrides where the intermediate snapshots go
-//! (default: `<out>/checkpoint_smoke.<arch>.snap`).
+//! The intermediate snapshots go to `<out>/checkpoint_smoke.<arch>.snap`.
 
 use std::process::ExitCode;
 
-use lrscwait_bench::{check_claim, log_throughput, BenchArgs, BenchError, Experiment};
+use lrscwait_bench::{check_claim, BenchArgs, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
 use lrscwait_sim::SimConfig;
@@ -46,10 +44,7 @@ fn run() -> Result<(), BenchError> {
                 .arch(arch)
                 .build()?,
         );
-        let ckpt = match &args.checkpoint {
-            Some(path) => path.with_extension(format!("{slug}.snap")),
-            None => args.out.join(format!("checkpoint_smoke.{slug}.snap")),
-        };
+        let ckpt = args.out.join(format!("checkpoint_smoke.{slug}.snap"));
 
         // Uninterrupted reference run.
         let base = args
@@ -127,9 +122,5 @@ fn run() -> Result<(), BenchError> {
         measurements.push(resumed);
     }
 
-    log_throughput(
-        "checkpoint_smoke",
-        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("checkpoint_smoke", &measurements)
+    args.finish("checkpoint_smoke", &measurements)
 }

@@ -5,8 +5,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, find_throughput, log_throughput, markdown_table, write_csv, write_trace_csv,
-    BenchArgs, BenchError, Experiment, Measurement, TracePoint,
+    check_claim, find_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
+    Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
@@ -58,46 +58,22 @@ fn run() -> Result<(), BenchError> {
                 .map(move |&b| (label.to_string(), impl_, arch, b))
         })
         .collect();
-    let trace = args.trace;
-    let results = args.sweep("fig3").run(points, |(label, impl_, arch, b)| {
+    let measurements = args.sweep("fig3").run(points, |(label, impl_, arch, b)| {
         let cfg = args.configure(SimConfig::builder().mempool().arch(arch).build()?);
         let num_cores = cfg.topology.num_cores as u32;
         let kernel = HistogramKernel::new(impl_, b, iters, num_cores);
-        let exp = args
+        let m = args
             .instrument(Experiment::new(&kernel, cfg))
             .label(label)
-            .x(b);
-        // With --trace, every point also collects its synchronization
-        // analysis (handoff latency distribution) from the event stream.
-        let (m, analysis) = if trace {
-            let (m, analysis) = exp.analyzed()?;
-            (m, Some(analysis))
-        } else {
-            (exp.run()?, None)
-        };
+            .x(b)
+            .run()?;
         eprintln!(
             "fig3 {} bins={b}: {:.4} updates/cycle",
             m.label, m.throughput
         );
-        Ok((m, analysis))
+        Ok(m)
     })?;
-    let measurements: Vec<Measurement> = results.iter().map(|(m, _)| m.clone()).collect();
-    if trace {
-        let trace_points: Vec<TracePoint> = results
-            .iter()
-            .filter_map(|(m, a)| {
-                a.as_ref()
-                    .map(|a| TracePoint::new(m.label.clone(), m.x, a.clone()))
-            })
-            .collect();
-        write_trace_csv(&args.out, "fig3", &trace_points)?;
-    }
-
-    log_throughput(
-        "fig3",
-        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("fig3", &measurements)?;
+    args.finish("fig3", &measurements)?;
 
     let rows: Vec<Vec<String>> = measurements.iter().map(Measurement::csv_row).collect();
 

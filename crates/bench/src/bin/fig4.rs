@@ -6,8 +6,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, find_throughput, log_throughput, markdown_table, write_csv, BenchArgs, BenchError,
-    Experiment, Measurement,
+    check_claim, find_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
+    Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
@@ -59,11 +59,7 @@ fn run() -> Result<(), BenchError> {
         Ok(m)
     })?;
 
-    log_throughput(
-        "fig4",
-        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("fig4", &measurements)?;
+    args.finish("fig4", &measurements)?;
 
     let rows: Vec<Vec<String>> = measurements.iter().map(Measurement::csv_row).collect();
 

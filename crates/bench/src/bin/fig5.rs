@@ -9,9 +9,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use lrscwait_bench::{
-    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
-};
+use lrscwait_bench::{check_claim, markdown_table, write_csv, BenchArgs, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{MatmulKernel, PollerKind};
 use lrscwait_sim::SimConfig;
@@ -117,12 +115,8 @@ fn run() -> Result<(), BenchError> {
         Ok((p, cycles, m))
     })?;
 
-    log_throughput(
-        "fig5",
-        results.iter().map(|(_, _, m)| (m.cycles, m.host_seconds)),
-    );
-    let fig5_measurements: Vec<_> = results.iter().map(|(_, _, m)| m.clone()).collect();
-    args.write_profile("fig5", &fig5_measurements)?;
+    let measurements: Vec<_> = results.iter().map(|(_, _, m)| m.clone()).collect();
+    args.finish("fig5", &measurements)?;
 
     // Baselines: idle pollers, one per worker count.
     let baseline: HashMap<u32, u64> = results

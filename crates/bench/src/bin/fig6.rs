@@ -5,8 +5,8 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, find_throughput, log_throughput, markdown_table, write_csv, write_trace_csv,
-    BenchArgs, BenchError, Experiment, Measurement, TracePoint,
+    check_claim, find_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
+    Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{QueueImpl, QueueKernel};
@@ -53,8 +53,7 @@ fn run() -> Result<(), BenchError> {
         })
         .collect();
 
-    let trace = args.trace;
-    let results = args
+    let measurements = args
         .sweep("fig6")
         .run(points, |(label, impl_, arch, active)| {
             let cfg = args.configure(
@@ -66,42 +65,18 @@ fn run() -> Result<(), BenchError> {
             );
             // Non-participating cores halt immediately inside the kernel.
             let kernel = QueueKernel::new(impl_, iters, active);
-            let exp = args
+            let m = args
                 .instrument(Experiment::new(&kernel, cfg))
                 .label(label)
-                .x(active);
-            // With --trace, every point also collects its synchronization
-            // analysis (handoff latency distribution) from the event
-            // stream — the per-handoff evidence behind the queue curve.
-            let (m, analysis) = if trace {
-                let (m, analysis) = exp.analyzed()?;
-                (m, Some(analysis))
-            } else {
-                (exp.run()?, None)
-            };
+                .x(active)
+                .run()?;
             eprintln!(
                 "fig6 {} cores={active}: {:.4} accesses/cycle [{:.4}, {:.4}]",
                 m.label, m.throughput, m.lo, m.hi
             );
-            Ok((m, analysis))
+            Ok(m)
         })?;
-    let measurements: Vec<Measurement> = results.iter().map(|(m, _)| m.clone()).collect();
-    if trace {
-        let trace_points: Vec<TracePoint> = results
-            .iter()
-            .filter_map(|(m, a)| {
-                a.as_ref()
-                    .map(|a| TracePoint::new(m.label.clone(), m.x, a.clone()))
-            })
-            .collect();
-        write_trace_csv(&args.out, "fig6", &trace_points)?;
-    }
-
-    log_throughput(
-        "fig6",
-        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("fig6", &measurements)?;
+    args.finish("fig6", &measurements)?;
 
     let rows: Vec<Vec<String>> = measurements.iter().map(Measurement::csv_row).collect();
 

@@ -12,7 +12,7 @@
 //! * radix-2 combining tree of `amoadd` counters, polling release;
 //! * the hardware MMIO barrier (roofline).
 //!
-//! Every point also runs with an [`AnalysisSink`] and a
+//! Every point also runs [`traced`](Experiment::traced) and with a
 //! [`NocHeatmapSink`] attached (tracing never changes results): the study
 //! emits, per point, the per-node delivered / HoL-blocked NoC traffic as
 //! `fig_barriers.heatmap.<impl>_<arch>_c<cores>.csv` — the Fig. 5-style
@@ -36,15 +36,12 @@
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
-    Measurement,
+    check_claim, markdown_table, write_csv, BenchArgs, BenchError, Experiment, Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};
 use lrscwait_sim::SimConfig;
-use lrscwait_trace::{
-    AnalysisSink, NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATMAP_CSV_HEADER,
-};
+use lrscwait_trace::{NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATMAP_CSV_HEADER};
 
 fn main() -> ExitCode {
     lrscwait_bench::run_main("fig_barriers", run)
@@ -134,13 +131,12 @@ fn run() -> Result<(), BenchError> {
                     .build()?,
             );
             let kernel = BarrierKernel::new(impl_, episodes, cores);
-            let analysis = SharedSink::new(AnalysisSink::new());
             let heatmap = SharedSink::new(NocHeatmapSink::new());
             let outcome = args
                 .instrument(Experiment::new(&kernel, cfg))
                 .label(format!("{} on {arch}", impl_.label()))
                 .x(cores)
-                .sink(Box::new(analysis.clone()))
+                .traced()
                 .sink(Box::new(heatmap.clone()))
                 .run();
             let measurement = match outcome {
@@ -159,13 +155,20 @@ fn run() -> Result<(), BenchError> {
                 }
                 Err(e) => return Err(e),
             };
+            let analysis = measurement
+                .analysis
+                .clone()
+                .ok_or(BenchError::MissingMeasurement {
+                    label: measurement.label.clone(),
+                    what: "synchronization analysis",
+                })?;
             let point = Point {
                 measurement,
                 impl_,
                 arch,
                 cores,
                 episodes,
-                analysis: analysis.take().finish(),
+                analysis,
                 heatmap: heatmap.take().finish(),
             };
             // A wait-hardware algorithm on the plain-LRSC adapter runs its
@@ -197,13 +200,7 @@ fn run() -> Result<(), BenchError> {
 
     let barrier_measurements: Vec<Measurement> =
         results.iter().map(|p| p.measurement.clone()).collect();
-    log_throughput(
-        "fig_barriers",
-        barrier_measurements
-            .iter()
-            .map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("fig_barriers", &barrier_measurements)?;
+    args.finish("fig_barriers", &barrier_measurements)?;
 
     // Main figure CSV: one row per (algorithm, arch, cores) point.
     let rows: Vec<Vec<String>> = results

@@ -43,8 +43,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use lrscwait_bench::{
-    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
-    Measurement,
+    check_claim, markdown_table, write_csv, BenchArgs, BenchError, Experiment, Measurement,
 };
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::RcuKernel;
@@ -235,11 +234,7 @@ fn run() -> Result<(), BenchError> {
     )?;
 
     let measurements: Vec<Measurement> = results.iter().map(|p| p.measurement.clone()).collect();
-    log_throughput(
-        "fig_rcu",
-        measurements.iter().map(|m| (m.cycles, m.host_seconds)),
-    );
-    args.write_profile("fig_rcu", &measurements)?;
+    args.finish("fig_rcu", &measurements)?;
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -4,9 +4,7 @@
 
 use std::process::ExitCode;
 
-use lrscwait_bench::{
-    check_claim, log_throughput, markdown_table, write_csv, BenchArgs, BenchError, Experiment,
-};
+use lrscwait_bench::{check_claim, markdown_table, write_csv, BenchArgs, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
 use lrscwait_model::EnergyParams;
@@ -87,13 +85,8 @@ fn run() -> Result<(), BenchError> {
             ))
         },
     )?;
-    log_throughput(
-        "table2",
-        measured.iter().map(|(_, m)| (m.cycles, m.host_seconds)),
-    );
-    let table2_measurements: Vec<_> = measured.iter().map(|(_, m)| m.clone()).collect();
-    args.write_profile("table2", &table2_measurements)?;
-    let measured: Vec<Row> = measured.into_iter().map(|(row, _)| row).collect();
+    let (measured, measurements): (Vec<Row>, Vec<_>) = measured.into_iter().unzip();
+    args.finish("table2", &measurements)?;
 
     let get = |label: &str| -> Result<f64, BenchError> {
         measured

@@ -3,11 +3,13 @@
 //! and print the derived synchronization analysis: lock handoff latency
 //! distribution, wait-queue occupancy, and retry/abort causes.
 //!
-//! One simulation feeds both artifacts through a fan-out sink, the
-//! exported JSON is validated before the process exits, and the event
-//! counts are reconciled against the run's `SimStats` aggregates — a
-//! mismatch is a hard error, so the trace subsystem continuously proves
-//! itself against the counters the figures are built from.
+//! One simulation feeds both artifacts: the Perfetto JSON streams to the
+//! output file as the run produces it (constant host memory, however
+//! long the run), the exported file is read back and validated before the
+//! process exits, and the event counts are reconciled against the run's
+//! `SimStats` aggregates — a mismatch is a hard error, so the trace
+//! subsystem continuously proves itself against the counters the figures
+//! are built from.
 //!
 //! ```sh
 //! cargo run --release -p lrscwait-bench --bin trace -- \
@@ -17,6 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use lrscwait_bench::litmus::parse_arch;
 use lrscwait_bench::{check_claim, write_profile_json, BenchError, Experiment};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{
@@ -24,13 +27,11 @@ use lrscwait_kernels::{
     QueueKernel, Workload,
 };
 use lrscwait_sim::SimConfig;
-use lrscwait_trace::{
-    json, AnalysisSink, FanoutSink, PerfettoSink, SharedSink, StreamingPerfettoSink,
-};
+use lrscwait_trace::{json, PerfettoSink, SharedSink};
 
 const USAGE: &str = "\
 usage: trace [--kernel K] [--impl I] [--arch A] [--cores N] [--iters N]
-             [--max-cycles N] [--out DIR] [--stream] [--profile]
+             [--max-cycles N] [--out DIR] [--profile]
   --kernel K      histogram (default) | queue | matmul | barrier
   --impl I        histogram: amoadd | lrsc | lrscwait (default) | ticket | tas
                              | colibri-lock | mcs
@@ -43,22 +44,20 @@ usage: trace [--kernel K] [--impl I] [--arch A] [--cores N] [--iters N]
                   (default colibri:4)
   --cores N       number of cores (default 16)
   --iters N       per-core iterations (default 16)
-  --max-cycles N  watchdog limit (default 2000000; traced runs buffer
-                  events in memory, so keep this proportionate)
+  --max-cycles N  watchdog limit (default 2000000)
   --out DIR       output directory for the Perfetto JSON (default results)
-  --stream        write the Perfetto JSON incrementally to disk instead of
-                  buffering it (constant memory, no event cap — for
-                  full-scale runs)
   --profile       attach the host-side phase profiler and write
                   trace.profile.json next to the Perfetto export
   -h, --help      show this help";
 
-/// Cap on buffered Perfetto events: a retry-storming kernel × arch pair
-/// can emit several events per core per cycle, and the sink holds one
-/// string per event — without a cap a pathological run exhausts host
-/// memory long before the watchdog fires. Truncation is never silent:
-/// the count is printed and recorded in the document.
-const PERFETTO_EVENT_LIMIT: usize = 2_000_000;
+/// Largest export (in trace-event objects) the JSON self-check reads
+/// back: parsing holds the whole document in memory, which is exactly
+/// what streaming the trace avoids. A longer trace is complete on disk
+/// but reported as "not validated".
+const VALIDATE_EVENT_LIMIT: u64 = 2_000_000;
+
+/// Matrix dimension of `--kernel matmul`.
+const MATMUL_N: u32 = 8;
 
 fn main() -> ExitCode {
     match run() {
@@ -82,7 +81,6 @@ struct TraceArgs {
     iters: u32,
     max_cycles: u64,
     out: PathBuf,
-    stream: bool,
     profile: bool,
 }
 
@@ -90,36 +88,7 @@ fn usage_err(msg: impl std::fmt::Display) -> BenchError {
     BenchError::Usage(format!("{msg}\n{USAGE}"))
 }
 
-fn parse_arch(text: &str) -> Result<SyncArch, BenchError> {
-    let (name, param) = match text.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
-        None => (text, None),
-    };
-    let number = |what: &str| -> Result<usize, BenchError> {
-        param
-            .ok_or_else(|| usage_err(format!("--arch {name} needs `:{what}`")))?
-            .parse::<usize>()
-            .map_err(|_| {
-                usage_err(format!(
-                    "--arch {name}: bad {what} `{}`",
-                    param.unwrap_or("")
-                ))
-            })
-    };
-    match name {
-        "lrsc" => Ok(SyncArch::Lrsc),
-        "ideal" => Ok(SyncArch::LrscWaitIdeal),
-        "lrscwait" => Ok(SyncArch::LrscWait {
-            slots: number("slots")?,
-        }),
-        "colibri" => Ok(SyncArch::Colibri {
-            queues: number("queues")?,
-        }),
-        other => Err(usage_err(format!("unknown --arch `{other}`"))),
-    }
-}
-
-fn parse_args() -> Result<TraceArgs, BenchError> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<TraceArgs, BenchError> {
     let mut parsed = TraceArgs {
         kernel: "histogram".to_string(),
         impl_: None,
@@ -128,10 +97,9 @@ fn parse_args() -> Result<TraceArgs, BenchError> {
         iters: 16,
         max_cycles: 2_000_000,
         out: PathBuf::from("results"),
-        stream: false,
         profile: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
             it.next()
@@ -140,7 +108,7 @@ fn parse_args() -> Result<TraceArgs, BenchError> {
         match arg.as_str() {
             "--kernel" => parsed.kernel = value("--kernel")?,
             "--impl" => parsed.impl_ = Some(value("--impl")?),
-            "--arch" => parsed.arch = parse_arch(&value("--arch")?)?,
+            "--arch" => parsed.arch = parse_arch(&value("--arch")?).map_err(usage_err)?,
             "--cores" => {
                 parsed.cores = value("--cores")?
                     .parse()
@@ -157,7 +125,6 @@ fn parse_args() -> Result<TraceArgs, BenchError> {
                     .map_err(|_| usage_err("--max-cycles: not a count"))?;
             }
             "--out" => parsed.out = PathBuf::from(value("--out")?),
-            "--stream" => parsed.stream = true,
             "--profile" => parsed.profile = true,
             "-h" | "--help" => return Err(BenchError::Help),
             other => return Err(usage_err(format!("unknown flag `{other}`"))),
@@ -185,6 +152,13 @@ fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, String), BenchEr
             // Few bins on purpose: contention is what makes traces worth
             // looking at.
             let bins = (args.cores / 4).max(1);
+            if !bins.is_power_of_two() {
+                return Err(usage_err(format!(
+                    "--kernel histogram uses --cores / 4 bins, which must be a power of two \
+                     (got --cores {})",
+                    args.cores
+                )));
+            }
             Ok((
                 Box::new(HistogramKernel::new(impl_, bins, args.iters, args.cores)),
                 impl_name,
@@ -237,8 +211,20 @@ fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, String), BenchEr
                 )));
             }
             let workers = (args.cores / 2).max(1);
+            if workers > args.cores || MATMUL_N % workers != 0 {
+                return Err(usage_err(format!(
+                    "--kernel matmul splits an {MATMUL_N}x{MATMUL_N} matrix over --cores / 2 \
+                     workers, which must divide {MATMUL_N} (got --cores {})",
+                    args.cores
+                )));
+            }
             Ok((
-                Box::new(MatmulKernel::new(8, workers, args.cores, PollerKind::Idle)),
+                Box::new(MatmulKernel::new(
+                    MATMUL_N,
+                    workers,
+                    args.cores,
+                    PollerKind::Idle,
+                )),
                 "idle-pollers".to_string(),
             ))
         }
@@ -247,7 +233,7 @@ fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, String), BenchEr
 }
 
 fn run() -> Result<(), BenchError> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     let (kernel, impl_name) = build_kernel(&args)?;
     let cfg = SimConfig::builder()
         .cores(args.cores as usize)
@@ -267,60 +253,38 @@ fn run() -> Result<(), BenchError> {
     );
     let path = args.out.join(format!("{name}.json"));
 
-    // One simulation, two artifacts: tee the event stream into the
-    // Perfetto exporter — buffered with a cap by default, streamed to
-    // disk with --stream — and the analysis sink.
-    let analysis = SharedSink::new(AnalysisSink::new());
-    let (measurement, trace_json, truncated, event_count) = if args.stream {
-        let streaming = StreamingPerfettoSink::create(&path).map_err(|source| BenchError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-        let perfetto = SharedSink::new(streaming);
-        let fanout = FanoutSink::new()
-            .with(Box::new(perfetto.clone()))
-            .with(Box::new(analysis.clone()));
-        let mut exp = Experiment::new(kernel.as_ref(), cfg).sink(Box::new(fanout));
-        if args.profile {
-            exp = exp.profiled();
-        }
-        let measurement = exp.run()?;
-        let written = perfetto
-            .with(StreamingPerfettoSink::close)
-            .map_err(|source| BenchError::Io {
-                path: path.display().to_string(),
-                source,
-            })?;
-        // No read-back: loading a full-scale streamed trace into memory
-        // would defeat the sink's constant-memory purpose. Streamed and
-        // buffered output are proven byte-identical by unit test, so the
-        // buffered path's JSON self-check covers this one.
-        (measurement, None, 0, written as usize)
-    } else {
-        let perfetto = SharedSink::new(PerfettoSink::new().with_event_limit(PERFETTO_EVENT_LIMIT));
-        let fanout = FanoutSink::new()
-            .with(Box::new(perfetto.clone()))
-            .with(Box::new(analysis.clone()));
-        let mut exp = Experiment::new(kernel.as_ref(), cfg).sink(Box::new(fanout));
-        if args.profile {
-            exp = exp.profiled();
-        }
-        let measurement = exp.run()?;
-        let exporter = perfetto.take();
-        let count = exporter.len();
-        (
-            measurement,
-            Some(exporter.finish()),
-            exporter.truncated(),
-            count,
-        )
+    // One simulation, two artifacts: the Perfetto exporter streams to the
+    // file, the analysis rides on the measurement. The document is closed
+    // before the run's outcome is looked at, so a watchdogged run still
+    // leaves a loadable trace.
+    let io_error = |source| BenchError::Io {
+        path: path.display().to_string(),
+        source,
     };
-    let report = analysis.take().finish();
+    let perfetto = SharedSink::new(PerfettoSink::create(&path).map_err(io_error)?);
+    let mut exp = Experiment::new(kernel.as_ref(), cfg)
+        .traced()
+        .sink(Box::new(perfetto.clone()));
+    if args.profile {
+        exp = exp.profiled();
+    }
+    let outcome = exp.run();
+    let event_count = perfetto.with(PerfettoSink::finish).map_err(io_error)?;
+    let measurement = outcome?;
+    let report = measurement
+        .analysis
+        .as_ref()
+        .ok_or(BenchError::MissingMeasurement {
+            label: measurement.label.clone(),
+            what: "synchronization analysis",
+        })?;
 
-    // Self-check 1 (buffered mode): the exported document must be valid
-    // JSON with a traceEvents array.
-    if let Some(trace_json) = &trace_json {
-        let doc = json::parse(trace_json).map_err(|e| {
+    // Self-check 1: the exported document must be valid JSON with a
+    // traceEvents array.
+    let validated = event_count <= VALIDATE_EVENT_LIMIT;
+    if validated {
+        let text = std::fs::read_to_string(&path).map_err(io_error)?;
+        let doc = json::parse(&text).map_err(|e| {
             BenchError::ClaimFailed(format!("exported trace is not valid JSON: {e}"))
         })?;
         doc.get("traceEvents")
@@ -345,17 +309,6 @@ fn run() -> Result<(), BenchError> {
         format!("trace counters diverge from SimStats: {c:?} vs {adapters:?}"),
     )?;
 
-    if let Some(trace_json) = &trace_json {
-        std::fs::create_dir_all(&args.out).map_err(|source| BenchError::Io {
-            path: args.out.display().to_string(),
-            source,
-        })?;
-        std::fs::write(&path, trace_json).map_err(|source| BenchError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-    }
-
     if args.profile {
         write_profile_json(&args.out, "trace", std::slice::from_ref(&measurement))?;
     }
@@ -368,22 +321,46 @@ fn run() -> Result<(), BenchError> {
         measurement.cycles
     );
     print!("{}", report.summary());
-    if truncated > 0 {
-        println!(
-            "WARNING: Perfetto export truncated — {truncated} events dropped after the \
-             {PERFETTO_EVENT_LIMIT}-event cap (the analysis above is still complete); \
-             reduce --iters/--cores or trace a shorter run"
-        );
-    }
     println!(
-        "\nwrote {} ({} trace events, {}) — open at https://ui.perfetto.dev",
+        "\nwrote {} ({event_count} trace events, {}) — open at https://ui.perfetto.dev",
         path.display(),
-        event_count,
-        if args.stream {
-            "streamed; byte-format covered by unit test"
-        } else {
+        if validated {
             "validated"
+        } else {
+            "not validated: above the read-back limit"
         }
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Core counts a kernel's constructor would panic on are usage
+    /// errors.
+    #[test]
+    fn build_kernel_rejects_core_counts_the_kernel_cannot_take() {
+        let build = |kernel: &str, cores: &str| {
+            let flags = ["--kernel", kernel, "--cores", cores].map(String::from);
+            build_kernel(&parse_args(flags).expect("flags parse")).map(|(_, name)| name)
+        };
+        for (kernel, cores) in [
+            ("histogram", "12"),
+            ("matmul", "0"),
+            ("matmul", "6"),
+            ("matmul", "32"),
+        ] {
+            match build(kernel, cores) {
+                Err(BenchError::Usage(msg)) => {
+                    assert!(msg.contains(&format!("(got --cores {cores})")), "{msg}");
+                    assert!(msg.contains("usage: trace"), "{msg}");
+                }
+                other => panic!("{kernel} --cores {cores}: expected a usage error, got {other:?}"),
+            }
+        }
+        for (kernel, cores) in [("histogram", "2"), ("histogram", "16"), ("matmul", "16")] {
+            assert!(build(kernel, cores).is_ok(), "{kernel} --cores {cores}");
+        }
+    }
 }

@@ -9,17 +9,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use lrscwait_asm::Program;
-use lrscwait_core::SyncArch;
-use lrscwait_kernels::{HistImpl, VerifyError, Workload};
+use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::{
     ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
     RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
 };
 use lrscwait_telemetry::Heartbeat;
-use lrscwait_trace::{
-    AnalysisSink, FanoutSink, PerfettoSink, SharedSink, StreamingPerfettoSink, SyncAnalysis,
-    TraceSink,
-};
+use lrscwait_trace::{AnalysisSink, FanoutSink, PerfettoSink, SharedSink, SyncAnalysis, TraceSink};
 
 use crate::args::USAGE;
 use crate::report::fmt_tp;
@@ -227,6 +223,10 @@ pub struct Measurement {
     /// was [`profiled`](Experiment::profiled)). Excluded from the CSV —
     /// host timings are not deterministic.
     pub profile: Option<PhaseProfile>,
+    /// Synchronization analysis of the run's event stream — lock handoff
+    /// latency distribution, wait-queue occupancy, SC-failure causes —
+    /// (`None` unless the experiment was [`traced`](Experiment::traced)).
+    pub analysis: Option<SyncAnalysis>,
 }
 
 impl Measurement {
@@ -306,6 +306,7 @@ pub struct Experiment<'w> {
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
     profile: bool,
+    traced: bool,
     heartbeat: Option<(u64, Option<PathBuf>)>,
     inspect: Option<InspectHook<'w>>,
 }
@@ -326,6 +327,7 @@ impl<'w> Experiment<'w> {
             checkpoint: None,
             resume: None,
             profile: false,
+            traced: false,
             heartbeat: None,
             inspect: None,
         }
@@ -386,6 +388,15 @@ impl<'w> Experiment<'w> {
         self
     }
 
+    /// Attaches an [`AnalysisSink`] for this run; the [`Measurement`] then
+    /// carries the derived [`SyncAnalysis`]. Tracing only observes —
+    /// results are bit-identical to an untraced run.
+    #[must_use]
+    pub fn traced(mut self) -> Experiment<'w> {
+        self.traced = true;
+        self
+    }
+
     /// Emits a heartbeat progress line to stderr every `secs` seconds
     /// while the run executes (and appends an NDJSON record to
     /// `ndjson` when given): cycles simulated against the watchdog
@@ -413,8 +424,8 @@ impl<'w> Experiment<'w> {
     /// Attaches a trace sink for this run (see `lrscwait-trace`).
     /// Tracing never changes results — the measurement is bit-identical
     /// to an untraced run. Hand in a [`SharedSink`] clone to read the
-    /// sink back afterwards, or use the [`analyzed`](Experiment::analyzed)
-    /// / [`perfetto`](Experiment::perfetto) conveniences.
+    /// sink back afterwards, or use the [`traced`](Experiment::traced) /
+    /// [`perfetto`](Experiment::perfetto) conveniences.
     ///
     /// Calling this more than once (directly, or implicitly through the
     /// conveniences) fans the event stream out to every attached sink —
@@ -428,74 +439,27 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Runs the experiment with an [`AnalysisSink`] attached and returns
-    /// the measurement together with the derived synchronization
-    /// analysis: lock handoff latency distribution (p50/p99/max),
-    /// wait-queue occupancy over time, and SC-failure / retry-abort
-    /// causes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Experiment::run).
-    pub fn analyzed(self) -> Result<(Measurement, SyncAnalysis), BenchError> {
-        let shared = SharedSink::new(AnalysisSink::new());
-        let measurement = self.sink(Box::new(shared.clone())).run()?;
-        Ok((measurement, shared.take().finish()))
-    }
-
-    /// Runs the experiment with a [`PerfettoSink`] attached and writes
-    /// the Chrome-trace/Perfetto JSON (per-core tracks plus wait-queue
-    /// depth and runnable-core counter tracks) to `path`. Open the file
-    /// at <https://ui.perfetto.dev>.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Experiment::run), plus [`BenchError::Io`] when the
-    /// trace file cannot be written.
-    pub fn perfetto(self, path: &Path) -> Result<Measurement, BenchError> {
-        let shared = SharedSink::new(PerfettoSink::new());
-        let measurement = self.sink(Box::new(shared.clone())).run()?;
-        let json = shared.take().finish();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
-                path: dir.display().to_string(),
-                source,
-            })?;
-        }
-        std::fs::write(path, json).map_err(|source| BenchError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-        Ok(measurement)
-    }
-
-    /// Runs the experiment with a [`StreamingPerfettoSink`] attached:
-    /// the Chrome-trace/Perfetto JSON is written *incrementally* to
-    /// `path` through a buffered writer, so host memory stays constant
-    /// for full-scale traces (the buffered
-    /// [`perfetto`](Experiment::perfetto) convenience holds every event
-    /// in memory until the run ends). Output bytes are identical to the
-    /// buffered sink fed the same stream.
+    /// Runs the experiment with a [`PerfettoSink`] streaming the
+    /// Chrome-trace/Perfetto JSON (per-core tracks plus wait-queue depth
+    /// and runnable-core counter tracks) to `path` as the run produces
+    /// it, so host memory stays constant for full-scale traces. The
+    /// document is closed even when the run fails, so a watchdogged run
+    /// still leaves a loadable trace. Open the file at
+    /// <https://ui.perfetto.dev>.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Experiment::run), plus [`BenchError::Io`] when the
     /// trace file cannot be created or written.
-    pub fn perfetto_streaming(self, path: &Path) -> Result<Measurement, BenchError> {
-        let sink = StreamingPerfettoSink::create(path).map_err(|source| BenchError::Io {
+    pub fn perfetto(self, path: &Path) -> Result<Measurement, BenchError> {
+        let io_error = |source| BenchError::Io {
             path: path.display().to_string(),
             source,
-        })?;
-        let shared = SharedSink::new(sink);
-        let handle = shared.clone();
-        let measurement = self.sink(Box::new(handle)).run()?;
-        shared
-            .with(lrscwait_trace::StreamingPerfettoSink::close)
-            .map_err(|source| BenchError::Io {
-                path: path.display().to_string(),
-                source,
-            })?;
-        Ok(measurement)
+        };
+        let sink = SharedSink::new(PerfettoSink::create(path).map_err(io_error)?);
+        let outcome = self.sink(Box::new(sink.clone())).run();
+        sink.with(PerfettoSink::finish).map_err(io_error)?;
+        outcome
     }
 
     /// Runs the experiment to completion.
@@ -514,7 +478,11 @@ impl<'w> Experiment<'w> {
     ///   snapshot could not be written;
     /// * [`BenchError::Load`] — a resume snapshot was malformed or does
     ///   not match this experiment's architecture/geometry.
-    pub fn run(self) -> Result<Measurement, BenchError> {
+    pub fn run(mut self) -> Result<Measurement, BenchError> {
+        let analysis = self.traced.then(|| SharedSink::new(AnalysisSink::new()));
+        if let Some(analysis) = &analysis {
+            self = self.sink(Box::new(analysis.clone()));
+        }
         let label = self.label.unwrap_or_else(|| self.workload.label());
         let mut cfg = self.cfg;
         for (i, value) in self.workload.args() {
@@ -622,6 +590,7 @@ impl<'w> Experiment<'w> {
             host_seconds,
             stats,
             profile,
+            analysis: analysis.map(|shared| shared.take().finish()),
         })
     }
 }
@@ -683,23 +652,13 @@ fn run_with_heartbeat(
     }
 }
 
-/// Standard mapping of a figure legend entry to (kernel impl, architecture).
-#[must_use]
-pub fn arch_for(impl_: HistImpl, colibri_queues: usize) -> SyncArch {
-    match impl_ {
-        HistImpl::AmoAdd | HistImpl::Lrsc | HistImpl::TicketLock | HistImpl::TasLock => {
-            SyncArch::Lrsc
-        }
-        HistImpl::LrscWait | HistImpl::ColibriLock | HistImpl::McsMwaitLock => SyncArch::Colibri {
-            queues: colibri_queues,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrscwait_kernels::{HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel};
+    use lrscwait_core::SyncArch;
+    use lrscwait_kernels::{
+        HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel,
+    };
 
     #[test]
     fn histogram_experiment_small() {
@@ -761,15 +720,6 @@ mod tests {
         let kernel = HistogramKernel::new(HistImpl::AmoAdd, 8, 64, 4);
         let err = Experiment::new(&kernel, cfg).run().unwrap_err();
         assert!(matches!(err, BenchError::Watchdog { .. }), "{err}");
-    }
-
-    #[test]
-    fn arch_mapping() {
-        assert_eq!(arch_for(HistImpl::AmoAdd, 4), SyncArch::Lrsc);
-        assert_eq!(
-            arch_for(HistImpl::McsMwaitLock, 4),
-            SyncArch::Colibri { queues: 4 }
-        );
     }
 
     #[test]

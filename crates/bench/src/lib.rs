@@ -60,9 +60,9 @@ mod report;
 mod sweep;
 
 pub use args::{flag_listing, BenchArgs, FLAGS, USAGE};
-pub use experiment::{arch_for, BenchError, Experiment, Measurement};
+pub use experiment::{BenchError, Experiment, Measurement};
 pub use report::{
     check_claim, find_throughput, fmt_tp, log_throughput, markdown_table, run_main, write_csv,
-    write_profile_json, write_profile_set, write_trace_csv, TracePoint,
+    write_profile_json, write_profile_set, write_trace_csv,
 };
 pub use sweep::{default_threads, is_transient_io, retry_transient_io, Sweep};

@@ -7,7 +7,6 @@ use std::path::{Path, PathBuf};
 
 use lrscwait_sim::PhaseProfile;
 use lrscwait_telemetry::heartbeat::escape;
-use lrscwait_trace::SyncAnalysis;
 
 use crate::args::USAGE;
 use crate::experiment::{BenchError, Measurement};
@@ -83,7 +82,7 @@ pub fn write_profile_set(
         aggregate.merge(profile);
     }
     let mut out = String::from("{\n  \"schema\": \"lrscwait.profile-set.v2\",\n");
-    let _ = writeln!(out, "  \"name\": \"{fig}\",");
+    let _ = writeln!(out, "  \"name\": \"{}\",", escape(fig));
     out.push_str("  \"points\": [\n");
     for (i, (label, x, profile)) in points.iter().enumerate() {
         let sep = if i + 1 == points.len() { "" } else { "," };
@@ -161,35 +160,12 @@ pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), Be
     }
 }
 
-/// One sweep point's trace-derived synchronization metrics — the raw
-/// material of the figure-level `<fig>.trace.csv` artifact.
-#[derive(Clone, Debug)]
-pub struct TracePoint {
-    /// Series label (legend entry).
-    pub label: String,
-    /// X value (bins, cores, …).
-    pub x: u32,
-    /// The per-point synchronization analysis.
-    pub analysis: SyncAnalysis,
-}
-
-impl TracePoint {
-    /// Bundles one measured point's analysis.
-    #[must_use]
-    pub fn new(label: impl Into<String>, x: u32, analysis: SyncAnalysis) -> TracePoint {
-        TracePoint {
-            label: label.into(),
-            x,
-            analysis,
-        }
-    }
-}
-
 /// Writes the figure-level trace artifact `<dir>/<fig>.trace.csv`: one
-/// row per sweep point with the lock-handoff latency distribution
-/// (count, p50, p99, max) and wait-queue occupancy (max, mean) derived
-/// from the point's event stream — per-handoff evidence to sit next to
-/// the throughput figure CSV.
+/// row per [`traced`](crate::Experiment::traced) sweep point with the
+/// lock-handoff latency distribution (count, p50, p99, max) and
+/// wait-queue occupancy (max, mean) derived from the point's event
+/// stream — per-handoff evidence to sit next to the throughput figure
+/// CSV.
 ///
 /// # Errors
 ///
@@ -198,21 +174,22 @@ impl TracePoint {
 pub fn write_trace_csv(
     dir: &Path,
     fig: &str,
-    points: &[TracePoint],
+    measurements: &[Measurement],
 ) -> Result<PathBuf, BenchError> {
-    let rows: Vec<Vec<String>> = points
+    let rows: Vec<Vec<String>> = measurements
         .iter()
-        .map(|p| {
-            vec![
-                p.label.clone(),
-                p.x.to_string(),
-                p.analysis.handoff.count.to_string(),
-                p.analysis.handoff.p50.to_string(),
-                p.analysis.handoff.p99.to_string(),
-                p.analysis.handoff.max.to_string(),
-                p.analysis.occupancy.max.to_string(),
-                format!("{:.4}", p.analysis.occupancy.mean),
-            ]
+        .filter_map(|m| {
+            let analysis = m.analysis.as_ref()?;
+            Some(vec![
+                m.label.clone(),
+                m.x.to_string(),
+                analysis.handoff.count.to_string(),
+                analysis.handoff.p50.to_string(),
+                analysis.handoff.p99.to_string(),
+                analysis.handoff.max.to_string(),
+                analysis.occupancy.max.to_string(),
+                format!("{:.4}", analysis.occupancy.mean),
+            ])
         })
         .collect();
     write_csv(
@@ -232,7 +209,9 @@ pub fn write_trace_csv(
     )
 }
 
-/// Writes rows as `<dir>/<name>.csv`, creating the directory.
+/// Writes rows as `<dir>/<name>.csv`, creating the directory. A field
+/// holding a comma, a double quote or a line break is quoted per RFC 4180
+/// (labels are caller-chosen text); every other field is written as is.
 ///
 /// # Errors
 ///
@@ -247,11 +226,9 @@ pub fn write_csv(
         path: dir.display().to_string(),
         source,
     })?;
-    let mut text = header.join(",");
-    text.push('\n');
+    let mut text = csv_line(header.iter().copied());
     for row in rows {
-        text.push_str(&row.join(","));
-        text.push('\n');
+        text.push_str(&csv_line(row.iter().map(String::as_str)));
     }
     let path = dir.join(format!("{name}.csv"));
     std::fs::write(&path, text).map_err(|source| BenchError::Io {
@@ -260,6 +237,21 @@ pub fn write_csv(
     })?;
     eprintln!("wrote {}", path.display());
     Ok(path)
+}
+
+/// One CSV record, RFC 4180 quoting applied only to the fields that need
+/// it.
+fn csv_line<'a>(fields: impl Iterator<Item = &'a str>) -> String {
+    let quoted: Vec<String> = fields
+        .map(|field| {
+            if field.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", field.replace('"', "\"\""))
+            } else {
+                field.to_string()
+            }
+        })
+        .collect();
+    quoted.join(",") + "\n"
 }
 
 /// Renders a markdown table.
@@ -321,13 +313,13 @@ mod tests {
         );
 
         let dir = std::env::temp_dir().join(format!("lrscwait-profile-{}", std::process::id()));
-        // A label is caller-chosen text: quotes and backslashes must
-        // survive the round trip through the artifact.
+        // Labels and figure names are caller-chosen text: quotes and
+        // backslashes must survive the round trip through the artifact.
         let quoted = Measurement {
             label: r#"he said "hi"\"#.to_string(),
             ..m.clone()
         };
-        let path = write_profile_json(&dir, "unit", &[m.clone(), quoted.clone()])
+        let path = write_profile_json(&dir, r#"un"it"#, &[m.clone(), quoted.clone()])
             .unwrap()
             .expect("a profiled measurement must produce the artifact");
         let text = std::fs::read_to_string(&path).unwrap();
@@ -335,6 +327,10 @@ mod tests {
         assert_eq!(
             doc.get("schema").and_then(json::Json::as_str),
             Some("lrscwait.profile-set.v2")
+        );
+        assert_eq!(
+            doc.get("name").and_then(json::Json::as_str),
+            Some(r#"un"it"#)
         );
         let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
         assert_eq!(points.len(), 2);
@@ -356,6 +352,25 @@ mod tests {
             .sum();
         let sampled = agg.get("sampled_ns").and_then(json::Json::as_f64).unwrap();
         assert!((json_sum - sampled).abs() < 0.5, "{json_sum} vs {sampled}");
+
+        // The same goes for the CSV: a field with a comma, a quote or a
+        // line break is quoted (RFC 4180), so the column count holds; a
+        // plain field is written as is.
+        let hostile = Measurement {
+            label: "a,b \"c\"\nd".to_string(),
+            ..m.clone()
+        };
+        let rows = [m.csv_row(), hostile.csv_row()];
+        let path = write_csv(&dir, "hostile", &["series", "x,y"], &rows).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tail = m.csv_row()[1..].join(",");
+        assert_eq!(
+            text,
+            format!(
+                "series,\"x,y\"\n{},{tail}\n\"a,b \"\"c\"\"\nd\",{tail}\n",
+                m.label
+            )
+        );
 
         // Un-profiled measurements produce no artifact at all.
         let plain = Experiment::new(
@@ -382,11 +397,11 @@ mod tests {
         let arch = SyncArch::Colibri { queues: 4 };
         let cfg = SimConfig::builder().cores(4).arch(arch).build().unwrap();
         let kernel = HistogramKernel::new(HistImpl::LrscWait, 1, 8, 4);
-        let (m, analysis) = Experiment::new(&kernel, cfg).x(1).analyzed().unwrap();
+        let m = Experiment::new(&kernel, cfg).x(1).traced().run().unwrap();
+        let analysis = m.analysis.as_ref().expect("traced run carries an analysis");
         assert!(analysis.handoff.count > 0, "contended run must hand off");
         let dir = std::env::temp_dir().join(format!("lrscwait-tracecsv-{}", std::process::id()));
-        let points = vec![TracePoint::new(m.label.clone(), m.x, analysis.clone())];
-        let path = write_trace_csv(&dir, "figX", &points).unwrap();
+        let path = write_trace_csv(&dir, "figX", std::slice::from_ref(&m)).unwrap();
         assert!(path.ends_with("figX.trace.csv"));
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines = text.lines();

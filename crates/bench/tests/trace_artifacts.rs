@@ -7,7 +7,7 @@ use lrscwait_bench::Experiment;
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel};
 use lrscwait_sim::SimConfig;
-use lrscwait_trace::{json, AnalysisSink, FanoutSink, PerfettoSink, SharedSink, SyncAnalysis};
+use lrscwait_trace::{json, AnalysisSink, PerfettoSink, SharedSink, SyncAnalysis};
 
 const CORES: u32 = 8;
 
@@ -18,16 +18,22 @@ fn traced_histogram(arch: SyncArch) -> (lrscwait_bench::Measurement, SyncAnalysi
         .build()
         .unwrap();
     let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 8, CORES);
-    let perfetto = SharedSink::new(PerfettoSink::new());
-    let analysis = SharedSink::new(AnalysisSink::new());
-    let fanout = FanoutSink::new()
-        .with(Box::new(perfetto.clone()))
-        .with(Box::new(analysis.clone()));
+    let perfetto = SharedSink::new(PerfettoSink::new(Vec::new()));
     let m = Experiment::new(&kernel, cfg)
-        .sink(Box::new(fanout))
+        .traced()
+        .sink(Box::new(perfetto.clone()))
         .run()
         .expect("traced run completes");
-    (m, analysis.take().finish(), perfetto.take().finish())
+    let trace_json = perfetto.with(|sink| {
+        sink.finish().expect("writing to a Vec cannot fail");
+        std::mem::replace(sink, PerfettoSink::new(Vec::new())).into_inner()
+    });
+    let analysis = m.analysis.clone().expect("traced run carries an analysis");
+    (
+        m,
+        analysis,
+        String::from_utf8(trace_json).expect("trace is UTF-8"),
+    )
 }
 
 /// Acceptance: the generated Perfetto trace parses, has one track per
@@ -121,7 +127,8 @@ fn colibri_handoff_latency_exceeds_centralized() {
 }
 
 /// Attaching a sink never changes the measurement: cycles, statistics
-/// and CSV bytes are identical to an untraced run.
+/// and CSV bytes are identical to an untraced run — also when the sink's
+/// writer runs out of room mid-run (the error waits for `finish`).
 #[test]
 fn tracing_does_not_perturb_results() {
     for arch in [SyncArch::LrscWaitIdeal, SyncArch::Colibri { queues: 4 }] {
@@ -138,20 +145,30 @@ fn tracing_does_not_perturb_results() {
             .sink(Box::new(sink.clone()))
             .run()
             .unwrap();
-        assert_eq!(plain.cycles, traced.cycles, "{arch}");
-        assert_eq!(plain.stats, traced.stats, "{arch}");
-        assert_eq!(plain.csv_row(), traced.csv_row(), "{arch}");
+        let full = SharedSink::new(PerfettoSink::new(std::io::Cursor::new([0u8; 512])));
+        let failing = Experiment::new(&kernel, cfg)
+            .x(2)
+            .sink(Box::new(full.clone()))
+            .run()
+            .unwrap();
+        assert!(full.with(PerfettoSink::finish).is_err(), "{arch}");
+        for traced in [traced, failing] {
+            assert_eq!(plain.cycles, traced.cycles, "{arch}");
+            assert_eq!(plain.stats, traced.stats, "{arch}");
+            assert_eq!(plain.csv_row(), traced.csv_row(), "{arch}");
+        }
     }
 }
 
-/// The `analyzed()` and `perfetto()` conveniences produce the same
+/// The `traced()` and `perfetto()` conveniences produce the same
 /// artifacts as wiring sinks by hand.
 #[test]
 fn experiment_conveniences() {
     let arch = SyncArch::Colibri { queues: 4 };
     let cfg = SimConfig::builder().cores(4).arch(arch).build().unwrap();
     let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 4, 4);
-    let (m, report) = Experiment::new(&kernel, cfg).analyzed().unwrap();
+    let m = Experiment::new(&kernel, cfg).traced().run().unwrap();
+    let report = m.analysis.as_ref().expect("traced run carries an analysis");
     assert_eq!(
         report.counters.scwait_success,
         m.stats.adapters.scwait_success
@@ -177,7 +194,8 @@ fn lrsc_baseline_traces_retries_not_waits() {
         .build()
         .unwrap();
     let kernel = HistogramKernel::new(HistImpl::Lrsc, 2, 8, CORES);
-    let (m, report) = Experiment::new(&kernel, cfg).analyzed().unwrap();
+    let m = Experiment::new(&kernel, cfg).traced().run().unwrap();
+    let report = m.analysis.as_ref().expect("traced run carries an analysis");
     assert_eq!(report.counters.wait_enqueued, 0);
     assert_eq!(report.handoff.count, 0);
     assert_eq!(report.counters.sc_failure, m.stats.adapters.sc_failure);

@@ -297,21 +297,6 @@ impl SimConfig {
         }
     }
 
-    /// Sets argument `i` (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= NUM_ARGS`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SimConfig::builder().arg(i, value)` instead"
-    )]
-    #[must_use]
-    pub fn with_arg(mut self, i: usize, value: u32) -> SimConfig {
-        self.args[i] = value;
-        self
-    }
-
     /// Words per bank given the geometry.
     #[must_use]
     pub fn words_per_bank(&self) -> usize {

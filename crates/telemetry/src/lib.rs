@@ -9,7 +9,7 @@
 //! or off (the differential suites enforce this).
 //!
 //! The pieces, mirroring the [`Tracer`] discipline of `crates/trace`
-//! (off is one predictable branch, phase bodies stay monomorphized):
+//! (off is one predictable branch at the instrumentation site):
 //!
 //! * [`Profiler`] — the enum-dispatch switch the simulator holds. When
 //!   [`Profiler::Off`] (the default) every instrumentation site reduces

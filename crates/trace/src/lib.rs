@@ -1,4 +1,4 @@
-//! Zero-overhead simulation tracing for the LRSCwait simulator.
+//! Simulation tracing for the LRSCwait simulator.
 //!
 //! The paper's argument is about *where cycles go* — polling retries vs.
 //! parked-in-queue waiting vs. useful work — yet aggregate counters
@@ -12,22 +12,22 @@
 //!   enqueue/serve/handoff, Colibri successor updates and wakeups) and
 //!   the networks' [`NocEvent`]s.
 //! * [`TraceSink`] — the consumer interface, stamped with the cycle.
-//! * [`Tracer`] — the enum-dispatch switch the simulator holds. When
-//!   [`Tracer::Off`] (the default), every emit site reduces to one
-//!   predictable branch and the event constructor is never evaluated —
-//!   traced and untraced runs are bit-identical in results, and the
-//!   untraced hot path allocates nothing (the PR 2 differential and
-//!   counting-allocator suites enforce both).
+//! * [`Tracer`] — the enum-dispatch switch the simulator holds, and the
+//!   one way it traces: every emit site, in the stepper's hot loops as
+//!   much as anywhere else, is `tracer.emit(cycle, || TraceEvent::…)`.
+//!   When [`Tracer::Off`] (the default) that is one predictable branch
+//!   and the event constructor is never evaluated — traced and untraced
+//!   runs are bit-identical in results, and the untraced hot path
+//!   allocates nothing (the differential and counting-allocator suites
+//!   enforce both).
 //!
 //! Shipped sinks:
 //!
 //! * [`PerfettoSink`] — a Perfetto / Chrome `about:tracing` JSON exporter
 //!   with one track per core (sleep, barrier and measured-region spans,
 //!   SC-failure instants) plus counter tracks for wait-queue depth and
-//!   runnable-core count.
-//! * [`StreamingPerfettoSink`] — the same exporter writing incrementally
-//!   to a `BufWriter`-backed file (constant memory for full-scale runs;
-//!   byte-identical output to the buffered sink).
+//!   runnable-core count. It writes each object to its `io::Write` as the
+//!   event arrives, so a full-scale trace costs constant host memory.
 //! * [`AnalysisSink`] — in-memory derived metrics: lock handoff latency
 //!   distribution (p50/p99/max), wait-queue occupancy over time, and
 //!   SC-failure / retry-abort causes. Sample vectors are bounded by
@@ -36,9 +36,9 @@
 //! * [`NocHeatmapSink`] — per-node NoC traffic counters (injected /
 //!   refused / delivered / HoL-blocked per network node), the data behind
 //!   the interference heatmap CSVs of the barrier study.
-//! * [`RecordingSink`] (raw event log), [`NullSink`], [`FanoutSink`]
-//!   (tee to several sinks), and [`SharedSink`] (hand a sink to a
-//!   `Machine` and read it back after the run).
+//! * [`RecordingSink`] (raw event log), [`FanoutSink`] (tee to several
+//!   sinks), and [`SharedSink`] (hand a sink to a `Machine` and read it
+//!   back after the run).
 
 #![forbid(unsafe_code)]
 
@@ -55,7 +55,7 @@ pub use analysis::{
 pub use heatmap::{NocHeatmap, NocHeatmapSink, NodeTraffic, HEATMAP_CSV_HEADER};
 pub use lrscwait_core::SyncEvent;
 pub use lrscwait_noc::NocEvent;
-pub use perfetto::{PerfettoSink, StreamingPerfettoSink};
+pub use perfetto::PerfettoSink;
 
 /// Which virtual network a [`TraceEvent::Noc`] event came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,8 +217,7 @@ pub trait TraceSink {
     fn record(&mut self, cycle: u64, event: TraceEvent);
 }
 
-/// The tracing switch a `Machine` holds: statically zero-overhead when
-/// off.
+/// The tracing switch a `Machine` holds.
 ///
 /// Every emit site is written as
 /// `tracer.emit(cycle, || TraceEvent::…)` — when the tracer is
@@ -277,15 +276,6 @@ impl Tracer {
             sink.record(cycle, event());
         }
     }
-}
-
-/// A sink that discards everything (useful as a placeholder and for
-/// measuring pure emission overhead).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _cycle: u64, _event: TraceEvent) {}
 }
 
 /// A sink that stores the raw `(cycle, event)` stream (tests,

@@ -8,19 +8,12 @@
 //! many cores are waiting inside a hardware queue (`wait_queue_depth`)
 //! and how many are runnable (`runnable_cores`).
 //!
-//! Two sinks share the same event → JSON translation
-//! (so their output is byte-identical for the same stream):
-//!
-//! * [`PerfettoSink`] buffers every serialized event in memory and
-//!   renders the full document with [`finish`](PerfettoSink::finish);
-//!   an optional [event cap](PerfettoSink::with_event_limit) freezes the
-//!   trace and reports the truncation. This is the default, suited to
-//!   tests and small-to-medium runs.
-//! * [`StreamingPerfettoSink`] writes each event straight to a
-//!   `BufWriter`-backed file, so memory stays constant no matter how
-//!   long the run: the full-scale 256-core × multi-million-cycle traces
-//!   never accumulate in the host heap. Finish it with
-//!   [`close`](StreamingPerfettoSink::close).
+//! [`PerfettoSink`] writes each trace object to its `io::Write` the moment
+//! the event that produced it is recorded, so host memory stays constant
+//! however long the run — a 1024-core, multi-million-cycle trace never
+//! accumulates in the host heap. [`PerfettoSink::create`] streams to a
+//! buffered file; tests hand [`PerfettoSink::new`] a `Vec<u8>` and read it
+//! back with [`into_inner`](PerfettoSink::into_inner).
 //!
 //! Timestamps are simulated cycles, written to the `ts` field one
 //! microsecond per cycle (the viewer's time ruler then reads directly in
@@ -30,7 +23,7 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
+use std::io::{self, BufWriter};
 use std::path::Path;
 
 use lrscwait_core::SyncEvent;
@@ -40,8 +33,8 @@ use crate::{OpKind, TraceEvent, TraceSink};
 /// The single simulated process all tracks live under.
 const PID: u32 = 1;
 
-/// The shared event → trace-object translation: span bookkeeping, counter
-/// state, and the JSON rendering both sinks use.
+/// The event → trace-object translation: span bookkeeping, counter state
+/// and the JSON rendering.
 #[derive(Debug, Default)]
 struct PerfettoModel {
     /// Per-core stack of open duration spans (names of pending `"B"`s).
@@ -225,150 +218,34 @@ fn counter_json(cycle: u64, name: &str, key: &str, value: i64) -> String {
     format!(r#"{{"ph":"C","pid":{PID},"ts":{cycle},"name":"{name}","args":{{"{key}":{value}}}}}"#)
 }
 
-fn truncation_json(last_cycle: u64, dropped: u64) -> String {
-    format!(
-        r#"{{"ph":"i","pid":{PID},"tid":0,"ts":{last_cycle},"name":"trace.truncated","s":"g","args":{{"dropped_events":{dropped}}}}}"#
-    )
-}
-
 const HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
 const FOOTER: &str = "\n]}\n";
 
-/// In-memory Perfetto JSON builder (see the module docs).
-#[derive(Debug, Default)]
-pub struct PerfettoSink {
-    model: PerfettoModel,
-    /// Serialized trace-event objects, in emission order.
-    events: Vec<String>,
-    /// Optional cap on buffered trace events (see
-    /// [`with_event_limit`](PerfettoSink::with_event_limit)).
-    event_limit: Option<usize>,
-    /// Events dropped after the cap was reached.
-    truncated: u64,
-}
-
-impl PerfettoSink {
-    /// An empty exporter with no event cap.
-    #[must_use]
-    pub fn new() -> PerfettoSink {
-        PerfettoSink::default()
-    }
-
-    /// Caps the number of buffered trace events. The sink buffers one
-    /// small JSON string per event, so an unexpectedly long or
-    /// retry-storming run can otherwise exhaust host memory; once the
-    /// cap is reached the trace is *frozen* — later events are counted
-    /// but not recorded (open spans still close cleanly in
-    /// [`finish`](PerfettoSink::finish)), and the truncation is reported
-    /// through [`truncated`](PerfettoSink::truncated) and as a
-    /// `trace.truncated` instant in the document. Never truncate
-    /// silently: callers should surface the count to the user. For
-    /// unbounded runs prefer [`StreamingPerfettoSink`], which needs no
-    /// cap at all.
-    #[must_use]
-    pub fn with_event_limit(mut self, limit: usize) -> PerfettoSink {
-        self.event_limit = Some(limit);
-        self
-    }
-
-    /// Events dropped because the event cap was reached (0 = complete).
-    #[must_use]
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Number of trace-event objects produced so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Renders the complete JSON document. Dangling duration spans (cores
-    /// still parked when the run ended) are closed at the last recorded
-    /// cycle so every `"B"` has its `"E"`.
-    #[must_use]
-    pub fn finish(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 80);
-        out.push_str(HEADER);
-        let mut first = true;
-        let mut push = |s: &str, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(s);
-        };
-        for event in &self.events {
-            push(event, &mut out);
-        }
-        let mut closers = Vec::new();
-        self.model.closers(&mut |s| closers.push(s));
-        for closer in &closers {
-            push(closer, &mut out);
-        }
-        if self.truncated > 0 {
-            push(
-                &truncation_json(self.model.last_cycle, self.truncated),
-                &mut out,
-            );
-        }
-        out.push_str(FOOTER);
-        out
-    }
-}
-
-impl TraceSink for PerfettoSink {
-    fn record(&mut self, cycle: u64, event: TraceEvent) {
-        self.model.last_cycle = self.model.last_cycle.max(cycle);
-        if self
-            .event_limit
-            .is_some_and(|limit| self.events.len() >= limit)
-        {
-            self.truncated += 1;
-            return;
-        }
-        let events = &mut self.events;
-        self.model.record(cycle, event, &mut |s| events.push(s));
-    }
-}
-
-/// Streaming Perfetto JSON exporter: every event is serialized and handed
-/// to a [`BufWriter`] over the output file immediately, so host memory
-/// stays constant regardless of run length — the right sink for
-/// full-scale (256-core × millions-of-cycles) traces. Produces the exact
-/// same bytes as [`PerfettoSink::finish`] fed the same event stream.
+/// Perfetto JSON exporter over any [`io::Write`] (see the module docs).
 ///
 /// I/O errors during recording are *deferred*: the sink goes quiet and
-/// [`close`](StreamingPerfettoSink::close) reports the first error, so
-/// the simulation itself is never perturbed mid-run (tracing observes, it
+/// [`finish`](PerfettoSink::finish) reports the first error, so the
+/// simulation itself is never perturbed mid-run (tracing observes, it
 /// never steers — not even on a full disk).
 ///
 /// ```no_run
-/// use lrscwait_trace::{StreamingPerfettoSink, TraceEvent, TraceSink};
+/// use lrscwait_trace::{PerfettoSink, TraceEvent, TraceSink};
 ///
 /// # fn main() -> std::io::Result<()> {
-/// let mut sink = StreamingPerfettoSink::create("results/run.perfetto.json")?;
+/// let mut sink = PerfettoSink::create("results/run.perfetto.json")?;
 /// sink.record(0, TraceEvent::Start { cores: 4, banks: 16 });
 /// sink.record(9, TraceEvent::Halt { core: 0 });
-/// let events_written = sink.close()?;
+/// let events_written = sink.finish()?;
 /// assert!(events_written > 0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct StreamingPerfettoSink {
+pub struct PerfettoSink<W: io::Write> {
     model: PerfettoModel,
-    out: BufWriter<File>,
-    first: bool,
+    out: W,
     written: u64,
-    closed: bool,
+    finished: bool,
     error: Option<io::Error>,
     /// Reusable staging buffer for one event's serialized objects (the
     /// model's callback cannot borrow the writer while the model is
@@ -376,32 +253,38 @@ pub struct StreamingPerfettoSink {
     pending: Vec<String>,
 }
 
-impl StreamingPerfettoSink {
+impl PerfettoSink<BufWriter<File>> {
     /// Creates (truncating) the output file — parent directories included
-    /// — and writes the document header.
+    /// — behind a [`BufWriter`].
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the directory or file cannot
-    /// be created or the header cannot be written.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<StreamingPerfettoSink> {
+    /// be created.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<PerfettoSink<BufWriter<File>>> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(HEADER.as_bytes())?;
-        Ok(StreamingPerfettoSink {
+        Ok(PerfettoSink::new(BufWriter::new(File::create(path)?)))
+    }
+}
+
+impl<W: io::Write> PerfettoSink<W> {
+    /// Starts a document on `out` (the header is the first deferred
+    /// write).
+    pub fn new(mut out: W) -> PerfettoSink<W> {
+        let error = out.write_all(HEADER.as_bytes()).err();
+        PerfettoSink {
             model: PerfettoModel::default(),
             out,
-            first: true,
             written: 0,
-            closed: false,
-            error: None,
+            finished: false,
+            error,
             pending: Vec::new(),
-        })
+        }
     }
 
     /// Number of trace-event objects written so far.
@@ -417,34 +300,33 @@ impl StreamingPerfettoSink {
     }
 
     fn write_one(&mut self, s: &str) {
-        if self.error.is_some() || self.closed {
+        if self.error.is_some() || self.finished {
             return;
         }
-        let sep: &[u8] = if self.first { b"\n" } else { b",\n" };
+        let sep: &[u8] = if self.written == 0 { b"\n" } else { b",\n" };
         let result = self
             .out
             .write_all(sep)
             .and_then(|()| self.out.write_all(s.as_bytes()));
         match result {
-            Ok(()) => {
-                self.first = false;
-                self.written += 1;
-            }
+            Ok(()) => self.written += 1,
             Err(e) => self.error = Some(e),
         }
     }
 
-    /// Closes dangling spans, writes the document footer and flushes,
-    /// returning the number of event objects written. Idempotent: later
-    /// calls (and later `record`s) are no-ops, so the sink can live
-    /// inside a shared handle whose other clone already closed it.
+    /// Closes dangling duration spans (cores still parked when the run
+    /// ended) at the last recorded cycle so every `"B"` has its `"E"`,
+    /// writes the document footer and flushes, returning the number of
+    /// event objects written. Idempotent: later calls (and later
+    /// `record`s) are no-ops, so the sink can live inside a shared handle
+    /// whose other clone already finished it.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error encountered — during recording or
-    /// while closing.
-    pub fn close(&mut self) -> io::Result<u64> {
-        if self.closed {
+    /// while finishing.
+    pub fn finish(&mut self) -> io::Result<u64> {
+        if self.finished {
             return Ok(self.written);
         }
         let mut closers = Vec::new();
@@ -452,7 +334,7 @@ impl StreamingPerfettoSink {
         for closer in &closers {
             self.write_one(closer);
         }
-        self.closed = true;
+        self.finished = true;
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -460,9 +342,15 @@ impl StreamingPerfettoSink {
         self.out.flush()?;
         Ok(self.written)
     }
+
+    /// The underlying writer (call [`finish`](PerfettoSink::finish)
+    /// first for a complete document).
+    pub fn into_inner(self) -> W {
+        self.out
+    }
 }
 
-impl TraceSink for StreamingPerfettoSink {
+impl<W: io::Write> TraceSink for PerfettoSink<W> {
     fn record(&mut self, cycle: u64, event: TraceEvent) {
         self.model.last_cycle = self.model.last_cycle.max(cycle);
         // Stage through the reusable buffer (the model's callback cannot
@@ -484,10 +372,15 @@ mod tests {
     use super::*;
     use crate::{json, WakeCause};
 
-    fn feed(sink: &mut dyn TraceSink, stream: &[(u64, TraceEvent)]) {
+    /// Streams `stream` into a `Vec<u8>`-backed sink and returns the
+    /// finished document.
+    fn render(stream: &[(u64, TraceEvent)]) -> String {
+        let mut sink = PerfettoSink::new(Vec::new());
         for &(cycle, event) in stream {
             sink.record(cycle, event);
         }
+        sink.finish().expect("writing to a Vec cannot fail");
+        String::from_utf8(sink.into_inner()).expect("trace is UTF-8")
     }
 
     fn sample_stream() -> Vec<(u64, TraceEvent)> {
@@ -515,9 +408,7 @@ mod tests {
 
     #[test]
     fn produces_valid_json_with_per_core_tracks() {
-        let mut sink = PerfettoSink::new();
-        feed(&mut sink, &sample_stream());
-        let text = sink.finish();
+        let text = render(&sample_stream());
         let doc = json::parse(&text).expect("exported trace must parse");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // Both cores have a thread_name metadata record.
@@ -544,37 +435,32 @@ mod tests {
 
     #[test]
     fn counters_track_runnable_and_depth() {
-        let mut sink = PerfettoSink::new();
-        feed(
-            &mut sink,
-            &[
-                (0, TraceEvent::Start { cores: 4, banks: 8 }),
-                (
-                    2,
-                    TraceEvent::Sync {
-                        bank: 0,
-                        event: SyncEvent::WaitEnqueued {
-                            core: 1,
-                            addr: 0x40,
-                            mode: lrscwait_core::WaitMode::LrWait,
-                        },
+        let text = render(&[
+            (0, TraceEvent::Start { cores: 4, banks: 8 }),
+            (
+                2,
+                TraceEvent::Sync {
+                    bank: 0,
+                    event: SyncEvent::WaitEnqueued {
+                        core: 1,
+                        addr: 0x40,
+                        mode: lrscwait_core::WaitMode::LrWait,
                     },
-                ),
-                (
-                    5,
-                    TraceEvent::Sync {
-                        bank: 0,
-                        event: SyncEvent::WaitServed {
-                            core: 1,
-                            addr: 0x40,
-                            mode: lrscwait_core::WaitMode::LrWait,
-                            handoff: true,
-                        },
+                },
+            ),
+            (
+                5,
+                TraceEvent::Sync {
+                    bank: 0,
+                    event: SyncEvent::WaitServed {
+                        core: 1,
+                        addr: 0x40,
+                        mode: lrscwait_core::WaitMode::LrWait,
+                        handoff: true,
                     },
-                ),
-            ],
-        );
-        let text = sink.finish();
+                },
+            ),
+        ]);
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let depth_values: Vec<f64> = events
@@ -586,54 +472,17 @@ mod tests {
     }
 
     #[test]
-    fn event_limit_freezes_trace_and_reports_truncation() {
-        let mut sink = PerfettoSink::new().with_event_limit(4);
-        sink.record(0, TraceEvent::Start { cores: 1, banks: 1 });
-        for cycle in 1..100 {
-            sink.record(
-                cycle,
+    fn dangling_spans_close_in_finish() {
+        let text = render(&[
+            (0, TraceEvent::Start { cores: 1, banks: 1 }),
+            (
+                4,
                 TraceEvent::Park {
                     core: 0,
-                    cause: OpKind::Lr,
+                    cause: OpKind::MWait,
                 },
-            );
-            sink.record(
-                cycle,
-                TraceEvent::Wake {
-                    core: 0,
-                    cause: WakeCause::Response(OpKind::Lr),
-                },
-            );
-        }
-        assert!(sink.truncated() > 0, "cap must have engaged");
-        let text = sink.finish();
-        let doc = json::parse(&text).expect("truncated trace still parses");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(
-            events
-                .iter()
-                .any(|e| { e.get("name").and_then(json::Json::as_str) == Some("trace.truncated") }),
-            "truncation must be reported in the document"
-        );
-    }
-
-    #[test]
-    fn dangling_spans_close_in_finish() {
-        let mut sink = PerfettoSink::new();
-        feed(
-            &mut sink,
-            &[
-                (0, TraceEvent::Start { cores: 1, banks: 1 }),
-                (
-                    4,
-                    TraceEvent::Park {
-                        core: 0,
-                        cause: OpKind::MWait,
-                    },
-                ),
-            ],
-        );
-        let text = sink.finish();
+            ),
+        ]);
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(
@@ -644,59 +493,36 @@ mod tests {
         );
     }
 
-    #[test]
-    fn streaming_sink_matches_buffered_output_byte_for_byte() {
-        let dir = std::env::temp_dir().join(format!("lrscwait-perfetto-{}", std::process::id()));
-        let path = dir.join("stream.json");
-        let stream = sample_stream();
-
-        let mut buffered = PerfettoSink::new();
-        feed(&mut buffered, &stream);
-
-        let mut streaming = StreamingPerfettoSink::create(&path).expect("create stream");
-        feed(&mut streaming, &stream);
-        let written = streaming.close().expect("close stream");
-
-        let text = std::fs::read_to_string(&path).expect("read stream file");
-        assert_eq!(
-            text,
-            buffered.finish(),
-            "same stream must render identically"
-        );
-        assert_eq!(written as usize, buffered.len());
-        json::parse(&text).expect("streamed trace must parse");
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A fixed-size `Cursor` is an `io::Write` that fails (`WriteZero`)
+    /// once its `budget` bytes are used up.
+    fn failing_after(budget: usize) -> PerfettoSink<io::Cursor<Box<[u8]>>> {
+        PerfettoSink::new(io::Cursor::new(vec![0; budget].into_boxed_slice()))
     }
 
     #[test]
-    fn streaming_sink_closes_dangling_spans() {
-        let dir = std::env::temp_dir().join(format!("lrscwait-perfetto-d-{}", std::process::id()));
-        let path = dir.join("dangling.json");
-        let mut streaming = StreamingPerfettoSink::create(&path).expect("create stream");
-        feed(
-            &mut streaming,
-            &[
-                (0, TraceEvent::Start { cores: 1, banks: 1 }),
-                (
-                    4,
-                    TraceEvent::Park {
-                        core: 0,
-                        cause: OpKind::MWait,
-                    },
-                ),
-            ],
+    fn finish_reports_the_first_deferred_write_error() {
+        let stream = sample_stream();
+        let complete = render(&stream).len();
+        // Room for nothing, for part of the header, for half the events,
+        // and for everything but the footer.
+        for budget in [0, 10, complete / 2, complete - 2] {
+            let mut sink = failing_after(budget);
+            for &(cycle, event) in &stream {
+                sink.record(cycle, event); // goes quiet, never panics
+            }
+            let err = sink.finish().expect_err("the write error must surface");
+            assert_eq!(err.kind(), io::ErrorKind::WriteZero, "budget {budget}");
+            let written = sink.len();
+            assert_eq!(sink.finish().ok(), Some(written), "finish is idempotent");
+        }
+        let mut sink = failing_after(complete);
+        for &(cycle, event) in &stream {
+            sink.record(cycle, event);
+        }
+        sink.finish().expect("a writer with room never errors");
+        assert_eq!(
+            sink.into_inner().into_inner()[..],
+            *render(&stream).as_bytes()
         );
-        assert!(!streaming.is_empty());
-        streaming.close().expect("close stream");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = json::parse(&text).expect("parses");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.get("ph").and_then(json::Json::as_str) == Some("E")),
-            "close must end the open sleep span"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
