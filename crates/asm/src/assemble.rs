@@ -63,12 +63,6 @@ impl Program {
             .unwrap_or_else(|| panic!("undefined symbol `{name}`"))
     }
 
-    /// Total footprint of data + bss in bytes.
-    #[must_use]
-    pub fn memory_footprint(&self) -> u32 {
-        (self.bss_base + self.bss_size).saturating_sub(self.data_base)
-    }
-
     /// Disassembles the text segment (address, word, mnemonic) — debug aid.
     #[must_use]
     pub fn disassemble(&self) -> Vec<(u32, u32, String)> {

@@ -1,18 +1,17 @@
-//! The command line every figure binary shares: [`BenchArgs`], its
-//! [`USAGE`] text and the [`FLAGS`] table behind the unknown-flag listing.
+//! The command line every figure shares: [`BenchArgs`], its [`USAGE`] text
+//! and the [`FLAGS`] table behind the unknown-flag listing.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use lrscwait_sim::{ExecMode, SimConfig};
+use lrscwait_sim::ExecMode;
 
-use crate::experiment::{BenchError, Experiment, Measurement};
-use crate::report::{log_throughput, write_profile_json, write_trace_csv};
-use crate::sweep::Sweep;
+use crate::experiment::BenchError;
 
-/// Usage text shared by every figure binary.
+/// Usage text of the `fig` driver.
 pub const USAGE: &str = "\
-usage: <figure binary> [--quick] [--threads N] [--out DIR] [--trace] [--exec MODE]
+usage: fig <name> [--quick] [--threads N] [--out DIR] [--trace] [--exec MODE]
+       fig --help      (also lists the figure names)
   --quick          reduced sweep for CI / smoke testing
   --threads N      sweep worker threads (default: all cores, min 2)
   --exec MODE      execution mode for every experiment: translated (default)
@@ -20,10 +19,9 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--trace] [--exec MOD
                    simulator speed differs
   --out DIR        results directory (default: results)
   --trace          also attach an analysis sink per sweep point and write
-                   <fig>.trace.csv (handoff latency p50/p99/max per point;
-                   every simulating binary except fig_latency)
+                   <fig>.trace.csv (handoff latency p50/p99/max per point)
   --profile        enable the host-side phase profiler: every experiment
-                   collects per-phase step timings, and the binary writes
+                   collects per-phase step timings, and the figure writes
                    <fig>.profile.json (results stay bit-identical; host
                    overhead is a few percent)
   --heartbeat SECS  emit a progress line to stderr every SECS seconds
@@ -31,7 +29,13 @@ usage: <figure binary> [--quick] [--threads N] [--out DIR] [--trace] [--exec MOD
                    ETA
   --heartbeat-file FILE  also append each heartbeat as an NDJSON record
                    to FILE
-  -h, --help       show this help";
+  -h, --help       show this help
+A flag the named figure cannot honour is a usage error:
+  table1           evaluates the area model without simulating; takes only
+                   --quick and --out (no --threads, --exec, --trace,
+                   --profile, --heartbeat, --heartbeat-file)
+  fig_latency      measures through its own traffic harness; takes no
+                   --trace, --heartbeat, --heartbeat-file";
 
 /// `(flag, value placeholder, one-line help)` for every flag
 /// [`BenchArgs::parse`] accepts — the single source of the unknown-flag
@@ -96,7 +100,7 @@ const EXEC_MODES: [(&str, ExecMode); 2] = [
 
 /// A ` (did you mean `x`?)` hint naming the closest candidate by edit
 /// distance (≤ 3), or nothing when the input resembles none of them.
-fn did_you_mean<'a>(input: &str, candidates: impl Iterator<Item = &'a str>) -> String {
+pub(crate) fn did_you_mean<'a>(input: &str, candidates: impl Iterator<Item = &'a str>) -> String {
     candidates
         .map(|name| (name, edit_distance(input, name)))
         .filter(|&(_, d)| d <= 3)
@@ -123,6 +127,35 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+/// A usage error carrying the usage text.
+fn usage(msg: impl std::fmt::Display) -> BenchError {
+    BenchError::Usage(format!("{msg}\n{USAGE}"))
+}
+
+/// The value following `flag` on the command line.
+fn value(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<String, BenchError> {
+    it.next()
+        .ok_or_else(|| usage(format!("{flag} needs {what}")))
+}
+
+/// The value following `flag`, as a count of at least 1.
+fn positive(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<u64, BenchError> {
+    let value = value(it, flag, &format!("a {what}"))?;
+    match value.parse() {
+        Ok(0) => Err(usage(format!("{flag} must be at least 1"))),
+        Ok(n) => Ok(n),
+        Err(_) => Err(usage(format!("{flag}: `{value}` is not a {what}"))),
+    }
+}
+
 /// Parsed harness CLI flags.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
@@ -139,7 +172,7 @@ pub struct BenchArgs {
     ///
     /// [`AnalysisSink`]: lrscwait_trace::AnalysisSink
     pub trace: bool,
-    /// Execution-mode override for every experiment the binary runs
+    /// Execution-mode override for every experiment the figure runs
     /// (`None`: keep each config's own mode, normally translated).
     pub exec: Option<ExecMode>,
     /// Enable the host-side phase profiler on every experiment and write
@@ -168,52 +201,40 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses flags, rejecting anything unknown.
+    /// Parses the flags of `figure`, rejecting anything unknown and every
+    /// flag in `refused` (the ones `figure` cannot honour).
     ///
     /// # Errors
     ///
     /// Returns [`BenchError::Usage`] (including the usage text) on unknown
-    /// flags, missing or malformed values, and `--help`.
-    pub fn parse<I>(args: I) -> Result<BenchArgs, BenchError>
+    /// or refused flags and missing or malformed values, and
+    /// [`BenchError::Help`] on `--help`.
+    pub fn parse<I>(args: I, figure: &str, refused: &[&str]) -> Result<BenchArgs, BenchError>
     where
         I: IntoIterator<Item = String>,
     {
         let mut parsed = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            if refused.contains(&arg.as_str()) {
+                return Err(usage(format!("`{figure}` cannot honour `{arg}`")));
+            }
             match arg.as_str() {
                 "--quick" => parsed.quick = true,
                 "--threads" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--threads needs a value\n{USAGE}"))
-                    })?;
-                    let threads: usize = value.parse().map_err(|_| {
-                        BenchError::Usage(format!("--threads: `{value}` is not a count\n{USAGE}"))
-                    })?;
-                    if threads == 0 {
-                        return Err(BenchError::Usage(format!(
-                            "--threads must be at least 1\n{USAGE}"
-                        )));
-                    }
-                    parsed.threads = Some(threads);
+                    let threads = positive(&mut it, "--threads", "count")?;
+                    parsed.threads = Some(usize::try_from(threads).unwrap_or(usize::MAX));
                 }
-                "--out" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a directory\n{USAGE}"))
-                    })?;
-                    parsed.out = PathBuf::from(value);
-                }
+                "--out" => parsed.out = value(&mut it, "--out", "a directory")?.into(),
                 "--trace" => parsed.trace = true,
                 "--exec" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--exec needs a mode\n{USAGE}"))
-                    })?;
+                    let value = value(&mut it, "--exec", "a mode")?;
                     let Some(&(_, mode)) = EXEC_MODES.iter().find(|(name, _)| *name == value)
                     else {
                         let names = EXEC_MODES.iter().map(|(name, _)| *name);
-                        return Err(BenchError::Usage(format!(
+                        return Err(usage(format!(
                             "--exec: unknown mode `{value}`{} \
-                             (expected translated or reference)\n{USAGE}",
+                             (expected translated or reference)",
                             did_you_mean(&value, names)
                         )));
                     };
@@ -221,26 +242,11 @@ impl BenchArgs {
                 }
                 "--profile" => parsed.profile = true,
                 "--heartbeat" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--heartbeat needs a seconds value\n{USAGE}"))
-                    })?;
-                    let secs: u64 = value.parse().map_err(|_| {
-                        BenchError::Usage(format!(
-                            "--heartbeat: `{value}` is not a seconds count\n{USAGE}"
-                        ))
-                    })?;
-                    if secs == 0 {
-                        return Err(BenchError::Usage(format!(
-                            "--heartbeat must be at least 1 second\n{USAGE}"
-                        )));
-                    }
-                    parsed.heartbeat = Some(secs);
+                    parsed.heartbeat = Some(positive(&mut it, "--heartbeat", "seconds count")?);
                 }
                 "--heartbeat-file" => {
-                    let value = it.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--heartbeat-file needs a file\n{USAGE}"))
-                    })?;
-                    parsed.heartbeat_file = Some(PathBuf::from(value));
+                    parsed.heartbeat_file =
+                        Some(value(&mut it, "--heartbeat-file", "a file")?.into());
                 }
                 "-h" | "--help" => return Err(BenchError::Help),
                 other => {
@@ -254,96 +260,51 @@ impl BenchArgs {
         }
         Ok(parsed)
     }
-
-    /// Reads flags from `std::env::args`.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchArgs::parse`].
-    pub fn from_env() -> Result<BenchArgs, BenchError> {
-        BenchArgs::parse(std::env::args().skip(1))
-    }
-
-    /// Applies the `--exec` mode override to a machine configuration
-    /// (identity without the flag). Figure binaries pass every config
-    /// they build through this so one flag retargets the whole sweep.
-    #[must_use]
-    pub fn configure(&self, mut cfg: SimConfig) -> SimConfig {
-        if let Some(mode) = self.exec {
-            cfg.exec_mode = mode;
-        }
-        cfg
-    }
-
-    /// Applies the observability flags to an experiment: `--profile`
-    /// enables the phase profiler, `--trace` the synchronization
-    /// analysis, `--heartbeat`/`--heartbeat-file` attach the periodic
-    /// progress line. Figure binaries pass every
-    /// experiment they build through this (like [`configure`] for
-    /// configs), so the flags work uniformly across all of them.
-    ///
-    /// [`configure`]: BenchArgs::configure
-    #[must_use]
-    pub fn instrument<'w>(&self, mut exp: Experiment<'w>) -> Experiment<'w> {
-        if self.profile {
-            exp = exp.profiled();
-        }
-        if self.trace {
-            exp = exp.traced();
-        }
-        if let Some(secs) = self.heartbeat {
-            exp = exp.heartbeat(secs, self.heartbeat_file.clone());
-        }
-        exp
-    }
-
-    /// What every simulating binary does with a finished sweep besides
-    /// its own CSV: the one-line throughput report on stderr, then
-    /// `<out>/<fig>.profile.json` under `--profile` and
-    /// `<out>/<fig>.trace.csv` under `--trace`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::Io`] when an artifact cannot be written.
-    pub fn finish(&self, fig: &str, measurements: &[Measurement]) -> Result<(), BenchError> {
-        log_throughput(fig, measurements.iter().map(|m| (m.cycles, m.host_seconds)));
-        if self.profile {
-            write_profile_json(&self.out, fig, measurements)?;
-        }
-        if self.trace {
-            write_trace_csv(&self.out, fig, measurements)?;
-        }
-        Ok(())
-    }
-
-    /// A [`Sweep`] honouring the `--threads` override.
-    #[must_use]
-    pub fn sweep(&self, name: impl Into<String>) -> Sweep {
-        let sweep = Sweep::new(name);
-        match self.threads {
-            Some(t) => sweep.threads(t),
-            None => sweep,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FIGURES;
+
+    /// Parses `args` for a figure that takes every flag.
+    fn parse(args: &[&str]) -> Result<BenchArgs, BenchError> {
+        BenchArgs::parse(args.iter().map(ToString::to_string), "figX", &[])
+    }
 
     #[test]
     fn args_reject_unknown_flags() {
-        let err = BenchArgs::parse(vec!["--frobnicate".to_string()]).unwrap_err();
-        let msg = err.to_string();
+        let msg = parse(&["--frobnicate"]).unwrap_err().to_string();
         assert!(msg.contains("unknown flag"), "{msg}");
         assert!(msg.contains("valid flags:"), "{msg}");
+
+        // A known flag the figure cannot honour is refused by name, for
+        // every refusal in the figure table — and parses for a figure
+        // that takes it.
+        for &(figure, _, refused, _) in FIGURES {
+            for &flag in refused {
+                let args = [flag.to_string(), "1".to_string()];
+                let err = BenchArgs::parse(args.clone(), figure, refused).unwrap_err();
+                assert!(matches!(err, BenchError::Usage(_)), "{err}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("`{figure}` cannot honour `{flag}`")),
+                    "{msg}"
+                );
+                assert!(
+                    !matches!(
+                        BenchArgs::parse(args, "figX", &[]),
+                        Err(BenchError::Usage(m)) if m.contains("`figX` cannot honour")
+                    ),
+                    "{flag} is only refused where the table says so"
+                );
+            }
+        }
     }
 
     #[test]
     fn unknown_flag_error_lists_every_flag_and_suggests() {
-        let msg = BenchArgs::parse(vec!["--profil".to_string()])
-            .unwrap_err()
-            .to_string();
+        let msg = parse(&["--profil"]).unwrap_err().to_string();
         assert!(msg.contains("unknown flag `--profil`"), "{msg}");
         assert!(msg.contains("did you mean `--profile`?"), "{msg}");
         for (flag, _, help) in FLAGS {
@@ -354,9 +315,7 @@ mod tests {
             );
         }
         // A typo nothing like any flag gets the listing but no guess.
-        let msg = BenchArgs::parse(vec!["--zzzzzzzzzzzzzzzz".to_string()])
-            .unwrap_err()
-            .to_string();
+        let msg = parse(&["--zzzzzzzzzzzzzzzz"]).unwrap_err().to_string();
         assert!(!msg.contains("did you mean"), "{msg}");
         assert!(msg.contains("valid flags:"), "{msg}");
     }
@@ -366,71 +325,81 @@ mod tests {
         for (flag, _, _) in FLAGS {
             assert!(USAGE.contains(flag), "USAGE must document {flag}");
         }
+        // USAGE's per-figure paragraph names exactly the refusals of the
+        // figure table.
+        let (_, per_figure) = USAGE.split_once("usage error:\n").unwrap();
+        let mut paragraphs: Vec<String> = Vec::new();
+        for line in per_figure.lines() {
+            match paragraphs.last_mut() {
+                Some(open) if line.starts_with("   ") => open.push_str(line),
+                _ => paragraphs.push(line.to_string()),
+            }
+        }
+        for &(figure, _, refused, _) in FIGURES {
+            let paragraph = paragraphs
+                .iter()
+                .find(|p| p.trim_start().split(' ').next() == Some(figure));
+            assert_eq!(paragraph.is_some(), !refused.is_empty(), "{figure}");
+            let Some(paragraph) = paragraph else { continue };
+            let (_, no) = paragraph.rsplit_once("no ").unwrap();
+            let named: Vec<&str> = no
+                .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            assert_eq!(named, refused, "USAGE vs FIGURES for {figure}");
+        }
     }
 
     #[test]
     fn args_parse_profile_and_heartbeat_flags() {
-        let args = BenchArgs::parse(
-            [
-                "--profile",
-                "--heartbeat",
-                "30",
-                "--heartbeat-file",
-                "hb.ndjson",
-            ]
-            .map(String::from),
-        )
+        let args = parse(&[
+            "--profile",
+            "--heartbeat",
+            "30",
+            "--heartbeat-file",
+            "hb.ndjson",
+        ])
         .unwrap();
         assert!(args.profile);
         assert_eq!(args.heartbeat, Some(30));
         assert_eq!(args.heartbeat_file, Some(PathBuf::from("hb.ndjson")));
         assert!(!BenchArgs::default().profile, "profiling is opt-in");
         assert!(BenchArgs::default().heartbeat.is_none());
-        assert!(BenchArgs::parse(["--heartbeat".to_string()]).is_err());
-        assert!(BenchArgs::parse(["--heartbeat", "0"].map(String::from)).is_err());
-        assert!(BenchArgs::parse(["--heartbeat", "soon"].map(String::from)).is_err());
-        assert!(BenchArgs::parse(["--heartbeat-file".to_string()]).is_err());
+        assert!(parse(&["--heartbeat"]).is_err());
+        assert!(parse(&["--heartbeat", "0"]).is_err());
+        assert!(parse(&["--heartbeat", "soon"]).is_err());
+        assert!(parse(&["--heartbeat-file"]).is_err());
     }
 
     #[test]
     fn args_parse_all_flags() {
-        let args = BenchArgs::parse(
-            [
-                "--quick",
-                "--threads",
-                "3",
-                "--out",
-                "outdir",
-                "--trace",
-                "--exec",
-                "translated",
-            ]
-            .map(String::from),
-        )
+        let args = parse(&[
+            "--quick",
+            "--threads",
+            "3",
+            "--out",
+            "outdir",
+            "--trace",
+            "--exec",
+            "translated",
+        ])
         .unwrap();
         assert!(args.quick);
         assert_eq!(args.threads, Some(3));
         assert_eq!(args.out, PathBuf::from("outdir"));
         assert!(args.trace);
         assert_eq!(args.exec, Some(ExecMode::Translated));
-        assert!(BenchArgs::parse(["--exec".to_string()]).is_err());
+        assert!(parse(&["--exec"]).is_err());
         // `event` named the deleted third mode: rejected like any other
         // unknown value; a near-miss of a live mode gets a suggestion.
-        let msg = BenchArgs::parse(["--exec", "event"].map(String::from))
-            .unwrap_err()
-            .to_string();
+        let msg = parse(&["--exec", "event"]).unwrap_err().to_string();
         assert!(msg.contains("--exec: unknown mode `event`"), "{msg}");
         assert!(msg.contains("expected translated or reference"), "{msg}");
         assert!(!msg.contains("did you mean"), "{msg}");
-        let msg = BenchArgs::parse(["--exec", "translate"].map(String::from))
-            .unwrap_err()
-            .to_string();
+        let msg = parse(&["--exec", "translate"]).unwrap_err().to_string();
         assert!(msg.contains("did you mean `translated`?"), "{msg}");
         for (name, mode) in EXEC_MODES {
-            let args = BenchArgs::parse(["--exec", name].map(String::from)).unwrap();
-            assert_eq!(args.exec, Some(mode));
-            let cfg = args.configure(SimConfig::builder().cores(2).build().unwrap());
-            assert_eq!(cfg.exec_mode, mode, "configure applies --exec {name}");
+            assert_eq!(parse(&["--exec", name]).unwrap().exec, Some(mode));
         }
         assert!(
             BenchArgs::default().exec.is_none(),
@@ -441,8 +410,8 @@ mod tests {
 
     #[test]
     fn args_reject_bad_thread_counts() {
-        assert!(BenchArgs::parse(["--threads".to_string()]).is_err());
-        assert!(BenchArgs::parse(["--threads", "zero"].map(String::from)).is_err());
-        assert!(BenchArgs::parse(["--threads", "0"].map(String::from)).is_err());
+        assert!(parse(&["--threads"]).is_err());
+        assert!(parse(&["--threads", "zero"]).is_err());
+        assert!(parse(&["--threads", "0"]).is_err());
     }
 }

@@ -56,17 +56,7 @@ usage: litmus [--seeds N] [--seed-start S] [--seed S] [--scenario NAME]
   -h, --help      show this help";
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(BenchError::Help) => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("litmus: error: {e}");
-            ExitCode::from(2)
-        }
-    }
+    lrscwait_bench::exit_code("litmus", USAGE, run())
 }
 
 struct Args {

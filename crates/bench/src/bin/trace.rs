@@ -60,17 +60,7 @@ const VALIDATE_EVENT_LIMIT: u64 = 2_000_000;
 const MATMUL_N: u32 = 8;
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(BenchError::Help) => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("trace: error: {e}");
-            ExitCode::from(2)
-        }
-    }
+    lrscwait_bench::exit_code("trace", USAGE, run())
 }
 
 struct TraceArgs {

@@ -78,12 +78,13 @@ pub enum BenchError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
+    /// A CSV row whose field count differs from the header's (it would
+    /// shift every later column); nothing was written.
+    RaggedRow(String),
     /// Bad command-line usage.
     Usage(String),
-    /// `-h`/`--help` was requested (not a failure; [`run_main`] prints the
-    /// text to stdout and exits 0).
-    ///
-    /// [`run_main`]: crate::run_main
+    /// `-h`/`--help` was requested (not a failure; the binaries print the
+    /// text to stdout and exit 0).
     Help,
 }
 
@@ -119,7 +120,7 @@ impl fmt::Display for BenchError {
             }
             BenchError::ClaimFailed(msg) => write!(f, "claim failed: {msg}"),
             BenchError::Io { path, source } => write!(f, "{path}: {source}"),
-            BenchError::Usage(msg) => write!(f, "{msg}"),
+            BenchError::RaggedRow(msg) | BenchError::Usage(msg) => write!(f, "{msg}"),
             BenchError::Help => write!(f, "{USAGE}"),
         }
     }
@@ -243,6 +244,12 @@ impl Measurement {
             self.cycles.to_string(),
             self.stats.total_stall_cycles().to_string(),
         ]
+    }
+
+    /// `(label, x)`, the key [`find`](crate::find) looks a point up by.
+    #[must_use]
+    pub fn key(&self) -> (&str, u32) {
+        (&self.label, self.x)
     }
 
     /// Simulated cycles per host second for this run.
@@ -743,45 +750,58 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_round_trip_matches_uninterrupted() {
-        let dir = std::env::temp_dir().join(format!("lrscwait-ckpt-{}", std::process::id()));
-        let ckpt = dir.join("mid.snap");
-        let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
-        let full = SimConfig::builder().cores(4).build().unwrap();
-        let base = Experiment::new(&kernel, full).run().unwrap();
+        for (slug, arch) in [
+            ("lrsc", SyncArch::Lrsc),
+            ("colibri", SyncArch::Colibri { queues: 2 }),
+        ] {
+            let dir =
+                std::env::temp_dir().join(format!("lrscwait-ckpt-{slug}-{}", std::process::id()));
+            let ckpt = dir.join("mid.snap");
+            let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
+            let full = SimConfig::builder().cores(4).arch(arch).build().unwrap();
+            let base = Experiment::new(&kernel, full).run().unwrap();
 
-        // A budget-starved run still writes its snapshot before erroring.
-        let starved = SimConfig::builder()
-            .cores(4)
-            .max_cycles(base.cycles / 2)
-            .build()
-            .unwrap();
-        let err = Experiment::new(&kernel, starved)
-            .checkpoint(&ckpt)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, BenchError::Watchdog { .. }), "{err}");
-        assert!(ckpt.exists(), "checkpoint must be written on watchdog");
+            // A budget-starved run still writes its snapshot before erroring.
+            let starved = SimConfig::builder()
+                .cores(4)
+                .arch(arch)
+                .max_cycles(base.cycles / 2)
+                .build()
+                .unwrap();
+            let err = Experiment::new(&kernel, starved)
+                .checkpoint(&ckpt)
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, BenchError::Watchdog { .. }), "{slug}: {err}");
+            assert!(
+                ckpt.exists(),
+                "{slug}: checkpoint must be written on watchdog"
+            );
 
-        // Resuming with the full budget lands exactly where the
-        // uninterrupted run did.
-        let resumed = Experiment::new(&kernel, full).resume(&ckpt).run().unwrap();
-        assert_eq!(resumed.cycles, base.cycles);
-        assert_eq!(resumed.stats, base.stats);
+            // Resuming with the full budget lands exactly where the
+            // uninterrupted run did.
+            let resumed = Experiment::new(&kernel, full).resume(&ckpt).run().unwrap();
+            assert_eq!(resumed.cycles, base.cycles, "{slug}");
+            assert_eq!(resumed.stats, base.stats, "{slug}");
 
-        // Unreadable and malformed snapshots produce typed errors.
-        let missing = Experiment::new(&kernel, full)
-            .resume(dir.join("no-such.snap"))
-            .run()
-            .unwrap_err();
-        assert!(matches!(missing, BenchError::Io { .. }), "{missing}");
-        let garbage = dir.join("garbage.snap");
-        std::fs::write(&garbage, b"not a snapshot").unwrap();
-        let bad = Experiment::new(&kernel, full)
-            .resume(&garbage)
-            .run()
-            .unwrap_err();
-        assert!(matches!(bad, BenchError::Load(_)), "{bad}");
-        let _ = std::fs::remove_dir_all(&dir);
+            // Unreadable and malformed snapshots produce typed errors.
+            let missing = Experiment::new(&kernel, full)
+                .resume(dir.join("no-such.snap"))
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(missing, BenchError::Io { .. }),
+                "{slug}: {missing}"
+            );
+            let garbage = dir.join("garbage.snap");
+            std::fs::write(&garbage, b"not a snapshot").unwrap();
+            let bad = Experiment::new(&kernel, full)
+                .resume(&garbage)
+                .run()
+                .unwrap_err();
+            assert!(matches!(bad, BenchError::Load(_)), "{slug}: {bad}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,0 +1,259 @@
+//! `fig_barriers` — the 1024-core multi-barrier kernel study (Bertuletti
+//! et al., "Fast Shared-Memory Barrier Synchronization for a 1024-Cores
+//! RISC-V Many-Core Cluster", on the LRSCwait substrate).
+//!
+//! Sweeps barrier algorithm × synchronization architecture × core count
+//! (64 → 1024 on the scaled MemPool geometry; `--quick` caps at 256 for
+//! CI) and reports **cycles per barrier episode** — the latency a kernel
+//! pays every time it lines all cores up. Four algorithms:
+//!
+//! * central counter, LR/SC retry arrival + polling release;
+//! * central counter, LRSCwait arrival + `mwait` parking (polling-free);
+//! * radix-2 combining tree of `amoadd` counters, polling release;
+//! * the hardware MMIO barrier (roofline).
+//!
+//! Every point also runs [`traced`](Experiment::traced) and with a
+//! [`NocHeatmapSink`] attached (tracing never changes results): the study
+//! emits, per point, the per-node delivered / HoL-blocked NoC traffic as
+//! `fig_barriers.heatmap.<impl>_<arch>_c<cores>.csv` — the Fig. 5-style
+//! interference mechanism made visible at scale.
+//!
+//! Runtime expectation: the full sweep is dominated by the retry-storm
+//! points (central LR/SC and the degraded wait-on-LRSC path at 1024
+//! cores — a kilocore machine *actively polling* is the most expensive
+//! thing a cycle-accurate simulator can be asked to do, which is the
+//! paper's argument in simulator-time form). Budget tens of CPU-minutes
+//! for the full figure; `--quick` finishes in well under a minute. A
+//! point whose barrier cannot complete within the 20 M-cycle watchdog
+//! (20x the costliest completing point ever observed) is reported as
+//! **DNF** and dropped from the CSV (fig6's CAS-livelock policy): a
+//! retry barrier collapsing at kilocore scale is the finding, not a
+//! harness failure. The headline claims compare at the largest core
+//! count where every compared series completed.
+
+use lrscwait_core::SyncArch;
+use lrscwait_kernels::{BarrierImpl, BarrierKernel};
+use lrscwait_sim::SimConfig;
+use lrscwait_trace::{NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATMAP_CSV_HEADER};
+
+use crate::report::{columns, print_table};
+use crate::{
+    check_claim, find, largest_common_x, product, write_csv, BenchError, Figure, Measurement,
+};
+
+const IMPLS: [BarrierImpl; 4] = [
+    BarrierImpl::CentralLrsc,
+    BarrierImpl::CentralLrscWait,
+    BarrierImpl::TreeAmo,
+    BarrierImpl::HwMmio,
+];
+
+/// The series label of an algorithm on an architecture.
+fn series(impl_: BarrierImpl, arch: SyncArch) -> String {
+    format!("{} on {arch}", impl_.label())
+}
+
+fn impl_slug(impl_: BarrierImpl) -> &'static str {
+    match impl_ {
+        BarrierImpl::CentralLrsc => "central-lrsc",
+        BarrierImpl::CentralLrscWait => "central-lrscwait",
+        BarrierImpl::TreeAmo => "tree2",
+        BarrierImpl::HwMmio => "hw",
+    }
+}
+
+/// The header of the main figure CSV.
+const CSV_HEADER: [&str; 8] = [
+    "series",
+    "arch",
+    "cores",
+    "episodes",
+    "cycles_per_episode",
+    "cycles",
+    "stall_cycles",
+    "hol_blocks",
+];
+
+struct Point {
+    measurement: Measurement,
+    impl_: BarrierImpl,
+    arch: SyncArch,
+    cores: u32,
+    episodes: u32,
+    analysis: SyncAnalysis,
+    heatmap: NocHeatmap,
+}
+
+impl Point {
+    /// `(series label, cores)`, the key claims look points up by.
+    fn key(&self) -> (&str, u32) {
+        self.measurement.key()
+    }
+
+    fn cycles_per_episode(&self) -> f64 {
+        let region = self
+            .measurement
+            .max_region_cycles(0..self.cores as usize)
+            .unwrap_or(self.measurement.cycles);
+        region as f64 / f64::from(self.episodes)
+    }
+}
+
+pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
+    let cores: &[u32] = fig.pick(&[64, 256], &[64, 256, 1024]);
+    let episodes = fig.pick(4, 8);
+    let archs = [SyncArch::Lrsc, SyncArch::Colibri { queues: 4 }];
+
+    // A point that hits the watchdog is reported as DNF and dropped from
+    // the CSV (see `Figure::run_dnf`) — the same policy fig6 applies to
+    // the Michael–Scott CAS livelock — while every other error aborts.
+    let results: Vec<Point> = fig
+        .sweep(
+            product(&product(&IMPLS, &archs), cores),
+            |((impl_, arch), cores)| {
+                let cfg = SimConfig::builder()
+                    .mempool_cores(cores as usize)
+                    .arch(arch)
+                    .max_cycles(20_000_000);
+                let kernel = BarrierKernel::new(impl_, episodes, cores);
+                let heatmap = SharedSink::new(NocHeatmapSink::new());
+                let exp = fig
+                    .experiment(&kernel, cfg)?
+                    .label(series(impl_, arch))
+                    .x(cores)
+                    .traced()
+                    .sink(Box::new(heatmap.clone()));
+                let Some(measurement) = fig.run_dnf(exp, cores)? else {
+                    return Ok(None);
+                };
+                let analysis =
+                    measurement
+                        .analysis
+                        .clone()
+                        .ok_or(BenchError::MissingMeasurement {
+                            label: measurement.label.clone(),
+                            what: "synchronization analysis",
+                        })?;
+                let point = Point {
+                    measurement,
+                    impl_,
+                    arch,
+                    cores,
+                    episodes,
+                    analysis,
+                    heatmap: heatmap.take().finish(),
+                };
+                // A wait-hardware algorithm on the plain-LRSC adapter runs its
+                // fail-fast fallback path — flag the point so the log reads as
+                // the degradation it is.
+                let degraded = if impl_.uses_wait_hardware() && arch == SyncArch::Lrsc {
+                    " [degraded: no wait hardware]"
+                } else {
+                    ""
+                };
+                eprintln!(
+                    "{} {} cores={cores}: {:.1} cycles/episode \
+                 ({} HoL blocks, {} handoffs){degraded}",
+                    fig.name,
+                    point.measurement.label,
+                    point.cycles_per_episode(),
+                    point.heatmap.total_hol_blocks(),
+                    point.analysis.handoff.count,
+                );
+                Ok(Some(point))
+            },
+        )?
+        .into_iter()
+        .flatten()
+        .collect();
+    check_claim(
+        !results.is_empty(),
+        "every barrier point hit the watchdog — no figure to report",
+    )?;
+
+    fig.finish(results.iter().map(|p| &p.measurement))?;
+
+    // Main figure CSV: one row per (algorithm, arch, cores) point.
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|p| {
+            vec![
+                p.impl_.label().to_string(),
+                p.arch.to_string(),
+                p.cores.to_string(),
+                p.episodes.to_string(),
+                format!("{:.1}", p.cycles_per_episode()),
+                p.measurement.cycles.to_string(),
+                p.measurement.stats.total_stall_cycles().to_string(),
+                p.analysis.hol_blocks.to_string(),
+            ]
+        })
+        .collect();
+    fig.write_csv(&CSV_HEADER, &rows)?;
+
+    // Per-point NoC heatmap CSVs: where the interference actually lands.
+    for p in &results {
+        let name = format!(
+            "fig_barriers.heatmap.{}_{}_c{}",
+            impl_slug(p.impl_),
+            p.arch.to_string().to_lowercase(),
+            p.cores
+        );
+        let heatmap_rows = p.heatmap.csv_rows();
+        check_claim(
+            !heatmap_rows.is_empty() && p.heatmap.total_delivered() > 0,
+            format!("{name}: heatmap recorded no NoC traffic"),
+        )?;
+        write_csv(&fig.args.out, &name, &HEATMAP_CSV_HEADER, &heatmap_rows)?;
+    }
+
+    print_table(
+        "\n## Barrier study — cycles per episode vs cores",
+        &["series", "arch", "cores", "cycles/episode", "HoL blocks"],
+        &columns(&rows, &[0, 1, 2, 4, 7]),
+    );
+
+    // Quantitative claims, checked at the largest core count where every
+    // compared series completed (a DNF above that only strengthens the
+    // conclusion — the collapsed series has no number to compare at all).
+    let compared = [
+        (BarrierImpl::HwMmio, SyncArch::Lrsc),
+        (BarrierImpl::CentralLrsc, SyncArch::Lrsc),
+        (BarrierImpl::TreeAmo, SyncArch::Lrsc),
+        (
+            BarrierImpl::CentralLrscWait,
+            SyncArch::Colibri { queues: 4 },
+        ),
+    ]
+    .map(|(impl_, arch)| series(impl_, arch));
+    let top = largest_common_x(&results, Point::key, &compared, cores)?;
+    let latency = |s: &str| find(&results, Point::key, s, top).map(Point::cycles_per_episode);
+    let [hw, central_lrsc, tree, parking] = [
+        latency(&compared[0])?,
+        latency(&compared[1])?,
+        latency(&compared[2])?,
+        latency(&compared[3])?,
+    ];
+    println!(
+        "at {top} cores: HW {hw:.0} | tree {tree:.0} | central LRSC {central_lrsc:.0} | \
+         central LRSCwait (Colibri) {parking:.0} cycles/episode"
+    );
+    check_claim(
+        hw < tree && hw < central_lrsc && hw < parking,
+        "the hardware barrier must be the roofline",
+    )?;
+    check_claim(
+        tree < central_lrsc,
+        format!(
+            "the combining tree must beat the central LR/SC barrier at {top} cores \
+             ({tree:.0} vs {central_lrsc:.0} cycles/episode)"
+        ),
+    )?;
+    check_claim(
+        parking < central_lrsc,
+        format!(
+            "LRSCwait parking must beat the LR/SC retry barrier at {top} cores \
+             ({parking:.0} vs {central_lrsc:.0} cycles/episode)"
+        ),
+    )
+}

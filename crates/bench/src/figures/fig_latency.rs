@@ -25,23 +25,20 @@
 //! (their percentiles cover the items that did complete) because the
 //! saturation knee *is* the figure; claims only use completed points.
 
-use std::process::ExitCode;
 use std::time::Instant;
 
-use lrscwait_bench::{
-    check_claim, log_throughput, markdown_table, write_csv, write_profile_set, BenchArgs,
-    BenchError,
-};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::ServiceKernel;
-use lrscwait_sim::{ExecMode, PhaseProfile, ProfilerConfig, SimConfig};
+use lrscwait_sim::{PhaseProfile, ProfilerConfig, SimConfig};
 use lrscwait_traffic::{
     ArrivalProcess, HarnessError, ServiceHarness, TrafficConfig, TrafficSummary,
 };
 
-fn main() -> ExitCode {
-    lrscwait_bench::run_main("fig_latency", run)
-}
+use crate::report::{columns, print_table};
+use crate::{
+    check_claim, find, largest_common_x, log_throughput, product, write_profile_set, BenchError,
+    Figure,
+};
 
 /// Servers in the fleet (active cores).
 const SERVERS: u32 = 8;
@@ -78,6 +75,13 @@ struct Point {
     profile: Option<PhaseProfile>,
 }
 
+impl Point {
+    /// `(series, load)`, the key claims look points up by.
+    fn key(&self) -> (&str, u32) {
+        (self.series, self.load_pct)
+    }
+}
+
 /// Maps a harness failure onto the bench error vocabulary. A DNF is *not*
 /// an error (the harness reports it in the summary); these are genuine
 /// failures — machine faults, fleet checksum mismatches, protocol bugs.
@@ -95,27 +99,25 @@ fn bench_err(label: &str, err: HarnessError) -> BenchError {
 /// One traffic run: fleet of [`SERVERS`] on `arch`, open-loop arrivals
 /// with the given mean inter-arrival time, `items` items, cycle budget
 /// sized so saturated points run out (DNF) instead of running forever.
-#[allow(clippy::too_many_arguments)]
+/// The traffic harness drives the machine itself, so of the flags only
+/// `--exec` and `--profile` apply.
 fn drive(
+    fig: &Figure,
     arch: SyncArch,
     label: &str,
     mean: f64,
     items: u64,
     seed: u64,
     bursty: bool,
-    exec: Option<ExecMode>,
-    profile: bool,
 ) -> Result<(TrafficSummary, Option<PhaseProfile>), BenchError> {
     let warmup = TrafficConfig::new(items).warmup;
     let budget = warmup + (items as f64 * mean * 1.25) as u64 + 4 * u64::from(SERVICE);
-    let mut cfg = SimConfig::builder()
-        .cores(SERVERS as usize)
-        .arch(arch)
-        .max_cycles(budget)
-        .build()?;
-    if let Some(mode) = exec {
-        cfg.exec_mode = mode;
-    }
+    let cfg = fig.config(
+        SimConfig::builder()
+            .cores(SERVERS as usize)
+            .arch(arch)
+            .max_cycles(budget),
+    )?;
     let arrivals = if bursty {
         // Two-state MMPP with the same long-run mean as the Poisson
         // series: dwell alternates between 2x and 2/3x the mean rate.
@@ -126,30 +128,25 @@ fn drive(
     let kernel = ServiceKernel::new(SERVERS, SERVICE);
     let mut harness = ServiceHarness::new(cfg, kernel, TrafficConfig::new(items), arrivals)
         .map_err(|e| bench_err(label, e))?;
-    if profile {
+    if fig.args.profile {
         harness.enable_profiler(ProfilerConfig::default());
     }
     let summary = harness.run().map_err(|e| bench_err(label, e))?;
     Ok((summary, harness.profile()))
 }
 
-fn run() -> Result<(), BenchError> {
-    let args = BenchArgs::from_env()?;
-    let loads: Vec<u32> = if args.quick {
-        vec![25, 70, 100, OVERLOAD]
-    } else {
-        vec![10, 25, 40, 55, 70, 85, 100, 120, 140, OVERLOAD]
-    };
-    let items: u64 = if args.quick { 150 } else { 1500 };
-    let archs: [(&'static str, SyncArch); 2] = [
-        ("LRSC", SyncArch::Lrsc),
-        ("Colibri", SyncArch::Colibri { queues: 4 }),
+pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
+    let loads: &[u32] = fig.pick(
+        &[25, 70, 100, OVERLOAD],
+        &[10, 25, 40, 55, 70, 85, 100, 120, 140, OVERLOAD],
+    );
+    let items: u64 = fig.pick(150, 1500);
+    // (series, architecture, seed salt)
+    let archs = [
+        ("LRSC", SyncArch::Lrsc, 0),
+        ("Colibri", SyncArch::Colibri { queues: 4 }, 7919),
     ];
-    let models: &[&'static str] = if args.quick {
-        &["poisson"]
-    } else {
-        &["poisson", "bursty"]
-    };
+    let models: &[&'static str] = fig.pick(&["poisson"], &["poisson", "bursty"]);
 
     // Calibrate the fleet's effective per-item service time (service loop
     // + mailbox/dispatch overhead) with a near-idle run on wait hardware,
@@ -157,13 +154,12 @@ fn run() -> Result<(), BenchError> {
     // nominal SERVICE constant alone would put the knee at an unknown
     // multiple of ρ = 1.
     let (cal, _) = drive(
+        fig,
         SyncArch::Colibri { queues: 4 },
         "calibration",
         f64::from(SERVICE) * 8.0,
         128,
         0x5EED,
-        false,
-        args.exec,
         false,
     )?;
     check_claim(
@@ -172,51 +168,32 @@ fn run() -> Result<(), BenchError> {
     )?;
     let service_eff = cal.latency.p50 as f64;
     eprintln!(
-        "fig_latency calibration: effective service time {service_eff:.0} cycles \
+        "{} calibration: effective service time {service_eff:.0} cycles \
          (nominal {SERVICE}); fleet capacity 1 item per {:.1} cycles",
+        fig.name,
         service_eff / f64::from(SERVERS)
     );
 
-    let mut points: Vec<(usize, &'static str, u32)> = Vec::new();
-    for (ai, _) in archs.iter().enumerate() {
-        for &model in models {
-            for &load in &loads {
-                points.push((ai, model, load));
-            }
-        }
-    }
-
-    let results: Vec<Point> = args.sweep("fig_latency").run(points, |(ai, model, load)| {
-        let (series, arch) = archs[ai];
+    let points = product(&product(&archs, models), loads);
+    let results: Vec<Point> = fig.sweep(points, |(((series, arch, salt), model), load)| {
         let label = format!("{series}/{model} load={load}%");
         let mean = service_eff / (f64::from(SERVERS) * f64::from(load) / 100.0);
-        let seed = 0xACE1
-            + u64::from(load) * 31
-            + ai as u64 * 7919
-            + if model == "bursty" { 104_729 } else { 0 };
+        let bursty = model == "bursty";
+        let seed = 0xACE1 + u64::from(load) * 31 + salt + if bursty { 104_729 } else { 0 };
         let started = Instant::now();
-        let (summary, profile) = drive(
-            arch,
-            &label,
-            mean,
-            items,
-            seed,
-            model == "bursty",
-            args.exec,
-            args.profile,
-        )?;
+        let (summary, profile) = drive(fig, arch, &label, mean, items, seed, bursty)?;
         let host_seconds = started.elapsed().as_secs_f64();
         if summary.dnf {
             eprintln!(
-                "fig_latency {label}: DNF — {}/{} items within {} cycles \
+                "{} {label}: DNF — {}/{} items within {} cycles \
                      (saturated, queue peaked at {})",
-                summary.completed, summary.items, summary.cycles, summary.queue_depth_max
+                fig.name, summary.completed, summary.items, summary.cycles, summary.queue_depth_max
             );
         } else {
             eprintln!(
-                "fig_latency {label}: p50 {} p99 {} p99.9 {} cycles \
+                "{} {label}: p50 {} p99 {} p99.9 {} cycles \
                      (mean inter-arrival {:.1})",
-                summary.latency.p50, summary.latency.p99, summary.latency.p999, mean
+                fig.name, summary.latency.p50, summary.latency.p99, summary.latency.p999, mean
             );
         }
         Ok(Point {
@@ -230,10 +207,10 @@ fn run() -> Result<(), BenchError> {
     })?;
 
     log_throughput(
-        "fig_latency",
+        fig.name,
         results.iter().map(|p| (p.summary.cycles, p.host_seconds)),
     );
-    if args.profile {
+    if fig.args.profile {
         let profile_points: Vec<(String, u32, PhaseProfile)> = results
             .iter()
             .filter_map(|p| {
@@ -242,7 +219,7 @@ fn run() -> Result<(), BenchError> {
                     .map(|prof| (format!("{}/{}", p.series, p.model), p.load_pct, prof))
             })
             .collect();
-        write_profile_set(&args.out, "fig_latency", &profile_points)?;
+        write_profile_set(&fig.args.out, fig.name, &profile_points)?;
     }
 
     let rows: Vec<Vec<String>> = results
@@ -269,61 +246,25 @@ fn run() -> Result<(), BenchError> {
             ]
         })
         .collect();
-    let csv_path = write_csv(&args.out, "fig_latency", &CSV_HEADER, &rows)?;
+    fig.write_csv(&CSV_HEADER, &rows)?;
 
-    // Self-check, CI style: the artifact round-trips with the declared
-    // header and exactly one row per sweep point.
-    let text = std::fs::read_to_string(&csv_path).map_err(|source| BenchError::Io {
-        path: csv_path.display().to_string(),
-        source,
-    })?;
-    let mut lines = text.lines();
-    check_claim(
-        lines.next() == Some(CSV_HEADER.join(",").as_str()),
-        "fig_latency.csv header mismatch",
-    )?;
-    check_claim(
-        lines.count() == results.len(),
-        format!("fig_latency.csv must hold {} data rows", results.len()),
-    )?;
-
-    println!("\n## Open-loop tail latency vs offered load\n");
-    println!(
-        "{}",
-        markdown_table(
-            &["series", "model", "load %", "p50", "p99", "p99.9", "q max", "dnf"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r[0].clone(),
-                        r[1].clone(),
-                        r[2].clone(),
-                        r[7].clone(),
-                        r[8].clone(),
-                        r[9].clone(),
-                        r[14].clone(),
-                        r[6].clone(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
+    print_table(
+        "\n## Open-loop tail latency vs offered load",
+        &[
+            "series", "model", "load %", "p50", "p99", "p99.9", "q max", "dnf",
+        ],
+        &columns(&rows, &[0, 1, 2, 7, 8, 9, 14, 6]),
     );
 
     // Quantitative claims, on the Poisson series only (the bursty series
     // is reported, not claimed — its tails depend on dwell phasing).
-    let point = |series: &str, load: u32| -> Result<&TrafficSummary, BenchError> {
-        results
-            .iter()
-            .find(|p| p.series == series && p.model == "poisson" && p.load_pct == load)
-            .map(|p| &p.summary)
-            .ok_or(BenchError::MissingPoint {
-                series: series.to_string(),
-                x: load,
-            })
+    let poisson = results.iter().filter(|p| p.model == "poisson");
+    let completed = poisson.clone().filter(|p| !p.summary.dnf);
+    let point = |series: &str, load: u32| {
+        find(poisson.clone(), Point::key, series, load).map(|p| &p.summary)
     };
     let low = loads[0];
-    for (series, _) in archs {
+    for (series, _, _) in archs {
         let base = point(series, low)?;
         check_claim(
             !base.dnf,
@@ -339,17 +280,11 @@ fn run() -> Result<(), BenchError> {
         )?;
         // The saturation knee: the highest load this series still
         // completed must show clear queueing delay over the idle fleet.
-        let knee = loads
-            .iter()
-            .rev()
-            .find_map(|&l| point(series, l).ok().filter(|s| !s.dnf).map(|s| (l, s)))
-            .ok_or(BenchError::MissingPoint {
-                series: series.to_string(),
-                x: 0,
-            })?;
+        let knee_load = largest_common_x(completed.clone(), Point::key, &[series], loads)?;
+        let knee = (knee_load, point(series, knee_load)?);
         eprintln!(
-            "fig_latency {series}: knee at {}% load — p99 {} vs {} at {low}%",
-            knee.0, knee.1.latency.p99, base.latency.p99
+            "{} {series}: knee at {}% load — p99 {} vs {} at {low}%",
+            fig.name, knee.0, knee.1.latency.p99, base.latency.p99
         );
         check_claim(
             knee.0 > low && knee.1.latency.p99 >= base.latency.p99 * 3 / 2,
@@ -372,20 +307,9 @@ fn run() -> Result<(), BenchError> {
     // architectures still complete, the parked (Colibri) fleet's tail is
     // shorter than the polling (LRSC) fleet's — doorbell polling burns
     // bank bandwidth the service path needs.
-    let common = loads
-        .iter()
-        .rev()
-        .find(|&&l| {
-            archs
-                .iter()
-                .all(|&(s, _)| point(s, l).map(|p| !p.dnf).unwrap_or(false))
-        })
-        .ok_or(BenchError::MissingPoint {
-            series: "latency comparison".to_string(),
-            x: 0,
-        })?;
-    let lrsc = point("LRSC", *common)?.latency.p99;
-    let colibri = point("Colibri", *common)?.latency.p99;
+    let common = largest_common_x(completed, Point::key, &["LRSC", "Colibri"], loads)?;
+    let lrsc = point("LRSC", common)?.latency.p99;
+    let colibri = point("Colibri", common)?.latency.p99;
     println!("at {common}% load: p99 LRSC {lrsc} vs Colibri {colibri} cycles");
     check_claim(
         colibri < lrsc,

@@ -40,19 +40,14 @@
 //! than a work-conserving makespan that every substrate shares.
 
 use std::collections::HashMap;
-use std::process::ExitCode;
 
-use lrscwait_bench::{
-    check_claim, markdown_table, write_csv, BenchArgs, BenchError, Experiment, Measurement,
-};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::RcuKernel;
 use lrscwait_sim::SimConfig;
 use lrscwait_trace::{OpKind, SharedSink, TraceEvent, TraceSink};
 
-fn main() -> ExitCode {
-    lrscwait_bench::run_main("fig_rcu", run)
-}
+use crate::report::{columns, print_table};
+use crate::{check_claim, find, largest_common_x, product, BenchError, Figure, Measurement};
 
 const ARCHES: [SyncArch; 3] = [
     SyncArch::Lrsc,
@@ -60,7 +55,7 @@ const ARCHES: [SyncArch; 3] = [
     SyncArch::Colibri { queues: 4 },
 ];
 
-/// The header of the figure CSV (also the self-check contract).
+/// The header of the figure CSV.
 const CSV_HEADER: [&str; 13] = [
     "series",
     "cores",
@@ -128,9 +123,19 @@ struct Point {
     readers: u32,
     syncs: u32,
     grace: Vec<u64>,
-    parks: u64,
-    wait_parks: u64,
-    polls_while_parked: u64,
+    traffic: ParkedTraffic,
+}
+
+impl Point {
+    /// `(series label, cores)`, the key claims look points up by.
+    fn key(&self) -> (&str, u32) {
+        self.measurement.key()
+    }
+}
+
+/// The series label of the RCU kernel on an architecture.
+fn series(arch: SyncArch) -> String {
+    format!("rcu on {arch}")
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -140,65 +145,34 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn run() -> Result<(), BenchError> {
-    let args = BenchArgs::from_env()?;
-    let cores: Vec<u32> = if args.quick {
-        vec![64, 256]
-    } else {
-        vec![64, 256, 1024]
-    };
+pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
+    let cores: &[u32] = fig.pick(&[64, 256], &[64, 256, 1024]);
     // Several contending writers: the retry-vs-parking contrast lives in
     // the writer-mutex handoff, and `synchronize_rcu` latency as a caller
     // feels it includes that wait. Readers are everyone else, so the
     // x-axis still sweeps the reader count.
     let writers = 16;
-    let syncs = if args.quick { 6 } else { 12 };
-    let iters = if args.quick { 48 } else { 128 };
+    let syncs = fig.pick(6, 12);
+    let iters = fig.pick(48, 128);
 
-    let mut points: Vec<(SyncArch, u32)> = Vec::new();
-    for &arch in &ARCHES {
-        for &c in &cores {
-            points.push((arch, c));
-        }
-    }
-
-    let results: Vec<Point> = args
-        .sweep("fig_rcu")
-        .run(points, |(arch, cores)| {
-            let cfg = args.configure(
-                SimConfig::builder()
-                    .mempool_cores(cores as usize)
-                    .arch(arch)
-                    .max_cycles(40_000_000)
-                    .build()?,
-            );
+    let results: Vec<Point> = fig
+        .sweep(product(&ARCHES, cores), |(arch, cores)| {
+            let cfg = SimConfig::builder()
+                .mempool_cores(cores as usize)
+                .arch(arch)
+                .max_cycles(40_000_000);
             let kernel = RcuKernel::new(cores, writers, syncs, iters);
             let parked = SharedSink::new(ParkedTraffic::default());
             let mut grace = Vec::new();
-            let outcome = args
-                .instrument(Experiment::new(&kernel, cfg))
-                .label(format!("rcu on {arch}"))
+            let exp = fig
+                .experiment(&kernel, cfg)?
+                .label(series(arch))
                 .x(cores)
                 .sink(Box::new(parked.clone()))
-                .inspect(|machine| grace = kernel.grace_cycles(machine))
-                .run();
-            let measurement = match outcome {
-                Ok(m) => m,
-                Err(BenchError::Watchdog {
-                    label,
-                    cycles,
-                    reason,
-                    ..
-                }) => {
-                    eprintln!(
-                        "fig_rcu {label} cores={cores}: DNF — watchdog after {cycles} \
-                         cycles, {reason} (grace-period collapse at this scale)"
-                    );
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
+                .inspect(|machine| grace = kernel.grace_cycles(machine));
+            let Some(measurement) = fig.run_dnf(exp, cores)? else {
+                return Ok(None);
             };
-            let traffic = parked.take();
             grace.sort_unstable();
             let point = Point {
                 measurement,
@@ -207,34 +181,32 @@ fn run() -> Result<(), BenchError> {
                 readers: kernel.readers(),
                 syncs: kernel.total_syncs(),
                 grace,
-                parks: traffic.parks,
-                wait_parks: traffic.wait_parks,
-                polls_while_parked: traffic.polls_while_parked,
+                traffic: parked.take(),
             };
             eprintln!(
-                "fig_rcu rcu on {arch} cores={cores}: grace p50 {} p99 {} max {} cycles, \
+                "{} {} cores={cores}: grace p50 {} p99 {} max {} cycles, \
                  {:.4} reader ops/cycle ({} parks, {} wait-parks, {} polls-while-parked)",
+                fig.name,
+                point.measurement.label,
                 percentile(&point.grace, 0.50),
                 percentile(&point.grace, 0.99),
                 point.grace.last().copied().unwrap_or(0),
                 point.measurement.throughput,
-                point.parks,
-                point.wait_parks,
-                point.polls_while_parked,
+                point.traffic.parks,
+                point.traffic.wait_parks,
+                point.traffic.polls_while_parked,
             );
             Ok(Some(point))
         })?
         .into_iter()
         .flatten()
         .collect();
-    let expected_rows = results.len();
     check_claim(
         !results.is_empty(),
         "every RCU point hit the watchdog — no figure to report",
     )?;
 
-    let measurements: Vec<Measurement> = results.iter().map(|p| p.measurement.clone()).collect();
-    args.finish("fig_rcu", &measurements)?;
+    fig.finish(results.iter().map(|p| &p.measurement))?;
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -250,54 +222,25 @@ fn run() -> Result<(), BenchError> {
                 format!("{:.4}", p.measurement.throughput),
                 p.measurement.cycles.to_string(),
                 p.measurement.stats.total_stall_cycles().to_string(),
-                p.parks.to_string(),
-                p.wait_parks.to_string(),
-                p.polls_while_parked.to_string(),
+                p.traffic.parks.to_string(),
+                p.traffic.wait_parks.to_string(),
+                p.traffic.polls_while_parked.to_string(),
             ]
         })
         .collect();
-    let csv_path = write_csv(&args.out, "fig_rcu", &CSV_HEADER, &rows)?;
+    fig.write_csv(&CSV_HEADER, &rows)?;
 
-    // Self-check, CI style: the artifact round-trips with the declared
-    // header and exactly the rendered row count.
-    let text = std::fs::read_to_string(&csv_path).map_err(|source| BenchError::Io {
-        path: csv_path.display().to_string(),
-        source,
-    })?;
-    let mut lines = text.lines();
-    check_claim(
-        lines.next() == Some(CSV_HEADER.join(",").as_str()),
-        "fig_rcu.csv header mismatch",
-    )?;
-    check_claim(
-        lines.count() == expected_rows,
-        format!("fig_rcu.csv must hold {expected_rows} data rows"),
-    )?;
-
-    println!("\n## RCU study — grace-period latency vs reader count\n");
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "series",
-                "cores",
-                "grace p50",
-                "grace p99",
-                "grace max",
-                "reader ops/cycle"
-            ],
-            &rows
-                .iter()
-                .map(|r| vec![
-                    r[0].clone(),
-                    r[1].clone(),
-                    r[4].clone(),
-                    r[5].clone(),
-                    r[6].clone(),
-                    r[7].clone()
-                ])
-                .collect::<Vec<_>>(),
-        )
+    print_table(
+        "\n## RCU study — grace-period latency vs reader count",
+        &[
+            "series",
+            "cores",
+            "grace p50",
+            "grace p99",
+            "grace max",
+            "reader ops/cycle",
+        ],
+        &columns(&rows, &[0, 1, 4, 5, 6, 7]),
     );
 
     // Physics: a parked writer issues zero polling requests while it
@@ -308,14 +251,14 @@ fn run() -> Result<(), BenchError> {
             continue;
         }
         check_claim(
-            p.polls_while_parked == 0,
+            p.traffic.polls_while_parked == 0,
             format!(
                 "rcu on {} cores={}: a parked core issued {} memory requests",
-                p.arch, p.cores, p.polls_while_parked
+                p.arch, p.cores, p.traffic.polls_while_parked
             ),
         )?;
         check_claim(
-            p.wait_parks > 0,
+            p.traffic.wait_parks > 0,
             format!(
                 "rcu on {} cores={}: no core ever slept on a wait primitive — \
                  the wait path did not engage",
@@ -327,27 +270,9 @@ fn run() -> Result<(), BenchError> {
     // Headline: polling-free grace periods beat retry-LRSC ones at the
     // largest core count where every series completed (a DNF above that
     // only strengthens the conclusion).
-    let top = *cores
-        .iter()
-        .rev()
-        .find(|&&c| {
-            ARCHES
-                .iter()
-                .all(|&a| results.iter().any(|p| p.arch == a && p.cores == c))
-        })
-        .ok_or(BenchError::MissingPoint {
-            series: "rcu comparison".to_string(),
-            x: 0,
-        })?;
-    let p99 = |arch: SyncArch| -> Result<u64, BenchError> {
-        results
-            .iter()
-            .find(|p| p.arch == arch && p.cores == top)
-            .map(|p| percentile(&p.grace, 0.99))
-            .ok_or(BenchError::MissingPoint {
-                series: format!("rcu on {arch}"),
-                x: top,
-            })
+    let top = largest_common_x(&results, Point::key, &ARCHES.map(series), cores)?;
+    let p99 = |arch: SyncArch| {
+        find(&results, Point::key, &series(arch), top).map(|p| percentile(&p.grace, 0.99))
     };
     let lrsc = p99(SyncArch::Lrsc)?;
     let lrscwait = p99(SyncArch::LrscWaitIdeal)?;

@@ -2,18 +2,13 @@
 //! from the fitted parametric area model, plus the reservation-state
 //! scaling comparison that motivates Colibri (paper Fig. 1).
 
-use std::process::ExitCode;
-
-use lrscwait_bench::{check_claim, markdown_table, write_csv, BenchArgs, BenchError};
 use lrscwait_core::SyncArch;
 use lrscwait_model::{table1, AreaParams};
 
-fn main() -> ExitCode {
-    lrscwait_bench::run_main("table1", run)
-}
+use crate::report::print_table;
+use crate::{check_claim, BenchError, Figure};
 
-fn run() -> Result<(), BenchError> {
-    let args = BenchArgs::from_env()?;
+pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let rows_model = table1();
     let mut rows: Vec<Vec<String>> = Vec::new();
     for r in &rows_model {
@@ -26,9 +21,7 @@ fn run() -> Result<(), BenchError> {
                 .map_or_else(|| "infeasible".to_string(), |v| format!("{v:.0}")),
         ]);
     }
-    write_csv(
-        &args.out,
-        "table1",
+    fig.write_csv(
         &[
             "architecture",
             "parameters",
@@ -38,22 +31,18 @@ fn run() -> Result<(), BenchError> {
         ],
         &rows,
     )?;
-    println!("## Table I — area of a mempool_tile (model vs paper)\n");
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "Architecture",
-                "Parameters",
-                "Area [kGE]",
-                "Area [%]",
-                "Paper [kGE]"
-            ],
-            &rows,
-        )
+    print_table(
+        "## Table I — area of a mempool_tile (model vs paper)",
+        &[
+            "Architecture",
+            "Parameters",
+            "Area [kGE]",
+            "Area [%]",
+            "Paper [kGE]",
+        ],
+        &rows,
     );
 
-    println!("### Reservation-state scaling (bits of architectural state)\n");
     let mut scale_rows = Vec::new();
     for (cores, banks) in [(256u64, 1024u64), (512, 2048), (1024, 4096)] {
         let ideal = AreaParams::reservation_state_bits(SyncArch::LrscWaitIdeal, cores, banks);
@@ -66,17 +55,15 @@ fn run() -> Result<(), BenchError> {
             format!("{:.0}x", ideal as f64 / colibri as f64),
         ]);
     }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "cores x banks",
-                "ideal queue [bits]",
-                "Colibri [bits]",
-                "ratio"
-            ],
-            &scale_rows,
-        )
+    print_table(
+        "### Reservation-state scaling (bits of architectural state)",
+        &[
+            "cores x banks",
+            "ideal queue [bits]",
+            "Colibri [bits]",
+            "ratio",
+        ],
+        &scale_rows,
     );
 
     // Verify the fit stays within 1% of every published row.

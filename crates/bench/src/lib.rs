@@ -1,24 +1,18 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! One binary per artifact:
+//! One binary, `fig <name> [flags]`, regenerates any of them: the figures
+//! are the functions of the [`FIGURES`] table (the listing `fig --help`
+//! prints), each run in a [`Figure`] context carrying its name and flags.
+//! Beside it, `trace` exports a Perfetto trace with a synchronization
+//! analysis for any kernel × architecture pair and `litmus` runs the
+//! adversarial scenarios under fault injection.
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `table1` | Table I — tile area per architecture |
-//! | `fig3` | Fig. 3 — histogram throughput, LRSCwait variants |
-//! | `fig4` | Fig. 4 — histogram throughput, lock variants |
-//! | `fig5` | Fig. 5 — matmul slowdown under atomics interference |
-//! | `fig6` | Fig. 6 — queue throughput vs. core count |
-//! | `table2` | Table II — power and energy per operation |
-//! | `ablation` | Reservation-capacity ablation |
-//! | `trace` | Perfetto trace + synchronization analysis for any kernel × arch pair |
-//!
-//! Every binary accepts `--quick` (reduced sweep), `--threads N` (sweep
-//! parallelism) and `--out DIR` (results directory, default `results/`),
-//! writes `<DIR>/<name>.csv`, prints a markdown rendering to stdout and a
-//! one-line simulator-throughput report to stderr ([`log_throughput`]) —
-//! except `table1`, which evaluates the area model without simulating
-//! and therefore reports no simulator throughput.
+//! Every figure accepts `--quick` (reduced sweep) and `--out DIR` (results
+//! directory, default `results/`), writes `<DIR>/<name>.csv` and prints a
+//! markdown rendering to stdout; a simulating figure also takes `--threads
+//! N` (sweep parallelism) and prints a one-line simulator-throughput
+//! report to stderr ([`log_throughput`]). [`USAGE`] has the full flag list
+//! and which figures cannot honour which flags.
 //!
 //! # The experiment API
 //!
@@ -56,13 +50,17 @@ pub mod litmus;
 
 mod args;
 mod experiment;
+mod figure;
+mod figures;
 mod report;
 mod sweep;
 
 pub use args::{flag_listing, BenchArgs, FLAGS, USAGE};
 pub use experiment::{BenchError, Experiment, Measurement};
+pub use figure::{find, largest_common_x, product, Figure};
+pub use figures::{figure_listing, run_figure, FigureFn, FIGURES};
 pub use report::{
-    check_claim, find_throughput, fmt_tp, log_throughput, markdown_table, run_main, write_csv,
-    write_profile_json, write_profile_set, write_trace_csv,
+    check_claim, columns, exit_code, fmt_tp, log_throughput, markdown_table, print_table,
+    write_csv, write_profile_json, write_profile_set, write_trace_csv,
 };
 pub use sweep::{default_threads, is_transient_io, retry_transient_io, Sweep};

@@ -1,17 +1,16 @@
-//! What a figure binary does with finished measurements: CSV, trace and
-//! profile artifacts, the markdown table, claim checks and the `main`
-//! wrapper.
+//! What a figure does with finished measurements: CSV, trace and profile
+//! artifacts, the markdown table and claim checks.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use lrscwait_sim::PhaseProfile;
 use lrscwait_telemetry::heartbeat::escape;
 
-use crate::args::USAGE;
 use crate::experiment::{BenchError, Measurement};
 
-/// Prints the one-line throughput report every simulating binary emits on
+/// Prints the one-line throughput report every simulating figure emits on
 /// stderr, from each run's `(simulated cycles, host seconds)`.
 pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
     let (mut experiments, mut sim_cycles, mut host_seconds) = (0usize, 0u64, 0.0f64);
@@ -43,13 +42,13 @@ pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
 ///
 /// Returns [`BenchError::Io`] when the directory or file cannot be
 /// written.
-pub fn write_profile_json(
+pub fn write_profile_json<'a>(
     dir: &Path,
     fig: &str,
-    measurements: &[Measurement],
+    measurements: impl IntoIterator<Item = &'a Measurement>,
 ) -> Result<Option<PathBuf>, BenchError> {
     let points: Vec<(String, u32, PhaseProfile)> = measurements
-        .iter()
+        .into_iter()
         .filter_map(|m| {
             m.profile
                 .as_ref()
@@ -110,38 +109,19 @@ pub fn write_profile_set(
     Ok(Some(path))
 }
 
-/// Finds the throughput of series `label` at x value `x`.
-///
-/// # Errors
-///
-/// Returns [`BenchError::MissingPoint`] when the sweep has no such point.
-pub fn find_throughput(
-    measurements: &[Measurement],
-    label: &str,
-    x: u32,
-) -> Result<f64, BenchError> {
-    measurements
-        .iter()
-        .find(|m| m.label == label && m.x == x)
-        .map(|m| m.throughput)
-        .ok_or_else(|| BenchError::MissingPoint {
-            series: label.to_string(),
-            x,
-        })
-}
-
-/// Standard `main` wrapper for the figure binaries: runs `f`, prints help
-/// to stdout (exit 0) and errors to stderr (exit 2).
-pub fn run_main(name: &str, f: impl FnOnce() -> Result<(), BenchError>) -> std::process::ExitCode {
-    match f() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
+/// The exit protocol the binaries share: success and `--help` (`help` on
+/// stdout) exit 0, any other error goes to stderr as `"<who>: error: …"`
+/// and exits 2.
+pub fn exit_code(who: &str, help: &str, result: Result<(), BenchError>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(BenchError::Help) => {
-            println!("{USAGE}");
-            std::process::ExitCode::SUCCESS
+            println!("{help}");
+            ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("{name}: error: {e}");
-            std::process::ExitCode::from(2)
+            eprintln!("{who}: error: {e}");
+            ExitCode::from(2)
         }
     }
 }
@@ -171,13 +151,13 @@ pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), Be
 ///
 /// Returns [`BenchError::Io`] when the directory or file cannot be
 /// written.
-pub fn write_trace_csv(
+pub fn write_trace_csv<'a>(
     dir: &Path,
     fig: &str,
-    measurements: &[Measurement],
+    measurements: impl IntoIterator<Item = &'a Measurement>,
 ) -> Result<PathBuf, BenchError> {
     let rows: Vec<Vec<String>> = measurements
-        .iter()
+        .into_iter()
         .filter_map(|m| {
             let analysis = m.analysis.as_ref()?;
             Some(vec![
@@ -209,19 +189,34 @@ pub fn write_trace_csv(
     )
 }
 
-/// Writes rows as `<dir>/<name>.csv`, creating the directory. A field
-/// holding a comma, a double quote or a line break is quoted per RFC 4180
-/// (labels are caller-chosen text); every other field is written as is.
+/// Writes rows as `<dir>/<name>.csv`, creating the directory, then reads
+/// the file back and checks it holds what was rendered. A field holding a
+/// comma, a double quote or a line break is quoted per RFC 4180 (labels
+/// are caller-chosen text); every other field is written as is.
 ///
 /// # Errors
 ///
-/// Returns [`BenchError::Io`] when the directory or file cannot be written.
+/// Returns [`BenchError::RaggedRow`], before anything is written, when a
+/// row's field count differs from the header's; [`BenchError::Io`] when
+/// the directory or file cannot be written or read back; and
+/// [`BenchError::ClaimFailed`] when the file read back differs.
 pub fn write_csv(
     dir: &Path,
     name: &str,
     header: &[&str],
     rows: &[Vec<String>],
 ) -> Result<PathBuf, BenchError> {
+    if let Some((i, row)) = rows
+        .iter()
+        .enumerate()
+        .find(|(_, row)| row.len() != header.len())
+    {
+        return Err(BenchError::RaggedRow(format!(
+            "{name}.csv: row {i} has {} fields, the header has {}",
+            row.len(),
+            header.len()
+        )));
+    }
     std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
         path: dir.display().to_string(),
         source,
@@ -231,10 +226,19 @@ pub fn write_csv(
         text.push_str(&csv_line(row.iter().map(String::as_str)));
     }
     let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, text).map_err(|source| BenchError::Io {
+    let io_error = |source| BenchError::Io {
         path: path.display().to_string(),
         source,
-    })?;
+    };
+    std::fs::write(&path, &text).map_err(io_error)?;
+    check_claim(
+        std::fs::read_to_string(&path).map_err(io_error)? == text,
+        format!(
+            "{}: read back differs from the header and {} rows written",
+            path.display(),
+            rows.len()
+        ),
+    )?;
     eprintln!("wrote {}", path.display());
     Ok(path)
 }
@@ -268,6 +272,20 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
         let _ = writeln!(out, "| {} |", row.join(" | "));
     }
     out
+}
+
+/// The `keep` columns of every row, in that order — the subset of a CSV a
+/// figure shows in its markdown table.
+#[must_use]
+pub fn columns(rows: &[Vec<String>], keep: &[usize]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|row| keep.iter().map(|&c| row[c].clone()).collect())
+        .collect()
+}
+
+/// Prints `heading`, a blank line and the markdown table to stdout.
+pub fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
+    println!("{heading}\n\n{}", markdown_table(header, rows));
 }
 
 /// Formats a throughput in the paper's updates-per-cycle style.
@@ -361,16 +379,31 @@ mod tests {
             ..m.clone()
         };
         let rows = [m.csv_row(), hostile.csv_row()];
-        let path = write_csv(&dir, "hostile", &["series", "x,y"], &rows).unwrap();
+        let header = ["series", "x,y", "tp", "lo", "hi", "cycles", "stalls"];
+        let path = write_csv(&dir, "hostile", &header, &rows).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let tail = m.csv_row()[1..].join(",");
         assert_eq!(
             text,
             format!(
-                "series,\"x,y\"\n{},{tail}\n\"a,b \"\"c\"\"\nd\",{tail}\n",
+                "series,\"x,y\",tp,lo,hi,cycles,stalls\n{},{tail}\n\"a,b \"\"c\"\"\nd\",{tail}\n",
                 m.label
             )
         );
+        // A row with a missing or an extra field would shift every later
+        // column: rejected by row number before anything is written.
+        for ragged in [
+            m.csv_row()[..6].to_vec(),
+            [m.csv_row(), vec!["8th".into()]].concat(),
+        ] {
+            let want = format!("row 1 has {} fields, the header has 7", ragged.len());
+            let err = write_csv(&dir, "ragged", &header, &[m.csv_row(), ragged]).unwrap_err();
+            assert!(
+                matches!(&err, BenchError::RaggedRow(msg) if msg.contains(&want)),
+                "{err}"
+            );
+            assert!(!dir.join("ragged.csv").exists(), "nothing may be written");
+        }
 
         // Un-profiled measurements produce no artifact at all.
         let plain = Experiment::new(

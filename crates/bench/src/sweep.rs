@@ -7,7 +7,7 @@ use std::sync::{Mutex, MutexGuard};
 use crate::experiment::BenchError;
 
 /// Default sweep parallelism: every available core, but always more than
-/// one so the figure binaries exercise the parallel path.
+/// one so the figures exercise the parallel path.
 #[must_use]
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()

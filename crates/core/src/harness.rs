@@ -131,12 +131,6 @@ impl Harness {
         self.delivered[core as usize].pop_front()
     }
 
-    /// Whether any message is still in flight.
-    #[must_use]
-    pub fn has_in_flight(&self) -> bool {
-        self.to_bank.iter().any(|q| !q.is_empty()) || self.to_core.iter().any(|q| !q.is_empty())
-    }
-
     /// Delivers one randomly chosen in-flight message. Returns `false` when
     /// nothing was in flight.
     pub fn step(&mut self, rng: &mut SplitMix64) -> bool {

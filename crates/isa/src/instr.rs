@@ -45,22 +45,6 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// Whether this operation belongs to the `M` extension.
-    #[must_use]
-    pub fn is_m_extension(self) -> bool {
-        matches!(
-            self,
-            AluOp::Mul
-                | AluOp::Mulh
-                | AluOp::Mulhsu
-                | AluOp::Mulhu
-                | AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-        )
-    }
-
     /// Evaluates the operation on two 32-bit operands with RV32 semantics
     /// (including division-by-zero and overflow conventions).
     #[must_use]
