@@ -246,7 +246,7 @@ impl Measurement {
         ]
     }
 
-    /// `(label, x)`, the key [`find`](crate::find) looks a point up by.
+    /// `(label, x)`, the key a figure's claims look a point up by.
     #[must_use]
     pub fn key(&self) -> (&str, u32) {
         (&self.label, self.x)

@@ -11,8 +11,9 @@ use lrscwait_core::SyncArch;
 use lrscwait_kernels::HistImpl;
 
 use super::histogram;
+use crate::figure::{product, Figure};
 use crate::report::print_table;
-use crate::{fmt_tp, product, BenchError, Figure};
+use crate::{fmt_tp, BenchError};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let bins_list: &[u32] = fig.pick(&[16], &[1, 16, 256]);

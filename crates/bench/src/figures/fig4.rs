@@ -7,7 +7,8 @@ use lrscwait_core::SyncArch;
 use lrscwait_kernels::HistImpl;
 
 use super::histogram::throughput_vs_bins;
-use crate::{check_claim, find, BenchError, Figure, Measurement};
+use crate::figure::{find, Figure};
+use crate::{check_claim, BenchError, Measurement};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let colibri = SyncArch::Colibri { queues: 4 };

@@ -10,8 +10,9 @@ use lrscwait_core::SyncArch;
 use lrscwait_kernels::{MatmulKernel, PollerKind};
 use lrscwait_sim::SimConfig;
 
+use crate::figure::{find, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{check_claim, find, product, BenchError, Figure};
+use crate::{check_claim, BenchError};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     // Matrix dimension: 64 keeps the slowest point (4 workers) tractable;
@@ -29,8 +30,8 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let baseline = ("baseline", PollerKind::Idle, SyncArch::Lrsc, 200_000_000);
     let mut points = product(&[baseline], &product(ratios, &[1]));
     // Colibri pollers: the paper plots only the most extreme ratio (252:4).
-    let colibri = SyncArch::Colibri { queues: 4 };
-    let colibri = ("Colibri", PollerKind::LrscWait, colibri, 400_000_000);
+    let queues = SyncArch::Colibri { queues: 4 };
+    let colibri = ("Colibri", PollerKind::LrscWait, queues, 400_000_000);
     points.extend(product(&[colibri], &product(&[4], bins)));
     // LRSC pollers: every ratio.
     let lrsc = ("LRSC", PollerKind::Lrsc, SyncArch::Lrsc, 400_000_000);

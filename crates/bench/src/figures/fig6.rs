@@ -6,8 +6,9 @@ use lrscwait_core::SyncArch;
 use lrscwait_kernels::{QueueImpl, QueueKernel};
 use lrscwait_sim::SimConfig;
 
+use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{check_claim, find, largest_common_x, product, BenchError, Figure, Measurement};
+use crate::{check_claim, BenchError, Measurement};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let cores: &[u32] = fig.pick(&[1, 8, 64], &[1, 2, 4, 8, 16, 32, 64, 128, 256]);

@@ -36,10 +36,9 @@ use lrscwait_kernels::{BarrierImpl, BarrierKernel};
 use lrscwait_sim::SimConfig;
 use lrscwait_trace::{NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATMAP_CSV_HEADER};
 
+use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{
-    check_claim, find, largest_common_x, product, write_csv, BenchError, Figure, Measurement,
-};
+use crate::{check_claim, write_csv, BenchError, Measurement};
 
 const IMPLS: [BarrierImpl; 4] = [
     BarrierImpl::CentralLrsc,

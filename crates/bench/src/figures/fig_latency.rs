@@ -34,11 +34,9 @@ use lrscwait_traffic::{
     ArrivalProcess, HarnessError, ServiceHarness, TrafficConfig, TrafficSummary,
 };
 
+use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{
-    check_claim, find, largest_common_x, log_throughput, product, write_profile_set, BenchError,
-    Figure,
-};
+use crate::{check_claim, log_throughput, write_profile_set, BenchError};
 
 /// Servers in the fleet (active cores).
 const SERVERS: u32 = 8;
@@ -281,17 +279,17 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
         // The saturation knee: the highest load this series still
         // completed must show clear queueing delay over the idle fleet.
         let knee_load = largest_common_x(completed.clone(), Point::key, &[series], loads)?;
-        let knee = (knee_load, point(series, knee_load)?);
+        let knee = point(series, knee_load)?;
         eprintln!(
             "{} {series}: knee at {}% load — p99 {} vs {} at {low}%",
-            fig.name, knee.0, knee.1.latency.p99, base.latency.p99
+            fig.name, knee_load, knee.latency.p99, base.latency.p99
         );
         check_claim(
-            knee.0 > low && knee.1.latency.p99 >= base.latency.p99 * 3 / 2,
+            knee_load > low && knee.latency.p99 >= base.latency.p99 * 3 / 2,
             format!(
                 "{series}: p99 must grow at least 1.5x toward saturation \
                  ({} at {}% vs {} at {low}%)",
-                knee.1.latency.p99, knee.0, base.latency.p99
+                knee.latency.p99, knee_load, base.latency.p99
             ),
         )?;
         // The unserviceable point must DNF — the budget is sized so that

@@ -46,8 +46,9 @@ use lrscwait_kernels::RcuKernel;
 use lrscwait_sim::SimConfig;
 use lrscwait_trace::{OpKind, SharedSink, TraceEvent, TraceSink};
 
+use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{check_claim, find, largest_common_x, product, BenchError, Figure, Measurement};
+use crate::{check_claim, BenchError, Measurement};
 
 const ARCHES: [SyncArch; 3] = [
     SyncArch::Lrsc,

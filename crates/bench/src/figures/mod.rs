@@ -122,17 +122,17 @@ pub fn figure_listing() -> String {
 /// then the figure's own errors.
 pub fn run_figure(argv: impl IntoIterator<Item = String>) -> Result<(), BenchError> {
     let mut argv = argv.into_iter();
-    let listing = figure_listing();
-    let name = argv
-        .next()
-        .ok_or_else(|| BenchError::Usage(format!("which figure?\n{USAGE}\n{listing}")))?;
+    let name = argv.next().ok_or_else(|| {
+        BenchError::Usage(format!("which figure?\n{USAGE}\n{}", figure_listing()))
+    })?;
     if name == "-h" || name == "--help" {
         return Err(BenchError::Help);
     }
     let Some(&(name, _, refused, run)) = FIGURES.iter().find(|(n, ..)| *n == name) else {
         let hint = did_you_mean(&name, FIGURES.iter().map(|(n, ..)| *n));
         return Err(BenchError::Usage(format!(
-            "unknown figure `{name}`{hint}\n{listing}"
+            "unknown figure `{name}`{hint}\n{}",
+            figure_listing()
         )));
     };
     let args = BenchArgs::parse(argv, name, refused)?;

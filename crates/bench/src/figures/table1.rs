@@ -5,8 +5,9 @@
 use lrscwait_core::SyncArch;
 use lrscwait_model::{table1, AreaParams};
 
+use crate::figure::Figure;
 use crate::report::print_table;
-use crate::{check_claim, BenchError, Figure};
+use crate::{check_claim, BenchError};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let rows_model = table1();

@@ -7,8 +7,9 @@ use lrscwait_kernels::HistImpl;
 use lrscwait_model::EnergyParams;
 
 use super::histogram;
+use crate::figure::{find, Figure};
 use crate::report::print_table;
-use crate::{check_claim, find, BenchError, Figure, Measurement};
+use crate::{check_claim, BenchError, Measurement};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     // (label, impl, arch, paper pJ/op, paper mW); the LR/SC loop and the

@@ -57,10 +57,10 @@ mod sweep;
 
 pub use args::{flag_listing, BenchArgs, FLAGS, USAGE};
 pub use experiment::{BenchError, Experiment, Measurement};
-pub use figure::{find, largest_common_x, product, Figure};
+pub use figure::Figure;
 pub use figures::{figure_listing, run_figure, FigureFn, FIGURES};
 pub use report::{
-    check_claim, columns, exit_code, fmt_tp, log_throughput, markdown_table, print_table,
-    write_csv, write_profile_json, write_profile_set, write_trace_csv,
+    check_claim, exit_code, fmt_tp, log_throughput, markdown_table, write_csv, write_profile_json,
+    write_profile_set, write_trace_csv,
 };
 pub use sweep::{default_threads, is_transient_io, retry_transient_io, Sweep};
