@@ -11,15 +11,15 @@ use std::time::{Duration, Instant};
 use lrscwait_asm::Program;
 use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::{
-    ConfigError, DecodedProgram, ExecMode, ExitReason, Machine, PhaseProfile, ProfilerConfig,
-    RunSummary, SimConfig, SimError, SimStats, NUM_ARGS,
+    ConfigError, DecodedProgram, ExitReason, Machine, PhaseProfile, ProfilerConfig, RunSummary,
+    SimConfig, SimError, SimStats, NUM_ARGS,
 };
 use lrscwait_telemetry::Heartbeat;
-use lrscwait_trace::{AnalysisSink, FanoutSink, PerfettoSink, SharedSink, SyncAnalysis, TraceSink};
+use lrscwait_trace::{AnalysisSink, FanoutSink, SharedSink, SyncAnalysis, TraceSink};
 
 use crate::args::USAGE;
 use crate::report::fmt_tp;
-use crate::sweep::{lock_ignoring_poison, retry_transient_io};
+use crate::sweep::lock_ignoring_poison;
 
 /// Everything that can go wrong while producing a benchmark number.
 ///
@@ -43,10 +43,6 @@ pub enum BenchError {
         /// Why the point did not finish: which part of the machine was
         /// still live when the budget ran out.
         reason: String,
-        /// Final-cycle machine snapshot, when the experiment was
-        /// configured with a checkpoint path — exactly the state worth
-        /// resuming with a larger budget or post-morteming.
-        snapshot: Option<PathBuf>,
     },
     /// The run completed but computed wrong results.
     Verify {
@@ -98,17 +94,10 @@ impl fmt::Display for BenchError {
                 label,
                 cycles,
                 reason,
-                snapshot,
-            } => {
-                write!(
-                    f,
-                    "{label}: watchdog fired after {cycles} cycles ({reason})"
-                )?;
-                if let Some(path) = snapshot {
-                    write!(f, "; final-cycle snapshot: {}", path.display())?;
-                }
-                Ok(())
-            }
+            } => write!(
+                f,
+                "{label}: watchdog fired after {cycles} cycles ({reason})"
+            ),
             BenchError::Verify { label, source } => {
                 write!(f, "{label}: verification failed: {source}")
             }
@@ -310,8 +299,6 @@ pub struct Experiment<'w> {
     label: Option<String>,
     x: u32,
     sink: Option<Box<dyn TraceSink>>,
-    checkpoint: Option<PathBuf>,
-    resume: Option<PathBuf>,
     profile: bool,
     traced: bool,
     heartbeat: Option<(u64, Option<PathBuf>)>,
@@ -331,8 +318,6 @@ impl<'w> Experiment<'w> {
             label: None,
             x: 0,
             sink: None,
-            checkpoint: None,
-            resume: None,
             profile: false,
             traced: false,
             heartbeat: None,
@@ -351,37 +336,6 @@ impl<'w> Experiment<'w> {
     #[must_use]
     pub fn x(mut self, x: u32) -> Experiment<'w> {
         self.x = x;
-        self
-    }
-
-    /// Runs on the naive reference stepper instead of the production
-    /// stepper (differential testing and performance baselining; results
-    /// are bit-identical, only slower to produce). Equivalent to building
-    /// the config with `SimConfig::builder().exec_mode(ExecMode::Reference)`.
-    #[must_use]
-    pub fn reference(mut self) -> Experiment<'w> {
-        self.cfg.exec_mode = ExecMode::Reference;
-        self
-    }
-
-    /// Writes a machine snapshot (`Machine::snapshot`) to `path` when the
-    /// run ends. The snapshot is written *even when the watchdog fires*,
-    /// so a run that exhausted its cycle budget can be resumed with a
-    /// larger one via [`resume`](Experiment::resume).
-    #[must_use]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Experiment<'w> {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Restores the machine from a snapshot file before running, instead
-    /// of starting from reset. The snapshot must match this experiment's
-    /// architecture and geometry (`Machine::restore` checks and rejects
-    /// mismatches). The workload's `init` still runs first, so restored
-    /// state wins over any host-side initialization.
-    #[must_use]
-    pub fn resume(mut self, path: impl Into<PathBuf>) -> Experiment<'w> {
-        self.resume = Some(path.into());
         self
     }
 
@@ -407,7 +361,7 @@ impl<'w> Experiment<'w> {
     /// Emits a heartbeat progress line to stderr every `secs` seconds
     /// while the run executes (and appends an NDJSON record to
     /// `ndjson` when given): cycles simulated against the watchdog
-    /// budget, live Mcycles/s, ETA, and checkpoint age. Implemented by
+    /// budget, live Mcycles/s and ETA. Implemented by
     /// chunking the run through [`Machine::run_until`], which is
     /// transparent — results stay bit-identical to an uninterrupted run.
     #[must_use]
@@ -431,12 +385,13 @@ impl<'w> Experiment<'w> {
     /// Attaches a trace sink for this run (see `lrscwait-trace`).
     /// Tracing never changes results — the measurement is bit-identical
     /// to an untraced run. Hand in a [`SharedSink`] clone to read the
-    /// sink back afterwards, or use the [`traced`](Experiment::traced) /
-    /// [`perfetto`](Experiment::perfetto) conveniences.
+    /// sink back afterwards (e.g. a `PerfettoSink`, whose `finish`
+    /// closes the document and returns the event count), or use the
+    /// [`traced`](Experiment::traced) convenience.
     ///
-    /// Calling this more than once (directly, or implicitly through the
-    /// conveniences) fans the event stream out to every attached sink —
-    /// a second sink never silently replaces the first.
+    /// Calling this more than once (directly, or implicitly through
+    /// `traced`) fans the event stream out to every attached sink — a
+    /// second sink never silently replaces the first.
     #[must_use]
     pub fn sink(mut self, sink: Box<dyn TraceSink>) -> Experiment<'w> {
         self.sink = Some(match self.sink {
@@ -444,29 +399,6 @@ impl<'w> Experiment<'w> {
             None => sink,
         });
         self
-    }
-
-    /// Runs the experiment with a [`PerfettoSink`] streaming the
-    /// Chrome-trace/Perfetto JSON (per-core tracks plus wait-queue depth
-    /// and runnable-core counter tracks) to `path` as the run produces
-    /// it, so host memory stays constant for full-scale traces. The
-    /// document is closed even when the run fails, so a watchdogged run
-    /// still leaves a loadable trace. Open the file at
-    /// <https://ui.perfetto.dev>.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Experiment::run), plus [`BenchError::Io`] when the
-    /// trace file cannot be created or written.
-    pub fn perfetto(self, path: &Path) -> Result<Measurement, BenchError> {
-        let io_error = |source| BenchError::Io {
-            path: path.display().to_string(),
-            source,
-        };
-        let sink = SharedSink::new(PerfettoSink::create(path).map_err(io_error)?);
-        let outcome = self.sink(Box::new(sink.clone())).run();
-        sink.with(PerfettoSink::finish).map_err(io_error)?;
-        outcome
     }
 
     /// Runs the experiment to completion.
@@ -480,11 +412,8 @@ impl<'w> Experiment<'w> {
     /// * [`BenchError::Watchdog`] — not every core halted in time;
     /// * [`BenchError::Verify`] — the computation produced wrong results,
     ///   including a mismatched MMIO op count;
-    /// * [`BenchError::Io`] — a [`resume`](Experiment::resume) snapshot
-    ///   could not be read or a [`checkpoint`](Experiment::checkpoint)
-    ///   snapshot could not be written;
-    /// * [`BenchError::Load`] — a resume snapshot was malformed or does
-    ///   not match this experiment's architecture/geometry.
+    /// * [`BenchError::Io`] — a [`heartbeat`](Experiment::heartbeat)
+    ///   NDJSON file could not be written.
     pub fn run(mut self) -> Result<Measurement, BenchError> {
         let analysis = self.traced.then(|| SharedSink::new(AnalysisSink::new()));
         if let Some(analysis) = &analysis {
@@ -511,46 +440,15 @@ impl<'w> Experiment<'w> {
             machine.enable_profiler(ProfilerConfig::default());
         }
         self.workload.init(&mut machine);
-        if let Some(path) = &self.resume {
-            let bytes = std::fs::read(path).map_err(|source| BenchError::Io {
-                path: path.display().to_string(),
-                source,
-            })?;
-            machine.restore(&bytes).map_err(BenchError::Load)?;
-        }
         let started = Instant::now();
         let summary = match &self.heartbeat {
-            Some((secs, ndjson)) => run_with_heartbeat(
-                &mut machine,
-                &label,
-                *secs,
-                ndjson.as_deref(),
-                self.checkpoint.as_deref(),
-                budget,
-            )?,
+            Some((secs, ndjson)) => {
+                run_with_heartbeat(&mut machine, &label, *secs, ndjson.as_deref(), budget)?
+            }
             None => machine.run().map_err(BenchError::Run)?,
         };
         let host_seconds = started.elapsed().as_secs_f64();
         let profile = machine.profile();
-        let mut snapshot_path = None;
-        if let Some(path) = &self.checkpoint {
-            // Deliberately before the watchdog check: a saturated run's
-            // snapshot is exactly the one worth resuming with more budget.
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
-                    path: dir.display().to_string(),
-                    source,
-                })?;
-            }
-            let bytes = machine.snapshot();
-            retry_transient_io(|| std::fs::write(path, &bytes)).map_err(|source| {
-                BenchError::Io {
-                    path: path.display().to_string(),
-                    source,
-                }
-            })?;
-            snapshot_path = Some(path.clone());
-        }
         if summary.exit != ExitReason::AllHalted {
             let live = machine.cores() - machine.halted_cores();
             return Err(BenchError::Watchdog {
@@ -560,7 +458,6 @@ impl<'w> Experiment<'w> {
                     "{live} of {} cores never halted within the {budget}-cycle budget",
                     machine.cores()
                 ),
-                snapshot: snapshot_path,
             });
         }
         self.workload
@@ -613,7 +510,6 @@ fn run_with_heartbeat(
     label: &str,
     secs: u64,
     ndjson: Option<&Path>,
-    checkpoint: Option<&Path>,
     budget: u64,
 ) -> Result<RunSummary, BenchError> {
     let interval = Duration::from_secs(secs.max(1));
@@ -634,11 +530,7 @@ fn run_with_heartbeat(
         }
         let now = Instant::now();
         if heartbeat.due(now) {
-            let checkpoint_age = checkpoint
-                .and_then(|p| std::fs::metadata(p).ok())
-                .and_then(|meta| meta.modified().ok())
-                .and_then(|written| written.elapsed().ok());
-            let line = heartbeat.beat(now, machine.cycles(), checkpoint_age);
+            let line = heartbeat.beat(now, machine.cycles());
             eprintln!("{}", line.render_text());
             if let Some(path) = ndjson {
                 use std::io::Write as _;
@@ -666,6 +558,7 @@ mod tests {
     use lrscwait_kernels::{
         HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl, QueueKernel,
     };
+    use lrscwait_sim::ExecMode;
 
     #[test]
     fn histogram_experiment_small() {
@@ -738,70 +631,12 @@ mod tests {
             .unwrap();
         let kernel = HistogramKernel::new(HistImpl::LrscWait, 2, 8, 4);
         let fast = Experiment::new(&kernel, cfg).x(2).run().unwrap();
-        let reference = Experiment::new(&kernel, cfg)
-            .x(2)
-            .reference()
-            .run()
-            .unwrap();
+        let mut reference_cfg = cfg;
+        reference_cfg.exec_mode = ExecMode::Reference;
+        let reference = Experiment::new(&kernel, reference_cfg).x(2).run().unwrap();
         assert_eq!(fast.cycles, reference.cycles);
         assert_eq!(fast.stats, reference.stats);
         assert_eq!(fast.csv_row(), reference.csv_row());
-    }
-
-    #[test]
-    fn checkpoint_resume_round_trip_matches_uninterrupted() {
-        for (slug, arch) in [
-            ("lrsc", SyncArch::Lrsc),
-            ("colibri", SyncArch::Colibri { queues: 2 }),
-        ] {
-            let dir =
-                std::env::temp_dir().join(format!("lrscwait-ckpt-{slug}-{}", std::process::id()));
-            let ckpt = dir.join("mid.snap");
-            let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
-            let full = SimConfig::builder().cores(4).arch(arch).build().unwrap();
-            let base = Experiment::new(&kernel, full).run().unwrap();
-
-            // A budget-starved run still writes its snapshot before erroring.
-            let starved = SimConfig::builder()
-                .cores(4)
-                .arch(arch)
-                .max_cycles(base.cycles / 2)
-                .build()
-                .unwrap();
-            let err = Experiment::new(&kernel, starved)
-                .checkpoint(&ckpt)
-                .run()
-                .unwrap_err();
-            assert!(matches!(err, BenchError::Watchdog { .. }), "{slug}: {err}");
-            assert!(
-                ckpt.exists(),
-                "{slug}: checkpoint must be written on watchdog"
-            );
-
-            // Resuming with the full budget lands exactly where the
-            // uninterrupted run did.
-            let resumed = Experiment::new(&kernel, full).resume(&ckpt).run().unwrap();
-            assert_eq!(resumed.cycles, base.cycles, "{slug}");
-            assert_eq!(resumed.stats, base.stats, "{slug}");
-
-            // Unreadable and malformed snapshots produce typed errors.
-            let missing = Experiment::new(&kernel, full)
-                .resume(dir.join("no-such.snap"))
-                .run()
-                .unwrap_err();
-            assert!(
-                matches!(missing, BenchError::Io { .. }),
-                "{slug}: {missing}"
-            );
-            let garbage = dir.join("garbage.snap");
-            std::fs::write(&garbage, b"not a snapshot").unwrap();
-            let bad = Experiment::new(&kernel, full)
-                .resume(&garbage)
-                .run()
-                .unwrap_err();
-            assert!(matches!(bad, BenchError::Load(_)), "{slug}: {bad}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]

@@ -91,7 +91,6 @@ impl Figure {
                 label,
                 cycles,
                 reason,
-                ..
             }) => {
                 eprintln!(
                     "{} {label} x={x}: DNF — watchdog after {cycles} cycles, {reason}",

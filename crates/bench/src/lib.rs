@@ -63,4 +63,4 @@ pub use report::{
     check_claim, exit_code, fmt_tp, log_throughput, markdown_table, write_csv, write_profile_json,
     write_profile_set, write_trace_csv,
 };
-pub use sweep::{default_threads, is_transient_io, retry_transient_io, Sweep};
+pub use sweep::{default_threads, Sweep};

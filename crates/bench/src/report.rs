@@ -331,15 +331,24 @@ mod tests {
         );
 
         let dir = std::env::temp_dir().join(format!("lrscwait-profile-{}", std::process::id()));
-        // Labels and figure names are caller-chosen text: quotes and
-        // backslashes must survive the round trip through the artifact.
+        // Labels and figure names are caller-chosen text: quotes,
+        // backslashes and control characters must survive the round trip
+        // through the artifact.
         let quoted = Measurement {
             label: r#"he said "hi"\"#.to_string(),
             ..m.clone()
         };
-        let path = write_profile_json(&dir, r#"un"it"#, &[m.clone(), quoted.clone()])
-            .unwrap()
-            .expect("a profiled measurement must produce the artifact");
+        let control = Measurement {
+            label: "line\nbreak\u{1}".to_string(),
+            ..m.clone()
+        };
+        let path = write_profile_json(
+            &dir,
+            r#"un"it"#,
+            &[m.clone(), quoted.clone(), control.clone()],
+        )
+        .unwrap()
+        .expect("a profiled measurement must produce the artifact");
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = json::parse(&text).expect("profile set must be valid JSON");
         assert_eq!(
@@ -351,11 +360,13 @@ mod tests {
             Some(r#"un"it"#)
         );
         let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(
-            points[1].get("label").and_then(json::Json::as_str),
-            Some(quoted.label.as_str())
-        );
+        assert_eq!(points.len(), 3);
+        for (point, want) in points[1..].iter().zip([&quoted, &control]) {
+            assert_eq!(
+                point.get("label").and_then(json::Json::as_str),
+                Some(want.label.as_str())
+            );
+        }
         let agg = doc.get("aggregate").expect("aggregate present");
         assert_eq!(
             agg.get("schema").and_then(json::Json::as_str),

@@ -1,5 +1,4 @@
-//! Fanning independent sweep points across worker threads: [`Sweep`], plus
-//! the I/O-retry helpers checkpoint writes share.
+//! Fanning independent sweep points across worker threads: [`Sweep`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -13,35 +12,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map_or(2, std::num::NonZeroUsize::get)
         .max(2)
-}
-
-/// Whether an I/O failure is worth one retry: interruption and
-/// contention kinds that clear themselves, as opposed to a bad path or a
-/// full disk.
-#[must_use]
-pub fn is_transient_io(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Runs `f`, retrying exactly once when it fails with a transient I/O
-/// error (see [`is_transient_io`]). Checkpoint writes at the end of a
-/// multi-minute point hit these on loaded CI runners; one retry beats
-/// failing the whole point.
-///
-/// # Errors
-///
-/// Returns the second error when the retry also fails, or the first
-/// error when it is not transient.
-pub fn retry_transient_io<T>(mut f: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    match f() {
-        Err(e) if is_transient_io(&e) => f(),
-        other => other,
-    }
 }
 
 pub(crate) fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {

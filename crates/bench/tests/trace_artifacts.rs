@@ -160,8 +160,10 @@ fn tracing_does_not_perturb_results() {
     }
 }
 
-/// The `traced()` and `perfetto()` conveniences produce the same
-/// artifacts as wiring sinks by hand.
+/// The `traced()` convenience carries the analysis, and a file-backed
+/// `PerfettoSink` handed in through `sink()` — the path the `trace`
+/// binary takes — closes into a valid document whose event count
+/// `finish` reports.
 #[test]
 fn experiment_conveniences() {
     let arch = SyncArch::Colibri { queues: 4 };
@@ -177,10 +179,18 @@ fn experiment_conveniences() {
 
     let dir = std::env::temp_dir().join(format!("lrscwait-trace-{}", std::process::id()));
     let path = dir.join("convenience.json");
-    let m2 = Experiment::new(&kernel, cfg).perfetto(&path).unwrap();
+    let perfetto = SharedSink::new(PerfettoSink::create(&path).unwrap());
+    let m2 = Experiment::new(&kernel, cfg)
+        .sink(Box::new(perfetto.clone()))
+        .run()
+        .unwrap();
+    let event_count = perfetto.with(PerfettoSink::finish).unwrap();
     assert_eq!(m.cycles, m2.cycles, "tracing kind must not change results");
     let text = std::fs::read_to_string(&path).unwrap();
-    json::parse(&text).expect("perfetto() output must be valid JSON");
+    let doc = json::parse(&text).expect("the streamed trace must be valid JSON");
+    let events = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();
+    assert!(event_count > 0);
+    assert_eq!(events.len() as u64, event_count);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,16 +1,17 @@
 //! Heartbeat bookkeeping for long-running sweeps.
 //!
-//! A watchdog-bound 1024-core run or a billion-cycle checkpoint-resumed
-//! sweep can sit for hours with no output; the heartbeat turns that into
-//! a periodic progress line: cycles simulated against the cycle budget,
-//! *live* Mcycles/s since the previous beat (not the run average, so
-//! slowdowns show immediately), the ETA to the budget at that rate, and
-//! the age of the last checkpoint. This module is pure bookkeeping and
+//! A watchdog-bound 1024-core run or a billion-cycle sweep can sit for
+//! hours with no output; the heartbeat turns that into a periodic
+//! progress line: cycles simulated against the cycle budget, *live*
+//! Mcycles/s since the previous beat (not the run average, so slowdowns
+//! show immediately) and the ETA to the budget at that rate. This module
+//! is pure bookkeeping and
 //! formatting — the bench harness decides when to call
 //! [`Heartbeat::due`], writes the text line to stderr and appends the
 //! NDJSON line to the optional log file, so everything here is testable
 //! without clocks or I/O.
 
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Heartbeat state for one run.
@@ -49,14 +50,8 @@ impl Heartbeat {
     }
 
     /// Emits a beat: computes the live rate since the previous beat and
-    /// advances the bookkeeping. `checkpoint_age` is the age of the most
-    /// recent checkpoint file, when the run writes one.
-    pub fn beat(
-        &mut self,
-        now: Instant,
-        cycles: u64,
-        checkpoint_age: Option<Duration>,
-    ) -> HeartbeatLine {
+    /// advances the bookkeeping.
+    pub fn beat(&mut self, now: Instant, cycles: u64) -> HeartbeatLine {
         let window = now.duration_since(self.last_beat);
         let delta_cycles = cycles.saturating_sub(self.last_cycles);
         let live = rate(delta_cycles, window);
@@ -80,14 +75,7 @@ impl Heartbeat {
             live_cycles_per_sec: live,
             avg_cycles_per_sec: average,
             eta,
-            checkpoint_age,
         }
-    }
-
-    /// Beats emitted so far.
-    #[must_use]
-    pub fn beats(&self) -> u64 {
-        self.beats
     }
 }
 
@@ -120,13 +108,11 @@ pub struct HeartbeatLine {
     /// Time to reach the budget at the live rate (`None`: unbudgeted or
     /// no progress this window).
     pub eta: Option<Duration>,
-    /// Age of the most recent checkpoint file, when one exists.
-    pub checkpoint_age: Option<Duration>,
 }
 
 impl HeartbeatLine {
     /// The stderr progress line, e.g.
-    /// `heartbeat fig3/lrsc: cycle 12300000/100000000 (12.3%) | live 4.21 Mcycles/s | eta<=21s | ckpt 33s ago`.
+    /// `heartbeat fig3/lrsc: cycle 12300000/100000000 (12.3%) | live 4.21 Mcycles/s (avg 4.05) | eta<=21s`.
     #[must_use]
     pub fn render_text(&self) -> String {
         let progress = if self.budget == u64::MAX {
@@ -143,12 +129,8 @@ impl HeartbeatLine {
             Some(eta) => format!(" | eta<={}s", eta.as_secs()),
             None => String::new(),
         };
-        let ckpt = match self.checkpoint_age {
-            Some(age) => format!(" | ckpt {}s ago", age.as_secs()),
-            None => String::new(),
-        };
         format!(
-            "heartbeat {}: {progress} | live {:.2} Mcycles/s (avg {:.2}){eta}{ckpt}",
+            "heartbeat {}: {progress} | live {:.2} Mcycles/s (avg {:.2}){eta}",
             self.label,
             self.live_cycles_per_sec / 1e6,
             self.avg_cycles_per_sec / 1e6,
@@ -162,9 +144,6 @@ impl HeartbeatLine {
         let eta = self
             .eta
             .map_or("null".to_string(), |d| format!("{:.3}", d.as_secs_f64()));
-        let ckpt = self
-            .checkpoint_age
-            .map_or("null".to_string(), |d| format!("{:.3}", d.as_secs_f64()));
         let budget = if self.budget == u64::MAX {
             "null".to_string()
         } else {
@@ -173,7 +152,7 @@ impl HeartbeatLine {
         format!(
             "{{\"label\": \"{}\", \"beat\": {}, \"cycles\": {}, \"budget\": {budget}, \
              \"elapsed_secs\": {:.3}, \"live_cycles_per_sec\": {:.1}, \
-             \"avg_cycles_per_sec\": {:.1}, \"eta_secs\": {eta}, \"checkpoint_age_secs\": {ckpt}}}",
+             \"avg_cycles_per_sec\": {:.1}, \"eta_secs\": {eta}}}",
             escape(&self.label),
             self.beat,
             self.cycles,
@@ -192,11 +171,26 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Escapes `value` for use inside a double-quoted JSON string
-/// (backslashes and quotes).
+/// Escapes `value` for use inside a double-quoted JSON string: quotes,
+/// backslashes and every control character (U+0000–U+001F, which RFC
+/// 8259 forbids raw inside a string).
 #[must_use]
 pub fn escape(value: &str) -> String {
-    value.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -215,11 +209,11 @@ mod tests {
     fn live_rate_uses_the_window_not_the_run() {
         let mut hb = Heartbeat::new("t", Duration::from_secs(1), 10_000_000);
         let t0 = Instant::now();
-        let first = hb.beat(t0 + Duration::from_secs(2), 4_000_000, None);
+        let first = hb.beat(t0 + Duration::from_secs(2), 4_000_000);
         assert!((first.live_cycles_per_sec - 2e6).abs() < 1e3);
         // Second window: 1M cycles in 1s — the live rate halves while
         // the average reflects the whole run.
-        let second = hb.beat(t0 + Duration::from_secs(3), 5_000_000, None);
+        let second = hb.beat(t0 + Duration::from_secs(3), 5_000_000);
         assert!((second.live_cycles_per_sec - 1e6).abs() < 1e3);
         assert!(second.avg_cycles_per_sec > second.live_cycles_per_sec);
         assert_eq!(second.beat, 2);
@@ -229,7 +223,7 @@ mod tests {
     fn eta_tracks_remaining_budget() {
         let mut hb = Heartbeat::new("t", Duration::from_secs(1), 3_000_000);
         let t0 = Instant::now();
-        let line = hb.beat(t0 + Duration::from_secs(1), 1_000_000, None);
+        let line = hb.beat(t0 + Duration::from_secs(1), 1_000_000);
         let eta = line.eta.expect("budgeted run has an eta");
         assert!((eta.as_secs_f64() - 2.0).abs() < 0.01);
     }
@@ -237,7 +231,7 @@ mod tests {
     #[test]
     fn unbudgeted_run_has_no_eta() {
         let mut hb = Heartbeat::new("t", Duration::from_secs(1), u64::MAX);
-        let line = hb.beat(Instant::now() + Duration::from_secs(1), 500, None);
+        let line = hb.beat(Instant::now() + Duration::from_secs(1), 500);
         assert!(line.eta.is_none());
         assert!(line.render_text().contains("cycle 500"));
         assert!(line.render_ndjson().contains("\"budget\": null"));
@@ -246,18 +240,23 @@ mod tests {
     #[test]
     fn text_and_ndjson_carry_the_same_facts() {
         let mut hb = Heartbeat::new("fig3/lrsc", Duration::from_secs(1), 10_000_000);
-        let line = hb.beat(
-            Instant::now() + Duration::from_secs(2),
-            5_000_000,
-            Some(Duration::from_secs(33)),
-        );
+        let line = hb.beat(Instant::now() + Duration::from_secs(2), 5_000_000);
         let text = line.render_text();
         assert!(text.contains("heartbeat fig3/lrsc"));
         assert!(text.contains("cycle 5000000/10000000 (50.0%)"));
-        assert!(text.contains("ckpt 33s ago"));
+        assert!(text.contains("eta<=2s"), "{text}");
         let json = line.render_ndjson();
         assert!(json.contains("\"cycles\": 5000000"));
-        assert!(json.contains("\"checkpoint_age_secs\": 33.000"));
+        assert!(json.contains("\"eta_secs\": 2.0"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(escape("plain µ"), "plain µ");
+        assert_eq!(
+            escape("a\"b\\c\nd\re\tf\u{1}g\u{1f}"),
+            r#"a\"b\\c\nd\re\tf\u0001g\u001f"#
+        );
     }
 }

@@ -22,9 +22,9 @@
 //!   nanoseconds and wall time, rendered as deterministic-schema JSON
 //!   (`lrscwait.profile.v2`).
 //! * [`Heartbeat`] — progress-line bookkeeping for long sweeps: live
-//!   Mcycles/s since the previous beat, ETA against the cycle budget,
-//!   age of the last checkpoint. Pure computation and formatting; the
-//!   bench harness owns the stderr / NDJSON I/O.
+//!   Mcycles/s since the previous beat and ETA against the cycle budget.
+//!   Pure computation and formatting; the bench harness owns the stderr
+//!   / NDJSON I/O.
 //!
 //! [`Tracer`]: https://docs.rs/lrscwait-trace
 

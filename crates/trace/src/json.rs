@@ -242,6 +242,11 @@ impl Parser<'_> {
                         other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
                     }
                 }
+                // RFC 8259 §7: U+0000–U+001F must be escaped inside a
+                // string; Python's `json` rejects them raw too.
+                Some(c) if c < 0x20 => {
+                    return Err(self.err(format!("unescaped control character {c:#04x} in string")));
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (the input is a &str, so the
                     // byte stream is valid UTF-8 by construction).
@@ -354,6 +359,25 @@ mod tests {
         assert_eq!(parse("0.5").unwrap(), Json::Num(0.5));
         assert_eq!(parse("10").unwrap(), Json::Num(10.0));
         assert_eq!(parse("-0.25e-2").unwrap(), Json::Num(-0.0025));
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for raw in [
+            "\"a\nb\"",
+            "\"tab\there\"",
+            "\"\u{1}\"",
+            "{\"k\r\": 1}",
+            "[\"\u{1f}\"]",
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert!(err.message.contains("control character"), "{raw:?}: {err}");
+        }
+        // The escaped forms are fine, and so is whitespace between tokens.
+        assert_eq!(
+            parse("[\n\t\"a\\nb\\t\\u0001\"\r\n]").unwrap(),
+            Json::Arr(vec![Json::Str("a\nb\t\u{1}".to_string())])
+        );
     }
 
     #[test]

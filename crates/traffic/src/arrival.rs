@@ -9,8 +9,6 @@
 //! guaranteed bit-identical across platforms, which is why it is not used
 //! here.)
 
-use lrscwait_core::{StateError, StateReader, StateWriter};
-
 /// xorshift64\* PRNG state (nonzero by construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Rng64 {
@@ -109,13 +107,6 @@ enum Model {
 /// The process keeps a *continuous* clock internally (fractional cycles
 /// carry across draws, so low rates are not quantized away) and floors it
 /// to a cycle number per arrival.
-///
-/// State can be serialized mid-sequence with
-/// [`save_state`](ArrivalProcess::save_state) and restored with
-/// [`load_state`](ArrivalProcess::load_state) into a process constructed
-/// with the **same model parameters** — the continuation is then
-/// bit-identical to the uninterrupted sequence. Model parameters
-/// themselves are construction-time configuration and are not serialized.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArrivalProcess {
     model: Model,
@@ -234,42 +225,6 @@ impl ArrivalProcess {
         }
         self.clock as u64
     }
-
-    /// Serializes the mutable process state (PRNG, clock, MMPP phase).
-    pub fn save_state(&self, out: &mut StateWriter) {
-        out.put_u64(self.rng.s);
-        out.put_u64(self.clock.to_bits());
-        out.put_bool(self.burst);
-        out.put_u64(self.dwell_end.to_bits());
-    }
-
-    /// Restores state saved by [`save_state`](ArrivalProcess::save_state)
-    /// into a process constructed with the same model parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StateError`] when the buffer is truncated or holds
-    /// non-finite clock values.
-    pub fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        let s = src.take_u64()?;
-        if s == 0 {
-            return Err(StateError::Invalid("arrival rng state"));
-        }
-        let clock = f64::from_bits(src.take_u64()?);
-        let burst = src.take_bool()?;
-        let dwell_end = f64::from_bits(src.take_u64()?);
-        if !clock.is_finite() || clock < 0.0 {
-            return Err(StateError::Invalid("arrival clock"));
-        }
-        if !dwell_end.is_finite() || dwell_end < 0.0 {
-            return Err(StateError::Invalid("arrival dwell end"));
-        }
-        self.rng.s = s;
-        self.clock = clock;
-        self.burst = burst;
-        self.dwell_end = dwell_end;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -343,56 +298,5 @@ mod tests {
             (mean - expect).abs() < 0.2 * expect,
             "empirical {mean} vs harmonic {expect}"
         );
-    }
-
-    #[test]
-    fn save_restore_continues_bit_identically() {
-        for make in [
-            |s| ArrivalProcess::poisson(s, 75.0),
-            |s| ArrivalProcess::mmpp(s, 300.0, 30.0, 2_000.0),
-        ] {
-            let mut full = make(42);
-            let mut interrupted = make(42);
-            for _ in 0..137 {
-                full.next_arrival();
-                interrupted.next_arrival();
-            }
-            let mut w = StateWriter::new();
-            interrupted.save_state(&mut w);
-            let bytes = w.finish();
-
-            let mut restored = make(42); // fresh, same model
-            let mut src = StateReader::new(&bytes);
-            restored.load_state(&mut src).unwrap();
-            assert_eq!(src.remaining(), 0);
-            for i in 0..300 {
-                assert_eq!(full.next_arrival(), restored.next_arrival(), "arrival {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let mut p = ArrivalProcess::poisson(1, 50.0);
-        let mut src = StateReader::new(&[1, 2, 3]);
-        assert!(p.load_state(&mut src).is_err(), "truncated");
-
-        let mut w = StateWriter::new();
-        w.put_u64(0); // zero RNG state is invalid
-        w.put_u64(0.0f64.to_bits());
-        w.put_bool(false);
-        w.put_u64(0.0f64.to_bits());
-        let bytes = w.finish();
-        let mut src = StateReader::new(&bytes);
-        assert!(p.load_state(&mut src).is_err(), "zero rng");
-
-        let mut w = StateWriter::new();
-        w.put_u64(5);
-        w.put_u64(f64::NAN.to_bits());
-        w.put_bool(false);
-        w.put_u64(0.0f64.to_bits());
-        let bytes = w.finish();
-        let mut src = StateReader::new(&bytes);
-        assert!(p.load_state(&mut src).is_err(), "NaN clock");
     }
 }

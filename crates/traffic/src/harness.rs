@@ -15,26 +15,16 @@
 //! Completion timestamps come from the guest-side stamp (exact), so the
 //! poll quantum only bounds how late a *queued* item can be dispatched —
 //! at high load arrivals are dense and the quantum is rarely the limit.
-//!
-//! The whole harness — machine, arrival process, host queue, in-flight
-//! table, recorded latencies — checkpoints to bytes and restores
-//! bit-identically; see [`ServiceHarness::checkpoint`].
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use lrscwait_core::{StateError, StateReader, StateWriter};
 use lrscwait_kernels::{ServiceKernel, VerifyError, Workload};
 use lrscwait_sim::{ExitReason, Machine, PhaseProfile, ProfilerConfig, SimConfig, SimError};
 
 use crate::arrival::ArrivalProcess;
 use crate::latency::{LatencyRecorder, LatencyStats};
-
-/// Magic prefix of a harness checkpoint file.
-const CKPT_MAGIC: [u8; 4] = *b"LRTF";
-/// Harness checkpoint format version.
-const CKPT_VERSION: u32 = 1;
 
 /// Everything that can go wrong while driving a traffic run.
 #[derive(Debug)]
@@ -43,8 +33,6 @@ pub enum HarnessError {
     Sim(SimError),
     /// The run completed but the fleet computed wrong results.
     Verify(VerifyError),
-    /// A checkpoint could not be decoded or does not match this harness.
-    BadCheckpoint(String),
     /// The guest fleet violated the mailbox protocol (e.g. halted before
     /// being stopped).
     Protocol(String),
@@ -55,9 +43,6 @@ impl fmt::Display for HarnessError {
         match self {
             HarnessError::Sim(e) => write!(f, "simulation failed: {e}"),
             HarnessError::Verify(e) => write!(f, "verification failed: {e}"),
-            HarnessError::BadCheckpoint(what) => {
-                write!(f, "cannot restore checkpoint: {what}")
-            }
             HarnessError::Protocol(what) => write!(f, "mailbox protocol violation: {what}"),
         }
     }
@@ -76,12 +61,6 @@ impl Error for HarnessError {
 impl From<SimError> for HarnessError {
     fn from(e: SimError) -> HarnessError {
         HarnessError::Sim(e)
-    }
-}
-
-impl From<StateError> for HarnessError {
-    fn from(e: StateError) -> HarnessError {
-        HarnessError::BadCheckpoint(e.to_string())
     }
 }
 
@@ -107,18 +86,6 @@ impl TrafficConfig {
             warmup: 500,
         }
     }
-}
-
-/// What a [`ServiceHarness::step`] left behind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepStatus {
-    /// More work remains.
-    Running,
-    /// Every item completed; call [`ServiceHarness::finish`].
-    Done,
-    /// The cycle budget ran out before all items completed (saturated
-    /// point): the run **did not finish**.
-    Dnf,
 }
 
 /// Summary of one finished traffic run.
@@ -182,7 +149,6 @@ pub struct ServiceHarness {
     next_arrival: u64,
     generated: u64,
     completed: u64,
-    outcome: Option<StepStatus>,
 }
 
 impl ServiceHarness {
@@ -225,14 +191,7 @@ impl ServiceHarness {
             next_arrival,
             generated: 0,
             completed: 0,
-            outcome: None,
         })
-    }
-
-    /// Current machine cycle.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.machine.cycles()
     }
 
     /// Enables the host-side phase profiler on the underlying machine.
@@ -249,25 +208,30 @@ impl ServiceHarness {
         self.machine.profile()
     }
 
-    /// Items completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
+    /// Runs to completion (or to the cycle budget) and returns the
+    /// summary. Saturated points come back with `dnf: true` rather than
+    /// as errors, mirroring the DNF policy of the figure binaries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Sim`] when the simulation faults,
+    /// [`HarnessError::Protocol`] when the fleet halts before being
+    /// stopped, and [`HarnessError::Verify`] when the fleet's checksums
+    /// or histogram conservation do not match what the host injected.
+    pub fn run(&mut self) -> Result<TrafficSummary, HarnessError> {
+        loop {
+            if let Some(dnf) = self.step()? {
+                return self.finish(dnf);
+            }
+        }
     }
 
     /// Advances the run by one poll quantum: absorb due arrivals, reap
     /// completions, dispatch queued items to idle servers, then run the
-    /// machine to the next arrival or poll tick.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::Sim`] when the simulation faults and
-    /// [`HarnessError::Protocol`] when the fleet halts before being
-    /// stopped.
-    pub fn step(&mut self) -> Result<StepStatus, HarnessError> {
-        if let Some(outcome) = self.outcome {
-            return Ok(outcome);
-        }
+    /// machine to the next arrival or poll tick. Returns `Some(dnf)` once
+    /// the run is over: `false` when every item completed, `true` when
+    /// the cycle budget ran out first (a saturated point).
+    fn step(&mut self) -> Result<Option<bool>, HarnessError> {
         let now = self.machine.cycles();
 
         // 1. Absorb arrivals due by now into the host queue.
@@ -317,11 +281,10 @@ impl ServiceHarness {
         }
 
         // 4. Sample the host-queue depth (waiting items only).
-        self.recorder.sample_depth(now, self.queue.len() as u32);
+        self.recorder.sample_depth(self.queue.len() as u32);
 
         if self.completed == self.traffic.items {
-            self.outcome = Some(StepStatus::Done);
-            return Ok(StepStatus::Done);
+            return Ok(Some(false));
         }
 
         // 5. Advance to the next interesting cycle.
@@ -332,11 +295,8 @@ impl ServiceHarness {
         let target = target.max(now + 1);
         let summary = self.machine.run_until(target)?;
         match summary.exit {
-            ExitReason::TargetReached => Ok(StepStatus::Running),
-            ExitReason::Watchdog => {
-                self.outcome = Some(StepStatus::Dnf);
-                Ok(StepStatus::Dnf)
-            }
+            ExitReason::TargetReached => Ok(None),
+            ExitReason::Watchdog => Ok(Some(true)),
             ExitReason::AllHalted => Err(HarnessError::Protocol(
                 "service fleet halted before receiving stop".to_string(),
             )),
@@ -345,18 +305,7 @@ impl ServiceHarness {
 
     /// Stops the fleet (when the run completed), verifies payload
     /// checksums and kernel conservation, and returns the summary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::Protocol`] when called before the run
-    /// reached [`StepStatus::Done`] or [`StepStatus::Dnf`], and
-    /// [`HarnessError::Verify`] when the fleet's checksums or histogram
-    /// conservation do not match what the host injected.
-    pub fn finish(&mut self) -> Result<TrafficSummary, HarnessError> {
-        let outcome = self.outcome.ok_or_else(|| {
-            HarnessError::Protocol("finish() called while the run is still going".to_string())
-        })?;
-        let mut dnf = outcome == StepStatus::Dnf;
+    fn finish(&mut self, mut dnf: bool) -> Result<TrafficSummary, HarnessError> {
         if !dnf {
             // Shut the fleet down and let it drain to a clean halt.
             for c in 0..self.kernel.num_cores {
@@ -407,179 +356,6 @@ impl ServiceHarness {
             queue_depth_mean: self.recorder.mean_depth(),
             queue_depth_max: self.recorder.max_depth(),
         })
-    }
-
-    /// Runs to completion (or to the cycle budget) and returns the
-    /// summary. Saturated points come back with `dnf: true` rather than
-    /// as errors, mirroring the DNF policy of the figure binaries.
-    ///
-    /// # Errors
-    ///
-    /// See [`step`](ServiceHarness::step) and
-    /// [`finish`](ServiceHarness::finish).
-    pub fn run(&mut self) -> Result<TrafficSummary, HarnessError> {
-        loop {
-            match self.step()? {
-                StepStatus::Running => {}
-                StepStatus::Done | StepStatus::Dnf => return self.finish(),
-            }
-        }
-    }
-
-    /// Serializes the complete harness — machine snapshot plus arrival
-    /// state, host queue, in-flight table, issue counters and recorded
-    /// samples — so a restored harness continues **bit-identically**.
-    ///
-    /// Only meaningful while the run is in progress (checkpointing a
-    /// finished run is allowed but pointless).
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        let snap = self.machine.snapshot();
-        out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-        out.extend_from_slice(&snap);
-
-        let mut w = StateWriter::new();
-        w.put_u32(self.kernel.num_cores);
-        w.put_u32(self.kernel.service_cycles);
-        w.put_u64(self.traffic.items);
-        self.arrivals.save_state(&mut w);
-        self.recorder.save_state(&mut w);
-        w.put_u64(self.queue.len() as u64);
-        for item in &self.queue {
-            w.put_u32(item.payload);
-            w.put_u64(item.arrive);
-        }
-        for slot in &self.inflight {
-            match slot {
-                Some(item) => {
-                    w.put_bool(true);
-                    w.put_u32(item.payload);
-                    w.put_u64(item.arrive);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        for &v in &self.issued {
-            w.put_u32(v);
-        }
-        for &v in &self.sums {
-            w.put_u32(v);
-        }
-        w.put_u64(self.next_arrival);
-        w.put_u64(self.generated);
-        w.put_u64(self.completed);
-        out.extend_from_slice(&w.finish());
-        out
-    }
-
-    /// Restores a checkpoint taken by
-    /// [`checkpoint`](ServiceHarness::checkpoint) into a harness
-    /// constructed with the same kernel, traffic and arrival parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::BadCheckpoint`] when the bytes are
-    /// malformed, were produced by a different format version, or do not
-    /// match this harness's kernel geometry or item budget, and
-    /// [`HarnessError::Sim`] when the embedded machine snapshot is
-    /// rejected.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), HarnessError> {
-        let bad = |what: &str| HarnessError::BadCheckpoint(what.to_string());
-        if bytes.len() < 16 {
-            return Err(bad("truncated header"));
-        }
-        if bytes[0..4] != CKPT_MAGIC {
-            return Err(bad("not a traffic checkpoint (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != CKPT_VERSION {
-            return Err(HarnessError::BadCheckpoint(format!(
-                "unsupported checkpoint version {version} (expected {CKPT_VERSION})"
-            )));
-        }
-        let snap_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let rest = &bytes[16..];
-        if rest.len() < snap_len {
-            return Err(bad("truncated machine snapshot"));
-        }
-        let (snap, tail) = rest.split_at(snap_len);
-
-        let mut src = StateReader::new(tail);
-        let servers = src.take_u32()?;
-        let service_cycles = src.take_u32()?;
-        let items = src.take_u64()?;
-        if servers != self.kernel.num_cores || service_cycles != self.kernel.service_cycles {
-            return Err(HarnessError::BadCheckpoint(format!(
-                "fleet mismatch: checkpoint has {servers} servers × {service_cycles} \
-                 service cycles, harness has {} × {}",
-                self.kernel.num_cores, self.kernel.service_cycles
-            )));
-        }
-        if items != self.traffic.items {
-            return Err(HarnessError::BadCheckpoint(format!(
-                "item budget mismatch: checkpoint has {items}, harness has {}",
-                self.traffic.items
-            )));
-        }
-        let mut arrivals = self.arrivals.clone();
-        arrivals.load_state(&mut src)?;
-        let mut recorder = LatencyRecorder::new();
-        recorder.load_state(&mut src)?;
-        let queue_len = src.take_u64()?;
-        if queue_len > items {
-            return Err(bad("queue length exceeds item budget"));
-        }
-        let mut queue = VecDeque::with_capacity(queue_len as usize);
-        for _ in 0..queue_len {
-            let payload = src.take_u32()?;
-            let arrive = src.take_u64()?;
-            queue.push_back(Item { payload, arrive });
-        }
-        let mut inflight = Vec::with_capacity(servers as usize);
-        for _ in 0..servers {
-            inflight.push(if src.take_bool()? {
-                let payload = src.take_u32()?;
-                let arrive = src.take_u64()?;
-                Some(Item { payload, arrive })
-            } else {
-                None
-            });
-        }
-        let mut issued = Vec::with_capacity(servers as usize);
-        for _ in 0..servers {
-            issued.push(src.take_u32()?);
-        }
-        let mut sums = Vec::with_capacity(servers as usize);
-        for _ in 0..servers {
-            sums.push(src.take_u32()?);
-        }
-        let next_arrival = src.take_u64()?;
-        let generated = src.take_u64()?;
-        let completed = src.take_u64()?;
-        if src.remaining() != 0 {
-            return Err(bad("trailing bytes after checkpoint"));
-        }
-        if generated > items || completed > generated {
-            return Err(bad("inconsistent item counters"));
-        }
-
-        // All host state decoded — now mutate, machine last (its own
-        // restore validates the snapshot before touching state).
-        self.machine.restore(snap)?;
-        self.arrivals = arrivals;
-        self.recorder = recorder;
-        self.queue = queue;
-        self.inflight = inflight;
-        self.issued = issued;
-        self.sums = sums;
-        self.next_arrival = next_arrival;
-        self.generated = generated;
-        self.completed = completed;
-        self.outcome = None;
-        Ok(())
     }
 }
 
@@ -640,84 +416,6 @@ mod tests {
         assert!(summary.dnf);
         assert!(summary.completed < 100_000);
         assert!(summary.queue_depth_max > 4, "queue must have built up");
-    }
-
-    #[test]
-    fn checkpoint_restore_is_bit_identical() {
-        let make = || harness(SyncArch::Colibri { queues: 2 }, 50, 300.0, 21);
-        let mut base = make();
-        let base_summary = base.run().unwrap();
-
-        // Run a second harness to roughly half the items, checkpoint,
-        // restore into a *fresh* harness, and continue.
-        let mut first = make();
-        while first.completed() < 25 {
-            assert_eq!(first.step().unwrap(), StepStatus::Running);
-        }
-        let bytes = first.checkpoint();
-
-        let mut second = make();
-        second.restore(&bytes).unwrap();
-        assert_eq!(second.completed(), first.completed());
-        let resumed = second.run().unwrap();
-        assert_eq!(base_summary, resumed, "restored run must be bit-identical");
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_and_malformed() {
-        let mut h = harness(SyncArch::Colibri { queues: 2 }, 50, 300.0, 21);
-        for _ in 0..10 {
-            h.step().unwrap();
-        }
-        let good = h.checkpoint();
-
-        let mut other_items = {
-            let kernel = ServiceKernel::new(4, 100);
-            let cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
-            ServiceHarness::new(
-                cfg,
-                kernel,
-                TrafficConfig::new(51),
-                ArrivalProcess::poisson(21, 300.0),
-            )
-            .unwrap()
-        };
-        assert!(matches!(
-            other_items.restore(&good),
-            Err(HarnessError::BadCheckpoint(_))
-        ));
-
-        let mut other_fleet = {
-            let kernel = ServiceKernel::new(2, 100);
-            let cfg = SimConfig::small(2, SyncArch::Colibri { queues: 2 });
-            ServiceHarness::new(
-                cfg,
-                kernel,
-                TrafficConfig::new(50),
-                ArrivalProcess::poisson(21, 300.0),
-            )
-            .unwrap()
-        };
-        assert!(matches!(
-            other_fleet.restore(&good),
-            Err(HarnessError::BadCheckpoint(_))
-        ));
-
-        let mut target = harness(SyncArch::Colibri { queues: 2 }, 50, 300.0, 21);
-        assert!(target.restore(&good[..8]).is_err(), "truncated");
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        assert!(target.restore(&bad_magic).is_err(), "magic");
-        let mut bad_version = good.clone();
-        bad_version[4] = 0xEE;
-        assert!(target.restore(&bad_version).is_err(), "version");
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(target.restore(&trailing).is_err(), "trailing");
-
-        // The good bytes still restore after all those rejections.
-        target.restore(&good).unwrap();
-        assert_eq!(target.completed(), h.completed());
     }
 
     #[test]

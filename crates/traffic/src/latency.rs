@@ -1,7 +1,5 @@
 //! Per-item latency recording and tail percentiles.
 
-use lrscwait_core::{StateError, StateReader, StateWriter};
-
 /// Aggregated latency distribution of a finished (or in-progress) run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyStats {
@@ -35,12 +33,12 @@ impl LatencyStats {
 }
 
 /// Records per-item end-to-end latencies (enqueue cycle → completion
-/// cycle, including host-side queue wait) and queue-depth-over-time
-/// samples.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LatencyRecorder {
+/// cycle, including host-side queue wait) and one queue-depth sample per
+/// poll quantum.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyRecorder {
     latencies: Vec<u64>,
-    depth: Vec<(u64, u32)>,
+    depth: Vec<u32>,
 }
 
 impl LatencyRecorder {
@@ -55,10 +53,10 @@ impl LatencyRecorder {
         self.latencies.push(latency);
     }
 
-    /// Records the host-side queue depth at `cycle` (waiting items, not
-    /// counting items in service).
-    pub fn sample_depth(&mut self, cycle: u64, depth: u32) {
-        self.depth.push((cycle, depth));
+    /// Records the host-side queue depth (waiting items, not counting
+    /// items in service).
+    pub fn sample_depth(&mut self, depth: u32) {
+        self.depth.push(depth);
     }
 
     /// Number of recorded completions.
@@ -67,26 +65,20 @@ impl LatencyRecorder {
         self.latencies.len() as u64
     }
 
-    /// Queue-depth samples, in recording order.
-    #[must_use]
-    pub fn depth_series(&self) -> &[(u64, u32)] {
-        &self.depth
-    }
-
     /// Mean of the depth samples (0 when none were taken).
     #[must_use]
     pub fn mean_depth(&self) -> f64 {
         if self.depth.is_empty() {
             return 0.0;
         }
-        let sum: u64 = self.depth.iter().map(|&(_, d)| u64::from(d)).sum();
+        let sum: u64 = self.depth.iter().map(|&d| u64::from(d)).sum();
         sum as f64 / self.depth.len() as f64
     }
 
     /// Maximum depth sample (0 when none were taken).
     #[must_use]
     pub fn max_depth(&self) -> u32 {
-        self.depth.iter().map(|&(_, d)| d).max().unwrap_or(0)
+        self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// Nearest-rank percentile of the recorded latencies: the smallest
@@ -119,50 +111,6 @@ impl LatencyRecorder {
             p999: self.percentile(99.9),
             max: *self.latencies.iter().max().expect("nonempty"),
         }
-    }
-
-    /// Serializes all samples.
-    pub fn save_state(&self, out: &mut StateWriter) {
-        out.put_u64(self.latencies.len() as u64);
-        for &l in &self.latencies {
-            out.put_u64(l);
-        }
-        out.put_u64(self.depth.len() as u64);
-        for &(cycle, depth) in &self.depth {
-            out.put_u64(cycle);
-            out.put_u32(depth);
-        }
-    }
-
-    /// Restores samples saved by [`save_state`](LatencyRecorder::save_state),
-    /// replacing the current contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StateError`] when the buffer is truncated or the
-    /// recorded lengths are implausible for its size.
-    pub fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        let n = src.take_u64()?;
-        if n > src.remaining() as u64 / 8 {
-            return Err(StateError::Invalid("latency sample count"));
-        }
-        let mut latencies = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            latencies.push(src.take_u64()?);
-        }
-        let d = src.take_u64()?;
-        if d > src.remaining() as u64 / 12 {
-            return Err(StateError::Invalid("depth sample count"));
-        }
-        let mut depth = Vec::with_capacity(d as usize);
-        for _ in 0..d {
-            let cycle = src.take_u64()?;
-            let value = src.take_u32()?;
-            depth.push((cycle, value));
-        }
-        self.latencies = latencies;
-        self.depth = depth;
-        Ok(())
     }
 }
 
@@ -198,32 +146,10 @@ mod tests {
     #[test]
     fn depth_accounting() {
         let mut r = LatencyRecorder::new();
-        r.sample_depth(10, 0);
-        r.sample_depth(20, 4);
-        r.sample_depth(30, 2);
+        for depth in [0, 4, 2] {
+            r.sample_depth(depth);
+        }
         assert_eq!(r.max_depth(), 4);
         assert!((r.mean_depth() - 2.0).abs() < 1e-9);
-        assert_eq!(r.depth_series().len(), 3);
-    }
-
-    #[test]
-    fn state_round_trip() {
-        let mut r = LatencyRecorder::new();
-        for v in [5u64, 9, 2, 40] {
-            r.record(v);
-        }
-        r.sample_depth(100, 3);
-        let mut w = StateWriter::new();
-        r.save_state(&mut w);
-        let bytes = w.finish();
-        let mut restored = LatencyRecorder::new();
-        restored.record(999); // must be replaced, not appended
-        let mut src = StateReader::new(&bytes);
-        restored.load_state(&mut src).unwrap();
-        assert_eq!(src.remaining(), 0);
-        assert_eq!(restored, r);
-
-        let mut src = StateReader::new(&bytes[..5]);
-        assert!(LatencyRecorder::new().load_state(&mut src).is_err());
     }
 }

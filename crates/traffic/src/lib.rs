@@ -12,16 +12,13 @@
 //!
 //! * [`ArrivalProcess`] — seeded, platform-deterministic Poisson and
 //!   bursty (two-state MMPP) arrival streams;
-//! * [`LatencyRecorder`] / [`LatencyStats`] — per-item latencies with
-//!   p50/p99/p99.9 tail percentiles and queue-depth-over-time samples;
 //! * [`ServiceHarness`] — drives a simulated machine running the
 //!   `lrscwait-kernels` `ServiceKernel` fleet: arrivals queue host-side,
 //!   idle servers get items through per-core injection mailboxes, and
-//!   completion cycles come back through guest-side `CYCLE` stamps.
-//!
-//! The harness checkpoints *everything* (machine snapshot + generator +
-//! host queue + recorded samples) to a byte buffer and restores
-//! bit-identically — long saturation sweeps can be cut and resumed.
+//!   completion cycles come back through guest-side `CYCLE` stamps;
+//! * [`TrafficSummary`] — what a run returns: the per-item latency
+//!   distribution ([`LatencyStats`], p50/p99/p99.9 tail percentiles),
+//!   throughput and host-queue depth.
 //!
 //! # Example
 //!
@@ -50,5 +47,5 @@ mod harness;
 mod latency;
 
 pub use arrival::ArrivalProcess;
-pub use harness::{HarnessError, ServiceHarness, StepStatus, TrafficConfig, TrafficSummary};
-pub use latency::{LatencyRecorder, LatencyStats};
+pub use harness::{HarnessError, ServiceHarness, TrafficConfig, TrafficSummary};
+pub use latency::LatencyStats;

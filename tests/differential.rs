@@ -16,9 +16,10 @@ use lrscwait_bench::{Experiment, Measurement, Sweep};
 
 fn assert_equivalent(kernel: &dyn Workload, cfg: SimConfig, what: &str) -> Measurement {
     let fast = Experiment::new(kernel, cfg).x(1).run().expect(what);
-    let reference = Experiment::new(kernel, cfg)
+    let mut reference_cfg = cfg;
+    reference_cfg.exec_mode = ExecMode::Reference;
+    let reference = Experiment::new(kernel, reference_cfg)
         .x(1)
-        .reference()
         .run()
         .expect(what);
     assert_eq!(fast.cycles, reference.cycles, "{what}: cycle count");
