@@ -14,10 +14,10 @@ use lrscwait_sim::{
     ConfigError, DecodedProgram, ExitReason, Machine, PhaseProfile, ProfilerConfig, RunSummary,
     SimConfig, SimError, SimStats, NUM_ARGS,
 };
-use lrscwait_telemetry::Heartbeat;
 use lrscwait_trace::{AnalysisSink, FanoutSink, SharedSink, SyncAnalysis, TraceSink};
 
 use crate::args::USAGE;
+use crate::heartbeat::Heartbeat;
 use crate::report::fmt_tp;
 use crate::sweep::lock_ignoring_poison;
 

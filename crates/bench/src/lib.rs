@@ -52,6 +52,7 @@ mod args;
 mod experiment;
 mod figure;
 mod figures;
+mod heartbeat;
 mod report;
 mod sweep;
 

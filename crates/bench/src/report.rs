@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lrscwait_sim::PhaseProfile;
-use lrscwait_telemetry::heartbeat::escape;
 
 use crate::experiment::{BenchError, Measurement};
+use crate::heartbeat::escape;
 
 /// Prints the one-line throughput report every simulating figure emits on
 /// stderr, from each run's `(simulated cycles, host seconds)`.
@@ -374,7 +374,7 @@ mod tests {
         );
         // The embedded phase entries must re-sum to the sampled total.
         let phases = agg.get("phases").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(phases.len(), lrscwait_telemetry::NUM_PHASES);
+        assert_eq!(phases.len(), lrscwait_sim::Phase::ALL.len());
         let json_sum: f64 = phases
             .iter()
             .filter_map(|p| p.get("ns").and_then(json::Json::as_f64))

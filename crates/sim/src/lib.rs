@@ -50,6 +50,7 @@ pub mod config;
 pub mod cpu;
 mod machine;
 mod phases;
+mod profiler;
 mod stats;
 mod translate;
 
@@ -59,12 +60,9 @@ pub use config::{
 };
 pub use cpu::DecodedProgram;
 pub use machine::{Machine, SimError};
+pub use profiler::{Phase, PhaseProfile, PhaseStat, ProfilerConfig};
 pub use stats::{CoreStats, ExitReason, RunSummary, SimStats};
 pub use translate::Translation;
-
-// Host-side profiling types, re-exported so harnesses driving a
-// `Machine` need not depend on `lrscwait-telemetry` directly.
-pub use lrscwait_telemetry::{PhaseProfile, ProfilerConfig};
 
 // Chaos fault-injection types, re-exported so harnesses enabling the
 // engine through `SimConfigBuilder::chaos` need not depend on

@@ -139,13 +139,12 @@ use lrscwait_core::{
 };
 use lrscwait_isa::{MemWidth, Reg};
 use lrscwait_noc::{IdSet, MempoolTopology, Network, NetworkStats, Route};
-use lrscwait_telemetry::{Phase, PhaseProfile, Profiler, ProfilerConfig};
-
 use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
+use crate::profiler::{Phase, PhaseProfile, Profiler, ProfilerConfig};
 use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 

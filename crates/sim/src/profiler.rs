@@ -114,7 +114,7 @@ impl Default for ProfilerConfig {
 /// the time since the previous timestamp to one phase, so consecutive
 /// phases share a single monotonic clock read.
 #[derive(Clone, Copy, Debug)]
-pub struct CycleClock {
+pub(crate) struct CycleClock {
     last: Option<Instant>,
     ns: [u64; NUM_PHASES],
 }
@@ -136,12 +136,6 @@ impl CycleClock {
         }
     }
 
-    /// Whether this cycle is being measured.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.last.is_some()
-    }
-
     /// Attributes the time since the previous timestamp to `phase` and
     /// restarts the lap timer. One predictable branch when disarmed.
     #[inline]
@@ -156,7 +150,7 @@ impl CycleClock {
 
 /// Accumulated profiling state (the `On` payload of [`Profiler`]).
 #[derive(Clone, Debug)]
-pub struct ProfilerCore {
+pub(crate) struct ProfilerCore {
     sample_every: u32,
     countdown: u32,
     stepped_cycles: u64,
@@ -171,7 +165,7 @@ pub struct ProfilerCore {
 /// site a single predictable branch; `On` laces timestamps through
 /// sampled cycles.
 #[derive(Clone, Debug, Default)]
-pub enum Profiler {
+pub(crate) enum Profiler {
     /// No profiling: zero clock reads, one branch per site.
     #[default]
     Off,
@@ -388,7 +382,7 @@ mod tests {
         let mut profiler = Profiler::enabled(ProfilerConfig { sample_every: 1 });
         for _ in 0..4 {
             let mut clock = profiler.begin_cycle();
-            assert!(clock.is_armed());
+            assert!(clock.last.is_some());
             for phase in Phase::ALL {
                 clock.lap(phase);
             }
@@ -402,7 +396,7 @@ mod tests {
     fn off_profiler_commits_nothing() {
         let mut profiler = Profiler::Off;
         let mut clock = profiler.begin_cycle();
-        assert!(!clock.is_armed());
+        assert!(clock.last.is_none());
         clock.lap(Phase::CoreStep);
         profiler.commit(&clock);
         assert!(profiler.snapshot().is_none());
@@ -414,7 +408,7 @@ mod tests {
         let mut armed = 0;
         for _ in 0..8 {
             let clock = profiler.begin_cycle();
-            armed += usize::from(clock.is_armed());
+            armed += usize::from(clock.last.is_some());
             profiler.commit(&clock);
         }
         let profile = profiler.snapshot().expect("on");

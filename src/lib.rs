@@ -24,7 +24,6 @@
 //! | [`noc`] | Backpressured hierarchical interconnect |
 //! | [`sim`] | Cycle-accurate MemPool-like manycore simulator |
 //! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis |
-//! | [`telemetry`] | Host-side observability: phase profiler, heartbeat |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |
@@ -105,6 +104,5 @@ pub use lrscwait_kernels as kernels;
 pub use lrscwait_model as model;
 pub use lrscwait_noc as noc;
 pub use lrscwait_sim as sim;
-pub use lrscwait_telemetry as telemetry;
 pub use lrscwait_trace as trace;
 pub use lrscwait_traffic as traffic;
