@@ -47,7 +47,7 @@ usage: trace [--kernel K] [--impl I] [--arch A] [--cores N] [--iters N]
   --max-cycles N  watchdog limit (default 2000000)
   --out DIR       output directory for the Perfetto JSON (default results)
   --profile       attach the host-side phase profiler and write
-                  trace.profile.json next to the Perfetto export
+                  <trace>.profile.json next to the Perfetto export
   -h, --help      show this help";
 
 /// Largest export (in trace-event objects) the JSON self-check reads
@@ -299,8 +299,12 @@ fn run() -> Result<(), BenchError> {
         format!("trace counters diverge from SimStats: {c:?} vs {adapters:?}"),
     )?;
 
-    if args.profile {
-        write_profile_json(&args.out, "trace", std::slice::from_ref(&measurement))?;
+    if let Some(profile) = &measurement.profile {
+        write_profile_json(
+            &args.out,
+            &name,
+            [(measurement.label.clone(), measurement.x, profile)],
+        )?;
     }
 
     println!(

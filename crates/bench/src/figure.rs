@@ -137,7 +137,11 @@ impl Figure {
         let runs = measurements.clone().into_iter();
         log_throughput(self.name, runs.map(|m| (m.cycles, m.host_seconds)));
         if self.args.profile {
-            write_profile_json(&self.args.out, self.name, measurements.clone())?;
+            let points = measurements.clone().into_iter().filter_map(|m| {
+                let profile = m.profile.as_ref()?;
+                Some((m.label.clone(), m.x, profile))
+            });
+            write_profile_json(&self.args.out, self.name, points)?;
         }
         if self.args.trace {
             write_trace_csv(&self.args.out, self.name, measurements)?;

@@ -36,7 +36,7 @@ use lrscwait_traffic::{
 
 use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::{check_claim, log_throughput, write_profile_set, BenchError};
+use crate::{check_claim, log_throughput, write_profile_json, BenchError};
 
 /// Servers in the fleet (active cores).
 const SERVERS: u32 = 8;
@@ -209,15 +209,11 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
         results.iter().map(|p| (p.summary.cycles, p.host_seconds)),
     );
     if fig.args.profile {
-        let profile_points: Vec<(String, u32, PhaseProfile)> = results
-            .iter()
-            .filter_map(|p| {
-                p.profile
-                    .clone()
-                    .map(|prof| (format!("{}/{}", p.series, p.model), p.load_pct, prof))
-            })
-            .collect();
-        write_profile_set(&fig.args.out, fig.name, &profile_points)?;
+        let points = results.iter().filter_map(|p| {
+            let profile = p.profile.as_ref()?;
+            Some((format!("{}/{}", p.series, p.model), p.load_pct, profile))
+        });
+        write_profile_json(&fig.args.out, fig.name, points)?;
     }
 
     let rows: Vec<Vec<String>> = results

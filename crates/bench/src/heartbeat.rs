@@ -11,12 +11,15 @@
 //! NDJSON line to the optional log file, so everything here is testable
 //! without clocks or I/O.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+
+use lrscwait_trace::json::Json;
+
+use crate::report::object;
 
 /// Heartbeat state for one run.
 #[derive(Debug)]
-pub struct Heartbeat {
+pub(crate) struct Heartbeat {
     label: String,
     interval: Duration,
     budget: u64,
@@ -90,7 +93,7 @@ fn rate(cycles: u64, window: Duration) -> f64 {
 
 /// One emitted heartbeat, ready to render.
 #[derive(Clone, Debug)]
-pub struct HeartbeatLine {
+pub(crate) struct HeartbeatLine {
     /// Run label (experiment label; sweeps interleave several runs).
     pub label: String,
     /// 1-based beat index.
@@ -137,29 +140,28 @@ impl HeartbeatLine {
         )
     }
 
-    /// The NDJSON log line (one JSON object, no trailing newline;
-    /// deterministic key order).
+    /// The NDJSON log line: one compact JSON object, no trailing newline,
+    /// fixed key order; `budget` and `eta_secs` are `null` when there is
+    /// none.
     #[must_use]
     pub fn render_ndjson(&self) -> String {
-        let eta = self
-            .eta
-            .map_or("null".to_string(), |d| format!("{:.3}", d.as_secs_f64()));
         let budget = if self.budget == u64::MAX {
-            "null".to_string()
+            Json::Null
         } else {
-            self.budget.to_string()
+            Json::Num(self.budget as f64)
         };
-        format!(
-            "{{\"label\": \"{}\", \"beat\": {}, \"cycles\": {}, \"budget\": {budget}, \
-             \"elapsed_secs\": {:.3}, \"live_cycles_per_sec\": {:.1}, \
-             \"avg_cycles_per_sec\": {:.1}, \"eta_secs\": {eta}}}",
-            escape(&self.label),
-            self.beat,
-            self.cycles,
-            self.elapsed.as_secs_f64(),
-            self.live_cycles_per_sec,
-            self.avg_cycles_per_sec,
-        )
+        let eta = self.eta.map_or(Json::Null, |d| Json::Num(d.as_secs_f64()));
+        object([
+            ("label", Json::Str(self.label.clone())),
+            ("beat", Json::Num(self.beat as f64)),
+            ("cycles", Json::Num(self.cycles as f64)),
+            ("budget", budget),
+            ("elapsed_secs", Json::Num(self.elapsed.as_secs_f64())),
+            ("live_cycles_per_sec", Json::Num(self.live_cycles_per_sec)),
+            ("avg_cycles_per_sec", Json::Num(self.avg_cycles_per_sec)),
+            ("eta_secs", eta),
+        ])
+        .to_string()
     }
 }
 
@@ -171,31 +173,10 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Escapes `value` for use inside a double-quoted JSON string: quotes,
-/// backslashes and every control character (U+0000–U+001F, which RFC
-/// 8259 forbids raw inside a string).
-#[must_use]
-pub fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrscwait_trace::json;
 
     #[test]
     fn due_respects_interval() {
@@ -234,7 +215,7 @@ mod tests {
         let line = hb.beat(Instant::now() + Duration::from_secs(1), 500);
         assert!(line.eta.is_none());
         assert!(line.render_text().contains("cycle 500"));
-        assert!(line.render_ndjson().contains("\"budget\": null"));
+        assert!(line.render_ndjson().contains(r#""budget":null"#));
     }
 
     #[test]
@@ -245,18 +226,40 @@ mod tests {
         assert!(text.contains("heartbeat fig3/lrsc"));
         assert!(text.contains("cycle 5000000/10000000 (50.0%)"));
         assert!(text.contains("eta<=2s"), "{text}");
-        let json = line.render_ndjson();
-        assert!(json.contains("\"cycles\": 5000000"));
-        assert!(json.contains("\"eta_secs\": 2.0"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let doc = json::parse(&line.render_ndjson()).expect("the NDJSON line is JSON");
+        let keys: Vec<&str> = match &doc {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "label",
+                "beat",
+                "cycles",
+                "budget",
+                "elapsed_secs",
+                "live_cycles_per_sec",
+                "avg_cycles_per_sec",
+                "eta_secs"
+            ]
+        );
+        assert_eq!(doc.get("cycles").and_then(Json::as_f64), Some(5e6));
+        let eta = doc.get("eta_secs").and_then(Json::as_f64).unwrap();
+        assert!((eta - 2.0).abs() < 0.01, "{eta}");
     }
 
     #[test]
-    fn escape_covers_quotes_backslashes_and_control_characters() {
-        assert_eq!(escape("plain µ"), "plain µ");
+    fn hostile_label_survives_the_ndjson_line() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let label = format!(r#"fig "3"\{every_control}µ"#);
+        let mut hb = Heartbeat::new(label.clone(), Duration::from_secs(1), 100);
+        let text = hb.beat(Instant::now(), 50).render_ndjson();
+        assert!(!text.contains('\n'), "one line: {text}");
+        let doc = json::parse(&text).expect("the NDJSON line is JSON");
         assert_eq!(
-            escape("a\"b\\c\nd\re\tf\u{1}g\u{1f}"),
-            r#"a\"b\\c\nd\re\tf\u0001g\u001f"#
+            doc.get("label").and_then(Json::as_str),
+            Some(label.as_str())
         );
     }
 }

@@ -62,6 +62,6 @@ pub use figure::Figure;
 pub use figures::{figure_listing, run_figure, FigureFn, FIGURES};
 pub use report::{
     check_claim, exit_code, fmt_tp, log_throughput, markdown_table, write_csv, write_profile_json,
-    write_profile_set, write_trace_csv,
+    write_trace_csv,
 };
 pub use sweep::{default_threads, Sweep};

@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lrscwait_sim::PhaseProfile;
+use lrscwait_trace::json::Json;
 
 use crate::experiment::{BenchError, Measurement};
-use crate::heartbeat::escape;
 
 /// Prints the one-line throughput report every simulating figure emits on
 /// stderr, from each run's `(simulated cycles, host seconds)`.
@@ -31,12 +31,13 @@ pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
     );
 }
 
-/// Writes the figure-level profile artifact `<dir>/<fig>.profile.json`
-/// (schema `lrscwait.profile-set.v2`: one entry per profiled sweep
-/// point, plus the merged aggregate).
+/// Writes the profile artifact `<dir>/<name>.profile.json` from
+/// `(label, x, profile)` points: schema `lrscwait.profile-set.v2`, one
+/// entry per point plus the merged aggregate, each profile an
+/// `lrscwait.profile.v2` object.
 ///
-/// Returns `Ok(None)` when no measurement carries a profile (the sweep
-/// ran without `--profile`).
+/// Returns `Ok(None)`, writing nothing, when there are no points (the run
+/// was not profiled).
 ///
 /// # Errors
 ///
@@ -44,69 +45,74 @@ pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
 /// written.
 pub fn write_profile_json<'a>(
     dir: &Path,
-    fig: &str,
-    measurements: impl IntoIterator<Item = &'a Measurement>,
+    name: &str,
+    points: impl IntoIterator<Item = (String, u32, &'a PhaseProfile)>,
 ) -> Result<Option<PathBuf>, BenchError> {
-    let points: Vec<(String, u32, PhaseProfile)> = measurements
-        .into_iter()
-        .filter_map(|m| {
-            m.profile
-                .as_ref()
-                .map(|p| (m.label.clone(), m.x, p.clone()))
-        })
-        .collect();
-    write_profile_set(dir, fig, &points)
-}
-
-/// The lower-level sibling of [`write_profile_json`] for harnesses that
-/// measure something other than a [`Measurement`] (e.g. the open-loop
-/// traffic figure): writes the same `lrscwait.profile-set.v2` artifact
-/// from bare `(label, x, profile)` points. Returns `Ok(None)` when
-/// `points` is empty.
-///
-/// # Errors
-///
-/// Returns [`BenchError::Io`] when the directory or file cannot be
-/// written.
-pub fn write_profile_set(
-    dir: &Path,
-    fig: &str,
-    points: &[(String, u32, PhaseProfile)],
-) -> Result<Option<PathBuf>, BenchError> {
-    let Some((_, _, first)) = points.first() else {
+    let mut aggregate: Option<PhaseProfile> = None;
+    let mut entries = Vec::new();
+    for (label, x, profile) in points {
+        match &mut aggregate {
+            Some(sum) => sum.merge(profile),
+            None => aggregate = Some(profile.clone()),
+        }
+        entries.push(object([
+            ("label", Json::Str(label)),
+            ("x", Json::Num(f64::from(x))),
+            ("profile", profile_json(profile)),
+        ]));
+    }
+    let Some(aggregate) = aggregate else {
         return Ok(None);
     };
-    let mut aggregate = first.clone();
-    for (_, _, profile) in &points[1..] {
-        aggregate.merge(profile);
-    }
-    let mut out = String::from("{\n  \"schema\": \"lrscwait.profile-set.v2\",\n");
-    let _ = writeln!(out, "  \"name\": \"{}\",", escape(fig));
-    out.push_str("  \"points\": [\n");
-    for (i, (label, x, profile)) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"x\": {x}, \"profile\": {}}}{sep}",
-            escape(label),
-            profile.to_json().trim_end(),
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"aggregate\": {}", aggregate.to_json().trim_end());
-    out.push_str("}\n");
+    let doc = object([
+        ("schema", Json::Str("lrscwait.profile-set.v2".to_string())),
+        ("name", Json::Str(name.to_string())),
+        ("points", Json::Arr(entries)),
+        ("aggregate", profile_json(&aggregate)),
+    ]);
 
     std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
         path: dir.display().to_string(),
         source,
     })?;
-    let path = dir.join(format!("{fig}.profile.json"));
-    std::fs::write(&path, out).map_err(|source| BenchError::Io {
+    let path = dir.join(format!("{name}.profile.json"));
+    std::fs::write(&path, format!("{doc}\n")).map_err(|source| BenchError::Io {
         path: path.display().to_string(),
         source,
     })?;
     eprintln!("wrote {}", path.display());
     Ok(Some(path))
+}
+
+/// One profile as an `lrscwait.profile.v2` object: fixed key order,
+/// phases in execution order.
+fn profile_json(profile: &PhaseProfile) -> Json {
+    let count = |n: u64| Json::Num(n as f64);
+    let phases = profile
+        .phases
+        .iter()
+        .map(|stat| {
+            object([
+                ("phase", Json::Str(stat.phase.name().to_string())),
+                ("ns", count(stat.ns)),
+                ("share", Json::Num(profile.share(stat.phase))),
+            ])
+        })
+        .collect();
+    object([
+        ("schema", Json::Str("lrscwait.profile.v2".to_string())),
+        ("wall_ns", count(profile.wall_ns)),
+        ("stepped_cycles", count(profile.stepped_cycles)),
+        ("sampled_cycles", count(profile.sampled_cycles)),
+        ("sample_every", Json::Num(f64::from(profile.sample_every))),
+        ("sampled_ns", count(profile.sampled_ns)),
+        ("phases", Json::Arr(phases)),
+    ])
+}
+
+/// A JSON object from `(key, value)` pairs, keys in the given order.
+pub(crate) fn object<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+    Json::Obj(pairs.map(|(key, value)| (key.to_string(), value)).into())
 }
 
 /// The exit protocol the binaries share: success and `--help` (`help` on
@@ -320,32 +326,16 @@ mod tests {
         let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
         let m = Experiment::new(&kernel, cfg).x(4).profiled().run().unwrap();
         let profile = m.profile.as_ref().expect("profiled run carries a profile");
-        let phase_sum: u64 = profile.phases.iter().map(|s| s.ns).sum();
-        assert_eq!(
-            phase_sum, profile.sampled_ns,
-            "contiguous laps: phase times must sum to the sampled total"
-        );
-        assert!(
-            profile.sampled_ns <= profile.wall_ns,
-            "sampled time cannot exceed the run-loop wall time"
-        );
 
         let dir = std::env::temp_dir().join(format!("lrscwait-profile-{}", std::process::id()));
         // Labels and figure names are caller-chosen text: quotes,
         // backslashes and control characters must survive the round trip
         // through the artifact.
-        let quoted = Measurement {
-            label: r#"he said "hi"\"#.to_string(),
-            ..m.clone()
-        };
-        let control = Measurement {
-            label: "line\nbreak\u{1}".to_string(),
-            ..m.clone()
-        };
+        let labels = ["plain", r#"he said "hi"\"#, "line\nbreak\u{1}"];
         let path = write_profile_json(
             &dir,
             r#"un"it"#,
-            &[m.clone(), quoted.clone(), control.clone()],
+            labels.map(|label| (label.to_string(), m.x, profile)),
         )
         .unwrap()
         .expect("a profiled measurement must produce the artifact");
@@ -360,17 +350,33 @@ mod tests {
             Some(r#"un"it"#)
         );
         let points = doc.get("points").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(points.len(), 3);
-        for (point, want) in points[1..].iter().zip([&quoted, &control]) {
-            assert_eq!(
-                point.get("label").and_then(json::Json::as_str),
-                Some(want.label.as_str())
-            );
-        }
+        let got: Vec<_> = points
+            .iter()
+            .map(|point| point.get("label").and_then(json::Json::as_str))
+            .collect();
+        assert_eq!(got, labels.map(Some));
         let agg = doc.get("aggregate").expect("aggregate present");
         assert_eq!(
             agg.get("schema").and_then(json::Json::as_str),
             Some("lrscwait.profile.v2")
+        );
+        let keys = |v: &json::Json| match v {
+            json::Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => panic!("not an object: {v}"),
+        };
+        assert_eq!(keys(&doc), ["schema", "name", "points", "aggregate"]);
+        assert_eq!(keys(&points[0]), ["label", "x", "profile"]);
+        assert_eq!(
+            keys(agg),
+            [
+                "schema",
+                "wall_ns",
+                "stepped_cycles",
+                "sampled_cycles",
+                "sample_every",
+                "sampled_ns",
+                "phases"
+            ]
         );
         // The embedded phase entries must re-sum to the sampled total.
         let phases = agg.get("phases").and_then(json::Json::as_arr).unwrap();
@@ -416,23 +422,9 @@ mod tests {
             assert!(!dir.join("ragged.csv").exists(), "nothing may be written");
         }
 
-        // Un-profiled measurements produce no artifact at all.
-        let plain = Experiment::new(
-            &kernel,
-            SimConfig::builder()
-                .cores(4)
-                .arch(SyncArch::Lrsc)
-                .build()
-                .unwrap(),
-        )
-        .x(4)
-        .run()
-        .unwrap();
-        assert!(
-            write_profile_json(&dir, "none", std::slice::from_ref(&plain))
-                .unwrap()
-                .is_none()
-        );
+        // No points (an unprofiled run), no artifact.
+        assert!(write_profile_json(&dir, "none", []).unwrap().is_none());
+        assert!(!dir.join("none.profile.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

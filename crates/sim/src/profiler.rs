@@ -15,11 +15,15 @@
 //! *shares* converge quickly under sampling (tens of thousands of
 //! sampled cycles per second at simulator speed) while keeping the
 //! profiled run within a few percent of the unprofiled one.
+//!
+//! What a run yields is a [`PhaseProfile`] (`Machine::profile`): wall time
+//! plus sampled nanoseconds per [`Phase`]. `lrscwait-bench` writes it as
+//! the `lrscwait.profile.v2` JSON artifact.
 
 use std::time::Instant;
 
 /// Number of distinct [`Phase`]s.
-pub const NUM_PHASES: usize = 8;
+pub(crate) const NUM_PHASES: usize = 8;
 
 /// One sub-phase of `Machine::step_cycle`, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,7 +60,7 @@ impl Phase {
         Phase::CoreFlush,
     ];
 
-    /// Stable snake_case identifier (JSON field / Prometheus label).
+    /// Stable snake_case identifier (JSON field and ledger metric name).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -69,27 +73,6 @@ impl Phase {
             Phase::BarrierRelease => "barrier_release",
             Phase::CoreFlush => "core_flush",
         }
-    }
-
-    /// Human-readable description naming the simulator code involved.
-    #[must_use]
-    pub fn describe(self) -> &'static str {
-        match self {
-            Phase::ReqNetAdvance => "Network::advance (request NoC)",
-            Phase::BankService => "bank request service",
-            Phase::BankFlush => "bank outbox flush",
-            Phase::RespNetAdvance => "Network::advance (response NoC)",
-            Phase::RespDelivery => "response delivery",
-            Phase::CoreStep => "core stepping",
-            Phase::BarrierRelease => "barrier release",
-            Phase::CoreFlush => "core outbox flush",
-        }
-    }
-
-    /// Looks a phase up by its [`Phase::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 }
 
@@ -316,62 +299,6 @@ impl PhaseProfile {
             mine.ns += theirs.ns;
         }
     }
-
-    /// Renders the profile as a deterministic-schema JSON object
-    /// (`lrscwait.profile.v2`): fixed key order, phases in execution
-    /// order.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"lrscwait.profile.v2\",\n");
-        push_kv(&mut out, 2, "wall_ns", &self.wall_ns.to_string(), true);
-        push_kv(
-            &mut out,
-            2,
-            "stepped_cycles",
-            &self.stepped_cycles.to_string(),
-            true,
-        );
-        push_kv(
-            &mut out,
-            2,
-            "sampled_cycles",
-            &self.sampled_cycles.to_string(),
-            true,
-        );
-        push_kv(
-            &mut out,
-            2,
-            "sample_every",
-            &self.sample_every.to_string(),
-            true,
-        );
-        push_kv(
-            &mut out,
-            2,
-            "sampled_ns",
-            &self.sampled_ns.to_string(),
-            true,
-        );
-        out.push_str("  \"phases\": [\n");
-        for (i, stat) in self.phases.iter().enumerate() {
-            let sep = if i + 1 == self.phases.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"ns\": {}, \"share\": {:.6}}}{sep}\n",
-                stat.phase.name(),
-                stat.ns,
-                self.share(stat.phase),
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn push_kv(out: &mut String, indent: usize, key: &str, value: &str, comma: bool) {
-    let pad = " ".repeat(indent);
-    let sep = if comma { "," } else { "" };
-    out.push_str(&format!("{pad}\"{key}\": {value}{sep}\n"));
 }
 
 #[cfg(test)]
@@ -418,16 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_laps_sum_to_sampled_ns() {
-        let profile = sample_profile();
-        let total: u64 = profile.phases.iter().map(|s| s.ns).sum();
-        assert_eq!(total, profile.sampled_ns);
-        assert_eq!(profile.sampled_cycles, 4);
-        let share_sum: f64 = Phase::ALL.iter().map(|&p| profile.share(p)).sum();
-        assert!(profile.sampled_ns == 0 || (share_sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = sample_profile();
         let b = sample_profile();
@@ -436,23 +353,5 @@ mod tests {
         assert_eq!(a.sampled_cycles, cycles);
         assert_eq!(a.stepped_cycles, 8);
         assert_eq!(a.wall_ns, 2_000_000);
-    }
-
-    #[test]
-    fn json_has_schema_and_all_phases() {
-        let json = sample_profile().to_json();
-        assert!(json.contains("\"schema\": \"lrscwait.profile.v2\""));
-        for phase in Phase::ALL {
-            assert!(json.contains(phase.name()), "missing {}", phase.name());
-        }
-        assert_eq!(json.matches("\"phase\":").count(), NUM_PHASES);
-    }
-
-    #[test]
-    fn phase_name_round_trips() {
-        for phase in Phase::ALL {
-            assert_eq!(Phase::from_name(phase.name()), Some(phase));
-        }
-        assert_eq!(Phase::from_name("nope"), None);
     }
 }

@@ -1,12 +1,16 @@
-//! A minimal JSON parser — just enough to validate and inspect the
-//! Perfetto traces this crate exports (the workspace builds offline with
-//! zero external dependencies, so it cannot lean on `serde`).
+//! A minimal JSON value with a strict parser and a compact writer (the
+//! workspace builds offline with zero external dependencies, so it cannot
+//! lean on `serde`).
 //!
-//! Supports the full JSON grammar (objects, arrays, strings with escape
-//! sequences including `\uXXXX`, numbers, booleans, null). Not a
-//! streaming parser; intended for test-sized documents.
+//! [`parse`] supports the full JSON grammar (objects, arrays, strings with
+//! escape sequences including `\uXXXX`, numbers, booleans, null) and
+//! rejects anything RFC 8259 does; it is not a streaming parser and is
+//! meant for test-sized documents. [`Json`]'s `Display` writes the other
+//! direction, and holds the workspace's one JSON string escaper: every
+//! artifact that carries caller-chosen text (profile sets, heartbeat
+//! lines) is built as a [`Json`] value and printed with it.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,6 +65,63 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Compact RFC 8259 text: no whitespace between tokens, object keys in
+/// stored order, strings escaped. A finite number takes Rust's shortest
+/// round-trip spelling, so `parse(&v.to_string()) == Ok(v)` and integers
+/// stay exact up to 2^53; NaN and ±inf, which JSON cannot spell, are
+/// written as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(pairs) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal: quotes, backslashes and every
+/// control character (U+0000–U+001F, which RFC 8259 forbids raw) are
+/// escaped; everything else, non-ASCII included, is written as is.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 /// A parse failure, with the byte offset where it occurred.
@@ -378,6 +439,66 @@ mod tests {
             parse("[\n\t\"a\\nb\\t\\u0001\"\r\n]").unwrap(),
             Json::Arr(vec![Json::Str("a\nb\t\u{1}".to_string())])
         );
+    }
+
+    #[test]
+    fn display_round_trips_through_the_parser() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let hostile = [
+            "",
+            "plain",
+            r#"he said "hi""#,
+            r"back\slash\",
+            every_control.as_str(),
+            "héllo ✓ 日本 🦀",
+        ];
+        let mut values: Vec<Json> = hostile.iter().map(|s| Json::Str(s.to_string())).collect();
+        for n in [
+            0.0,
+            -1.0,
+            42.0,
+            9_007_199_254_740_992.0, // 2^53
+            -9_007_199_254_740_992.0,
+            0.5,
+            -0.0025,
+            1.0 / 3.0,
+            6.02e23,
+            1e-300,
+        ] {
+            values.push(Json::Num(n));
+        }
+        values.extend([Json::Null, Json::Bool(true), Json::Bool(false)]);
+        values.extend([Json::Arr(vec![]), Json::Obj(vec![])]);
+        let nested = Json::Obj(vec![
+            (every_control.clone(), Json::Arr(values.clone())),
+            (
+                "k\"ey".to_string(),
+                Json::Arr(vec![Json::Obj(vec![]), Json::Arr(vec![Json::Arr(vec![])])]),
+            ),
+            ("dup".to_string(), Json::Num(1.0)),
+            ("dup".to_string(), Json::Num(2.0)),
+        ]);
+        values.push(nested);
+        for v in values {
+            let text = v.to_string();
+            assert_eq!(parse(&text), Ok(v), "{text}");
+        }
+        assert_eq!(
+            Json::Num(9_007_199_254_740_992.0).to_string(),
+            "9007199254740992"
+        );
+        assert_eq!(
+            Json::Obj(vec![(
+                "a".to_string(),
+                Json::Arr(vec![Json::Num(1.5), Json::Null])
+            )])
+            .to_string(),
+            r#"{"a":[1.5,null]}"#,
+            "compact: no whitespace between tokens"
+        );
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(n).to_string(), "null", "{n}");
+        }
     }
 
     #[test]

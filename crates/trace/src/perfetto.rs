@@ -481,6 +481,49 @@ mod tests {
         );
     }
 
+    /// The `format!` templates above interpolate names without escaping,
+    /// which is sound only while no name needs it: every park-cause label
+    /// and every fixed span, instant, metadata and counter name must print
+    /// as itself under the JSON escaper.
+    #[test]
+    fn template_names_need_no_escaping() {
+        let causes = [
+            OpKind::Load,
+            OpKind::Store,
+            OpKind::Amo,
+            OpKind::Lr,
+            OpKind::Sc,
+            OpKind::LrWait,
+            OpKind::ScWait,
+            OpKind::MWait,
+            OpKind::WakeUp,
+        ];
+        let fixed = [
+            "sleep",
+            "barrier",
+            "region",
+            "halt",
+            "wait.failfast",
+            "scwait.fail",
+            "sc.fail",
+            "succ.update",
+            "promoted",
+            "wakeup.sent",
+            "process_name",
+            "thread_name",
+            "lrscwait machine",
+            "core 1023",
+            "runnable_cores",
+            "runnable",
+            "wait_queue_depth",
+            "waiting",
+        ];
+        for name in causes.map(OpKind::label).into_iter().chain(fixed) {
+            let escaped = json::Json::Str(name.to_string()).to_string();
+            assert_eq!(escaped, format!("\"{name}\""));
+        }
+    }
+
     /// A fixed-size `Cursor` is an `io::Write` that fails (`WriteZero`)
     /// once its `budget` bytes are used up.
     fn failing_after(budget: usize) -> PerfettoSink<io::Cursor<Box<[u8]>>> {
