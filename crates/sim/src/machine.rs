@@ -634,25 +634,22 @@ impl Machine {
             value,
             mask: !0,
         };
-        let mut out = Vec::new();
-        {
-            let mut view = phases::BankView {
-                words: &mut self.banks[bank as usize],
-                num_banks,
-                bank,
-            };
-            let adapter = &mut self.adapters[bank as usize];
-            if self.tracer.is_off() {
-                adapter.handle(HOST_CORE, &req, &mut view, &mut out);
-            } else {
-                let tracer = &mut self.tracer;
-                adapter.handle_traced(HOST_CORE, &req, &mut view, &mut out, &mut |event| {
-                    tracer.emit(now, || TraceEvent::Sync { bank, event });
-                });
-            }
-        }
+        let mut view = phases::BankView {
+            words: &mut self.banks[bank as usize],
+            num_banks,
+            bank,
+        };
+        phases::serve(
+            self.adapters[bank as usize].as_mut(),
+            &mut view,
+            HOST_CORE,
+            &req,
+            &mut self.adapter_out,
+            &mut self.tracer,
+            now,
+        );
         let mut queued = false;
-        for (core, resp) in out {
+        for (core, resp) in self.adapter_out.drain(..) {
             if core == HOST_CORE {
                 debug_assert_eq!(resp, MemResponse::StoreAck);
                 continue;

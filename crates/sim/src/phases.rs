@@ -83,8 +83,8 @@ impl WordStorage for BankView<'_> {
 /// `dirty_banks` when it goes empty → non-empty.
 ///
 /// `order` is the cycle's delivery list sorted by `(bank, delivery
-/// index)`; `adapter_out` is the reusable response buffer handed to
-/// [`SyncAdapter::handle`].
+/// index)`; `adapter_out` is the reusable response buffer [`serve`]
+/// fills.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn service_banks(
     banks: &mut [Vec<u32>],
@@ -107,14 +107,15 @@ pub(crate) fn service_banks(
             num_banks,
             bank,
         };
-        adapter_out.clear();
-        if tracer.is_off() {
-            adapters[b].handle(msg.src, &msg.req, &mut view, adapter_out);
-        } else {
-            adapters[b].handle_traced(msg.src, &msg.req, &mut view, adapter_out, &mut |event| {
-                tracer.emit(now, || TraceEvent::Sync { bank, event });
-            });
-        }
+        serve(
+            adapters[b].as_mut(),
+            &mut view,
+            msg.src,
+            &msg.req,
+            adapter_out,
+            tracer,
+            now,
+        );
         let outbox = &mut bank_outbox[b];
         if outbox.is_empty() && !adapter_out.is_empty() {
             dirty_banks.insert(bank);
@@ -122,6 +123,30 @@ pub(crate) fn service_banks(
         for (core, resp) in adapter_out.drain(..) {
             outbox.push_back(RespMsg { core, resp });
         }
+    }
+}
+
+/// Hands one request from `src` to the bank's adapter, leaving its
+/// responses in `adapter_out` (cleared first). The adapter's
+/// synchronization events reach `tracer`; with the tracer off it gets
+/// [`SyncAdapter::handle`] and no observer at all.
+pub(crate) fn serve(
+    adapter: &mut dyn SyncAdapter,
+    view: &mut BankView<'_>,
+    src: u32,
+    req: &MemRequest,
+    adapter_out: &mut Vec<(u32, MemResponse)>,
+    tracer: &mut Tracer,
+    now: u64,
+) {
+    adapter_out.clear();
+    if tracer.is_off() {
+        adapter.handle(src, req, view, adapter_out);
+    } else {
+        let bank = view.bank;
+        adapter.handle_traced(src, req, view, adapter_out, &mut |event| {
+            tracer.emit(now, || TraceEvent::Sync { bank, event });
+        });
     }
 }
 

@@ -3,7 +3,8 @@
 //! machine is warmed up until every scratch buffer and queue has reached
 //! its high-water capacity, and a long measured window must then allocate
 //! nothing at all — in `step_cycle`, `Network::advance`, the adapters and
-//! the outbox bookkeeping alike.
+//! the outbox bookkeeping alike, and in host store injection between
+//! cycles.
 //!
 //! This binary holds a single test so no concurrent test thread can
 //! pollute the counter.
@@ -73,16 +74,25 @@ fn contended_steady_state() {
         .build()
         .expect("valid config");
     let mut machine = Machine::new(cfg, &program).expect("loads");
+    // The host injects a store every 64 cycles, as the traffic harness
+    // does, through the same bank service path as the cores.
+    let injected = program.symbol("scratch");
+    let cycle = |machine: &mut Machine, i: u32| {
+        if i % 64 == 0 {
+            machine.inject_store(injected, i);
+        }
+        machine.step_cycle()
+    };
 
     // Warm up: let every queue, scratch vector and stat buffer reach its
     // steady-state capacity.
-    for _ in 0..20_000 {
-        machine.step_cycle().expect("warmup cycle");
+    for i in 0..20_000 {
+        cycle(&mut machine, i).expect("warmup cycle");
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..10_000 {
-        machine.step_cycle().expect("measured cycle");
+    for i in 0..10_000 {
+        cycle(&mut machine, i).expect("measured cycle");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
