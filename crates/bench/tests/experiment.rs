@@ -237,3 +237,28 @@ fn queue_workload_through_experiment() {
     let m = Experiment::new(workload, cfg).x(4).run().unwrap();
     assert_eq!(m.stats.total_ops(), kernel.expected_ops());
 }
+
+#[test]
+fn heartbeat_chunking_leaves_results_unchanged() {
+    // The heartbeat runs the machine in `run_until` chunks of 100 000
+    // cycles and more; a run that needs several of them must end exactly
+    // where one uninterrupted `run` does.
+    let cfg = SimConfig::builder()
+        .cores(4)
+        .arch(SyncArch::Lrsc)
+        .build()
+        .unwrap();
+    let kernel = HistogramKernel::new(HistImpl::Lrsc, 1, 8000, 4);
+    let plain = Experiment::new(&kernel, cfg).x(1).run().unwrap();
+    assert!(plain.cycles > 100_000, "only {} cycles", plain.cycles);
+    let dir = scratch_dir("heartbeat");
+    let beating = Experiment::new(&kernel, cfg)
+        .x(1)
+        .heartbeat(1, Some(dir.join("hb.ndjson")))
+        .run()
+        .unwrap();
+    assert_eq!(plain.cycles, beating.cycles);
+    assert_eq!(plain.stats, beating.stats);
+    assert_eq!(plain.csv_row(), beating.csv_row());
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -22,8 +22,8 @@
 //! | [`isa`] | RV32IMA + Xlrscwait instruction set |
 //! | [`asm`] | Assembler for benchmark kernels |
 //! | [`noc`] | Backpressured hierarchical interconnect |
-//! | [`sim`] | Cycle-accurate MemPool-like manycore simulator |
-//! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis |
+//! | [`sim`] | Cycle-accurate MemPool-like manycore simulator and its host-side phase profiler |
+//! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis; the JSON parser and writer |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |
