@@ -217,6 +217,51 @@ fn mwait_mailbox_snapshot_round_trip() {
     }
 }
 
+/// FNV-1a-64 of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
+    })
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // The round trips above only compare a machine with itself, so a
+    // change to the snapshot encoding (adapter state order, a new field)
+    // would pass them. These digests pin the bytes taken mid-run, with
+    // wait queues populated, as recorded before the bank adapters were
+    // merged into one front end.
+    for (arch, src, len, digest) in [
+        (SyncArch::Lrsc, LRSC_COUNTER, 70_976, 0xf51e_409c_453a_ff9a),
+        (
+            SyncArch::LrscWaitIdeal,
+            CONTENDED_COUNTER,
+            71_533,
+            0x46cc_9946_053a_b1a7,
+        ),
+        (
+            SyncArch::LrscWait { slots: 2 },
+            CONTENDED_COUNTER,
+            71_522,
+            0x3cd8_2ab8_ccfa_07df,
+        ),
+        (
+            SyncArch::Colibri { queues: 2 },
+            CONTENDED_COUNTER,
+            72_281,
+            0x6581_10a8_6493_163a,
+        ),
+    ] {
+        let program = Assembler::new().assemble(src).expect("assembles");
+        let mut m = Machine::new(SimConfig::small(8, arch), &program).expect("loads");
+        let stop = m.run_until(400).expect("run to the snapshot point");
+        assert_eq!(stop.exit, ExitReason::TargetReached, "{arch}: mid-run");
+        let bytes = m.snapshot();
+        assert_eq!(bytes.len(), len, "{arch}: snapshot length");
+        assert_eq!(fnv1a(&bytes), digest, "{arch}: snapshot digest");
+    }
+}
+
 #[test]
 fn stall_mix_snapshot_round_trip() {
     // Interrupt points spread over a whole round, so snapshots land on

@@ -336,11 +336,14 @@ fn schedule_is_pinned_against_the_recorded_parent() {
     // order moves fast and `Reference` together and no equivalence test
     // above would notice. These digests were recorded at the commit before
     // the NoC storage rebuild (PR 13); a digest that moves means simulated
-    // results moved. Re-record only for a deliberate model change.
+    // results moved. Re-record only for a deliberate model change. The two
+    // centralized-queue rows were recorded before the three bank adapters
+    // became one front end with a wait unit per architecture.
     let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
     let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
     let barrier = BarrierKernel::new(BarrierImpl::CentralLrscWait, 1, 1024);
-    let runs: [(&str, &dyn Workload, usize, SyncArch, u64, u64); 3] = [
+    let wait_hist = HistogramKernel::new(HistImpl::LrscWait, 1, 4, 64);
+    let runs: [(&str, &dyn Workload, usize, SyncArch, u64, u64); 5] = [
         (
             "lrsc 1-bin histogram",
             &hist,
@@ -365,6 +368,22 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             24_640,
             0xee01_14fb_55f9_676b,
         ),
+        (
+            "ideal-queue 1-bin histogram",
+            &wait_hist,
+            64,
+            SyncArch::LrscWaitIdeal,
+            2_063,
+            0x11a5_40c1_63e6_b7a8,
+        ),
+        (
+            "one-slot-queue 1-bin histogram",
+            &wait_hist,
+            64,
+            SyncArch::LrscWait { slots: 1 },
+            8_330,
+            0x2884_b271_d3df_5990,
+        ),
     ];
     for (what, kernel, cores, arch, cycles, digest) in runs {
         for mode in [ExecMode::Translated, ExecMode::Reference] {
@@ -384,6 +403,12 @@ fn schedule_is_pinned_against_the_recorded_parent() {
                 m.stats.req_network.hol_blocks > 0,
                 "{what}: must exercise head-of-line blocking"
             );
+            if let SyncArch::LrscWait { .. } = arch {
+                assert!(
+                    m.stats.adapters.wait_failfast > 0,
+                    "{what}: must exercise the full queue's fail-fast answer"
+                );
+            }
             assert_eq!(m.cycles, cycles, "{what} {mode:?}: cycles");
             assert_eq!(
                 schedule_digest(m.cycles, &m.stats),
