@@ -1,4 +1,4 @@
-//! The bank-adapter trait and shared building blocks.
+//! The bank-adapter trait, its events and its counters.
 
 use std::fmt;
 
@@ -15,12 +15,13 @@ use crate::storage::WordStorage;
 /// so events carry no cycle; the caller (the simulator, or a protocol
 /// harness) stamps them on receipt.
 ///
-/// Emission is exact with respect to the statistics: every adapter emits
-/// one `WaitEnqueued` per `wait_enqueued` increment, one `WaitFailFast`
-/// per `wait_failfast`, one `ScResult` per `sc_*`/`scwait_*` increment,
-/// one `SuccessorUpdate` per `successor_updates`, one `WakeupPromoted`
-/// per `wakeups`, and one `ReservationBroken` per `reservations_broken`
-/// — event streams reconcile with end-of-run aggregates by construction.
+/// Emission is exact with respect to the statistics: one `WaitEnqueued`
+/// per `wait_enqueued` increment, one `WaitFailFast` per `wait_failfast`,
+/// one `ScResult` per `sc_*`/`scwait_*` increment, one `SuccessorUpdate`
+/// per `successor_updates`, one `WakeupPromoted` per `wakeups`, and one
+/// `ReservationBroken` per `reservations_broken`. The bank counts each
+/// event as it reports it, so event streams reconcile with end-of-run
+/// aggregates by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncEvent {
     /// A `lrwait`/`mwait` request was accepted into a reservation queue
@@ -139,6 +140,25 @@ pub struct AdapterStats {
 }
 
 impl AdapterStats {
+    /// Bumps the counter `event` corresponds to (`WaitServed` has none).
+    pub(crate) fn count(&mut self, event: &SyncEvent) {
+        let counter = match *event {
+            SyncEvent::WaitEnqueued { .. } => &mut self.wait_enqueued,
+            SyncEvent::WaitServed { .. } => return,
+            SyncEvent::WaitFailFast { .. } => &mut self.wait_failfast,
+            SyncEvent::ScResult { success, wait, .. } => match (wait, success) {
+                (false, true) => &mut self.sc_success,
+                (false, false) => &mut self.sc_failure,
+                (true, true) => &mut self.scwait_success,
+                (true, false) => &mut self.scwait_failure,
+            },
+            SyncEvent::SuccessorUpdate { .. } => &mut self.successor_updates,
+            SyncEvent::WakeupPromoted { .. } => &mut self.wakeups,
+            SyncEvent::ReservationBroken { .. } => &mut self.reservations_broken,
+        };
+        *counter += 1;
+    }
+
     /// Encodes every counter (checkpoint/restore).
     pub fn save(&self, out: &mut StateWriter) {
         for v in [
@@ -244,22 +264,14 @@ pub trait SyncAdapter: fmt::Debug + Send {
     /// [`reservations_broken`](AdapterStats::reservations_broken) and
     /// emits one [`SyncEvent::ReservationBroken`], preserving the 1:1
     /// event/stat contract. Returns `true` when anything was evicted.
-    /// The default implementation holds no evictable state and does
-    /// nothing.
-    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool {
-        let _ = (addr, emit);
-        false
-    }
+    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool;
 
-    /// Human-readable architecture label (used in reports and plots).
+    /// Human-readable architecture label (used in reports and plots): the
+    /// [`SyncArch`](crate::SyncArch)'s `Display`.
     fn label(&self) -> String;
 
     /// Event counters accumulated so far.
     fn stats(&self) -> &AdapterStats;
-
-    /// True when the adapter holds no queued/waiting state (used by tests
-    /// and by the simulator's quiescence check).
-    fn is_quiescent(&self) -> bool;
 
     /// Serializes the adapter's complete mutable state — reservation
     /// slots, wait queues, statistics — for a machine checkpoint.
@@ -279,115 +291,4 @@ pub trait SyncAdapter: fmt::Debug + Send {
     /// unknown, or the recorded structure (queue capacity, slot count)
     /// does not match this adapter.
     fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError>;
-}
-
-/// Classic MemPool-style single reservation slot (one per bank).
-///
-/// `lr.w` displaces any previous reservation; `sc.w` succeeds only when the
-/// slot still holds `(core, addr)`; any write to the reserved address clears
-/// the slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SingleSlotLrsc {
-    reservation: Option<(CoreId, Addr)>,
-}
-
-impl SingleSlotLrsc {
-    /// Creates an empty slot.
-    #[must_use]
-    pub fn new() -> SingleSlotLrsc {
-        SingleSlotLrsc::default()
-    }
-
-    /// Handles `lr.w`: places the reservation (displacing any other).
-    pub fn load_reserved(&mut self, core: CoreId, addr: Addr) {
-        self.reservation = Some((core, addr));
-    }
-
-    /// Handles `sc.w`: returns whether the store may proceed and clears the
-    /// slot on success.
-    pub fn store_conditional(&mut self, core: CoreId, addr: Addr) -> bool {
-        if self.reservation == Some((core, addr)) {
-            self.reservation = None;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Notifies the slot of a successful write to `addr`; returns `true`
-    /// when a reservation was broken.
-    pub fn on_write(&mut self, addr: Addr) -> bool {
-        if self.reservation.is_some_and(|(_, a)| a == addr) {
-            self.reservation = None;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Current reservation, if any.
-    #[must_use]
-    pub fn reservation(&self) -> Option<(CoreId, Addr)> {
-        self.reservation
-    }
-
-    /// Encodes the slot (checkpoint/restore).
-    pub fn save(&self, out: &mut StateWriter) {
-        match self.reservation {
-            Some((core, addr)) => {
-                out.put_bool(true);
-                out.put_u32(core);
-                out.put_u32(addr);
-            }
-            None => out.put_bool(false),
-        }
-    }
-
-    /// Decodes a slot written by [`save`](SingleSlotLrsc::save).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on a truncated or corrupt buffer.
-    pub fn load(src: &mut StateReader<'_>) -> Result<SingleSlotLrsc, StateError> {
-        let reservation = if src.take_bool()? {
-            Some((src.take_u32()?, src.take_u32()?))
-        } else {
-            None
-        };
-        Ok(SingleSlotLrsc { reservation })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sc_succeeds_only_with_matching_reservation() {
-        let mut slot = SingleSlotLrsc::new();
-        slot.load_reserved(1, 0x40);
-        assert!(!slot.store_conditional(2, 0x40), "wrong core");
-        assert!(!slot.store_conditional(1, 0x44), "wrong addr");
-        assert!(slot.store_conditional(1, 0x40));
-        assert!(!slot.store_conditional(1, 0x40), "slot cleared after use");
-    }
-
-    #[test]
-    fn newer_lr_displaces_older() {
-        let mut slot = SingleSlotLrsc::new();
-        slot.load_reserved(1, 0x40);
-        slot.load_reserved(2, 0x80);
-        assert!(!slot.store_conditional(1, 0x40));
-        assert!(slot.store_conditional(2, 0x80));
-    }
-
-    #[test]
-    fn write_breaks_reservation() {
-        let mut slot = SingleSlotLrsc::new();
-        slot.load_reserved(1, 0x40);
-        assert!(!slot.on_write(0x44), "other address leaves it alone");
-        assert!(slot.on_write(0x40));
-        assert!(!slot.store_conditional(1, 0x40));
-        assert!(!slot.on_write(0x40), "already clear");
-    }
 }

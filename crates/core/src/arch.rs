@@ -3,9 +3,7 @@
 use std::fmt;
 
 use crate::adapter::SyncAdapter;
-use crate::colibri::ColibriAdapter;
-use crate::lrsc::LrscAdapter;
-use crate::waitq::WaitQueueAdapter;
+use crate::bank::Bank;
 
 /// Which synchronization hardware sits in front of every SPM bank.
 ///
@@ -31,19 +29,17 @@ pub enum SyncArch {
     },
 }
 
-// Sweeps run whole machines on worker threads, adapter and Qnode state
-// included; keep the whole family `Send` by construction.
+// Sweeps run whole machines on worker threads, bank and Qnode state
+// included; keep both `Send` by construction.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<LrscAdapter>();
-    assert_send::<WaitQueueAdapter>();
-    assert_send::<ColibriAdapter>();
     assert_send::<crate::Qnode>();
     assert_send::<Box<dyn SyncAdapter>>();
 };
 
 impl SyncArch {
-    /// Builds a fresh adapter for one bank. `num_cores` sizes the ideal
+    /// Builds a fresh bank: the shared RV32A front end with this
+    /// architecture's wait unit behind it. `num_cores` sizes the ideal
     /// queue variant.
     ///
     /// The returned box is [`Send`] (a [`SyncAdapter`] supertrait bound):
@@ -51,12 +47,7 @@ impl SyncArch {
     /// thread.
     #[must_use]
     pub fn build(&self, num_cores: usize) -> Box<dyn SyncAdapter> {
-        match *self {
-            SyncArch::Lrsc => Box::new(LrscAdapter::new()),
-            SyncArch::LrscWait { slots } => Box::new(WaitQueueAdapter::new(slots)),
-            SyncArch::LrscWaitIdeal => Box::new(WaitQueueAdapter::ideal(num_cores)),
-            SyncArch::Colibri { queues } => Box::new(ColibriAdapter::new(queues)),
-        }
+        Box::new(Bank::new(*self, num_cores))
     }
 
     /// Whether this architecture implements the wait extension (so kernels

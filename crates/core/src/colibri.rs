@@ -18,18 +18,19 @@
 //!
 //! Correctness relies on FIFO delivery per (bank → core) channel: a
 //! `SuccessorUpdate` is always received before the response that retires the
-//! session it belongs to (see `DESIGN.md` and the property tests).
+//! session it belongs to (the [`harness`](crate::harness) checks this under
+//! random interleavings, and `tests/proptests.rs` drives it).
 //!
-//! [`SuccessorUpdate`]: MemResponse::SuccessorUpdate
-//! [`WakeUp`]: MemRequest::WakeUp
+//! [`SuccessorUpdate`]: crate::MemResponse::SuccessorUpdate
+//! [`WakeUp`]: crate::MemRequest::WakeUp
 
-use crate::adapter::{AdapterStats, SingleSlotLrsc, SyncAdapter, SyncEvent};
-use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode};
+use crate::adapter::SyncEvent;
+use crate::bank::Port;
+use crate::msg::{Addr, CoreId, MemResponse, WaitMode, Word};
 use crate::state::{StateError, StateReader, StateWriter};
-use crate::storage::WordStorage;
 
 /// One (head, tail) register pair: the controller-resident part of a queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct QueueSlot {
     occupied: bool,
     addr: Addr,
@@ -43,454 +44,176 @@ struct QueueSlot {
     armed_mwait: bool,
 }
 
-impl QueueSlot {
-    fn free() -> QueueSlot {
-        QueueSlot {
-            occupied: false,
-            addr: 0,
-            head: 0,
-            tail: 0,
-            head_valid: false,
-            waiting_wakeup: false,
-            armed_mwait: false,
-        }
-    }
+/// Colibri's wait unit: `queues` concurrently tracked addresses per
+/// controller (Table I evaluates 1, 2, 4 and 8).
+#[derive(Debug)]
+pub(crate) struct Colibri {
+    queues: Vec<QueueSlot>,
 }
 
-/// Colibri bank controller with `queues` concurrently tracked addresses
-/// (Table I evaluates 1, 2, 4 and 8), plus the classic single LR/SC slot and
-/// plain load/store/AMO handling.
-#[derive(Clone, Debug)]
-pub struct ColibriAdapter {
-    slots: Vec<QueueSlot>,
-    slot: SingleSlotLrsc,
-    stats: AdapterStats,
-}
-
-impl ColibriAdapter {
-    /// Creates a controller with `queues` head/tail register pairs.
-    ///
+impl Colibri {
     /// # Panics
     ///
     /// Panics when `queues` is zero.
-    #[must_use]
-    pub fn new(queues: usize) -> ColibriAdapter {
+    pub(crate) fn new(queues: usize) -> Colibri {
         assert!(
             queues > 0,
             "Colibri needs at least one queue per controller"
         );
-        ColibriAdapter {
-            slots: vec![QueueSlot::free(); queues],
-            slot: SingleSlotLrsc::new(),
-            stats: AdapterStats::default(),
+        Colibri {
+            queues: vec![QueueSlot::default(); queues],
         }
     }
 
-    /// Number of head/tail register pairs.
-    #[must_use]
-    pub fn queues(&self) -> usize {
-        self.slots.len()
+    fn queue_for(&mut self, addr: Addr) -> Option<&mut QueueSlot> {
+        self.queues
+            .iter_mut()
+            .find(|q| q.occupied && q.addr == addr)
     }
 
-    /// Number of addresses currently tracked.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.occupied).count()
-    }
-
-    fn slot_for(&mut self, addr: Addr) -> Option<&mut QueueSlot> {
-        self.slots.iter_mut().find(|s| s.occupied && s.addr == addr)
-    }
-
-    fn free_slot(&mut self) -> Option<&mut QueueSlot> {
-        self.slots.iter_mut().find(|s| !s.occupied)
-    }
-
-    /// Enqueue `src` with `mode`; returns the response(s) to emit.
-    fn enqueue_wait(
-        &mut self,
-        src: CoreId,
-        addr: Addr,
-        mode: WaitMode,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
-    ) {
-        if let Some(slot) = self.slot_for(addr) {
+    pub(crate) fn wait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, mode: WaitMode) {
+        if let Some(q) = self.queue_for(addr) {
             debug_assert!(
-                slot.head != src && slot.tail != src,
-                "core {src} enqueued twice on {addr:#x}"
+                q.head != core && q.tail != core,
+                "core {core} enqueued twice on {addr:#x}"
             );
-            let predecessor = slot.tail;
-            slot.tail = src;
-            self.stats.wait_enqueued += 1;
-            self.stats.successor_updates += 1;
-            emit(SyncEvent::WaitEnqueued {
-                core: src,
-                addr,
-                mode,
-            });
-            emit(SyncEvent::SuccessorUpdate {
+            let predecessor = std::mem::replace(&mut q.tail, core);
+            port.record(SyncEvent::WaitEnqueued { core, addr, mode });
+            port.record(SyncEvent::SuccessorUpdate {
                 predecessor,
-                successor: src,
+                successor: core,
                 addr,
                 mode,
             });
-            out.push((
+            port.send(
                 predecessor,
                 MemResponse::SuccessorUpdate {
-                    successor: src,
+                    successor: core,
                     mode,
                 },
-            ));
-            return;
-        }
-        if let Some(slot) = self.free_slot() {
-            slot.occupied = true;
-            slot.addr = addr;
-            slot.head = src;
-            slot.tail = src;
-            slot.waiting_wakeup = false;
-            match mode {
-                WaitMode::LrWait => {
-                    slot.head_valid = true;
-                    slot.armed_mwait = false;
-                    self.stats.wait_enqueued += 1;
-                    emit(SyncEvent::WaitEnqueued {
-                        core: src,
-                        addr,
-                        mode,
-                    });
-                    emit(SyncEvent::WaitServed {
-                        core: src,
-                        addr,
-                        mode,
-                        handoff: false,
-                    });
-                    out.push((
-                        src,
-                        MemResponse::Wait {
-                            value: mem.read_word(addr),
-                            reserved: true,
-                        },
-                    ));
-                }
-                WaitMode::MWait => {
-                    slot.head_valid = false;
-                    slot.armed_mwait = true;
-                    self.stats.wait_enqueued += 1;
-                    emit(SyncEvent::WaitEnqueued {
-                        core: src,
-                        addr,
-                        mode,
-                    });
-                    // No response: the monitor sleeps until a write arrives.
-                }
+            );
+        } else if let Some(q) = self.queues.iter_mut().find(|q| !q.occupied) {
+            *q = QueueSlot {
+                occupied: true,
+                addr,
+                head: core,
+                tail: core,
+                head_valid: mode == WaitMode::LrWait,
+                waiting_wakeup: false,
+                armed_mwait: mode == WaitMode::MWait,
+            };
+            port.record(SyncEvent::WaitEnqueued { core, addr, mode });
+            // An mwait head gets no response: it sleeps until a write.
+            if mode == WaitMode::LrWait {
+                port.serve(core, addr, mode, false);
             }
-            return;
-        }
-        // All head/tail register pairs busy with other addresses: fail fast.
-        self.stats.wait_failfast += 1;
-        emit(SyncEvent::WaitFailFast {
-            core: src,
-            addr,
-            mode,
-        });
-        out.push((
-            src,
-            MemResponse::Wait {
-                value: mem.read_word(addr),
-                reserved: false,
-            },
-        ));
-    }
-
-    /// A write to `addr` landed (store, AMO, or successful `sc.w`).
-    fn on_write(
-        &mut self,
-        addr: Addr,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
-    ) {
-        if self.slot.on_write(addr) {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
-        }
-        let mut broke = false;
-        if let Some(slot) = self.slot_for(addr) {
-            if slot.armed_mwait {
-                // Fire the monitor; the rest of the queue drains through the
-                // head's Qnode bouncing WakeUps.
-                slot.armed_mwait = false;
-                let head = slot.head;
-                let last = slot.head == slot.tail;
-                if last {
-                    slot.occupied = false;
-                }
-                emit(SyncEvent::WaitServed {
-                    core: head,
-                    addr,
-                    mode: WaitMode::MWait,
-                    handoff: true,
-                });
-                out.push((
-                    head,
-                    MemResponse::Wait {
-                        value: mem.read_word(addr),
-                        reserved: true,
-                    },
-                ));
-            } else if !slot.waiting_wakeup && slot.head_valid {
-                slot.head_valid = false;
-                broke = true;
-            }
-        }
-        if broke {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
+        } else {
+            // All head/tail register pairs busy with other addresses.
+            port.fail_fast(core, addr, mode);
         }
     }
-}
 
-impl SyncAdapter for ColibriAdapter {
-    fn handle_traced(
-        &mut self,
-        src: CoreId,
-        req: &MemRequest,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
-    ) {
-        self.stats.requests += 1;
-        match *req {
-            MemRequest::Load { addr } => {
-                self.stats.loads += 1;
-                out.push((
-                    src,
-                    MemResponse::Load {
-                        value: mem.read_word(addr),
-                    },
-                ));
-            }
-            MemRequest::Store { addr, value, mask } => {
-                self.stats.stores += 1;
-                mem.write_masked(addr, value, mask);
-                self.on_write(addr, mem, out, emit);
-                out.push((src, MemResponse::StoreAck));
-            }
-            MemRequest::Amo { addr, op, operand } => {
-                self.stats.amos += 1;
-                let old = mem.read_word(addr);
-                mem.write_word(addr, op.apply(old, operand));
-                self.on_write(addr, mem, out, emit);
-                out.push((src, MemResponse::Amo { old }));
-            }
-            MemRequest::Lr { addr } => {
-                self.slot.load_reserved(src, addr);
-                out.push((
-                    src,
-                    MemResponse::Lr {
-                        value: mem.read_word(addr),
-                    },
-                ));
-            }
-            MemRequest::Sc { addr, value } => {
-                let success = self.slot.store_conditional(src, addr);
-                if success {
-                    self.stats.sc_success += 1;
-                } else {
-                    self.stats.sc_failure += 1;
-                }
-                emit(SyncEvent::ScResult {
-                    core: src,
-                    addr,
-                    success,
-                    wait: false,
-                });
-                if success {
-                    mem.write_word(addr, value);
-                    self.on_write(addr, mem, out, emit);
-                }
-                out.push((src, MemResponse::Sc { success }));
-            }
-            MemRequest::LrWait { addr } => {
-                self.enqueue_wait(src, addr, WaitMode::LrWait, mem, out, emit);
-            }
-            MemRequest::MWait { addr, expected } => {
-                let value = mem.read_word(addr);
-                if value != expected {
-                    // Already changed: immediate notification, no enqueue.
-                    out.push((
-                        src,
-                        MemResponse::Wait {
-                            value,
-                            reserved: false,
-                        },
-                    ));
-                } else {
-                    self.enqueue_wait(src, addr, WaitMode::MWait, mem, out, emit);
-                }
-            }
-            MemRequest::ScWait { addr, value } => {
-                let Some(slot) = self.slot_for(addr) else {
-                    self.stats.scwait_failure += 1;
-                    emit(SyncEvent::ScResult {
-                        core: src,
-                        addr,
-                        success: false,
-                        wait: true,
-                    });
-                    out.push((src, MemResponse::ScWait { success: false }));
-                    return;
-                };
-                if slot.head != src || slot.waiting_wakeup || slot.armed_mwait {
-                    self.stats.scwait_failure += 1;
-                    emit(SyncEvent::ScResult {
-                        core: src,
-                        addr,
-                        success: false,
-                        wait: true,
-                    });
-                    out.push((src, MemResponse::ScWait { success: false }));
-                    return;
-                }
-                let success = slot.head_valid;
+    pub(crate) fn scwait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, value: Word) {
+        let success = match self.queue_for(addr) {
+            Some(q) if q.head == core && !q.waiting_wakeup && !q.armed_mwait => {
+                let success = q.head_valid;
                 // Dequeue the head either way: on the last member free the
                 // slot, otherwise invalidate the head and wait for the
                 // bounced WakeUp to learn the successor.
-                if slot.head == slot.tail {
-                    slot.occupied = false;
+                if q.head == q.tail {
+                    q.occupied = false;
                 } else {
-                    slot.head_valid = false;
-                    slot.waiting_wakeup = true;
+                    q.head_valid = false;
+                    q.waiting_wakeup = true;
                 }
-                if success {
-                    self.stats.scwait_success += 1;
-                    mem.write_word(addr, value);
-                    if self.slot.on_write(addr) {
-                        self.stats.reservations_broken += 1;
-                        emit(SyncEvent::ReservationBroken { addr });
-                    }
-                } else {
-                    self.stats.scwait_failure += 1;
-                }
-                emit(SyncEvent::ScResult {
-                    core: src,
-                    addr,
-                    success,
-                    wait: true,
-                });
-                out.push((src, MemResponse::ScWait { success }));
+                success
             }
-            MemRequest::WakeUp {
-                addr,
-                successor,
-                mode,
-            } => {
-                self.stats.wakeups += 1;
-                let Some(slot) = self.slot_for(addr) else {
-                    debug_assert!(false, "WakeUp for untracked address {addr:#x}");
-                    return;
-                };
-                slot.head = successor;
-                slot.waiting_wakeup = false;
-                emit(SyncEvent::WakeupPromoted {
-                    addr,
-                    successor,
-                    mode,
-                });
-                emit(SyncEvent::WaitServed {
-                    core: successor,
-                    addr,
-                    mode,
-                    handoff: true,
-                });
-                match mode {
-                    WaitMode::LrWait => {
-                        slot.head_valid = true;
-                        slot.armed_mwait = false;
-                    }
-                    WaitMode::MWait => {
-                        // Successor is done the moment it is notified; if it
-                        // is also the tail the queue empties now, otherwise
-                        // its own Qnode continues the cascade.
-                        slot.head_valid = false;
-                        slot.armed_mwait = false;
-                        if slot.head == slot.tail {
-                            slot.occupied = false;
-                        }
-                    }
+            _ => false,
+        };
+        if success {
+            port.write(addr, value);
+        }
+        port.scwait_result(core, addr, success);
+    }
+
+    pub(crate) fn wake_up(
+        &mut self,
+        port: &mut Port<'_>,
+        addr: Addr,
+        successor: CoreId,
+        mode: WaitMode,
+    ) {
+        let Some(q) = self.queue_for(addr) else {
+            debug_assert!(false, "WakeUp for untracked address {addr:#x}");
+            return;
+        };
+        q.head = successor;
+        q.waiting_wakeup = false;
+        q.head_valid = mode == WaitMode::LrWait;
+        q.armed_mwait = false;
+        // An mwait successor is done the moment it is notified; if it is
+        // also the tail the queue empties now, otherwise its own Qnode
+        // continues the cascade.
+        if mode == WaitMode::MWait && q.head == q.tail {
+            q.occupied = false;
+        }
+        port.record(SyncEvent::WakeupPromoted {
+            addr,
+            successor,
+            mode,
+        });
+        port.serve(successor, addr, mode, true);
+    }
+
+    pub(crate) fn on_write(&mut self, port: &mut Port<'_>, addr: Addr) {
+        match self.queue_for(addr) {
+            Some(q) if q.armed_mwait => {
+                // Fire the monitor; the rest of the queue drains through the
+                // head's Qnode bouncing WakeUps.
+                q.armed_mwait = false;
+                q.occupied = q.head != q.tail;
+                let head = q.head;
+                port.serve(head, addr, WaitMode::MWait, true);
+            }
+            _ => {
+                if self.evict(addr) {
+                    port.record(SyncEvent::ReservationBroken { addr });
                 }
-                out.push((
-                    successor,
-                    MemResponse::Wait {
-                        value: mem.read_word(addr),
-                        reserved: true,
-                    },
-                ));
             }
         }
     }
 
-    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool {
-        let mut evicted = false;
-        if self.slot.on_write(addr) {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
-            evicted = true;
-        }
-        // Invalidate a valid lrwait head exactly as an intervening write
-        // would; its scwait will fail and still dequeue it. Armed mwait
-        // monitors and heads pending a bounced WakeUp are left alone.
-        let mut broke = false;
-        if let Some(slot) = self.slot_for(addr) {
-            if slot.head_valid && !slot.waiting_wakeup && !slot.armed_mwait {
-                slot.head_valid = false;
-                broke = true;
+    pub(crate) fn evict(&mut self, addr: Addr) -> bool {
+        // Its scwait will fail and still dequeue it. Heads pending a
+        // bounced WakeUp are left alone too.
+        match self.queue_for(addr) {
+            Some(q) if q.head_valid && !q.waiting_wakeup && !q.armed_mwait => {
+                q.head_valid = false;
+                true
             }
+            _ => false,
         }
-        if broke {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
-            evicted = true;
+    }
+
+    pub(crate) fn save(&self, out: &mut StateWriter) {
+        out.put_u32(self.queues.len() as u32);
+        for q in &self.queues {
+            out.put_bool(q.occupied);
+            out.put_u32(q.addr);
+            out.put_u32(q.head);
+            out.put_u32(q.tail);
+            out.put_bool(q.head_valid);
+            out.put_bool(q.waiting_wakeup);
+            out.put_bool(q.armed_mwait);
         }
-        evicted
     }
 
-    fn label(&self) -> String {
-        format!("Colibri{}", self.slots.len())
-    }
-
-    fn stats(&self) -> &AdapterStats {
-        &self.stats
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.slots.iter().all(|s| !s.occupied)
-    }
-
-    fn save_state(&self, out: &mut StateWriter) {
-        out.put_u32(self.slots.len() as u32);
-        for s in &self.slots {
-            out.put_bool(s.occupied);
-            out.put_u32(s.addr);
-            out.put_u32(s.head);
-            out.put_u32(s.tail);
-            out.put_bool(s.head_valid);
-            out.put_bool(s.waiting_wakeup);
-            out.put_bool(s.armed_mwait);
-        }
-        self.slot.save(out);
-        self.stats.save(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        if src.take_u32()? as usize != self.slots.len() {
+    pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
+        if src.take_u32()? as usize != self.queues.len() {
             return Err(StateError::Invalid("Colibri queue count"));
         }
-        for s in &mut self.slots {
-            *s = QueueSlot {
+        for q in &mut self.queues {
+            *q = QueueSlot {
                 occupied: src.take_bool()?,
                 addr: src.take_u32()?,
                 head: src.take_u32()?,
@@ -500,8 +223,6 @@ impl SyncAdapter for ColibriAdapter {
                 armed_mwait: src.take_bool()?,
             };
         }
-        self.slot = SingleSlotLrsc::load(src)?;
-        self.stats = AdapterStats::load(src)?;
         Ok(())
     }
 }
@@ -509,10 +230,29 @@ impl SyncAdapter for ColibriAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MapStorage;
+    use crate::bank::{Bank, WaitUnit};
+    use crate::msg::MemRequest;
+    use crate::storage::{MapStorage, WordStorage};
+    use crate::{SyncAdapter, SyncArch};
+
+    fn colibri(queues: usize) -> Bank {
+        Bank::new(SyncArch::Colibri { queues }, 0)
+    }
+
+    fn queues(a: &Bank) -> &[QueueSlot] {
+        match &a.wait {
+            WaitUnit::Colibri(c) => &c.queues,
+            other => panic!("no Colibri queues: {other:?}"),
+        }
+    }
+
+    /// Addresses tracked right now.
+    fn occupancy(a: &Bank) -> usize {
+        queues(a).iter().filter(|q| q.occupied).count()
+    }
 
     fn run(
-        a: &mut ColibriAdapter,
+        a: &mut Bank,
         mem: &mut MapStorage,
         src: CoreId,
         req: MemRequest,
@@ -524,7 +264,7 @@ mod tests {
 
     #[test]
     fn chaos_evict_invalidates_valid_head_only() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 });
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
@@ -569,7 +309,7 @@ mod tests {
 
     #[test]
     fn chaos_evict_never_touches_armed_mwait() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(
             &mut a,
@@ -606,7 +346,7 @@ mod tests {
     #[test]
     fn fig2_sequence_two_cores() {
         // Reproduces the paper's Fig. 2 walk-through.
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         mem.write_word(0x40, 100);
 
@@ -647,7 +387,7 @@ mod tests {
             },
         );
         assert_eq!(r, vec![(0, MemResponse::ScWait { success: true })]);
-        assert!(!a.is_quiescent());
+        assert_ne!(occupancy(&a), 0);
 
         // (6)+(7) A's Qnode bounces the WakeUp; B gets the fresh value.
         let r = run(
@@ -682,13 +422,13 @@ mod tests {
             },
         );
         assert_eq!(r, vec![(1, MemResponse::ScWait { success: true })]);
-        assert!(a.is_quiescent());
+        assert_eq!(occupancy(&a), 0);
         assert_eq!(mem.read_word(0x40), 102);
     }
 
     #[test]
     fn no_free_queue_fails_fast() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 });
         // A different address with all head/tail pairs busy: fail fast.
@@ -708,7 +448,7 @@ mod tests {
 
     #[test]
     fn two_queues_track_two_addresses() {
-        let mut a = ColibriAdapter::new(2);
+        let mut a = colibri(2);
         let mut mem = MapStorage::new();
         assert_eq!(
             run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 }).len(),
@@ -718,12 +458,12 @@ mod tests {
             run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x80 }).len(),
             1
         );
-        assert_eq!(a.occupancy(), 2);
+        assert_eq!(occupancy(&a), 2);
     }
 
     #[test]
     fn store_invalidates_head_reservation() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 });
         run(
@@ -747,12 +487,12 @@ mod tests {
         );
         assert_eq!(r, vec![(0, MemResponse::ScWait { success: false })]);
         assert_eq!(mem.read_word(0x40), 5);
-        assert!(a.is_quiescent(), "single-member queue freed after scwait");
+        assert_eq!(occupancy(&a), 0, "single-member queue freed after scwait");
     }
 
     #[test]
     fn scwait_from_non_head_fails() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 });
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
@@ -771,7 +511,7 @@ mod tests {
 
     #[test]
     fn scwait_while_waiting_wakeup_fails() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 0, MemRequest::LrWait { addr: 0x40 });
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
@@ -800,7 +540,7 @@ mod tests {
 
     #[test]
     fn mwait_armed_fires_on_write_and_frees_single_member() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         let r = run(
             &mut a,
@@ -835,15 +575,16 @@ mod tests {
                 (1, MemResponse::StoreAck),
             ]
         );
-        assert!(
-            a.is_quiescent(),
+        assert_eq!(
+            occupancy(&a),
+            0,
             "single-member monitor queue freed on fire"
         );
     }
 
     #[test]
     fn mwait_expected_mismatch_immediate() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         mem.write_word(0x40, 7);
         let r = run(
@@ -865,14 +606,14 @@ mod tests {
                 }
             )]
         );
-        assert!(a.is_quiescent());
+        assert_eq!(occupancy(&a), 0);
     }
 
     #[test]
     fn mwait_cascade_via_wakeups() {
         // Three monitors; a write fires the head, then Qnode-bounced WakeUps
         // drain the rest, the last promotion freeing the slot.
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(
             &mut a,
@@ -961,7 +702,7 @@ mod tests {
                 }
             )]
         );
-        assert!(!a.is_quiescent());
+        assert_ne!(occupancy(&a), 0);
 
         // Core 1's Qnode bounces the last member; slot freed.
         let r = run(
@@ -984,12 +725,12 @@ mod tests {
                 }
             )]
         );
-        assert!(a.is_quiescent());
+        assert_eq!(occupancy(&a), 0);
     }
 
     #[test]
     fn mixed_queue_lrwait_behind_mwait() {
-        let mut a = ColibriAdapter::new(1);
+        let mut a = colibri(1);
         let mut mem = MapStorage::new();
         run(
             &mut a,
@@ -1044,14 +785,13 @@ mod tests {
         );
         assert_eq!(r, vec![(1, MemResponse::ScWait { success: true })]);
         assert_eq!(mem.read_word(0x40), 3);
-        assert!(a.is_quiescent());
+        assert_eq!(occupancy(&a), 0);
     }
 
     #[test]
-    fn label_and_quiescence() {
-        let a = ColibriAdapter::new(4);
-        assert_eq!(a.label(), "Colibri4");
-        assert_eq!(a.queues(), 4);
-        assert!(a.is_quiescent());
+    fn fresh_controller_tracks_nothing() {
+        let a = colibri(4);
+        assert_eq!(queues(&a).len(), 4);
+        assert_eq!(occupancy(&a), 0);
     }
 }

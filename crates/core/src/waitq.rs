@@ -1,15 +1,15 @@
 //! Centralized LRSCwait implementation: a reservation *queue* per bank.
 //!
-//! This is the paper's Section III-A/B design: an adapter in front of each
+//! This is the paper's Section III-A/B design: a wait unit in front of each
 //! bank holding up to `q` outstanding `lrwait`/`mwait` entries in FIFO
 //! order. With `q = n` (number of cores) it is `LRSCwait_ideal`; smaller `q`
 //! trades hardware for fail-fast behaviour under contention. Its hardware
 //! cost is what motivates Colibri — see the area model in `lrscwait-model`.
 
-use crate::adapter::{AdapterStats, SingleSlotLrsc, SyncAdapter, SyncEvent};
-use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode, Word};
+use crate::adapter::SyncEvent;
+use crate::bank::Port;
+use crate::msg::{Addr, CoreId, WaitMode, Word};
 use crate::state::{StateError, StateReader, StateWriter};
-use crate::storage::WordStorage;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
@@ -23,58 +23,31 @@ struct Entry {
     valid: bool,
 }
 
-/// Bank adapter with a capacity-`q` reservation queue (plus the classic
-/// single LR/SC slot and plain load/store/AMO handling).
-#[derive(Clone, Debug)]
-pub struct WaitQueueAdapter {
+/// The centralized wait unit: a capacity-`q` reservation queue shared by
+/// every address of the bank.
+#[derive(Debug)]
+pub(crate) struct WaitQueue {
     capacity: usize,
     entries: Vec<Entry>,
-    slot: SingleSlotLrsc,
-    stats: AdapterStats,
-    /// Label override so `q = n` prints as "LRSCwait_ideal".
-    ideal: bool,
 }
 
-impl WaitQueueAdapter {
-    /// Creates an adapter with `capacity` reservation-queue slots.
-    ///
+impl WaitQueue {
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> WaitQueueAdapter {
+    pub(crate) fn new(capacity: usize) -> WaitQueue {
         assert!(capacity > 0, "reservation queue needs at least one slot");
-        WaitQueueAdapter {
+        WaitQueue {
             capacity,
             entries: Vec::with_capacity(capacity.min(1024)),
-            slot: SingleSlotLrsc::new(),
-            stats: AdapterStats::default(),
-            ideal: false,
         }
     }
 
-    /// Creates the ideal variant (`q = num_cores`), labelled accordingly.
-    #[must_use]
-    pub fn ideal(num_cores: usize) -> WaitQueueAdapter {
-        let mut a = WaitQueueAdapter::new(num_cores.max(1));
-        a.ideal = true;
-        a
-    }
-
-    /// Queue capacity `q`.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of queued entries right now.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn first_index_for(&self, addr: Addr) -> Option<usize> {
-        self.entries.iter().position(|e| e.addr == addr)
+    /// The head entry for `addr`, when it is active, valid and of `mode`.
+    fn live_head(&self, addr: Addr, mode: WaitMode) -> Option<usize> {
+        let idx = self.entries.iter().position(|e| e.addr == addr)?;
+        let e = self.entries[idx];
+        (e.active && e.valid && e.mode == mode).then_some(idx)
     }
 
     /// Activates the head entry for `addr` (after a pop or fresh enqueue),
@@ -82,350 +55,91 @@ impl WaitQueueAdapter {
     /// `handoff` records whether the activation was triggered by a
     /// predecessor leaving the queue (for the emitted
     /// [`SyncEvent::WaitServed`] events).
-    fn activate_next(
-        &mut self,
-        addr: Addr,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        handoff: bool,
-        emit: &mut dyn FnMut(SyncEvent),
-    ) {
-        while let Some(idx) = self.first_index_for(addr) {
+    fn activate_next(&mut self, port: &mut Port<'_>, addr: Addr, handoff: bool) {
+        while let Some(idx) = self.entries.iter().position(|e| e.addr == addr) {
             let entry = self.entries[idx];
             if entry.active {
                 return; // current head still in flight
             }
-            match entry.mode {
-                WaitMode::LrWait => {
-                    self.entries[idx].active = true;
-                    self.entries[idx].valid = true;
-                    emit(SyncEvent::WaitServed {
-                        core: entry.core,
-                        addr,
-                        mode: WaitMode::LrWait,
-                        handoff,
-                    });
-                    out.push((
-                        entry.core,
-                        MemResponse::Wait {
-                            value: mem.read_word(addr),
-                            reserved: true,
-                        },
-                    ));
-                    return;
-                }
-                WaitMode::MWait => {
-                    let value = mem.read_word(addr);
-                    if value != entry.expected {
-                        // Condition already true: notify and keep cascading.
-                        self.entries.remove(idx);
-                        emit(SyncEvent::WaitServed {
-                            core: entry.core,
-                            addr,
-                            mode: WaitMode::MWait,
-                            handoff,
-                        });
-                        out.push((
-                            entry.core,
-                            MemResponse::Wait {
-                                value,
-                                reserved: true,
-                            },
-                        ));
-                    } else {
-                        self.entries[idx].active = true;
-                        self.entries[idx].valid = true; // armed
-                        return;
-                    }
-                }
+            if entry.mode == WaitMode::MWait && port.read(addr) != entry.expected {
+                // Condition already true: notify and keep cascading.
+                self.entries.remove(idx);
+                port.serve(entry.core, addr, WaitMode::MWait, handoff);
+                continue;
             }
+            // An lrwait head gets its reservation; an mwait head is armed.
+            self.entries[idx].active = true;
+            self.entries[idx].valid = true;
+            if entry.mode == WaitMode::LrWait {
+                port.serve(entry.core, addr, WaitMode::LrWait, handoff);
+            }
+            return;
         }
     }
 
-    /// A write to `addr` landed: break LRwait reservations, fire armed mwaits.
-    fn on_write(
+    pub(crate) fn wait(
         &mut self,
+        port: &mut Port<'_>,
+        core: CoreId,
         addr: Addr,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
+        mode: WaitMode,
+        expected: Word,
     ) {
-        if self.slot.on_write(addr) {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
+        let duplicate = self.entries.iter().any(|e| e.core == core);
+        if self.entries.len() >= self.capacity || duplicate {
+            debug_assert!(!duplicate, "core {core} has two outstanding wait ops");
+            port.fail_fast(core, addr, mode);
+            return;
         }
-        if let Some(idx) = self.first_index_for(addr) {
-            let entry = self.entries[idx];
-            if !entry.active {
-                return;
-            }
-            match entry.mode {
-                WaitMode::LrWait => {
-                    if entry.valid {
-                        self.entries[idx].valid = false;
-                        self.stats.reservations_broken += 1;
-                        emit(SyncEvent::ReservationBroken { addr });
-                    }
-                }
-                WaitMode::MWait => {
-                    if entry.valid {
-                        // Fire the monitor and wake any satisfied followers.
-                        self.entries.remove(idx);
-                        emit(SyncEvent::WaitServed {
-                            core: entry.core,
-                            addr,
-                            mode: WaitMode::MWait,
-                            handoff: true,
-                        });
-                        out.push((
-                            entry.core,
-                            MemResponse::Wait {
-                                value: mem.read_word(addr),
-                                reserved: true,
-                            },
-                        ));
-                        self.activate_next(addr, mem, out, true, emit);
-                    }
-                }
-            }
-        }
+        port.record(SyncEvent::WaitEnqueued { core, addr, mode });
+        self.entries.push(Entry {
+            core,
+            addr,
+            mode,
+            expected,
+            active: false,
+            valid: false,
+        });
+        self.activate_next(port, addr, false);
     }
-}
 
-impl SyncAdapter for WaitQueueAdapter {
-    fn handle_traced(
-        &mut self,
-        src: CoreId,
-        req: &MemRequest,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
-    ) {
-        self.stats.requests += 1;
-        match *req {
-            MemRequest::Load { addr } => {
-                self.stats.loads += 1;
-                out.push((
-                    src,
-                    MemResponse::Load {
-                        value: mem.read_word(addr),
-                    },
-                ));
-            }
-            MemRequest::Store { addr, value, mask } => {
-                self.stats.stores += 1;
-                mem.write_masked(addr, value, mask);
-                self.on_write(addr, mem, out, emit);
-                out.push((src, MemResponse::StoreAck));
-            }
-            MemRequest::Amo { addr, op, operand } => {
-                self.stats.amos += 1;
-                let old = mem.read_word(addr);
-                mem.write_word(addr, op.apply(old, operand));
-                self.on_write(addr, mem, out, emit);
-                out.push((src, MemResponse::Amo { old }));
-            }
-            MemRequest::Lr { addr } => {
-                self.slot.load_reserved(src, addr);
-                out.push((
-                    src,
-                    MemResponse::Lr {
-                        value: mem.read_word(addr),
-                    },
-                ));
-            }
-            MemRequest::Sc { addr, value } => {
-                let success = self.slot.store_conditional(src, addr);
-                if success {
-                    self.stats.sc_success += 1;
-                    mem.write_word(addr, value);
-                } else {
-                    self.stats.sc_failure += 1;
-                }
-                emit(SyncEvent::ScResult {
-                    core: src,
-                    addr,
-                    success,
-                    wait: false,
-                });
-                if success {
-                    self.on_write(addr, mem, out, emit);
-                }
-                out.push((src, MemResponse::Sc { success }));
-            }
-            MemRequest::LrWait { addr } => {
-                let duplicate = self.entries.iter().any(|e| e.core == src);
-                if self.entries.len() >= self.capacity || duplicate {
-                    debug_assert!(!duplicate, "core {src} has two outstanding wait ops");
-                    self.stats.wait_failfast += 1;
-                    emit(SyncEvent::WaitFailFast {
-                        core: src,
-                        addr,
-                        mode: WaitMode::LrWait,
-                    });
-                    out.push((
-                        src,
-                        MemResponse::Wait {
-                            value: mem.read_word(addr),
-                            reserved: false,
-                        },
-                    ));
-                    return;
-                }
-                self.stats.wait_enqueued += 1;
-                emit(SyncEvent::WaitEnqueued {
-                    core: src,
-                    addr,
-                    mode: WaitMode::LrWait,
-                });
-                self.entries.push(Entry {
-                    core: src,
-                    addr,
-                    mode: WaitMode::LrWait,
-                    expected: 0,
-                    active: false,
-                    valid: false,
-                });
-                self.activate_next(addr, mem, out, false, emit);
-            }
-            MemRequest::MWait { addr, expected } => {
-                let value = mem.read_word(addr);
-                if value != expected {
-                    // Already changed: immediate notification, no enqueue.
-                    out.push((
-                        src,
-                        MemResponse::Wait {
-                            value,
-                            reserved: false,
-                        },
-                    ));
-                    return;
-                }
-                let duplicate = self.entries.iter().any(|e| e.core == src);
-                if self.entries.len() >= self.capacity || duplicate {
-                    debug_assert!(!duplicate, "core {src} has two outstanding wait ops");
-                    self.stats.wait_failfast += 1;
-                    emit(SyncEvent::WaitFailFast {
-                        core: src,
-                        addr,
-                        mode: WaitMode::MWait,
-                    });
-                    out.push((
-                        src,
-                        MemResponse::Wait {
-                            value,
-                            reserved: false,
-                        },
-                    ));
-                    return;
-                }
-                self.stats.wait_enqueued += 1;
-                emit(SyncEvent::WaitEnqueued {
-                    core: src,
-                    addr,
-                    mode: WaitMode::MWait,
-                });
-                self.entries.push(Entry {
-                    core: src,
-                    addr,
-                    mode: WaitMode::MWait,
-                    expected,
-                    active: false,
-                    valid: false,
-                });
-                self.activate_next(addr, mem, out, false, emit);
-            }
-            MemRequest::ScWait { addr, value } => {
-                let pos = self.entries.iter().position(|e| {
-                    e.core == src && e.addr == addr && e.active && e.mode == WaitMode::LrWait
-                });
-                match pos {
-                    Some(idx) if self.entries[idx].valid => {
-                        self.stats.scwait_success += 1;
-                        emit(SyncEvent::ScResult {
-                            core: src,
-                            addr,
-                            success: true,
-                            wait: true,
-                        });
-                        mem.write_word(addr, value);
-                        if self.slot.on_write(addr) {
-                            self.stats.reservations_broken += 1;
-                            emit(SyncEvent::ReservationBroken { addr });
-                        }
-                        self.entries.remove(idx);
-                        out.push((src, MemResponse::ScWait { success: true }));
-                        self.activate_next(addr, mem, out, true, emit);
-                    }
-                    Some(idx) => {
-                        self.stats.scwait_failure += 1;
-                        emit(SyncEvent::ScResult {
-                            core: src,
-                            addr,
-                            success: false,
-                            wait: true,
-                        });
-                        self.entries.remove(idx);
-                        out.push((src, MemResponse::ScWait { success: false }));
-                        self.activate_next(addr, mem, out, true, emit);
-                    }
-                    None => {
-                        self.stats.scwait_failure += 1;
-                        emit(SyncEvent::ScResult {
-                            core: src,
-                            addr,
-                            success: false,
-                            wait: true,
-                        });
-                        out.push((src, MemResponse::ScWait { success: false }));
-                    }
-                }
-            }
-            MemRequest::WakeUp { .. } => {
-                debug_assert!(false, "WakeUp sent to a centralized wait-queue bank");
-            }
+    pub(crate) fn scwait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, value: Word) {
+        let pos = self.entries.iter().position(|e| {
+            e.core == core && e.addr == addr && e.active && e.mode == WaitMode::LrWait
+        });
+        let success = pos.is_some_and(|idx| self.entries[idx].valid);
+        port.scwait_result(core, addr, success);
+        if success {
+            port.write(addr, value);
+        }
+        // A failed scwait still dequeues its head, so the queue advances.
+        if let Some(idx) = pos {
+            self.entries.remove(idx);
+            self.activate_next(port, addr, true);
         }
     }
 
-    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool {
-        let mut evicted = false;
-        if self.slot.on_write(addr) {
-            self.stats.reservations_broken += 1;
-            emit(SyncEvent::ReservationBroken { addr });
-            evicted = true;
-        }
-        // Invalidate an active-and-valid lrwait head exactly as an
-        // intervening write would; its scwait will fail and advance the
-        // queue. Armed mwait monitors are deliberately left alone.
-        if let Some(idx) = self.first_index_for(addr) {
-            let entry = self.entries[idx];
-            if entry.active && entry.valid && entry.mode == WaitMode::LrWait {
-                self.entries[idx].valid = false;
-                self.stats.reservations_broken += 1;
-                emit(SyncEvent::ReservationBroken { addr });
-                evicted = true;
-            }
-        }
-        evicted
-    }
-
-    fn label(&self) -> String {
-        if self.ideal {
-            "LRSCwait_ideal".to_string()
-        } else {
-            format!("LRSCwait{}", self.capacity)
+    pub(crate) fn on_write(&mut self, port: &mut Port<'_>, addr: Addr) {
+        if self.evict(addr) {
+            port.record(SyncEvent::ReservationBroken { addr });
+        } else if let Some(idx) = self.live_head(addr, WaitMode::MWait) {
+            // Fire the monitor and wake any satisfied followers.
+            let core = self.entries.remove(idx).core;
+            port.serve(core, addr, WaitMode::MWait, true);
+            self.activate_next(port, addr, true);
         }
     }
 
-    fn stats(&self) -> &AdapterStats {
-        &self.stats
+    pub(crate) fn evict(&mut self, addr: Addr) -> bool {
+        // Its scwait will fail and advance the queue.
+        let head = self.live_head(addr, WaitMode::LrWait);
+        if let Some(idx) = head {
+            self.entries[idx].valid = false;
+        }
+        head.is_some()
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn save_state(&self, out: &mut StateWriter) {
+    pub(crate) fn save(&self, out: &mut StateWriter) {
         out.put_u32(self.capacity as u32);
         out.put_u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -436,11 +150,9 @@ impl SyncAdapter for WaitQueueAdapter {
             out.put_bool(e.active);
             out.put_bool(e.valid);
         }
-        self.slot.save(out);
-        self.stats.save(out);
     }
 
-    fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
         if src.take_u32()? as usize != self.capacity {
             return Err(StateError::Invalid("wait-queue capacity"));
         }
@@ -459,8 +171,6 @@ impl SyncAdapter for WaitQueueAdapter {
                 valid: src.take_bool()?,
             });
         }
-        self.slot = SingleSlotLrsc::load(src)?;
-        self.stats = AdapterStats::load(src)?;
         Ok(())
     }
 }
@@ -468,10 +178,25 @@ impl SyncAdapter for WaitQueueAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MapStorage;
+    use crate::bank::{Bank, WaitUnit};
+    use crate::msg::{MemRequest, MemResponse};
+    use crate::storage::{MapStorage, WordStorage};
+    use crate::{SyncAdapter, SyncArch};
+
+    fn queue(slots: usize) -> Bank {
+        Bank::new(SyncArch::LrscWait { slots }, 0)
+    }
+
+    /// Entries queued right now.
+    fn entries(a: &Bank) -> &[Entry] {
+        match &a.wait {
+            WaitUnit::Queue(q) => &q.entries,
+            other => panic!("no centralized queue: {other:?}"),
+        }
+    }
 
     fn run(
-        a: &mut WaitQueueAdapter,
+        a: &mut Bank,
         mem: &mut MapStorage,
         src: CoreId,
         req: MemRequest,
@@ -483,7 +208,7 @@ mod tests {
 
     #[test]
     fn first_lrwait_served_immediately() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         mem.write_word(0x40, 5);
         let r = run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
@@ -501,7 +226,7 @@ mod tests {
 
     #[test]
     fn second_lrwait_withheld_until_scwait() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         let r = run(&mut a, &mut mem, 2, MemRequest::LrWait { addr: 0x40 });
@@ -529,8 +254,8 @@ mod tests {
                 ),
             ]
         );
-        assert_eq!(a.occupancy(), 1);
-        assert!(!a.is_quiescent());
+        assert_eq!(entries(&a).len(), 1);
+        assert!(!entries(&a).is_empty());
         let r = run(
             &mut a,
             &mut mem,
@@ -541,13 +266,13 @@ mod tests {
             },
         );
         assert_eq!(r[0], (2, MemResponse::ScWait { success: true }));
-        assert!(a.is_quiescent());
+        assert!(entries(&a).is_empty());
         assert_eq!(mem.read_word(0x40), 10);
     }
 
     #[test]
     fn independent_addresses_are_concurrent() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         let r1 = run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         let r2 = run(&mut a, &mut mem, 2, MemRequest::LrWait { addr: 0x80 });
@@ -557,7 +282,7 @@ mod tests {
 
     #[test]
     fn full_queue_fails_fast() {
-        let mut a = WaitQueueAdapter::new(1);
+        let mut a = queue(1);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         let r = run(&mut a, &mut mem, 2, MemRequest::LrWait { addr: 0x40 });
@@ -588,7 +313,7 @@ mod tests {
 
     #[test]
     fn store_breaks_active_reservation() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         run(
@@ -616,7 +341,7 @@ mod tests {
 
     #[test]
     fn failed_scwait_still_advances_queue() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         run(&mut a, &mut mem, 2, MemRequest::LrWait { addr: 0x40 });
@@ -656,7 +381,7 @@ mod tests {
 
     #[test]
     fn fifo_order_across_three_cores() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 5, MemRequest::LrWait { addr: 0x40 });
         assert!(run(&mut a, &mut mem, 6, MemRequest::LrWait { addr: 0x40 }).is_empty());
@@ -685,7 +410,7 @@ mod tests {
 
     #[test]
     fn mwait_immediate_when_value_differs() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         mem.write_word(0x40, 3);
         let r = run(
@@ -707,12 +432,13 @@ mod tests {
                 }
             )]
         );
-        assert!(a.is_quiescent());
+        assert!(entries(&a).is_empty());
+        assert_eq!(a.stats().wait_failfast, 0, "answered, not failed fast");
     }
 
     #[test]
     fn mwait_sleeps_until_write() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         let r = run(
             &mut a,
@@ -747,12 +473,12 @@ mod tests {
                 (2, MemResponse::StoreAck),
             ]
         );
-        assert!(a.is_quiescent());
+        assert!(entries(&a).is_empty());
     }
 
     #[test]
     fn mwait_queue_drains_fully_on_one_write() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         for core in 1..=3 {
             assert!(run(
@@ -782,12 +508,12 @@ mod tests {
             .map(|(c, _)| *c)
             .collect();
         assert_eq!(woken, vec![1, 2, 3], "whole queue wakes in order");
-        assert!(a.is_quiescent());
+        assert!(entries(&a).is_empty());
     }
 
     #[test]
     fn amo_fires_mwait() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(
             &mut a,
@@ -819,7 +545,7 @@ mod tests {
 
     #[test]
     fn plain_lrsc_still_works() {
-        let mut a = WaitQueueAdapter::new(4);
+        let mut a = queue(4);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
         let r = run(
@@ -836,7 +562,7 @@ mod tests {
 
     #[test]
     fn scwait_success_fires_mwait_on_same_address() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         run(
@@ -871,7 +597,7 @@ mod tests {
 
     #[test]
     fn chaos_evict_breaks_active_lrwait_head() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         run(&mut a, &mut mem, 2, MemRequest::LrWait { addr: 0x40 });
@@ -907,7 +633,7 @@ mod tests {
 
     #[test]
     fn chaos_evict_never_touches_armed_mwait() {
-        let mut a = WaitQueueAdapter::new(8);
+        let mut a = queue(8);
         let mut mem = MapStorage::new();
         run(
             &mut a,
@@ -942,9 +668,14 @@ mod tests {
     }
 
     #[test]
-    fn labels() {
-        assert_eq!(WaitQueueAdapter::new(8).label(), "LRSCwait8");
-        assert_eq!(WaitQueueAdapter::ideal(256).label(), "LRSCwait_ideal");
-        assert_eq!(WaitQueueAdapter::ideal(256).capacity(), 256);
+    fn ideal_queue_holds_one_entry_per_core() {
+        let mut a = SyncArch::LrscWaitIdeal.build(3);
+        let mut mem = MapStorage::new();
+        let mut out = Vec::new();
+        for core in 0..4 {
+            a.handle(core, &MemRequest::LrWait { addr: 0x40 }, &mut mem, &mut out);
+        }
+        assert_eq!(a.stats().wait_enqueued, 3);
+        assert_eq!(a.stats().wait_failfast, 1, "a fourth waiter overflows");
     }
 }
