@@ -18,7 +18,7 @@
 //! code.
 //!
 //! ```sh
-//! cargo run --release -p lrscwait-bench --bin litmus -- --seeds 8 --quick
+//! cargo run --release -p lrscwait-bench --bin litmus -- --seeds 8
 //! cargo run --release -p lrscwait-bench --bin litmus -- \
 //!     --scenario lost-wakeup --arch colibri:2 --seed 17
 //! ```
@@ -27,9 +27,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lrscwait_bench::litmus::{
-    fuzz_litmus, litmus_matrix, parse_arch, scenario_plan, LitmusCase, LitmusSummary,
-};
+use lrscwait_bench::litmus::{fuzz_litmus, litmus_matrix, parse_arch, LitmusCase, LitmusSummary};
 use lrscwait_bench::{default_threads, BenchError};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::LitmusScenario;
@@ -37,8 +35,7 @@ use lrscwait_sim::Mutation;
 
 const USAGE: &str = "\
 usage: litmus [--seeds N] [--seed-start S] [--seed S] [--scenario NAME]
-              [--arch A] [--wait] [--quick] [--threads N] [--out DIR]
-              [--mutation M]
+              [--arch A] [--wait] [--threads N] [--out DIR] [--mutation M]
   --seeds N       seeds to fuzz per case (default 8)
   --seed-start S  first seed of the fuzz range (default 1)
   --seed S        run exactly one seed (repro mode; overrides --seeds)
@@ -47,7 +44,6 @@ usage: litmus [--seeds N] [--seed-start S] [--seed S] [--scenario NAME]
   --arch A        restrict to one architecture: lrsc | ideal |
                   lrscwait:<slots> | colibri:<queues>
   --wait          restrict to wait-primitive flavors
-  --quick         reduced matrix and iteration counts (CI budget)
   --threads N     sweep worker threads (default: all cores, min 2)
   --out DIR       artifact directory (default results)
   --mutation M    arm a deliberately-illegal fault for the checker
@@ -66,7 +62,6 @@ struct Args {
     scenario: Option<LitmusScenario>,
     arch: Option<SyncArch>,
     wait_only: bool,
-    quick: bool,
     threads: usize,
     out: PathBuf,
     mutation: Mutation,
@@ -100,7 +95,6 @@ fn parse_args() -> Result<Args, BenchError> {
         scenario: None,
         arch: None,
         wait_only: false,
-        quick: false,
         threads: default_threads(),
         out: PathBuf::from("results"),
         mutation: Mutation::None,
@@ -138,7 +132,6 @@ fn parse_args() -> Result<Args, BenchError> {
             }
             "--arch" => parsed.arch = Some(parse_arch(&value("--arch")?)?),
             "--wait" => parsed.wait_only = true,
-            "--quick" => parsed.quick = true,
             "--threads" => {
                 parsed.threads = value("--threads")?
                     .parse()
@@ -156,9 +149,9 @@ fn parse_args() -> Result<Args, BenchError> {
     Ok(parsed)
 }
 
-/// Wraps the matrix cases so every plan carries the armed mutation.
-fn armed_cases(args: &Args) -> Vec<LitmusCase> {
-    litmus_matrix(args.quick)
+/// The matrix cases the filters select.
+fn selected_cases(args: &Args) -> Vec<LitmusCase> {
+    litmus_matrix()
         .into_iter()
         .filter(|c| args.scenario.is_none_or(|s| c.scenario == s))
         .filter(|c| args.arch.is_none_or(|a| c.arch == a))
@@ -203,7 +196,7 @@ fn render_summary(summary: &LitmusSummary, seeds: u64, mutation: Mutation) -> St
 
 fn run() -> Result<(), BenchError> {
     let args = parse_args()?;
-    let mut cases = armed_cases(&args);
+    let mut cases = selected_cases(&args);
     if cases.is_empty() {
         return Err(usage_err(
             "the case filter matched nothing (scenario/arch/flavor combination unsupported)",
@@ -228,39 +221,8 @@ fn run() -> Result<(), BenchError> {
         args.mutation
     );
 
-    // Arm the mutation by wrapping scenario_plan through the case list.
-    let mutation = args.mutation;
-    let summary = if mutation.is_none() {
-        fuzz_litmus(&cases, seed_start, seeds, args.threads)?
-    } else {
-        // Mutations are injected into every plan; reuse the fuzz loop by
-        // running cases one seed at a time with the mutated plan.
-        let mut failures = Vec::new();
-        let mut runs = 0;
-        for case in &cases {
-            for seed in seed_start..seed_start + seeds {
-                runs += 1;
-                let mut plan = scenario_plan(case.scenario, seed);
-                plan.mutation = mutation;
-                let verdict = lrscwait_bench::litmus::run_litmus_case(case, plan)?;
-                if !verdict.passed() {
-                    failures.push(lrscwait_bench::litmus::LitmusFailure {
-                        case: *case,
-                        seed,
-                        minimized: verdict.plan,
-                        verdict,
-                    });
-                }
-            }
-        }
-        LitmusSummary {
-            cases: cases.len(),
-            runs,
-            failures,
-        }
-    };
-
-    let rendered = render_summary(&summary, seeds, mutation);
+    let summary = fuzz_litmus(&cases, seed_start, seeds, args.threads, args.mutation)?;
+    let rendered = render_summary(&summary, seeds, args.mutation);
     println!("{rendered}");
     std::fs::create_dir_all(&args.out).map_err(|source| BenchError::Io {
         path: args.out.display().to_string(),

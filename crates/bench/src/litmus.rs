@@ -124,21 +124,11 @@ pub fn scenario_plan(scenario: LitmusScenario, seed: u64) -> FaultPlan {
     }
 }
 
-/// Builds the (scenario × arch × flavor) matrix, filtered down to
-/// combinations whose primitives can make progress on the architecture.
+/// Builds the (scenario × arch × flavor) matrix over all four
+/// architectures, filtered down to combinations whose primitives can make
+/// progress on the architecture.
 #[must_use]
-pub fn litmus_matrix(quick: bool) -> Vec<LitmusCase> {
-    let archs: &[SyncArch] = if quick {
-        &[SyncArch::Lrsc, SyncArch::Colibri { queues: 2 }]
-    } else {
-        &[
-            SyncArch::Lrsc,
-            SyncArch::LrscWaitIdeal,
-            SyncArch::LrscWait { slots: 2 },
-            SyncArch::Colibri { queues: 2 },
-        ]
-    };
-    let iters = if quick { 6 } else { 12 };
+pub fn litmus_matrix() -> Vec<LitmusCase> {
     let mut cases = Vec::new();
     for scenario in LitmusScenario::all() {
         let flavors: &[bool] = match scenario {
@@ -146,14 +136,19 @@ pub fn litmus_matrix(quick: bool) -> Vec<LitmusCase> {
             LitmusScenario::Aba | LitmusScenario::SpuriousRetry => &[false, true],
             _ => &[false],
         };
-        for &arch in archs {
+        for arch in [
+            SyncArch::Lrsc,
+            SyncArch::LrscWaitIdeal,
+            SyncArch::LrscWait { slots: 2 },
+            SyncArch::Colibri { queues: 2 },
+        ] {
             for &wait_primitives in flavors {
                 let case = LitmusCase {
                     scenario,
                     arch,
                     wait_primitives,
                     cores: 4,
-                    iters,
+                    iters: 12,
                     max_cycles: 5_000_000,
                 };
                 if case.kernel().supports(arch) {
@@ -373,7 +368,8 @@ impl LitmusSummary {
 /// Fuzzes `seeds` seeds over every case: run the full matrix per seed on
 /// the sweep worker pool, then minimize each failure's plan (re-running
 /// the case up to 48 times — minimization is sequential, failures are
-/// expected to be rare).
+/// expected to be rare). Every plan carries `mutation`;
+/// [`Mutation::None`] fuzzes the legal envelope only.
 ///
 /// # Errors
 ///
@@ -383,6 +379,7 @@ pub fn fuzz_litmus(
     seed_start: u64,
     seeds: u64,
     threads: usize,
+    mutation: Mutation,
 ) -> Result<LitmusSummary, BenchError> {
     let points: Vec<(usize, u64)> = (0..cases.len())
         .flat_map(|c| (seed_start..seed_start + seeds).map(move |s| (c, s)))
@@ -392,7 +389,9 @@ pub fn fuzz_litmus(
         .threads(threads)
         .run(points.clone(), |(c, seed)| {
             let case = &cases[c];
-            run_litmus_case(case, scenario_plan(case.scenario, seed)).map(|v| (c, seed, v))
+            let mut plan = scenario_plan(case.scenario, seed);
+            plan.mutation = mutation;
+            run_litmus_case(case, plan).map(|v| (c, seed, v))
         })?;
     let mut failures = Vec::new();
     for (c, seed, verdict) in verdicts {
@@ -437,20 +436,15 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_nonempty_and_supported() {
-        for quick in [true, false] {
-            let cases = litmus_matrix(quick);
-            assert!(!cases.is_empty());
-            for case in &cases {
-                assert!(case.kernel().supports(case.arch), "{}", case.label());
-            }
+    fn matrix_is_supported_and_covers_every_scenario() {
+        let cases = litmus_matrix();
+        for case in &cases {
+            assert!(case.kernel().supports(case.arch), "{}", case.label());
         }
-        // The quick matrix must still cover every scenario.
-        let quick = litmus_matrix(true);
         for scenario in LitmusScenario::all() {
             assert!(
-                quick.iter().any(|c| c.scenario == scenario),
-                "{} missing from the quick matrix",
+                cases.iter().any(|c| c.scenario == scenario),
+                "{} missing from the matrix",
                 scenario.name()
             );
         }
