@@ -1,4 +1,4 @@
-//! Ablation study of the design choices DESIGN.md calls out:
+//! Ablation study of the paper's three sizing choices:
 //!
 //! 1. Colibri queues per controller (Table I trades 1/2/4/8 addresses) —
 //!    how many concurrently tracked addresses does the histogram need?
