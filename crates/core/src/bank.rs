@@ -438,6 +438,16 @@ mod tests {
         assert_eq!(r, vec![(2, MemResponse::Sc { success: true })]);
         assert_eq!(mem.read_word(0x40), 2);
         assert_eq!(a.stats().sc_failure, 1);
+
+        // The one slot holds one reservation, whatever its address.
+        run(&mut *a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
+        run(&mut *a, &mut mem, 2, MemRequest::Lr { addr: 0x80 });
+        let r = run(&mut *a, &mut mem, 1, sc(0x40, 3));
+        assert_eq!(r, vec![(1, MemResponse::Sc { success: false })]);
+        let r = run(&mut *a, &mut mem, 2, sc(0x80, 4));
+        assert_eq!(r, vec![(2, MemResponse::Sc { success: true })]);
+        assert_eq!((mem.read_word(0x40), mem.read_word(0x80)), (2, 4));
+        assert_eq!(a.stats().sc_failure, 2);
     }
 
     #[test]
@@ -463,6 +473,9 @@ mod tests {
                 mask: !0,
             };
             run(&mut *a, &mut mem, 2, store);
+            assert_eq!(a.stats().reservations_broken, 1, "{arch}");
+            run(&mut *a, &mut mem, 2, store);
+            assert_eq!(a.stats().reservations_broken, 1, "{arch}: already clear");
             let r = run(&mut *a, &mut mem, 1, sc(0x40, 1));
             assert_eq!(r, vec![(1, MemResponse::Sc { success: false })], "{arch}");
             assert_eq!(mem.read_word(0x40), 9);
