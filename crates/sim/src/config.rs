@@ -229,7 +229,9 @@ pub struct SimConfig {
     pub topology: TopologyConfig,
     /// Synchronization hardware in front of every bank.
     pub arch: SyncArch,
-    /// Total SPM size in bytes (split evenly across banks).
+    /// Configured SPM size in bytes, split evenly across banks. The usable
+    /// SPM is [`words_per_bank`](SimConfig::words_per_bank) × banks words;
+    /// an access above it faults, even below `spm_bytes`.
     pub spm_bytes: u32,
     /// Core timing parameters.
     pub timing: CoreTiming,
@@ -297,7 +299,9 @@ impl SimConfig {
         }
     }
 
-    /// Words per bank given the geometry.
+    /// Words per bank given the geometry (`spm_bytes / 4 / banks`, rounded
+    /// down). The usable SPM is `words_per_bank × banks` words; an access
+    /// above it faults.
     #[must_use]
     pub fn words_per_bank(&self) -> usize {
         (self.spm_bytes as usize / 4) / self.topology.num_banks()

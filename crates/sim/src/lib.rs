@@ -51,6 +51,7 @@ pub mod cpu;
 mod machine;
 mod phases;
 mod profiler;
+mod spm;
 mod stats;
 mod translate;
 

@@ -145,6 +145,7 @@ use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram, PendingKind, PendingMem};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
 use crate::profiler::{Phase, PhaseProfile, Profiler, ProfilerConfig};
+use crate::spm::Spm;
 use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
 use crate::translate::Translation;
 
@@ -196,7 +197,7 @@ pub enum SimError {
     ProgramTooLarge {
         /// Bytes of initialized data + bss the program needs.
         footprint: u32,
-        /// Configured SPM size in bytes.
+        /// Usable SPM size in bytes (`words_per_bank × banks` words).
         spm_bytes: u32,
     },
     /// The configuration itself is inconsistent.
@@ -266,7 +267,7 @@ pub struct Machine {
     cores: Vec<Core>,
     qnodes: Vec<Qnode>,
     adapters: Vec<Box<dyn SyncAdapter>>,
-    banks: Vec<Vec<u32>>,
+    spm: Spm,
     req_net: Network<ReqMsg>,
     resp_net: Network<RespMsg>,
     core_outbox: Vec<VecDeque<ReqMsg>>,
@@ -340,7 +341,7 @@ impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("cores", &self.cores.len())
-            .field("banks", &self.banks.len())
+            .field("banks", &self.num_banks())
             .field("cycle", &self.cycle)
             .field("halted", &self.halted)
             .finish()
@@ -410,12 +411,12 @@ impl Machine {
         let topo = MempoolTopology::new(cfg.topology);
         let num_cores = cfg.topology.num_cores;
         let num_banks = cfg.topology.num_banks();
-        let words_per_bank = cfg.words_per_bank();
+        let spm = Spm::new((cfg.words_per_bank() * num_banks) as u32);
         let footprint = program.bss_base + program.bss_size;
-        if footprint > cfg.spm_bytes {
+        if footprint > spm.bytes() {
             return Err(SimError::ProgramTooLarge {
                 footprint,
-                spm_bytes: cfg.spm_bytes,
+                spm_bytes: spm.bytes(),
             });
         }
 
@@ -433,13 +434,13 @@ impl Machine {
             cores: (0..num_cores as u32)
                 .map(|id| Core::new(id, entry))
                 .collect(),
-            qnodes: vec![Qnode::new(); num_cores],
+            qnodes: (0..num_cores).map(|_| Qnode::new()).collect(),
             adapters: (0..num_banks).map(|_| cfg.arch.build(num_cores)).collect(),
-            banks: vec![vec![0u32; words_per_bank]; num_banks],
+            spm,
             req_net: MempoolTopology::new(cfg.topology).build_request_network(),
             resp_net: MempoolTopology::new(cfg.topology).build_response_network(),
-            core_outbox: vec![VecDeque::new(); num_cores],
-            bank_outbox: vec![VecDeque::new(); num_banks],
+            core_outbox: (0..num_cores).map(|_| VecDeque::new()).collect(),
+            bank_outbox: (0..num_banks).map(|_| VecDeque::new()).collect(),
             dirty_banks: IdSet::new(num_banks),
             cycle: 0,
             halted: 0,
@@ -510,7 +511,7 @@ impl Machine {
         assert_eq!(self.cycle, 0, "attach the trace sink before running");
         self.tracer = Tracer::sink(sink);
         let cores = self.cores.len() as u32;
-        let banks = self.banks.len() as u32;
+        let banks = self.num_banks();
         self.tracer.emit(0, || TraceEvent::Start { cores, banks });
     }
 
@@ -571,35 +572,37 @@ impl Machine {
         self.cores.len()
     }
 
+    fn num_banks(&self) -> u32 {
+        self.adapters.len() as u32
+    }
+
     /// Bank holding the word at `addr`.
     #[must_use]
     pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr / 4) % self.banks.len() as u32
+        (addr / 4) % self.num_banks()
     }
 
     /// Host read of an SPM word.
     ///
     /// # Panics
     ///
-    /// Panics when `addr` is outside the SPM.
+    /// Panics when `addr` is outside the SPM's `words_per_bank × banks`
+    /// words.
     #[must_use]
     pub fn read_word(&self, addr: u32) -> u32 {
-        assert!(addr < self.cfg.spm_bytes, "host read outside SPM");
-        let w = addr / 4;
-        let nb = self.banks.len() as u32;
-        self.banks[(w % nb) as usize][(w / nb) as usize]
+        assert!(addr < self.spm.bytes(), "host read outside SPM");
+        self.spm.read(addr / 4)
     }
 
     /// Host write of an SPM word.
     ///
     /// # Panics
     ///
-    /// Panics when `addr` is outside the SPM.
+    /// Panics when `addr` is outside the SPM's `words_per_bank × banks`
+    /// words.
     pub fn write_word(&mut self, addr: u32, value: u32) {
-        assert!(addr < self.cfg.spm_bytes, "host write outside SPM");
-        let w = addr / 4;
-        let nb = self.banks.len() as u32;
-        self.banks[(w % nb) as usize][(w / nb) as usize] = value;
+        assert!(addr < self.spm.bytes(), "host write outside SPM");
+        self.spm.write(addr / 4, value);
     }
 
     /// Host-side store injection between cycles — the write primitive
@@ -621,13 +624,14 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics when `addr` is outside the SPM or not word-aligned.
+    /// Panics when `addr` is outside the SPM's `words_per_bank × banks`
+    /// words or not word-aligned.
     pub fn inject_store(&mut self, addr: u32, value: u32) {
-        assert!(addr < self.cfg.spm_bytes, "host store outside SPM");
+        assert!(addr < self.spm.bytes(), "host store outside SPM");
         assert_eq!(addr % 4, 0, "host stores are word-aligned");
         let now = self.cycle;
         let bank = self.bank_of(addr);
-        let num_banks = self.banks.len() as u32;
+        let num_banks = self.num_banks();
         self.tracer.emit(now, || TraceEvent::Inject { addr, value });
         let req = MemRequest::Store {
             addr,
@@ -635,7 +639,7 @@ impl Machine {
             mask: !0,
         };
         let mut view = phases::BankView {
-            words: &mut self.banks[bank as usize],
+            spm: &mut self.spm,
             num_banks,
             bank,
         };
@@ -903,7 +907,7 @@ impl Machine {
         self.req_order.sort_unstable();
         self.chaos_evict_before_service(&req_buf, now);
         phases::service_banks(
-            &mut self.banks,
+            &mut self.spm,
             &mut self.adapters,
             &mut self.bank_outbox,
             &mut self.dirty_banks,
@@ -1021,6 +1025,7 @@ impl Machine {
         // `run`/`run_until` the horizon collapses to `now` (exactly one
         // instruction per visit, like the reference stepper).
         let horizon = self.step_limit.max(now);
+        let num_banks = self.num_banks();
         let mut ctx = CorePhase {
             cores: &mut self.cores,
             qnodes: &mut self.qnodes,
@@ -1028,7 +1033,8 @@ impl Machine {
             park_kind: &mut self.park_kind,
             program: &self.program,
             cfg: &self.cfg,
-            num_banks: self.banks.len() as u32,
+            num_banks,
+            spm_bytes: self.spm.bytes(),
             halted: &mut self.halted,
             barrier_waiting: &mut self.barrier_waiting,
             debug_log: &mut self.debug_log,
@@ -1261,11 +1267,13 @@ impl Machine {
 /// Snapshot file magic.
 const SNAP_MAGIC: [u8; 4] = *b"LRSW";
 /// Snapshot format version this build writes and reads.
-/// Version history: 1 = PR 6 initial format; 2 = adds the program-image
+/// Version history: 1 = the initial format; 2 = adds the program-image
 /// fingerprint (text length, entry, FNV-1a hash) after the geometry
 /// header, so a restore can never resume — or execute translated
-/// superblocks — against a different program than the snapshot ran.
-const SNAP_VERSION: u32 = 2;
+/// superblocks — against a different program than the snapshot ran;
+/// 3 = the memory section lists the SPM words in address order instead
+/// of bank by bank.
+const SNAP_VERSION: u32 = 3;
 /// Pseudo core id for host-injected requests ([`Machine::inject_store`]);
 /// responses addressed to it are consumed by the host, never routed.
 const HOST_CORE: u32 = u32::MAX;
@@ -1301,7 +1309,7 @@ impl Machine {
             out.put_u8(b);
         }
         out.put_u32(self.cores.len() as u32);
-        out.put_u32(self.banks.len() as u32);
+        out.put_u32(self.num_banks());
         out.put_u32(self.cfg.words_per_bank() as u32);
         // Program-image fingerprint: a snapshot resumes mid-program, so
         // restoring it onto a machine running different code would be
@@ -1364,11 +1372,7 @@ impl Machine {
         for a in &self.adapters {
             a.save_state(&mut out);
         }
-        for bank in &self.banks {
-            for &w in bank {
-                out.put_u32(w);
-            }
-        }
+        self.spm.save(&mut out);
         save_net(&mut out, &self.req_net, save_req);
         save_net(&mut out, &self.resp_net, save_resp);
         for q in &self.core_outbox {
@@ -1445,14 +1449,14 @@ impl Machine {
         let nb = src.take_u32()?;
         let wpb = src.take_u32()?;
         if nc as usize != self.cores.len()
-            || nb as usize != self.banks.len()
+            || nb != self.num_banks()
             || wpb as usize != self.cfg.words_per_bank()
         {
             return Err(RestoreFail(format!(
                 "snapshot geometry ({nc} cores, {nb} banks, {wpb} words/bank) does not match \
                  machine ({} cores, {} banks, {} words/bank)",
                 self.cores.len(),
-                self.banks.len(),
+                self.num_banks(),
                 self.cfg.words_per_bank()
             )));
         }
@@ -1480,13 +1484,9 @@ impl Machine {
         for a in &mut self.adapters {
             a.load_state(src)?;
         }
-        for bank in &mut self.banks {
-            for w in bank.iter_mut() {
-                *w = src.take_u32()?;
-            }
-        }
+        self.spm.load(src)?;
         let num_cores = self.cores.len() as u32;
-        let num_banks = self.banks.len() as u32;
+        let num_banks = self.num_banks();
         load_net(src, &mut self.req_net, |s| {
             load_req(s, num_cores, num_banks)
         })?;

@@ -31,6 +31,7 @@ use crate::cpu::{
     MemIntent, PendingKind, PendingMem,
 };
 use crate::machine::SimError;
+use crate::spm::Spm;
 use crate::translate::{run_block, Translation};
 
 /// Request-network payload.
@@ -48,9 +49,9 @@ pub(crate) struct RespMsg {
     pub resp: MemResponse,
 }
 
-/// Adapter-facing view of one bank's storage with global addressing.
+/// Adapter-facing view of one bank's words with global addressing.
 pub(crate) struct BankView<'a> {
-    pub words: &'a mut [u32],
+    pub spm: &'a mut Spm,
     pub num_banks: u32,
     pub bank: u32,
 }
@@ -63,7 +64,7 @@ impl WordStorage for BankView<'_> {
             self.bank,
             "address routed to wrong bank"
         );
-        self.words[(w / self.num_banks) as usize]
+        self.spm.read(w)
     }
 
     fn write_word(&mut self, addr: u32, value: u32) {
@@ -73,13 +74,13 @@ impl WordStorage for BankView<'_> {
             self.bank,
             "address routed to wrong bank"
         );
-        self.words[(w / self.num_banks) as usize] = value;
+        self.spm.write(w, value);
     }
 }
 
 /// Services every delivered request in bank-id order (and, within one
 /// bank, in delivery order): the adapter performs its side effects on the
-/// bank words and appends responses to the bank's outbox, which joins
+/// bank's SPM words and appends responses to the bank's outbox, which joins
 /// `dirty_banks` when it goes empty → non-empty.
 ///
 /// `order` is the cycle's delivery list sorted by `(bank, delivery
@@ -87,7 +88,7 @@ impl WordStorage for BankView<'_> {
 /// fills.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn service_banks(
-    banks: &mut [Vec<u32>],
+    spm: &mut Spm,
     adapters: &mut [Box<dyn SyncAdapter>],
     bank_outbox: &mut [VecDeque<RespMsg>],
     dirty_banks: &mut IdSet,
@@ -97,13 +98,13 @@ pub(crate) fn service_banks(
     tracer: &mut Tracer,
     now: u64,
 ) {
-    let num_banks = banks.len() as u32;
+    let num_banks = adapters.len() as u32;
     for &(bank, idx) in order {
         let msg = &reqs[idx as usize];
         debug_assert_eq!(msg.bank, bank);
         let b = bank as usize;
         let mut view = BankView {
-            words: &mut banks[b],
+            spm: &mut *spm,
             num_banks,
             bank,
         };
@@ -166,6 +167,8 @@ pub(crate) struct CorePhase<'a> {
     pub program: &'a DecodedProgram,
     pub cfg: &'a SimConfig,
     pub num_banks: u32,
+    /// The SPM bound guest accesses fault at (`Spm::bytes`).
+    pub spm_bytes: u32,
     pub halted: &'a mut usize,
     pub barrier_waiting: &'a mut usize,
     pub debug_log: &'a mut Vec<(u64, u32, u32)>,
@@ -379,7 +382,7 @@ impl CorePhase<'_> {
                     self.cores[i].pc += 4;
                     return Ok(());
                 }
-                if addr >= self.cfg.spm_bytes {
+                if addr >= self.spm_bytes {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
@@ -404,7 +407,7 @@ impl CorePhase<'_> {
                     self.mmio_write(c, addr - MMIO_BASE, value, now);
                     return Ok(());
                 }
-                if addr >= self.cfg.spm_bytes {
+                if addr >= self.spm_bytes {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
@@ -434,7 +437,7 @@ impl CorePhase<'_> {
                 op,
                 operand,
             } => {
-                if addr >= self.cfg.spm_bytes {
+                if addr >= self.spm_bytes {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
