@@ -229,27 +229,27 @@ fn snapshot_bytes_are_pinned() {
     // The round trips above only compare a machine with itself, so a
     // change to the snapshot encoding (adapter state order, a new field)
     // would pass them. These digests pin the bytes taken mid-run, with
-    // wait queues populated, as recorded before the bank adapters were
-    // merged into one front end.
+    // wait queues populated, as recorded with snapshot version 3 (the
+    // memory section in address order).
     for (arch, src, len, digest) in [
-        (SyncArch::Lrsc, LRSC_COUNTER, 70_976, 0xf51e_409c_453a_ff9a),
+        (SyncArch::Lrsc, LRSC_COUNTER, 70_976, 0x352c_a689_03c5_5e2f),
         (
             SyncArch::LrscWaitIdeal,
             CONTENDED_COUNTER,
             71_533,
-            0x46cc_9946_053a_b1a7,
+            0xdd90_f026_e7bf_0e58,
         ),
         (
             SyncArch::LrscWait { slots: 2 },
             CONTENDED_COUNTER,
             71_522,
-            0x3cd8_2ab8_ccfa_07df,
+            0x0ce6_c6c1_268c_7f7e,
         ),
         (
             SyncArch::Colibri { queues: 2 },
             CONTENDED_COUNTER,
             72_281,
-            0x6581_10a8_6493_163a,
+            0xa13c_14cd_4b9d_de81,
         ),
     ] {
         let program = Assembler::new().assemble(src).expect("assembles");
