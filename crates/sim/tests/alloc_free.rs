@@ -4,13 +4,14 @@
 //! its high-water capacity, and a long measured window must then allocate
 //! nothing at all — in `step_cycle`, `Network::advance`, the adapters and
 //! the outbox bookkeeping alike, and in host store injection between
-//! cycles.
+//! cycles. The same allocator pins how many allocations building a
+//! 256-core machine takes, and how large the largest one is.
 //!
 //! This binary holds a single test so no concurrent test thread can
 //! pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
@@ -19,10 +20,12 @@ use lrscwait_sim::{Machine, SimConfig};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -32,6 +35,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,10 +44,45 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
-fn steady_state_cycles_do_not_allocate() {
+fn construction_is_bounded_and_steady_state_cycles_do_not_allocate() {
+    mempool_construction();
     contended_steady_state();
     busy_loop_steady_state();
 }
+
+/// Building the paper's 256-core, 1024-bank machine. Most of the count
+/// is the one adapter per bank; the SPM itself is a handful of pages.
+fn mempool_construction() {
+    let program = Assembler::new()
+        .assemble("_start: ecall\n")
+        .expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
+    let cfg = SimConfig::mempool(SyncArch::Lrsc);
+
+    LARGEST.store(0, Ordering::SeqCst);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let machine = Machine::with_decoded(cfg, decoded).expect("builds");
+    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let largest = LARGEST.load(Ordering::SeqCst);
+    drop(machine);
+
+    assert!(
+        count <= BUILD_ALLOCATIONS,
+        "building a 256-core machine took {count} allocations (pinned: {BUILD_ALLOCATIONS})"
+    );
+    // glibc serves requests of 128 KiB and more with a fresh mmap, whose
+    // pages stay untouched zeros: the resident set would not grow by the
+    // memory the machine holds, and the ledger's
+    // `sim.machine.rss_mib.c1024` probe would read 0.
+    assert!(
+        largest < 128 << 10,
+        "largest construction allocation is {largest} B, at or above glibc's 128 KiB mmap threshold"
+    );
+}
+
+/// Allocations of one 256-core `Machine::with_decoded`, as measured with
+/// the SPM in 64 KiB pages.
+const BUILD_ALLOCATIONS: u64 = 1073;
 
 fn contended_steady_state() {
     // High-contention mix: AMO traffic, lrwait/scwait sleep-wake churn and

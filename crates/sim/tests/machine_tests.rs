@@ -356,6 +356,67 @@ fn fault_on_wild_store() {
     }
 }
 
+/// Three cores have 12 banks of 1365 words: 65 520 of the 65 536
+/// configured bytes are banked, and the last four words have no bank.
+fn tail_config() -> SimConfig {
+    let cfg = SimConfig::small(3, SyncArch::Lrsc);
+    assert_eq!(cfg.spm_bytes, 65_536);
+    assert_eq!(cfg.words_per_bank() * cfg.topology.num_banks() * 4, 65_520);
+    cfg
+}
+
+#[test]
+fn spm_tail_without_a_bank_faults() {
+    let cfg = tail_config();
+    for (access, what) in [
+        ("sw zero, (t0)", "store"),
+        ("lw t1, (t0)", "load"),
+        ("amoadd.w t1, zero, (t0)", "atomic"),
+    ] {
+        let src = format!("_start:\n li t0, 65532\n {access}\n ecall\n");
+        let program = Assembler::new().assemble(&src).unwrap();
+        let mut m = Machine::new(cfg, &program).unwrap();
+        match m.run() {
+            Err(SimError::Fault {
+                addr: 65532,
+                what: w,
+                ..
+            }) => {
+                assert!(w.contains(what), "{access}: {w}");
+            }
+            other => panic!("{access}: expected a fault, got {other:?}"),
+        }
+    }
+
+    // The last banked word is an ordinary word for the host accessors.
+    let program = Assembler::new().assemble("_start: ecall\n").unwrap();
+    let mut m = Machine::new(cfg, &program).unwrap();
+    m.write_word(65_516, 7);
+    m.inject_store(65_516, 8);
+    assert_eq!(m.read_word(65_516), 8);
+
+    // Data and bss must fit the banked words, not the configured bytes:
+    // 256 B of data base plus 65 268 B of bss end at 65 524.
+    let big = Assembler::new()
+        .assemble("_start: ecall\n.bss\nbuf: .space 65268\n")
+        .unwrap();
+    match Machine::new(cfg, &big) {
+        Err(SimError::ProgramTooLarge {
+            footprint: 65_524,
+            spm_bytes: 65_520,
+        }) => {}
+        other => panic!("expected ProgramTooLarge, got {other:?}"),
+    }
+}
+
+#[test]
+#[should_panic(expected = "host read outside SPM")]
+fn host_read_of_the_spm_tail_panics_with_the_bound() {
+    let program = Assembler::new().assemble("_start: ecall\n").unwrap();
+    let m = Machine::new(tail_config(), &program).unwrap();
+    let _ = m.read_word(65_532);
+}
+
 #[test]
 fn breakpoint_reports_line() {
     let src = "_start: nop\nebreak\n";

@@ -409,6 +409,88 @@ fn injected_stores_are_mode_invariant() {
     }
 }
 
+/// Fills every banked SPM word with `w + 1` (word index `w`), reports on
+/// the debug log, waits until the host has written `!w` everywhere, then
+/// prints how many of its words do not read `!w`. Cores take the words
+/// `hartid, hartid + cores, …` below `ARG0`.
+const SPM_WALK: &str = r#"
+    .equ MMIO, 0xFFFF0000
+    _start:
+        li   s0, MMIO
+        lw   s1, 0x10(s0)        # hartid
+        lw   s2, 0x14(s0)        # cores
+        lw   s3, 0x18(s0)        # banked words
+        mv   t0, s1
+    fill:
+        bgeu t0, s3, filled
+        slli t1, t0, 2
+        addi t2, t0, 1
+        sw   t2, (t1)
+        add  t0, t0, s2
+        j    fill
+    filled:
+        fence
+        sw   s1, 0x38(s0)        # print: every store acknowledged
+        addi t3, s3, -1
+        slli t4, t3, 2           # the last banked word
+        not  t5, t3
+    wait:
+        lw   t6, (t4)
+        bne  t6, t5, wait
+        li   a0, 0
+        mv   t0, s1
+    check:
+        bgeu t0, s3, checked
+        slli t1, t0, 2
+        lw   t2, (t1)
+        not  t3, t0
+        beq  t2, t3, same
+        addi a0, a0, 1
+    same:
+        add  t0, t0, s2
+        j    check
+    checked:
+        sw   a0, 0x38(s0)        # print the mismatch count
+        ecall
+"#;
+
+#[test]
+fn every_spm_word_survives_guest_host_and_snapshot() {
+    // 200 000 B over 12 banks: 4166 words per bank, 49 992 banked words.
+    // Walking every word covers the first and last word of every storage
+    // page (the last one partial) and the last banked word.
+    let mut cfg = SimConfig::small(3, SyncArch::Lrsc);
+    cfg.spm_bytes = 200_000;
+    let words = (cfg.words_per_bank() * cfg.topology.num_banks()) as u32;
+    assert_eq!(words, 49_992);
+    cfg.args[0] = words;
+    let program = Assembler::new().assemble(SPM_WALK).expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
+
+    let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    while first.debug_log().len() < 3 {
+        let stop = first.run_until(first.cycles() + 100).expect("fills");
+        assert_eq!(stop.exit, ExitReason::TargetReached);
+    }
+    let stored = |m: &Machine, what: &str| {
+        for w in 0..words {
+            assert_eq!(m.read_word(4 * w), w + 1, "{what}: word {w}");
+        }
+    };
+    stored(&first, "guest stores");
+
+    let mut second = Machine::with_decoded(cfg, decoded).expect("loads");
+    second.restore(&first.snapshot()).expect("restore");
+    stored(&second, "restored");
+    for w in 0..words {
+        second.write_word(4 * w, !w);
+    }
+    let summary = second.run().expect("checks");
+    assert_eq!(summary.exit, ExitReason::AllHalted);
+    let mismatches: Vec<u32> = second.debug_log()[3..].iter().map(|e| e.2).collect();
+    assert_eq!(mismatches, [0, 0, 0], "guest loads of host writes");
+}
+
 #[test]
 fn restore_rejects_malformed_snapshots() {
     let program = Assembler::new()
