@@ -241,16 +241,6 @@ impl Measurement {
         (&self.label, self.x)
     }
 
-    /// Simulated cycles per host second for this run.
-    #[must_use]
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.host_seconds > 0.0 {
-            self.cycles as f64 / self.host_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Longest measured-region length among `cores`, when every one of them
     /// wrote both region markers (e.g. the worker partition of the matmul
     /// interference workload).
@@ -645,7 +635,6 @@ mod tests {
         let kernel = HistogramKernel::new(HistImpl::AmoAdd, 4, 8, 4);
         let m = Experiment::new(&kernel, cfg).x(4).run().unwrap();
         assert!(m.host_seconds > 0.0, "run must be timed");
-        assert!(m.sim_cycles_per_sec() > 0.0);
         let row = m.csv_row();
         assert_eq!(row.len(), 7, "stall column present");
         assert_eq!(row[6], m.stats.total_stall_cycles().to_string());

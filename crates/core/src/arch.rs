@@ -57,12 +57,6 @@ impl SyncArch {
     pub fn supports_wait(&self) -> bool {
         !matches!(self, SyncArch::Lrsc)
     }
-
-    /// Whether the distributed Qnode machinery participates (Colibri only).
-    #[must_use]
-    pub fn uses_qnodes(&self) -> bool {
-        matches!(self, SyncArch::Colibri { .. })
-    }
 }
 
 impl fmt::Display for SyncArch {
@@ -96,8 +90,6 @@ mod tests {
         assert!(!SyncArch::Lrsc.supports_wait());
         assert!(SyncArch::LrscWaitIdeal.supports_wait());
         assert!(SyncArch::Colibri { queues: 1 }.supports_wait());
-        assert!(SyncArch::Colibri { queues: 1 }.uses_qnodes());
-        assert!(!SyncArch::LrscWaitIdeal.uses_qnodes());
     }
 
     #[test]

@@ -128,18 +128,6 @@ impl MemRequest {
             | MemRequest::WakeUp { addr, .. } => addr,
         }
     }
-
-    /// Whether this request writes memory when it succeeds.
-    #[must_use]
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            MemRequest::Store { .. }
-                | MemRequest::Amo { .. }
-                | MemRequest::Sc { .. }
-                | MemRequest::ScWait { .. }
-        )
-    }
 }
 
 /// A response sent from a bank controller back to a core's Qnode.
@@ -168,14 +156,6 @@ pub enum MemResponse {
     SuccessorUpdate { successor: CoreId, mode: WaitMode },
 }
 
-impl MemResponse {
-    /// Whether this response is consumed by the Qnode rather than the core.
-    #[must_use]
-    pub fn is_qnode_internal(&self) -> bool {
-        matches!(self, MemResponse::SuccessorUpdate { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,34 +171,5 @@ mod tests {
         assert_eq!(RmwOp::And.apply(0b110, 0b011), 0b010);
         assert_eq!(RmwOp::Or.apply(0b110, 0b011), 0b111);
         assert_eq!(RmwOp::Xor.apply(0b110, 0b011), 0b101);
-    }
-
-    #[test]
-    fn request_addr_and_write_classification() {
-        let store = MemRequest::Store {
-            addr: 0x40,
-            value: 1,
-            mask: !0,
-        };
-        assert_eq!(store.addr(), 0x40);
-        assert!(store.is_write());
-        assert!(!MemRequest::Load { addr: 0 }.is_write());
-        assert!(MemRequest::ScWait { addr: 4, value: 2 }.is_write());
-        assert!(!MemRequest::WakeUp {
-            addr: 4,
-            successor: 1,
-            mode: WaitMode::LrWait
-        }
-        .is_write());
-    }
-
-    #[test]
-    fn successor_update_is_internal() {
-        assert!(MemResponse::SuccessorUpdate {
-            successor: 3,
-            mode: WaitMode::MWait
-        }
-        .is_qnode_internal());
-        assert!(!MemResponse::StoreAck.is_qnode_internal());
     }
 }

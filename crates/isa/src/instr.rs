@@ -184,12 +184,6 @@ pub enum AmoOp {
 }
 
 impl AmoOp {
-    /// Whether this is one of the three Xlrscwait extension operations.
-    #[must_use]
-    pub fn is_wait_extension(self) -> bool {
-        matches!(self, AmoOp::LrWait | AmoOp::ScWait | AmoOp::MWait)
-    }
-
     /// Applies a read–modify–write AMO ALU function; returns the new memory
     /// value. Only valid for the `amo*` operations (not LR/SC/wait forms).
     ///
@@ -312,15 +306,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Whether this instruction accesses memory (loads, stores, atomics).
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. } | Instr::Store { .. } | Instr::Amo { .. }
-        )
-    }
-
     /// A canonical `nop` (`addi x0, x0, 0`).
     #[must_use]
     pub fn nop() -> Instr {
@@ -389,27 +374,5 @@ mod tests {
     #[should_panic(expected = "non-RMW")]
     fn amo_apply_rejects_lr() {
         let _ = AmoOp::Lr.apply(0, 0);
-    }
-
-    #[test]
-    fn wait_extension_classification() {
-        assert!(AmoOp::LrWait.is_wait_extension());
-        assert!(AmoOp::ScWait.is_wait_extension());
-        assert!(AmoOp::MWait.is_wait_extension());
-        assert!(!AmoOp::Lr.is_wait_extension());
-        assert!(!AmoOp::Add.is_wait_extension());
-    }
-
-    #[test]
-    fn memory_classification() {
-        assert!(Instr::Load {
-            width: MemWidth::Word,
-            signed: false,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            offset: 0
-        }
-        .is_memory());
-        assert!(!Instr::nop().is_memory());
     }
 }
