@@ -26,14 +26,16 @@ fn assert_baseline(dir: &Path, name: &str) {
 fn quick_figures_reproduce_the_committed_baselines() {
     let dir = std::env::temp_dir().join(format!("lrscwait-figures-{}", std::process::id()));
     for name in [
+        "table1",
         "fig3",
         "fig4",
         "fig5",
         "fig6",
         "table2",
         "ablation",
-        "fig_rcu",
         "fig_barriers",
+        "fig_latency",
+        "fig_rcu",
     ] {
         fig(&[name, "--quick", "--out", dir.to_str().unwrap()]).unwrap();
         assert_baseline(&dir, name);
