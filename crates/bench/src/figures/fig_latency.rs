@@ -28,14 +28,13 @@
 use std::time::Instant;
 
 use lrscwait_core::SyncArch;
-use lrscwait_kernels::ServiceKernel;
 use lrscwait_sim::{PhaseProfile, ProfilerConfig, SimConfig};
-use lrscwait_traffic::{
-    ArrivalProcess, HarnessError, ServiceHarness, TrafficConfig, TrafficSummary,
-};
 
 use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
+use crate::traffic::{
+    ArrivalProcess, HarnessError, ServiceHarness, ServiceKernel, TrafficConfig, TrafficSummary,
+};
 use crate::{check_claim, log_throughput, write_profile_json, BenchError};
 
 /// Servers in the fleet (active cores).

@@ -3,9 +3,9 @@
 //! scaling comparison that motivates Colibri (paper Fig. 1).
 
 use lrscwait_core::SyncArch;
-use lrscwait_model::{table1, AreaParams};
 
 use crate::figure::Figure;
+use crate::model::{table1, AreaParams};
 use crate::report::print_table;
 use crate::{check_claim, BenchError};
 

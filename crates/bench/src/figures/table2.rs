@@ -4,10 +4,10 @@
 
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::HistImpl;
-use lrscwait_model::EnergyParams;
 
 use super::histogram;
 use crate::figure::{find, Figure};
+use crate::model::EnergyParams;
 use crate::report::print_table;
 use crate::{check_claim, BenchError, Measurement};
 

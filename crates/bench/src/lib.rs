@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod litmus;
+pub mod model;
 
 mod args;
 mod experiment;
@@ -55,6 +56,7 @@ mod figures;
 mod heartbeat;
 mod report;
 mod sweep;
+mod traffic;
 
 pub use args::{flag_listing, BenchArgs, FLAGS, USAGE};
 pub use experiment::{BenchError, Experiment, Measurement};

@@ -20,11 +20,12 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use lrscwait_kernels::{ServiceKernel, VerifyError, Workload};
+use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::{ExitReason, Machine, PhaseProfile, ProfilerConfig, SimConfig, SimError};
 
-use crate::arrival::ArrivalProcess;
-use crate::latency::{LatencyRecorder, LatencyStats};
+use super::arrival::ArrivalProcess;
+use super::latency::{LatencyRecorder, LatencyStats};
+use super::service::ServiceKernel;
 
 /// Everything that can go wrong while driving a traffic run.
 #[derive(Debug)]

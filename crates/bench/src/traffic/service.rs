@@ -33,7 +33,7 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
-use crate::workload::{VerifyError, Workload};
+use lrscwait_kernels::{VerifyError, Workload};
 
 /// The open-loop service-fleet workload description.
 #[derive(Clone, Copy, Debug)]

@@ -8,7 +8,6 @@
 //! | Fig. 5 — matmul with atomics interference | [`MatmulKernel`] |
 //! | Fig. 6 — concurrent queue throughput | [`QueueKernel`] |
 //! | 1024-core multi-barrier study (Bertuletti et al.) | [`BarrierKernel`] |
-//! | Open-loop tail-latency study (`lrscwait-traffic` harness) | [`ServiceKernel`] |
 //! | RCU grace-period study (Quicksand `RCULock` idiom) | [`RcuKernel`] |
 //!
 //! All kernels use the MMIO harness (barrier, op counter, region markers)
@@ -46,7 +45,6 @@ mod litmus;
 mod matmul;
 mod queue;
 mod rcu;
-mod service;
 mod workload;
 
 pub use barrier::{BarrierImpl, BarrierKernel};
@@ -55,5 +53,4 @@ pub use litmus::{LitmusKernel, LitmusScenario};
 pub use matmul::{MatmulKernel, PollerKind};
 pub use queue::{QueueImpl, QueueKernel};
 pub use rcu::RcuKernel;
-pub use service::ServiceKernel;
 pub use workload::{VerifyError, Workload};

@@ -21,8 +21,8 @@
 //!   requests until the reader's exit store fires the monitor;
 //! * on a plain-LRSC machine every wait primitive fails fast and the same
 //!   binary degrades to classic `lr.w`/`sc.w` with seeded exponential
-//!   backoff plus bounded poll loops (the [`ServiceKernel`]/
-//!   [`BarrierKernel`] pattern), so the cross-architecture sweep compares
+//!   backoff plus bounded poll loops (the [`BarrierKernel`] pattern, also
+//!   used by the bench crate's open-loop service fleet), so the cross-architecture sweep compares
 //!   like against like.
 //!
 //! # What a grace period protects
@@ -48,7 +48,6 @@
 //! one MMIO op per completed read section, giving the figure its
 //! reader-throughput axis.
 //!
-//! [`ServiceKernel`]: crate::ServiceKernel
 //! [`BarrierKernel`]: crate::BarrierKernel
 //! [`InvariantChecker`]: ../lrscwait_chaos/struct.InvariantChecker.html
 

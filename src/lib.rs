@@ -26,9 +26,7 @@
 //! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis; the JSON parser and writer |
 //! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
-//! | [`traffic`] | Open-loop arrival processes and the service harness for tail-latency studies |
-//! | [`model`] | Area (Table I) and energy (Table II) models |
-//! | `lrscwait-bench` | `Experiment`/`Sweep` runners regenerating every figure and table |
+//! | `lrscwait-bench` | `Experiment`/`Sweep` runners regenerating every figure and table; the open-loop traffic harness and the area and energy models they need |
 //!
 //! `ARCHITECTURE.md` at the repository root is the guided tour: one
 //! paragraph per crate, the eight sub-phases of a simulated cycle, the
@@ -101,8 +99,6 @@ pub use lrscwait_chaos as chaos;
 pub use lrscwait_core as core;
 pub use lrscwait_isa as isa;
 pub use lrscwait_kernels as kernels;
-pub use lrscwait_model as model;
 pub use lrscwait_noc as noc;
 pub use lrscwait_sim as sim;
 pub use lrscwait_trace as trace;
-pub use lrscwait_traffic as traffic;

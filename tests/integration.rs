@@ -210,8 +210,11 @@ fn facade_reexports_compose() {
     let arch: lrscwait::core::SyncArch = SyncArch::Colibri { queues: 2 };
     let cfg: lrscwait::sim::SimConfig = SimConfig::small(2, arch);
     assert_eq!(cfg.topology.num_cores, 2);
-    let area = lrscwait::model::AreaParams::default();
-    assert!(area.tile_area_kge(Some(arch), 256) > 691.0);
+    let kernel = lrscwait::kernels::HistogramKernel::new(HistImpl::AmoAdd, 4, 2, 2);
+    let program: lrscwait::asm::Program = lrscwait::kernels::Workload::program(&kernel);
+    let mut machine = Machine::new(cfg, &program).unwrap();
+    machine.run().unwrap();
+    assert_eq!(machine.stats().total_ops(), kernel.expected_total());
     let word = lrscwait::isa::encode(&lrscwait::isa::Instr::nop());
     assert!(lrscwait::isa::decode(word).is_ok());
 }
