@@ -32,9 +32,7 @@ use lrscwait_sim::{PhaseProfile, ProfilerConfig, SimConfig};
 
 use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
-use crate::traffic::{
-    ArrivalProcess, HarnessError, ServiceHarness, ServiceKernel, TrafficConfig, TrafficSummary,
-};
+use crate::traffic::{ArrivalProcess, ServiceHarness, ServiceKernel, TrafficSummary, WARMUP};
 use crate::{check_claim, log_throughput, write_profile_json, BenchError};
 
 /// Servers in the fleet (active cores).
@@ -79,20 +77,6 @@ impl Point {
     }
 }
 
-/// Maps a harness failure onto the bench error vocabulary. A DNF is *not*
-/// an error (the harness reports it in the summary); these are genuine
-/// failures — machine faults, fleet checksum mismatches, protocol bugs.
-fn bench_err(label: &str, err: HarnessError) -> BenchError {
-    match err {
-        HarnessError::Sim(e) => BenchError::Run(e),
-        HarnessError::Verify(source) => BenchError::Verify {
-            label: label.to_string(),
-            source,
-        },
-        other => BenchError::ClaimFailed(format!("{label}: {other}")),
-    }
-}
-
 /// One traffic run: fleet of [`SERVERS`] on `arch`, open-loop arrivals
 /// with the given mean inter-arrival time, `items` items, cycle budget
 /// sized so saturated points run out (DNF) instead of running forever.
@@ -107,8 +91,7 @@ fn drive(
     seed: u64,
     bursty: bool,
 ) -> Result<(TrafficSummary, Option<PhaseProfile>), BenchError> {
-    let warmup = TrafficConfig::new(items).warmup;
-    let budget = warmup + (items as f64 * mean * 1.25) as u64 + 4 * u64::from(SERVICE);
+    let budget = WARMUP + (items as f64 * mean * 1.25) as u64 + 4 * u64::from(SERVICE);
     let cfg = fig.config(
         SimConfig::builder()
             .cores(SERVERS as usize)
@@ -123,12 +106,11 @@ fn drive(
         ArrivalProcess::poisson(seed, mean)
     };
     let kernel = ServiceKernel::new(SERVERS, SERVICE);
-    let mut harness = ServiceHarness::new(cfg, kernel, TrafficConfig::new(items), arrivals)
-        .map_err(|e| bench_err(label, e))?;
+    let mut harness = ServiceHarness::new(cfg, kernel, items, arrivals)?;
     if fig.args.profile {
         harness.enable_profiler(ProfilerConfig::default());
     }
-    let summary = harness.run().map_err(|e| bench_err(label, e))?;
+    let summary = harness.run(label)?;
     Ok((summary, harness.profile()))
 }
 

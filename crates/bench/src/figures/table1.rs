@@ -5,7 +5,7 @@
 use lrscwait_core::SyncArch;
 
 use crate::figure::Figure;
-use crate::model::{table1, AreaParams};
+use crate::model::{reservation_state_bits, table1};
 use crate::report::print_table;
 use crate::{check_claim, BenchError};
 
@@ -46,9 +46,8 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
 
     let mut scale_rows = Vec::new();
     for (cores, banks) in [(256u64, 1024u64), (512, 2048), (1024, 4096)] {
-        let ideal = AreaParams::reservation_state_bits(SyncArch::LrscWaitIdeal, cores, banks);
-        let colibri =
-            AreaParams::reservation_state_bits(SyncArch::Colibri { queues: 4 }, cores, banks);
+        let ideal = reservation_state_bits(SyncArch::LrscWaitIdeal, cores, banks);
+        let colibri = reservation_state_bits(SyncArch::Colibri { queues: 4 }, cores, banks);
         scale_rows.push(vec![
             format!("{cores}x{banks}"),
             format!("{ideal}"),

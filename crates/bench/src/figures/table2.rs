@@ -7,7 +7,7 @@ use lrscwait_kernels::HistImpl;
 
 use super::histogram;
 use crate::figure::{find, Figure};
-use crate::model::EnergyParams;
+use crate::model::energy_report;
 use crate::report::print_table;
 use crate::{check_claim, BenchError, Measurement};
 
@@ -38,15 +38,14 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
         .collect();
     let measurements = histogram::sweep(fig, fig.pick(8, 16), points)?;
 
-    let energy = EnergyParams::default();
     let pj_per_op = |label: &str| -> Result<f64, BenchError> {
         let m = find(&measurements, Measurement::key, label, 1)?;
-        Ok(energy.evaluate(&m.stats, m.cycles).pj_per_op)
+        Ok(energy_report(&m.stats, m.cycles).pj_per_op)
     };
     let colibri_pj = pj_per_op("Colibri")?;
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (m, &(label, _, _, paper_pj, paper_mw)) in measurements.iter().zip(&configs) {
-        let report = energy.evaluate(&m.stats, m.cycles);
+        let report = energy_report(&m.stats, m.cycles);
         eprintln!(
             "{} {label}: {:.0} pJ/op, {:.1} mW (paper: {paper_pj} pJ/op, {paper_mw} mW)",
             fig.name, report.pj_per_op, report.power_mw

@@ -22,92 +22,67 @@
 
 use lrscwait_core::SyncArch;
 
-/// Fitted structure costs in kGE (kilo gate equivalents).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AreaParams {
-    /// Baseline `mempool_tile` area (4 cores, 16 banks, interconnect).
-    pub tile_base_kge: f64,
-    /// Centralized reservation queue: fixed cost per bank.
-    pub waitq_fixed_per_bank: f64,
-    /// Centralized reservation queue: per-slot cost.
-    pub waitq_per_slot: f64,
-    /// Colibri controller: fixed cost per bank.
-    pub colibri_fixed_per_bank: f64,
-    /// Colibri: per-queue (head/tail register pair) cost.
-    pub colibri_per_queue: f64,
-    /// Qnode cost per core.
-    pub qnode_per_core: f64,
-    /// Banks per tile.
-    pub banks_per_tile: u32,
-    /// Cores per tile.
-    pub cores_per_tile: u32,
-}
+// Fitted structure costs in kGE (kilo gate equivalents).
 
-impl Default for AreaParams {
-    fn default() -> AreaParams {
-        AreaParams {
-            tile_base_kge: 691.0,
-            waitq_fixed_per_bank: 5.517_857,
-            waitq_per_slot: 0.669_643,
-            colibri_fixed_per_bank: 1.663_0,
-            colibri_per_queue: 0.594_0,
-            qnode_per_core: 2.0,
-            banks_per_tile: 16,
-            cores_per_tile: 4,
+/// Baseline `mempool_tile` area (4 cores, 16 banks, interconnect).
+const TILE_BASE_KGE: f64 = 691.0;
+/// Centralized reservation queue: fixed cost per bank.
+const WAITQ_FIXED_PER_BANK: f64 = 5.517_857;
+/// Centralized reservation queue: per-slot cost.
+const WAITQ_PER_SLOT: f64 = 0.669_643;
+/// Colibri controller: fixed cost per bank.
+const COLIBRI_FIXED_PER_BANK: f64 = 1.663_0;
+/// Colibri: per-queue (head/tail register pair) cost.
+const COLIBRI_PER_QUEUE: f64 = 0.594_0;
+/// Qnode cost per core.
+const QNODE_PER_CORE: f64 = 2.0;
+/// Banks per tile.
+const BANKS_PER_TILE: f64 = 16.0;
+/// Cores per tile.
+const CORES_PER_TILE: f64 = 4.0;
+
+/// Area in kGE of one tile equipped with `arch` (None = baseline tile).
+/// `num_cores` sizes the ideal queue variant.
+fn tile_area_kge(arch: Option<SyncArch>, num_cores: usize) -> f64 {
+    match arch {
+        None | Some(SyncArch::Lrsc) => TILE_BASE_KGE,
+        Some(SyncArch::LrscWait { slots }) => {
+            TILE_BASE_KGE + BANKS_PER_TILE * (WAITQ_FIXED_PER_BANK + slots as f64 * WAITQ_PER_SLOT)
+        }
+        Some(SyncArch::LrscWaitIdeal) => {
+            TILE_BASE_KGE
+                + BANKS_PER_TILE * (WAITQ_FIXED_PER_BANK + num_cores as f64 * WAITQ_PER_SLOT)
+        }
+        Some(SyncArch::Colibri { queues }) => {
+            TILE_BASE_KGE
+                + BANKS_PER_TILE * (COLIBRI_FIXED_PER_BANK + queues as f64 * COLIBRI_PER_QUEUE)
+                + CORES_PER_TILE * QNODE_PER_CORE
         }
     }
 }
 
-impl AreaParams {
-    /// Area in kGE of one tile equipped with `arch` (None = baseline tile).
-    /// `num_cores` sizes the ideal queue variant.
-    #[must_use]
-    pub fn tile_area_kge(&self, arch: Option<SyncArch>, num_cores: usize) -> f64 {
-        let banks = f64::from(self.banks_per_tile);
-        let cores = f64::from(self.cores_per_tile);
-        match arch {
-            None | Some(SyncArch::Lrsc) => self.tile_base_kge,
-            Some(SyncArch::LrscWait { slots }) => {
-                self.tile_base_kge
-                    + banks * (self.waitq_fixed_per_bank + slots as f64 * self.waitq_per_slot)
-            }
-            Some(SyncArch::LrscWaitIdeal) => {
-                self.tile_base_kge
-                    + banks * (self.waitq_fixed_per_bank + num_cores as f64 * self.waitq_per_slot)
-            }
-            Some(SyncArch::Colibri { queues }) => {
-                self.tile_base_kge
-                    + banks * (self.colibri_fixed_per_bank + queues as f64 * self.colibri_per_queue)
-                    + cores * self.qnode_per_core
-            }
-        }
-    }
+/// Tile area relative to the baseline, in percent.
+#[must_use]
+pub fn tile_area_percent(arch: Option<SyncArch>, num_cores: usize) -> f64 {
+    100.0 * tile_area_kge(arch, num_cores) / TILE_BASE_KGE
+}
 
-    /// Tile area relative to the baseline, in percent.
-    #[must_use]
-    pub fn tile_area_percent(&self, arch: Option<SyncArch>, num_cores: usize) -> f64 {
-        100.0 * self.tile_area_kge(arch, num_cores) / self.tile_base_kge
-    }
-
-    /// Architectural reservation state in bits for a whole system — the
-    /// scaling argument of the paper's Fig. 1 (`O(n·m)` for the queue,
-    /// `O(n + 2m)` for Colibri). Entries are counted as
-    /// (core id + address tag + state) bits.
-    #[must_use]
-    pub fn reservation_state_bits(arch: SyncArch, num_cores: u64, num_banks: u64) -> u64 {
-        let id_bits = 64 - (num_cores.max(2) - 1).leading_zeros() as u64;
-        let addr_bits = 20; // 1 MiB SPM
-        let entry = id_bits + addr_bits + 2;
-        match arch {
-            SyncArch::Lrsc => num_banks * (id_bits + addr_bits + 1),
-            SyncArch::LrscWait { slots } => num_banks * slots as u64 * entry,
-            SyncArch::LrscWaitIdeal => num_banks * num_cores * entry,
-            SyncArch::Colibri { queues } => {
-                // Per bank: queues × (2 ids + addr tag + flags); per core: one
-                // successor id + state.
-                num_banks * queues as u64 * (2 * id_bits + addr_bits + 4)
-                    + num_cores * (id_bits + 4)
-            }
+/// Architectural reservation state in bits for a whole system — the
+/// scaling argument of the paper's Fig. 1 (`O(n·m)` for the queue,
+/// `O(n + 2m)` for Colibri). Entries are counted as
+/// (core id + address tag + state) bits.
+pub(crate) fn reservation_state_bits(arch: SyncArch, num_cores: u64, num_banks: u64) -> u64 {
+    let id_bits = 64 - (num_cores.max(2) - 1).leading_zeros() as u64;
+    let addr_bits = 20; // 1 MiB SPM
+    let entry = id_bits + addr_bits + 2;
+    match arch {
+        SyncArch::Lrsc => num_banks * (id_bits + addr_bits + 1),
+        SyncArch::LrscWait { slots } => num_banks * slots as u64 * entry,
+        SyncArch::LrscWaitIdeal => num_banks * num_cores * entry,
+        SyncArch::Colibri { queues } => {
+            // Per bank: queues × (2 ids + addr tag + flags); per core: one
+            // successor id + state.
+            num_banks * queues as u64 * (2 * id_bits + addr_bits + 4) + num_cores * (id_bits + 4)
         }
     }
 }
@@ -118,24 +93,23 @@ pub struct Table1Row {
     /// Architecture label (matches the paper's rows).
     pub label: String,
     /// Parameter description.
-    pub parameters: String,
+    pub(crate) parameters: String,
     /// Modelled tile area in kGE.
     pub area_kge: f64,
     /// Relative to the baseline tile.
-    pub area_percent: f64,
+    pub(crate) area_percent: f64,
     /// The paper's published value (printed beside the model by `table1`).
     pub paper_kge: Option<f64>,
 }
 
-/// Reproduces Table I with the default fitted constants, appending the
+/// Reproduces Table I with the fitted constants, appending the
 /// ideal-queue row the paper calls "physically infeasible".
 #[must_use]
 pub fn table1() -> Vec<Table1Row> {
-    let p = AreaParams::default();
     let mut rows = vec![Table1Row {
         label: "MemPool tile".to_string(),
         parameters: "none".to_string(),
-        area_kge: p.tile_area_kge(None, 256),
+        area_kge: tile_area_kge(None, 256),
         area_percent: 100.0,
         paper_kge: Some(691.0),
     }];
@@ -143,8 +117,8 @@ pub fn table1() -> Vec<Table1Row> {
         rows.push(Table1Row {
             label: format!("with LRSCwait{slots}"),
             parameters: format!("{slots} queue slot{}", if slots == 1 { "" } else { "s" }),
-            area_kge: p.tile_area_kge(Some(SyncArch::LrscWait { slots }), 256),
-            area_percent: p.tile_area_percent(Some(SyncArch::LrscWait { slots }), 256),
+            area_kge: tile_area_kge(Some(SyncArch::LrscWait { slots }), 256),
+            area_percent: tile_area_percent(Some(SyncArch::LrscWait { slots }), 256),
             paper_kge: Some(paper),
         });
     }
@@ -152,16 +126,16 @@ pub fn table1() -> Vec<Table1Row> {
         rows.push(Table1Row {
             label: "with Colibri with MWait".to_string(),
             parameters: format!("{queues} address{}", if queues == 1 { "" } else { "es" }),
-            area_kge: p.tile_area_kge(Some(SyncArch::Colibri { queues }), 256),
-            area_percent: p.tile_area_percent(Some(SyncArch::Colibri { queues }), 256),
+            area_kge: tile_area_kge(Some(SyncArch::Colibri { queues }), 256),
+            area_percent: tile_area_percent(Some(SyncArch::Colibri { queues }), 256),
             paper_kge: Some(paper),
         });
     }
     rows.push(Table1Row {
         label: "with LRSCwait_ideal".to_string(),
         parameters: "256 queue slots".to_string(),
-        area_kge: p.tile_area_kge(Some(SyncArch::LrscWaitIdeal), 256),
-        area_percent: p.tile_area_percent(Some(SyncArch::LrscWaitIdeal), 256),
+        area_kge: tile_area_kge(Some(SyncArch::LrscWaitIdeal), 256),
+        area_percent: tile_area_percent(Some(SyncArch::LrscWaitIdeal), 256),
         paper_kge: None, // the paper deems it infeasible and reports no area
     });
     rows
@@ -190,33 +164,30 @@ mod tests {
 
     #[test]
     fn exact_rows_match_closely() {
-        let p = AreaParams::default();
         // The two centralized rows were solved exactly.
-        let a1 = p.tile_area_kge(Some(SyncArch::LrscWait { slots: 1 }), 256);
-        let a8 = p.tile_area_kge(Some(SyncArch::LrscWait { slots: 8 }), 256);
+        let a1 = tile_area_kge(Some(SyncArch::LrscWait { slots: 1 }), 256);
+        let a8 = tile_area_kge(Some(SyncArch::LrscWait { slots: 8 }), 256);
         assert!((a1 - 790.0).abs() < 0.1, "{a1}");
         assert!((a8 - 865.0).abs() < 0.1, "{a8}");
     }
 
     #[test]
     fn ideal_queue_is_infeasible_at_scale() {
-        let p = AreaParams::default();
-        let ideal = p.tile_area_kge(Some(SyncArch::LrscWaitIdeal), 256);
+        let ideal = tile_area_kge(Some(SyncArch::LrscWaitIdeal), 256);
         // The ideal queue costs more than four extra baseline tiles.
         assert!(
             ideal > 691.0 * 4.0,
             "ideal queue should dwarf the tile: {ideal:.0} kGE"
         );
         // Colibri with 8 queues stays within ~16% like the paper says.
-        let colibri = p.tile_area_percent(Some(SyncArch::Colibri { queues: 8 }), 256);
+        let colibri = tile_area_percent(Some(SyncArch::Colibri { queues: 8 }), 256);
         assert!((100.0..=117.0).contains(&colibri), "{colibri}");
     }
 
     #[test]
     fn colibri_six_percent_claim() {
         // Abstract: "area overhead of only 6%" — the 1-address configuration.
-        let p = AreaParams::default();
-        let pct = p.tile_area_percent(Some(SyncArch::Colibri { queues: 1 }), 256) - 100.0;
+        let pct = tile_area_percent(Some(SyncArch::Colibri { queues: 1 }), 256) - 100.0;
         assert!((5.0..7.0).contains(&pct), "overhead {pct:.1}%");
     }
 
@@ -224,12 +195,10 @@ mod tests {
     fn state_scaling_linear_vs_quadratic() {
         // Doubling the system (cores and banks) roughly quadruples the ideal
         // queue state but only doubles Colibri's.
-        let ideal_1x = AreaParams::reservation_state_bits(SyncArch::LrscWaitIdeal, 256, 1024);
-        let ideal_2x = AreaParams::reservation_state_bits(SyncArch::LrscWaitIdeal, 512, 2048);
-        let colibri_1x =
-            AreaParams::reservation_state_bits(SyncArch::Colibri { queues: 4 }, 256, 1024);
-        let colibri_2x =
-            AreaParams::reservation_state_bits(SyncArch::Colibri { queues: 4 }, 512, 2048);
+        let ideal_1x = reservation_state_bits(SyncArch::LrscWaitIdeal, 256, 1024);
+        let ideal_2x = reservation_state_bits(SyncArch::LrscWaitIdeal, 512, 2048);
+        let colibri_1x = reservation_state_bits(SyncArch::Colibri { queues: 4 }, 256, 1024);
+        let colibri_2x = reservation_state_bits(SyncArch::Colibri { queues: 4 }, 512, 2048);
         let ideal_ratio = ideal_2x as f64 / ideal_1x as f64;
         let colibri_ratio = colibri_2x as f64 / colibri_1x as f64;
         assert!(
@@ -244,8 +213,7 @@ mod tests {
 
     #[test]
     fn baseline_is_hundred_percent() {
-        let p = AreaParams::default();
-        assert_eq!(p.tile_area_percent(None, 256), 100.0);
-        assert_eq!(p.tile_area_percent(Some(SyncArch::Lrsc), 256), 100.0);
+        assert_eq!(tile_area_percent(None, 256), 100.0);
+        assert_eq!(tile_area_percent(Some(SyncArch::Lrsc), 256), 100.0);
     }
 }

@@ -13,113 +13,81 @@
 
 use lrscwait_sim::SimStats;
 
-/// Per-event energies in picojoules, plus the clock for power conversion.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyParams {
-    /// Static + clock-tree energy of the whole system per cycle. The
-    /// paper's power spread is narrow (169–188 mW across all variants),
-    /// showing consumption is dominated by this term — energy per op then
-    /// tracks *runtime* per op, which the simulator measures directly.
-    pub static_pj_per_cycle: f64,
-    /// Energy per retired instruction.
-    pub instr_pj: f64,
-    /// Energy per active core cycle (fetch/clock overhead).
-    pub active_cycle_pj: f64,
-    /// Energy per stalled-but-runnable core cycle (pipeline interlock or
-    /// outbox backpressure — the core is clocked, just not issuing, so
-    /// this matches the active-cycle cost).
-    pub stall_cycle_pj: f64,
-    /// Energy per sleeping core cycle (clock-gated, waiting on memory).
-    pub sleep_cycle_pj: f64,
-    /// Energy per cycle parked at the barrier.
-    pub barrier_cycle_pj: f64,
-    /// Energy per network hop traversal (either virtual network).
-    pub hop_pj: f64,
-    /// Energy per message injection (serialization cost).
-    pub inject_pj: f64,
-    /// Energy per bank request processed (SRAM access + adapter logic).
-    pub bank_pj: f64,
-    /// Clock frequency in Hz (600 MHz in the paper).
-    pub clock_hz: f64,
-}
+// Per-event energies in picojoules, plus the clock for power conversion.
 
-impl Default for EnergyParams {
-    fn default() -> EnergyParams {
-        EnergyParams {
-            static_pj_per_cycle: 250.0, // ~150 mW at 600 MHz for 256 cores
-            instr_pj: 0.5,
-            active_cycle_pj: 0.3,
-            stall_cycle_pj: 0.3,
-            sleep_cycle_pj: 0.05,
-            barrier_cycle_pj: 0.05,
-            hop_pj: 1.5,
-            inject_pj: 0.5,
-            bank_pj: 2.5,
-            clock_hz: 600.0e6,
-        }
-    }
-}
+/// Static + clock-tree energy of the whole system per cycle (~150 mW at
+/// 600 MHz for 256 cores). The paper's power spread is narrow (169–188 mW
+/// across all variants), showing consumption is dominated by this term —
+/// energy per op then tracks *runtime* per op, which the simulator
+/// measures directly.
+const STATIC_PJ_PER_CYCLE: f64 = 250.0;
+/// Energy per retired instruction.
+const INSTR_PJ: f64 = 0.5;
+/// Energy per active core cycle (fetch/clock overhead).
+const ACTIVE_CYCLE_PJ: f64 = 0.3;
+/// Energy per stalled-but-runnable core cycle (pipeline interlock or
+/// outbox backpressure — the core is clocked, just not issuing, so this
+/// matches the active-cycle cost).
+const STALL_CYCLE_PJ: f64 = 0.3;
+/// Energy per sleeping core cycle (clock-gated, waiting on memory).
+const SLEEP_CYCLE_PJ: f64 = 0.05;
+/// Energy per cycle parked at the barrier.
+const BARRIER_CYCLE_PJ: f64 = 0.05;
+/// Energy per network hop traversal (either virtual network).
+const HOP_PJ: f64 = 1.5;
+/// Energy per message injection (serialization cost).
+const INJECT_PJ: f64 = 0.5;
+/// Energy per bank request processed (SRAM access + adapter logic).
+const BANK_PJ: f64 = 2.5;
+/// Clock frequency in Hz (600 MHz in the paper).
+const CLOCK_HZ: f64 = 600.0e6;
 
 /// Energy accounting for one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyReport {
-    /// Total energy in picojoules.
-    pub total_pj: f64,
     /// Energy per counted benchmark operation.
     pub pj_per_op: f64,
     /// Average power in milliwatts at the configured clock.
-    pub power_mw: f64,
-    /// Core-side energy (instructions + cycles).
-    pub core_pj: f64,
-    /// Network energy (injections + hops).
-    pub network_pj: f64,
-    /// Bank/memory energy.
-    pub bank_pj: f64,
+    pub(crate) power_mw: f64,
 }
 
-impl EnergyParams {
-    /// Evaluates the model over a finished run.
-    #[must_use]
-    pub fn evaluate(&self, stats: &SimStats, cycles: u64) -> EnergyReport {
-        let mut instret = 0.0;
-        let mut active = 0.0;
-        let mut stall = 0.0;
-        let mut sleep = 0.0;
-        let mut barrier = 0.0;
-        for c in &stats.cores {
-            instret += c.instret as f64;
-            active += c.active_cycles as f64;
-            stall += c.stall_cycles as f64;
-            sleep += c.sleep_cycles as f64;
-            barrier += c.barrier_cycles as f64;
-        }
-        let core_pj = instret * self.instr_pj
-            + active * self.active_cycle_pj
-            + stall * self.stall_cycle_pj
-            + sleep * self.sleep_cycle_pj
-            + barrier * self.barrier_cycle_pj;
-        let injected = (stats.req_network.injected + stats.resp_network.injected) as f64;
-        let hops = (stats.req_network.hops
-            + stats.resp_network.hops
-            + stats.req_network.delivered
-            + stats.resp_network.delivered) as f64;
-        let network_pj = injected * self.inject_pj + hops * self.hop_pj;
-        let bank_pj = stats.adapters.requests as f64 * self.bank_pj;
-        let total_pj = core_pj + network_pj + bank_pj + cycles as f64 * self.static_pj_per_cycle;
-        let ops = stats.total_ops().max(1) as f64;
-        let seconds = cycles as f64 / self.clock_hz;
-        EnergyReport {
-            total_pj,
-            pj_per_op: total_pj / ops,
-            power_mw: if seconds > 0.0 {
-                total_pj * 1e-12 / seconds * 1e3
-            } else {
-                0.0
-            },
-            core_pj,
-            network_pj,
-            bank_pj,
-        }
+/// Evaluates the model over a finished run.
+#[must_use]
+pub fn energy_report(stats: &SimStats, cycles: u64) -> EnergyReport {
+    let mut instret = 0.0;
+    let mut active = 0.0;
+    let mut stall = 0.0;
+    let mut sleep = 0.0;
+    let mut barrier = 0.0;
+    for c in &stats.cores {
+        instret += c.instret as f64;
+        active += c.active_cycles as f64;
+        stall += c.stall_cycles as f64;
+        sleep += c.sleep_cycles as f64;
+        barrier += c.barrier_cycles as f64;
+    }
+    let core_pj = instret * INSTR_PJ
+        + active * ACTIVE_CYCLE_PJ
+        + stall * STALL_CYCLE_PJ
+        + sleep * SLEEP_CYCLE_PJ
+        + barrier * BARRIER_CYCLE_PJ;
+    let injected = (stats.req_network.injected + stats.resp_network.injected) as f64;
+    let hops = (stats.req_network.hops
+        + stats.resp_network.hops
+        + stats.req_network.delivered
+        + stats.resp_network.delivered) as f64;
+    let network_pj = injected * INJECT_PJ + hops * HOP_PJ;
+    let bank_pj = stats.adapters.requests as f64 * BANK_PJ;
+    let total_pj = core_pj + network_pj + bank_pj + cycles as f64 * STATIC_PJ_PER_CYCLE;
+    let ops = stats.total_ops().max(1) as f64;
+    let seconds = cycles as f64 / CLOCK_HZ;
+    EnergyReport {
+        pj_per_op: total_pj / ops,
+        power_mw: if seconds > 0.0 {
+            total_pj * 1e-12 / seconds * 1e3
+        } else {
+            0.0
+        },
     }
 }
 
@@ -142,21 +110,17 @@ mod tests {
 
     #[test]
     fn energy_accumulates_components() {
-        let p = EnergyParams::default();
-        let stats = stats_with(100, 100, 0, 10);
-        let report = p.evaluate(&stats, 100);
-        let expected_core = 100.0 * p.instr_pj + 100.0 * p.active_cycle_pj;
-        assert!((report.core_pj - expected_core).abs() < 1e-9);
-        assert!((report.pj_per_op - report.total_pj / 10.0).abs() < 1e-9);
+        let report = energy_report(&stats_with(100, 100, 0, 10), 100);
+        let total = 100.0 * INSTR_PJ + 100.0 * ACTIVE_CYCLE_PJ + 100.0 * STATIC_PJ_PER_CYCLE;
+        assert!((report.pj_per_op - total / 10.0).abs() < 1e-9);
         assert!(report.power_mw > 0.0);
     }
 
     #[test]
     fn sleeping_is_cheaper_than_spinning() {
-        let p = EnergyParams::default();
         // Same duration; one run slept, the other spun actively.
-        let sleeper = p.evaluate(&stats_with(1000, 100, 10_000, 100), 10_100);
-        let spinner = p.evaluate(&stats_with(10_000, 10_100, 0, 100), 10_100);
+        let sleeper = energy_report(&stats_with(1000, 100, 10_000, 100), 10_100);
+        let spinner = energy_report(&stats_with(10_000, 10_100, 0, 100), 10_100);
         assert!(
             spinner.pj_per_op > sleeper.pj_per_op,
             "polling must cost more: {} vs {}",
@@ -165,14 +129,14 @@ mod tests {
         );
         // The *dynamic* core energy gap is large even though static power
         // dominates the totals (as in the paper's narrow mW spread).
-        assert!(spinner.core_pj > 3.0 * sleeper.core_pj);
+        let static_per_op = 10_100.0 * STATIC_PJ_PER_CYCLE / 100.0;
+        assert!(spinner.pj_per_op - static_per_op > 3.0 * (sleeper.pj_per_op - static_per_op));
     }
 
     #[test]
     fn zero_ops_guarded() {
-        let p = EnergyParams::default();
-        let report = p.evaluate(&SimStats::default(), 0);
-        assert_eq!(report.total_pj, 0.0);
+        let report = energy_report(&SimStats::default(), 0);
+        assert_eq!(report.pj_per_op, 0.0);
         assert_eq!(report.power_mw, 0.0);
     }
 }

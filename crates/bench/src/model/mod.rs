@@ -5,5 +5,6 @@
 mod area;
 mod energy;
 
-pub use area::{table1, AreaParams, Table1Row};
-pub use energy::{EnergyParams, EnergyReport};
+pub(crate) use area::reservation_state_bits;
+pub use area::{table1, tile_area_percent, Table1Row};
+pub use energy::{energy_report, EnergyReport};

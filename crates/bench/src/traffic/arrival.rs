@@ -10,7 +10,7 @@
 //! here.)
 
 /// xorshift64\* PRNG state (nonzero by construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct Rng64 {
     s: u64,
 }
@@ -81,7 +81,7 @@ fn det_ln(x: f64) -> f64 {
 }
 
 /// Arrival model parameters (cycles).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Debug)]
 enum Model {
     /// Memoryless arrivals at a constant rate.
     Poisson {
@@ -107,8 +107,8 @@ enum Model {
 /// The process keeps a *continuous* clock internally (fractional cycles
 /// carry across draws, so low rates are not quantized away) and floors it
 /// to a cycle number per arrival.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ArrivalProcess {
+#[derive(Debug)]
+pub(crate) struct ArrivalProcess {
     model: Model,
     rng: Rng64,
     /// Continuous arrival clock (cycles).
@@ -125,8 +125,7 @@ impl ArrivalProcess {
     /// # Panics
     ///
     /// Panics when `mean_interarrival` is not a positive finite number.
-    #[must_use]
-    pub fn poisson(seed: u64, mean_interarrival: f64) -> ArrivalProcess {
+    pub(crate) fn poisson(seed: u64, mean_interarrival: f64) -> ArrivalProcess {
         assert!(
             mean_interarrival > 0.0 && mean_interarrival.is_finite(),
             "mean inter-arrival must be positive and finite"
@@ -150,8 +149,7 @@ impl ArrivalProcess {
     /// # Panics
     ///
     /// Panics when any parameter is not a positive finite number.
-    #[must_use]
-    pub fn mmpp(
+    pub(crate) fn mmpp(
         seed: u64,
         slow_interarrival: f64,
         fast_interarrival: f64,
@@ -183,11 +181,10 @@ impl ArrivalProcess {
         p
     }
 
-    /// Long-run mean inter-arrival time in cycles (for offered-load
-    /// reporting). For the MMPP this is the harmonic combination of the
-    /// two state rates, since dwells in both states have equal mean.
-    #[must_use]
-    pub fn mean_interarrival(&self) -> f64 {
+    /// Long-run mean inter-arrival time in cycles. For the MMPP this is the
+    /// harmonic combination of the two state rates, since dwells in both
+    /// states have equal mean.
+    pub(crate) fn mean_interarrival(&self) -> f64 {
         match self.model {
             Model::Poisson { mean } => mean,
             Model::Mmpp { slow, fast, .. } => 2.0 / (1.0 / slow + 1.0 / fast),
@@ -200,7 +197,7 @@ impl ArrivalProcess {
 
     /// Draws the next arrival and returns its cycle number. The sequence
     /// is non-decreasing; several arrivals may share a cycle.
-    pub fn next_arrival(&mut self) -> u64 {
+    pub(crate) fn next_arrival(&mut self) -> u64 {
         match self.model {
             Model::Poisson { mean } => {
                 let step = self.exp_sample(mean);

@@ -11,113 +11,53 @@
 //! quantity whose tail the figure plots.
 //!
 //! The machine advances in bounded [`Machine::run_until`] quanta: to the
-//! next arrival when one is pending, and by `poll_interval` otherwise.
+//! next arrival when one is pending, and by [`POLL_INTERVAL`] otherwise.
 //! Completion timestamps come from the guest-side stamp (exact), so the
 //! poll quantum only bounds how late a *queued* item can be dispatched —
 //! at high load arrivals are dense and the quantum is rarely the limit.
 
 use std::collections::VecDeque;
-use std::error::Error;
-use std::fmt;
 
 use lrscwait_kernels::{VerifyError, Workload};
-use lrscwait_sim::{ExitReason, Machine, PhaseProfile, ProfilerConfig, SimConfig, SimError};
+use lrscwait_sim::{ExitReason, Machine, PhaseProfile, ProfilerConfig, SimConfig};
 
 use super::arrival::ArrivalProcess;
 use super::latency::{LatencyRecorder, LatencyStats};
 use super::service::ServiceKernel;
+use crate::BenchError;
 
-/// Everything that can go wrong while driving a traffic run.
-#[derive(Debug)]
-pub enum HarnessError {
-    /// The simulator rejected the configuration or faulted.
-    Sim(SimError),
-    /// The run completed but the fleet computed wrong results.
-    Verify(VerifyError),
-    /// The guest fleet violated the mailbox protocol (e.g. halted before
-    /// being stopped).
-    Protocol(String),
-}
+/// Idle poll quantum in cycles (bounds dispatch latency of queued items
+/// between arrivals).
+const POLL_INTERVAL: u64 = 64;
 
-impl fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HarnessError::Sim(e) => write!(f, "simulation failed: {e}"),
-            HarnessError::Verify(e) => write!(f, "verification failed: {e}"),
-            HarnessError::Protocol(what) => write!(f, "mailbox protocol violation: {what}"),
-        }
-    }
-}
-
-impl Error for HarnessError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            HarnessError::Sim(e) => Some(e),
-            HarnessError::Verify(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SimError> for HarnessError {
-    fn from(e: SimError) -> HarnessError {
-        HarnessError::Sim(e)
-    }
-}
-
-/// Host-side traffic parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TrafficConfig {
-    /// Total items to inject and serve.
-    pub items: u64,
-    /// Idle poll quantum in cycles (bounds dispatch latency of queued
-    /// items between arrivals).
-    pub poll_interval: u64,
-    /// Cycles before the first arrival (fleet boot and barrier).
-    pub warmup: u64,
-}
-
-impl TrafficConfig {
-    /// `items` with the default poll quantum (64) and warmup (500).
-    #[must_use]
-    pub fn new(items: u64) -> TrafficConfig {
-        TrafficConfig {
-            items,
-            poll_interval: 64,
-            warmup: 500,
-        }
-    }
-}
+/// Cycles before the first arrival (fleet boot and barrier).
+pub(crate) const WARMUP: u64 = 500;
 
 /// Summary of one finished traffic run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TrafficSummary {
+#[derive(Debug)]
+pub(crate) struct TrafficSummary {
     /// Long-run mean inter-arrival time of the load (cycles).
-    pub mean_interarrival: f64,
-    /// Offered load ρ = service_cycles / (servers × mean inter-arrival).
-    /// Nominal — real per-item service time adds mailbox and contention
-    /// overhead, so saturation sets in somewhat below ρ = 1.
-    pub offered_load: f64,
+    pub(crate) mean_interarrival: f64,
     /// Items requested.
-    pub items: u64,
+    pub(crate) items: u64,
     /// Items actually completed (equals `items` unless `dnf`).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Machine cycles at the end of the run.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// True when the cycle budget ran out first (saturated point).
-    pub dnf: bool,
+    pub(crate) dnf: bool,
     /// End-to-end latency distribution (arrival → completion).
-    pub latency: LatencyStats,
+    pub(crate) latency: LatencyStats,
     /// Completed items per thousand cycles.
-    pub throughput_per_kcycle: f64,
+    pub(crate) throughput_per_kcycle: f64,
     /// Mean host-queue depth over the sampled run.
-    pub queue_depth_mean: f64,
+    pub(crate) queue_depth_mean: f64,
     /// Maximum host-queue depth observed.
-    pub queue_depth_max: u32,
+    pub(crate) queue_depth_max: u32,
 }
 
 /// One queued or in-service work item.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct Item {
     payload: u32,
     arrive: u64,
@@ -130,9 +70,9 @@ fn payload_for(id: u64) -> u32 {
 }
 
 /// Drives one machine + service fleet + arrival process to completion.
-pub struct ServiceHarness {
+pub(crate) struct ServiceHarness {
     kernel: ServiceKernel,
-    traffic: TrafficConfig,
+    items: u64,
     machine: Machine,
     arrivals: ArrivalProcess,
     recorder: LatencyRecorder,
@@ -153,30 +93,30 @@ pub struct ServiceHarness {
 }
 
 impl ServiceHarness {
-    /// Builds the machine, loads the fleet program and arms the first
-    /// arrival. `sim_cfg.topology` must provide at least
+    /// Builds the machine, loads the fleet program and arms the first of
+    /// `items` arrivals. `sim_cfg.topology` must provide at least
     /// `kernel.num_cores` cores.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Sim`] when the machine cannot be built.
-    pub fn new(
+    /// Returns [`BenchError::Load`] when the machine cannot be built.
+    pub(crate) fn new(
         sim_cfg: SimConfig,
         kernel: ServiceKernel,
-        traffic: TrafficConfig,
+        items: u64,
         mut arrivals: ArrivalProcess,
-    ) -> Result<ServiceHarness, HarnessError> {
+    ) -> Result<ServiceHarness, BenchError> {
         let mut cfg = sim_cfg;
         for (i, value) in Workload::args(&kernel) {
             cfg.args[i] = value;
         }
         let program = Workload::program(&kernel);
-        let machine = Machine::new(cfg, &program)?;
+        let machine = Machine::new(cfg, &program).map_err(BenchError::Load)?;
         let servers = kernel.num_cores as usize;
-        let next_arrival = traffic.warmup + arrivals.next_arrival();
+        let next_arrival = WARMUP + arrivals.next_arrival();
         Ok(ServiceHarness {
             kernel,
-            traffic,
+            items,
             door: program.symbol("door"),
             work: program.symbol("work"),
             done: program.symbol("done"),
@@ -184,7 +124,7 @@ impl ServiceHarness {
             checks: program.symbol("checks"),
             machine,
             arrivals,
-            recorder: LatencyRecorder::new(),
+            recorder: LatencyRecorder::default(),
             queue: VecDeque::new(),
             inflight: vec![None; servers],
             issued: vec![0; servers],
@@ -198,31 +138,31 @@ impl ServiceHarness {
     /// Enables the host-side phase profiler on the underlying machine.
     /// Profiling never changes simulated results — latencies and
     /// checksums are bit-identical with it on or off.
-    pub fn enable_profiler(&mut self, cfg: ProfilerConfig) {
+    pub(crate) fn enable_profiler(&mut self, cfg: ProfilerConfig) {
         self.machine.enable_profiler(cfg);
     }
 
     /// The machine's phase profile so far (None until the profiler is
     /// enabled).
-    #[must_use]
-    pub fn profile(&self) -> Option<PhaseProfile> {
+    pub(crate) fn profile(&self) -> Option<PhaseProfile> {
         self.machine.profile()
     }
 
     /// Runs to completion (or to the cycle budget) and returns the
     /// summary. Saturated points come back with `dnf: true` rather than
     /// as errors, mirroring the DNF policy of the figure binaries.
+    /// `label` names the run in errors.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Sim`] when the simulation faults,
-    /// [`HarnessError::Protocol`] when the fleet halts before being
-    /// stopped, and [`HarnessError::Verify`] when the fleet's checksums
-    /// or histogram conservation do not match what the host injected.
-    pub fn run(&mut self) -> Result<TrafficSummary, HarnessError> {
+    /// Returns [`BenchError::Run`] when the simulation faults, and
+    /// [`BenchError::Verify`] when the fleet halts before being stopped or
+    /// its checksums or histogram conservation do not match what the host
+    /// injected.
+    pub(crate) fn run(&mut self, label: &str) -> Result<TrafficSummary, BenchError> {
         loop {
-            if let Some(dnf) = self.step()? {
-                return self.finish(dnf);
+            if let Some(dnf) = self.step(label)? {
+                return self.finish(label, dnf);
             }
         }
     }
@@ -232,18 +172,18 @@ impl ServiceHarness {
     /// machine to the next arrival or poll tick. Returns `Some(dnf)` once
     /// the run is over: `false` when every item completed, `true` when
     /// the cycle budget ran out first (a saturated point).
-    fn step(&mut self) -> Result<Option<bool>, HarnessError> {
+    fn step(&mut self, label: &str) -> Result<Option<bool>, BenchError> {
         let now = self.machine.cycles();
 
         // 1. Absorb arrivals due by now into the host queue.
-        while self.generated < self.traffic.items && self.next_arrival <= now {
+        while self.generated < self.items && self.next_arrival <= now {
             self.queue.push_back(Item {
                 payload: payload_for(self.generated),
                 arrive: self.next_arrival,
             });
             self.generated += 1;
-            if self.generated < self.traffic.items {
-                self.next_arrival = self.traffic.warmup + self.arrivals.next_arrival();
+            if self.generated < self.items {
+                self.next_arrival = WARMUP + self.arrivals.next_arrival();
             }
         }
 
@@ -284,29 +224,35 @@ impl ServiceHarness {
         // 4. Sample the host-queue depth (waiting items only).
         self.recorder.sample_depth(self.queue.len() as u32);
 
-        if self.completed == self.traffic.items {
+        if self.completed == self.items {
             return Ok(Some(false));
         }
 
         // 5. Advance to the next interesting cycle.
-        let mut target = now + self.traffic.poll_interval;
-        if self.generated < self.traffic.items || self.next_arrival > now {
+        let mut target = now + POLL_INTERVAL;
+        if self.generated < self.items || self.next_arrival > now {
             target = target.min(self.next_arrival);
         }
         let target = target.max(now + 1);
-        let summary = self.machine.run_until(target)?;
+        let summary = self.machine.run_until(target).map_err(BenchError::Run)?;
         match summary.exit {
             ExitReason::TargetReached => Ok(None),
             ExitReason::Watchdog => Ok(Some(true)),
-            ExitReason::AllHalted => Err(HarnessError::Protocol(
-                "service fleet halted before receiving stop".to_string(),
-            )),
+            // A server left its loop without receiving STOP.
+            ExitReason::AllHalted => Err(BenchError::Verify {
+                label: label.to_string(),
+                source: VerifyError::Conservation {
+                    what: "items served before the fleet halted",
+                    expected: self.items,
+                    actual: self.completed,
+                },
+            }),
         }
     }
 
     /// Stops the fleet (when the run completed), verifies payload
     /// checksums and kernel conservation, and returns the summary.
-    fn finish(&mut self, mut dnf: bool) -> Result<TrafficSummary, HarnessError> {
+    fn finish(&mut self, label: &str, mut dnf: bool) -> Result<TrafficSummary, BenchError> {
         if !dnf {
             // Shut the fleet down and let it drain to a clean halt.
             for c in 0..self.kernel.num_cores {
@@ -316,13 +262,17 @@ impl ServiceHarness {
                 self.machine
                     .inject_store(ServiceKernel::slot(self.door, c), self.issued[c as usize]);
             }
-            let summary = self.machine.run()?;
+            let summary = self.machine.run().map_err(BenchError::Run)?;
             if summary.exit == ExitReason::AllHalted {
+                let verify = |source| BenchError::Verify {
+                    label: label.to_string(),
+                    source,
+                };
                 for c in 0..self.kernel.num_cores {
                     let got = self.machine.read_word(self.checks + 4 * c);
                     let want = self.sums[c as usize];
                     if got != want {
-                        return Err(HarnessError::Verify(VerifyError::ResultMismatch {
+                        return Err(verify(VerifyError::ResultMismatch {
                             what: "payload checksum",
                             index: c,
                             expected: want,
@@ -330,21 +280,16 @@ impl ServiceHarness {
                         }));
                     }
                 }
-                self.kernel
-                    .verify(&self.machine)
-                    .map_err(HarnessError::Verify)?;
+                self.kernel.verify(&self.machine).map_err(verify)?;
             } else {
                 // The budget ran out while draining the stop doorbells.
                 dnf = true;
             }
         }
         let cycles = self.machine.cycles();
-        let mean_interarrival = self.arrivals.mean_interarrival();
-        let servers = f64::from(self.kernel.num_cores);
         Ok(TrafficSummary {
-            mean_interarrival,
-            offered_load: f64::from(self.kernel.service_cycles) / (servers * mean_interarrival),
-            items: self.traffic.items,
+            mean_interarrival: self.arrivals.mean_interarrival(),
+            items: self.items,
             completed: self.completed,
             cycles,
             dnf,
@@ -365,36 +310,35 @@ mod tests {
     use super::*;
     use lrscwait_core::SyncArch;
 
-    fn harness(arch: SyncArch, items: u64, mean: f64, seed: u64) -> ServiceHarness {
-        let kernel = ServiceKernel::new(4, 100);
-        let cfg = SimConfig::small(4, arch);
-        ServiceHarness::new(
-            cfg,
-            kernel,
-            TrafficConfig::new(items),
-            ArrivalProcess::poisson(seed, mean),
-        )
-        .unwrap()
+    fn harness(arch: SyncArch, servers: u32, items: u64, mean: f64, seed: u64) -> ServiceHarness {
+        let kernel = ServiceKernel::new(servers, 100);
+        let cfg = SimConfig::small(servers as usize, arch);
+        ServiceHarness::new(cfg, kernel, items, ArrivalProcess::poisson(seed, mean)).unwrap()
     }
 
     #[test]
-    fn completes_all_items_on_colibri() {
-        let mut h = harness(SyncArch::Colibri { queues: 2 }, 60, 400.0, 9);
-        let summary = h.run().unwrap();
-        assert!(!summary.dnf);
-        assert_eq!(summary.completed, 60);
-        assert_eq!(summary.latency.count, 60);
-        // Latency includes at least the nominal service loop.
-        assert!(summary.latency.p50 >= 100, "p50 {}", summary.latency.p50);
-        assert!(summary.latency.p99 >= summary.latency.p50);
-        assert!(summary.latency.max >= summary.latency.p999);
-        assert!(summary.throughput_per_kcycle > 0.0);
+    fn completes_all_items_on_wait_hardware() {
+        for (arch, servers, mean) in [
+            (SyncArch::Colibri { queues: 2 }, 4, 400.0),
+            (SyncArch::LrscWaitIdeal, 4, 400.0),
+            (SyncArch::Colibri { queues: 2 }, 1, 1600.0),
+        ] {
+            let mut h = harness(arch, servers, 60, mean, 9);
+            let summary = h.run("test").unwrap();
+            assert!(!summary.dnf, "{arch} x{servers}");
+            assert_eq!(summary.completed, 60);
+            // Latency includes at least the nominal service loop.
+            assert!(summary.latency.p50 >= 100, "p50 {}", summary.latency.p50);
+            assert!(summary.latency.p99 >= summary.latency.p50);
+            assert!(summary.latency.max >= summary.latency.p999);
+            assert!(summary.throughput_per_kcycle > 0.0);
+        }
     }
 
     #[test]
     fn completes_on_plain_lrsc_via_polling() {
-        let mut h = harness(SyncArch::Lrsc, 40, 500.0, 5);
-        let summary = h.run().unwrap();
+        let mut h = harness(SyncArch::Lrsc, 4, 40, 500.0, 5);
+        let summary = h.run("test").unwrap();
         assert!(!summary.dnf);
         assert_eq!(summary.completed, 40);
     }
@@ -406,14 +350,9 @@ mod tests {
         let kernel = ServiceKernel::new(1, 400);
         let mut cfg = SimConfig::small(1, SyncArch::Colibri { queues: 2 });
         cfg.max_cycles = 60_000;
-        let mut h = ServiceHarness::new(
-            cfg,
-            kernel,
-            TrafficConfig::new(100_000),
-            ArrivalProcess::poisson(3, 20.0),
-        )
-        .unwrap();
-        let summary = h.run().unwrap();
+        let arrivals = ArrivalProcess::poisson(3, 20.0);
+        let mut h = ServiceHarness::new(cfg, kernel, 100_000, arrivals).unwrap();
+        let summary = h.run("test").unwrap();
         assert!(summary.dnf);
         assert!(summary.completed < 100_000);
         assert!(summary.queue_depth_max > 4, "queue must have built up");

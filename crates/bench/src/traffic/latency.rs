@@ -1,35 +1,19 @@
 //! Per-item latency recording and tail percentiles.
 
-/// Aggregated latency distribution of a finished (or in-progress) run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencyStats {
-    /// Completed items recorded.
-    pub count: u64,
+/// Aggregated latency distribution of a finished run; all zero when no
+/// item completed.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyStats {
     /// Mean latency in cycles.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Median (nearest-rank) in cycles.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// 99th percentile (nearest-rank) in cycles.
-    pub p99: u64,
+    pub(crate) p99: u64,
     /// 99.9th percentile (nearest-rank) in cycles.
-    pub p999: u64,
+    pub(crate) p999: u64,
     /// Maximum observed latency in cycles.
-    pub max: u64,
-}
-
-impl LatencyStats {
-    /// The all-zero distribution (no samples).
-    #[must_use]
-    pub fn empty() -> LatencyStats {
-        LatencyStats {
-            count: 0,
-            mean: 0.0,
-            p50: 0,
-            p99: 0,
-            p999: 0,
-            max: 0,
-        }
-    }
+    pub(crate) max: u64,
 }
 
 /// Records per-item end-to-end latencies (enqueue cycle → completion
@@ -42,32 +26,19 @@ pub(crate) struct LatencyRecorder {
 }
 
 impl LatencyRecorder {
-    /// An empty recorder.
-    #[must_use]
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder::default()
-    }
-
     /// Records one completed item's latency in cycles.
-    pub fn record(&mut self, latency: u64) {
+    pub(crate) fn record(&mut self, latency: u64) {
         self.latencies.push(latency);
     }
 
     /// Records the host-side queue depth (waiting items, not counting
     /// items in service).
-    pub fn sample_depth(&mut self, depth: u32) {
+    pub(crate) fn sample_depth(&mut self, depth: u32) {
         self.depth.push(depth);
     }
 
-    /// Number of recorded completions.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.latencies.len() as u64
-    }
-
     /// Mean of the depth samples (0 when none were taken).
-    #[must_use]
-    pub fn mean_depth(&self) -> f64 {
+    pub(crate) fn mean_depth(&self) -> f64 {
         if self.depth.is_empty() {
             return 0.0;
         }
@@ -76,16 +47,14 @@ impl LatencyRecorder {
     }
 
     /// Maximum depth sample (0 when none were taken).
-    #[must_use]
-    pub fn max_depth(&self) -> u32 {
+    pub(crate) fn max_depth(&self) -> u32 {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// Nearest-rank percentile of the recorded latencies: the smallest
     /// recorded value with at least `p` percent of samples at or below
     /// it. Returns 0 when nothing was recorded.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> u64 {
+    fn percentile(&self, p: f64) -> u64 {
         if self.latencies.is_empty() {
             return 0;
         }
@@ -97,14 +66,12 @@ impl LatencyRecorder {
     }
 
     /// The full distribution summary.
-    #[must_use]
-    pub fn stats(&self) -> LatencyStats {
+    pub(crate) fn stats(&self) -> LatencyStats {
         if self.latencies.is_empty() {
-            return LatencyStats::empty();
+            return LatencyStats::default();
         }
         let sum: u64 = self.latencies.iter().sum();
         LatencyStats {
-            count: self.count(),
             mean: sum as f64 / self.latencies.len() as f64,
             p50: self.percentile(50.0),
             p99: self.percentile(99.0),
@@ -120,7 +87,7 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut r = LatencyRecorder::new();
+        let mut r = LatencyRecorder::default();
         for v in 1..=100u64 {
             r.record(v);
         }
@@ -129,15 +96,15 @@ mod tests {
         assert_eq!(r.percentile(99.9), 100);
         assert_eq!(r.percentile(100.0), 100);
         let s = r.stats();
-        assert_eq!(s.count, 100);
         assert_eq!(s.max, 100);
         assert!((s.mean - 50.5).abs() < 1e-9);
     }
 
     #[test]
     fn single_sample_and_empty() {
-        let mut r = LatencyRecorder::new();
-        assert_eq!(r.stats(), LatencyStats::empty());
+        let mut r = LatencyRecorder::default();
+        let s = r.stats();
+        assert_eq!((s.p50, s.p99, s.p999, s.max), (0, 0, 0, 0));
         r.record(7);
         let s = r.stats();
         assert_eq!((s.p50, s.p99, s.p999, s.max), (7, 7, 7, 7));
@@ -145,7 +112,7 @@ mod tests {
 
     #[test]
     fn depth_accounting() {
-        let mut r = LatencyRecorder::new();
+        let mut r = LatencyRecorder::default();
         for depth in [0, 4, 2] {
             r.sample_depth(depth);
         }

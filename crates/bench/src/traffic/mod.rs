@@ -25,6 +25,6 @@ mod harness;
 mod latency;
 mod service;
 
-pub use arrival::ArrivalProcess;
-pub use harness::{HarnessError, ServiceHarness, TrafficConfig, TrafficSummary};
-pub use service::ServiceKernel;
+pub(crate) use arrival::ArrivalProcess;
+pub(crate) use harness::{ServiceHarness, TrafficSummary, WARMUP};
+pub(crate) use service::ServiceKernel;

@@ -1,5 +1,5 @@
-//! Open-loop service workload — the guest half of the `lrscwait-traffic`
-//! harness.
+//! Open-loop service workload — the guest half of the
+//! [`ServiceHarness`](super::ServiceHarness).
 //!
 //! Each active core is one *server* in a service fleet. The host injects
 //! work between cycles ([`Machine::inject_store`]) using a per-core
@@ -31,51 +31,52 @@
 //! [`Machine::inject_store`]: lrscwait_sim::Machine::inject_store
 
 use lrscwait_asm::{Assembler, Program};
+use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::Machine;
 
-use lrscwait_kernels::{VerifyError, Workload};
+/// Histogram bins for the shared `amoadd.w` update (power of two).
+const HIST_BINS: u32 = 16;
+
+/// Polling backoff iterations on fail-fast (plain-LRSC degradation).
+const BACKOFF: u32 = 64;
 
 /// The open-loop service-fleet workload description.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceKernel {
+#[derive(Debug)]
+pub(crate) struct ServiceKernel {
     /// Number of server cores (cores beyond this halt immediately).
-    pub num_cores: u32,
+    pub(crate) num_cores: u32,
     /// Deterministic per-item service loop iterations (each ~1 cycle).
-    pub service_cycles: u32,
-    /// Histogram bins for the shared `amoadd.w` update (power of two).
-    pub hist_bins: u32,
-    /// Polling backoff iterations on fail-fast (plain-LRSC degradation).
-    pub backoff: u32,
+    service_cycles: u32,
 }
 
 impl ServiceKernel {
     /// Byte stride between per-core mailbox slots (one full line each).
-    pub const STRIDE: u32 = 64;
+    const STRIDE: u32 = 64;
 
     /// Payload value that shuts a server down.
-    pub const STOP: u32 = 0xFFFF_FFFF;
+    pub(crate) const STOP: u32 = 0xFFFF_FFFF;
 
     /// Creates a service fleet of `num_cores` servers with a fixed
     /// per-item service time of roughly `service_cycles` cycles.
-    #[must_use]
-    pub fn new(num_cores: u32, service_cycles: u32) -> ServiceKernel {
+    pub(crate) fn new(num_cores: u32, service_cycles: u32) -> ServiceKernel {
         ServiceKernel {
             num_cores,
             service_cycles,
-            hist_bins: 16,
-            backoff: 64,
         }
     }
 
     /// Byte address of core `c`'s slot in the array rooted at `base`.
-    #[must_use]
-    pub fn slot(base: u32, c: u32) -> u32 {
+    pub(crate) fn slot(base: u32, c: u32) -> u32 {
         base + c * ServiceKernel::STRIDE
     }
+}
 
-    /// Assembles the program.
-    #[must_use]
-    pub fn program(&self) -> Program {
+impl Workload for ServiceKernel {
+    fn label(&self) -> String {
+        "service".to_string()
+    }
+
+    fn program(&self) -> Program {
         let src = r#"
 .equ MMIO, 0xFFFF0000
 
@@ -154,23 +155,13 @@ checks: .space CHECK_BYTES
             .define("NACTIVE", self.num_cores)
             .define("STOP", ServiceKernel::STOP)
             .define("SERVICE", self.service_cycles.max(1))
-            .define("BACKOFF", self.backoff.max(1))
-            .define("HMASK", self.hist_bins - 1)
+            .define("BACKOFF", BACKOFF)
+            .define("HMASK", HIST_BINS - 1)
             .define("SLOT_BYTES", ServiceKernel::STRIDE * self.num_cores)
-            .define("HIST_BYTES", 4 * self.hist_bins)
+            .define("HIST_BYTES", 4 * HIST_BINS)
             .define("CHECK_BYTES", 4 * self.num_cores)
             .assemble(src)
             .expect("service kernel must assemble")
-    }
-}
-
-impl Workload for ServiceKernel {
-    fn label(&self) -> String {
-        "service".to_string()
-    }
-
-    fn program(&self) -> Program {
-        ServiceKernel::program(self)
     }
 
     fn args(&self) -> Vec<(usize, u32)> {
@@ -183,7 +174,7 @@ impl Workload for ServiceKernel {
     /// tick per served item). The payload checksum is host knowledge and
     /// is verified by the traffic harness instead.
     fn verify(&self, machine: &Machine) -> Result<(), VerifyError> {
-        let program = ServiceKernel::program(self);
+        let program = self.program();
         let door = program.symbol("door");
         let done = program.symbol("done");
         let hist = program.symbol("hist");
@@ -200,7 +191,7 @@ impl Workload for ServiceKernel {
             }
         }
         let mut total = 0u64;
-        for b in 0..self.hist_bins {
+        for b in 0..HIST_BINS {
             total += u64::from(machine.read_word(hist + 4 * b));
         }
         let ops = machine.stats().total_ops();
@@ -219,84 +210,7 @@ impl Workload for ServiceKernel {
 mod tests {
     use super::*;
     use lrscwait_core::SyncArch;
-    use lrscwait_sim::{ExitReason, SimConfig};
-
-    /// Drives a tiny fleet by hand: inject items round-robin, wait for
-    /// completion, stop every server, then check stamps and checksums.
-    fn drive(arch: SyncArch, cores: u32, items: u32) {
-        let kernel = ServiceKernel::new(cores, 50);
-        let program = kernel.program();
-        let door = program.symbol("door");
-        let work = program.symbol("work");
-        let done = program.symbol("done");
-        let stamp = program.symbol("stamp");
-        let checks = program.symbol("checks");
-
-        let cfg = SimConfig::small(cores as usize, arch);
-        let mut m = Machine::new(cfg, &program).unwrap();
-        let mut issued = vec![0u32; cores as usize];
-        let mut sums = vec![0u32; cores as usize];
-        let mut at = 200u64;
-
-        for i in 0..items {
-            let c = i % cores;
-            assert_eq!(m.run_until(at).unwrap().exit, ExitReason::TargetReached);
-            let payload = 1 + i;
-            m.inject_store(ServiceKernel::slot(work, c), payload);
-            issued[c as usize] += 1;
-            m.inject_store(ServiceKernel::slot(door, c), issued[c as usize]);
-            sums[c as usize] = sums[c as usize].wrapping_add(payload);
-            at += 400;
-        }
-        // Wait for every server to drain, then shut the fleet down.
-        assert_eq!(
-            m.run_until(at + 4000).unwrap().exit,
-            ExitReason::TargetReached
-        );
-        for c in 0..cores {
-            assert_eq!(
-                m.read_word(ServiceKernel::slot(done, c)),
-                issued[c as usize],
-                "server {c} drained"
-            );
-            let last = m.read_word(ServiceKernel::slot(stamp, c));
-            assert!(issued[c as usize] == 0 || last > 0, "server {c} stamped");
-            m.inject_store(ServiceKernel::slot(work, c), ServiceKernel::STOP);
-            issued[c as usize] += 1;
-            m.inject_store(ServiceKernel::slot(door, c), issued[c as usize]);
-        }
-        let summary = m.run().unwrap();
-        assert_eq!(summary.exit, ExitReason::AllHalted);
-        kernel.verify(&m).unwrap();
-        for c in 0..cores {
-            assert_eq!(
-                m.read_word(checks + 4 * c),
-                sums[c as usize],
-                "server {c} checksum"
-            );
-        }
-        assert_eq!(m.stats().total_ops(), u64::from(items));
-    }
-
-    #[test]
-    fn fleet_on_colibri() {
-        drive(SyncArch::Colibri { queues: 2 }, 4, 12);
-    }
-
-    #[test]
-    fn fleet_on_ideal_wait_queue() {
-        drive(SyncArch::LrscWaitIdeal, 4, 12);
-    }
-
-    #[test]
-    fn fleet_degrades_to_polling_on_lrsc() {
-        drive(SyncArch::Lrsc, 4, 12);
-    }
-
-    #[test]
-    fn single_server() {
-        drive(SyncArch::Colibri { queues: 2 }, 1, 5);
-    }
+    use lrscwait_sim::SimConfig;
 
     #[test]
     fn parked_servers_sleep_not_spin() {
