@@ -160,7 +160,7 @@ impl Figure {
 }
 
 /// Every `(series, x)` pair, series-major — the point matrix of a figure.
-pub fn product<S: Clone, X: Copy>(series: &[S], xs: &[X]) -> Vec<(S, X)> {
+pub(crate) fn product<S: Clone, X: Copy>(series: &[S], xs: &[X]) -> Vec<(S, X)> {
     series
         .iter()
         .flat_map(|s| xs.iter().map(move |&x| (s.clone(), x)))
@@ -172,7 +172,7 @@ pub fn product<S: Clone, X: Copy>(series: &[S], xs: &[X]) -> Vec<(S, X)> {
 /// # Errors
 ///
 /// Returns [`BenchError::MissingPoint`] when there is no such point.
-pub fn find<'a, T: 'a>(
+pub(crate) fn find<'a, T: 'a>(
     points: impl IntoIterator<Item = &'a T>,
     key: impl Fn(&T) -> (&str, u32),
     series: &str,
@@ -195,7 +195,7 @@ pub fn find<'a, T: 'a>(
 /// # Errors
 ///
 /// Returns [`BenchError::MissingPoint`] when the series share no x.
-pub fn largest_common_x<'a, T: 'a>(
+pub(crate) fn largest_common_x<'a, T: 'a>(
     points: impl IntoIterator<Item = &'a T> + Clone,
     key: impl Fn(&T) -> (&str, u32),
     series: &[impl AsRef<str>],

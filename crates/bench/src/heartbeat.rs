@@ -33,7 +33,7 @@ impl Heartbeat {
     /// A heartbeat emitting every `interval`, for a run whose watchdog /
     /// target budget is `budget` cycles (`u64::MAX`: unbudgeted).
     #[must_use]
-    pub fn new(label: impl Into<String>, interval: Duration, budget: u64) -> Heartbeat {
+    pub(crate) fn new(label: impl Into<String>, interval: Duration, budget: u64) -> Heartbeat {
         let now = Instant::now();
         Heartbeat {
             label: label.into(),
@@ -48,13 +48,13 @@ impl Heartbeat {
 
     /// Whether a beat is due at `now`.
     #[must_use]
-    pub fn due(&self, now: Instant) -> bool {
+    pub(crate) fn due(&self, now: Instant) -> bool {
         now.duration_since(self.last_beat) >= self.interval
     }
 
     /// Emits a beat: computes the live rate since the previous beat and
     /// advances the bookkeeping.
-    pub fn beat(&mut self, now: Instant, cycles: u64) -> HeartbeatLine {
+    pub(crate) fn beat(&mut self, now: Instant, cycles: u64) -> HeartbeatLine {
         let window = now.duration_since(self.last_beat);
         let delta_cycles = cycles.saturating_sub(self.last_cycles);
         let live = rate(delta_cycles, window);
@@ -117,7 +117,7 @@ impl HeartbeatLine {
     /// The stderr progress line, e.g.
     /// `heartbeat fig3/lrsc: cycle 12300000/100000000 (12.3%) | live 4.21 Mcycles/s (avg 4.05) | eta<=21s`.
     #[must_use]
-    pub fn render_text(&self) -> String {
+    pub(crate) fn render_text(&self) -> String {
         let progress = if self.budget == u64::MAX {
             format!("cycle {}", self.cycles)
         } else {
@@ -144,7 +144,7 @@ impl HeartbeatLine {
     /// fixed key order; `budget` and `eta_secs` are `null` when there is
     /// none.
     #[must_use]
-    pub fn render_ndjson(&self) -> String {
+    pub(crate) fn render_ndjson(&self) -> String {
         let budget = if self.budget == u64::MAX {
             Json::Null
         } else {

@@ -45,6 +45,7 @@
 //! [`Machine`]: lrscwait_sim::Machine
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod litmus;
 pub mod model;

@@ -283,14 +283,14 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// The `keep` columns of every row, in that order — the subset of a CSV a
 /// figure shows in its markdown table.
 #[must_use]
-pub fn columns(rows: &[Vec<String>], keep: &[usize]) -> Vec<Vec<String>> {
+pub(crate) fn columns(rows: &[Vec<String>], keep: &[usize]) -> Vec<Vec<String>> {
     rows.iter()
         .map(|row| keep.iter().map(|&c| row[c].clone()).collect())
         .collect()
 }
 
 /// Prints `heading`, a blank line and the markdown table to stdout.
-pub fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(heading: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("{heading}\n\n{}", markdown_table(header, rows));
 }
 
