@@ -3,7 +3,7 @@
 //!
 //! The paper's throughput figures drive closed loops, which hide latency:
 //! a core that polls slower simply issues slower. This figure drives the
-//! opposite regime — an **open-loop** arrival process (`lrscwait-traffic`)
+//! opposite regime — an **open-loop** arrival process ([`crate::traffic`])
 //! injects items on its own schedule whether or not the fleet keeps up —
 //! and reports the end-to-end latency distribution (p50/p99/p99.9) as the
 //! offered load climbs toward and past saturation.

@@ -1,5 +1,5 @@
-//! Open-loop traffic generation and tail-latency measurement for the
-//! LRSCwait service-fleet evaluation.
+//! Open-loop traffic for `fig_latency`: seeded arrivals, a service fleet
+//! fed through per-core mailboxes, and tail-latency percentiles.
 //!
 //! The paper's throughput figures drive *closed* loops — every core
 //! issues its next operation as soon as the previous one retires, so
@@ -8,17 +8,27 @@
 //! where items arrive on their own schedule whether or not the fleet is
 //! keeping up, and queueing delay compounds toward saturation.
 //!
-//! Three pieces:
+//! Four pieces, one file each:
 //!
-//! * [`ArrivalProcess`] — seeded, platform-deterministic Poisson and
-//!   bursty (two-state MMPP) arrival streams;
-//! * [`ServiceHarness`] — drives a simulated machine running the
-//!   [`ServiceKernel`] fleet: arrivals queue host-side,
-//!   idle servers get items through per-core injection mailboxes, and
-//!   completion cycles come back through guest-side `CYCLE` stamps;
-//! * [`TrafficSummary`] — what a run returns: the per-item latency
-//!   distribution (`LatencyStats`, p50/p99/p99.9 tail percentiles),
-//!   throughput and host-queue depth.
+//! * [`ArrivalProcess`] — seeded Poisson and bursty (two-state MMPP)
+//!   arrival streams. They are bit-identical on every platform: sampling
+//!   uses only correctly-rounded IEEE-754 operations, so the same seed
+//!   gives the same stream everywhere;
+//! * [`ServiceKernel`] — the guest fleet. Each server sleeps on its own
+//!   doorbell with `mwait.w`: parked and bandwidth-free on wait hardware,
+//!   a backoff polling loop on plain LRSC, from the same binary;
+//! * [`ServiceHarness`] — the host side, and the only host driver of the
+//!   mailbox protocol. It queues arrivals, dispatches them to idle servers
+//!   with `Machine::inject_store` between cycles, and reads completion
+//!   cycles back from the servers' `CYCLE` stamps;
+//! * [`TrafficSummary`] — what a run returns: the latency distribution in
+//!   cycles (p50/p99/p99.9/max/mean, host-queue wait included),
+//!   throughput, host-queue depth, and the stream's long-run mean
+//!   inter-arrival time (the CSV's `interarrival`).
+//!
+//! The mailbox protocol is one per-core slot in each of the
+//! `door`/`work`/`done`/`stamp` arrays, one line apart, a `checks` word
+//! per server, and the `STOP` payload that shuts a server down.
 
 mod arrival;
 mod harness;

@@ -4,7 +4,8 @@
 //! bank holding up to `q` outstanding `lrwait`/`mwait` entries in FIFO
 //! order. With `q = n` (number of cores) it is `LRSCwait_ideal`; smaller `q`
 //! trades hardware for fail-fast behaviour under contention. Its hardware
-//! cost is what motivates Colibri — see the area model in `lrscwait-model`.
+//! cost is what motivates Colibri — see the area model in `lrscwait-bench`
+//! (`model`).
 
 use crate::adapter::SyncEvent;
 use crate::bank::Port;

@@ -607,7 +607,7 @@ impl Machine {
 
     /// Host-side store injection between cycles — the write primitive
     /// behind the open-loop traffic harness's guest-visible injection
-    /// mailbox (`lrscwait-traffic`).
+    /// mailbox (`lrscwait-bench`'s `traffic` module).
     ///
     /// Unlike [`Machine::write_word`], the store goes through the owning
     /// bank's synchronization adapter exactly as a core's store would: it
