@@ -22,8 +22,8 @@
 //! * on a plain-LRSC machine every wait primitive fails fast and the same
 //!   binary degrades to classic `lr.w`/`sc.w` with seeded exponential
 //!   backoff plus bounded poll loops (the [`BarrierKernel`] pattern, also
-//!   used by the bench crate's open-loop service fleet), so the cross-architecture sweep compares
-//!   like against like.
+//!   used by the bench crate's open-loop service fleet), so the
+//!   cross-architecture sweep compares like against like.
 //!
 //! # What a grace period protects
 //!
