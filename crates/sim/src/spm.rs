@@ -1,34 +1,43 @@
 //! The scratchpad's storage: every SPM word in address order, in
-//! fixed-size pages.
+//! fixed-size pages allocated on first write.
 //!
 //! The banks are word-interleaved (bank = word mod banks), so storing the
 //! SPM in address order rather than bank by bank makes every access a
 //! shift and a mask instead of a division by the bank count, and a
 //! snapshot of the memory a sequential walk.
+//!
+//! A page is allocated the first time a nonzero value is written to it;
+//! until then it reads as zeros and a write of zero leaves it absent. A
+//! kernel keeps its data in the first few KiB of a 1–4 MiB SPM, so a
+//! machine holds only the pages its guest and host touch. Nothing outside
+//! this module sees the pages: reads, writes and snapshot bytes are those
+//! of one zero-initialized array.
 
 use lrscwait_core::{StateError, StateReader, StateWriter};
 
 /// log2 of the words per page: 64 KiB pages. A page stays below glibc's
-/// 128 KiB mmap threshold, so the pages come from the heap like every
-/// other machine allocation; one array of the whole SPM would be mapped
-/// lazily, and a 1024-core machine would build without growing its
-/// resident set.
+/// 128 KiB mmap threshold, so the first write to it is an ordinary heap
+/// allocation — not a fresh mapping in the middle of a run, unmapped
+/// again when the machine drops — and the machines of a sweep reuse
+/// each other's freed pages.
 const PAGE_SHIFT: u32 = 14;
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
 
 /// Zero-initialized SPM words, indexed by word address (`addr / 4`).
 pub(crate) struct Spm {
-    pages: Vec<Box<[u32]>>,
+    /// `None` for a page never written with a nonzero value.
+    pages: Vec<Option<Box<[u32]>>>,
     words: u32,
 }
 
 impl Spm {
     /// An all-zero SPM of `words` words; the last page holds the remainder.
+    /// No page is allocated yet.
     pub(crate) fn new(words: u32) -> Spm {
         let pages = (0..words as usize)
             .step_by(PAGE_WORDS)
-            .map(|start| vec![0; PAGE_WORDS.min(words as usize - start)].into_boxed_slice())
+            .map(|_| None)
             .collect();
         Spm { pages, words }
     }
@@ -40,30 +49,53 @@ impl Spm {
 
     /// The word at word address `word`.
     pub(crate) fn read(&self, word: u32) -> u32 {
-        self.pages[(word >> PAGE_SHIFT) as usize][(word & PAGE_MASK) as usize]
+        debug_assert!(word < self.words, "word {word} outside the SPM");
+        match &self.pages[(word >> PAGE_SHIFT) as usize] {
+            Some(page) => page[(word & PAGE_MASK) as usize],
+            None => 0,
+        }
     }
 
-    /// Overwrites the word at word address `word`.
+    /// Overwrites the word at word address `word`, allocating its page on
+    /// the first nonzero write.
     pub(crate) fn write(&mut self, word: u32, value: u32) {
-        self.pages[(word >> PAGE_SHIFT) as usize][(word & PAGE_MASK) as usize] = value;
+        let index = (word >> PAGE_SHIFT) as usize;
+        let words = self.words;
+        let page = match &mut self.pages[index] {
+            Some(page) => page,
+            None if value == 0 => return,
+            slot => slot.insert(zeroed_page(words, index)),
+        };
+        page[(word & PAGE_MASK) as usize] = value;
     }
 
-    /// Appends every word, in address order.
+    /// Appends every word, in address order; an absent page as zeros.
     pub(crate) fn save(&self, out: &mut StateWriter) {
-        for page in &self.pages {
-            for &w in page.iter() {
-                out.put_u32(w);
+        for (index, page) in self.pages.iter().enumerate() {
+            match page {
+                Some(page) => page.iter().for_each(|&w| out.put_u32(w)),
+                None => (0..page_len(self.words, index)).for_each(|_| out.put_u32(0)),
             }
         }
     }
 
-    /// Reads back what [`Spm::save`] wrote for an SPM of the same size.
+    /// Reads back what [`Spm::save`] wrote for an SPM of the same size:
+    /// every present page is overwritten, and an absent page is allocated
+    /// only when the snapshot holds a nonzero word for it.
     pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        for page in &mut self.pages {
-            for w in page.iter_mut() {
-                *w = src.take_u32()?;
-            }
+        for word in 0..self.words {
+            self.write(word, src.take_u32()?);
         }
         Ok(())
     }
+}
+
+/// Words in page `index` of an SPM of `words` words: the last page is
+/// partial.
+fn page_len(words: u32, index: usize) -> usize {
+    PAGE_WORDS.min(words as usize - (index << PAGE_SHIFT))
+}
+
+fn zeroed_page(words: u32, index: usize) -> Box<[u32]> {
+    vec![0; page_len(words, index)].into_boxed_slice()
 }
