@@ -28,7 +28,11 @@ struct Entry {
 /// every address of the bank.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
+    /// The enforced limit: a wait beyond it fails fast.
     capacity: usize,
+    /// Starts empty and grows to the bank's high-water mark, so an
+    /// `LrscWaitIdeal` machine does not reserve `cores` entries per bank
+    /// at build.
     entries: Vec<Entry>,
 }
 
@@ -40,7 +44,7 @@ impl WaitQueue {
         assert!(capacity > 0, "reservation queue needs at least one slot");
         WaitQueue {
             capacity,
-            entries: Vec::with_capacity(capacity.min(1024)),
+            entries: Vec::new(),
         }
     }
 
