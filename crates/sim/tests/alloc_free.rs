@@ -5,7 +5,8 @@
 //! nothing at all — in `step_cycle`, `Network::advance`, the adapters and
 //! the outbox bookkeeping alike, and in host store injection between
 //! cycles. The same allocator pins how many allocations building a
-//! 256-core machine takes, and how large the largest one is.
+//! 256-core machine takes, how many bytes they add up to, and how large
+//! the largest one is.
 //!
 //! This binary holds a single test so no concurrent test thread can
 //! pollute the counter.
@@ -20,11 +21,13 @@ use lrscwait_sim::{Machine, SimConfig};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -35,6 +38,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -51,38 +55,54 @@ fn construction_is_bounded_and_steady_state_cycles_do_not_allocate() {
 }
 
 /// Building the paper's 256-core, 1024-bank machine. Most of the count
-/// is the one adapter per bank; the SPM itself is a handful of pages.
+/// is the one adapter per bank. No SPM page is allocated: the program has
+/// no data, and a page is allocated on its first nonzero write.
 fn mempool_construction() {
     let program = Assembler::new()
         .assemble("_start: ecall\n")
         .expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
-    let cfg = SimConfig::mempool(SyncArch::Lrsc);
-
-    LARGEST.store(0, Ordering::SeqCst);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let machine = Machine::with_decoded(cfg, decoded).expect("builds");
-    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    let largest = LARGEST.load(Ordering::SeqCst);
-    drop(machine);
-
-    assert!(
-        count <= BUILD_ALLOCATIONS,
-        "building a 256-core machine took {count} allocations (pinned: {BUILD_ALLOCATIONS})"
-    );
-    // glibc serves requests of 128 KiB and more with a fresh mmap, whose
-    // pages stay untouched zeros: the resident set would not grow by the
-    // memory the machine holds, and the ledger's
-    // `sim.machine.rss_mib.c1024` probe would read 0.
-    assert!(
-        largest < 128 << 10,
-        "largest construction allocation is {largest} B, at or above glibc's 128 KiB mmap threshold"
-    );
+    for arch in [SyncArch::Lrsc, SyncArch::LrscWaitIdeal] {
+        let cfg = SimConfig::mempool(arch);
+        LARGEST.store(0, Ordering::SeqCst);
+        let (count_before, bytes_before) = (
+            ALLOCATIONS.load(Ordering::SeqCst),
+            BYTES.load(Ordering::SeqCst),
+        );
+        let machine = Machine::with_decoded(cfg, decoded.clone()).expect("builds");
+        let count = ALLOCATIONS.load(Ordering::SeqCst) - count_before;
+        let bytes = BYTES.load(Ordering::SeqCst) - bytes_before;
+        let largest = LARGEST.load(Ordering::SeqCst);
+        drop(machine);
+        if arch == SyncArch::Lrsc {
+            assert!(
+                count <= BUILD_ALLOCATIONS,
+                "building a 256-core machine took {count} allocations (pinned: {BUILD_ALLOCATIONS})"
+            );
+        }
+        assert!(
+            bytes <= BUILD_BYTES,
+            "building a 256-core {arch:?} machine allocated {bytes} B (bound: {BUILD_BYTES} B)"
+        );
+        // glibc serves requests of 128 KiB and more with a fresh mmap, whose
+        // pages stay untouched zeros: the resident set would not grow by the
+        // memory the machine holds, and the ledger's
+        // `sim.machine.rss_mib.c1024` probe would read 0.
+        assert!(
+            largest < 128 << 10,
+            "largest {arch:?} construction allocation is {largest} B, at or above glibc's 128 KiB mmap threshold"
+        );
+    }
 }
 
-/// Allocations of one 256-core `Machine::with_decoded`, as measured with
-/// the SPM in 64 KiB pages.
-const BUILD_ALLOCATIONS: u64 = 1073;
+/// Allocations of one 256-core `Lrsc` `Machine::with_decoded`, as
+/// measured with SPM pages allocated on first write.
+const BUILD_ALLOCATIONS: u64 = 1057;
+/// Bytes one 256-core build allocates, `Lrsc` or `LrscWaitIdeal`: about
+/// 480 KiB, against 1 MiB of SPM alone when every page was allocated up
+/// front, and 4 MiB more of `LrscWaitIdeal` reservation queues when each
+/// bank reserved an entry per core.
+const BUILD_BYTES: u64 = 512 << 10;
 
 fn contended_steady_state() {
     // High-contention mix: AMO traffic, lrwait/scwait sleep-wake churn and
