@@ -468,6 +468,7 @@ fn every_spm_word_survives_guest_host_and_snapshot() {
     let decoded = Machine::decode(&program).expect("decodes");
 
     let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    let blank = first.snapshot();
     while first.debug_log().len() < 3 {
         let stop = first.run_until(first.cycles() + 100).expect("fills");
         assert_eq!(stop.exit, ExitReason::TargetReached);
@@ -489,6 +490,13 @@ fn every_spm_word_survives_guest_host_and_snapshot() {
     assert_eq!(summary.exit, ExitReason::AllHalted);
     let mismatches: Vec<u32> = second.debug_log()[3..].iter().map(|e| e.2).collect();
     assert_eq!(mismatches, [0, 0, 0], "guest loads of host writes");
+
+    // A restore overwrites memory the machine already holds: the zeros of
+    // a snapshot taken before any store replace every written word.
+    second.restore(&blank).expect("restore");
+    for w in 0..words {
+        assert_eq!(second.read_word(4 * w), 0, "restored zeros: word {w}");
+    }
 }
 
 #[test]
