@@ -72,7 +72,9 @@
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, the dirty-bank/dirty-core/runnable sets, the ready
 //!   queue, the networks' rings and visit lists) is reused; steady-state
-//!   cycles perform zero heap allocations.
+//!   cycles perform zero heap allocations. The first nonzero write to an
+//!   SPM page allocates it once, the same way an outbox grows once to its
+//!   high-water mark.
 //!
 //! # Superblocks
 //!
