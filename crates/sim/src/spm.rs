@@ -16,10 +16,9 @@
 use lrscwait_core::{StateError, StateReader, StateWriter};
 
 /// log2 of the words per page: 64 KiB pages. A page stays below glibc's
-/// 128 KiB mmap threshold, so the first write to it is an ordinary heap
-/// allocation — not a fresh mapping in the middle of a run, unmapped
-/// again when the machine drops — and the machines of a sweep reuse
-/// each other's freed pages.
+/// default 128 KiB mmap threshold, so the first write to it is an
+/// ordinary heap allocation, not a fresh mapping made in the middle of a
+/// run and unmapped again when the machine drops.
 const PAGE_SHIFT: u32 = 14;
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
@@ -32,8 +31,8 @@ pub(crate) struct Spm {
 }
 
 impl Spm {
-    /// An all-zero SPM of `words` words; the last page holds the remainder.
-    /// No page is allocated yet.
+    /// An all-zero SPM of `words` words, with no page allocated yet; the
+    /// last page holds the remainder.
     pub(crate) fn new(words: u32) -> Spm {
         let pages = (0..words as usize)
             .step_by(PAGE_WORDS)
@@ -64,7 +63,7 @@ impl Spm {
         let page = match &mut self.pages[index] {
             Some(page) => page,
             None if value == 0 => return,
-            slot => slot.insert(zeroed_page(words, index)),
+            slot => slot.insert(vec![0; page_len(words, index)].into_boxed_slice()),
         };
         page[(word & PAGE_MASK) as usize] = value;
     }
@@ -83,8 +82,17 @@ impl Spm {
     /// every present page is overwritten, and an absent page is allocated
     /// only when the snapshot holds a nonzero word for it.
     pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        for word in 0..self.words {
-            self.write(word, src.take_u32()?);
+        let words = self.words;
+        for (index, slot) in self.pages.iter_mut().enumerate() {
+            let len = page_len(words, index);
+            for offset in 0..len {
+                let w = src.take_u32()?;
+                if let Some(page) = slot {
+                    page[offset] = w;
+                } else if w != 0 {
+                    slot.insert(vec![0; len].into_boxed_slice())[offset] = w;
+                }
+            }
         }
         Ok(())
     }
@@ -94,8 +102,4 @@ impl Spm {
 /// partial.
 fn page_len(words: u32, index: usize) -> usize {
     PAGE_WORDS.min(words as usize - (index << PAGE_SHIFT))
-}
-
-fn zeroed_page(words: u32, index: usize) -> Box<[u32]> {
-    vec![0; page_len(words, index)].into_boxed_slice()
 }
