@@ -30,9 +30,8 @@ struct Entry {
 pub(crate) struct WaitQueue {
     /// The enforced limit: a wait beyond it fails fast.
     capacity: usize,
-    /// Starts empty and grows to the bank's high-water mark, so an
-    /// `LrscWaitIdeal` machine does not reserve `cores` entries per bank
-    /// at build.
+    /// Starts empty and grows to the bank's high-water mark: most banks
+    /// never hold a waiter, and `capacity` may be the core count.
     entries: Vec<Entry>,
 }
 

@@ -7,11 +7,11 @@
 //! snapshot of the memory a sequential walk.
 //!
 //! A page is allocated the first time a nonzero value is written to it;
-//! until then it reads as zeros and a write of zero leaves it absent. A
-//! kernel keeps its data in the first few KiB of a 1–4 MiB SPM, so a
-//! machine holds only the pages its guest and host touch. Nothing outside
-//! this module sees the pages: reads, writes and snapshot bytes are those
-//! of one zero-initialized array.
+//! until then it reads as zeros and a write of zero leaves it absent. The
+//! benchmark kernels keep their data in the first few KiB of a 1–4 MiB
+//! SPM, and a machine holds only the pages its guest and host touch.
+//! Nothing outside this module sees the pages: reads, writes and snapshot
+//! bytes are those of one zero-initialized array.
 
 use lrscwait_core::{StateError, StateReader, StateWriter};
 

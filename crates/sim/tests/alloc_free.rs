@@ -98,10 +98,9 @@ fn mempool_construction() {
 /// Allocations of one 256-core `Lrsc` `Machine::with_decoded`, as
 /// measured with SPM pages allocated on first write.
 const BUILD_ALLOCATIONS: u64 = 1057;
-/// Bytes one 256-core build allocates, `Lrsc` or `LrscWaitIdeal`: about
-/// 480 KiB, against 1 MiB of SPM alone when every page was allocated up
-/// front, and 4 MiB more of `LrscWaitIdeal` reservation queues when each
-/// bank reserved an entry per core.
+/// Bytes one 256-core build allocates, `Lrsc` or `LrscWaitIdeal` (about
+/// 480 KiB). Allocating the 1 MiB SPM up front, or reserving a
+/// reservation-queue entry per core in every bank (4 MiB), breaks it.
 const BUILD_BYTES: u64 = 512 << 10;
 
 fn contended_steady_state() {
