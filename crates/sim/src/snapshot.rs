@@ -18,8 +18,9 @@ const SNAP_MAGIC: [u8; 4] = *b"LRSW";
 /// header, so a restore can never resume — or execute translated
 /// superblocks — against a different program than the snapshot ran;
 /// 3 = the memory section lists the SPM words in address order instead
-/// of bank by bank.
-const SNAP_VERSION: u32 = 3;
+/// of bank by bank; 4 = the memory section holds each SPM page behind a
+/// presence flag, and only the pages with a nonzero word.
+const SNAP_VERSION: u32 = 4;
 
 impl Machine {
     /// Serializes the complete machine state — cores (registers, pipeline

@@ -10,8 +10,9 @@
 //! until then it reads as zeros and a write of zero leaves it absent. The
 //! benchmark kernels keep their data in the first few KiB of a 1–4 MiB
 //! SPM, and a machine holds only the pages its guest and host touch.
-//! Nothing outside this module sees the pages: reads, writes and snapshot
-//! bytes are those of one zero-initialized array.
+//! Nothing outside this module sees the pages: reads and writes are those
+//! of one zero-initialized array, and a snapshot carries only the pages
+//! that hold a nonzero word.
 
 use lrscwait_core::{StateError, StateReader, StateWriter};
 
@@ -68,22 +69,31 @@ impl Spm {
         page[(word & PAGE_MASK) as usize] = value;
     }
 
-    /// Appends every word, in address order; an absent page as zeros.
+    /// Appends every page in address order: a presence flag, then the
+    /// page's words if it holds a nonzero one. A page of zeros, allocated
+    /// or not, is its flag alone, so the bytes depend only on the words.
     pub(crate) fn save(&self, out: &mut StateWriter) {
-        for (index, page) in self.pages.iter().enumerate() {
-            match page {
-                Some(page) => page.iter().for_each(|&w| out.put_u32(w)),
-                None => (0..page_len(self.words, index)).for_each(|_| out.put_u32(0)),
+        for page in &self.pages {
+            match page.as_deref().filter(|page| page.iter().any(|&w| w != 0)) {
+                Some(page) => {
+                    out.put_bool(true);
+                    page.iter().for_each(|&w| out.put_u32(w));
+                }
+                None => out.put_bool(false),
             }
         }
     }
 
-    /// Reads back what [`Spm::save`] wrote for an SPM of the same size:
-    /// every present page is overwritten, and an absent page is allocated
-    /// only when the snapshot holds a nonzero word for it.
+    /// Reads back what [`Spm::save`] wrote for an SPM of the same size: a
+    /// page the snapshot holds is overwritten, or allocated at its first
+    /// nonzero word if absent; a page it does not hold is dropped.
     pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
         let words = self.words;
         for (index, slot) in self.pages.iter_mut().enumerate() {
+            if !src.take_bool()? {
+                *slot = None;
+                continue;
+            }
             let len = page_len(words, index);
             for offset in 0..len {
                 let w = src.take_u32()?;

@@ -229,27 +229,27 @@ fn snapshot_bytes_are_pinned() {
     // The round trips above only compare a machine with itself, so a
     // change to the snapshot encoding (adapter state order, a new field)
     // would pass them. These digests pin the bytes taken mid-run, with
-    // wait queues populated, as recorded with snapshot version 3 (the
-    // memory section in address order).
+    // wait queues populated, as recorded with snapshot version 4 (the
+    // memory section in address order, each page behind a presence flag).
     for (arch, src, len, digest) in [
-        (SyncArch::Lrsc, LRSC_COUNTER, 70_976, 0x352c_a689_03c5_5e2f),
+        (SyncArch::Lrsc, LRSC_COUNTER, 70_977, 0x804c_5264_8155_6bcf),
         (
             SyncArch::LrscWaitIdeal,
             CONTENDED_COUNTER,
-            71_533,
-            0xdd90_f026_e7bf_0e58,
+            71_534,
+            0xd73a_07a3_effe_6522,
         ),
         (
             SyncArch::LrscWait { slots: 2 },
             CONTENDED_COUNTER,
-            71_522,
-            0x0ce6_c6c1_268c_7f7e,
+            71_523,
+            0xbde5_c885_44db_b2fa,
         ),
         (
             SyncArch::Colibri { queues: 2 },
             CONTENDED_COUNTER,
-            72_281,
-            0xa13c_14cd_4b9d_de81,
+            72_282,
+            0xebbe_fc02_ce42_419b,
         ),
     ] {
         let program = Assembler::new().assemble(src).expect("assembles");
@@ -480,7 +480,7 @@ fn every_spm_word_survives_guest_host_and_snapshot() {
     };
     stored(&first, "guest stores");
 
-    let mut second = Machine::with_decoded(cfg, decoded).expect("loads");
+    let mut second = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
     second.restore(&first.snapshot()).expect("restore");
     stored(&second, "restored");
     for w in 0..words {
@@ -492,10 +492,23 @@ fn every_spm_word_survives_guest_host_and_snapshot() {
     assert_eq!(mismatches, [0, 0, 0], "guest loads of host writes");
 
     // A restore overwrites memory the machine already holds: the zeros of
-    // a snapshot taken before any store replace every written word.
+    // a snapshot taken before any store replace every written word, and so
+    // do the zeros beside the one word a snapshot holds.
     second.restore(&blank).expect("restore");
     for w in 0..words {
         assert_eq!(second.read_word(4 * w), 0, "restored zeros: word {w}");
+    }
+    let mut single = Machine::with_decoded(cfg, decoded).expect("loads");
+    single.write_word(0, 1);
+    second.restore(&first.snapshot()).expect("restore");
+    second.restore(&single.snapshot()).expect("restore");
+    for w in 0..words {
+        let want = u32::from(w == 0);
+        assert_eq!(
+            second.read_word(4 * w),
+            want,
+            "zeros beside a word: word {w}"
+        );
     }
 }
 
