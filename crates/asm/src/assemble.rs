@@ -1,4 +1,12 @@
-//! The two-pass assembler core.
+//! The assembler core.
+//!
+//! `Unit::read` walks the source once, as slices of it: it lays out the
+//! sections, collects labels and `.equ` constants into a table keyed by
+//! those slices, and encodes every instruction whose symbols are already
+//! defined. `Unit::finish` places the bss and encodes what had to wait:
+//! instructions that name a symbol further down, `.word`s and the data
+//! image. Nothing is copied out of the source until the finished
+//! [`Program`]'s symbol table is built, once, at the end.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -6,7 +14,8 @@ use std::fmt;
 
 use lrscwait_isa::{encode, AluOp, AmoOp, BranchOp, Csr, CsrOp, Instr, MemWidth, Reg};
 
-use crate::expr::{eval, resolvable, ExprContext};
+use crate::expr::{char_literal, eval, ExprError, Scope, Symbols};
+use crate::scan::{find_any, find_byte};
 
 /// Assembly failure with the 1-based source line where it occurred.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,27 +107,29 @@ impl Default for Assembler {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Stmt {
-    Directive {
-        name: String,
-        args: Vec<String>,
-    },
-    Instr {
-        mnemonic: String,
-        operands: Vec<String>,
-    },
-}
-
-#[derive(Clone, Debug)]
-struct Item {
+/// A statement encoded at the end, once every symbol is defined: an
+/// instruction that names a symbol further down (or fails, so that errors
+/// are reported in source order), and every `.word` and data directive.
+struct Deferred<'s> {
     line: u32,
     section: Section,
-    /// Address of the item within its section (absolute for text/data).
+    /// Address of the statement (absolute for text/data).
     addr: u32,
-    stmt: Stmt,
-    /// Number of instruction words (text) or bytes (data/bss) this occupies.
+    /// Number of instruction words (text) or bytes (data) it occupies.
     size: u32,
+    kind: Kind<'s>,
+}
+
+enum Kind<'s> {
+    /// A (possibly pseudo) instruction and its operand text.
+    Instr {
+        mnemonic: &'s str,
+        operands: &'s str,
+    },
+    /// The operand text of a `.word`.
+    Words(&'s str),
+    /// Data alignment padding or `.space`: `size` zero bytes.
+    Fill,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,294 +175,381 @@ impl Assembler {
 
     /// Assembles `source` into a [`Program`].
     ///
+    /// Instructions are encoded as they are read; one that names a symbol
+    /// defined further down is encoded at the end. Encoded early, an
+    /// instruction sees the value a symbol has when it is read, which is
+    /// the final one unless `.equ`/`.set` later changes it: a source that
+    /// does so is read again with every instruction encoded at the end.
+    ///
     /// # Errors
     ///
     /// Returns [`AsmError`] with the offending line on syntax errors,
     /// undefined symbols, out-of-range immediates, or misuse of directives.
     pub fn assemble(&self, source: &str) -> Result<Program, AsmError> {
-        let stmts = parse_source(source)?;
+        let mut unit = Unit::new(self, source, true);
+        unit.read(source)?;
+        if unit.redefined {
+            unit = Unit::new(self, source, false);
+            unit.read(source)?;
+        }
+        unit.finish()
+    }
+}
 
-        // ---- Pass 1: layout, label collection, expansion sizing ----
-        let mut symbols: HashMap<String, u32> = self.defines.iter().cloned().collect();
-        let mut items: Vec<Item> = Vec::new();
-        let mut section = Section::Text;
-        let mut text_loc = self.text_base;
-        let mut data_loc = self.data_base;
-        let mut bss_loc = 0u32; // relative; rebased after pass 1
-        let mut bss_labels: Vec<(String, u32)> = Vec::new();
-        // Line of the directive that last grew the bss: it gets the blame
-        // when the rebased segment does not fit below 2^32.
-        let mut bss_line = 0;
+/// One assembly of a source: its symbol table and sections so far, with
+/// every name and operand a slice of the source or the defines.
+struct Unit<'s> {
+    text_base: u32,
+    data_base: u32,
+    /// Encode instructions as they are read where their symbols allow.
+    eager: bool,
+    /// A `.equ`/`.set` changed the value of a symbol already defined.
+    redefined: bool,
+    symbols: Symbols<'s>,
+    section: Section,
+    text_loc: u32,
+    data_loc: u32,
+    /// Relative to the bss base, which is known only after the data.
+    bss_loc: u32,
+    /// Line of the directive that last grew the bss: it gets the blame
+    /// when the rebased segment does not fit below 2^32.
+    bss_line: u32,
+    /// `(name, offset, line)`, rebased once the data size is known.
+    bss_labels: Vec<(&'s str, u32, u32)>,
+    text: Vec<u32>,
+    source_lines: Vec<u32>,
+    deferred: Vec<Deferred<'s>>,
+}
 
-        for (line, stmt) in stmts {
-            let err = |message: String| AsmError { line, message };
-            match stmt {
-                ParsedLine::Label(name) => {
-                    let value = match section {
-                        Section::Text => text_loc,
-                        Section::Data => data_loc,
-                        Section::Bss => {
-                            // Provisional: rebased after data size is known.
-                            bss_labels.push((name.clone(), bss_loc));
-                            continue;
-                        }
-                    };
-                    if symbols.insert(name.clone(), value).is_some() {
-                        return Err(err(format!("duplicate symbol `{name}`")));
+impl<'s> Unit<'s> {
+    fn new(asm: &'s Assembler, source: &str, eager: bool) -> Unit<'s> {
+        let mut symbols =
+            Symbols::with_capacity_and_hasher(asm.defines.len() + 32, Default::default());
+        symbols.extend(
+            asm.defines
+                .iter()
+                .map(|(name, value)| (name.as_str(), *value)),
+        );
+        // About one text word per line: sized so the text rarely regrows.
+        let lines = source.bytes().filter(|&b| b == b'\n').count() + 1;
+        Unit {
+            text_base: asm.text_base,
+            data_base: asm.data_base,
+            eager,
+            redefined: false,
+            symbols,
+            section: Section::Text,
+            text_loc: asm.text_base,
+            data_loc: asm.data_base,
+            bss_loc: 0,
+            bss_line: 0,
+            bss_labels: Vec::new(),
+            text: Vec::with_capacity(lines),
+            source_lines: Vec::with_capacity(lines),
+            deferred: Vec::new(),
+        }
+    }
+
+    /// Lays out and, where it can, encodes every statement of `source`.
+    fn read(&mut self, source: &'s str) -> Result<(), AsmError> {
+        for (idx, raw_line) in lines(source).enumerate() {
+            let line = idx as u32 + 1;
+            for stmt in statements(raw_line) {
+                let mut rest = stmt.trim_ascii();
+                // Peel off leading labels.
+                while let Some(colon) = find_byte(rest, b':') {
+                    let name = rest[..colon].trim_ascii();
+                    if name.is_empty()
+                        || !name
+                            .bytes()
+                            .all(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
+                    {
+                        break;
                     }
+                    rest = rest[colon + 1..].trim_ascii();
+                    self.label(name, line)?;
                 }
-                ParsedLine::Stmt(Stmt::Directive { name, args }) => match name.as_str() {
-                    ".text" => section = Section::Text,
-                    ".data" => section = Section::Data,
-                    ".bss" => section = Section::Bss,
-                    ".section" => {
-                        section = match args.first().map(String::as_str) {
-                            Some(".text" | "text") => Section::Text,
-                            Some(".data" | "data" | ".rodata" | "rodata") => Section::Data,
-                            Some(".bss" | "bss") => Section::Bss,
-                            other => return Err(err(format!("unknown section {other:?}"))),
-                        };
-                    }
-                    ".global" | ".globl" => {}
-                    ".equ" | ".set" => {
-                        if args.len() != 2 {
-                            return Err(err(format!("{name} expects `name, expr`")));
-                        }
-                        let ctx = ExprContext {
-                            symbols: &symbols,
-                            location: current_loc(section, text_loc, data_loc, bss_loc),
-                        };
-                        let value = eval(&args[1], &ctx).map_err(|e| err(e.0))?;
-                        symbols.insert(args[0].clone(), value);
-                    }
-                    ".align" | ".p2align" => {
-                        let ctx = ExprContext {
-                            symbols: &symbols,
-                            location: 0,
-                        };
-                        let p2 = eval(args.first().map_or("2", String::as_str), &ctx)
-                            .map_err(|e| err(e.0))?;
-                        if p2 > 16 {
-                            return Err(err(format!("alignment 2^{p2} too large")));
-                        }
-                        let align = 1u32 << p2;
-                        let pad = |loc: u32| (align - loc % align) % align;
-                        match section {
-                            Section::Text => {
-                                let bytes = pad(text_loc);
-                                if bytes % 4 != 0 {
-                                    return Err(err("text alignment below 4 bytes".to_string()));
-                                }
-                                items.push(Item {
-                                    line,
-                                    section,
-                                    addr: text_loc,
-                                    stmt: Stmt::Directive {
-                                        name: ".align-pad".to_string(),
-                                        args: vec![],
-                                    },
-                                    size: bytes / 4,
-                                });
-                                advance(&mut text_loc, bytes, line)?;
-                            }
-                            Section::Data => {
-                                let bytes = pad(data_loc);
-                                items.push(Item {
-                                    line,
-                                    section,
-                                    addr: data_loc,
-                                    stmt: Stmt::Directive {
-                                        name: ".align-pad".to_string(),
-                                        args: vec![],
-                                    },
-                                    size: bytes,
-                                });
-                                advance(&mut data_loc, bytes, line)?;
-                            }
-                            Section::Bss => {
-                                let bytes = pad(bss_loc);
-                                advance(&mut bss_loc, bytes, line)?;
-                                bss_line = line;
-                            }
-                        }
-                    }
-                    ".word" => {
-                        if section == Section::Bss {
-                            return Err(err(".word not allowed in .bss".to_string()));
-                        }
-                        let loc = if section == Section::Text {
-                            &mut text_loc
-                        } else {
-                            &mut data_loc
-                        };
-                        if *loc % 4 != 0 {
-                            return Err(err(".word requires 4-byte alignment".to_string()));
-                        }
-                        let size_units = if section == Section::Text {
-                            args.len() as u32
-                        } else {
-                            4 * args.len() as u32
-                        };
-                        items.push(Item {
-                            line,
-                            section,
-                            addr: *loc,
-                            stmt: Stmt::Directive {
-                                name: ".word".to_string(),
-                                args,
-                            },
-                            size: size_units,
-                        });
-                        let bytes = if section == Section::Text {
-                            4 * size_units
-                        } else {
-                            size_units
-                        };
-                        advance(loc, bytes, line)?;
-                    }
-                    ".space" | ".zero" => {
-                        let ctx = ExprContext {
-                            symbols: &symbols,
-                            location: 0,
-                        };
-                        let n = eval(
-                            args.first()
-                                .ok_or_else(|| err(format!("{name} expects a size")))?,
-                            &ctx,
-                        )
-                        .map_err(|e| err(e.0))?;
-                        match section {
-                            Section::Text => {
-                                return Err(err(".space not allowed in .text".to_string()))
-                            }
-                            Section::Data => {
-                                items.push(Item {
-                                    line,
-                                    section,
-                                    addr: data_loc,
-                                    stmt: Stmt::Directive {
-                                        name: ".space".to_string(),
-                                        args,
-                                    },
-                                    size: n,
-                                });
-                                advance(&mut data_loc, n, line)?;
-                            }
-                            Section::Bss => {
-                                advance(&mut bss_loc, n, line)?;
-                                bss_line = line;
-                            }
-                        }
-                    }
-                    other => return Err(err(format!("unknown directive `{other}`"))),
-                },
-                ParsedLine::Stmt(Stmt::Instr { mnemonic, operands }) => {
-                    if section != Section::Text {
-                        return Err(err(format!(
-                            "instruction `{mnemonic}` outside .text section"
-                        )));
-                    }
-                    let words = instr_size(&mnemonic, &operands, &symbols);
-                    items.push(Item {
-                        line,
-                        section,
-                        addr: text_loc,
-                        stmt: Stmt::Instr { mnemonic, operands },
-                        size: words,
-                    });
-                    advance(&mut text_loc, 4 * words, line)?;
+                if rest.is_empty() {
+                    continue;
+                }
+                let (head, args) = match rest.bytes().position(|b| b.is_ascii_whitespace()) {
+                    Some(pos) => (&rest[..pos], rest[pos..].trim_ascii()),
+                    None => (rest, ""),
+                };
+                if head.starts_with('.') {
+                    self.directive(head, args, line)?;
+                } else {
+                    self.instruction(head, args, line)?;
                 }
             }
         }
+        Ok(())
+    }
 
-        // Rebase bss after the data segment, 64-byte aligned.
-        let mut bss_base = data_loc;
-        advance(&mut bss_base, (64 - data_loc % 64) % 64, bss_line)?;
-        let mut bss_end = bss_base;
-        advance(&mut bss_end, bss_loc, bss_line)?;
-        for (name, rel) in bss_labels {
-            if symbols.insert(name.clone(), bss_base + rel).is_some() {
-                return Err(AsmError {
-                    line: 0,
-                    message: format!("duplicate symbol `{name}`"),
-                });
+    fn label(&mut self, name: &'s str, line: u32) -> Result<(), AsmError> {
+        let value = match self.section {
+            Section::Text => self.text_loc,
+            Section::Data => self.data_loc,
+            Section::Bss => {
+                // Provisional: rebased once the data size is known.
+                self.bss_labels.push((name, self.bss_loc, line));
+                return Ok(());
+            }
+        };
+        self.label_at(name, value, line)
+    }
+
+    fn label_at(&mut self, name: &'s str, value: u32, line: u32) -> Result<(), AsmError> {
+        if self.symbols.insert(name, value).is_some() {
+            return Err(AsmError {
+                line,
+                message: format!("duplicate symbol `{name}`"),
+            });
+        }
+        Ok(())
+    }
+
+    fn instruction(&mut self, head: &'s str, args: &'s str, line: u32) -> Result<(), AsmError> {
+        if self.section != Section::Text {
+            return Err(AsmError {
+                line,
+                message: format!(
+                    "instruction `{}` outside .text section",
+                    head.to_ascii_lowercase()
+                ),
+            });
+        }
+        let words = instr_size(head, args, &self.symbols);
+        let addr = self.text_loc;
+        advance(&mut self.text_loc, 4 * words, line)?;
+        let encoded = if self.eager {
+            emit_instr(head, args, &self.symbols, addr, words).ok()
+        } else {
+            None
+        };
+        match encoded {
+            Some((first, second)) => {
+                self.push_text(encode(&first), line);
+                if let Some(second) = second {
+                    self.push_text(encode(&second), line);
+                }
+            }
+            None => {
+                for _ in 0..words {
+                    self.push_text(0, line);
+                }
+                self.defer(
+                    line,
+                    addr,
+                    words,
+                    Kind::Instr {
+                        mnemonic: head,
+                        operands: args,
+                    },
+                );
             }
         }
-        let bss_size = bss_loc;
+        Ok(())
+    }
 
-        // ---- Pass 2: encoding ----
-        let mut text: Vec<u32> = Vec::with_capacity(((text_loc - self.text_base) / 4) as usize);
-        let mut source_lines: Vec<u32> = Vec::with_capacity(text.capacity());
-        let mut data: Vec<u8> = Vec::with_capacity((data_loc - self.data_base) as usize);
+    fn push_text(&mut self, word: u32, line: u32) {
+        self.text.push(word);
+        self.source_lines.push(line);
+    }
 
-        for item in &items {
-            let err = |message: String| AsmError {
-                line: item.line,
-                message,
+    fn defer(&mut self, line: u32, addr: u32, size: u32, kind: Kind<'s>) {
+        self.deferred.push(Deferred {
+            line,
+            section: self.section,
+            addr,
+            size,
+            kind,
+        });
+    }
+
+    fn directive(&mut self, head: &'s str, args: &'s str, line: u32) -> Result<(), AsmError> {
+        let err = |message: String| AsmError { line, message };
+        let eval_here = |unit: &Unit<'s>, expr: &'s str, location: u32| {
+            let scope = Scope {
+                symbols: &unit.symbols,
+                location: Some(location),
             };
-            match (&item.stmt, item.section) {
-                (Stmt::Directive { name, args }, Section::Text) => match name.as_str() {
-                    ".align-pad" => {
-                        for _ in 0..item.size {
-                            text.push(encode(&Instr::nop()));
-                            source_lines.push(item.line);
+            eval(expr, &scope).map_err(|e| err(e.to_string()))
+        };
+        match head {
+            ".text" => self.section = Section::Text,
+            ".data" => self.section = Section::Data,
+            ".bss" => self.section = Section::Bss,
+            ".section" => {
+                self.section = match operands(args).next() {
+                    Some(".text" | "text") => Section::Text,
+                    Some(".data" | "data" | ".rodata" | "rodata") => Section::Data,
+                    Some(".bss" | "bss") => Section::Bss,
+                    other => return Err(err(format!("unknown section {other:?}"))),
+                };
+            }
+            ".global" | ".globl" => {}
+            ".equ" | ".set" => {
+                let mut args = operands(args);
+                let (Some(name), Some(expr), None) = (args.next(), args.next(), args.next()) else {
+                    return Err(err(format!("{head} expects `name, expr`")));
+                };
+                let location = match self.section {
+                    Section::Text => self.text_loc,
+                    Section::Data => self.data_loc,
+                    Section::Bss => self.bss_loc,
+                };
+                let value = eval_here(self, expr, location)?;
+                if self
+                    .symbols
+                    .insert(name, value)
+                    .is_some_and(|old| old != value)
+                {
+                    self.redefined = true;
+                }
+            }
+            ".align" | ".p2align" => {
+                let p2 = eval_here(self, operands(args).next().unwrap_or("2"), 0)?;
+                if p2 > 16 {
+                    return Err(err(format!("alignment 2^{p2} too large")));
+                }
+                let align = 1u32 << p2;
+                let pad = |loc: u32| (align - loc % align) % align;
+                match self.section {
+                    Section::Text => {
+                        let bytes = pad(self.text_loc);
+                        if bytes % 4 != 0 {
+                            return Err(err("text alignment below 4 bytes".to_string()));
+                        }
+                        advance(&mut self.text_loc, bytes, line)?;
+                        for _ in 0..bytes / 4 {
+                            self.push_text(encode(&Instr::nop()), line);
                         }
                     }
-                    ".word" => {
-                        for (k, arg) in args.iter().enumerate() {
-                            let ctx = ExprContext {
-                                symbols: &symbols,
-                                location: item.addr + 4 * k as u32,
-                            };
-                            let v = eval(arg, &ctx).map_err(|e| err(e.0))?;
-                            text.push(v);
-                            source_lines.push(item.line);
-                        }
+                    Section::Data => {
+                        let bytes = pad(self.data_loc);
+                        self.defer(line, self.data_loc, bytes, Kind::Fill);
+                        advance(&mut self.data_loc, bytes, line)?;
                     }
-                    other => return Err(err(format!("internal: directive {other} in text"))),
-                },
-                (Stmt::Directive { name, args }, Section::Data) => match name.as_str() {
-                    ".align-pad" | ".space" => {
-                        data.extend(std::iter::repeat_n(0u8, item.size as usize));
+                    Section::Bss => {
+                        let bytes = pad(self.bss_loc);
+                        advance(&mut self.bss_loc, bytes, line)?;
+                        self.bss_line = line;
                     }
-                    ".word" => {
-                        for (k, arg) in args.iter().enumerate() {
-                            let ctx = ExprContext {
-                                symbols: &symbols,
-                                location: item.addr + 4 * k as u32,
-                            };
-                            let v = eval(arg, &ctx).map_err(|e| err(e.0))?;
+                }
+            }
+            ".word" => {
+                let loc = match self.section {
+                    Section::Text => self.text_loc,
+                    Section::Data => self.data_loc,
+                    Section::Bss => return Err(err(".word not allowed in .bss".to_string())),
+                };
+                if loc % 4 != 0 {
+                    return Err(err(".word requires 4-byte alignment".to_string()));
+                }
+                let count = operands(args).count() as u32;
+                if self.section == Section::Text {
+                    self.defer(line, loc, count, Kind::Words(args));
+                    advance(&mut self.text_loc, 4 * count, line)?;
+                    for _ in 0..count {
+                        self.push_text(0, line);
+                    }
+                } else {
+                    self.defer(line, loc, 4 * count, Kind::Words(args));
+                    advance(&mut self.data_loc, 4 * count, line)?;
+                }
+            }
+            ".space" | ".zero" => {
+                let size = operands(args)
+                    .next()
+                    .ok_or_else(|| err(format!("{head} expects a size")))?;
+                let n = eval_here(self, size, 0)?;
+                match self.section {
+                    Section::Text => return Err(err(".space not allowed in .text".to_string())),
+                    Section::Data => {
+                        self.defer(line, self.data_loc, n, Kind::Fill);
+                        advance(&mut self.data_loc, n, line)?;
+                    }
+                    Section::Bss => {
+                        advance(&mut self.bss_loc, n, line)?;
+                        self.bss_line = line;
+                    }
+                }
+            }
+            other => return Err(err(format!("unknown directive `{other}`"))),
+        }
+        Ok(())
+    }
+
+    /// Places the bss, encodes the deferred statements and builds the
+    /// program's symbol table.
+    fn finish(mut self) -> Result<Program, AsmError> {
+        // Rebase bss after the data segment, 64-byte aligned.
+        let mut bss_base = self.data_loc;
+        advance(&mut bss_base, (64 - self.data_loc % 64) % 64, self.bss_line)?;
+        let mut bss_end = bss_base;
+        advance(&mut bss_end, self.bss_loc, self.bss_line)?;
+        for (name, rel, line) in std::mem::take(&mut self.bss_labels) {
+            self.label_at(name, bss_base + rel, line)?;
+        }
+
+        // The data image is built only now that the whole layout is known
+        // to fit below 2^32.
+        let mut data: Vec<u8> = Vec::with_capacity((self.data_loc - self.data_base) as usize);
+        for item in &self.deferred {
+            let err = |e: ExprError<'_>| AsmError {
+                line: item.line,
+                message: e.to_string(),
+            };
+            // Text items are never below the text base.
+            let text_at = (item.addr.wrapping_sub(self.text_base) / 4) as usize;
+            match item.kind {
+                Kind::Fill => data.resize(data.len() + item.size as usize, 0),
+                Kind::Words(args) => {
+                    for (k, arg) in operands(args).enumerate() {
+                        let scope = Scope {
+                            symbols: &self.symbols,
+                            location: Some(item.addr + 4 * k as u32),
+                        };
+                        let v = eval(arg, &scope).map_err(err)?;
+                        if item.section == Section::Text {
+                            self.text[text_at + k] = v;
+                        } else {
                             data.extend_from_slice(&v.to_le_bytes());
                         }
                     }
-                    other => return Err(err(format!("internal: directive {other} in data"))),
-                },
-                (Stmt::Instr { mnemonic, operands }, _) => {
-                    let instrs = emit_instr(mnemonic, operands, &symbols, item.addr, item.size)
-                        .map_err(err)?;
-                    debug_assert_eq!(instrs.len() as u32, item.size, "pass-1/2 size mismatch");
-                    for i in &instrs {
-                        text.push(encode(i));
-                        source_lines.push(item.line);
-                    }
                 }
-                (Stmt::Directive { name, .. }, Section::Bss) => {
-                    return Err(err(format!("internal: directive {name} in bss")))
+                Kind::Instr { mnemonic, operands } => {
+                    let (first, second) =
+                        emit_instr(mnemonic, operands, &self.symbols, item.addr, item.size)
+                            .map_err(err)?;
+                    self.text[text_at] = encode(&first);
+                    if let Some(second) = second {
+                        self.text[text_at + 1] = encode(&second);
+                    }
                 }
             }
         }
 
-        let entry = symbols.get("_start").copied().unwrap_or(self.text_base);
+        let entry = self
+            .symbols
+            .get("_start")
+            .copied()
+            .unwrap_or(self.text_base);
         Ok(Program {
             text_base: self.text_base,
-            text,
+            text: self.text,
             data_base: self.data_base,
             data,
-            bss_size,
+            bss_size: self.bss_loc,
             bss_base,
-            symbols,
+            symbols: self
+                .symbols
+                .iter()
+                .map(|(&name, &value)| (name.to_string(), value))
+                .collect(),
             entry,
-            source_lines,
+            source_lines: self.source_lines,
         })
     }
 }
@@ -467,138 +565,124 @@ fn advance(loc: &mut u32, bytes: u32, line: u32) -> Result<(), AsmError> {
     Ok(())
 }
 
-fn current_loc(section: Section, text: u32, data: u32, bss: u32) -> u32 {
-    match section {
-        Section::Text => text,
-        Section::Data => data,
-        Section::Bss => bss,
-    }
+/// Length of the character literal starting at `text[i]`, or 1 for a
+/// quote that starts none.
+fn literal_len(text: &str, i: usize) -> usize {
+    char_literal(&text[i..]).map_or(1, |(_, len)| len)
 }
 
-enum ParsedLine {
-    Label(String),
-    Stmt(Stmt),
+/// The lines of `source`, as [`str::lines`] cuts them (at `\n` or
+/// `\r\n`), found eight bytes at a time.
+fn lines(source: &str) -> impl Iterator<Item = &str> {
+    let mut rest = source;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let end = find_any(rest.as_bytes(), 0, [b'\n']);
+        let Some(after) = rest.get(end + 1..) else {
+            // The last line, with no line ending.
+            return Some(std::mem::take(&mut rest));
+        };
+        let line = &rest[..end];
+        rest = after;
+        Some(line.strip_suffix('\r').unwrap_or(line))
+    })
 }
 
-/// Splits source into (line, item) pairs; labels become separate entries.
-fn parse_source(source: &str) -> Result<Vec<(u32, ParsedLine)>, AsmError> {
-    let mut out = Vec::new();
-    for (idx, raw_line) in source.lines().enumerate() {
-        let line = idx as u32 + 1;
-        let mut text = raw_line;
-        if let Some(pos) = text.find('#') {
-            text = &text[..pos];
-        }
-        if let Some(pos) = text.find("//") {
-            text = &text[..pos];
-        }
-        for part in text.split(';') {
-            let mut rest = part.trim();
-            // Peel off leading labels.
-            while let Some(colon) = rest.find(':') {
-                let (head, tail) = rest.split_at(colon);
-                let head = head.trim();
-                if head.is_empty()
-                    || !head
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-                {
+/// The statements of one source line: split at `;` and ended by a `#` or
+/// `//` comment, none of which counts inside a character literal.
+fn statements(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(line);
+    std::iter::from_fn(move || {
+        let text = rest.take()?;
+        let bytes = text.as_bytes();
+        let mut end = 0;
+        loop {
+            end = find_any(bytes, end, [b';', b'#', b'/', b'\'']);
+            match bytes.get(end) {
+                Some(b';') => {
+                    rest = Some(&text[end + 1..]);
                     break;
                 }
-                out.push((line, ParsedLine::Label(head.to_string())));
-                rest = tail[1..].trim();
-            }
-            if rest.is_empty() {
-                continue;
-            }
-            let (head, args_text) = match rest.find(|c: char| c.is_whitespace()) {
-                Some(pos) => (&rest[..pos], rest[pos..].trim()),
-                None => (rest, ""),
-            };
-            if head.starts_with('.') {
-                let args = split_operands(args_text);
-                out.push((
-                    line,
-                    ParsedLine::Stmt(Stmt::Directive {
-                        name: head.to_string(),
-                        args,
-                    }),
-                ));
-            } else {
-                let operands = split_operands(args_text);
-                out.push((
-                    line,
-                    ParsedLine::Stmt(Stmt::Instr {
-                        mnemonic: head.to_ascii_lowercase(),
-                        operands,
-                    }),
-                ));
+                Some(b'/') if bytes.get(end + 1) != Some(&b'/') => end += 1,
+                Some(b'\'') => end += literal_len(text, end),
+                _ => break,
             }
         }
-    }
-    Ok(out)
+        Some(&text[..end])
+    })
 }
 
-/// Splits an operand list on top-level commas (commas inside parentheses are
-/// kept, so `8(a0)` style operands survive).
-fn split_operands(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut cur = String::new();
-    for c in text.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                let t = cur.trim();
-                if !t.is_empty() {
-                    out.push(t.to_string());
-                }
-                cur.clear();
-            }
-            _ => cur.push(c),
+/// The operands in `text`: split at commas outside parentheses and
+/// character literals (so `8(a0)` and `','` survive), trimmed, with empty
+/// ones dropped.
+fn operands(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = text;
+    std::iter::from_fn(move || loop {
+        if rest.is_empty() {
+            return None;
         }
+        let bytes = rest.as_bytes();
+        let mut depth = 0i32;
+        let mut end = 0;
+        loop {
+            end = find_any(bytes, end, [b',', b'(', b')', b'\'']);
+            match bytes.get(end) {
+                None => break,
+                Some(b',') if depth == 0 => break,
+                Some(b'\'') => end += literal_len(rest, end),
+                Some(&b) => {
+                    depth += i32::from(b == b'(') - i32::from(b == b')');
+                    end += 1;
+                }
+            }
+        }
+        let operand = rest[..end].trim_ascii();
+        rest = rest.get(end + 1..).unwrap_or("");
+        if !operand.is_empty() {
+            return Some(operand);
+        }
+    })
+}
+
+/// `mnemonic` in ASCII lowercase, in `buf`, when it holds an uppercase
+/// letter and fits (every real mnemonic does).
+fn lowercase<'a>(mnemonic: &str, buf: &'a mut [u8; 16]) -> Option<&'a str> {
+    if !mnemonic.bytes().any(|b| b.is_ascii_uppercase()) {
+        return None;
     }
-    let t = cur.trim();
-    if !t.is_empty() {
-        out.push(t.to_string());
-    }
-    out
+    let buf = buf.get_mut(..mnemonic.len())?;
+    buf.copy_from_slice(mnemonic.as_bytes());
+    buf.make_ascii_lowercase();
+    std::str::from_utf8(buf).ok()
 }
 
 /// Number of instruction words a (possibly pseudo) instruction expands to.
 ///
-/// `li` is 1 word when its expression is already resolvable (literals and
-/// symbols defined earlier — never bss labels, which are rebased later) and
-/// fits a signed 12-bit immediate; otherwise 2. All other multi-word pseudos
-/// are unconditional.
-fn instr_size(mnemonic: &str, operands: &[String], symbols: &HashMap<String, u32>) -> u32 {
-    match mnemonic {
-        "li" => {
-            if let Some(expr_text) = operands.get(1) {
-                if resolvable(expr_text, symbols) {
-                    let ctx = ExprContext {
-                        symbols,
-                        location: 0,
-                    };
-                    if let Ok(v) = eval(expr_text, &ctx) {
-                        if (v as i32) >= -2048 && (v as i32) < 2048 {
-                            return 1;
-                        }
-                    }
-                }
-            }
-            2
+/// `li` is 1 word when its expression already evaluates (literals and
+/// symbols defined earlier — never `.` or bss labels, which are not final
+/// yet) and fits a signed 12-bit immediate; otherwise 2. All other
+/// multi-word pseudos are unconditional.
+fn instr_size(mnemonic: &str, operands_text: &str, symbols: &Symbols<'_>) -> u32 {
+    if mnemonic.eq_ignore_ascii_case("la") {
+        2
+    } else if mnemonic.eq_ignore_ascii_case("li") {
+        let scope = Scope {
+            symbols,
+            location: None,
+        };
+        match operands(operands_text).nth(1).map(|e| eval(e, &scope)) {
+            Some(Ok(v)) if fits_i12(v) => 1,
+            _ => 2,
         }
-        "la" => 2,
-        _ => 1,
+    } else {
+        1
     }
+}
+
+fn fits_i12(value: u32) -> bool {
+    (-2048..2048).contains(&(value as i32))
 }
 
 fn parse_reg(text: &str) -> Result<Reg, String> {
@@ -606,534 +690,597 @@ fn parse_reg(text: &str) -> Result<Reg, String> {
 }
 
 /// Parses `offset(reg)` or `(reg)`; returns (offset expression, register).
-fn parse_mem_operand(text: &str) -> Result<(String, Reg), String> {
+fn parse_mem_operand(text: &str) -> Result<(&str, Reg), String> {
     let open = text
         .rfind('(')
         .ok_or_else(|| format!("expected `offset(reg)` operand, got `{text}`"))?;
     if !text.ends_with(')') {
         return Err(format!("missing `)` in operand `{text}`"));
     }
-    let reg = parse_reg(text[open + 1..text.len() - 1].trim())?;
-    let offset = text[..open].trim().to_string();
-    Ok((offset, reg))
+    let reg = parse_reg(text[open + 1..text.len() - 1].trim_ascii())?;
+    Ok((text[..open].trim_ascii(), reg))
 }
 
 struct EmitCtx<'a> {
-    symbols: &'a HashMap<String, u32>,
+    symbols: &'a Symbols<'a>,
     pc: u32,
 }
 
 impl EmitCtx<'_> {
-    fn eval(&self, text: &str) -> Result<u32, String> {
-        let ctx = ExprContext {
+    fn eval<'s>(&self, text: &'s str) -> Result<u32, ExprError<'s>> {
+        let scope = Scope {
             symbols: self.symbols,
-            location: self.pc,
+            location: Some(self.pc),
         };
-        eval(text, &ctx).map_err(|e| e.0)
+        eval(text, &scope)
     }
 
-    fn eval_i12(&self, text: &str) -> Result<i32, String> {
+    fn eval_i12<'s>(&self, text: &'s str) -> Result<i32, ExprError<'s>> {
         let v = self.eval(text)? as i32;
         if !(-2048..2048).contains(&v) {
-            return Err(format!("immediate {v} does not fit in 12 bits"));
+            return Err(format!("immediate {v} does not fit in 12 bits").into());
         }
         Ok(v)
     }
 
-    fn branch_offset(&self, text: &str) -> Result<i32, String> {
+    fn branch_offset<'s>(&self, text: &'s str) -> Result<i32, ExprError<'s>> {
         let target = self.eval(text)?;
         let offset = target.wrapping_sub(self.pc) as i32;
         if !(-4096..4096).contains(&offset) || offset % 2 != 0 {
             return Err(format!(
                 "branch target {target:#x} out of range from pc {:#x}",
                 self.pc
-            ));
+            )
+            .into());
         }
         Ok(offset)
     }
 
-    fn jal_offset(&self, text: &str) -> Result<i32, String> {
+    fn jal_offset<'s>(&self, text: &'s str) -> Result<i32, ExprError<'s>> {
         let target = self.eval(text)?;
         let offset = target.wrapping_sub(self.pc) as i32;
         if !(-(1 << 20)..(1 << 20)).contains(&offset) || offset % 2 != 0 {
             return Err(format!(
                 "jump target {target:#x} out of range from pc {:#x}",
                 self.pc
-            ));
+            )
+            .into());
         }
         Ok(offset)
     }
 }
 
-fn expect_operands(operands: &[String], n: usize, mnemonic: &str) -> Result<(), String> {
-    if operands.len() != n {
-        return Err(format!(
-            "`{mnemonic}` expects {n} operand(s), got {}",
-            operands.len()
-        ));
+fn expect_operands(count: usize, n: usize, mnemonic: &str) -> Result<(), String> {
+    if count != n {
+        return Err(format!("`{mnemonic}` expects {n} operand(s), got {count}"));
     }
     Ok(())
 }
 
-fn li_expansion(rd: Reg, value: u32, force_two: bool) -> Vec<Instr> {
-    let sv = value as i32;
-    if !force_two && (-2048..2048).contains(&sv) {
-        return vec![Instr::OpImm {
+/// `li`'s expansion: one `addi` when `value` fits 12 bits and two words
+/// were not reserved, otherwise `lui` + `addi`.
+fn li_expansion(rd: Reg, value: u32, force_two: bool) -> (Instr, Option<Instr>) {
+    if !force_two && fits_i12(value) {
+        let addi = Instr::OpImm {
             op: AluOp::Add,
             rd,
             rs1: Reg::ZERO,
-            imm: sv,
-        }];
+            imm: value as i32,
+        };
+        return (addi, None);
     }
     let hi = value.wrapping_add(0x800) & 0xFFFF_F000;
     let lo = value.wrapping_sub(hi) as i32;
     debug_assert!((-2048..2048).contains(&lo));
-    vec![
-        Instr::Lui { rd, imm: hi },
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd,
-            rs1: rd,
-            imm: lo,
-        },
-    ]
+    let addi = Instr::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1: rd,
+        imm: lo,
+    };
+    (Instr::Lui { rd, imm: hi }, Some(addi))
 }
 
-/// Expands and encodes one (possibly pseudo) instruction at `pc`.
-/// `sized_words` is the word count reserved by pass 1 (`li` must honour it).
-fn emit_instr(
+/// Expands one (possibly pseudo) instruction at `pc` into one or two
+/// instructions. `sized_words` is the word count pass 1 reserved, which
+/// `li` must honour.
+fn emit_instr<'s>(
     mnemonic: &str,
-    operands: &[String],
-    symbols: &HashMap<String, u32>,
+    operands_text: &'s str,
+    symbols: &Symbols<'_>,
     pc: u32,
     sized_words: u32,
-) -> Result<Vec<Instr>, String> {
+) -> Result<(Instr, Option<Instr>), ExprError<'s>> {
+    // Every instruction takes at most three operands: keep those, and
+    // the count for the arity check.
+    let mut o = [""; 3];
+    let mut count = 0;
+    for operand in operands(operands_text) {
+        if let Some(slot) = o.get_mut(count) {
+            *slot = operand;
+        }
+        count += 1;
+    }
     let ctx = EmitCtx { symbols, pc };
 
-    let rr_alu = |op: AluOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        Ok(vec![Instr::Op {
+    let rr_alu = |op: AluOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        Ok(Instr::Op {
             op,
-            rd: parse_reg(&operands[0])?,
-            rs1: parse_reg(&operands[1])?,
-            rs2: parse_reg(&operands[2])?,
-        }])
+            rd: parse_reg(o[0])?,
+            rs1: parse_reg(o[1])?,
+            rs2: parse_reg(o[2])?,
+        })
     };
-    let imm_alu = |op: AluOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        Ok(vec![Instr::OpImm {
+    let imm_alu = |op: AluOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        Ok(Instr::OpImm {
             op,
-            rd: parse_reg(&operands[0])?,
-            rs1: parse_reg(&operands[1])?,
-            imm: ctx.eval_i12(&operands[2])?,
-        }])
+            rd: parse_reg(o[0])?,
+            rs1: parse_reg(o[1])?,
+            imm: ctx.eval_i12(o[2])?,
+        })
     };
-    let shift_alu = |op: AluOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        let sh = ctx.eval(&operands[2])?;
+    let shift_alu = |op: AluOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        let sh = ctx.eval(o[2])?;
         if sh >= 32 {
-            return Err(format!("shift amount {sh} out of range"));
+            return Err(format!("shift amount {sh} out of range").into());
         }
-        Ok(vec![Instr::OpImm {
+        Ok(Instr::OpImm {
             op,
-            rd: parse_reg(&operands[0])?,
-            rs1: parse_reg(&operands[1])?,
+            rd: parse_reg(o[0])?,
+            rs1: parse_reg(o[1])?,
             imm: sh as i32,
-        }])
+        })
     };
-    let branch = |op: BranchOp, swap: bool| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        let (a, b) = (parse_reg(&operands[0])?, parse_reg(&operands[1])?);
+    let branch = |op: BranchOp, swap: bool| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        let (a, b) = (parse_reg(o[0])?, parse_reg(o[1])?);
         let (rs1, rs2) = if swap { (b, a) } else { (a, b) };
-        Ok(vec![Instr::Branch {
+        Ok(Instr::Branch {
             op,
             rs1,
             rs2,
-            offset: ctx.branch_offset(&operands[2])?,
-        }])
+            offset: ctx.branch_offset(o[2])?,
+        })
     };
-    let branch_zero = |op: BranchOp, swap: bool| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 2, mnemonic)?;
-        let rs = parse_reg(&operands[0])?;
+    let branch_zero = |op: BranchOp, swap: bool| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 2, mnemonic)?;
+        let rs = parse_reg(o[0])?;
         let (rs1, rs2) = if swap {
             (Reg::ZERO, rs)
         } else {
             (rs, Reg::ZERO)
         };
-        Ok(vec![Instr::Branch {
+        Ok(Instr::Branch {
             op,
             rs1,
             rs2,
-            offset: ctx.branch_offset(&operands[1])?,
-        }])
+            offset: ctx.branch_offset(o[1])?,
+        })
     };
-    let load = |width: MemWidth, signed: bool| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 2, mnemonic)?;
-        let rd = parse_reg(&operands[0])?;
-        let (off, rs1) = parse_mem_operand(&operands[1])?;
+    let load = |width: MemWidth, signed: bool| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 2, mnemonic)?;
+        let rd = parse_reg(o[0])?;
+        let (off, rs1) = parse_mem_operand(o[1])?;
         let offset = if off.is_empty() {
             0
         } else {
-            ctx.eval_i12(&off)?
+            ctx.eval_i12(off)?
         };
-        Ok(vec![Instr::Load {
+        Ok(Instr::Load {
             width,
             signed,
             rd,
             rs1,
             offset,
-        }])
+        })
     };
-    let store = |width: MemWidth| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 2, mnemonic)?;
-        let rs2 = parse_reg(&operands[0])?;
-        let (off, rs1) = parse_mem_operand(&operands[1])?;
+    let store = |width: MemWidth| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 2, mnemonic)?;
+        let rs2 = parse_reg(o[0])?;
+        let (off, rs1) = parse_mem_operand(o[1])?;
         let offset = if off.is_empty() {
             0
         } else {
-            ctx.eval_i12(&off)?
+            ctx.eval_i12(off)?
         };
-        Ok(vec![Instr::Store {
+        Ok(Instr::Store {
             width,
             rs2,
             rs1,
             offset,
-        }])
+        })
     };
-    let amo_rmw = |op: AmoOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        let rd = parse_reg(&operands[0])?;
-        let rs2 = parse_reg(&operands[1])?;
-        let (off, rs1) = parse_mem_operand(&operands[2])?;
+    let amo_rmw = |op: AmoOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        let rd = parse_reg(o[0])?;
+        let rs2 = parse_reg(o[1])?;
+        let (off, rs1) = parse_mem_operand(o[2])?;
         if !off.is_empty() {
-            return Err("atomic operand must be `(reg)` with no offset".to_string());
+            return Err("atomic operand must be `(reg)` with no offset"
+                .to_string()
+                .into());
         }
-        Ok(vec![Instr::Amo { op, rd, rs1, rs2 }])
+        Ok(Instr::Amo { op, rd, rs1, rs2 })
     };
-    let amo_lr = |op: AmoOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 2, mnemonic)?;
-        let rd = parse_reg(&operands[0])?;
-        let (off, rs1) = parse_mem_operand(&operands[1])?;
+    let amo_lr = |op: AmoOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 2, mnemonic)?;
+        let rd = parse_reg(o[0])?;
+        let (off, rs1) = parse_mem_operand(o[1])?;
         if !off.is_empty() {
-            return Err("atomic operand must be `(reg)` with no offset".to_string());
+            return Err("atomic operand must be `(reg)` with no offset"
+                .to_string()
+                .into());
         }
-        Ok(vec![Instr::Amo {
+        Ok(Instr::Amo {
             op,
             rd,
             rs1,
             rs2: Reg::ZERO,
-        }])
+        })
     };
-    let parse_csr = |text: &str| -> Result<u16, String> {
+    let parse_csr = |text: &'s str| -> Result<u16, ExprError<'s>> {
         if let Some(c) = Csr::parse(text) {
             return Ok(c.address());
         }
         let v = ctx.eval(text)?;
         if v > 0xFFF {
-            return Err(format!("CSR address {v:#x} out of range"));
+            return Err(format!("CSR address {v:#x} out of range").into());
         }
         Ok(v as u16)
     };
-    let csr_reg = |op: CsrOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        Ok(vec![Instr::Csr {
+    let csr_reg = |op: CsrOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        Ok(Instr::Csr {
             op,
-            rd: parse_reg(&operands[0])?,
-            rs1: parse_reg(&operands[2])?,
-            csr: parse_csr(&operands[1])?,
+            rd: parse_reg(o[0])?,
+            rs1: parse_reg(o[2])?,
+            csr: parse_csr(o[1])?,
             imm_form: false,
-        }])
+        })
     };
-    let csr_imm = |op: CsrOp| -> Result<Vec<Instr>, String> {
-        expect_operands(operands, 3, mnemonic)?;
-        let imm = ctx.eval(&operands[2])?;
+    let csr_imm = |op: CsrOp| -> Result<Instr, ExprError<'s>> {
+        expect_operands(count, 3, mnemonic)?;
+        let imm = ctx.eval(o[2])?;
         if imm > 31 {
-            return Err(format!("CSR immediate {imm} out of range (0-31)"));
+            return Err(format!("CSR immediate {imm} out of range (0-31)").into());
         }
-        Ok(vec![Instr::Csr {
+        Ok(Instr::Csr {
             op,
-            rd: parse_reg(&operands[0])?,
+            rd: parse_reg(o[0])?,
             rs1: Reg::new(imm as u8),
-            csr: parse_csr(&operands[1])?,
+            csr: parse_csr(o[1])?,
             imm_form: true,
-        }])
+        })
     };
 
     match mnemonic {
+        "li" | "la" => {
+            expect_operands(count, 2, mnemonic)?;
+            let rd = parse_reg(o[0])?;
+            let v = ctx.eval(o[1])?;
+            if mnemonic == "li" && sized_words == 1 && !fits_i12(v) {
+                return Err(format!(
+                    "`li` value {v:#x} changed after it was sized for one word \
+                     (a symbol it uses was redefined below it)"
+                )
+                .into());
+            }
+            return Ok(li_expansion(rd, v, mnemonic == "la" || sized_words == 2));
+        }
+        _ => {}
+    }
+    // Byte-string patterns compile to a decision tree over the bytes, not
+    // one string comparison per arm.
+    let instr = match mnemonic.as_bytes() {
         // --- RV32I register-register ---
-        "add" => rr_alu(AluOp::Add),
-        "sub" => rr_alu(AluOp::Sub),
-        "sll" => rr_alu(AluOp::Sll),
-        "slt" => rr_alu(AluOp::Slt),
-        "sltu" => rr_alu(AluOp::Sltu),
-        "xor" => rr_alu(AluOp::Xor),
-        "srl" => rr_alu(AluOp::Srl),
-        "sra" => rr_alu(AluOp::Sra),
-        "or" => rr_alu(AluOp::Or),
-        "and" => rr_alu(AluOp::And),
+        b"add" => rr_alu(AluOp::Add),
+        b"sub" => rr_alu(AluOp::Sub),
+        b"sll" => rr_alu(AluOp::Sll),
+        b"slt" => rr_alu(AluOp::Slt),
+        b"sltu" => rr_alu(AluOp::Sltu),
+        b"xor" => rr_alu(AluOp::Xor),
+        b"srl" => rr_alu(AluOp::Srl),
+        b"sra" => rr_alu(AluOp::Sra),
+        b"or" => rr_alu(AluOp::Or),
+        b"and" => rr_alu(AluOp::And),
         // --- RV32M ---
-        "mul" => rr_alu(AluOp::Mul),
-        "mulh" => rr_alu(AluOp::Mulh),
-        "mulhsu" => rr_alu(AluOp::Mulhsu),
-        "mulhu" => rr_alu(AluOp::Mulhu),
-        "div" => rr_alu(AluOp::Div),
-        "divu" => rr_alu(AluOp::Divu),
-        "rem" => rr_alu(AluOp::Rem),
-        "remu" => rr_alu(AluOp::Remu),
+        b"mul" => rr_alu(AluOp::Mul),
+        b"mulh" => rr_alu(AluOp::Mulh),
+        b"mulhsu" => rr_alu(AluOp::Mulhsu),
+        b"mulhu" => rr_alu(AluOp::Mulhu),
+        b"div" => rr_alu(AluOp::Div),
+        b"divu" => rr_alu(AluOp::Divu),
+        b"rem" => rr_alu(AluOp::Rem),
+        b"remu" => rr_alu(AluOp::Remu),
         // --- RV32I immediate ---
-        "addi" => imm_alu(AluOp::Add),
-        "slti" => imm_alu(AluOp::Slt),
-        "sltiu" => imm_alu(AluOp::Sltu),
-        "xori" => imm_alu(AluOp::Xor),
-        "ori" => imm_alu(AluOp::Or),
-        "andi" => imm_alu(AluOp::And),
-        "slli" => shift_alu(AluOp::Sll),
-        "srli" => shift_alu(AluOp::Srl),
-        "srai" => shift_alu(AluOp::Sra),
+        b"addi" => imm_alu(AluOp::Add),
+        b"slti" => imm_alu(AluOp::Slt),
+        b"sltiu" => imm_alu(AluOp::Sltu),
+        b"xori" => imm_alu(AluOp::Xor),
+        b"ori" => imm_alu(AluOp::Or),
+        b"andi" => imm_alu(AluOp::And),
+        b"slli" => shift_alu(AluOp::Sll),
+        b"srli" => shift_alu(AluOp::Srl),
+        b"srai" => shift_alu(AluOp::Sra),
         // --- Upper immediates ---
-        "lui" | "auipc" => {
-            expect_operands(operands, 2, mnemonic)?;
-            let rd = parse_reg(&operands[0])?;
-            let v = ctx.eval(&operands[1])?;
+        b"lui" | b"auipc" => {
+            expect_operands(count, 2, mnemonic)?;
+            let rd = parse_reg(o[0])?;
+            let v = ctx.eval(o[1])?;
             if v > 0xF_FFFF {
-                return Err(format!("upper immediate {v:#x} exceeds 20 bits"));
+                return Err(format!("upper immediate {v:#x} exceeds 20 bits").into());
             }
             let imm = v << 12;
-            Ok(vec![if mnemonic == "lui" {
+            Ok(if mnemonic == "lui" {
                 Instr::Lui { rd, imm }
             } else {
                 Instr::Auipc { rd, imm }
-            }])
+            })
         }
         // --- Jumps ---
-        "jal" => match operands.len() {
-            1 => Ok(vec![Instr::Jal {
+        b"jal" => match count {
+            1 => Ok(Instr::Jal {
                 rd: Reg::RA,
-                offset: ctx.jal_offset(&operands[0])?,
-            }]),
-            2 => Ok(vec![Instr::Jal {
-                rd: parse_reg(&operands[0])?,
-                offset: ctx.jal_offset(&operands[1])?,
-            }]),
-            n => Err(format!("`jal` expects 1 or 2 operands, got {n}")),
+                offset: ctx.jal_offset(o[0])?,
+            }),
+            2 => Ok(Instr::Jal {
+                rd: parse_reg(o[0])?,
+                offset: ctx.jal_offset(o[1])?,
+            }),
+            n => Err(format!("`jal` expects 1 or 2 operands, got {n}").into()),
         },
-        "jalr" => match operands.len() {
-            1 => Ok(vec![Instr::Jalr {
+        b"jalr" => match count {
+            1 => Ok(Instr::Jalr {
                 rd: Reg::RA,
-                rs1: parse_reg(&operands[0])?,
+                rs1: parse_reg(o[0])?,
                 offset: 0,
-            }]),
+            }),
             2 => {
-                let rd = parse_reg(&operands[0])?;
-                let (off, rs1) = parse_mem_operand(&operands[1])?;
-                Ok(vec![Instr::Jalr {
+                let rd = parse_reg(o[0])?;
+                let (off, rs1) = parse_mem_operand(o[1])?;
+                Ok(Instr::Jalr {
                     rd,
                     rs1,
                     offset: if off.is_empty() {
                         0
                     } else {
-                        ctx.eval_i12(&off)?
+                        ctx.eval_i12(off)?
                     },
-                }])
+                })
             }
-            n => Err(format!("`jalr` expects 1 or 2 operands, got {n}")),
+            n => Err(format!("`jalr` expects 1 or 2 operands, got {n}").into()),
         },
         // --- Branches ---
-        "beq" => branch(BranchOp::Eq, false),
-        "bne" => branch(BranchOp::Ne, false),
-        "blt" => branch(BranchOp::Lt, false),
-        "bge" => branch(BranchOp::Ge, false),
-        "bltu" => branch(BranchOp::Ltu, false),
-        "bgeu" => branch(BranchOp::Geu, false),
-        "bgt" => branch(BranchOp::Lt, true),
-        "ble" => branch(BranchOp::Ge, true),
-        "bgtu" => branch(BranchOp::Ltu, true),
-        "bleu" => branch(BranchOp::Geu, true),
-        "beqz" => branch_zero(BranchOp::Eq, false),
-        "bnez" => branch_zero(BranchOp::Ne, false),
-        "bltz" => branch_zero(BranchOp::Lt, false),
-        "bgez" => branch_zero(BranchOp::Ge, false),
-        "bgtz" => branch_zero(BranchOp::Lt, true),
-        "blez" => branch_zero(BranchOp::Ge, true),
+        b"beq" => branch(BranchOp::Eq, false),
+        b"bne" => branch(BranchOp::Ne, false),
+        b"blt" => branch(BranchOp::Lt, false),
+        b"bge" => branch(BranchOp::Ge, false),
+        b"bltu" => branch(BranchOp::Ltu, false),
+        b"bgeu" => branch(BranchOp::Geu, false),
+        b"bgt" => branch(BranchOp::Lt, true),
+        b"ble" => branch(BranchOp::Ge, true),
+        b"bgtu" => branch(BranchOp::Ltu, true),
+        b"bleu" => branch(BranchOp::Geu, true),
+        b"beqz" => branch_zero(BranchOp::Eq, false),
+        b"bnez" => branch_zero(BranchOp::Ne, false),
+        b"bltz" => branch_zero(BranchOp::Lt, false),
+        b"bgez" => branch_zero(BranchOp::Ge, false),
+        b"bgtz" => branch_zero(BranchOp::Lt, true),
+        b"blez" => branch_zero(BranchOp::Ge, true),
         // --- Loads / stores ---
-        "lw" => load(MemWidth::Word, true),
-        "lh" => load(MemWidth::Half, true),
-        "lb" => load(MemWidth::Byte, true),
-        "lhu" => load(MemWidth::Half, false),
-        "lbu" => load(MemWidth::Byte, false),
-        "sw" => store(MemWidth::Word),
-        "sh" => store(MemWidth::Half),
-        "sb" => store(MemWidth::Byte),
+        b"lw" => load(MemWidth::Word, true),
+        b"lh" => load(MemWidth::Half, true),
+        b"lb" => load(MemWidth::Byte, true),
+        b"lhu" => load(MemWidth::Half, false),
+        b"lbu" => load(MemWidth::Byte, false),
+        b"sw" => store(MemWidth::Word),
+        b"sh" => store(MemWidth::Half),
+        b"sb" => store(MemWidth::Byte),
         // --- System ---
-        "fence" => Ok(vec![Instr::Fence]),
-        "ecall" => Ok(vec![Instr::Ecall]),
-        "ebreak" => Ok(vec![Instr::Ebreak]),
-        "csrrw" => csr_reg(CsrOp::ReadWrite),
-        "csrrs" => csr_reg(CsrOp::ReadSet),
-        "csrrc" => csr_reg(CsrOp::ReadClear),
-        "csrrwi" => csr_imm(CsrOp::ReadWrite),
-        "csrrsi" => csr_imm(CsrOp::ReadSet),
-        "csrrci" => csr_imm(CsrOp::ReadClear),
+        b"fence" => Ok(Instr::Fence),
+        b"ecall" => Ok(Instr::Ecall),
+        b"ebreak" => Ok(Instr::Ebreak),
+        b"csrrw" => csr_reg(CsrOp::ReadWrite),
+        b"csrrs" => csr_reg(CsrOp::ReadSet),
+        b"csrrc" => csr_reg(CsrOp::ReadClear),
+        b"csrrwi" => csr_imm(CsrOp::ReadWrite),
+        b"csrrsi" => csr_imm(CsrOp::ReadSet),
+        b"csrrci" => csr_imm(CsrOp::ReadClear),
         // --- RV32A ---
-        "lr.w" => amo_lr(AmoOp::Lr),
-        "sc.w" => amo_rmw(AmoOp::Sc),
-        "amoswap.w" => amo_rmw(AmoOp::Swap),
-        "amoadd.w" => amo_rmw(AmoOp::Add),
-        "amoxor.w" => amo_rmw(AmoOp::Xor),
-        "amoand.w" => amo_rmw(AmoOp::And),
-        "amoor.w" => amo_rmw(AmoOp::Or),
-        "amomin.w" => amo_rmw(AmoOp::Min),
-        "amomax.w" => amo_rmw(AmoOp::Max),
-        "amominu.w" => amo_rmw(AmoOp::Minu),
-        "amomaxu.w" => amo_rmw(AmoOp::Maxu),
+        b"lr.w" => amo_lr(AmoOp::Lr),
+        b"sc.w" => amo_rmw(AmoOp::Sc),
+        b"amoswap.w" => amo_rmw(AmoOp::Swap),
+        b"amoadd.w" => amo_rmw(AmoOp::Add),
+        b"amoxor.w" => amo_rmw(AmoOp::Xor),
+        b"amoand.w" => amo_rmw(AmoOp::And),
+        b"amoor.w" => amo_rmw(AmoOp::Or),
+        b"amomin.w" => amo_rmw(AmoOp::Min),
+        b"amomax.w" => amo_rmw(AmoOp::Max),
+        b"amominu.w" => amo_rmw(AmoOp::Minu),
+        b"amomaxu.w" => amo_rmw(AmoOp::Maxu),
         // --- Xlrscwait ---
-        "lrwait.w" => amo_lr(AmoOp::LrWait),
-        "scwait.w" => amo_rmw(AmoOp::ScWait),
-        "mwait.w" => amo_rmw(AmoOp::MWait),
+        b"lrwait.w" => amo_lr(AmoOp::LrWait),
+        b"scwait.w" => amo_rmw(AmoOp::ScWait),
+        b"mwait.w" => amo_rmw(AmoOp::MWait),
         // --- Pseudo-instructions ---
-        "nop" => Ok(vec![Instr::nop()]),
-        "li" => {
-            expect_operands(operands, 2, mnemonic)?;
-            let rd = parse_reg(&operands[0])?;
-            let v = ctx.eval(&operands[1])?;
-            Ok(li_expansion(rd, v, sized_words == 2))
-        }
-        "la" => {
-            expect_operands(operands, 2, mnemonic)?;
-            let rd = parse_reg(&operands[0])?;
-            let v = ctx.eval(&operands[1])?;
-            Ok(li_expansion(rd, v, true))
-        }
-        "mv" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::OpImm {
+        b"nop" => Ok(Instr::nop()),
+        b"mv" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::OpImm {
                 op: AluOp::Add,
-                rd: parse_reg(&operands[0])?,
-                rs1: parse_reg(&operands[1])?,
+                rd: parse_reg(o[0])?,
+                rs1: parse_reg(o[1])?,
                 imm: 0,
-            }])
+            })
         }
-        "not" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::OpImm {
+        b"not" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::OpImm {
                 op: AluOp::Xor,
-                rd: parse_reg(&operands[0])?,
-                rs1: parse_reg(&operands[1])?,
+                rd: parse_reg(o[0])?,
+                rs1: parse_reg(o[1])?,
                 imm: -1,
-            }])
+            })
         }
-        "neg" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Op {
+        b"neg" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Op {
                 op: AluOp::Sub,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
-                rs2: parse_reg(&operands[1])?,
-            }])
+                rs2: parse_reg(o[1])?,
+            })
         }
-        "seqz" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::OpImm {
+        b"seqz" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::OpImm {
                 op: AluOp::Sltu,
-                rd: parse_reg(&operands[0])?,
-                rs1: parse_reg(&operands[1])?,
+                rd: parse_reg(o[0])?,
+                rs1: parse_reg(o[1])?,
                 imm: 1,
-            }])
+            })
         }
-        "snez" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Op {
+        b"snez" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Op {
                 op: AluOp::Sltu,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
-                rs2: parse_reg(&operands[1])?,
-            }])
+                rs2: parse_reg(o[1])?,
+            })
         }
-        "sltz" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Op {
+        b"sltz" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Op {
                 op: AluOp::Slt,
-                rd: parse_reg(&operands[0])?,
-                rs1: parse_reg(&operands[1])?,
+                rd: parse_reg(o[0])?,
+                rs1: parse_reg(o[1])?,
                 rs2: Reg::ZERO,
-            }])
+            })
         }
-        "sgtz" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Op {
+        b"sgtz" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Op {
                 op: AluOp::Slt,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
-                rs2: parse_reg(&operands[1])?,
-            }])
+                rs2: parse_reg(o[1])?,
+            })
         }
-        "j" => {
-            expect_operands(operands, 1, mnemonic)?;
-            Ok(vec![Instr::Jal {
+        b"j" => {
+            expect_operands(count, 1, mnemonic)?;
+            Ok(Instr::Jal {
                 rd: Reg::ZERO,
-                offset: ctx.jal_offset(&operands[0])?,
-            }])
+                offset: ctx.jal_offset(o[0])?,
+            })
         }
-        "jr" => {
-            expect_operands(operands, 1, mnemonic)?;
-            Ok(vec![Instr::Jalr {
+        b"jr" => {
+            expect_operands(count, 1, mnemonic)?;
+            Ok(Instr::Jalr {
                 rd: Reg::ZERO,
-                rs1: parse_reg(&operands[0])?,
+                rs1: parse_reg(o[0])?,
                 offset: 0,
-            }])
+            })
         }
-        "call" => {
-            expect_operands(operands, 1, mnemonic)?;
-            Ok(vec![Instr::Jal {
+        b"call" => {
+            expect_operands(count, 1, mnemonic)?;
+            Ok(Instr::Jal {
                 rd: Reg::RA,
-                offset: ctx.jal_offset(&operands[0])?,
-            }])
+                offset: ctx.jal_offset(o[0])?,
+            })
         }
-        "ret" => Ok(vec![Instr::Jalr {
+        b"ret" => Ok(Instr::Jalr {
             rd: Reg::ZERO,
             rs1: Reg::RA,
             offset: 0,
-        }]),
-        "csrr" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Csr {
+        }),
+        b"csrr" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Csr {
                 op: CsrOp::ReadSet,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
-                csr: parse_csr(&operands[1])?,
+                csr: parse_csr(o[1])?,
                 imm_form: false,
-            }])
+            })
         }
-        "csrw" => {
-            expect_operands(operands, 2, mnemonic)?;
-            Ok(vec![Instr::Csr {
+        b"csrw" => {
+            expect_operands(count, 2, mnemonic)?;
+            Ok(Instr::Csr {
                 op: CsrOp::ReadWrite,
                 rd: Reg::ZERO,
-                rs1: parse_reg(&operands[1])?,
-                csr: parse_csr(&operands[0])?,
+                rs1: parse_reg(o[1])?,
+                csr: parse_csr(o[0])?,
                 imm_form: false,
-            }])
+            })
         }
-        "rdcycle" => {
-            expect_operands(operands, 1, mnemonic)?;
-            Ok(vec![Instr::Csr {
+        b"rdcycle" => {
+            expect_operands(count, 1, mnemonic)?;
+            Ok(Instr::Csr {
                 op: CsrOp::ReadSet,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
                 csr: lrscwait_isa::CSR_CYCLE,
                 imm_form: false,
-            }])
+            })
         }
-        "rdhartid" => {
-            expect_operands(operands, 1, mnemonic)?;
-            Ok(vec![Instr::Csr {
+        b"rdhartid" => {
+            expect_operands(count, 1, mnemonic)?;
+            Ok(Instr::Csr {
                 op: CsrOp::ReadSet,
-                rd: parse_reg(&operands[0])?,
+                rd: parse_reg(o[0])?,
                 rs1: Reg::ZERO,
                 csr: lrscwait_isa::CSR_MHARTID,
                 imm_form: false,
-            }])
+            })
         }
-        other => Err(format!("unknown mnemonic `{other}`")),
+        _ => {
+            // Mnemonics are case-insensitive; the kernels write them in
+            // lowercase, so only an unmatched one is lowercased.
+            let mut buf = [0; 16];
+            return match lowercase(mnemonic, &mut buf) {
+                Some(lower) => emit_instr(lower, operands_text, symbols, pc, sized_words),
+                None => Err(format!("unknown mnemonic `{mnemonic}`").into()),
+            };
+        }
+    }?;
+    Ok((instr, None))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_match_the_standard_library() {
+        for source in [
+            "",
+            "a",
+            "a\n",
+            "a\r\n",
+            "a\rb",
+            "a\r",
+            "\n\n",
+            "a\n\r\nb\r",
+            "x\r\r\n",
+            "long line with no end",
+        ] {
+            assert_eq!(
+                lines(source).collect::<Vec<_>>(),
+                source.lines().collect::<Vec<_>>(),
+                "{source:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn statements_and_operands_skip_literals() {
+        let split: Vec<&str> = statements("li t0, ';' ; li t1, '#' # c").collect();
+        assert_eq!(split, ["li t0, ';' ", " li t1, '#' "]);
+        let ops: Vec<&str> = operands(" a0 , 8(s0), ',', (x, y), ,").collect();
+        assert_eq!(ops, ["a0", "8(s0)", "','", "(x, y)"]);
     }
 }

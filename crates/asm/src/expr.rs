@@ -1,247 +1,272 @@
 //! Constant-expression evaluator for assembler operands.
 //!
-//! Supports integer literals (decimal, `0x`, `0b`, `0o`, optionally negative),
-//! symbols (labels and `.equ` definitions), `.` for the current location
-//! counter, parentheses, and the operators `| ^ & << >> + - * / %` with
-//! C-like precedence plus unary `-` and `~`.
+//! Supports integer literals (decimal, `0x`, `0b`, `0o`, `_` separators),
+//! character literals (`'c'`, `'\n'`), symbols (labels and `.equ`
+//! definitions), `.` for the current location counter, parentheses, and
+//! the operators `| ^ & << >> + - * / %` with C-like precedence plus unary
+//! `-` and `~`.
+//!
+//! Evaluation is recursive descent straight over the expression's bytes:
+//! nothing is tokenized into a buffer, and a symbol is looked up by the
+//! slice that names it.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Evaluation context: symbol table plus the current location counter.
-#[derive(Debug)]
-pub struct ExprContext<'a> {
-    /// Symbol values known so far (labels and `.equ` constants).
-    pub symbols: &'a HashMap<String, u32>,
-    /// Value of `.` — the address of the item being assembled.
-    pub location: u32,
+/// FNV-1a. Symbol names are a few bytes long, where SipHash's setup costs
+/// more than the hashing, and an assembler has no adversary to randomize
+/// its table against.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
 }
 
-/// Expression evaluation failure (undefined symbol, syntax error, …).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExprError(pub String);
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The symbol table while assembling: names borrowed from the source and
+/// the defines.
+pub(crate) type Symbols<'a> = HashMap<&'a str, u32, BuildHasherDefault<Fnv1a>>;
+
+/// What an expression may refer to.
+pub(crate) struct Scope<'a> {
+    /// Symbol values known so far (labels and `.equ` constants).
+    pub(crate) symbols: &'a Symbols<'a>,
+    /// Value of `.`, or `None` where it is not known yet (sizing a `li`
+    /// before its address is final).
+    pub(crate) location: Option<u32>,
+}
+
+/// Why an expression has no value.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ExprError<'s> {
+    /// A symbol (or `.`) that is not defined, or not yet.
+    Undefined(&'s str),
+    /// Malformed, or arithmetically invalid.
+    Invalid(String),
+}
+
+impl From<String> for ExprError<'_> {
+    fn from(message: String) -> Self {
+        ExprError::Invalid(message)
+    }
+}
+
+impl fmt::Display for ExprError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExprError::Undefined(name) => write!(f, "undefined symbol `{name}`"),
+            ExprError::Invalid(message) => f.write_str(message),
+        }
+    }
+}
+
+/// The character literal `text` starts with, `'c'` or `'\e'`: its body
+/// between the quotes and its length in bytes, quotes included.
+pub(crate) fn char_literal(text: &str) -> Option<(&str, usize)> {
+    let body = text.strip_prefix('\'')?;
+    let mut chars = body.chars();
+    let first = chars.next()?;
+    let len = if first == '\\' {
+        1 + chars.next()?.len_utf8()
+    } else {
+        first.len_utf8()
+    };
+    body[len..]
+        .starts_with('\'')
+        .then_some((&body[..len], len + 2))
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'s> {
     Num(u32),
-    Sym(String),
+    Sym(&'s str),
     Dot,
     LParen,
     RParen,
-    Op(&'static str),
+    /// An operator, by its first byte (`<` and `>` stand for `<<`, `>>`).
+    Op(u8),
+    End,
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>, ExprError> {
-    let mut toks = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' => i += 1,
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            '+' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '-' => {
-                let op: &'static str = match c {
-                    '+' => "+",
-                    '-' => "-",
-                    '*' => "*",
-                    '/' => "/",
-                    '%' => "%",
-                    '&' => "&",
-                    '|' => "|",
-                    '^' => "^",
-                    _ => "~",
-                };
-                toks.push(Tok::Op(op));
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'<') {
-                    toks.push(Tok::Op("<<"));
-                    i += 2;
-                } else {
-                    return Err(ExprError(format!("unexpected '<' in expression `{input}`")));
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    toks.push(Tok::Op(">>"));
-                    i += 2;
-                } else {
-                    return Err(ExprError(format!("unexpected '>' in expression `{input}`")));
-                }
-            }
-            '.' => {
-                // `.` alone is the location counter; `.foo` is a symbol.
-                let start = i;
-                i += 1;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                if i == start + 1 {
-                    toks.push(Tok::Dot);
-                } else {
-                    toks.push(Tok::Sym(input[start..i].to_string()));
-                }
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let text: String = input[start..i].chars().filter(|&ch| ch != '_').collect();
-                let value =
-                    if let Some(hex) = text.strip_prefix("0x").or(text.strip_prefix("0X")) {
-                        u32::from_str_radix(hex, 16)
-                    } else if let Some(bin) = text.strip_prefix("0b").or(text.strip_prefix("0B")) {
-                        u32::from_str_radix(bin, 2)
-                    } else if let Some(oct) = text.strip_prefix("0o").or(text.strip_prefix("0O")) {
-                        u32::from_str_radix(oct, 8)
-                    } else {
-                        text.parse::<u32>()
-                    }
-                    .map_err(|_| ExprError(format!("bad integer literal `{text}`")))?;
-                toks.push(Tok::Num(value));
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
-                {
-                    i += 1;
-                }
-                toks.push(Tok::Sym(input[start..i].to_string()));
-            }
-            '\'' => {
-                // Character literal: 'c' or '\n' style escapes.
-                let rest = &input[i + 1..];
-                let (value, len) =
-                    if let Some(stripped) = rest.strip_prefix('\\') {
-                        let esc = stripped.chars().next().ok_or_else(|| {
-                            ExprError("unterminated character literal".to_string())
-                        })?;
-                        let v = match esc {
-                            'n' => b'\n',
-                            't' => b'\t',
-                            '0' => 0,
-                            '\\' => b'\\',
-                            '\'' => b'\'',
-                            other => {
-                                return Err(ExprError(format!("unknown escape `\\{other}`")));
-                            }
-                        };
-                        (u32::from(v), 2)
-                    } else {
-                        let ch = rest.chars().next().ok_or_else(|| {
-                            ExprError("unterminated character literal".to_string())
-                        })?;
-                        (ch as u32, ch.len_utf8())
-                    };
-                if !input[i + 1 + len..].starts_with('\'') {
-                    return Err(ExprError("unterminated character literal".to_string()));
-                }
-                toks.push(Tok::Num(value));
-                i += len + 2;
-            }
-            other => {
-                return Err(ExprError(format!(
-                    "unexpected character `{other}` in expression `{input}`"
-                )))
-            }
-        }
-    }
-    Ok(toks)
-}
-
-struct Parser<'a, 'c> {
-    toks: &'a [Tok],
+struct Parser<'s, 'a> {
+    input: &'s str,
     pos: usize,
-    ctx: &'a ExprContext<'c>,
+    /// The token at `pos`, already lexed.
+    tok: Tok<'s>,
+    scope: &'a Scope<'a>,
+    /// Open parentheses and unary operators around the current primary.
+    depth: u32,
 }
 
-impl Parser<'_, '_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+/// Deepest nesting [`eval`] accepts: far beyond any real operand, and far
+/// below what would overflow the host stack.
+const MAX_DEPTH: u32 = 256;
+
+fn is_symbol_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+impl<'s> Parser<'s, '_> {
+    fn invalid<T>(&self, message: String) -> Result<T, ExprError<'s>> {
+        Err(ExprError::Invalid(message))
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
+    /// Lexes the token at `pos` into `tok` and moves `pos` past it.
+    fn bump(&mut self) -> Result<(), ExprError<'s>> {
+        let bytes = self.input.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t')) {
             self.pos += 1;
         }
-        t
-    }
-
-    fn eat_op(&mut self, ops: &[&str]) -> Option<&'static str> {
-        if let Some(Tok::Op(op)) = self.peek() {
-            if ops.contains(op) {
-                let op = *op;
-                self.pos += 1;
-                return Some(op);
+        let start = self.pos;
+        let Some(&c) = bytes.get(start) else {
+            self.tok = Tok::End;
+            return Ok(());
+        };
+        let span_end = |from: usize, also_dot: bool| {
+            from + bytes[from..]
+                .iter()
+                .take_while(|&&b| is_symbol_byte(b) || (also_dot && b == b'.'))
+                .count()
+        };
+        self.pos = start + 1;
+        self.tok = match c {
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' | b'~' => Tok::Op(c),
+            b'<' | b'>' => {
+                if bytes.get(start + 1) != Some(&c) {
+                    return self.invalid(format!(
+                        "unexpected '{}' in expression `{}`",
+                        c as char, self.input
+                    ));
+                }
+                self.pos = start + 2;
+                Tok::Op(c)
             }
-        }
-        None
-    }
-
-    fn primary(&mut self) -> Result<u32, ExprError> {
-        match self.bump() {
-            Some(Tok::Num(n)) => Ok(n),
-            Some(Tok::Dot) => Ok(self.ctx.location),
-            Some(Tok::Sym(name)) => self
-                .ctx
-                .symbols
-                .get(&name)
-                .copied()
-                .ok_or_else(|| ExprError(format!("undefined symbol `{name}`"))),
-            Some(Tok::LParen) => {
-                let v = self.or_expr()?;
-                match self.bump() {
-                    Some(Tok::RParen) => Ok(v),
-                    _ => Err(ExprError("missing `)`".to_string())),
+            b'.' => {
+                // `.` alone is the location counter; `.foo` is a symbol.
+                self.pos = span_end(start + 1, false);
+                if self.pos == start + 1 {
+                    Tok::Dot
+                } else {
+                    Tok::Sym(&self.input[start..self.pos])
                 }
             }
-            Some(Tok::Op("-")) => Ok(self.primary()?.wrapping_neg()),
-            Some(Tok::Op("~")) => Ok(!self.primary()?),
-            other => Err(ExprError(format!(
-                "unexpected token {other:?} in expression"
-            ))),
+            b'0'..=b'9' => {
+                self.pos = span_end(start, false);
+                Tok::Num(integer(&self.input[start..self.pos])?)
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                self.pos = span_end(start, true);
+                Tok::Sym(&self.input[start..self.pos])
+            }
+            b'\'' => {
+                let Some((body, len)) = char_literal(&self.input[start..]) else {
+                    return self.invalid("unterminated character literal".to_string());
+                };
+                self.pos = start + len;
+                Tok::Num(char_value(body)?)
+            }
+            _ => {
+                let other = self.input[start..].chars().next().unwrap_or('?');
+                return self.invalid(format!(
+                    "unexpected character `{other}` in expression `{}`",
+                    self.input
+                ));
+            }
+        };
+        Ok(())
+    }
+
+    /// Consumes the current token when it is one of the operators `ops`.
+    fn eat_op(&mut self, ops: &[u8]) -> Result<Option<u8>, ExprError<'s>> {
+        match self.tok {
+            Tok::Op(op) if ops.contains(&op) => {
+                self.bump()?;
+                Ok(Some(op))
+            }
+            _ => Ok(None),
         }
     }
 
-    fn mul_expr(&mut self) -> Result<u32, ExprError> {
+    fn primary(&mut self) -> Result<u32, ExprError<'s>> {
+        let tok = self.tok;
+        self.bump()?;
+        if matches!(tok, Tok::LParen | Tok::Op(b'-' | b'~')) {
+            if self.depth == MAX_DEPTH {
+                return self.invalid(format!("expression nested deeper than {MAX_DEPTH}"));
+            }
+            self.depth += 1;
+        }
+        let v = match tok {
+            Tok::Num(n) => Ok(n),
+            Tok::Dot => self.scope.location.ok_or(ExprError::Undefined(".")),
+            Tok::Sym(name) => self
+                .scope
+                .symbols
+                .get(name)
+                .copied()
+                .ok_or(ExprError::Undefined(name)),
+            Tok::LParen => {
+                let v = self.or_expr()?;
+                if self.tok != Tok::RParen {
+                    return self.invalid("missing `)`".to_string());
+                }
+                self.bump()?;
+                Ok(v)
+            }
+            Tok::Op(b'-') => Ok(self.primary()?.wrapping_neg()),
+            Tok::Op(b'~') => Ok(!self.primary()?),
+            other => {
+                return self.invalid(format!(
+                    "unexpected {} in expression `{}`",
+                    describe(other),
+                    self.input
+                ))
+            }
+        };
+        if matches!(tok, Tok::LParen | Tok::Op(b'-' | b'~')) {
+            self.depth -= 1;
+        }
+        v
+    }
+
+    fn mul_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.primary()?;
-        while let Some(op) = self.eat_op(&["*", "/", "%"]) {
+        while let Some(op) = self.eat_op(b"*/%")? {
             let rhs = self.primary()?;
             v = match op {
-                "*" => v.wrapping_mul(rhs),
-                "/" => {
-                    if rhs == 0 {
-                        return Err(ExprError("division by zero".to_string()));
-                    }
-                    v / rhs
+                b'*' => v.wrapping_mul(rhs),
+                _ if rhs == 0 => {
+                    let what = if op == b'/' { "division" } else { "modulo" };
+                    return self.invalid(format!("{what} by zero"));
                 }
-                _ => {
-                    if rhs == 0 {
-                        return Err(ExprError("modulo by zero".to_string()));
-                    }
-                    v % rhs
-                }
+                b'/' => v / rhs,
+                _ => v % rhs,
             };
         }
         Ok(v)
     }
 
-    fn add_expr(&mut self) -> Result<u32, ExprError> {
+    fn add_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.mul_expr()?;
-        while let Some(op) = self.eat_op(&["+", "-"]) {
+        while let Some(op) = self.eat_op(b"+-")? {
             let rhs = self.mul_expr()?;
-            v = if op == "+" {
+            v = if op == b'+' {
                 v.wrapping_add(rhs)
             } else {
                 v.wrapping_sub(rhs)
@@ -250,153 +275,242 @@ impl Parser<'_, '_> {
         Ok(v)
     }
 
-    fn shift_expr(&mut self) -> Result<u32, ExprError> {
+    fn shift_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.add_expr()?;
-        while let Some(op) = self.eat_op(&["<<", ">>"]) {
+        while let Some(op) = self.eat_op(b"<>")? {
             let rhs = self.add_expr()?;
-            v = if op == "<<" {
-                v.wrapping_shl(rhs)
-            } else {
-                v.wrapping_shr(rhs)
-            };
+            if rhs >= 32 {
+                return self.invalid(format!("shift amount {rhs} out of range"));
+            }
+            v = if op == b'<' { v << rhs } else { v >> rhs };
         }
         Ok(v)
     }
 
-    fn and_expr(&mut self) -> Result<u32, ExprError> {
+    fn and_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.shift_expr()?;
-        while self.eat_op(&["&"]).is_some() {
+        while self.eat_op(b"&")?.is_some() {
             v &= self.shift_expr()?;
         }
         Ok(v)
     }
 
-    fn xor_expr(&mut self) -> Result<u32, ExprError> {
+    fn xor_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.and_expr()?;
-        while self.eat_op(&["^"]).is_some() {
+        while self.eat_op(b"^")?.is_some() {
             v ^= self.and_expr()?;
         }
         Ok(v)
     }
 
-    fn or_expr(&mut self) -> Result<u32, ExprError> {
+    fn or_expr(&mut self) -> Result<u32, ExprError<'s>> {
         let mut v = self.xor_expr()?;
-        while self.eat_op(&["|"]).is_some() {
+        while self.eat_op(b"|")?.is_some() {
             v |= self.xor_expr()?;
         }
         Ok(v)
     }
 }
 
+fn describe(tok: Tok<'_>) -> String {
+    match tok {
+        Tok::RParen => "`)`".to_string(),
+        Tok::Op(b'<') => "`<<`".to_string(),
+        Tok::Op(b'>') => "`>>`".to_string(),
+        Tok::Op(op) => format!("`{}`", op as char),
+        _ => "end".to_string(),
+    }
+}
+
+/// An integer literal: decimal, or `0x`/`0b`/`0o`-prefixed, with `_`
+/// separators among the digits.
+fn integer(text: &str) -> Result<u32, ExprError<'_>> {
+    let (radix, digits) = match text.as_bytes() {
+        [b'0', b'x' | b'X', digits @ ..] => (16, digits),
+        [b'0', b'b' | b'B', digits @ ..] => (2, digits),
+        [b'0', b'o' | b'O', digits @ ..] => (8, digits),
+        digits => (10, digits),
+    };
+    let mut value: Option<u32> = None;
+    for &b in digits {
+        if b == b'_' {
+            continue;
+        }
+        value = char::from(b).to_digit(radix).and_then(|digit| {
+            value
+                .unwrap_or(0)
+                .checked_mul(radix)
+                .and_then(|v| v.checked_add(digit))
+        });
+        if value.is_none() {
+            break;
+        }
+    }
+    value.ok_or_else(|| ExprError::Invalid(format!("bad integer literal `{text}`")))
+}
+
+/// The value of a character literal's body (see [`char_literal`]).
+fn char_value(body: &str) -> Result<u32, ExprError<'_>> {
+    let Some(esc) = body.strip_prefix('\\') else {
+        return Ok(body.chars().next().map_or(0, u32::from));
+    };
+    let v = match esc {
+        "n" => b'\n',
+        "t" => b'\t',
+        "0" => 0,
+        "\\" => b'\\',
+        "'" => b'\'',
+        other => return Err(ExprError::Invalid(format!("unknown escape `\\{other}`"))),
+    };
+    Ok(u32::from(v))
+}
+
 /// Evaluates a constant expression to a 32-bit value.
 ///
 /// # Errors
 ///
-/// Returns [`ExprError`] on syntax errors, undefined symbols, or division by
-/// zero.
-pub fn eval(input: &str, ctx: &ExprContext<'_>) -> Result<u32, ExprError> {
-    let toks = lex(input)?;
-    if toks.is_empty() {
-        return Err(ExprError("empty expression".to_string()));
+/// Returns [`ExprError::Undefined`] for the first symbol `scope` does not
+/// define, and [`ExprError::Invalid`] on syntax errors, division by zero
+/// and shifts by 32 or more.
+pub(crate) fn eval<'s>(input: &'s str, scope: &Scope<'_>) -> Result<u32, ExprError<'s>> {
+    // Most operands are one literal or one symbol: the whole input is then
+    // the one token the lexer would make of it, and needs no descent.
+    match input.as_bytes() {
+        [b'0'..=b'9', rest @ ..] if rest.iter().all(|&b| is_symbol_byte(b)) => {
+            return integer(input);
+        }
+        [b'a'..=b'z' | b'A'..=b'Z' | b'_', rest @ ..]
+            if rest.iter().all(|&b| is_symbol_byte(b) || b == b'.') =>
+        {
+            return scope
+                .symbols
+                .get(input)
+                .copied()
+                .ok_or(ExprError::Undefined(input));
+        }
+        _ => {}
     }
     let mut parser = Parser {
-        toks: &toks,
+        input,
         pos: 0,
-        ctx,
+        tok: Tok::End,
+        scope,
+        depth: 0,
     };
+    parser.bump()?;
+    if parser.tok == Tok::End {
+        return Err(ExprError::Invalid("empty expression".to_string()));
+    }
     let v = parser.or_expr()?;
-    if parser.pos != toks.len() {
-        return Err(ExprError(format!(
+    if parser.tok != Tok::End {
+        return Err(ExprError::Invalid(format!(
             "trailing tokens in expression `{input}`"
         )));
     }
     Ok(v)
 }
 
-/// Returns `true` when every symbol referenced by `input` is already defined
-/// (used by the first pass to size `li` expansions deterministically).
-#[must_use]
-pub fn resolvable(input: &str, symbols: &HashMap<String, u32>) -> bool {
-    match lex(input) {
-        Ok(toks) => toks.iter().all(|t| match t {
-            Tok::Sym(name) => symbols.contains_key(name),
-            _ => true,
-        }),
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx_with(symbols: &HashMap<String, u32>) -> ExprContext<'_> {
-        ExprContext {
+    fn eval_with(input: &str, symbols: &Symbols<'_>) -> Result<u32, String> {
+        let scope = Scope {
             symbols,
-            location: 0x100,
-        }
+            location: Some(0x100),
+        };
+        eval(input, &scope).map_err(|e| e.to_string())
+    }
+
+    fn value(input: &str) -> Result<u32, String> {
+        eval_with(input, &Symbols::default())
     }
 
     #[test]
     fn literals() {
-        let syms = HashMap::new();
-        let ctx = ctx_with(&syms);
-        assert_eq!(eval("42", &ctx), Ok(42));
-        assert_eq!(eval("0x10", &ctx), Ok(16));
-        assert_eq!(eval("0b101", &ctx), Ok(5));
-        assert_eq!(eval("0o17", &ctx), Ok(15));
-        assert_eq!(eval("1_000", &ctx), Ok(1000));
-        assert_eq!(eval("-1", &ctx), Ok(u32::MAX));
-        assert_eq!(eval("'A'", &ctx), Ok(65));
-        assert_eq!(eval("'\\n'", &ctx), Ok(10));
+        assert_eq!(value("42"), Ok(42));
+        assert_eq!(value("0x10"), Ok(16));
+        assert_eq!(value("0b101"), Ok(5));
+        assert_eq!(value("0o17"), Ok(15));
+        assert_eq!(value("1_000"), Ok(1000));
+        assert_eq!(value("0xFFFF_FFFF"), Ok(u32::MAX));
+        assert_eq!(value("-1"), Ok(u32::MAX));
+        assert_eq!(value("'A'"), Ok(65));
+        assert_eq!(value("'\\n'"), Ok(10));
+        assert_eq!(value("'\\''"), Ok(39));
+        assert_eq!(value("'#' + 1"), Ok(36));
     }
 
     #[test]
     fn precedence() {
-        let syms = HashMap::new();
-        let ctx = ctx_with(&syms);
-        assert_eq!(eval("2+3*4", &ctx), Ok(14));
-        assert_eq!(eval("(2+3)*4", &ctx), Ok(20));
-        assert_eq!(eval("1<<4|1", &ctx), Ok(17));
-        assert_eq!(eval("0xFF & 0x0F", &ctx), Ok(0x0F));
-        assert_eq!(eval("1 << 2 + 1", &ctx), Ok(8)); // shift binds looser than +
-        assert_eq!(eval("~0", &ctx), Ok(u32::MAX));
-        assert_eq!(eval("10 % 3", &ctx), Ok(1));
-        assert_eq!(eval("7 / 2", &ctx), Ok(3));
-        assert_eq!(eval("1 ^ 3", &ctx), Ok(2));
+        assert_eq!(value("2+3*4"), Ok(14));
+        assert_eq!(value("(2+3)*4"), Ok(20));
+        assert_eq!(value("1<<4|1"), Ok(17));
+        assert_eq!(value("0xFF & 0x0F"), Ok(0x0F));
+        assert_eq!(value("1 << 2 + 1"), Ok(8)); // shift binds looser than +
+        assert_eq!(value("~0"), Ok(u32::MAX));
+        assert_eq!(value("-2*3"), Ok(6u32.wrapping_neg()));
+        assert_eq!(value("10 % 3"), Ok(1));
+        assert_eq!(value("7 / 2"), Ok(3));
+        assert_eq!(value("1 ^ 3"), Ok(2));
+        assert_eq!(value("1 << 31"), Ok(0x8000_0000));
+        assert_eq!(value("0x8000_0000 >> 31"), Ok(1));
     }
 
     #[test]
     fn symbols_and_location() {
-        let mut syms = HashMap::new();
-        syms.insert("foo".to_string(), 12);
-        syms.insert("bar.baz".to_string(), 30);
-        let ctx = ctx_with(&syms);
-        assert_eq!(eval("foo*2", &ctx), Ok(24));
-        assert_eq!(eval("bar.baz", &ctx), Ok(30));
-        assert_eq!(eval(".", &ctx), Ok(0x100));
-        assert_eq!(eval(". + 8", &ctx), Ok(0x108));
-        assert!(eval("nope", &ctx).is_err());
-    }
-
-    #[test]
-    fn resolvability() {
-        let mut syms = HashMap::new();
-        syms.insert("known".to_string(), 1);
-        assert!(resolvable("known + 2", &syms));
-        assert!(!resolvable("unknown + 2", &syms));
-        assert!(resolvable("2 * 3", &syms));
+        let syms: Symbols = [("foo", 12), ("bar.baz", 30), (".L1", 4)]
+            .into_iter()
+            .collect();
+        assert_eq!(eval_with("foo*2", &syms), Ok(24));
+        assert_eq!(eval_with("bar.baz", &syms), Ok(30));
+        assert_eq!(eval_with(".L1", &syms), Ok(4));
+        assert_eq!(eval_with(".", &syms), Ok(0x100));
+        assert_eq!(eval_with(". + 8", &syms), Ok(0x108));
+        let scope = Scope {
+            symbols: &syms,
+            location: None,
+        };
+        assert_eq!(
+            eval("foo + nope", &scope),
+            Err(ExprError::Undefined("nope"))
+        );
+        assert_eq!(eval(". + 4", &scope), Err(ExprError::Undefined(".")));
     }
 
     #[test]
     fn errors() {
-        let syms = HashMap::new();
-        let ctx = ctx_with(&syms);
-        assert!(eval("", &ctx).is_err());
-        assert!(eval("1 +", &ctx).is_err());
-        assert!(eval("(1", &ctx).is_err());
-        assert!(eval("1 1", &ctx).is_err());
-        assert!(eval("1/0", &ctx).is_err());
-        assert!(eval("0xZZ", &ctx).is_err());
+        for bad in [
+            "",
+            "1 +",
+            "(1",
+            "1 1",
+            "1/0",
+            "1%0",
+            "0xZZ",
+            "0x",
+            "1 < 2",
+            "1 $",
+            "'ab'",
+            "'\\q'",
+            "4294967296",
+            ")",
+        ] {
+            assert!(value(bad).is_err(), "`{bad}` must not evaluate");
+        }
+        let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+        assert!(value(&deep).unwrap_err().contains("nested deeper"));
+        assert!(value(&"-".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn shifts_by_32_or_more_are_errors() {
+        for (input, amount) in [("1 << 32", 32), ("1 >> 40", 40), ("1 << -1", u32::MAX)] {
+            let e = value(input).unwrap_err();
+            assert!(
+                e.contains(&format!("shift amount {amount}")),
+                "{input}: {e}"
+            );
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Two-pass RISC-V assembler for the LRSCwait simulator.
+//! RISC-V assembler for the LRSCwait simulator.
 //!
 //! Assembles the RV32IMA + Xlrscwait subset defined by
 //! [`lrscwait-isa`](../lrscwait_isa/index.html) into a loadable [`Program`]
@@ -12,14 +12,23 @@
 //! * Data directives: `.word e1, e2, …`, `.space n` / `.zero n`,
 //!   `.align p2` (power-of-two byte alignment), `.equ name, expr` /
 //!   `.set name, expr`, `.global` (accepted, ignored).
-//! * Labels (`name:`), multiple per line, `#`/`//` comments, `;` separators.
+//! * Labels (`name:`), multiple per line, `#`/`//` comments, `;` separators
+//!   (none of which counts inside a character literal: `li t0, '#'`).
 //! * Full RV32IMA mnemonics plus `lrwait.w`, `scwait.w`, `mwait.w`.
 //! * Pseudo-instructions: `nop`, `li`, `la`, `mv`, `not`, `neg`, `seqz`,
 //!   `snez`, `sltz`, `sgtz`, `beqz`, `bnez`, `blez`, `bgez`, `bltz`, `bgtz`,
 //!   `bgt`, `ble`, `bgtu`, `bleu`, `j`, `jr`, `call`, `ret`, `csrr`, `csrw`,
 //!   `rdcycle`, `rdhartid`.
-//! * Constant expressions everywhere an immediate is expected (see
-//!   [`expr`]).
+//! * Constant expressions everywhere an immediate is expected: integer
+//!   literals (decimal, `0x`, `0b`, `0o`, `_` separators), character
+//!   literals (`'c'`, `'\n'`), symbols, `.` for the current location,
+//!   parentheses, and `| ^ & << >> + - * / %` with C-like precedence plus
+//!   unary `-` and `~`. A shift by 32 or more is an error, not a wrap.
+//!
+//! The source is read once, as slices of it: no token, operand or
+//! mnemonic is copied. An instruction is encoded as it is read, or, when
+//! it names a symbol defined further down, at the end; the program's
+//! symbol table is built once, at the end.
 //!
 //! # Example
 //!
@@ -53,7 +62,8 @@
 #![forbid(unsafe_code)]
 
 mod assemble;
-pub mod expr;
+mod expr;
+mod scan;
 
 pub use assemble::{AsmError, Assembler, Program};
 

@@ -367,3 +367,77 @@ fn every_assembled_word_decodes() {
         }
     }
 }
+
+#[test]
+fn character_literals_do_not_end_the_statement() {
+    // `#`, `;`, `//` and `,` inside a character literal are operands, not
+    // a comment, a statement separator or an operand separator.
+    let p = assemble(
+        "li t0, '#'\n\
+         li t1, ';' ; li t2, '/' // a real comment\n\
+         li t3, ',' # another\n\
+         .data\nv: .word '#', ';'\n",
+    )
+    .unwrap();
+    assert_eq!(
+        disasm_all(&p),
+        vec![
+            "addi t0, zero, 35",
+            "addi t1, zero, 59",
+            "addi t2, zero, 47",
+            "addi t3, zero, 44",
+        ]
+    );
+    assert_eq!(p.data, vec![35, 0, 0, 0, 59, 0, 0, 0]);
+}
+
+#[test]
+fn shifts_by_32_or_more_are_errors() {
+    for (src, amount) in [
+        ("li t0, 1 << 32\n", 32),
+        ("nop\nli t0, 1 >> 33\n", 33),
+        (".equ X, 4 << 40\n", 40),
+    ] {
+        let e = assemble(src).unwrap_err();
+        assert_eq!(e.line, src.lines().count() as u32, "source: {src}");
+        assert!(
+            e.message
+                .contains(&format!("shift amount {amount} out of range")),
+            "error `{}` should name the amount {amount}",
+            e.message
+        );
+    }
+    let p = assemble("li t0, 1 << 31\n").unwrap();
+    assert_eq!(disasm_all(&p), vec!["lui t0, 0x80000", "addi t0, t0, 0"]);
+}
+
+#[test]
+fn li_of_the_location_counter_reserves_two_words() {
+    // `.` is not final while pass 1 sizes the `li`, so it gets the
+    // two-word expansion, and the label after it lands after both words.
+    let p = assemble("nop\nhere: li t0, .\nafter: nop\n").unwrap();
+    assert_eq!(p.symbol("after"), p.symbol("here") + 8);
+    let text = disasm_all(&p);
+    assert_eq!(text[1], "lui t0, 0x400");
+    assert_eq!(text[2], "addi t0, t0, 4");
+}
+
+#[test]
+fn li_sized_before_a_redefinition_is_an_error() {
+    // One word was reserved while X was 1; the final X needs two.
+    let e = assemble(".equ X, 1\nli t0, X\n.equ X, 5000\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("redefined"), "{}", e.message);
+}
+
+#[test]
+fn mnemonics_are_case_insensitive() {
+    let upper = assemble("_start: LI a0, 0x12345\n  AddI a0, a0, 1\n  BNEZ a0, _start\n").unwrap();
+    let lower = assemble("_start: li a0, 0x12345\n  addi a0, a0, 1\n  bnez a0, _start\n").unwrap();
+    assert_eq!(upper.text, lower.text);
+    let e = assemble("nop\nBADOP a0\n").unwrap_err();
+    assert_eq!(
+        (e.line, e.message.as_str()),
+        (2, "unknown mnemonic `badop`")
+    );
+}

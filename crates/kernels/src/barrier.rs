@@ -271,6 +271,13 @@ impl BarrierKernel {
     /// Panics if the generated assembly fails to assemble (kernel bug).
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("barrier kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         let src = format!(
             r#"
 .equ MMIO, 0xFFFF0000
@@ -335,7 +342,7 @@ checks: .space CHECK_BYTES
 "#,
             barrier = self.impl_.barrier_snippet(),
         );
-        Assembler::new()
+        let asm = Assembler::new()
             .define("NACTIVE", self.active)
             .define("EPISODES", self.episodes)
             .define("BEXP_MIN", 8)
@@ -350,9 +357,8 @@ checks: .space CHECK_BYTES
             .define("TREE_BYTES", 64 * self.active.max(1))
             .define("DOWN_BYTES", 64 * self.active)
             .define("ERR_BYTES", 4 * self.active)
-            .define("CHECK_BYTES", 4 * self.active)
-            .assemble(&src)
-            .expect("barrier kernel must assemble")
+            .define("CHECK_BYTES", 4 * self.active);
+        (asm, src)
     }
 }
 

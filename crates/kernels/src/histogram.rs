@@ -318,6 +318,13 @@ impl HistogramKernel {
     /// Panics if the generated assembly fails to assemble (kernel bug).
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("histogram kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         let src = format!(
             r#"
 .equ MMIO, 0xFFFF0000
@@ -369,7 +376,7 @@ mcs_nodes: .space MCS_BYTES
             prep = self.impl_.prep_snippet(),
             increment = self.impl_.increment_snippet(self.backoff),
         );
-        Assembler::new()
+        let asm = Assembler::new()
             .define("MASK", self.bins - 1)
             .define("ITERS", self.iters)
             .define("BACKOFF", self.backoff.max(1))
@@ -387,9 +394,8 @@ mcs_nodes: .space MCS_BYTES
                 } else {
                     4
                 },
-            )
-            .assemble(&src)
-            .expect("histogram kernel must assemble")
+            );
+        (asm, src)
     }
 }
 

@@ -42,6 +42,8 @@
 mod barrier;
 mod histogram;
 mod litmus;
+#[cfg(test)]
+mod malformed;
 mod matmul;
 mod queue;
 mod rcu;

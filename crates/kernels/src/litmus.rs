@@ -372,8 +372,15 @@ es_loop:
     /// Assembles the program.
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("litmus kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         if self.scenario == LitmusScenario::RcuGrace {
-            return self.rcu().program();
+            return self.rcu().assembly();
         }
         let nactive = self.participants();
         let src = format!(
@@ -408,14 +415,13 @@ checks:  .space CHECK_BYTES
 "#,
             body = self.body(),
         );
-        Assembler::new()
+        let asm = Assembler::new()
             .define("NACTIVE", nactive)
             .define("ITERS", self.iters.max(1))
             .define("HOLD", LitmusKernel::HOLD)
             .define("CELL_BYTES", 128 * (nactive / 2).max(1))
-            .define("CHECK_BYTES", 4 * nactive.max(1))
-            .assemble(&src)
-            .expect("litmus kernel must assemble")
+            .define("CHECK_BYTES", 4 * nactive.max(1));
+        (asm, src)
     }
 }
 

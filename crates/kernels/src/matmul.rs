@@ -117,6 +117,13 @@ impl MatmulKernel {
     /// Assembles the program.
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("matmul kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         let src = format!(
             r#"
 .equ MMIO, 0xFFFF0000
@@ -222,14 +229,13 @@ done_ctr: .space 4
                 ""
             },
         );
-        Assembler::new()
+        let asm = Assembler::new()
             .define("N", self.n)
             .define("ROWS", self.n / self.workers)
             .define("WORKERS", self.workers)
             .define("POLL_BINS", self.poll_bins)
-            .define("BACKOFF", self.backoff.max(1))
-            .assemble(&src)
-            .expect("matmul kernel must assemble")
+            .define("BACKOFF", self.backoff.max(1));
+        (asm, src)
     }
 }
 

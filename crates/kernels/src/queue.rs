@@ -278,6 +278,13 @@ impl QueueKernel {
     /// Assembles the program.
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("queue kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         let ring_entries = (2 * self.num_cores).next_power_of_two().max(8);
         let src = format!(
             r#"
@@ -354,7 +361,7 @@ checks: .space CHECK_BYTES
             enqueue = self.impl_.enqueue_snippet(),
             dequeue = self.impl_.dequeue_snippet(),
         );
-        Assembler::new()
+        let asm = Assembler::new()
             .define("ITERS", self.iters)
             .define("NACTIVE", self.num_cores)
             .define("POOL", QueueKernel::POOL)
@@ -362,9 +369,8 @@ checks: .space CHECK_BYTES
             .define("RMASK", ring_entries - 1)
             .define("RING_BYTES", 4 * ring_entries)
             .define("NODE_BYTES", 8 * (1 + self.num_cores * QueueKernel::POOL))
-            .define("CHECK_BYTES", 4 * self.num_cores)
-            .assemble(&src)
-            .expect("queue kernel must assemble")
+            .define("CHECK_BYTES", 4 * self.num_cores);
+        (asm, src)
     }
 }
 

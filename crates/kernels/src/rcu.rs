@@ -142,6 +142,13 @@ impl RcuKernel {
     /// Panics if the generated assembly fails to assemble (kernel bug).
     #[must_use]
     pub fn program(&self) -> Program {
+        let (asm, src) = self.assembly();
+        asm.assemble(&src).expect("rcu kernel must assemble")
+    }
+
+    /// The assembler, with this kernel's constants defined, and the
+    /// source [`program`](Self::program) assembles.
+    pub(crate) fn assembly(&self) -> (Assembler, String) {
         let src = r#"
 .equ MMIO, 0xFFFF0000
 
@@ -435,7 +442,7 @@ errs:   .space ERR_BYTES
 .align 6
 checks: .space CHECK_BYTES
 "#;
-        Assembler::new()
+        let asm = Assembler::new()
             .define("NACTIVE", self.active)
             .define("WRITERS", self.writers)
             .define("SYNCS", self.syncs)
@@ -466,9 +473,8 @@ checks: .space CHECK_BYTES
             .define("SYNC_BYTES", 4 * self.syncs)
             .define("LAT_BYTES", 4 * self.writers * self.syncs)
             .define("ERR_BYTES", 4 * self.active)
-            .define("CHECK_BYTES", 4 * self.active)
-            .assemble(src)
-            .expect("rcu kernel must assemble")
+            .define("CHECK_BYTES", 4 * self.active);
+        (asm, src.to_string())
     }
 }
 
