@@ -48,7 +48,11 @@ struct QueueSlot {
 /// controller (Table I evaluates 1, 2, 4 and 8).
 #[derive(Debug)]
 pub(crate) struct Colibri {
-    queues: Vec<QueueSlot>,
+    queues: usize,
+    /// The register pairs: none until the bank's first wait, then all
+    /// `queues` of them, allocated in one piece. Most banks never see a
+    /// wait, and a 1024-core machine has 4096 of them.
+    slots: Box<[QueueSlot]>,
 }
 
 impl Colibri {
@@ -61,17 +65,24 @@ impl Colibri {
             "Colibri needs at least one queue per controller"
         );
         Colibri {
-            queues: vec![QueueSlot::default(); queues],
+            queues,
+            slots: Box::default(),
         }
     }
 
     fn queue_for(&mut self, addr: Addr) -> Option<&mut QueueSlot> {
-        self.queues
-            .iter_mut()
-            .find(|q| q.occupied && q.addr == addr)
+        self.slots.iter_mut().find(|q| q.occupied && q.addr == addr)
+    }
+
+    /// Allocates the register pairs if this is the bank's first wait.
+    fn ensure_slots(&mut self) {
+        if self.slots.is_empty() {
+            self.slots = vec![QueueSlot::default(); self.queues].into_boxed_slice();
+        }
     }
 
     pub(crate) fn wait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, mode: WaitMode) {
+        self.ensure_slots();
         if let Some(q) = self.queue_for(addr) {
             debug_assert!(
                 q.head != core && q.tail != core,
@@ -92,7 +103,7 @@ impl Colibri {
                     mode,
                 },
             );
-        } else if let Some(q) = self.queues.iter_mut().find(|q| !q.occupied) {
+        } else if let Some(q) = self.slots.iter_mut().find(|q| !q.occupied) {
             *q = QueueSlot {
                 occupied: true,
                 addr,
@@ -195,9 +206,13 @@ impl Colibri {
         }
     }
 
+    /// Writes every pair, an unallocated one as the default pair, so the
+    /// bytes do not depend on whether the bank has seen a wait.
     pub(crate) fn save(&self, out: &mut StateWriter) {
-        out.put_u32(self.queues.len() as u32);
-        for q in &self.queues {
+        out.put_u32(self.queues as u32);
+        let unallocated = QueueSlot::default();
+        for i in 0..self.queues {
+            let q = self.slots.get(i).unwrap_or(&unallocated);
             out.put_bool(q.occupied);
             out.put_u32(q.addr);
             out.put_u32(q.head);
@@ -208,12 +223,14 @@ impl Colibri {
         }
     }
 
+    /// Reads what [`save`](Colibri::save) wrote, allocating the pairs only
+    /// when the snapshot holds one that is not the default.
     pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        if src.take_u32()? as usize != self.queues.len() {
+        if src.take_u32()? as usize != self.queues {
             return Err(StateError::Invalid("Colibri queue count"));
         }
-        for q in &mut self.queues {
-            *q = QueueSlot {
+        for i in 0..self.queues {
+            let q = QueueSlot {
                 occupied: src.take_bool()?,
                 addr: src.take_u32()?,
                 head: src.take_u32()?,
@@ -222,6 +239,12 @@ impl Colibri {
                 waiting_wakeup: src.take_bool()?,
                 armed_mwait: src.take_bool()?,
             };
+            if q != QueueSlot::default() {
+                self.ensure_slots();
+            }
+            if let Some(slot) = self.slots.get_mut(i) {
+                *slot = q;
+            }
         }
         Ok(())
     }
@@ -241,7 +264,7 @@ mod tests {
 
     fn queues(a: &Bank) -> &[QueueSlot] {
         match &a.wait {
-            WaitUnit::Colibri(c) => &c.queues,
+            WaitUnit::Colibri(c) => &c.slots,
             other => panic!("no Colibri queues: {other:?}"),
         }
     }
@@ -790,8 +813,29 @@ mod tests {
 
     #[test]
     fn fresh_controller_tracks_nothing() {
-        let a = colibri(4);
-        assert_eq!(queues(&a).len(), 4);
-        assert_eq!(occupancy(&a), 0);
+        let mut a = colibri(4);
+        assert!(queues(&a).is_empty(), "no pair before the first wait");
+        // The first wait allocates all four pairs; a fifth address still
+        // fails fast.
+        let mut mem = MapStorage::new();
+        for (core, addr) in [(0, 0x40), (1, 0x80), (2, 0xC0), (3, 0x100)] {
+            run(&mut a, &mut mem, core, MemRequest::LrWait { addr });
+            assert_eq!(queues(&a).len(), 4);
+        }
+        assert_eq!(occupancy(&a), 4);
+        let r = run(&mut a, &mut mem, 4, MemRequest::LrWait { addr: 0x140 });
+        assert_eq!(
+            r,
+            vec![(
+                4,
+                MemResponse::Wait {
+                    value: 0,
+                    reserved: false
+                }
+            )]
+        );
+        assert_eq!(a.stats().wait_failfast, 1);
+        // Pairs allocated on first wait cost the bank no size.
+        assert!(std::mem::size_of::<Colibri>() <= std::mem::size_of::<Vec<QueueSlot>>());
     }
 }

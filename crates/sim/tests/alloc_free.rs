@@ -6,7 +6,8 @@
 //! the outbox bookkeeping alike, and in host store injection between
 //! cycles. The same allocator pins how many allocations building a
 //! 256-core machine takes, how many bytes they add up to, and how large
-//! the largest one is.
+//! the largest one is, and how many allocations assembling a kernel-sized
+//! program takes.
 //!
 //! This binary holds a single test so no concurrent test thread can
 //! pollute the counter.
@@ -50,19 +51,26 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 #[test]
 fn construction_is_bounded_and_steady_state_cycles_do_not_allocate() {
     mempool_construction();
+    kernel_sized_assembly();
     contended_steady_state();
     busy_loop_steady_state();
 }
 
 /// Building the paper's 256-core, 1024-bank machine. Most of the count
 /// is the one adapter per bank. No SPM page is allocated: the program has
-/// no data, and a page is allocated on its first nonzero write.
+/// no data, and a page is allocated on its first nonzero write. Nor is a
+/// wait queue entry or a Colibri register pair: a bank allocates those on
+/// its first wait.
 fn mempool_construction() {
     let program = Assembler::new()
         .assemble("_start: ecall\n")
         .expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
-    for arch in [SyncArch::Lrsc, SyncArch::LrscWaitIdeal] {
+    for arch in [
+        SyncArch::Lrsc,
+        SyncArch::LrscWaitIdeal,
+        SyncArch::Colibri { queues: 4 },
+    ] {
         let cfg = SimConfig::mempool(arch);
         LARGEST.store(0, Ordering::SeqCst);
         let (count_before, bytes_before) = (
@@ -74,10 +82,10 @@ fn mempool_construction() {
         let bytes = BYTES.load(Ordering::SeqCst) - bytes_before;
         let largest = LARGEST.load(Ordering::SeqCst);
         drop(machine);
-        if arch == SyncArch::Lrsc {
+        if arch != SyncArch::LrscWaitIdeal {
             assert!(
                 count <= BUILD_ALLOCATIONS,
-                "building a 256-core machine took {count} allocations (pinned: {BUILD_ALLOCATIONS})"
+                "building a 256-core {arch:?} machine took {count} allocations (pinned: {BUILD_ALLOCATIONS})"
             );
         }
         assert!(
@@ -95,13 +103,69 @@ fn mempool_construction() {
     }
 }
 
-/// Allocations of one 256-core `Lrsc` `Machine::with_decoded`, as
-/// measured with SPM pages allocated on first write.
+/// Allocations of one 256-core `Lrsc` or `Colibri { queues: 4 }`
+/// `Machine::with_decoded`, as measured with SPM pages allocated on first
+/// write. Allocating every bank's Colibri pairs up front breaks it (2081).
 const BUILD_ALLOCATIONS: u64 = 1057;
-/// Bytes one 256-core build allocates, `Lrsc` or `LrscWaitIdeal` (about
+/// Bytes one 256-core build allocates, whatever the architecture (about
 /// 480 KiB). Allocating the 1 MiB SPM up front, or reserving a
 /// reservation-queue entry per core in every bank (4 MiB), breaks it.
 const BUILD_BYTES: u64 = 512 << 10;
+
+/// Allocations of one `assemble` call on [`kernel_sized_source`]: the
+/// parser borrows the source, so what remains is a few tables and the
+/// finished `Program` with one `String` per symbol. An allocation per
+/// token or per instruction (hundreds) breaks it.
+const ASSEMBLE_ALLOCATIONS: u64 = 100;
+
+/// A program the size of a benchmark kernel: 98 text words, 8 injected
+/// constants, 19 labels, comments and a bss segment.
+fn kernel_sized_source() -> (Assembler, String) {
+    let mut asm = Assembler::new();
+    for (i, name) in ["ITERS", "NACTIVE", "POOL", "BACKOFF", "RMASK", "RING_BYTES"]
+        .iter()
+        .enumerate()
+    {
+        asm = asm.define(name, 64 << i);
+    }
+    asm = asm.define("NODE_BYTES", 4096).define("CHECK_BYTES", 1024);
+    let mut src = String::from(
+        ".equ MMIO, 0xFFFF0000\n\
+         _start:\n    li   s0, MMIO\n    rdhartid s1\n    li   t0, NACTIVE\n\
+         \x20   bltu s1, t0, participate\n    ecall      # idle cores leave\n\
+         participate:\n    la   s2, qhead\n    la   s3, qtail\n    li   s4, ITERS\n",
+    );
+    for block in 0..12 {
+        src.push_str(&format!(
+            "step{block}:\n\
+             \x20   lrwait.w t0, (s2)          // wait for the head\n\
+             \x20   addi t1, t0, {block}\n\
+             \x20   scwait.w t2, t1, (s2)\n\
+             \x20   bnez t2, step{block}\n\
+             \x20   sw   t1, 8(s3); li t3, RMASK\n\
+             \x20   and  t1, t1, t3\n"
+        ));
+    }
+    src.push_str(
+        "    addi s4, s4, -1\n    bnez s4, step0\n    ecall\n\
+         .bss\n.align 6\nqhead: .space 4\n.align 6\nqtail: .space 4\n\
+         ring: .space RING_BYTES\nnodes: .space NODE_BYTES\nchecks: .space CHECK_BYTES\n",
+    );
+    (asm, src)
+}
+
+fn kernel_sized_assembly() {
+    let (asm, src) = kernel_sized_source();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let program = asm.assemble(&src).expect("assembles");
+    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(program.text.len(), 98, "the source keeps its size");
+    assert!(
+        count <= ASSEMBLE_ALLOCATIONS,
+        "assembling {} instructions took {count} allocations (bound: {ASSEMBLE_ALLOCATIONS})",
+        program.text.len()
+    );
+}
 
 fn contended_steady_state() {
     // High-contention mix: AMO traffic, lrwait/scwait sleep-wake churn and
