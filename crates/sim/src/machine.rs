@@ -73,7 +73,8 @@
 //!   (message buffers, the dirty-bank/dirty-core/runnable sets, the ready
 //!   queue, the networks' rings and visit lists) is reused; steady-state
 //!   cycles perform zero heap allocations. The first nonzero write to an
-//!   SPM page allocates it once, the same way an outbox grows once to its
+//!   SPM page allocates it once, and a Colibri bank's first wait allocates
+//!   its head/tail pairs once, the same way an outbox grows once to its
 //!   high-water mark.
 //!
 //! # Superblocks
