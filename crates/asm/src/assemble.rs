@@ -223,8 +223,7 @@ struct Unit<'s> {
 
 impl<'s> Unit<'s> {
     fn new(asm: &'s Assembler, source: &str, eager: bool) -> Unit<'s> {
-        let mut symbols =
-            Symbols::with_capacity_and_hasher(asm.defines.len() + 32, Default::default());
+        let mut symbols = Symbols::with_capacity(asm.defines.len() + 32);
         symbols.extend(
             asm.defines
                 .iter()
@@ -716,11 +715,11 @@ impl EmitCtx<'_> {
     }
 
     fn eval_i12<'s>(&self, text: &'s str) -> Result<i32, ExprError<'s>> {
-        let v = self.eval(text)? as i32;
-        if !(-2048..2048).contains(&v) {
-            return Err(format!("immediate {v} does not fit in 12 bits").into());
+        let v = self.eval(text)?;
+        if !fits_i12(v) {
+            return Err(format!("immediate {} does not fit in 12 bits", v as i32).into());
         }
-        Ok(v)
+        Ok(v as i32)
     }
 
     fn branch_offset<'s>(&self, text: &'s str) -> Result<i32, ExprError<'s>> {
@@ -782,8 +781,8 @@ fn li_expansion(rd: Reg, value: u32, force_two: bool) -> (Instr, Option<Instr>) 
 }
 
 /// Expands one (possibly pseudo) instruction at `pc` into one or two
-/// instructions. `sized_words` is the word count pass 1 reserved, which
-/// `li` must honour.
+/// instructions. `sized_words` is the word count reserved when the
+/// instruction was read, which `li` must honour.
 fn emit_instr<'s>(
     mnemonic: &str,
     operands_text: &'s str,

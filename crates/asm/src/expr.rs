@@ -12,34 +12,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FNV-1a. Symbol names are a few bytes long, where SipHash's setup costs
-/// more than the hashing, and an assembler has no adversary to randomize
-/// its table against.
-pub(crate) struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// The symbol table while assembling: names borrowed from the source and
 /// the defines.
-pub(crate) type Symbols<'a> = HashMap<&'a str, u32, BuildHasherDefault<Fnv1a>>;
+pub(crate) type Symbols<'a> = HashMap<&'a str, u32>;
 
 /// What an expression may refer to.
 pub(crate) struct Scope<'a> {
@@ -105,7 +81,7 @@ enum Tok<'s> {
 struct Parser<'s, 'a> {
     input: &'s str,
     pos: usize,
-    /// The token at `pos`, already lexed.
+    /// The current token; `pos` is just past it.
     tok: Tok<'s>,
     scope: &'a Scope<'a>,
     /// Open parentheses and unary operators around the current primary.
@@ -459,9 +435,7 @@ mod tests {
 
     #[test]
     fn symbols_and_location() {
-        let syms: Symbols = [("foo", 12), ("bar.baz", 30), (".L1", 4)]
-            .into_iter()
-            .collect();
+        let syms = Symbols::from([("foo", 12), ("bar.baz", 30), (".L1", 4)]);
         assert_eq!(eval_with("foo*2", &syms), Ok(24));
         assert_eq!(eval_with("bar.baz", &syms), Ok(30));
         assert_eq!(eval_with(".L1", &syms), Ok(4));
