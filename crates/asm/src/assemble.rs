@@ -1,12 +1,11 @@
 //! The assembler core.
 //!
 //! `Unit::read` walks the source once, as slices of it: it lays out the
-//! sections, collects labels and `.equ` constants into a table keyed by
-//! those slices, and encodes every instruction whose symbols are already
-//! defined. `Unit::finish` places the bss and encodes what had to wait:
-//! instructions that name a symbol further down, `.word`s and the data
-//! image. Nothing is copied out of the source until the finished
-//! [`Program`]'s symbol table is built, once, at the end.
+//! sections and collects labels and `.equ` constants into a table keyed by
+//! those slices. `Unit::finish` places the bss and encodes every
+//! instruction, `.word` and data directive with the final symbol values.
+//! Nothing is copied out of the source until the finished [`Program`]'s
+//! symbol table is built, once, at the end.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -15,7 +14,6 @@ use std::fmt;
 use lrscwait_isa::{encode, AluOp, AmoOp, BranchOp, Csr, CsrOp, Instr, MemWidth, Reg};
 
 use crate::expr::{char_literal, eval, ExprError, Scope, Symbols};
-use crate::scan::{find_any, find_byte};
 
 /// Assembly failure with the 1-based source line where it occurred.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,9 +105,8 @@ impl Default for Assembler {
     }
 }
 
-/// A statement encoded at the end, once every symbol is defined: an
-/// instruction that names a symbol further down (or fails, so that errors
-/// are reported in source order), and every `.word` and data directive.
+/// A statement encoded at the end, once every symbol is defined: every
+/// instruction, `.word` and data directive.
 struct Deferred<'s> {
     line: u32,
     section: Section,
@@ -175,23 +172,17 @@ impl Assembler {
 
     /// Assembles `source` into a [`Program`].
     ///
-    /// Instructions are encoded as they are read; one that names a symbol
-    /// defined further down is encoded at the end. Encoded early, an
-    /// instruction sees the value a symbol has when it is read, which is
-    /// the final one unless `.equ`/`.set` later changes it: a source that
-    /// does so is read again with every instruction encoded at the end.
+    /// The source is read once to lay out the sections and define the
+    /// symbols; every instruction is then encoded with the symbols' final
+    /// values.
     ///
     /// # Errors
     ///
     /// Returns [`AsmError`] with the offending line on syntax errors,
     /// undefined symbols, out-of-range immediates, or misuse of directives.
     pub fn assemble(&self, source: &str) -> Result<Program, AsmError> {
-        let mut unit = Unit::new(self, source, true);
+        let mut unit = Unit::new(self, source);
         unit.read(source)?;
-        if unit.redefined {
-            unit = Unit::new(self, source, false);
-            unit.read(source)?;
-        }
         unit.finish()
     }
 }
@@ -201,10 +192,6 @@ impl Assembler {
 struct Unit<'s> {
     text_base: u32,
     data_base: u32,
-    /// Encode instructions as they are read where their symbols allow.
-    eager: bool,
-    /// A `.equ`/`.set` changed the value of a symbol already defined.
-    redefined: bool,
     symbols: Symbols<'s>,
     section: Section,
     text_loc: u32,
@@ -222,20 +209,18 @@ struct Unit<'s> {
 }
 
 impl<'s> Unit<'s> {
-    fn new(asm: &'s Assembler, source: &str, eager: bool) -> Unit<'s> {
+    fn new(asm: &'s Assembler, source: &str) -> Unit<'s> {
         let mut symbols = Symbols::with_capacity(asm.defines.len() + 32);
         symbols.extend(
             asm.defines
                 .iter()
                 .map(|(name, value)| (name.as_str(), *value)),
         );
-        // About one text word per line: sized so the text rarely regrows.
-        let lines = source.bytes().filter(|&b| b == b'\n').count() + 1;
+        // A kernel has about one statement per 16 source bytes.
+        let statements = source.len() / 16;
         Unit {
             text_base: asm.text_base,
             data_base: asm.data_base,
-            eager,
-            redefined: false,
             symbols,
             section: Section::Text,
             text_loc: asm.text_base,
@@ -243,20 +228,20 @@ impl<'s> Unit<'s> {
             bss_loc: 0,
             bss_line: 0,
             bss_labels: Vec::new(),
-            text: Vec::with_capacity(lines),
-            source_lines: Vec::with_capacity(lines),
-            deferred: Vec::new(),
+            text: Vec::with_capacity(statements),
+            source_lines: Vec::with_capacity(statements),
+            deferred: Vec::with_capacity(statements),
         }
     }
 
-    /// Lays out and, where it can, encodes every statement of `source`.
+    /// Lays out every statement of `source` and defines its symbols.
     fn read(&mut self, source: &'s str) -> Result<(), AsmError> {
-        for (idx, raw_line) in lines(source).enumerate() {
+        for (idx, raw_line) in source.lines().enumerate() {
             let line = idx as u32 + 1;
             for stmt in statements(raw_line) {
                 let mut rest = stmt.trim_ascii();
                 // Peel off leading labels.
-                while let Some(colon) = find_byte(rest, b':') {
+                while let Some(colon) = rest.find(':') {
                     let name = rest[..colon].trim_ascii();
                     if name.is_empty()
                         || !name
@@ -321,33 +306,18 @@ impl<'s> Unit<'s> {
         let words = instr_size(head, args, &self.symbols);
         let addr = self.text_loc;
         advance(&mut self.text_loc, 4 * words, line)?;
-        let encoded = if self.eager {
-            emit_instr(head, args, &self.symbols, addr, words).ok()
-        } else {
-            None
-        };
-        match encoded {
-            Some((first, second)) => {
-                self.push_text(encode(&first), line);
-                if let Some(second) = second {
-                    self.push_text(encode(&second), line);
-                }
-            }
-            None => {
-                for _ in 0..words {
-                    self.push_text(0, line);
-                }
-                self.defer(
-                    line,
-                    addr,
-                    words,
-                    Kind::Instr {
-                        mnemonic: head,
-                        operands: args,
-                    },
-                );
-            }
+        for _ in 0..words {
+            self.push_text(0, line);
         }
+        self.defer(
+            line,
+            addr,
+            words,
+            Kind::Instr {
+                mnemonic: head,
+                operands: args,
+            },
+        );
         Ok(())
     }
 
@@ -399,13 +369,7 @@ impl<'s> Unit<'s> {
                     Section::Bss => self.bss_loc,
                 };
                 let value = eval_here(self, expr, location)?;
-                if self
-                    .symbols
-                    .insert(name, value)
-                    .is_some_and(|old| old != value)
-                {
-                    self.redefined = true;
-                }
+                self.symbols.insert(name, value);
             }
             ".align" | ".p2align" => {
                 let p2 = eval_here(self, operands(args).next().unwrap_or("2"), 0)?;
@@ -570,23 +534,13 @@ fn literal_len(text: &str, i: usize) -> usize {
     char_literal(&text[i..]).map_or(1, |(_, len)| len)
 }
 
-/// The lines of `source`, as [`str::lines`] cuts them (at `\n` or
-/// `\r\n`), found eight bytes at a time.
-fn lines(source: &str) -> impl Iterator<Item = &str> {
-    let mut rest = source;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
-        }
-        let end = find_any(rest.as_bytes(), 0, [b'\n']);
-        let Some(after) = rest.get(end + 1..) else {
-            // The last line, with no line ending.
-            return Some(std::mem::take(&mut rest));
-        };
-        let line = &rest[..end];
-        rest = after;
-        Some(line.strip_suffix('\r').unwrap_or(line))
-    })
+/// Index of the first byte of `bytes` at or after `from` that is one of
+/// `set`, or `bytes.len()` when there is none.
+fn find_any(bytes: &[u8], from: usize, set: &[u8]) -> usize {
+    bytes[from.min(bytes.len())..]
+        .iter()
+        .position(|b| set.contains(b))
+        .map_or(bytes.len(), |i| from + i)
 }
 
 /// The statements of one source line: split at `;` and ended by a `#` or
@@ -598,7 +552,7 @@ fn statements(line: &str) -> impl Iterator<Item = &str> {
         let bytes = text.as_bytes();
         let mut end = 0;
         loop {
-            end = find_any(bytes, end, [b';', b'#', b'/', b'\'']);
+            end = find_any(bytes, end, b";#/'");
             match bytes.get(end) {
                 Some(b';') => {
                     rest = Some(&text[end + 1..]);
@@ -626,7 +580,7 @@ fn operands(text: &str) -> impl Iterator<Item = &str> {
         let mut depth = 0i32;
         let mut end = 0;
         loop {
-            end = find_any(bytes, end, [b',', b'(', b')', b'\'']);
+            end = find_any(bytes, end, b",()'");
             match bytes.get(end) {
                 None => break,
                 Some(b',') if depth == 0 => break,
@@ -1252,28 +1206,6 @@ fn emit_instr<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lines_match_the_standard_library() {
-        for source in [
-            "",
-            "a",
-            "a\n",
-            "a\r\n",
-            "a\rb",
-            "a\r",
-            "\n\n",
-            "a\n\r\nb\r",
-            "x\r\r\n",
-            "long line with no end",
-        ] {
-            assert_eq!(
-                lines(source).collect::<Vec<_>>(),
-                source.lines().collect::<Vec<_>>(),
-                "{source:?}"
-            );
-        }
-    }
 
     #[test]
     fn statements_and_operands_skip_literals() {

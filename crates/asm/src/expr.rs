@@ -349,23 +349,6 @@ fn char_value(body: &str) -> Result<u32, ExprError<'_>> {
 /// define, and [`ExprError::Invalid`] on syntax errors, division by zero
 /// and shifts by 32 or more.
 pub(crate) fn eval<'s>(input: &'s str, scope: &Scope<'_>) -> Result<u32, ExprError<'s>> {
-    // Most operands are one literal or one symbol: the whole input is then
-    // the one token the lexer would make of it, and needs no descent.
-    match input.as_bytes() {
-        [b'0'..=b'9', rest @ ..] if rest.iter().all(|&b| is_symbol_byte(b)) => {
-            return integer(input);
-        }
-        [b'a'..=b'z' | b'A'..=b'Z' | b'_', rest @ ..]
-            if rest.iter().all(|&b| is_symbol_byte(b) || b == b'.') =>
-        {
-            return scope
-                .symbols
-                .get(input)
-                .copied()
-                .ok_or(ExprError::Undefined(input));
-        }
-        _ => {}
-    }
     let mut parser = Parser {
         input,
         pos: 0,

@@ -26,9 +26,9 @@
 //!   unary `-` and `~`. A shift by 32 or more is an error, not a wrap.
 //!
 //! The source is read once, as slices of it: no token, operand or
-//! mnemonic is copied. An instruction is encoded as it is read, or, when
-//! it names a symbol defined further down, at the end; the program's
-//! symbol table is built once, at the end.
+//! mnemonic is copied. Every instruction is encoded at the end, with the
+//! symbols' final values, and the program's symbol table is built once,
+//! at the end.
 //!
 //! # Example
 //!
@@ -63,7 +63,6 @@
 
 mod assemble;
 mod expr;
-mod scan;
 
 pub use assemble::{AsmError, Assembler, Program};
 

@@ -110,12 +110,6 @@ impl Reg {
     /// Parses either an `xN` name or an ABI name (`a0`, `sp`, `fp`, …).
     #[must_use]
     pub fn parse(name: &str) -> Option<Reg> {
-        // Letter-digit names, nearly every operand the kernels write, are
-        // one table load instead of a string comparison per ABI name.
-        if let [letter @ b'a'..=b'z', digit @ b'0'..=b'9'] = *name.as_bytes() {
-            let idx = SHORT_NAMES[usize::from(letter - b'a') * 10 + usize::from(digit - b'0')];
-            return (idx != NO_REG).then_some(Reg(idx));
-        }
         if let Some(num) = name.strip_prefix('x') {
             if let Ok(idx) = num.parse::<u32>() {
                 return Reg::try_new(idx);
@@ -127,9 +121,33 @@ impl Reg {
             "sp" => 2,
             "gp" => 3,
             "tp" => 4,
-            "fp" => 8,
+            "t0" => 5,
+            "t1" => 6,
+            "t2" => 7,
+            "s0" | "fp" => 8,
+            "s1" => 9,
+            "a0" => 10,
+            "a1" => 11,
+            "a2" => 12,
+            "a3" => 13,
+            "a4" => 14,
+            "a5" => 15,
+            "a6" => 16,
+            "a7" => 17,
+            "s2" => 18,
+            "s3" => 19,
+            "s4" => 20,
+            "s5" => 21,
+            "s6" => 22,
+            "s7" => 23,
+            "s8" => 24,
+            "s9" => 25,
             "s10" => 26,
             "s11" => 27,
+            "t3" => 28,
+            "t4" => 29,
+            "t5" => 30,
+            "t6" => 31,
             _ => return None,
         };
         Some(Reg(idx))
@@ -146,33 +164,6 @@ impl Reg {
         NAMES[self.0 as usize]
     }
 }
-
-/// Marks a letter-digit name that is no register in [`SHORT_NAMES`].
-const NO_REG: u8 = u8::MAX;
-
-/// The register each letter-digit name denotes, at `(letter - 'a') * 10 +
-/// digit`: `a0`–`a7`, `s0`–`s9`, `t0`–`t6` and `x0`–`x9`.
-const SHORT_NAMES: [u8; 260] = {
-    const fn at(letter: u8, digit: u8) -> usize {
-        (letter - b'a') as usize * 10 + digit as usize
-    }
-    let mut table = [NO_REG; 260];
-    let mut d = 0;
-    while d < 10 {
-        if d < 8 {
-            table[at(b'a', d)] = 10 + d;
-        }
-        table[at(b's', d)] = if d < 2 { 8 + d } else { 16 + d };
-        if d < 3 {
-            table[at(b't', d)] = 5 + d;
-        } else if d < 7 {
-            table[at(b't', d)] = 25 + d;
-        }
-        table[at(b'x', d)] = d;
-        d += 1;
-    }
-    table
-};
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
