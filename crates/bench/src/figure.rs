@@ -7,14 +7,16 @@
 //! are the searches over finished points the claims share.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use lrscwait_kernels::Workload;
 use lrscwait_sim::{SimConfig, SimConfigBuilder};
 
 use crate::args::BenchArgs;
 use crate::experiment::{BenchError, Experiment, Measurement};
-use crate::report::{log_throughput, write_csv, write_profile_json, write_trace_csv};
-use crate::sweep::Sweep;
+use crate::report::{throughput_line, write_csv, write_profile_json, write_trace_csv};
+use crate::sweep::{lock_ignoring_poison, Sweep};
 
 /// One invocation of `fig <name> [flags]`.
 pub struct Figure {
@@ -23,6 +25,9 @@ pub struct Figure {
     pub name: &'static str,
     /// The flags given after the name.
     pub args: BenchArgs,
+    /// `(simulated cycles, host seconds)` of every point
+    /// [`run_dnf`](Figure::run_dnf) reported as DNF, for the summary.
+    pub(crate) dnf: Mutex<Vec<(u64, f64)>>,
 }
 
 impl Figure {
@@ -78,13 +83,16 @@ impl Figure {
     /// Runs `exp` as the point at `x`, treating a watchdog as a finding
     /// rather than a failure: a series that cannot finish within a very
     /// generous cycle budget has collapsed, which is the degenerate end of
-    /// the curve the paper describes. Such a point is logged as DNF and
-    /// comes back as `None`, to be dropped from the CSV.
+    /// the curve the paper describes. Such a point is logged as DNF, with
+    /// its simulated cycles and host seconds, comes back as `None`, to be
+    /// dropped from the CSV, and is counted apart in the summary
+    /// [`finish`](Figure::finish) prints.
     ///
     /// # Errors
     ///
     /// Every error of [`Experiment::run`] except [`BenchError::Watchdog`].
     pub fn run_dnf(&self, exp: Experiment<'_>, x: u32) -> Result<Option<Measurement>, BenchError> {
+        let started = Instant::now();
         match exp.run() {
             Ok(m) => Ok(Some(m)),
             Err(BenchError::Watchdog {
@@ -92,10 +100,13 @@ impl Figure {
                 cycles,
                 reason,
             }) => {
+                let seconds = started.elapsed().as_secs_f64();
                 eprintln!(
-                    "{} {label} x={x}: DNF — watchdog after {cycles} cycles, {reason}",
+                    "{} {label} x={x}: DNF — watchdog after {cycles} cycles \
+                     ({seconds:.2}s host time), {reason}",
                     self.name
                 );
+                lock_ignoring_poison(&self.dnf).push((cycles, seconds));
                 Ok(None)
             }
             Err(e) => Err(e),
@@ -123,7 +134,8 @@ impl Figure {
     }
 
     /// What every simulating figure does with a finished sweep besides
-    /// its own CSV: the one-line throughput report on stderr, then
+    /// its own CSV: the one-line throughput report on stderr (completed
+    /// runs, then the DNF points apart), then
     /// `<out>/<name>.profile.json` under `--profile` and
     /// `<out>/<name>.trace.csv` under `--trace`.
     ///
@@ -135,7 +147,11 @@ impl Figure {
         measurements: impl IntoIterator<Item = &'a Measurement> + Clone,
     ) -> Result<(), BenchError> {
         let runs = measurements.clone().into_iter();
-        log_throughput(self.name, runs.map(|m| (m.cycles, m.host_seconds)));
+        let dnf = lock_ignoring_poison(&self.dnf).clone();
+        eprintln!(
+            "{}",
+            throughput_line(self.name, runs.map(|m| (m.cycles, m.host_seconds)), dnf)
+        );
         if self.args.profile {
             let points = measurements.clone().into_iter().filter_map(|m| {
                 let profile = m.profile.as_ref()?;
@@ -231,7 +247,11 @@ mod tests {
                 exec,
                 ..BenchArgs::default()
             };
-            let fig = Figure { name: "figX", args };
+            let fig = Figure {
+                name: "figX",
+                args,
+                dnf: Mutex::default(),
+            };
             let cfg = fig.config(SimConfig::builder().cores(2)).unwrap();
             assert_eq!(cfg.exec_mode, want);
         }

@@ -12,24 +12,39 @@
 //! * radix-2 combining tree of `amoadd` counters, polling release;
 //! * the hardware MMIO barrier (roofline).
 //!
+//! The barrier module of `lrscwait_kernels` documents each algorithm's
+//! code and the in-kernel check that fails a run in which any core is
+//! released early.
+//!
+//! Every algorithm runs on LRSC. Only the one that issues a wait
+//! instruction ([`BarrierImpl::uses_wait_hardware`], the central LRSCwait
+//! barrier) also runs on Colibri4. The other three never reach the wait
+//! unit, so a Colibri4 run of them would replay their LRSC run cycle for
+//! cycle. `tests/differential.rs`,
+//! `the_wait_unit_cannot_affect_a_program_without_wait_instructions`,
+//! holds that equality on all four architectures instead.
+//!
 //! Every point also runs [`traced`](Experiment::traced) and with a
 //! [`NocHeatmapSink`] attached (tracing never changes results): the study
 //! emits, per point, the per-node delivered / HoL-blocked NoC traffic as
 //! `fig_barriers.heatmap.<impl>_<arch>_c<cores>.csv` — the Fig. 5-style
 //! interference mechanism made visible at scale.
 //!
-//! Runtime expectation: the full sweep is dominated by the retry-storm
-//! points (central LR/SC and the degraded wait-on-LRSC path at 1024
-//! cores — a kilocore machine *actively polling* is the most expensive
+//! Runtime: the full sweep is 15 points and is dominated by its two
+//! retry-storm points, central LR/SC and the degraded wait-on-LRSC path at
+//! 1024 cores. A kilocore machine *actively polling* is the most expensive
 //! thing a cycle-accurate simulator can be asked to do, which is the
-//! paper's argument in simulator-time form). Budget tens of CPU-minutes
-//! for the full figure; `--quick` finishes in well under a minute. A
-//! point whose barrier cannot complete within the 20 M-cycle watchdog
-//! (20x the costliest completing point ever observed) is reported as
-//! **DNF** and dropped from the CSV (fig6's CAS-livelock policy): a
+//! paper's argument in simulator-time form. On a 2-vCPU x86-64 host at the
+//! default `--threads`, the full figure took 236–249 s of wall time, the
+//! two DNF points running side by side for ~240 s each, and `--quick`
+//! (10 points) took under 1 s. A point whose barrier cannot complete
+//! within the 20 M-cycle watchdog (20x the costliest completing point ever
+//! observed) is run to the watchdog, reported as **DNF** and dropped from
+//! the CSV; the summary line counts its cycles and host seconds apart.
+//! (fig6 instead skips its CAS-livelock points without running them.) A
 //! retry barrier collapsing at kilocore scale is the finding, not a
-//! harness failure. The headline claims compare at the largest core
-//! count where every compared series completed.
+//! harness failure. The headline claims compare at the largest core count
+//! where every compared series completed.
 
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};
@@ -39,6 +54,9 @@ use lrscwait_trace::{NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATM
 use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
 use crate::{check_claim, write_csv, BenchError, Measurement};
+
+/// The wait-unit architecture the wait-based barrier also runs on.
+const COLIBRI4: SyncArch = SyncArch::Colibri { queues: 4 };
 
 const IMPLS: [BarrierImpl; 4] = [
     BarrierImpl::CentralLrsc,
@@ -101,67 +119,68 @@ impl Point {
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
     let cores: &[u32] = fig.pick(&[64, 256], &[64, 256, 1024]);
     let episodes = fig.pick(4, 8);
-    let archs = [SyncArch::Lrsc, SyncArch::Colibri { queues: 4 }];
+    // Every algorithm runs on LRSC; only the one that issues a wait
+    // instruction also runs on Colibri4, since the others never reach the
+    // wait unit (`tests/differential.rs` holds their schedules equal).
+    let machines: Vec<(BarrierImpl, SyncArch)> = product(&IMPLS, &[SyncArch::Lrsc, COLIBRI4])
+        .into_iter()
+        .filter(|&(impl_, arch)| arch == SyncArch::Lrsc || impl_.uses_wait_hardware())
+        .collect();
 
     // A point that hits the watchdog is reported as DNF and dropped from
-    // the CSV (see `Figure::run_dnf`) — the same policy fig6 applies to
-    // the Michael–Scott CAS livelock — while every other error aborts.
+    // the CSV (see `Figure::run_dnf`), while every other error aborts.
     let results: Vec<Point> = fig
-        .sweep(
-            product(&product(&IMPLS, &archs), cores),
-            |((impl_, arch), cores)| {
-                let cfg = SimConfig::builder()
-                    .mempool_cores(cores as usize)
-                    .arch(arch)
-                    .max_cycles(20_000_000);
-                let kernel = BarrierKernel::new(impl_, episodes, cores);
-                let heatmap = SharedSink::new(NocHeatmapSink::new());
-                let exp = fig
-                    .experiment(&kernel, cfg)?
-                    .label(series(impl_, arch))
-                    .x(cores)
-                    .traced()
-                    .sink(Box::new(heatmap.clone()));
-                let Some(measurement) = fig.run_dnf(exp, cores)? else {
-                    return Ok(None);
-                };
-                let analysis =
-                    measurement
-                        .analysis
-                        .clone()
-                        .ok_or(BenchError::MissingMeasurement {
-                            label: measurement.label.clone(),
-                            what: "synchronization analysis",
-                        })?;
-                let point = Point {
-                    measurement,
-                    impl_,
-                    arch,
-                    cores,
-                    episodes,
-                    analysis,
-                    heatmap: heatmap.take().finish(),
-                };
-                // A wait-hardware algorithm on the plain-LRSC adapter runs its
-                // fail-fast fallback path — flag the point so the log reads as
-                // the degradation it is.
-                let degraded = if impl_.uses_wait_hardware() && arch == SyncArch::Lrsc {
-                    " [degraded: no wait hardware]"
-                } else {
-                    ""
-                };
-                eprintln!(
-                    "{} {} cores={cores}: {:.1} cycles/episode \
+        .sweep(product(&machines, cores), |((impl_, arch), cores)| {
+            let cfg = SimConfig::builder()
+                .mempool_cores(cores as usize)
+                .arch(arch)
+                .max_cycles(20_000_000);
+            let kernel = BarrierKernel::new(impl_, episodes, cores);
+            let heatmap = SharedSink::new(NocHeatmapSink::new());
+            let exp = fig
+                .experiment(&kernel, cfg)?
+                .label(series(impl_, arch))
+                .x(cores)
+                .traced()
+                .sink(Box::new(heatmap.clone()));
+            let Some(measurement) = fig.run_dnf(exp, cores)? else {
+                return Ok(None);
+            };
+            let analysis = measurement
+                .analysis
+                .clone()
+                .ok_or(BenchError::MissingMeasurement {
+                    label: measurement.label.clone(),
+                    what: "synchronization analysis",
+                })?;
+            let point = Point {
+                measurement,
+                impl_,
+                arch,
+                cores,
+                episodes,
+                analysis,
+                heatmap: heatmap.take().finish(),
+            };
+            // A wait-hardware algorithm on the plain-LRSC adapter runs its
+            // fail-fast fallback path — flag the point so the log reads as
+            // the degradation it is.
+            let degraded = if impl_.uses_wait_hardware() && arch == SyncArch::Lrsc {
+                " [degraded: no wait hardware]"
+            } else {
+                ""
+            };
+            eprintln!(
+                "{} {} cores={cores}: {:.1} cycles/episode \
                  ({} HoL blocks, {} handoffs){degraded}",
-                    fig.name,
-                    point.measurement.label,
-                    point.cycles_per_episode(),
-                    point.heatmap.total_hol_blocks(),
-                    point.analysis.handoff.count,
-                );
-                Ok(Some(point))
-            },
-        )?
+                fig.name,
+                point.measurement.label,
+                point.cycles_per_episode(),
+                point.heatmap.total_hol_blocks(),
+                point.analysis.handoff.count,
+            );
+            Ok(Some(point))
+        })?
         .into_iter()
         .flatten()
         .collect();
@@ -219,10 +238,7 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
         (BarrierImpl::HwMmio, SyncArch::Lrsc),
         (BarrierImpl::CentralLrsc, SyncArch::Lrsc),
         (BarrierImpl::TreeAmo, SyncArch::Lrsc),
-        (
-            BarrierImpl::CentralLrscWait,
-            SyncArch::Colibri { queues: 4 },
-        ),
+        (BarrierImpl::CentralLrscWait, COLIBRI4),
     ]
     .map(|(impl_, arch)| series(impl_, arch));
     let top = largest_common_x(&results, Point::key, &compared, cores)?;

@@ -4,6 +4,7 @@
 //! per-figure flag policy.
 
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 use crate::args::{did_you_mean, BenchArgs, USAGE};
 use crate::figure::Figure;
@@ -136,5 +137,9 @@ pub fn run_figure(argv: impl IntoIterator<Item = String>) -> Result<(), BenchErr
         )));
     };
     let args = BenchArgs::parse(argv, name, refused)?;
-    run(&Figure { name, args })
+    run(&Figure {
+        name,
+        args,
+        dnf: Mutex::default(),
+    })
 }

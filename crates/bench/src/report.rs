@@ -13,22 +13,42 @@ use crate::experiment::{BenchError, Measurement};
 /// Prints the one-line throughput report every simulating figure emits on
 /// stderr, from each run's `(simulated cycles, host seconds)`.
 pub fn log_throughput(name: &str, runs: impl IntoIterator<Item = (u64, f64)>) {
-    let (mut experiments, mut sim_cycles, mut host_seconds) = (0usize, 0u64, 0.0f64);
-    for (cycles, seconds) in runs {
-        experiments += 1;
-        sim_cycles += cycles;
-        host_seconds += seconds;
+    eprintln!("{}", throughput_line(name, runs, []));
+}
+
+/// The throughput report: the completed runs' total, then — when any
+/// point hit the watchdog — the DNF points' count, simulated cycles and
+/// host seconds, each run given as `(simulated cycles, host seconds)`.
+pub(crate) fn throughput_line(
+    name: &str,
+    runs: impl IntoIterator<Item = (u64, f64)>,
+    dnf: impl IntoIterator<Item = (u64, f64)>,
+) -> String {
+    fn total(runs: impl IntoIterator<Item = (u64, f64)>) -> (usize, u64, f64) {
+        runs.into_iter()
+            .fold((0, 0, 0.0), |(n, c, s), (cycles, seconds)| {
+                (n + 1, c + cycles, s + seconds)
+            })
     }
+    let (experiments, sim_cycles, host_seconds) = total(runs);
     let per_sec = if host_seconds > 0.0 {
         sim_cycles as f64 / host_seconds
     } else {
         0.0
     };
-    eprintln!(
+    let mut line = format!(
         "{name}: simulated {sim_cycles} cycles over {experiments} experiments in \
          {host_seconds:.2}s host time ({:.2} Mcycles/s)",
         per_sec / 1e6,
     );
+    let (points, dnf_cycles, dnf_seconds) = total(dnf);
+    if points > 0 {
+        let _ = write!(
+            line,
+            "; not counted: {points} DNF ({dnf_cycles} cycles, {dnf_seconds:.2}s host time)"
+        );
+    }
+    line
 }
 
 /// Writes the profile artifact `<dir>/<name>.profile.json` from
@@ -313,6 +333,23 @@ mod tests {
         let md = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 1 | 2 |"));
+    }
+
+    #[test]
+    fn throughput_line_counts_dnf_points_after_the_completed_total() {
+        let runs = [(3_000_000, 1.0), (1_000_000, 1.0)];
+        let completed = "figX: simulated 4000000 cycles over 2 experiments in 2.00s host time \
+                         (2.00 Mcycles/s)";
+        assert_eq!(throughput_line("figX", runs, []), completed);
+        assert_eq!(
+            throughput_line("figX", runs, [(20_000_000, 100.0), (20_000_000, 150.5)]),
+            format!("{completed}; not counted: 2 DNF (40000000 cycles, 250.50s host time)")
+        );
+        assert_eq!(
+            throughput_line("figX", [], [(7, 0.25)]),
+            "figX: simulated 0 cycles over 0 experiments in 0.00s host time (0.00 Mcycles/s); \
+             not counted: 1 DNF (7 cycles, 0.25s host time)"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! architecture matrix. The machine-level suite with targeted assembly
 //! lives in `crates/sim/tests/differential.rs`.
 
+use lrscwait::asm::Program;
 use lrscwait::core::SyncArch;
+use lrscwait::isa::{decode, AmoOp, Instr};
 use lrscwait::kernels::{
     BarrierImpl, BarrierKernel, HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl,
     QueueKernel, RcuKernel, Workload,
@@ -417,4 +419,135 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             );
         }
     }
+}
+
+/// Whether `program` issues `lrwait`, `scwait` or `mwait` — the only
+/// instructions the wait unit acts on.
+fn issues_wait_instruction(program: &Program) -> bool {
+    program.text.iter().any(|&word| {
+        matches!(
+            decode(word).expect("kernel text decodes"),
+            Instr::Amo {
+                op: AmoOp::LrWait | AmoOp::ScWait | AmoOp::MWait,
+                ..
+            }
+        )
+    })
+}
+
+#[test]
+fn the_wait_unit_cannot_affect_a_program_without_wait_instructions() {
+    // A kernel that never issues a wait instruction never reaches the wait
+    // unit, so every architecture must replay the plain LR/SC bank path
+    // cycle for cycle. `fig_barriers` relies on this to run such barriers
+    // on LRSC only.
+    let barriers = [
+        BarrierImpl::CentralLrsc,
+        BarrierImpl::CentralLrscWait,
+        BarrierImpl::TreeAmo,
+        BarrierImpl::HwMmio,
+    ]
+    .map(|impl_| (impl_, BarrierKernel::new(impl_, 3, 8)));
+    for (impl_, kernel) in &barriers {
+        assert_eq!(
+            issues_wait_instruction(&kernel.program()),
+            impl_.uses_wait_hardware(),
+            "barrier {impl_:?}: uses_wait_hardware() disagrees with the kernel text"
+        );
+    }
+    let hists = [
+        HistImpl::AmoAdd,
+        HistImpl::Lrsc,
+        HistImpl::LrscWait,
+        HistImpl::TicketLock,
+        HistImpl::TasLock,
+        HistImpl::ColibriLock,
+        HistImpl::McsMwaitLock,
+    ]
+    .map(|impl_| (impl_, HistogramKernel::new(impl_, 2, 8, 8)));
+    let queues = [
+        QueueImpl::LrscWaitDirect,
+        QueueImpl::LrscMs,
+        QueueImpl::TicketRing,
+    ]
+    .map(|impl_| (impl_, QueueKernel::new(impl_, 6, 8)));
+    let kernels = (barriers
+        .iter()
+        .map(|(i, k)| (format!("barrier {i:?}"), k as &dyn Workload)))
+    .chain(
+        hists
+            .iter()
+            .map(|(i, k)| (format!("histogram {i:?}"), k as &dyn Workload)),
+    )
+    .chain(
+        queues
+            .iter()
+            .map(|(i, k)| (format!("queue {i:?}"), k as &dyn Workload)),
+    );
+
+    let archs = [
+        SyncArch::Lrsc,
+        SyncArch::LrscWait { slots: 1 },
+        SyncArch::LrscWaitIdeal,
+        SyncArch::Colibri { queues: 4 },
+    ];
+    let digest = |kernel: &dyn Workload, arch: SyncArch, mode: ExecMode| {
+        let cfg = SimConfig::builder()
+            .cores(8)
+            .arch(arch)
+            .exec_mode(mode)
+            .max_cycles(50_000_000)
+            .build()
+            .unwrap();
+        let m = Experiment::new(kernel, cfg)
+            .x(1)
+            .run()
+            .expect("kernel runs");
+        schedule_digest(m.cycles, &m.stats)
+    };
+    let mut checked = Vec::new();
+    for (what, kernel) in kernels {
+        // A wait kernel is not run across archs: on plain LRSC some of
+        // them only spin until the watchdog.
+        if issues_wait_instruction(&kernel.program()) {
+            continue;
+        }
+        for mode in [ExecMode::Translated, ExecMode::Reference] {
+            let lrsc = digest(kernel, SyncArch::Lrsc, mode);
+            for arch in &archs[1..] {
+                assert_eq!(
+                    digest(kernel, *arch, mode),
+                    lrsc,
+                    "{what} {mode:?}: the schedule on {arch} differs from LRSC"
+                );
+            }
+        }
+        checked.push(what);
+    }
+    assert_eq!(
+        checked,
+        [
+            "barrier CentralLrsc",
+            "barrier TreeAmo",
+            "barrier HwMmio",
+            "histogram AmoAdd",
+            "histogram Lrsc",
+            "histogram TicketLock",
+            "histogram TasLock",
+            "queue LrscMs",
+            "queue TicketRing",
+        ]
+    );
+
+    // The digest does see the wait unit: the wait barrier's schedule moves.
+    let wait_barrier = &barriers[1].1;
+    assert_ne!(
+        digest(wait_barrier, SyncArch::Lrsc, ExecMode::Translated),
+        digest(
+            wait_barrier,
+            SyncArch::Colibri { queues: 4 },
+            ExecMode::Translated
+        ),
+        "the wait barrier must schedule differently with a wait unit"
+    );
 }
