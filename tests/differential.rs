@@ -6,6 +6,7 @@
 //! lives in `crates/sim/tests/differential.rs`.
 
 use lrscwait::asm::Program;
+use lrscwait::chaos::FaultPlan;
 use lrscwait::core::SyncArch;
 use lrscwait::isa::{decode, AmoOp, Instr};
 use lrscwait::kernels::{
@@ -332,6 +333,18 @@ fn schedule_digest(cycles: u64, stats: &lrscwait::sim::SimStats) -> u64 {
         })
 }
 
+/// `(what, kernel, cores, arch, chaos plan, cycles, digest)` of one run
+/// whose schedule is pinned.
+type PinnedRun<'k> = (
+    &'k str,
+    &'k dyn Workload,
+    usize,
+    SyncArch,
+    Option<FaultPlan>,
+    u64,
+    u64,
+);
+
 #[test]
 fn schedule_is_pinned_against_the_recorded_parent() {
     // Both steppers share one `Network`, so a changed NoC arbitration
@@ -340,17 +353,28 @@ fn schedule_is_pinned_against_the_recorded_parent() {
     // the NoC storage rebuild (PR 13); a digest that moves means simulated
     // results moved. Re-record only for a deliberate model change. The two
     // centralized-queue rows were recorded before the three bank adapters
-    // became one front end with a wait unit per architecture.
+    // became one front end with a wait unit per architecture; the chaos
+    // row, before the networks counted their own per-node traffic.
     let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
     let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
     let barrier = BarrierKernel::new(BarrierImpl::CentralLrscWait, 1, 1024);
     let wait_hist = HistogramKernel::new(HistImpl::LrscWait, 1, 4, 64);
-    let runs: [(&str, &dyn Workload, usize, SyncArch, u64, u64); 5] = [
+    // Request jitter and response (wakeup and flit) delay only, so every
+    // injection of both networks may carry extra latency.
+    let jitter = FaultPlan {
+        wake_delay_per_mille: 150,
+        wake_delay_max: 24,
+        jitter_per_mille: 200,
+        jitter_max: 6,
+        ..FaultPlan::quiet(7)
+    };
+    let runs: [PinnedRun; 6] = [
         (
             "lrsc 1-bin histogram",
             &hist,
             64,
             SyncArch::Lrsc,
+            None,
             77_813,
             0x9bad_dbf2_9aa3_c0de,
         ),
@@ -359,6 +383,7 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             &queue,
             16,
             SyncArch::Colibri { queues: 4 },
+            None,
             1_809,
             0x3313_b3d0_bdfe_6af4,
         ),
@@ -367,6 +392,7 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             &barrier,
             1024,
             SyncArch::Colibri { queues: 4 },
+            None,
             24_640,
             0xee01_14fb_55f9_676b,
         ),
@@ -375,6 +401,7 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             &wait_hist,
             64,
             SyncArch::LrscWaitIdeal,
+            None,
             2_063,
             0x11a5_40c1_63e6_b7a8,
         ),
@@ -383,23 +410,34 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             &wait_hist,
             64,
             SyncArch::LrscWait { slots: 1 },
+            None,
             8_330,
             0x2884_b271_d3df_5990,
         ),
+        (
+            "colibri queue, chaos request and response jitter",
+            &queue,
+            16,
+            SyncArch::Colibri { queues: 4 },
+            Some(jitter),
+            2_447,
+            0x8795_a7fd_1093_630f,
+        ),
     ];
-    for (what, kernel, cores, arch, cycles, digest) in runs {
+    for (what, kernel, cores, arch, chaos, cycles, digest) in runs {
         for mode in [ExecMode::Translated, ExecMode::Reference] {
             let geometry = if cores == 1024 {
                 SimConfig::builder().mempool_cores(cores)
             } else {
                 SimConfig::builder().cores(cores)
             };
-            let cfg = geometry
+            let mut cfg = geometry
                 .arch(arch)
                 .exec_mode(mode)
                 .max_cycles(50_000_000)
                 .build()
                 .unwrap();
+            cfg.chaos = chaos;
             let m = Experiment::new(kernel, cfg).x(1).run().expect(what);
             assert!(
                 m.stats.req_network.hol_blocks > 0,
