@@ -48,8 +48,9 @@
 
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};
+use lrscwait_noc::NodeTraffic;
 use lrscwait_sim::SimConfig;
-use lrscwait_trace::{NocHeatmap, NocHeatmapSink, SharedSink, SyncAnalysis, HEATMAP_CSV_HEADER};
+use lrscwait_trace::SyncAnalysis;
 
 use crate::figure::{find, largest_common_x, product, Figure};
 use crate::report::{columns, print_table};
@@ -91,6 +92,43 @@ const CSV_HEADER: [&str; 8] = [
     "hol_blocks",
 ];
 
+/// The header of a per-point heatmap CSV.
+const HEATMAP_CSV_HEADER: [&str; 6] = [
+    "net",
+    "node",
+    "injected",
+    "inject_stalled",
+    "delivered",
+    "hol_blocked",
+];
+
+/// The heatmap CSV body of a point's request and response network traffic
+/// (`Machine::noc_traffic`): one row per node with any traffic, request
+/// nodes first, each network in node id order. Untouched nodes are
+/// omitted, so a full-scale heatmap stays proportional to the active
+/// fabric.
+fn heatmap_rows([request, response]: &[Vec<NodeTraffic>; 2]) -> Vec<Vec<String>> {
+    [("request", request), ("response", response)]
+        .into_iter()
+        .flat_map(|(net, nodes)| {
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| **t != NodeTraffic::default())
+                .map(move |(node, t)| {
+                    vec![
+                        net.to_string(),
+                        node.to_string(),
+                        t.injected.to_string(),
+                        t.inject_stalled.to_string(),
+                        t.delivered.to_string(),
+                        t.hol_blocked.to_string(),
+                    ]
+                })
+        })
+        .collect()
+}
+
 struct Point {
     measurement: Measurement,
     impl_: BarrierImpl,
@@ -98,7 +136,7 @@ struct Point {
     cores: u32,
     episodes: u32,
     analysis: SyncAnalysis,
-    heatmap: NocHeatmap,
+    traffic: [Vec<NodeTraffic>; 2],
 }
 
 impl Point {
@@ -113,6 +151,12 @@ impl Point {
             .max_region_cycles(0..self.cores as usize)
             .unwrap_or(self.measurement.cycles);
         region as f64 / f64::from(self.episodes)
+    }
+
+    /// Head-of-line blocking occurrences on both networks.
+    fn hol_blocks(&self) -> u64 {
+        let stats = &self.measurement.stats;
+        stats.req_network.hol_blocks + stats.resp_network.hol_blocks
     }
 }
 
@@ -136,13 +180,13 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
                 .arch(arch)
                 .max_cycles(20_000_000);
             let kernel = BarrierKernel::new(impl_, episodes, cores);
-            let heatmap = SharedSink::new(NocHeatmapSink::new());
+            let mut traffic = None;
             let exp = fig
                 .experiment(&kernel, cfg)?
                 .label(series(impl_, arch))
                 .x(cores)
                 .traced()
-                .sink(Box::new(heatmap.clone()));
+                .inspect(|machine| traffic = Some(machine.noc_traffic()));
             let Some(measurement) = fig.run_dnf(exp, cores)? else {
                 return Ok(None);
             };
@@ -160,7 +204,7 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
                 cores,
                 episodes,
                 analysis,
-                heatmap: heatmap.take().finish(),
+                traffic: traffic.expect("a completed run is inspected"),
             };
             // A wait-hardware algorithm on the plain-LRSC adapter runs its
             // fail-fast fallback path — flag the point so the log reads as
@@ -176,7 +220,7 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
                 fig.name,
                 point.measurement.label,
                 point.cycles_per_episode(),
-                point.heatmap.total_hol_blocks(),
+                point.hol_blocks(),
                 point.analysis.handoff.count,
             );
             Ok(Some(point))
@@ -203,7 +247,7 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
                 format!("{:.1}", p.cycles_per_episode()),
                 p.measurement.cycles.to_string(),
                 p.measurement.stats.total_stall_cycles().to_string(),
-                p.analysis.hol_blocks.to_string(),
+                p.hol_blocks().to_string(),
             ]
         })
         .collect();
@@ -217,9 +261,9 @@ pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
             p.arch.to_string().to_lowercase(),
             p.cores
         );
-        let heatmap_rows = p.heatmap.csv_rows();
+        let heatmap_rows = heatmap_rows(&p.traffic);
         check_claim(
-            !heatmap_rows.is_empty() && p.heatmap.total_delivered() > 0,
+            p.traffic.iter().flatten().any(|t| t.delivered > 0),
             format!("{name}: heatmap recorded no NoC traffic"),
         )?;
         write_csv(&fig.args.out, &name, &HEATMAP_CSV_HEADER, &heatmap_rows)?;

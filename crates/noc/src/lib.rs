@@ -35,5 +35,5 @@ mod network;
 mod topology;
 
 pub use idset::IdSet;
-pub use network::{Network, NetworkStats, NocEvent, NodeId, NodeSpec, Route};
+pub use network::{Network, NetworkStats, NodeId, NodeSpec, NodeTraffic, Route};
 pub use topology::{LinkSpecs, MempoolTopology, TopologyConfig};

@@ -104,8 +104,13 @@ struct Flit<P> {
     payload: Option<P>,
     route: Route,
     hop: u8,
+    /// Once delivered, the handle of the next free slot ([`NO_SLOT`] ends
+    /// the free list).
     ready_at: u64,
 }
+
+/// The end of the free list.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A node's service parameters and its FIFO: a fixed ring of `capacity`
 /// slab handles at `ring[base..base + capacity]`.
@@ -146,38 +151,25 @@ impl Node {
     }
 }
 
-/// An observable transport event, emitted through the tracing hooks
-/// ([`Network::try_send_extra_traced`], [`Network::advance_traced`]).
-///
-/// The events carry node ids only — the network is payload-agnostic, so
-/// semantic context (which core, which request) is the caller's to add.
-/// The untraced entry points compile these hooks out entirely (the no-op
-/// closure is monomorphized away), keeping the hot path identical to a
-/// build without tracing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NocEvent {
-    /// A message entered the network at `node`.
-    Injected {
-        /// First node of the message's route.
-        node: NodeId,
-    },
-    /// An injection attempt was refused because `node`'s queue was full
-    /// (backpressure reached the source).
-    InjectStalled {
-        /// First node of the refused route.
-        node: NodeId,
-    },
-    /// A message left the network at `node` (the end of its route).
-    Delivered {
-        /// Final node of the message's route.
-        node: NodeId,
-    },
-    /// `node`'s front flit could not move because the downstream queue was
-    /// full — one head-of-line blocking occurrence.
-    HolBlocked {
-        /// Blocked node.
-        node: NodeId,
-    },
+/// Traffic counters of one node (see [`Network::traffic`]): where the
+/// aggregate [`NetworkStats`] say *how much* interference a run suffered,
+/// these say *where*. Each counter saturates at `u32::MAX`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeTraffic {
+    /// Messages that entered the network at this node.
+    pub injected: u32,
+    /// Injection attempts refused because this node's queue was full.
+    pub inject_stalled: u32,
+    /// Messages that left the network at this node.
+    pub delivered: u32,
+    /// Head-of-line blocking occurrences at this node: its front flit
+    /// could not move because the downstream queue was full.
+    pub hol_blocked: u32,
+}
+
+/// Counts one occurrence.
+fn count(counter: &mut u32) {
+    *counter = counter.saturating_add(1);
 }
 
 /// Statistics of a network (for utilization reports and the energy model).
@@ -205,7 +197,9 @@ pub struct NetworkStats {
 /// The rings are fixed slices of one arena — every push is preceded by a
 /// capacity check, so a ring never grows — and the slab grows to the
 /// high-water mark of flits in flight, recycling slots through a free
-/// list.
+/// list threaded through the vacant slots. The per-node traffic counters
+/// are an array of their own: inside `Node` they would take a 1024-core
+/// request network's node array past glibc's 128 KiB mmap threshold.
 ///
 /// # Processing order
 ///
@@ -219,15 +213,17 @@ pub struct Network<P> {
     /// Handle rings of all nodes, back to back.
     ring: Vec<u32>,
     slab: Vec<Flit<P>>,
-    /// Delivered slab slots, reused before the slab grows. Its capacity
-    /// follows the slab's, so recycling never allocates.
-    free: Vec<u32>,
+    /// Handle of the last delivered slab slot, reused before the slab
+    /// grows.
+    free: u32,
     /// Nodes with a non-empty queue.
     active: IdSet,
     /// Reusable rotated snapshot of `active` for `advance`
     /// (allocation-free steady state).
     scratch: Vec<NodeId>,
     stats: NetworkStats,
+    /// Per-node traffic counters, by node id.
+    traffic: Vec<NodeTraffic>,
 }
 
 impl<P> Network<P> {
@@ -269,10 +265,11 @@ impl<P> Network<P> {
             // summed capacity (megabytes at 1024 cores) would, on release,
             // raise glibc's dynamic mmap threshold for the whole process.
             slab: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
+            free: NO_SLOT,
             active: IdSet::new(n),
             scratch: Vec::with_capacity(n),
             stats: NetworkStats::default(),
+            traffic: vec![NodeTraffic::default(); n],
         }
     }
 
@@ -286,6 +283,15 @@ impl<P> Network<P> {
     #[must_use]
     pub fn stats(&self) -> NetworkStats {
         self.stats
+    }
+
+    /// Per-node traffic counters, in node id order. Each sums (below
+    /// saturation) to its [`NetworkStats`] counterpart. Like an attached
+    /// trace sink, they observe the run without being part of its state:
+    /// a checkpoint restore ([`push_flit`](Network::push_flit),
+    /// [`set_stats`](Network::set_stats)) leaves them as they are.
+    pub fn traffic(&self) -> impl ExactSizeIterator<Item = NodeTraffic> + '_ {
+        self.traffic.iter().copied()
     }
 
     /// Total messages currently in flight.
@@ -307,13 +313,14 @@ impl<P> Network<P> {
             hop,
             ready_at,
         };
-        let handle = if let Some(handle) = self.free.pop() {
+        let handle = if self.free == NO_SLOT {
+            self.slab.push(flit);
+            (self.slab.len() - 1) as u32
+        } else {
+            let handle = self.free;
+            self.free = self.slab[handle as usize].ready_at as u32;
             self.slab[handle as usize] = flit;
             handle
-        } else {
-            self.slab.push(flit);
-            self.free.reserve(self.slab.capacity());
-            (self.slab.len() - 1) as u32
         };
         let id = route.hops[usize::from(hop)];
         let node = &mut self.nodes[id as usize];
@@ -386,7 +393,7 @@ impl<P> Network<P> {
         }
         self.active.clear();
         self.slab.clear();
-        self.free.clear();
+        self.free = NO_SLOT;
     }
 
     /// Overwrites the accumulated statistics (restored from a checkpoint).
@@ -412,24 +419,11 @@ impl<P> Network<P> {
             .min()
     }
 
-    /// Attempts to inject `payload` along `route` at time `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the payload back when the first node's queue is full — the
-    /// caller must stall and retry (backpressure reaches the source).
-    pub fn try_send(&mut self, route: Route, payload: P, now: u64) -> Result<(), P> {
-        self.try_send_extra_traced(route, payload, now, 0, &mut |_| {})
-    }
-
-    /// [`try_send`](Network::try_send) with a tracing hook and `extra`
-    /// cycles of additional injection latency on top of the first node's
-    /// configured latency (chaos-injected NoC jitter).
-    ///
-    /// `emit` receives [`NocEvent::Injected`] on success and
-    /// [`NocEvent::InjectStalled`] on refusal; a no-op closure is
-    /// monomorphized away. FIFO order within the node is preserved by
-    /// construction — a later flit cannot overtake the queue front, so
+    /// Attempts to inject `payload` along `route` at time `now`: the flit
+    /// may leave the first node `latency` cycles after `now`, and `now`
+    /// feeds nothing else. A caller adding injection latency (chaos NoC
+    /// jitter) passes a later `now`. FIFO order within the node holds
+    /// either way — a later flit cannot overtake the queue front, so
     /// [`next_ready_at`](Network::next_ready_at) (the front flit) remains
     /// the binding fast-forward bound.
     ///
@@ -437,28 +431,19 @@ impl<P> Network<P> {
     ///
     /// Returns the payload back when the first node's queue is full — the
     /// caller must stall and retry (backpressure reaches the source).
-    pub fn try_send_extra_traced<F>(
-        &mut self,
-        route: Route,
-        payload: P,
-        now: u64,
-        extra: u32,
-        emit: &mut F,
-    ) -> Result<(), P>
-    where
-        F: FnMut(NocEvent),
-    {
+    pub fn try_send(&mut self, route: Route, payload: P, now: u64) -> Result<(), P> {
         let first = route.hops()[0];
         let node = &self.nodes[first as usize];
+        let traffic = &mut self.traffic[first as usize];
         if node.len >= node.capacity {
+            count(&mut traffic.inject_stalled);
             self.stats.inject_stalls += 1;
-            emit(NocEvent::InjectStalled { node: first });
             return Err(payload);
         }
-        let ready_at = now + u64::from(node.latency) + u64::from(extra);
+        count(&mut traffic.injected);
+        let ready_at = now + u64::from(node.latency);
         self.enqueue(payload, route, 0, ready_at);
         self.stats.injected += 1;
-        emit(NocEvent::Injected { node: first });
         Ok(())
     }
 
@@ -472,17 +457,6 @@ impl<P> Network<P> {
     /// round-robin arbiters. Without it, a retry storm can starve one
     /// producer forever.
     pub fn advance(&mut self, now: u64, out: &mut Vec<P>) {
-        self.advance_traced(now, out, &mut |_| {});
-    }
-
-    /// [`advance`](Network::advance) with a tracing hook: `emit` receives
-    /// [`NocEvent::Delivered`] for every payload appended to `out` and
-    /// [`NocEvent::HolBlocked`] for every head-of-line blocking occurrence
-    /// (a no-op closure is monomorphized away).
-    pub fn advance_traced<F>(&mut self, now: u64, out: &mut Vec<P>, emit: &mut F)
-    where
-        F: FnMut(NocEvent),
-    {
         if self.active.is_empty() {
             return;
         }
@@ -508,16 +482,17 @@ impl<P> Network<P> {
                 let next_hop = usize::from(flit.hop) + 1;
                 if next_hop == flit.route.len() {
                     let payload = flit.payload.take();
-                    self.free.push(handle);
+                    flit.ready_at = u64::from(self.free);
+                    self.free = handle;
                     self.stats.delivered += 1;
-                    emit(NocEvent::Delivered { node: id });
+                    count(&mut self.traffic[at].delivered);
                     out.push(payload.expect("queued flit holds a payload"));
                 } else {
                     let next = flit.route.hops[next_hop];
                     let next_node = &mut self.nodes[next as usize];
                     if next_node.len >= next_node.capacity {
                         self.stats.hol_blocks += 1;
-                        emit(NocEvent::HolBlocked { node: id });
+                        count(&mut self.traffic[at].hol_blocked);
                         break; // head-of-line blocking
                     }
                     flit.hop = next_hop as u8;

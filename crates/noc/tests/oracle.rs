@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use lrscwait_noc::{
-    MempoolTopology, Network, NetworkStats, NocEvent, NodeId, NodeSpec, Route, TopologyConfig,
+    MempoolTopology, Network, NetworkStats, NodeId, NodeSpec, NodeTraffic, Route, TopologyConfig,
 };
 
 type Flit = (u32, Route, u8, u64); // payload, route, hop, ready_at
@@ -16,22 +16,17 @@ struct Naive {
     specs: Vec<NodeSpec>,
     queues: Vec<VecDeque<Flit>>,
     stats: NetworkStats,
+    traffic: Vec<NodeTraffic>,
 }
 
 impl Naive {
-    fn try_send(
-        &mut self,
-        route: Route,
-        p: u32,
-        now: u64,
-        extra: u32,
-        ev: &mut Vec<NocEvent>,
-    ) -> bool {
+    fn try_send(&mut self, route: Route, p: u32, now: u64, extra: u32) -> bool {
         let first = route.hops()[0];
         let (spec, queue) = (self.specs[first as usize], &mut self.queues[first as usize]);
+        let traffic = &mut self.traffic[first as usize];
         if queue.len() >= spec.capacity {
             self.stats.inject_stalls += 1;
-            ev.push(NocEvent::InjectStalled { node: first });
+            traffic.inject_stalled += 1;
             return false;
         }
         queue.push_back((
@@ -41,11 +36,11 @@ impl Naive {
             now + u64::from(spec.latency) + u64::from(extra),
         ));
         self.stats.injected += 1;
-        ev.push(NocEvent::Injected { node: first });
+        traffic.injected += 1;
         true
     }
 
-    fn advance(&mut self, now: u64, out: &mut Vec<u32>, ev: &mut Vec<NocEvent>) {
+    fn advance(&mut self, now: u64, out: &mut Vec<u32>) {
         let mut order: Vec<NodeId> = (0..self.queues.len() as NodeId)
             .filter(|&id| !self.queues[id as usize].is_empty())
             .collect();
@@ -63,7 +58,7 @@ impl Naive {
                 if usize::from(hop) + 1 == route.len() {
                     self.queues[id as usize].pop_front();
                     self.stats.delivered += 1;
-                    ev.push(NocEvent::Delivered { node: id });
+                    self.traffic[id as usize].delivered += 1;
                     out.push(p);
                     continue;
                 }
@@ -71,7 +66,7 @@ impl Naive {
                 let spec = self.specs[next as usize];
                 if self.queues[next as usize].len() >= spec.capacity {
                     self.stats.hol_blocks += 1;
-                    ev.push(NocEvent::HolBlocked { node: id });
+                    self.traffic[id as usize].hol_blocked += 1;
                     break;
                 }
                 self.queues[id as usize].pop_front();
@@ -99,8 +94,10 @@ fn flits_of(net: &Network<u32>) -> Vec<Flit> {
 
 /// Co-simulates engine and model for `cycles` cycles of seeded traffic
 /// (`pick` draws a route), with chaos-style `extra` jitter, then drains.
-/// Half-way through, the engine is replaced by a `for_each_flit` /
-/// `push_flit` replay of itself.
+/// The engine takes the jitter as a later injection time; the model adds
+/// it to the flit's ready time. Half-way through, the engine is replaced
+/// by a `for_each_flit` / `push_flit` replay of itself, which counts its
+/// per-node traffic from zero, and so does the model from then on.
 fn cosimulate(
     specs: Vec<NodeSpec>,
     cycles: u64,
@@ -119,9 +116,9 @@ fn cosimulate(
         queues: vec![VecDeque::new(); specs.len()],
         specs: specs.clone(),
         stats: NetworkStats::default(),
+        traffic: vec![NodeTraffic::default(); specs.len()],
     };
     let (mut sent, mut out, mut out_m) = (0u32, Vec::new(), Vec::new());
-    let (mut ev, mut ev_m) = (Vec::new(), Vec::new());
     for now in 0.. {
         let draining = now >= cycles;
         if draining && net.in_flight() == 0 {
@@ -136,21 +133,21 @@ fn cosimulate(
             } else {
                 0
             };
-            let mut emit = |e| ev.push(e);
-            let accepted = net
-                .try_send_extra_traced(route, sent, now, extra, &mut emit)
-                .is_ok();
+            let accepted = net.try_send(route, sent, now + u64::from(extra)).is_ok();
             assert_eq!(
                 accepted,
-                model.try_send(route, sent, now, extra, &mut ev_m),
+                model.try_send(route, sent, now, extra),
                 "seed {seed} cycle {now}"
             );
             sent += 1;
         }
-        net.advance_traced(now, &mut out, &mut |e| ev.push(e));
-        model.advance(now, &mut out_m, &mut ev_m);
+        net.advance(now, &mut out);
+        model.advance(now, &mut out_m);
         assert_eq!(out, out_m, "seed {seed} cycle {now}: delivered payloads");
-        assert_eq!(ev, ev_m, "seed {seed} cycle {now}: event stream");
+        assert!(
+            net.traffic().eq(model.traffic.iter().copied()),
+            "seed {seed} cycle {now}: per-node traffic"
+        );
         assert_eq!(net.stats(), model.stats, "seed {seed} cycle {now}");
         let flits = model.flits();
         assert_eq!(
@@ -179,11 +176,10 @@ fn cosimulate(
             }
             restored.set_stats(net.stats());
             net = restored;
+            model.traffic.fill(NodeTraffic::default());
         }
         out.clear();
         out_m.clear();
-        ev.clear();
-        ev_m.clear();
     }
     assert_eq!(
         net.stats().delivered,

@@ -116,18 +116,19 @@
 //!
 //! [`Machine::set_tracer`] attaches a `lrscwait-trace` sink that observes
 //! the run as structured events: core park/wake with cause, barrier
-//! arrivals and releases, measured-region markers, request issue, the
-//! bank adapters' synchronization events and the networks' transport
-//! events. Tracing is an *observer, never a steering input*: results are
+//! arrivals and releases, measured-region markers, request issue and the
+//! bank adapters' synchronization events. NoC traffic is not traced: each
+//! network counts it per node itself ([`Machine::noc_traffic`]). Tracing
+//! is an *observer, never a steering input*: results are
 //! bit-identical with and without a sink, and the event stream itself is
 //! identical across execution modes (enforced by
 //! `crates/sim/tests/tracing.rs`). There is one stepper, traced or not:
 //! every emit site is `tracer.emit(now, || TraceEvent::…)`, which with no
 //! sink attached — the default — is one predictable branch that never
 //! builds the event (`crates/sim/tests/alloc_free.rs` proves the untraced
-//! cycle allocation-free). The two observers that take a callback instead
-//! of returning events, [`SyncAdapter::handle`] and [`Network::advance`] /
-//! `try_send`, are called in their untraced form while the tracer is off.
+//! cycle allocation-free). The one observer that takes a callback instead
+//! of returning events, the adapters' `handle_traced`, is called as
+//! [`SyncAdapter::handle`] while the tracer is off.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -138,8 +139,8 @@ use std::sync::Arc;
 use lrscwait_asm::Program;
 use lrscwait_chaos::Chaos;
 use lrscwait_core::{AdapterStats, MemRequest, MemResponse, Qnode, SyncAdapter};
-use lrscwait_noc::{IdSet, MempoolTopology, Network, Route};
-use lrscwait_trace::{NetDir, OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
+use lrscwait_noc::{IdSet, MempoolTopology, Network, NodeTraffic};
+use lrscwait_trace::{OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram};
@@ -694,6 +695,19 @@ impl Machine {
         }
     }
 
+    /// Per-node traffic counters of the request and the response network,
+    /// in that order, each in node id order (see [`NodeTraffic`]). Like an
+    /// attached trace sink, they observe the run: they are not part of
+    /// [`SimStats`] or a snapshot, and [`Machine::restore`] leaves them as
+    /// they are.
+    #[must_use]
+    pub fn noc_traffic(&self) -> [Vec<NodeTraffic>; 2] {
+        [
+            self.req_net.traffic().collect(),
+            self.resp_net.traffic().collect(),
+        ]
+    }
+
     /// Per-core statistics with every lazily-accounted delta settled up
     /// to the current cycle — what the reference stepper's eager
     /// one-per-visit counting has added up to by now: parked cycles for
@@ -886,13 +900,7 @@ impl Machine {
     /// Phase 1a: advance the request network.
     fn req_net_advance(&mut self, now: u64) {
         self.req_buf.clear();
-        net_advance(
-            &mut self.req_net,
-            &mut self.tracer,
-            NetDir::Request,
-            now,
-            &mut self.req_buf,
-        );
+        self.req_net.advance(now, &mut self.req_buf);
     }
 
     /// Phase 1b: service the delivered requests, grouped by destination
@@ -950,16 +958,7 @@ impl Machine {
                     continue;
                 };
                 let route = self.topo.response_route(bank as usize, send.core as usize);
-                let sent = net_try_send(
-                    &mut self.resp_net,
-                    &mut self.tracer,
-                    NetDir::Response,
-                    route,
-                    send,
-                    now,
-                    extra,
-                );
-                match sent {
+                match self.resp_net.try_send(route, send, now + u64::from(extra)) {
                     Ok(()) => {
                         self.bank_outbox[bank as usize].pop_front();
                         if let Some(staged) = staged {
@@ -979,13 +978,7 @@ impl Machine {
     /// Phase 3a: advance the response network.
     fn resp_net_advance(&mut self, now: u64) {
         self.resp_buf.clear();
-        net_advance(
-            &mut self.resp_net,
-            &mut self.tracer,
-            NetDir::Response,
-            now,
-            &mut self.resp_buf,
-        );
+        self.resp_net.advance(now, &mut self.resp_buf);
     }
 
     /// Phase 3b: responses reach cores (through their Qnodes).
@@ -1131,16 +1124,7 @@ impl Machine {
                 Chaos::On(state) => state.plan.request_jitter(now, c as u32, ordinal),
             };
             let route = self.topo.request_route(c, msg.bank as usize);
-            let sent = net_try_send(
-                &mut self.req_net,
-                &mut self.tracer,
-                NetDir::Request,
-                route,
-                msg,
-                now,
-                extra,
-            );
-            match sent {
+            match self.req_net.try_send(route, msg, now + u64::from(extra)) {
                 Ok(()) => {
                     self.core_outbox[c].pop_front();
                     ordinal += 1;
@@ -1269,44 +1253,5 @@ pub(crate) fn refill(set: &mut IdSet, ids: impl Iterator<Item = u32>) {
     set.clear();
     for id in ids {
         set.insert(id);
-    }
-}
-
-/// [`Network::advance`] on one of the two networks, with the tracing hook
-/// applied when a sink is attached (identical behaviour either way).
-fn net_advance<P>(
-    net: &mut Network<P>,
-    tracer: &mut Tracer,
-    dir: NetDir,
-    now: u64,
-    out: &mut Vec<P>,
-) {
-    if tracer.is_off() {
-        net.advance(now, out);
-    } else {
-        net.advance_traced(now, out, &mut |event| {
-            tracer.emit(now, || TraceEvent::Noc { net: dir, event });
-        });
-    }
-}
-
-/// Injection into one of the two networks, with the tracing hook applied
-/// when a sink is attached (identical behaviour either way) and `extra`
-/// cycles of chaos-injected latency (0 outside chaos runs).
-fn net_try_send<P>(
-    net: &mut Network<P>,
-    tracer: &mut Tracer,
-    dir: NetDir,
-    route: Route,
-    msg: P,
-    now: u64,
-    extra: u32,
-) -> Result<(), P> {
-    if tracer.is_off() {
-        net.try_send_extra_traced(route, msg, now, extra, &mut |_| {})
-    } else {
-        net.try_send_extra_traced(route, msg, now, extra, &mut |event| {
-            tracer.emit(now, || TraceEvent::Noc { net: dir, event });
-        })
     }
 }

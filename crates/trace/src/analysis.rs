@@ -161,8 +161,6 @@ pub struct SyncAnalysis {
     pub wakes: u64,
     /// Barrier arrivals observed.
     pub barrier_arrivals: u64,
-    /// Network head-of-line blocking occurrences (both networks).
-    pub hol_blocks: u64,
     /// Last cycle seen in the stream.
     pub last_cycle: u64,
 }
@@ -196,8 +194,8 @@ impl SyncAnalysis {
         );
         let _ = writeln!(
             out,
-            "cores: {} parks, {} wakes, {} barrier arrivals; {} HoL blocks",
-            self.parks, self.wakes, self.barrier_arrivals, self.hol_blocks
+            "cores: {} parks, {} wakes, {} barrier arrivals",
+            self.parks, self.wakes, self.barrier_arrivals
         );
         out
     }
@@ -243,7 +241,6 @@ pub struct AnalysisSink {
     parks: u64,
     wakes: u64,
     barrier_arrivals: u64,
-    hol_blocks: u64,
     last_cycle: u64,
 }
 
@@ -276,7 +273,6 @@ impl AnalysisSink {
             parks: 0,
             wakes: 0,
             barrier_arrivals: 0,
-            hol_blocks: 0,
             last_cycle: 0,
         }
     }
@@ -328,7 +324,6 @@ impl AnalysisSink {
             parks: self.parks,
             wakes: self.wakes,
             barrier_arrivals: self.barrier_arrivals,
-            hol_blocks: self.hol_blocks,
             last_cycle: self.last_cycle,
         }
     }
@@ -430,11 +425,6 @@ impl TraceSink for AnalysisSink {
                 }
             }
             TraceEvent::BarrierArrive { .. } => self.barrier_arrivals += 1,
-            TraceEvent::Noc { event, .. } => {
-                if matches!(event, lrscwait_noc::NocEvent::HolBlocked { .. }) {
-                    self.hol_blocks += 1;
-                }
-            }
             _ => {}
         }
     }
@@ -443,9 +433,8 @@ impl TraceSink for AnalysisSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NetDir, OpKind, TraceEvent};
+    use crate::{OpKind, TraceEvent};
     use lrscwait_core::WaitMode;
-    use lrscwait_noc::NocEvent;
 
     fn sync(bank: u32, event: SyncEvent) -> TraceEvent {
         TraceEvent::Sync { bank, event }
@@ -640,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_noc_events_accumulate() {
+    fn counters_accumulate() {
         let mut sink = AnalysisSink::new();
         sink.record(
             1,
@@ -667,13 +656,6 @@ mod tests {
         );
         sink.record(3, sync(3, SyncEvent::ReservationBroken { addr: 4 }));
         sink.record(
-            4,
-            TraceEvent::Noc {
-                net: NetDir::Request,
-                event: NocEvent::HolBlocked { node: 7 },
-            },
-        );
-        sink.record(
             5,
             TraceEvent::Park {
                 core: 0,
@@ -684,7 +666,6 @@ mod tests {
         assert_eq!(report.counters.sc_failure, 1);
         assert_eq!(report.counters.wait_failfast, 1);
         assert_eq!(report.counters.reservations_broken, 1);
-        assert_eq!(report.hol_blocks, 1);
         assert_eq!(report.parks, 1);
         assert_eq!(report.last_cycle, 5);
     }

@@ -9,8 +9,9 @@
 //! * [`TraceEvent`] — the full event model: instruction-region markers,
 //!   core park/wake with cause, barrier arrive/release, request issue,
 //!   the bank adapters' [`SyncEvent`]s (LR/SC results, wait-queue
-//!   enqueue/serve/handoff, Colibri successor updates and wakeups) and
-//!   the networks' [`NocEvent`]s.
+//!   enqueue/serve/handoff, Colibri successor updates and wakeups). NoC
+//!   traffic is not an event: the networks count it per node themselves
+//!   (`lrscwait_noc::NodeTraffic`).
 //! * [`TraceSink`] — the consumer interface, stamped with the cycle.
 //! * [`Tracer`] — the enum-dispatch switch the simulator holds, and the
 //!   one way it traces: every emit site, in the stepper's hot loops as
@@ -33,9 +34,6 @@
 //!   SC-failure / retry-abort causes. Sample vectors are bounded by
 //!   seeded reservoir sampling, so arbitrarily long runs analyze at
 //!   constant memory.
-//! * [`NocHeatmapSink`] — per-node NoC traffic counters (injected /
-//!   refused / delivered / HoL-blocked per network node), the data behind
-//!   the interference heatmap CSVs of the barrier study.
 //! * [`RecordingSink`] (raw event log), [`FanoutSink`] (tee to several
 //!   sinks), and [`SharedSink`] (hand a sink to a `Machine` and read it
 //!   back after the run).
@@ -43,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
-mod heatmap;
 pub mod json;
 mod perfetto;
 
@@ -52,19 +49,8 @@ use std::sync::{Arc, Mutex};
 pub use analysis::{
     AnalysisSink, HandoffStats, OccupancyStats, SyncAnalysis, SyncCounters, ANALYSIS_RESERVOIR_CAP,
 };
-pub use heatmap::{NocHeatmap, NocHeatmapSink, NodeTraffic, HEATMAP_CSV_HEADER};
 pub use lrscwait_core::SyncEvent;
-pub use lrscwait_noc::NocEvent;
 pub use perfetto::PerfettoSink;
-
-/// Which virtual network a [`TraceEvent::Noc`] event came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetDir {
-    /// Core → bank request network.
-    Request,
-    /// Bank → core response network.
-    Response,
-}
 
 /// The memory operation a core issued (cause of a park, kind of a sent
 /// request).
@@ -135,13 +121,6 @@ pub enum TraceEvent {
         bank: u32,
         /// The adapter-level event.
         event: SyncEvent,
-    },
-    /// A transport-level network event (see [`NocEvent`]).
-    Noc {
-        /// Which virtual network.
-        net: NetDir,
-        /// The network-level event.
-        event: NocEvent,
     },
     /// A core handed a memory request to its outbox.
     ReqSent {

@@ -130,7 +130,6 @@ impl PerfettoModel {
                     out(instant_json(cycle, core, "wakeup.sent"));
                 }
             }
-            TraceEvent::Noc { .. } => {}
             // Host-injected stores have no core-track home; the Sync events
             // they provoke are rendered like any other adapter activity.
             TraceEvent::Inject { .. } => {}

@@ -13,6 +13,7 @@ use lrscwait::kernels::{
     BarrierImpl, BarrierKernel, HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl,
     QueueKernel, RcuKernel, Workload,
 };
+use lrscwait::noc::NodeTraffic;
 use lrscwait::sim::{ExecMode, SimConfig};
 use lrscwait::trace::{RecordingSink, SharedSink};
 use lrscwait_bench::{Experiment, Measurement, Sweep};
@@ -455,6 +456,74 @@ fn schedule_is_pinned_against_the_recorded_parent() {
                 digest,
                 "{what} {mode:?}: (cycles, SimStats) digest"
             );
+        }
+    }
+}
+
+#[test]
+fn per_node_noc_traffic_sums_to_the_network_stats_in_every_mode() {
+    // Each network counts its own traffic per node. The counters must add
+    // up to the network's aggregate statistics and, like them, must not
+    // depend on the exec mode or on an attached trace sink.
+    let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
+    let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
+    let runs: [(&str, &dyn Workload, usize, SyncArch); 2] = [
+        ("lrsc 1-bin histogram", &hist, 64, SyncArch::Lrsc),
+        ("colibri queue", &queue, 16, SyncArch::Colibri { queues: 4 }),
+    ];
+    for (what, kernel, cores, arch) in runs {
+        let mut first: Option<[Vec<NodeTraffic>; 2]> = None;
+        for mode in [ExecMode::Translated, ExecMode::Reference] {
+            for traced in [false, true] {
+                let cfg = SimConfig::builder()
+                    .cores(cores)
+                    .arch(arch)
+                    .exec_mode(mode)
+                    .max_cycles(50_000_000)
+                    .build()
+                    .unwrap();
+                let mut traffic = None;
+                let mut exp = Experiment::new(kernel, cfg)
+                    .x(1)
+                    .inspect(|machine| traffic = Some(machine.noc_traffic()));
+                if traced {
+                    exp = exp.traced();
+                }
+                let m = exp.run().expect(what);
+                let traffic = traffic.expect("a completed run is inspected");
+                let run = format!("{what} {mode:?} traced={traced}");
+                for (nodes, stats) in traffic
+                    .iter()
+                    .zip([m.stats.req_network, m.stats.resp_network])
+                {
+                    let sum = |count: fn(&NodeTraffic) -> u32| -> u64 {
+                        nodes.iter().map(|t| u64::from(count(t))).sum()
+                    };
+                    assert_eq!(
+                        [
+                            sum(|t| t.injected),
+                            sum(|t| t.inject_stalled),
+                            sum(|t| t.delivered),
+                            sum(|t| t.hol_blocked),
+                        ],
+                        [
+                            stats.injected,
+                            stats.inject_stalls,
+                            stats.delivered,
+                            stats.hol_blocks,
+                        ],
+                        "{run}: per-node counters vs NetworkStats"
+                    );
+                }
+                assert!(
+                    m.stats.req_network.hol_blocks > 0 && m.stats.req_network.inject_stalls > 0,
+                    "{run}: must exercise head-of-line blocking and backpressure"
+                );
+                match &first {
+                    None => first = Some(traffic),
+                    Some(first) => assert!(traffic == *first, "{run}: per-node counters moved"),
+                }
+            }
         }
     }
 }
