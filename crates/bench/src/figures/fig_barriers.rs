@@ -24,23 +24,28 @@
 //! `the_wait_unit_cannot_affect_a_program_without_wait_instructions`,
 //! holds that equality on all four architectures instead.
 //!
-//! Every point also runs [`traced`](Experiment::traced) and with a
-//! [`NocHeatmapSink`] attached (tracing never changes results): the study
-//! emits, per point, the per-node delivered / HoL-blocked NoC traffic as
+//! Every point also runs [`traced`](crate::Experiment::traced) for its
+//! handoff count (tracing never changes results). No sink sees NoC
+//! traffic: the networks count it per node themselves, and the study
+//! reads those counters from `Machine::noc_traffic` through
+//! [`inspect`](crate::Experiment::inspect). It writes, per point, the
+//! per-node injected / refused / delivered / HoL-blocked traffic as
 //! `fig_barriers.heatmap.<impl>_<arch>_c<cores>.csv` — the Fig. 5-style
-//! interference mechanism made visible at scale.
+//! interference mechanism made visible at scale. The `hol_blocks` column
+//! of the figure CSV sums both networks' `NetworkStats::hol_blocks`.
 //!
 //! Runtime: the full sweep is 15 points and is dominated by its two
 //! retry-storm points, central LR/SC and the degraded wait-on-LRSC path at
 //! 1024 cores. A kilocore machine *actively polling* is the most expensive
 //! thing a cycle-accurate simulator can be asked to do, which is the
 //! paper's argument in simulator-time form. On a 2-vCPU x86-64 host at the
-//! default `--threads`, the full figure took 236–249 s of wall time, the
-//! two DNF points running side by side for ~240 s each, and `--quick`
-//! (10 points) took under 1 s. A point whose barrier cannot complete
-//! within the 20 M-cycle watchdog (20x the costliest completing point ever
-//! observed) is run to the watchdog, reported as **DNF** and dropped from
-//! the CSV; the summary line counts its cycles and host seconds apart.
+//! default `--threads`, the full figure took 60–72 s of wall time, the two
+//! DNF points running side by side for 116–135 host seconds together, and
+//! `--quick` (10 points) took 0.5–0.6 s. A point whose barrier cannot
+//! complete within the 20 M-cycle watchdog (20x the costliest completing
+//! point ever observed) is run to the watchdog, reported as **DNF** and
+//! dropped from the CSV; the summary line counts its cycles and host
+//! seconds apart.
 //! (fig6 instead skips its CAS-livelock points without running them.) A
 //! retry barrier collapsing at kilocore scale is the finding, not a
 //! harness failure. The headline claims compare at the largest core count

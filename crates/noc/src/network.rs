@@ -213,8 +213,8 @@ pub struct Network<P> {
     /// Handle rings of all nodes, back to back.
     ring: Vec<u32>,
     slab: Vec<Flit<P>>,
-    /// Handle of the last delivered slab slot, reused before the slab
-    /// grows.
+    /// Head of the free list: the last delivered slab slot, reused before
+    /// the slab grows, or [`NO_SLOT`].
     free: u32,
     /// Nodes with a non-empty queue.
     active: IdSet,

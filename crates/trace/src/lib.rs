@@ -7,8 +7,8 @@
 //! the simulator emits and the sinks that consume it:
 //!
 //! * [`TraceEvent`] — the full event model: instruction-region markers,
-//!   core park/wake with cause, barrier arrive/release, request issue,
-//!   the bank adapters' [`SyncEvent`]s (LR/SC results, wait-queue
+//!   core park/wake with cause, barrier arrive/release, request issue
+//!   and the bank adapters' [`SyncEvent`]s (LR/SC results, wait-queue
 //!   enqueue/serve/handoff, Colibri successor updates and wakeups). NoC
 //!   traffic is not an event: the networks count it per node themselves
 //!   (`lrscwait_noc::NodeTraffic`).
