@@ -167,7 +167,7 @@ pub struct NodeTraffic {
     pub hol_blocked: u32,
 }
 
-/// Counts one occurrence.
+/// Adds one to a traffic counter, saturating at `u32::MAX`.
 fn count(counter: &mut u32) {
     *counter = counter.saturating_add(1);
 }
