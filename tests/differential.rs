@@ -355,7 +355,10 @@ fn schedule_is_pinned_against_the_recorded_parent() {
     // results moved. Re-record only for a deliberate model change. The two
     // centralized-queue rows were recorded before the three bank adapters
     // became one front end with a wait unit per architecture; the chaos
-    // row, before the networks counted their own per-node traffic.
+    // row, before the networks counted their own per-node traffic. The
+    // last three rows are the benchmark's gated workloads at the ledger's
+    // `--smoke` size (iterations / 64) on the 256-core MemPool geometry,
+    // recorded before the bank stopped being a trait object.
     let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
     let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
     let barrier = BarrierKernel::new(BarrierImpl::CentralLrscWait, 1, 1024);
@@ -369,7 +372,10 @@ fn schedule_is_pinned_against_the_recorded_parent() {
         jitter_max: 6,
         ..FaultPlan::quiet(7)
     };
-    let runs: [PinnedRun; 6] = [
+    let busy_loop = HistogramKernel::new(HistImpl::AmoAdd, 1024, 8, 256).with_compute(64);
+    let hist_spread = HistogramKernel::new(HistImpl::AmoAdd, 1024, 128, 256);
+    let queue_sleep = QueueKernel::new(QueueImpl::LrscWaitDirect, 10, 256);
+    let runs: [PinnedRun; 9] = [
         (
             "lrsc 1-bin histogram",
             &hist,
@@ -424,10 +430,37 @@ fn schedule_is_pinned_against_the_recorded_parent() {
             2_447,
             0x8795_a7fd_1093_630f,
         ),
+        (
+            "busy_loop_256 / 64",
+            &busy_loop,
+            256,
+            SyncArch::Lrsc,
+            None,
+            4_839,
+            0xc6ca_e19a_b90d_3917,
+        ),
+        (
+            "hist_spread_256 / 64",
+            &hist_spread,
+            256,
+            SyncArch::Lrsc,
+            None,
+            3_145,
+            0x41c2_a28d_1639_ed79,
+        ),
+        (
+            "queue_sleep_256 / 64",
+            &queue_sleep,
+            256,
+            SyncArch::Colibri { queues: 4 },
+            None,
+            108_661,
+            0xd329_e040_e328_a28f,
+        ),
     ];
     for (what, kernel, cores, arch, chaos, cycles, digest) in runs {
         for mode in [ExecMode::Translated, ExecMode::Reference] {
-            let geometry = if cores == 1024 {
+            let geometry = if cores >= 256 {
                 SimConfig::builder().mempool_cores(cores)
             } else {
                 SimConfig::builder().cores(cores)
