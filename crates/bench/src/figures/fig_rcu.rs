@@ -2,21 +2,31 @@
 //! reader throughput as the reader count scales (64 → 1024 cores on the
 //! scaled MemPool geometry), across the three synchronization substrates.
 //!
-//! A handful of contending writers run publish → double flip-and-wait →
-//! reclaim rounds under a shared writer mutex while every other core
-//! hammers read-side sections (two `amoadd.w` bumps on a private counter
-//! line each). The mutex handoff and the drain are where the substrates
-//! part ways:
+//! Epoch-based RCU is the paper's thesis in miniature: readers must stay
+//! wait-free and cheap, while writers mostly *wait*. [`RcuKernel`] is one
+//! guest program for every substrate. Every reader core hammers
+//! read-side sections: one `amoadd.w` on its own cache-line-private
+//! counter pair (indexed by the epoch flag), a copy of the live data
+//! checked for torn reads against the poison pattern, a second
+//! `amoadd.w`; no reader ever blocks. A handful of writers run publish →
+//! grace period → reclaim rounds under a ticket-lock writer mutex. A
+//! grace period is a double flip-and-wait: flip the epoch flag, wait for
+//! every old-epoch reader counter to drain to zero, twice, with a
+//! version-checksum re-scan against in-flight readers; only then is the
+//! retired buffer poisoned and reclaimed. The mutex handoff and the
+//! drain are where the substrates part ways:
 //!
-//! * plain LR/SC — contending writers dispense their mutex ticket
-//!   through an lr/sc retry loop with seeded exponential backoff, then
-//!   *poll* the owner word (each handoff overshoots by up to a backoff
-//!   interval) and poll each straggling reader's counter in a bounded
-//!   loop;
-//! * LRSCwait (ideal) — the same ticket dispense runs retry-free
-//!   through the word's reservation queue, and writers *park* with
-//!   `mwait.w` on the owner word and on each straggler's own counter
-//!   word, waking exactly on the stores that matter;
+//! * plain LR/SC — the wait primitives fail fast, so writers dispense
+//!   their ticket through an lr/sc retry loop with seeded exponential
+//!   backoff, then *poll* the owner word (each handoff overshoots by up
+//!   to a backoff interval, and the overshoot accumulates along the
+//!   ticket queue) and poll each straggling reader's counter in a
+//!   bounded loop;
+//! * LRSCwait (ideal) — the same ticket dispense runs retry-free and FIFO
+//!   through the word's reservation queue (`lrwait.w`/`scwait.w`), and
+//!   writers *park* with `mwait.w` on the owner word and on each
+//!   straggler's own counter word, so the holder's plain release store
+//!   is an exact wakeup;
 //! * Colibri — the same parking through the bounded Qnode/monitor-queue
 //!   hardware the paper costs at 6% area.
 //!
@@ -28,16 +38,24 @@
 //! stream into the paper's physics check: **a parked writer issues zero
 //! polling requests while it waits** (Qnode `WakeUp` bounces excepted —
 //! one message per handoff is the mechanism that replaces polling). The
-//! headline claim — LRSCwait grace-period p99 beats retry-LRSC — is
-//! checked at the largest core count where every series completed; a
-//! point that cannot finish within the 40 M-cycle watchdog is reported
-//! as **DNF** and dropped from the CSV (the fig_barriers policy).
+//! claims are that zero, that the wait path engages, and that LRSCwait's
+//! grace-period p99 beats retry-LRSC at the largest core count where
+//! every series completed (~2× at 1024 cores: the polling-overshoot tax,
+//! not a fairness artifact, since both run the same FIFO ticket
+//! algorithm). A point that cannot finish within the 40 M-cycle watchdog
+//! is reported as **DNF** and dropped from the CSV (the fig_barriers
+//! policy).
 //!
 //! Writer arrivals are staggered at start-up and spaced by seeded
 //! think-time draws sized to keep the mutex below saturation, so the
 //! per-sync latency distribution measures handoff queueing — where
 //! exact wakeups and backoff polling genuinely part ways — rather
 //! than a work-conserving makespan that every substrate shares.
+//!
+//! The write side marks its critical section with MMIO region markers,
+//! so the `rcu-grace` litmus scenario arms the chaos engine's
+//! `InvariantChecker::check_mutual_exclusion`, under eviction storms on
+//! every architecture and with a `lose-sc:0` mutation self-test.
 
 use std::collections::HashMap;
 

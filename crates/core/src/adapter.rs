@@ -1,17 +1,14 @@
-//! The bank-adapter trait, its events and its counters.
+//! The bank's synchronization events and its counters.
 
-use std::fmt;
-
-use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode};
+use crate::msg::{Addr, CoreId, WaitMode};
 use crate::state::{StateError, StateReader, StateWriter};
-use crate::storage::WordStorage;
 
-/// A structured synchronization event observed inside a bank adapter.
+/// A structured synchronization event observed inside a bank.
 ///
 /// These are the per-occurrence counterparts of the aggregate
 /// [`AdapterStats`] counters: where the counters answer *how many*, the
 /// events answer *who, where and in which order* — the raw material for
-/// handoff-latency and queue-occupancy analysis. Adapters are time-free,
+/// handoff-latency and queue-occupancy analysis. Banks are time-free,
 /// so events carry no cycle; the caller (the simulator, or a protocol
 /// harness) stamps them on receipt.
 ///
@@ -102,12 +99,12 @@ pub enum SyncEvent {
     },
 }
 
-/// The no-op event consumer the untraced [`SyncAdapter::handle`] entry
-/// point uses.
+/// The no-op event consumer the untraced [`Bank::handle`](crate::Bank::handle)
+/// entry point uses.
 #[inline]
 pub(crate) fn no_trace(_: SyncEvent) {}
 
-/// Event counters every adapter maintains (inputs to the energy model and
+/// Event counters every bank maintains (inputs to the energy model and
 /// the interference analysis).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdapterStats {
@@ -202,93 +199,4 @@ impl AdapterStats {
             reservations_broken: src.take_u64()?,
         })
     }
-}
-
-/// A synchronization adapter in front of one SPM bank.
-///
-/// The adapter observes **all** traffic reaching the bank (it must see plain
-/// stores to invalidate reservations and fire `mwait` monitors), performs
-/// the architectural side effects through [`WordStorage`], and produces the
-/// response messages to send.
-///
-/// Implementations are *time-free*: the surrounding simulator decides when
-/// messages are delivered. Correctness of the Colibri implementation relies
-/// on the transport delivering messages between a fixed (bank, core) pair in
-/// FIFO order, which both the test harness and the NoC guarantee.
-///
-/// Adapters must be [`Send`]: a machine is stepped by one thread, but
-/// sweeps build and run independent machines on worker threads, so every
-/// adapter may live on a thread other than the one that configured it. An
-/// adapter is only ever *used* by one thread at a time — no `Sync`
-/// requirement — and plain-data adapters (all shipped ones) satisfy the
-/// bound automatically.
-pub trait SyncAdapter: fmt::Debug + Send {
-    /// Processes one request from `src`, appending `(destination core,
-    /// response)` pairs to `out` in send order, and reporting every
-    /// synchronization event through `emit` (see [`SyncEvent`]).
-    ///
-    /// This is the one required entry point; the untraced
-    /// [`handle`](SyncAdapter::handle) wrapper passes a no-op consumer.
-    /// Implementations must behave identically regardless of what `emit`
-    /// does — tracing observes, it never steers.
-    fn handle_traced(
-        &mut self,
-        src: CoreId,
-        req: &MemRequest,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-        emit: &mut dyn FnMut(SyncEvent),
-    );
-
-    /// Processes one request from `src`, appending `(destination core,
-    /// response)` pairs to `out` in send order (untraced).
-    fn handle(
-        &mut self,
-        src: CoreId,
-        req: &MemRequest,
-        mem: &mut dyn WordStorage,
-        out: &mut Vec<(CoreId, MemResponse)>,
-    ) {
-        self.handle_traced(src, req, mem, out, &mut no_trace);
-    }
-
-    /// Chaos hook: spuriously evicts any reservation covering `addr` —
-    /// the classic LR/SC slot and, for wait-queue architectures, an
-    /// *active and valid* `lrwait` head — as if invalidated by capacity
-    /// pressure. This is an architecturally legal perturbation: software
-    /// must already tolerate reservations lost to intervening writes.
-    /// Armed `mwait` monitors are **never** touched (dropping a monitor
-    /// would be a lost wakeup — a hardware bug, not a legal fault).
-    ///
-    /// Each broken reservation increments
-    /// [`reservations_broken`](AdapterStats::reservations_broken) and
-    /// emits one [`SyncEvent::ReservationBroken`], preserving the 1:1
-    /// event/stat contract. Returns `true` when anything was evicted.
-    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool;
-
-    /// Human-readable architecture label (used in reports and plots): the
-    /// [`SyncArch`](crate::SyncArch)'s `Display`.
-    fn label(&self) -> String;
-
-    /// Event counters accumulated so far.
-    fn stats(&self) -> &AdapterStats;
-
-    /// Serializes the adapter's complete mutable state — reservation
-    /// slots, wait queues, statistics — for a machine checkpoint.
-    ///
-    /// Structural configuration (queue capacity, number of tracked
-    /// addresses) is *not* written: a snapshot is restored into an adapter
-    /// built from the same [`SyncArch`](crate::SyncArch), and
-    /// [`load_state`](SyncAdapter::load_state) validates the shapes match.
-    fn save_state(&self, out: &mut StateWriter);
-
-    /// Restores state written by [`save_state`](SyncAdapter::save_state)
-    /// into an adapter of identical structure.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] when the buffer is truncated, a discriminant is
-    /// unknown, or the recorded structure (queue capacity, slot count)
-    /// does not match this adapter.
-    fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError>;
 }

@@ -1,8 +1,7 @@
-//! Synchronization-architecture selector and adapter factory.
+//! Synchronization-architecture selector and bank factory.
 
 use std::fmt;
 
-use crate::adapter::SyncAdapter;
 use crate::bank::Bank;
 
 /// Which synchronization hardware sits in front of every SPM bank.
@@ -34,7 +33,7 @@ pub enum SyncArch {
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<crate::Qnode>();
-    assert_send::<Box<dyn SyncAdapter>>();
+    assert_send::<Bank>();
 };
 
 impl SyncArch {
@@ -42,12 +41,11 @@ impl SyncArch {
     /// architecture's wait unit behind it. `num_cores` sizes the ideal
     /// queue variant.
     ///
-    /// The returned box is [`Send`] (a [`SyncAdapter`] supertrait bound):
-    /// a sweep may run the machine owning this adapter on a worker
-    /// thread.
+    /// The bank is [`Send`]: a sweep may run the machine owning it on a
+    /// worker thread.
     #[must_use]
-    pub fn build(&self, num_cores: usize) -> Box<dyn SyncAdapter> {
-        Box::new(Bank::new(*self, num_cores))
+    pub fn build(&self, num_cores: usize) -> Bank {
+        Bank::new(*self, num_cores)
     }
 
     /// Whether this architecture implements the wait extension (so kernels

@@ -11,11 +11,11 @@
 //! * [`WaitQueue`] — the centralized queue;
 //! * [`Colibri`] — the distributed head/tail pairs.
 //!
-//! [`Bank`] implements [`SyncAdapter`] once for all three. Every write
-//! first breaks the LR/SC slot; a write the wait unit did not make itself
-//! is then reported to it.
+//! [`Bank`] serves all three with one request path. Every write first
+//! breaks the LR/SC slot; a write the wait unit did not make itself is
+//! then reported to it.
 
-use crate::adapter::{AdapterStats, SyncAdapter, SyncEvent};
+use crate::adapter::{no_trace, AdapterStats, SyncEvent};
 use crate::arch::SyncArch;
 use crate::colibri::Colibri;
 use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode, Word};
@@ -106,7 +106,7 @@ impl Port<'_> {
 }
 
 /// The part of a bank that differs between architectures.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) enum WaitUnit {
     /// Plain LRSC has none: every wait request fails fast (even an `mwait`
     /// whose value already differs) and every `scwait.w` fails.
@@ -190,8 +190,23 @@ impl WaitUnit {
 
 /// One SPM bank's synchronization hardware: the shared RV32A front end
 /// with its single LR/SC slot, and the architecture's wait unit.
-#[derive(Debug)]
-pub(crate) struct Bank {
+///
+/// The bank observes **all** traffic reaching it (it must see plain
+/// stores to invalidate reservations and fire `mwait` monitors), performs
+/// the architectural side effects through [`WordStorage`], and produces
+/// the response messages to send. [`SyncArch::build`] is its only
+/// constructor.
+///
+/// A bank is *time-free*: the surrounding simulator decides when messages
+/// are delivered. Correctness of Colibri relies on the transport
+/// delivering messages between a fixed (bank, core) pair in FIFO order,
+/// which both the protocol harness and the NoC guarantee.
+///
+/// A bank is plain data, so it is [`Send`], because sweeps run
+/// independent machines on worker threads, and [`Clone`], so a protocol
+/// explorer can fork a run.
+#[derive(Clone, Debug)]
+pub struct Bank {
     arch: SyncArch,
     /// `lr.w` displaces any previous reservation; `sc.w` succeeds only
     /// while the slot still holds `(core, addr)`; a write to the reserved
@@ -217,10 +232,14 @@ impl Bank {
             wait,
         }
     }
-}
 
-impl SyncAdapter for Bank {
-    fn handle_traced(
+    /// Processes one request from `src`, appending `(destination core,
+    /// response)` pairs to `out` in send order, and reporting every
+    /// synchronization event through `emit` (see [`SyncEvent`]).
+    ///
+    /// The bank behaves identically regardless of what `emit` does —
+    /// tracing observes, it never steers.
+    pub fn handle_traced(
         &mut self,
         src: CoreId,
         req: &MemRequest,
@@ -301,7 +320,31 @@ impl SyncAdapter for Bank {
         }
     }
 
-    fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool {
+    /// Processes one request from `src`, appending `(destination core,
+    /// response)` pairs to `out` in send order (untraced).
+    pub fn handle(
+        &mut self,
+        src: CoreId,
+        req: &MemRequest,
+        mem: &mut dyn WordStorage,
+        out: &mut Vec<(CoreId, MemResponse)>,
+    ) {
+        self.handle_traced(src, req, mem, out, &mut no_trace);
+    }
+
+    /// Chaos hook: spuriously evicts any reservation covering `addr` —
+    /// the classic LR/SC slot and, for wait-queue architectures, an
+    /// *active and valid* `lrwait` head — as if invalidated by capacity
+    /// pressure. This is an architecturally legal perturbation: software
+    /// must already tolerate reservations lost to intervening writes.
+    /// Armed `mwait` monitors are **never** touched (dropping a monitor
+    /// would be a lost wakeup — a hardware bug, not a legal fault).
+    ///
+    /// Each broken reservation increments
+    /// [`reservations_broken`](AdapterStats::reservations_broken) and
+    /// emits one [`SyncEvent::ReservationBroken`], preserving the 1:1
+    /// event/stat contract. Returns `true` when anything was evicted.
+    pub fn chaos_evict(&mut self, addr: Addr, emit: &mut dyn FnMut(SyncEvent)) -> bool {
         let slot = self.slot.take_if(|&mut (_, a)| a == addr).is_some();
         let head = self.wait.evict(addr);
         for broken in [slot, head] {
@@ -313,15 +356,27 @@ impl SyncAdapter for Bank {
         slot || head
     }
 
-    fn label(&self) -> String {
+    /// Human-readable architecture label (used in reports and plots): the
+    /// [`SyncArch`]'s `Display`.
+    #[must_use]
+    pub fn label(&self) -> String {
         self.arch.to_string()
     }
 
-    fn stats(&self) -> &AdapterStats {
+    /// Event counters accumulated so far.
+    #[must_use]
+    pub fn stats(&self) -> &AdapterStats {
         &self.stats
     }
 
-    fn save_state(&self, out: &mut StateWriter) {
+    /// Serializes the bank's complete mutable state — reservation slot,
+    /// wait unit, statistics — for a machine checkpoint.
+    ///
+    /// Structural configuration (queue capacity, number of tracked
+    /// addresses) is *not* written: a snapshot is restored into a bank
+    /// built from the same [`SyncArch`], and
+    /// [`load_state`](Bank::load_state) validates the shapes match.
+    pub fn save_state(&self, out: &mut StateWriter) {
         self.wait.save(out);
         out.put_bool(self.slot.is_some());
         if let Some((core, addr)) = self.slot {
@@ -331,7 +386,15 @@ impl SyncAdapter for Bank {
         self.stats.save(out);
     }
 
-    fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
+    /// Restores state written by [`save_state`](Bank::save_state) into a
+    /// bank of identical structure.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError`] when the buffer is truncated, a discriminant is
+    /// unknown, or the recorded structure (queue capacity, slot count)
+    /// does not match this bank.
+    pub fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
         self.wait.load(src)?;
         self.slot = if src.take_bool()? {
             Some((src.take_u32()?, src.take_u32()?))
@@ -349,7 +412,7 @@ mod tests {
     use crate::storage::MapStorage;
 
     fn run(
-        bank: &mut dyn SyncAdapter,
+        bank: &mut Bank,
         mem: &mut MapStorage,
         src: CoreId,
         req: MemRequest,
@@ -368,7 +431,7 @@ mod tests {
         let mut a = SyncArch::Lrsc.build(4);
         let mut mem = MapStorage::new();
         let r = run(
-            &mut *a,
+            &mut a,
             &mut mem,
             0,
             MemRequest::Store {
@@ -378,10 +441,10 @@ mod tests {
             },
         );
         assert_eq!(r, vec![(0, MemResponse::StoreAck)]);
-        let r = run(&mut *a, &mut mem, 1, MemRequest::Load { addr: 0x40 });
+        let r = run(&mut a, &mut mem, 1, MemRequest::Load { addr: 0x40 });
         assert_eq!(r, vec![(1, MemResponse::Load { value: 5 })]);
         let r = run(
-            &mut *a,
+            &mut a,
             &mut mem,
             2,
             MemRequest::Amo {
@@ -400,24 +463,20 @@ mod tests {
         let mut a = SyncArch::Lrsc.build(4);
         let mut mem = MapStorage::new();
         mem.write_word(0x40, 10);
-        let r = run(&mut *a, &mut mem, 3, MemRequest::Lr { addr: 0x40 });
+        let r = run(&mut a, &mut mem, 3, MemRequest::Lr { addr: 0x40 });
         assert_eq!(r, vec![(3, MemResponse::Lr { value: 10 })]);
         let fail = vec![(3, MemResponse::Sc { success: false })];
-        assert_eq!(run(&mut *a, &mut mem, 3, sc(0x44, 1)), fail, "wrong addr");
-        let r = run(&mut *a, &mut mem, 2, sc(0x40, 1));
+        assert_eq!(run(&mut a, &mut mem, 3, sc(0x44, 1)), fail, "wrong addr");
+        let r = run(&mut a, &mut mem, 2, sc(0x40, 1));
         assert_eq!(
             r,
             vec![(2, MemResponse::Sc { success: false })],
             "wrong core"
         );
-        let r = run(&mut *a, &mut mem, 3, sc(0x40, 11));
+        let r = run(&mut a, &mut mem, 3, sc(0x40, 11));
         assert_eq!(r, vec![(3, MemResponse::Sc { success: true })]);
         assert_eq!(mem.read_word(0x40), 11);
-        assert_eq!(
-            run(&mut *a, &mut mem, 3, sc(0x40, 12)),
-            fail,
-            "slot used up"
-        );
+        assert_eq!(run(&mut a, &mut mem, 3, sc(0x40, 12)), fail, "slot used up");
         assert_eq!((a.stats().sc_success, a.stats().sc_failure), (1, 3));
         assert_eq!(
             a.stats().reservations_broken,
@@ -430,21 +489,21 @@ mod tests {
     fn interleaved_lr_causes_sc_failure() {
         let mut a = SyncArch::Lrsc.build(4);
         let mut mem = MapStorage::new();
-        run(&mut *a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
-        run(&mut *a, &mut mem, 2, MemRequest::Lr { addr: 0x40 });
-        let r = run(&mut *a, &mut mem, 1, sc(0x40, 1));
+        run(&mut a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
+        run(&mut a, &mut mem, 2, MemRequest::Lr { addr: 0x40 });
+        let r = run(&mut a, &mut mem, 1, sc(0x40, 1));
         assert_eq!(r, vec![(1, MemResponse::Sc { success: false })]);
-        let r = run(&mut *a, &mut mem, 2, sc(0x40, 2));
+        let r = run(&mut a, &mut mem, 2, sc(0x40, 2));
         assert_eq!(r, vec![(2, MemResponse::Sc { success: true })]);
         assert_eq!(mem.read_word(0x40), 2);
         assert_eq!(a.stats().sc_failure, 1);
 
         // The one slot holds one reservation, whatever its address.
-        run(&mut *a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
-        run(&mut *a, &mut mem, 2, MemRequest::Lr { addr: 0x80 });
-        let r = run(&mut *a, &mut mem, 1, sc(0x40, 3));
+        run(&mut a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
+        run(&mut a, &mut mem, 2, MemRequest::Lr { addr: 0x80 });
+        let r = run(&mut a, &mut mem, 1, sc(0x40, 3));
         assert_eq!(r, vec![(1, MemResponse::Sc { success: false })]);
-        let r = run(&mut *a, &mut mem, 2, sc(0x80, 4));
+        let r = run(&mut a, &mut mem, 2, sc(0x80, 4));
         assert_eq!(r, vec![(2, MemResponse::Sc { success: true })]);
         assert_eq!((mem.read_word(0x40), mem.read_word(0x80)), (2, 4));
         assert_eq!(a.stats().sc_failure, 2);
@@ -459,24 +518,24 @@ mod tests {
         ] {
             let mut a = arch.build(4);
             let mut mem = MapStorage::new();
-            run(&mut *a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
+            run(&mut a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
             let store = MemRequest::Store {
                 addr: 0x44,
                 value: 9,
                 mask: !0,
             };
-            run(&mut *a, &mut mem, 2, store);
+            run(&mut a, &mut mem, 2, store);
             assert_eq!(a.stats().reservations_broken, 0, "{arch}: other address");
             let store = MemRequest::Store {
                 addr: 0x40,
                 value: 9,
                 mask: !0,
             };
-            run(&mut *a, &mut mem, 2, store);
+            run(&mut a, &mut mem, 2, store);
             assert_eq!(a.stats().reservations_broken, 1, "{arch}");
-            run(&mut *a, &mut mem, 2, store);
+            run(&mut a, &mut mem, 2, store);
             assert_eq!(a.stats().reservations_broken, 1, "{arch}: already clear");
-            let r = run(&mut *a, &mut mem, 1, sc(0x40, 1));
+            let r = run(&mut a, &mut mem, 1, sc(0x40, 1));
             assert_eq!(r, vec![(1, MemResponse::Sc { success: false })], "{arch}");
             assert_eq!(mem.read_word(0x40), 9);
             assert_eq!(a.stats().reservations_broken, 1, "{arch}");
@@ -487,13 +546,13 @@ mod tests {
     fn chaos_evict_clears_matching_reservation() {
         let mut a = SyncArch::Lrsc.build(4);
         let mut mem = MapStorage::new();
-        run(&mut *a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
+        run(&mut a, &mut mem, 1, MemRequest::Lr { addr: 0x40 });
         let mut events = Vec::new();
         assert!(!a.chaos_evict(0x44, &mut |e| events.push(e)), "other addr");
         assert!(a.chaos_evict(0x40, &mut |e| events.push(e)));
         assert_eq!(events, vec![SyncEvent::ReservationBroken { addr: 0x40 }]);
         assert_eq!(a.stats().reservations_broken, 1);
-        let r = run(&mut *a, &mut mem, 1, sc(0x40, 1));
+        let r = run(&mut a, &mut mem, 1, sc(0x40, 1));
         assert_eq!(r, vec![(1, MemResponse::Sc { success: false })]);
     }
 
@@ -509,17 +568,17 @@ mod tests {
                 reserved: false,
             },
         )];
-        let r = run(&mut *a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
+        let r = run(&mut a, &mut mem, 1, MemRequest::LrWait { addr: 0x40 });
         assert_eq!(r, failfast);
         // Even an mwait whose value already differs counts as fail-fast.
         let mwait = MemRequest::MWait {
             addr: 0x40,
             expected: 0,
         };
-        assert_eq!(run(&mut *a, &mut mem, 1, mwait), failfast);
+        assert_eq!(run(&mut a, &mut mem, 1, mwait), failfast);
         assert_eq!(a.stats().wait_failfast, 2);
         let r = run(
-            &mut *a,
+            &mut a,
             &mut mem,
             1,
             MemRequest::ScWait {

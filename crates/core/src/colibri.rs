@@ -46,7 +46,7 @@ struct QueueSlot {
 
 /// Colibri's wait unit: `queues` concurrently tracked addresses per
 /// controller (Table I evaluates 1, 2, 4 and 8).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Colibri {
     queues: usize,
     /// The register pairs: none until the bank's first wait, then all
@@ -256,7 +256,7 @@ mod tests {
     use crate::bank::{Bank, WaitUnit};
     use crate::msg::MemRequest;
     use crate::storage::{MapStorage, WordStorage};
-    use crate::{SyncAdapter, SyncArch};
+    use crate::SyncArch;
 
     fn colibri(queues: usize) -> Bank {
         Bank::new(SyncArch::Colibri { queues }, 0)

@@ -1,15 +1,17 @@
-//! Deterministic protocol harness: one bank adapter, `n` cores with Qnodes,
+//! Deterministic protocol harness: one bank, `n` cores with Qnodes,
 //! and randomly interleaved (but per-channel FIFO) message delivery.
 //!
 //! The harness is the protocol-level fuzzing substrate used by the property
 //! tests: it explores message-delivery interleavings that a cycle-accurate
 //! simulator would only reach under specific timing, while preserving the
 //! one ordering guarantee the protocol needs (FIFO per channel). It also
-//! tracks the mutual-exclusion and FIFO-service invariants online.
+//! tracks the mutual-exclusion and FIFO-service invariants online. A
+//! harness is [`Clone`]: a copy taken mid-run continues independently, so
+//! an explorer can fork a run at any delivery.
 
 use std::collections::VecDeque;
 
-use crate::adapter::SyncAdapter;
+use crate::bank::Bank;
 use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode};
 use crate::qnode::Qnode;
 use crate::storage::{MapStorage, WordStorage};
@@ -48,8 +50,9 @@ impl SplitMix64 {
 pub struct InvariantViolation(pub String);
 
 /// Single-bank protocol harness.
+#[derive(Clone, Debug)]
 pub struct Harness {
-    adapter: Box<dyn SyncAdapter>,
+    bank: Bank,
     qnodes: Vec<Qnode>,
     mem: MapStorage,
     /// Per-core core→bank channel (requests, including bounced WakeUps).
@@ -70,11 +73,11 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates a harness over `adapter` with `num_cores` cores.
+    /// Creates a harness over `bank` with `num_cores` cores.
     #[must_use]
-    pub fn new(adapter: Box<dyn SyncAdapter>, num_cores: usize) -> Harness {
+    pub fn new(bank: Bank, num_cores: usize) -> Harness {
         Harness {
-            adapter,
+            bank,
             qnodes: vec![Qnode::new(); num_cores],
             mem: MapStorage::new(),
             to_bank: vec![VecDeque::new(); num_cores],
@@ -183,7 +186,7 @@ impl Harness {
         }
         let is_lrwait = matches!(req, MemRequest::LrWait { .. });
         let mut out = Vec::new();
-        self.adapter.handle(core, &req, &mut self.mem, &mut out);
+        self.bank.handle(core, &req, &mut self.mem, &mut out);
         if is_lrwait {
             let addr = req.addr();
             let failed_fast = out.iter().any(|(c, r)| {
@@ -238,16 +241,6 @@ impl Harness {
                 self.grant_log.push((addr, core));
             }
         }
-    }
-}
-
-impl std::fmt::Debug for Harness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Harness")
-            .field("adapter", &self.adapter.label())
-            .field("cores", &self.qnodes.len())
-            .field("violations", &self.violations.len())
-            .finish()
     }
 }
 
@@ -340,8 +333,8 @@ pub fn drive_rmw_increments(
                 .filter(|(_, (s, _))| *s != CoreState::Done)
                 .collect();
             panic!(
-                "protocol stalled with cores {stuck:?} incomplete; adapter {:?}",
-                harness.adapter
+                "protocol stalled with cores {stuck:?} incomplete; bank {:?}",
+                harness.bank
             );
         }
     }
@@ -393,6 +386,72 @@ mod tests {
         let total = drive_rmw_increments(&mut h, &mut rng, &[0, 1, 2, 3], 0x40, 10);
         assert_eq!(total, 40);
         assert!(h.violations().is_empty());
+    }
+
+    #[test]
+    fn a_cloned_harness_continues_independently() {
+        const ADDR: Addr = 0x40;
+        // Each core commits three increments, retrying a failed `scwait`.
+        fn finish(h: &mut Harness, seed: u64) {
+            let mut rng = SplitMix64::new(seed);
+            let mut done = [0u32; 4];
+            loop {
+                for core in 0..4 {
+                    while let Some(resp) = h.take_delivered(core) {
+                        let next = match resp {
+                            MemResponse::Wait { value, .. } => MemRequest::ScWait {
+                                addr: ADDR,
+                                value: value + 1,
+                            },
+                            MemResponse::ScWait { success } => {
+                                done[core as usize] += u32::from(success);
+                                if done[core as usize] == 3 {
+                                    continue;
+                                }
+                                MemRequest::LrWait { addr: ADDR }
+                            }
+                            other => panic!("core {core}: unexpected {other:?}"),
+                        };
+                        h.send(core, next);
+                    }
+                }
+                if !h.step(&mut rng) {
+                    return;
+                }
+            }
+        }
+
+        // Fork while requests, grants and successor updates are in flight.
+        let mut original = Harness::new(SyncArch::Colibri { queues: 1 }.build(4), 4);
+        let mut rng = SplitMix64::new(5);
+        for core in 0..4 {
+            original.send(core, MemRequest::LrWait { addr: ADDR });
+        }
+        for _ in 0..5 {
+            assert!(original.step(&mut rng));
+        }
+        let mut fork = original.clone();
+        let forked = (
+            fork.grant_log().to_vec(),
+            fork.enqueue_log().to_vec(),
+            *fork.bank.stats(),
+        );
+
+        finish(&mut original, 9);
+        assert_eq!(original.read_word(ADDR), 12);
+        assert!(original.grant_log().len() > forked.0.len());
+        // The original's run moved nothing of the fork's.
+        assert_eq!(fork.grant_log(), forked.0);
+        assert_eq!(fork.enqueue_log(), forked.1);
+        assert_eq!(*fork.bank.stats(), forked.2);
+        assert_eq!(fork.read_word(ADDR), 0);
+
+        finish(&mut fork, 9);
+        assert_eq!(fork.read_word(ADDR), 12);
+        assert_eq!(fork.grant_log(), original.grant_log());
+        assert_eq!(fork.enqueue_log(), original.enqueue_log());
+        assert_eq!(fork.bank.stats(), original.bank.stats());
+        assert!(original.violations().is_empty() && fork.violations().is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   distributed queue: `O(n + 2m)` state, one queue node per core,
 //!   `SuccessorUpdate` / `WakeUp` hand-off messages.
 //!
-//! [`SyncArch::build`] returns the bank as a [`SyncAdapter`]. Everything
+//! [`SyncArch::build`] returns the [`Bank`]. Everything
 //! here is *time-free*: banks and Qnodes are message-driven state machines.
 //! The cycle-accurate behaviour (latencies, bandwidth, backpressure) is
 //! added by `lrscwait-sim`; the [`harness`] module provides a
@@ -61,8 +61,9 @@ mod state;
 mod storage;
 mod waitq;
 
-pub use adapter::{AdapterStats, SyncAdapter, SyncEvent};
+pub use adapter::{AdapterStats, SyncEvent};
 pub use arch::SyncArch;
+pub use bank::Bank;
 pub use msg::{Addr, CoreId, MemRequest, MemResponse, RmwOp, WaitMode, Word};
 pub use qnode::{Qnode, QnodeOutput};
 pub use state::{StateError, StateReader, StateWriter};

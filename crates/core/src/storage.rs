@@ -1,10 +1,10 @@
-//! Word-addressed storage abstraction given to bank adapters.
+//! Word-addressed storage abstraction given to banks.
 
 use std::collections::HashMap;
 
 use crate::msg::{Addr, Word};
 
-/// Backing storage a [`crate::SyncAdapter`] reads and writes through.
+/// Backing storage a [`crate::Bank`] reads and writes through.
 ///
 /// The simulator implements this over its SPM bank arrays; tests can use the
 /// provided [`MapStorage`].

@@ -26,7 +26,7 @@ struct Entry {
 
 /// The centralized wait unit: a capacity-`q` reservation queue shared by
 /// every address of the bank.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct WaitQueue {
     /// The enforced limit: a wait beyond it fails fast.
     capacity: usize,
@@ -185,7 +185,7 @@ mod tests {
     use crate::bank::{Bank, WaitUnit};
     use crate::msg::{MemRequest, MemResponse};
     use crate::storage::{MapStorage, WordStorage};
-    use crate::{SyncAdapter, SyncArch};
+    use crate::SyncArch;
 
     fn queue(slots: usize) -> Bank {
         Bank::new(SyncArch::LrscWait { slots }, 0)

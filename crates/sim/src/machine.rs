@@ -1,11 +1,11 @@
-//! The manycore machine: cores + Qnodes + banks with synchronization
-//! adapters, glued together by the two virtual networks.
+//! The manycore machine: cores + Qnodes + banks with their synchronization
+//! hardware, glued together by the two virtual networks.
 //!
 //! # Cycle order
 //!
 //! 1. Advance the request network; delivered requests are grouped by
 //!    destination bank and serviced **in bank-id order** (and, within one
-//!    bank, in delivery order) by the bank's [`SyncAdapter`]; responses
+//!    bank, in delivery order) by the bank's [`Bank`]; responses
 //!    land in the bank's outbox.
 //! 2. Flush bank outboxes into the response network in **bank-id order**
 //!    (FIFO per bank, so the (bank → core) ordering Colibri relies on
@@ -21,7 +21,7 @@
 //!    the core), with the per-cycle rotated round-robin start.
 //!
 //! One host thread steps one machine, start to finish. A `Machine` is
-//! `Send` (as is every [`SyncAdapter`]), so the way to use more CPUs is to
+//! `Send` (as is every [`Bank`]), so the way to use more CPUs is to
 //! build independent machines on independent threads — which is what the
 //! bench crate's `Sweep` does for every figure.
 //!
@@ -117,7 +117,7 @@
 //! [`Machine::set_tracer`] attaches a `lrscwait-trace` sink that observes
 //! the run as structured events: core park/wake with cause, barrier
 //! arrivals and releases, measured-region markers, request issue and the
-//! bank adapters' synchronization events. NoC traffic is not traced: each
+//! banks' synchronization events. NoC traffic is not traced: each
 //! network counts it per node itself ([`Machine::noc_traffic`]). Tracing
 //! is an *observer, never a steering input*: results are
 //! bit-identical with and without a sink, and the event stream itself is
@@ -127,8 +127,8 @@
 //! sink attached — the default — is one predictable branch that never
 //! builds the event (`crates/sim/tests/alloc_free.rs` proves the untraced
 //! cycle allocation-free). The one observer that takes a callback instead
-//! of returning events, the adapters' `handle_traced`, is called as
-//! [`SyncAdapter::handle`] while the tracer is off.
+//! of returning events, the bank's `handle_traced`, is called as
+//! [`Bank::handle`] while the tracer is off.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -138,7 +138,7 @@ use std::sync::Arc;
 
 use lrscwait_asm::Program;
 use lrscwait_chaos::Chaos;
-use lrscwait_core::{AdapterStats, MemRequest, MemResponse, Qnode, SyncAdapter};
+use lrscwait_core::{AdapterStats, Bank, MemRequest, MemResponse, Qnode};
 use lrscwait_noc::{IdSet, MempoolTopology, Network, NodeTraffic};
 use lrscwait_trace::{OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
@@ -267,7 +267,10 @@ pub struct Machine {
     pub(crate) program: Arc<DecodedProgram>,
     pub(crate) cores: Vec<Core>,
     pub(crate) qnodes: Vec<Qnode>,
-    pub(crate) adapters: Vec<Box<dyn SyncAdapter>>,
+    /// One heap allocation per bank: banks stored inline fault in more
+    /// pages, and build slower, as one mmapped block.
+    #[allow(clippy::vec_box)]
+    pub(crate) adapters: Vec<Box<Bank>>,
     pub(crate) spm: Spm,
     pub(crate) req_net: Network<ReqMsg>,
     pub(crate) resp_net: Network<RespMsg>,
@@ -322,8 +325,7 @@ pub struct Machine {
     /// Delivered requests of this cycle as (bank, delivery index), sorted —
     /// the bank-id-ordered service schedule.
     req_order: Vec<(u32, u32)>,
-    /// Response buffer handed to [`SyncAdapter::handle`] during bank
-    /// service.
+    /// Response buffer handed to [`Bank::handle`] during bank service.
     adapter_out: Vec<(u32, MemResponse)>,
     /// Superblock translation of the program image, built at
     /// construction unless `cfg.exec_mode == ExecMode::Reference` (kept
@@ -436,7 +438,9 @@ impl Machine {
                 .map(|id| Core::new(id, entry))
                 .collect(),
             qnodes: (0..num_cores).map(|_| Qnode::new()).collect(),
-            adapters: (0..num_banks).map(|_| cfg.arch.build(num_cores)).collect(),
+            adapters: (0..num_banks)
+                .map(|_| Box::new(cfg.arch.build(num_cores)))
+                .collect(),
             spm,
             req_net: MempoolTopology::new(cfg.topology).build_request_network(),
             resp_net: MempoolTopology::new(cfg.topology).build_response_network(),
@@ -645,7 +649,7 @@ impl Machine {
             bank,
         };
         phases::serve(
-            self.adapters[bank as usize].as_mut(),
+            &mut self.adapters[bank as usize],
             &mut view,
             HOST_CORE,
             &req,

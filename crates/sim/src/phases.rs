@@ -14,13 +14,13 @@
 //! Every emit site is `tracer.emit(now, || TraceEvent::…)`, the same idiom
 //! `Machine` uses at its own sites: with [`Tracer::Off`] that is one
 //! predictable branch and the event is never built. Bank service picks
-//! [`SyncAdapter::handle`] over `handle_traced` when the tracer is off, so
-//! an untraced adapter is never handed an observer at all.
+//! [`Bank::handle`] over `handle_traced` when the tracer is off, so an
+//! untraced bank is never handed an observer at all.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use lrscwait_core::{MemRequest, MemResponse, Qnode, SyncAdapter, WordStorage};
+use lrscwait_core::{Bank, MemRequest, MemResponse, Qnode, WordStorage};
 use lrscwait_isa::AmoOp;
 use lrscwait_noc::IdSet;
 use lrscwait_trace::{OpKind, TraceEvent, Tracer};
@@ -79,8 +79,8 @@ impl WordStorage for BankView<'_> {
 }
 
 /// Services every delivered request in bank-id order (and, within one
-/// bank, in delivery order): the adapter performs its side effects on the
-/// bank's SPM words and appends responses to the bank's outbox, which joins
+/// bank, in delivery order): the [`Bank`] performs its side effects on
+/// its SPM words and appends responses to its outbox, which joins
 /// `dirty_banks` when it goes empty → non-empty.
 ///
 /// `order` is the cycle's delivery list sorted by `(bank, delivery
@@ -89,7 +89,7 @@ impl WordStorage for BankView<'_> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn service_banks(
     spm: &mut Spm,
-    adapters: &mut [Box<dyn SyncAdapter>],
+    adapters: &mut [Box<Bank>],
     bank_outbox: &mut [VecDeque<RespMsg>],
     dirty_banks: &mut IdSet,
     reqs: &[ReqMsg],
@@ -109,7 +109,7 @@ pub(crate) fn service_banks(
             bank,
         };
         serve(
-            adapters[b].as_mut(),
+            &mut adapters[b],
             &mut view,
             msg.src,
             &msg.req,
@@ -127,12 +127,12 @@ pub(crate) fn service_banks(
     }
 }
 
-/// Hands one request from `src` to the bank's adapter, leaving its
-/// responses in `adapter_out` (cleared first). The adapter's
-/// synchronization events reach `tracer`; with the tracer off it gets
-/// [`SyncAdapter::handle`] and no observer at all.
+/// Hands one request from `src` to the bank, leaving its responses in
+/// `adapter_out` (cleared first). The bank's synchronization events
+/// reach `tracer`; with the tracer off it gets
+/// [`Bank::handle`] and no observer at all.
 pub(crate) fn serve(
-    adapter: &mut dyn SyncAdapter,
+    adapter: &mut Bank,
     view: &mut BankView<'_>,
     src: u32,
     req: &MemRequest,
