@@ -87,7 +87,7 @@ fn parse_mutation(text: &str) -> Result<Mutation, BenchError> {
     }
 }
 
-fn parse_args() -> Result<Args, BenchError> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, BenchError> {
     let mut parsed = Args {
         seeds: 8,
         seed_start: 1,
@@ -99,7 +99,7 @@ fn parse_args() -> Result<Args, BenchError> {
         out: PathBuf::from("results"),
         mutation: Mutation::None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
             it.next()
@@ -145,6 +145,9 @@ fn parse_args() -> Result<Args, BenchError> {
     }
     if parsed.seeds == 0 {
         return Err(usage_err("--seeds must be at least 1"));
+    }
+    if parsed.threads == 0 {
+        return Err(usage_err("--threads must be at least 1"));
     }
     Ok(parsed)
 }
@@ -195,7 +198,7 @@ fn render_summary(summary: &LitmusSummary, seeds: u64, mutation: Mutation) -> St
 }
 
 fn run() -> Result<(), BenchError> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     let mut cases = selected_cases(&args);
     if cases.is_empty() {
         return Err(usage_err(
@@ -270,4 +273,25 @@ fn run() -> Result<(), BenchError> {
         summary.runs,
         failures_path.display()
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in ["--seeds", "--threads"] {
+            match parse_args([flag, "0"].map(String::from)) {
+                Err(BenchError::Usage(msg)) => {
+                    assert!(msg.contains(&format!("{flag} must be at least 1")), "{msg}");
+                }
+                other => panic!(
+                    "{flag} 0: expected a usage error, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        assert!(parse_args(["--threads", "1"].map(String::from)).is_ok());
+    }
 }

@@ -43,7 +43,7 @@ usage: trace [--kernel K] [--impl I] [--arch A] [--cores N] [--iters N]
   --arch A        lrsc | lrscwait:<slots> | ideal | colibri:<queues>
                   (default colibri:4)
   --cores N       number of cores (default 16)
-  --iters N       per-core iterations (default 16)
+  --iters N       per-core iterations, at least 1 (default 16)
   --max-cycles N  watchdog limit (default 2000000)
   --out DIR       output directory for the Perfetto JSON (default results)
   --profile       attach the host-side phase profiler and write
@@ -108,6 +108,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<TraceArgs, Bench
                 parsed.iters = value("--iters")?
                     .parse()
                     .map_err(|_| usage_err("--iters: not a count"))?;
+                // Every kernel's loop runs at least once.
+                if parsed.iters == 0 {
+                    return Err(usage_err("--iters must be at least 1"));
+                }
             }
             "--max-cycles" => {
                 parsed.max_cycles = value("--max-cycles")?
@@ -185,9 +189,6 @@ fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, String), BenchEr
                     "--kernel barrier needs a power-of-two --cores (got {})",
                     args.cores
                 )));
-            }
-            if args.iters == 0 {
-                return Err(usage_err("--kernel barrier needs --iters >= 1 episodes"));
             }
             Ok((
                 Box::new(BarrierKernel::new(impl_, args.iters, args.cores)),
@@ -355,6 +356,18 @@ mod tests {
         }
         for (kernel, cores) in [("histogram", "2"), ("histogram", "16"), ("matmul", "16")] {
             assert!(build(kernel, cores).is_ok(), "{kernel} --cores {cores}");
+        }
+    }
+
+    /// Every kernel's loop runs at least once, so `--iters 0` is a usage
+    /// error whatever the kernel.
+    #[test]
+    fn zero_iters_is_a_usage_error() {
+        match parse_args(["--kernel", "queue", "--iters", "0"].map(String::from)) {
+            Err(BenchError::Usage(msg)) => {
+                assert!(msg.contains("--iters must be at least 1"), "{msg}");
+            }
+            other => panic!("expected a usage error, got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -315,7 +315,9 @@ impl HistogramKernel {
     ///
     /// # Panics
     ///
-    /// Panics if the generated assembly fails to assemble (kernel bug).
+    /// Panics when `iters` is 0 (the update loop counts down to zero
+    /// after its first pass, so 0 would wrap to 2^32 updates), or if the
+    /// generated assembly fails to assemble (kernel bug).
     #[must_use]
     pub fn program(&self) -> Program {
         let (asm, src) = self.assembly();
@@ -325,6 +327,7 @@ impl HistogramKernel {
     /// The assembler, with this kernel's constants defined, and the
     /// source [`program`](Self::program) assembles.
     pub(crate) fn assembly(&self) -> (Assembler, String) {
+        assert!(self.iters > 0, "each core needs at least one update");
         let src = format!(
             r#"
 .equ MMIO, 0xFFFF0000
@@ -550,5 +553,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_bins_rejected() {
         let _ = HistogramKernel::new(HistImpl::AmoAdd, 3, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one update")]
+    fn zero_iters_rejected() {
+        let _ = HistogramKernel::new(HistImpl::AmoAdd, 1, 0, 1).program();
     }
 }

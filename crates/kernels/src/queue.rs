@@ -276,6 +276,12 @@ impl QueueKernel {
     }
 
     /// Assembles the program.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `iters` is 0 (the pair loop counts down to zero after
+    /// its first pass, so 0 would wrap to 2^32 pairs), or if the generated
+    /// assembly fails to assemble (kernel bug).
     #[must_use]
     pub fn program(&self) -> Program {
         let (asm, src) = self.assembly();
@@ -285,6 +291,7 @@ impl QueueKernel {
     /// The assembler, with this kernel's constants defined, and the
     /// source [`program`](Self::program) assembles.
     pub(crate) fn assembly(&self) -> (Assembler, String) {
+        assert!(self.iters > 0, "each core needs at least one pair");
         let ring_entries = (2 * self.num_cores).next_power_of_two().max(8);
         let src = format!(
             r#"
@@ -510,5 +517,11 @@ mod tests {
         assert_eq!(QueueImpl::LrscWaitDirect.label(), "Colibri");
         assert_eq!(QueueImpl::LrscMs.label(), "LRSC");
         assert_eq!(QueueImpl::TicketRing.label(), "Atomic Add lock");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one pair")]
+    fn zero_iters_rejected() {
+        let _ = QueueKernel::new(QueueImpl::LrscWaitDirect, 0, 1).program();
     }
 }

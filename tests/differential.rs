@@ -3,10 +3,10 @@
 //! results — cycle counts, full
 //! statistics, and the rendered sweep CSV — across the kernel ×
 //! architecture matrix. The machine-level suite with targeted assembly
-//! lives in `crates/sim/tests/differential.rs`.
+//! lives in `crates/sim/tests/differential.rs`; the pinned schedules, in
+//! `tests/pins.rs`.
 
 use lrscwait::asm::Program;
-use lrscwait::chaos::FaultPlan;
 use lrscwait::core::SyncArch;
 use lrscwait::isa::{decode, AmoOp, Instr};
 use lrscwait::kernels::{
@@ -285,214 +285,6 @@ fn sweep_csv_bytes_are_identical_across_modes() {
     );
 }
 
-/// FNV-1a-64 over the cycle count and every counter of a [`SimStats`], in
-/// declaration order.
-fn schedule_digest(cycles: u64, stats: &lrscwait::sim::SimStats) -> u64 {
-    let mut words = vec![cycles];
-    for c in &stats.cores {
-        words.extend([
-            c.instret,
-            c.active_cycles,
-            c.stall_cycles,
-            c.sleep_cycles,
-            c.barrier_cycles,
-            c.ops,
-            c.region_start.unwrap_or(u64::MAX),
-            c.region_end.unwrap_or(u64::MAX),
-        ]);
-    }
-    for n in [&stats.req_network, &stats.resp_network] {
-        words.extend([
-            n.injected,
-            n.inject_stalls,
-            n.hops,
-            n.delivered,
-            n.hol_blocks,
-        ]);
-    }
-    let a = &stats.adapters;
-    words.extend([
-        a.requests,
-        a.loads,
-        a.stores,
-        a.amos,
-        a.sc_success,
-        a.sc_failure,
-        a.wait_enqueued,
-        a.wait_failfast,
-        a.scwait_success,
-        a.scwait_failure,
-        a.successor_updates,
-        a.wakeups,
-        a.reservations_broken,
-    ]);
-    words
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
-        })
-}
-
-/// `(what, kernel, cores, arch, chaos plan, cycles, digest)` of one run
-/// whose schedule is pinned.
-type PinnedRun<'k> = (
-    &'k str,
-    &'k dyn Workload,
-    usize,
-    SyncArch,
-    Option<FaultPlan>,
-    u64,
-    u64,
-);
-
-#[test]
-fn schedule_is_pinned_against_the_recorded_parent() {
-    // Both steppers share one `Network`, so a changed NoC arbitration
-    // order moves fast and `Reference` together and no equivalence test
-    // above would notice. These digests were recorded at the commit before
-    // the NoC storage rebuild (PR 13); a digest that moves means simulated
-    // results moved. Re-record only for a deliberate model change. The two
-    // centralized-queue rows were recorded before the three bank adapters
-    // became one front end with a wait unit per architecture; the chaos
-    // row, before the networks counted their own per-node traffic. The
-    // last three rows are the benchmark's gated workloads at the ledger's
-    // `--smoke` size (iterations / 64) on the 256-core MemPool geometry,
-    // recorded before the bank stopped being a trait object.
-    let hist = HistogramKernel::new(HistImpl::Lrsc, 1, 4, 64);
-    let queue = QueueKernel::new(QueueImpl::LrscWaitDirect, 4, 16);
-    let barrier = BarrierKernel::new(BarrierImpl::CentralLrscWait, 1, 1024);
-    let wait_hist = HistogramKernel::new(HistImpl::LrscWait, 1, 4, 64);
-    // Request jitter and response (wakeup and flit) delay only, so every
-    // injection of both networks may carry extra latency.
-    let jitter = FaultPlan {
-        wake_delay_per_mille: 150,
-        wake_delay_max: 24,
-        jitter_per_mille: 200,
-        jitter_max: 6,
-        ..FaultPlan::quiet(7)
-    };
-    let busy_loop = HistogramKernel::new(HistImpl::AmoAdd, 1024, 8, 256).with_compute(64);
-    let hist_spread = HistogramKernel::new(HistImpl::AmoAdd, 1024, 128, 256);
-    let queue_sleep = QueueKernel::new(QueueImpl::LrscWaitDirect, 10, 256);
-    let runs: [PinnedRun; 9] = [
-        (
-            "lrsc 1-bin histogram",
-            &hist,
-            64,
-            SyncArch::Lrsc,
-            None,
-            77_813,
-            0x9bad_dbf2_9aa3_c0de,
-        ),
-        (
-            "colibri queue",
-            &queue,
-            16,
-            SyncArch::Colibri { queues: 4 },
-            None,
-            1_809,
-            0x3313_b3d0_bdfe_6af4,
-        ),
-        (
-            "1024-core central barrier",
-            &barrier,
-            1024,
-            SyncArch::Colibri { queues: 4 },
-            None,
-            24_640,
-            0xee01_14fb_55f9_676b,
-        ),
-        (
-            "ideal-queue 1-bin histogram",
-            &wait_hist,
-            64,
-            SyncArch::LrscWaitIdeal,
-            None,
-            2_063,
-            0x11a5_40c1_63e6_b7a8,
-        ),
-        (
-            "one-slot-queue 1-bin histogram",
-            &wait_hist,
-            64,
-            SyncArch::LrscWait { slots: 1 },
-            None,
-            8_330,
-            0x2884_b271_d3df_5990,
-        ),
-        (
-            "colibri queue, chaos request and response jitter",
-            &queue,
-            16,
-            SyncArch::Colibri { queues: 4 },
-            Some(jitter),
-            2_447,
-            0x8795_a7fd_1093_630f,
-        ),
-        (
-            "busy_loop_256 / 64",
-            &busy_loop,
-            256,
-            SyncArch::Lrsc,
-            None,
-            4_839,
-            0xc6ca_e19a_b90d_3917,
-        ),
-        (
-            "hist_spread_256 / 64",
-            &hist_spread,
-            256,
-            SyncArch::Lrsc,
-            None,
-            3_145,
-            0x41c2_a28d_1639_ed79,
-        ),
-        (
-            "queue_sleep_256 / 64",
-            &queue_sleep,
-            256,
-            SyncArch::Colibri { queues: 4 },
-            None,
-            108_661,
-            0xd329_e040_e328_a28f,
-        ),
-    ];
-    for (what, kernel, cores, arch, chaos, cycles, digest) in runs {
-        for mode in [ExecMode::Translated, ExecMode::Reference] {
-            let geometry = if cores >= 256 {
-                SimConfig::builder().mempool_cores(cores)
-            } else {
-                SimConfig::builder().cores(cores)
-            };
-            let mut cfg = geometry
-                .arch(arch)
-                .exec_mode(mode)
-                .max_cycles(50_000_000)
-                .build()
-                .unwrap();
-            cfg.chaos = chaos;
-            let m = Experiment::new(kernel, cfg).x(1).run().expect(what);
-            assert!(
-                m.stats.req_network.hol_blocks > 0,
-                "{what}: must exercise head-of-line blocking"
-            );
-            if let SyncArch::LrscWait { .. } = arch {
-                assert!(
-                    m.stats.adapters.wait_failfast > 0,
-                    "{what}: must exercise the full queue's fail-fast answer"
-                );
-            }
-            assert_eq!(m.cycles, cycles, "{what} {mode:?}: cycles");
-            assert_eq!(
-                schedule_digest(m.cycles, &m.stats),
-                digest,
-                "{what} {mode:?}: (cycles, SimStats) digest"
-            );
-        }
-    }
-}
-
 #[test]
 fn per_node_noc_traffic_sums_to_the_network_stats_in_every_mode() {
     // Each network counts its own traffic per node. The counters must add
@@ -631,7 +423,7 @@ fn the_wait_unit_cannot_affect_a_program_without_wait_instructions() {
         SyncArch::LrscWaitIdeal,
         SyncArch::Colibri { queues: 4 },
     ];
-    let digest = |kernel: &dyn Workload, arch: SyncArch, mode: ExecMode| {
+    let schedule = |kernel: &dyn Workload, arch: SyncArch, mode: ExecMode| {
         let cfg = SimConfig::builder()
             .cores(8)
             .arch(arch)
@@ -643,7 +435,7 @@ fn the_wait_unit_cannot_affect_a_program_without_wait_instructions() {
             .x(1)
             .run()
             .expect("kernel runs");
-        schedule_digest(m.cycles, &m.stats)
+        (m.cycles, m.stats)
     };
     let mut checked = Vec::new();
     for (what, kernel) in kernels {
@@ -653,10 +445,10 @@ fn the_wait_unit_cannot_affect_a_program_without_wait_instructions() {
             continue;
         }
         for mode in [ExecMode::Translated, ExecMode::Reference] {
-            let lrsc = digest(kernel, SyncArch::Lrsc, mode);
+            let lrsc = schedule(kernel, SyncArch::Lrsc, mode);
             for arch in &archs[1..] {
                 assert_eq!(
-                    digest(kernel, *arch, mode),
+                    schedule(kernel, *arch, mode),
                     lrsc,
                     "{what} {mode:?}: the schedule on {arch} differs from LRSC"
                 );
@@ -679,11 +471,11 @@ fn the_wait_unit_cannot_affect_a_program_without_wait_instructions() {
         ]
     );
 
-    // The digest does see the wait unit: the wait barrier's schedule moves.
+    // The comparison does see the wait unit: the wait barrier's schedule moves.
     let wait_barrier = &barriers[1].1;
     assert_ne!(
-        digest(wait_barrier, SyncArch::Lrsc, ExecMode::Translated),
-        digest(
+        schedule(wait_barrier, SyncArch::Lrsc, ExecMode::Translated),
+        schedule(
             wait_barrier,
             SyncArch::Colibri { queues: 4 },
             ExecMode::Translated
