@@ -217,51 +217,6 @@ fn mwait_mailbox_snapshot_round_trip() {
     }
 }
 
-/// FNV-1a-64 of a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
-    })
-}
-
-#[test]
-fn snapshot_bytes_are_pinned() {
-    // The round trips above only compare a machine with itself, so a
-    // change to the snapshot encoding (adapter state order, a new field)
-    // would pass them. These digests pin the bytes taken mid-run, with
-    // wait queues populated, as recorded with snapshot version 4 (the
-    // memory section in address order, each page behind a presence flag).
-    for (arch, src, len, digest) in [
-        (SyncArch::Lrsc, LRSC_COUNTER, 70_977, 0x804c_5264_8155_6bcf),
-        (
-            SyncArch::LrscWaitIdeal,
-            CONTENDED_COUNTER,
-            71_534,
-            0xd73a_07a3_effe_6522,
-        ),
-        (
-            SyncArch::LrscWait { slots: 2 },
-            CONTENDED_COUNTER,
-            71_523,
-            0xbde5_c885_44db_b2fa,
-        ),
-        (
-            SyncArch::Colibri { queues: 2 },
-            CONTENDED_COUNTER,
-            72_282,
-            0xebbe_fc02_ce42_419b,
-        ),
-    ] {
-        let program = Assembler::new().assemble(src).expect("assembles");
-        let mut m = Machine::new(SimConfig::small(8, arch), &program).expect("loads");
-        let stop = m.run_until(400).expect("run to the snapshot point");
-        assert_eq!(stop.exit, ExitReason::TargetReached, "{arch}: mid-run");
-        let bytes = m.snapshot();
-        assert_eq!(bytes.len(), len, "{arch}: snapshot length");
-        assert_eq!(fnv1a(&bytes), digest, "{arch}: snapshot digest");
-    }
-}
-
 #[test]
 fn stall_mix_snapshot_round_trip() {
     // Interrupt points spread over a whole round, so snapshots land on

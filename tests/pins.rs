@@ -1,7 +1,7 @@
 //! One table pins every artifact whose bytes must not move: the kernel
 //! images the quick figures and the ledger's workloads build, the
-//! `(cycles, SimStats)` of runs whose schedule is pinned, and every file a
-//! `--quick` figure writes. A `<name>.csv` is pinned by its committed
+//! `(cycles, SimStats)` of runs whose schedule is pinned, the machine state
+//! of four mid-run machines, and every file a `--quick` figure writes. A `<name>.csv` is pinned by its committed
 //! baseline, `crates/bench/baseline/<name>.quick.csv`, byte for byte; every
 //! other artifact is one `(label, byte length, FNV-1a)` row of [`PINS`].
 //!
@@ -20,7 +20,7 @@ use lrscwait::kernels::{
     BarrierImpl, BarrierKernel, HistImpl, HistogramKernel, LitmusKernel, LitmusScenario,
     MatmulKernel, PollerKind, QueueImpl, QueueKernel, RcuKernel, Workload,
 };
-use lrscwait::sim::{ExecMode, SimConfig, SimStats};
+use lrscwait::sim::{ExecMode, ExitReason, Machine, SimConfig, SimStats};
 use lrscwait_bench::{run_figure, Experiment};
 
 /// FNV-1a-64 of a byte string.
@@ -31,7 +31,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `(label, byte length, FNV-1a)` per artifact, in the order the test
-/// builds them: kernel images, schedules, then figure files.
+/// builds them: kernel images, schedules, machine states, then figure
+/// files.
 #[rustfmt::skip]
 const PINS: &[(&str, usize, u64)] = &[
     ("hist AmoAdd bins=1", 504, 0x02928a9249526bba),
@@ -107,6 +108,10 @@ const PINS: &[(&str, usize, u64)] = &[
     ("schedule busy_loop_256 / 64, 4839 cycles", 16576, 0xc6cae19ab90d3917),
     ("schedule hist_spread_256 / 64, 3145 cycles", 16576, 0x41c2a28d1639ed79),
     ("schedule queue_sleep_256 / 64, 108661 cycles", 16576, 0xd329e040e328a28f),
+    ("state bytes LRSC, cycle 400", 70969, 0x0e39d3284584b24b),
+    ("state bytes LRSCwait_ideal, cycle 400", 71526, 0xaf5b9061297ca9b6),
+    ("state bytes LRSCwait2, cycle 400", 71515, 0x08d615a4ece6e996),
+    ("state bytes Colibri2, cycle 400", 72274, 0x5a70fb6e4e9fb49f),
     ("fig_barriers.heatmap.central-lrsc_lrsc_c256.csv", 9262, 0x9642fcc4668a2ad5),
     ("fig_barriers.heatmap.central-lrsc_lrsc_c64.csv", 2477, 0x9e789b7416137b3a),
     ("fig_barriers.heatmap.central-lrscwait_colibri4_c256.csv", 8948, 0xd9e2dc2c9d3cbbd5),
@@ -398,6 +403,91 @@ fn schedules() -> Vec<(String, Vec<u8>)> {
     out
 }
 
+/// Contended `lrwait`/`scwait` increments with a final barrier: parks
+/// cores in wait queues, keeps both networks busy, and prints a per-core
+/// result.
+const CONTENDED_COUNTER: &str = r#"
+    .equ MMIO, 0xFFFF0000
+    _start:
+        li   s0, MMIO
+        la   a0, counter
+        li   t0, 12
+    again:
+        lrwait.w t1, (a0)
+        addi t1, t1, 1
+        scwait.w t2, t1, (a0)
+        bnez t2, again
+        addi t0, t0, -1
+        bnez t0, again
+        sw   zero, 0x0C(s0)      # barrier
+        lw   t3, (a0)
+        sw   t3, 0x38(s0)        # print the final count
+        ecall
+    .data
+    counter: .word 0
+"#;
+
+/// The same counter with `lr.w`/`sc.w` retry and hartid-seeded
+/// exponential backoff, for plain LR/SC.
+const LRSC_COUNTER: &str = r#"
+    .equ MMIO, 0xFFFF0000
+    _start:
+        li   s0, MMIO
+        la   a0, counter
+        rdhartid t6
+        andi s10, t6, 7
+        addi s10, s10, 4         # per-core initial backoff window
+        li   t0, 12
+    again:
+        lr.w t1, (a0)
+        addi t1, t1, 1
+        sc.w t2, t1, (a0)
+        beqz t2, ok
+        mv   t5, s10
+    bk:
+        addi t5, t5, -1
+        bnez t5, bk
+        slli s10, s10, 1         # exponential growth, capped
+        li   t5, 2048
+        bltu s10, t5, again
+        mv   s10, t5
+        j    again
+    ok:
+        addi t0, t0, -1
+        bnez t0, again
+        sw   zero, 0x0C(s0)      # barrier
+        lw   t3, (a0)
+        sw   t3, 0x38(s0)        # print the final count
+        ecall
+    .data
+    counter: .word 0
+"#;
+
+/// The machine state of an 8-core `small` machine at cycle 400 of a
+/// contended counter, one per architecture: wait queues populated,
+/// reservations held and flits in flight. The schedules pin only what
+/// the statistics count; these rows pin the state itself.
+fn states() -> Vec<(String, Vec<u8>)> {
+    [
+        (SyncArch::Lrsc, LRSC_COUNTER),
+        (SyncArch::LrscWaitIdeal, CONTENDED_COUNTER),
+        (SyncArch::LrscWait { slots: 2 }, CONTENDED_COUNTER),
+        (SyncArch::Colibri { queues: 2 }, CONTENDED_COUNTER),
+    ]
+    .into_iter()
+    .map(|(arch, src)| {
+        let program = lrscwait::asm::assemble(src).expect("assembles");
+        let mut m = Machine::new(SimConfig::small(8, arch), &program).expect("loads");
+        let stop = m.run_until(400).expect("runs to cycle 400");
+        assert_eq!(stop.exit, ExitReason::TargetReached, "{arch}: mid-run");
+        (
+            format!("state bytes {arch}, cycle 400"),
+            m.snapshot()[8..].to_vec(),
+        )
+    })
+    .collect()
+}
+
 /// Every `--quick` figure run: its output directory, its `fig` arguments,
 /// and whether an unoptimized build runs it. The other four take 3-16 s
 /// each unoptimized; CI's `cargo test --workspace --release` runs them.
@@ -489,6 +579,7 @@ fn every_artifact_matches_its_pin() {
         .iter()
         .map(|(label, program)| (label.clone(), image_bytes(program)))
         .chain(schedules)
+        .chain(states())
         .map(digest)
         .chain(figure_rows)
         .collect();
