@@ -308,11 +308,8 @@ impl fmt::Display for FaultPlan {
 
 /// Machine-side engine state for a chaos-on run: the plan plus the
 /// mutation candidate counters (the only stateful part, and only ever
-/// advanced by the deterministic sequential bank-outbox flush).
-///
-/// Snapshots do not capture mutation counters — mutations are a self-test
-/// device, not a simulation feature, and combining them with mid-run
-/// checkpoint/restore is unsupported.
+/// advanced by the deterministic sequential bank-outbox flush). A machine
+/// snapshot clones it, counters included.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosState {
     /// The active plan.

@@ -1,7 +1,7 @@
 //! The bank's synchronization events and its counters.
 
 use crate::msg::{Addr, CoreId, WaitMode};
-use crate::state::{StateError, StateReader, StateWriter};
+use crate::state::StateWriter;
 
 /// A structured synchronization event observed inside a bank.
 ///
@@ -156,7 +156,7 @@ impl AdapterStats {
         *counter += 1;
     }
 
-    /// Encodes every counter (checkpoint/restore).
+    /// Encodes every counter (machine state bytes).
     pub fn save(&self, out: &mut StateWriter) {
         for v in [
             self.requests,
@@ -175,28 +175,5 @@ impl AdapterStats {
         ] {
             out.put_u64(v);
         }
-    }
-
-    /// Decodes counters written by [`save`](AdapterStats::save).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::UnexpectedEof`] on a truncated buffer.
-    pub fn load(src: &mut StateReader<'_>) -> Result<AdapterStats, StateError> {
-        Ok(AdapterStats {
-            requests: src.take_u64()?,
-            loads: src.take_u64()?,
-            stores: src.take_u64()?,
-            amos: src.take_u64()?,
-            sc_success: src.take_u64()?,
-            sc_failure: src.take_u64()?,
-            wait_enqueued: src.take_u64()?,
-            wait_failfast: src.take_u64()?,
-            scwait_success: src.take_u64()?,
-            scwait_failure: src.take_u64()?,
-            successor_updates: src.take_u64()?,
-            wakeups: src.take_u64()?,
-            reservations_broken: src.take_u64()?,
-        })
     }
 }

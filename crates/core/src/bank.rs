@@ -19,7 +19,7 @@ use crate::adapter::{no_trace, AdapterStats, SyncEvent};
 use crate::arch::SyncArch;
 use crate::colibri::Colibri;
 use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode, Word};
-use crate::state::{StateError, StateReader, StateWriter};
+use crate::state::StateWriter;
 use crate::storage::WordStorage;
 use crate::waitq::WaitQueue;
 
@@ -176,14 +176,6 @@ impl WaitUnit {
             WaitUnit::None => {}
             WaitUnit::Queue(q) => q.save(out),
             WaitUnit::Colibri(c) => c.save(out),
-        }
-    }
-
-    fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        match self {
-            WaitUnit::None => Ok(()),
-            WaitUnit::Queue(q) => q.load(src),
-            WaitUnit::Colibri(c) => c.load(src),
         }
     }
 }
@@ -369,13 +361,9 @@ impl Bank {
         &self.stats
     }
 
-    /// Serializes the bank's complete mutable state — reservation slot,
-    /// wait unit, statistics — for a machine checkpoint.
-    ///
-    /// Structural configuration (queue capacity, number of tracked
-    /// addresses) is *not* written: a snapshot is restored into a bank
-    /// built from the same [`SyncArch`], and
-    /// [`load_state`](Bank::load_state) validates the shapes match.
+    /// Encodes the bank's complete mutable state — reservation slot, wait
+    /// unit, statistics — for a machine's state bytes. The wait unit's
+    /// shape comes first; the [`SyncArch`] it follows from is not written.
     pub fn save_state(&self, out: &mut StateWriter) {
         self.wait.save(out);
         out.put_bool(self.slot.is_some());
@@ -384,25 +372,6 @@ impl Bank {
             out.put_u32(addr);
         }
         self.stats.save(out);
-    }
-
-    /// Restores state written by [`save_state`](Bank::save_state) into a
-    /// bank of identical structure.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] when the buffer is truncated, a discriminant is
-    /// unknown, or the recorded structure (queue capacity, slot count)
-    /// does not match this bank.
-    pub fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.wait.load(src)?;
-        self.slot = if src.take_bool()? {
-            Some((src.take_u32()?, src.take_u32()?))
-        } else {
-            None
-        };
-        self.stats = AdapterStats::load(src)?;
-        Ok(())
     }
 }
 

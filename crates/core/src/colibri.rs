@@ -27,7 +27,7 @@
 use crate::adapter::SyncEvent;
 use crate::bank::Port;
 use crate::msg::{Addr, CoreId, MemResponse, WaitMode, Word};
-use crate::state::{StateError, StateReader, StateWriter};
+use crate::state::StateWriter;
 
 /// One (head, tail) register pair: the controller-resident part of a queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,15 +74,11 @@ impl Colibri {
         self.slots.iter_mut().find(|q| q.occupied && q.addr == addr)
     }
 
-    /// Allocates the register pairs if this is the bank's first wait.
-    fn ensure_slots(&mut self) {
+    pub(crate) fn wait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, mode: WaitMode) {
+        // The register pairs are allocated at the bank's first wait.
         if self.slots.is_empty() {
             self.slots = vec![QueueSlot::default(); self.queues].into_boxed_slice();
         }
-    }
-
-    pub(crate) fn wait(&mut self, port: &mut Port<'_>, core: CoreId, addr: Addr, mode: WaitMode) {
-        self.ensure_slots();
         if let Some(q) = self.queue_for(addr) {
             debug_assert!(
                 q.head != core && q.tail != core,
@@ -221,32 +217,6 @@ impl Colibri {
             out.put_bool(q.waiting_wakeup);
             out.put_bool(q.armed_mwait);
         }
-    }
-
-    /// Reads what [`save`](Colibri::save) wrote, allocating the pairs only
-    /// when the snapshot holds one that is not the default.
-    pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        if src.take_u32()? as usize != self.queues {
-            return Err(StateError::Invalid("Colibri queue count"));
-        }
-        for i in 0..self.queues {
-            let q = QueueSlot {
-                occupied: src.take_bool()?,
-                addr: src.take_u32()?,
-                head: src.take_u32()?,
-                tail: src.take_u32()?,
-                head_valid: src.take_bool()?,
-                waiting_wakeup: src.take_bool()?,
-                armed_mwait: src.take_bool()?,
-            };
-            if q != QueueSlot::default() {
-                self.ensure_slots();
-            }
-            if let Some(slot) = self.slots.get_mut(i) {
-                *slot = q;
-            }
-        }
-        Ok(())
     }
 }
 

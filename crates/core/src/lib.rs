@@ -66,5 +66,5 @@ pub use arch::SyncArch;
 pub use bank::Bank;
 pub use msg::{Addr, CoreId, MemRequest, MemResponse, RmwOp, WaitMode, Word};
 pub use qnode::{Qnode, QnodeOutput};
-pub use state::{StateError, StateReader, StateWriter};
+pub use state::StateWriter;
 pub use storage::{MapStorage, WordStorage};

@@ -21,7 +21,7 @@
 //! [`WakeUp`]: MemRequest::WakeUp
 
 use crate::msg::{Addr, CoreId, MemRequest, MemResponse, WaitMode};
-use crate::state::{StateError, StateReader, StateWriter};
+use crate::state::StateWriter;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Session {
@@ -92,8 +92,8 @@ impl Qnode {
         self.updates_received
     }
 
-    /// Serializes the node — open session and message counters — for a
-    /// machine checkpoint.
+    /// Encodes the node — open session and message counters — for a
+    /// machine's state bytes.
     pub fn save_state(&self, out: &mut StateWriter) {
         match &self.session {
             Some(s) => {
@@ -114,35 +114,6 @@ impl Qnode {
         }
         out.put_u64(self.wakeups_sent);
         out.put_u64(self.updates_received);
-    }
-
-    /// Restores state written by [`save_state`](Qnode::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on a truncated or corrupt buffer.
-    pub fn load_state(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.session = if src.take_bool()? {
-            let addr = src.take_u32()?;
-            let mode = WaitMode::decode(src.take_u8()?)?;
-            let local_done = src.take_bool()?;
-            let successor = if src.take_bool()? {
-                Some((src.take_u32()?, WaitMode::decode(src.take_u8()?)?))
-            } else {
-                None
-            };
-            Some(Session {
-                addr,
-                mode,
-                local_done,
-                successor,
-            })
-        } else {
-            None
-        };
-        self.wakeups_sent = src.take_u64()?;
-        self.updates_received = src.take_u64()?;
-        Ok(())
     }
 
     /// Observes a request the core is sending towards memory.

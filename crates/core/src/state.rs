@@ -1,52 +1,26 @@
-//! Dependency-free binary serialization for checkpoint/restore.
+//! Dependency-free binary encoding of machine state.
 //!
-//! Machine snapshots (see `lrscwait-sim`) capture every piece of
-//! architectural state — core registers, bank words, in-flight NoC
-//! messages, adapter queues, Qnode sessions — in one versioned byte
-//! buffer. This module provides the little-endian writer/reader pair the
-//! whole workspace shares, plus encodings for the protocol types defined
-//! in this crate ([`MemRequest`], [`MemResponse`], [`WaitMode`],
-//! [`RmwOp`]).
+//! A machine's state bytes (see `lrscwait-sim`'s `Machine::state_bytes`)
+//! capture every piece of architectural state — core registers, bank
+//! words, in-flight NoC messages, wait-unit queues, Qnode sessions — in
+//! one canonical byte string for comparisons and pins. This module
+//! provides the little-endian writer the whole workspace shares, plus
+//! encodings for the protocol types defined in this crate
+//! ([`MemRequest`], [`MemResponse`], [`WaitMode`], [`RmwOp`]).
 //!
 //! The format is deliberately simple: fixed-width little-endian integers,
 //! `u8` discriminants for enums, a `u8` presence flag for options, and a
-//! `u32` length prefix for sequences. There is no self-description; the
-//! reader must know the layout, and a version bump in the snapshot header
-//! is the only compatibility mechanism.
-
-use std::fmt;
+//! `u32` length prefix for sequences.
 
 use crate::msg::{MemRequest, MemResponse, RmwOp, WaitMode};
 
-/// Error produced when decoding a snapshot fails.
-///
-/// Snapshots are produced by the same build that reads them in the common
-/// case, so every decode failure indicates a truncated file, a corrupted
-/// file, or a version/geometry mismatch — never a recoverable condition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StateError {
-    /// The buffer ended before the expected field.
-    UnexpectedEof,
-    /// A discriminant or structural invariant did not decode; the payload
-    /// names the field.
-    Invalid(&'static str),
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateError::UnexpectedEof => write!(f, "snapshot truncated"),
-            StateError::Invalid(what) => write!(f, "snapshot corrupt: bad {what}"),
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
-
-/// Append-only little-endian byte sink for snapshot encoding.
+/// Append-only little-endian byte sink for state encoding. A
+/// [`counting`](StateWriter::counting) writer keeps only the length.
 #[derive(Debug, Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    len: usize,
+    counting: bool,
 }
 
 impl StateWriter {
@@ -56,24 +30,41 @@ impl StateWriter {
         StateWriter::default()
     }
 
+    /// Creates a writer that counts the bytes it is handed without
+    /// storing them: the length of an encoding, without its allocation.
+    #[must_use]
+    pub fn counting() -> StateWriter {
+        StateWriter {
+            counting: true,
+            ..StateWriter::default()
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.len += bytes.len();
+        if !self.counting {
+            self.buf.extend_from_slice(bytes);
+        }
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Appends a `bool` as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+        self.put_u8(u8::from(v));
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends an `Option<u64>` as a presence byte plus the value.
@@ -87,117 +78,28 @@ impl StateWriter {
         }
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or counted) so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether nothing has been written yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes (none for a
+    /// counting writer).
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
-/// Cursor over snapshot bytes for decoding.
-#[derive(Debug)]
-pub struct StateReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateReader<'a> {
-    /// Wraps a byte buffer for reading from the start.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> StateReader<'a> {
-        StateReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::UnexpectedEof`] when the buffer is exhausted.
-    pub fn take_u8(&mut self) -> Result<u8, StateError> {
-        let b = *self.buf.get(self.pos).ok_or(StateError::UnexpectedEof)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads a `bool` encoded as one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::UnexpectedEof`] on a short buffer,
-    /// [`StateError::Invalid`] when the byte is not 0 or 1.
-    pub fn take_bool(&mut self) -> Result<bool, StateError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StateError::Invalid("bool")),
-        }
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::UnexpectedEof`] when fewer than 4 bytes remain.
-    pub fn take_u32(&mut self) -> Result<u32, StateError> {
-        let end = self.pos.checked_add(4).ok_or(StateError::UnexpectedEof)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(StateError::UnexpectedEof)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::UnexpectedEof`] when fewer than 8 bytes remain.
-    pub fn take_u64(&mut self) -> Result<u64, StateError> {
-        let end = self.pos.checked_add(8).ok_or(StateError::UnexpectedEof)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(StateError::UnexpectedEof)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads an `Option<u64>` (presence byte plus value).
-    ///
-    /// # Errors
-    ///
-    /// See [`take_bool`](StateReader::take_bool) and
-    /// [`take_u64`](StateReader::take_u64).
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, StateError> {
-        if self.take_bool()? {
-            Ok(Some(self.take_u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
 impl WaitMode {
-    /// Snapshot discriminant.
+    /// State-bytes discriminant.
     #[must_use]
     pub fn encode(self) -> u8 {
         match self {
@@ -205,23 +107,10 @@ impl WaitMode {
             WaitMode::MWait => 1,
         }
     }
-
-    /// Decodes a snapshot discriminant.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::Invalid`] on an unknown discriminant.
-    pub fn decode(tag: u8) -> Result<WaitMode, StateError> {
-        match tag {
-            0 => Ok(WaitMode::LrWait),
-            1 => Ok(WaitMode::MWait),
-            _ => Err(StateError::Invalid("WaitMode")),
-        }
-    }
 }
 
 impl RmwOp {
-    /// Snapshot discriminant.
+    /// State-bytes discriminant.
     #[must_use]
     pub fn encode(self) -> u8 {
         match self {
@@ -235,26 +124,6 @@ impl RmwOp {
             RmwOp::Minu => 7,
             RmwOp::Maxu => 8,
         }
-    }
-
-    /// Decodes a snapshot discriminant.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::Invalid`] on an unknown discriminant.
-    pub fn decode(tag: u8) -> Result<RmwOp, StateError> {
-        Ok(match tag {
-            0 => RmwOp::Swap,
-            1 => RmwOp::Add,
-            2 => RmwOp::Xor,
-            3 => RmwOp::And,
-            4 => RmwOp::Or,
-            5 => RmwOp::Min,
-            6 => RmwOp::Max,
-            7 => RmwOp::Minu,
-            8 => RmwOp::Maxu,
-            _ => return Err(StateError::Invalid("RmwOp")),
-        })
     }
 }
 
@@ -313,53 +182,6 @@ impl MemRequest {
             }
         }
     }
-
-    /// Decodes a request written by [`save`](MemRequest::save).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on truncation or an unknown tag.
-    pub fn load(src: &mut StateReader<'_>) -> Result<MemRequest, StateError> {
-        Ok(match src.take_u8()? {
-            0 => MemRequest::Load {
-                addr: src.take_u32()?,
-            },
-            1 => MemRequest::Store {
-                addr: src.take_u32()?,
-                value: src.take_u32()?,
-                mask: src.take_u32()?,
-            },
-            2 => MemRequest::Amo {
-                addr: src.take_u32()?,
-                op: RmwOp::decode(src.take_u8()?)?,
-                operand: src.take_u32()?,
-            },
-            3 => MemRequest::Lr {
-                addr: src.take_u32()?,
-            },
-            4 => MemRequest::Sc {
-                addr: src.take_u32()?,
-                value: src.take_u32()?,
-            },
-            5 => MemRequest::LrWait {
-                addr: src.take_u32()?,
-            },
-            6 => MemRequest::ScWait {
-                addr: src.take_u32()?,
-                value: src.take_u32()?,
-            },
-            7 => MemRequest::MWait {
-                addr: src.take_u32()?,
-                expected: src.take_u32()?,
-            },
-            8 => MemRequest::WakeUp {
-                addr: src.take_u32()?,
-                successor: src.take_u32()?,
-                mode: WaitMode::decode(src.take_u8()?)?,
-            },
-            _ => return Err(StateError::Invalid("MemRequest tag")),
-        })
-    }
 }
 
 impl MemResponse {
@@ -398,165 +220,5 @@ impl MemResponse {
                 out.put_u8(mode.encode());
             }
         }
-    }
-
-    /// Decodes a response written by [`save`](MemResponse::save).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on truncation or an unknown tag.
-    pub fn load(src: &mut StateReader<'_>) -> Result<MemResponse, StateError> {
-        Ok(match src.take_u8()? {
-            0 => MemResponse::Load {
-                value: src.take_u32()?,
-            },
-            1 => MemResponse::StoreAck,
-            2 => MemResponse::Amo {
-                old: src.take_u32()?,
-            },
-            3 => MemResponse::Lr {
-                value: src.take_u32()?,
-            },
-            4 => MemResponse::Sc {
-                success: src.take_bool()?,
-            },
-            5 => MemResponse::Wait {
-                value: src.take_u32()?,
-                reserved: src.take_bool()?,
-            },
-            6 => MemResponse::ScWait {
-                success: src.take_bool()?,
-            },
-            7 => MemResponse::SuccessorUpdate {
-                successor: src.take_u32()?,
-                mode: WaitMode::decode(src.take_u8()?)?,
-            },
-            _ => return Err(StateError::Invalid("MemResponse tag")),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_round_trip() {
-        let mut w = StateWriter::new();
-        w.put_u8(7);
-        w.put_bool(true);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_opt_u64(Some(42));
-        w.put_opt_u64(None);
-        let bytes = w.finish();
-        let mut r = StateReader::new(&bytes);
-        assert_eq!(r.take_u8().unwrap(), 7);
-        assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.take_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.take_opt_u64().unwrap(), Some(42));
-        assert_eq!(r.take_opt_u64().unwrap(), None);
-        assert_eq!(r.remaining(), 0);
-        assert!(r.take_u8().is_err(), "exhausted reader reports EOF");
-    }
-
-    #[test]
-    fn truncation_is_typed() {
-        let mut w = StateWriter::new();
-        w.put_u32(5);
-        let bytes = w.finish();
-        let mut r = StateReader::new(&bytes[..2]);
-        assert_eq!(r.take_u32(), Err(StateError::UnexpectedEof));
-    }
-
-    #[test]
-    fn bad_bool_is_invalid() {
-        let mut r = StateReader::new(&[9]);
-        assert_eq!(r.take_bool(), Err(StateError::Invalid("bool")));
-    }
-
-    #[test]
-    fn request_round_trip_all_variants() {
-        let reqs = [
-            MemRequest::Load { addr: 4 },
-            MemRequest::Store {
-                addr: 8,
-                value: 9,
-                mask: 0xFF00_FF00,
-            },
-            MemRequest::Amo {
-                addr: 12,
-                op: RmwOp::Maxu,
-                operand: 3,
-            },
-            MemRequest::Lr { addr: 16 },
-            MemRequest::Sc { addr: 20, value: 1 },
-            MemRequest::LrWait { addr: 24 },
-            MemRequest::ScWait { addr: 28, value: 2 },
-            MemRequest::MWait {
-                addr: 32,
-                expected: 5,
-            },
-            MemRequest::WakeUp {
-                addr: 36,
-                successor: 7,
-                mode: WaitMode::MWait,
-            },
-        ];
-        let mut w = StateWriter::new();
-        for req in &reqs {
-            req.save(&mut w);
-        }
-        let bytes = w.finish();
-        let mut r = StateReader::new(&bytes);
-        for req in &reqs {
-            assert_eq!(MemRequest::load(&mut r).unwrap(), *req);
-        }
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn response_round_trip_all_variants() {
-        let resps = [
-            MemResponse::Load { value: 11 },
-            MemResponse::StoreAck,
-            MemResponse::Amo { old: 4 },
-            MemResponse::Lr { value: 5 },
-            MemResponse::Sc { success: true },
-            MemResponse::Wait {
-                value: 6,
-                reserved: false,
-            },
-            MemResponse::ScWait { success: false },
-            MemResponse::SuccessorUpdate {
-                successor: 3,
-                mode: WaitMode::LrWait,
-            },
-        ];
-        let mut w = StateWriter::new();
-        for resp in &resps {
-            resp.save(&mut w);
-        }
-        let bytes = w.finish();
-        let mut r = StateReader::new(&bytes);
-        for resp in &resps {
-            assert_eq!(MemResponse::load(&mut r).unwrap(), *resp);
-        }
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn unknown_tags_are_invalid() {
-        let mut r = StateReader::new(&[99]);
-        assert!(matches!(
-            MemRequest::load(&mut r),
-            Err(StateError::Invalid(_))
-        ));
-        let mut r = StateReader::new(&[99]);
-        assert!(matches!(
-            MemResponse::load(&mut r),
-            Err(StateError::Invalid(_))
-        ));
     }
 }

@@ -10,7 +10,7 @@
 use crate::adapter::SyncEvent;
 use crate::bank::Port;
 use crate::msg::{Addr, CoreId, WaitMode, Word};
-use crate::state::{StateError, StateReader, StateWriter};
+use crate::state::StateWriter;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
@@ -154,28 +154,6 @@ impl WaitQueue {
             out.put_bool(e.active);
             out.put_bool(e.valid);
         }
-    }
-
-    pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        if src.take_u32()? as usize != self.capacity {
-            return Err(StateError::Invalid("wait-queue capacity"));
-        }
-        let len = src.take_u32()? as usize;
-        if len > self.capacity {
-            return Err(StateError::Invalid("wait-queue occupancy"));
-        }
-        self.entries.clear();
-        for _ in 0..len {
-            self.entries.push(Entry {
-                core: src.take_u32()?,
-                addr: src.take_u32()?,
-                mode: WaitMode::decode(src.take_u8()?)?,
-                expected: src.take_u32()?,
-                active: src.take_bool()?,
-                valid: src.take_bool()?,
-            });
-        }
-        Ok(())
     }
 }
 

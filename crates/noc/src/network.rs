@@ -207,7 +207,7 @@ pub struct NetworkStats {
 /// ascending node id rotated by `now % active_count` — the determinism
 /// contract. The active set is an [`IdSet`], whose iteration order *is*
 /// ascending id, so the order needs no sorting.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Network<P> {
     nodes: Vec<Node>,
     /// Handle rings of all nodes, back to back.
@@ -224,6 +224,34 @@ pub struct Network<P> {
     stats: NetworkStats,
     /// Per-node traffic counters, by node id.
     traffic: Vec<NodeTraffic>,
+}
+
+/// Field by field, so that [`clone_from`](Clone::clone_from) reuses this
+/// network's buffers instead of reallocating them.
+impl<P: Clone> Clone for Network<P> {
+    fn clone(&self) -> Network<P> {
+        Network {
+            nodes: self.nodes.clone(),
+            ring: self.ring.clone(),
+            slab: self.slab.clone(),
+            free: self.free,
+            active: self.active.clone(),
+            scratch: self.scratch.clone(),
+            stats: self.stats,
+            traffic: self.traffic.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Network<P>) {
+        self.nodes.clone_from(&source.nodes);
+        self.ring.clone_from(&source.ring);
+        self.slab.clone_from(&source.slab);
+        self.free = source.free;
+        self.active.clone_from(&source.active);
+        self.scratch.clone_from(&source.scratch);
+        self.stats = source.stats;
+        self.traffic.clone_from(&source.traffic);
+    }
 }
 
 impl<P> Network<P> {
@@ -286,10 +314,8 @@ impl<P> Network<P> {
     }
 
     /// Per-node traffic counters, in node id order. Each sums (below
-    /// saturation) to its [`NetworkStats`] counterpart. Like an attached
-    /// trace sink, they observe the run without being part of its state:
-    /// a checkpoint restore ([`push_flit`](Network::push_flit),
-    /// [`set_stats`](Network::set_stats)) leaves them as they are.
+    /// saturation) to its [`NetworkStats`] counterpart. A clone of the
+    /// network carries them with its flits and statistics.
     pub fn traffic(&self) -> impl ExactSizeIterator<Item = NodeTraffic> + '_ {
         self.traffic.iter().copied()
     }
@@ -304,13 +330,13 @@ impl<P> Network<P> {
     }
 
     /// Stores a flit in a recycled or new slab slot and queues its handle
-    /// at the back of the node `route` names at `hop`, whose capacity the
-    /// caller has checked.
-    fn enqueue(&mut self, payload: P, route: Route, hop: u8, ready_at: u64) {
+    /// at the back of its route's first node, whose capacity the caller
+    /// has checked.
+    fn enqueue(&mut self, payload: P, route: Route, ready_at: u64) {
         let flit = Flit {
             payload: Some(payload),
             route,
-            hop,
+            hop: 0,
             ready_at,
         };
         let handle = if self.free == NO_SLOT {
@@ -322,7 +348,7 @@ impl<P> Network<P> {
             self.slab[handle as usize] = flit;
             handle
         };
-        let id = route.hops[usize::from(hop)];
+        let id = route.hops[0];
         let node = &mut self.nodes[id as usize];
         if node.len == 0 {
             self.active.insert(id);
@@ -331,12 +357,8 @@ impl<P> Network<P> {
     }
 
     /// Visits every in-flight flit in a canonical order — ascending node
-    /// id, each node's queue front to back — for machine checkpointing.
-    ///
-    /// Replaying the visited flits through
-    /// [`push_flit`](Network::push_flit) in the same order on an empty
-    /// network of identical geometry reconstructs the exact queue contents,
-    /// so the restored network advances bit-identically.
+    /// id, each node's queue front to back: the order a machine's state
+    /// bytes list them in.
     pub fn for_each_flit<F>(&self, mut visit: F)
     where
         F: FnMut(&P, Route, u8, u64),
@@ -350,55 +372,6 @@ impl<P> Network<P> {
                 node.pop();
             }
         }
-    }
-
-    /// Re-enqueues one flit during a checkpoint restore, bypassing
-    /// statistics (the flit was already accounted for when it was first
-    /// injected).
-    ///
-    /// Callers must replay flits in the canonical
-    /// [`for_each_flit`](Network::for_each_flit) order onto a network with
-    /// no in-flight messages.
-    ///
-    /// # Errors
-    ///
-    /// Returns the payload back when the flit's node already holds
-    /// `capacity` flits — no state [`for_each_flit`](Network::for_each_flit)
-    /// can have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hop` is out of range for `route` or names a node this
-    /// network does not have.
-    pub fn push_flit(&mut self, route: Route, hop: u8, ready_at: u64, payload: P) -> Result<(), P> {
-        assert!(usize::from(hop) < route.len(), "flit hop beyond its route");
-        let id = route.hops()[usize::from(hop)];
-        assert!(
-            (id as usize) < self.nodes.len(),
-            "flit queued at nonexistent node"
-        );
-        let node = &self.nodes[id as usize];
-        if node.len >= node.capacity {
-            return Err(payload);
-        }
-        self.enqueue(payload, route, hop, ready_at);
-        Ok(())
-    }
-
-    /// Drops every in-flight flit (restore starts from an empty fabric).
-    pub fn clear_in_flight(&mut self) {
-        for id in self.active.iter() {
-            let node = &mut self.nodes[id as usize];
-            (node.head, node.len) = (0, 0);
-        }
-        self.active.clear();
-        self.slab.clear();
-        self.free = NO_SLOT;
-    }
-
-    /// Overwrites the accumulated statistics (restored from a checkpoint).
-    pub fn set_stats(&mut self, stats: NetworkStats) {
-        self.stats = stats;
     }
 
     /// Earliest cycle at which any queued flit becomes movable, or `None`
@@ -442,7 +415,7 @@ impl<P> Network<P> {
         }
         count(&mut traffic.injected);
         let ready_at = now + u64::from(node.latency);
-        self.enqueue(payload, route, 0, ready_at);
+        self.enqueue(payload, route, ready_at);
         self.stats.injected += 1;
         Ok(())
     }
@@ -694,56 +667,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(net.stats(), before, "no stats drift while waiting");
         assert_eq!(net.in_flight(), 1);
-    }
-
-    #[test]
-    fn flit_snapshot_round_trip_preserves_behaviour() {
-        let specs = vec![
-            NodeSpec::new(1, 2, 1), // bottleneck final hop
-            NodeSpec::new(4, 8, 1),
-        ];
-        let mut net = Network::<u32>::new(specs.clone());
-        let route = Route::new(&[1, 0]);
-        for i in 0..5 {
-            net.try_send(route, i, u64::from(i)).unwrap();
-        }
-        let mut out = Vec::new();
-        net.advance(3, &mut out); // leave a mid-route mix of hops
-                                  // Snapshot: canonical flit walk + stats.
-        let mut saved = Vec::new();
-        net.for_each_flit(|&p, r, hop, ready_at| saved.push((p, r, hop, ready_at)));
-        let stats = net.stats();
-        assert_eq!(saved.len(), net.in_flight());
-        // Restore into a fresh network and co-simulate with the original.
-        let mut restored = Network::<u32>::new(specs);
-        restored.clear_in_flight();
-        for (p, r, hop, ready_at) in saved {
-            restored.push_flit(r, hop, ready_at, p).unwrap();
-        }
-        restored.set_stats(stats);
-        let mut out_r = Vec::new();
-        for cycle in 4..20 {
-            net.advance(cycle, &mut out);
-            restored.advance(cycle, &mut out_r);
-        }
-        assert_eq!(out[out.len() - out_r.len()..], out_r[..]);
-        assert_eq!(net.stats(), restored.stats());
-        assert_eq!(net.in_flight(), 0);
-        assert_eq!(restored.in_flight(), 0);
-    }
-
-    #[test]
-    fn push_flit_refuses_a_flit_beyond_node_capacity() {
-        let mut net = single_node_net(); // capacity 2
-        let route = Route::new(&[0]);
-        assert_eq!(net.push_flit(route, 0, 5, 1), Ok(()));
-        assert_eq!(net.push_flit(route, 0, 5, 2), Ok(()));
-        assert_eq!(net.push_flit(route, 0, 5, 3), Err(3), "ring is full");
-        assert_eq!(net.in_flight(), 2);
-        let mut out = Vec::new();
-        net.advance(5, &mut out);
-        net.advance(6, &mut out);
-        assert_eq!(out, vec![1, 2], "the accepted flits are intact");
     }
 
     #[test]

@@ -236,8 +236,8 @@ pub struct Core {
     /// `stats` for this core (superblocks run ahead of the machine
     /// clock; per-cycle visits before this point must not double-count
     /// stalls, and the ready queue's lazy stall credit must not re-credit
-    /// them). Always `0` in `ExecMode::Reference`; transient simulation
-    /// state, never serialized — snapshots reset it on restore.
+    /// them). Always `0` in `ExecMode::Reference`; left out of the
+    /// state bytes, which settle the stall cycles instead.
     pub charged_until: u64,
     /// Cycle at which the core last left the runnable set: it entered
     /// `WaitingMem` or `Barrier`, or was deferred to the ready queue

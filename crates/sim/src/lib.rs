@@ -63,6 +63,7 @@ pub use config::{
 pub use cpu::DecodedProgram;
 pub use machine::{Machine, SimError};
 pub use profiler::{Phase, PhaseProfile, PhaseStat, ProfilerConfig};
+pub use snapshot::Snapshot;
 pub use stats::{CoreStats, ExitReason, RunSummary, SimStats};
 pub use translate::Translation;
 

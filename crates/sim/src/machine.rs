@@ -62,7 +62,7 @@
 //!   `now − parked_at` delta on wake, and the stall cycles of a deferred
 //!   core as one `(ready_at − 1) − max(parked_at, charged_until)` delta on
 //!   re-admission (both flushed on [`Machine::stats`] and
-//!   [`Machine::snapshot`]), instead of one increment per skipped visit.
+//!   [`Machine::state_bytes`]), instead of one increment per skipped visit.
 //! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] skips
 //!   straight to the next event when the runnable set and the outboxes
 //!   are empty: the earlier of the ready queue's head and both networks'
@@ -203,11 +203,11 @@ pub enum SimError {
     },
     /// The configuration itself is inconsistent.
     Config(ConfigError),
-    /// A machine checkpoint could not be restored (truncated or corrupt
-    /// buffer, or a snapshot taken on an incompatible machine).
-    BadSnapshot {
-        /// What was wrong with the snapshot.
-        what: String,
+    /// A [`Machine::restore`] was handed a snapshot of a machine with a
+    /// different execution mode, architecture, geometry or program image.
+    SnapshotMismatch {
+        /// The property that differs.
+        what: &'static str,
     },
 }
 
@@ -245,8 +245,8 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::Config(ref e) => write!(f, "invalid configuration: {e}"),
-            SimError::BadSnapshot { ref what } => {
-                write!(f, "cannot restore snapshot: {what}")
+            SimError::SnapshotMismatch { what } => {
+                write!(f, "cannot restore a snapshot taken with a different {what}")
             }
         }
     }
@@ -265,60 +265,15 @@ pub struct Machine {
     pub(crate) cfg: SimConfig,
     topo: MempoolTopology,
     pub(crate) program: Arc<DecodedProgram>,
-    pub(crate) cores: Vec<Core>,
-    pub(crate) qnodes: Vec<Qnode>,
-    /// One heap allocation per bank: banks stored inline fault in more
-    /// pages, and build slower, as one mmapped block.
-    #[allow(clippy::vec_box)]
-    pub(crate) adapters: Vec<Box<Bank>>,
-    pub(crate) spm: Spm,
-    pub(crate) req_net: Network<ReqMsg>,
-    pub(crate) resp_net: Network<RespMsg>,
-    pub(crate) core_outbox: Vec<VecDeque<ReqMsg>>,
-    pub(crate) bank_outbox: Vec<VecDeque<RespMsg>>,
-    /// Banks with a non-empty response outbox (the Phase 2 walk list).
-    pub(crate) dirty_banks: IdSet,
-    pub(crate) cycle: u64,
-    pub(crate) halted: usize,
-    pub(crate) barrier_waiting: usize,
-    pub(crate) debug_log: Vec<(u64, u32, u32)>,
+    pub(crate) state: State,
     /// Tracing switch: [`Tracer::Off`] by default (tracing observes, it
     /// never steers).
     tracer: Tracer,
-    /// Per-core blocking-operation kind; gives [`TraceEvent::Wake`] its
-    /// cause. Maintained unconditionally (not just while tracing) so the
-    /// field is part of canonical machine state and survives snapshots
-    /// taken from untraced machines.
-    pub(crate) park_kind: Vec<OpKind>,
     /// Host-side phase profiler: [`Profiler::Off`] by default, following
     /// the same discipline as `tracer` — off is one predictable branch
     /// per site, and profiling never perturbs simulated results (it only
     /// reads host clocks between phases).
     profiler: Profiler,
-    /// Chaos fault-injection engine, built from [`SimConfig::chaos`] at
-    /// construction. [`Chaos::Off`] (the default) follows the
-    /// `tracer`/`profiler` discipline: one predictable branch per
-    /// injection site, results bit-identical to a build without the
-    /// engine. All injection happens in `step_cycle` itself (eviction
-    /// pre-pass, bank-outbox flush, core-outbox drain, arbitration
-    /// start), keyed on quantities the determinism contract already
-    /// fixes — so chaos-on runs are equally deterministic across exec
-    /// modes. Mutation candidate counters (the only stateful part) are
-    /// not captured by snapshots: combining mutations with mid-run
-    /// checkpoint/restore is unsupported.
-    chaos: Chaos,
-    /// `Running` cores that may issue next cycle (the Phase 4 walk list).
-    /// Cores re-enter by insertion: response deliveries, barrier releases
-    /// and ready-queue re-admissions.
-    pub(crate) runnable: IdSet,
-    /// `Running` cores that cannot issue before `now + 2`, as a min-heap
-    /// of `(ready_at, core)`: each is re-admitted to `runnable` at exactly
-    /// cycle `ready_at`, with `Core::parked_at` holding the cycle it was
-    /// deferred at. Derived state — never serialized, emptied on restore.
-    pub(crate) ready_queue: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Cores with a non-empty request outbox (Phase 5 of the production
-    /// stepper).
-    pub(crate) dirty_cores: IdSet,
     // Scratch buffers (allocation-free steady state).
     req_buf: Vec<ReqMsg>,
     resp_buf: Vec<RespMsg>,
@@ -340,13 +295,62 @@ pub struct Machine {
     step_limit: u64,
 }
 
+/// Everything a run changes, and nothing that only configures or
+/// observes it: what a [`Machine::snapshot`] clones.
+#[derive(Debug)]
+pub(crate) struct State {
+    pub(crate) cycle: u64,
+    pub(crate) cores: Vec<Core>,
+    pub(crate) qnodes: Vec<Qnode>,
+    /// One heap allocation per bank: banks stored inline fault in more
+    /// pages, and build slower, as one mmapped block.
+    #[allow(clippy::vec_box)]
+    pub(crate) adapters: Vec<Box<Bank>>,
+    pub(crate) spm: Spm,
+    pub(crate) req_net: Network<ReqMsg>,
+    pub(crate) resp_net: Network<RespMsg>,
+    pub(crate) core_outbox: Vec<VecDeque<ReqMsg>>,
+    pub(crate) bank_outbox: Vec<VecDeque<RespMsg>>,
+    /// Banks with a non-empty response outbox (the Phase 2 walk list).
+    pub(crate) dirty_banks: IdSet,
+    pub(crate) halted: usize,
+    pub(crate) barrier_waiting: usize,
+    pub(crate) debug_log: Vec<(u64, u32, u32)>,
+    /// Per-core blocking-operation kind; gives [`TraceEvent::Wake`] its
+    /// cause. Maintained unconditionally (not just while tracing) so a
+    /// snapshot of an untraced machine restores into a traced one.
+    pub(crate) park_kind: Vec<OpKind>,
+    /// Chaos fault-injection engine, built from [`SimConfig::chaos`] at
+    /// construction. [`Chaos::Off`] (the default) follows the
+    /// `tracer`/`profiler` discipline: one predictable branch per
+    /// injection site, results bit-identical to a build without the
+    /// engine. All injection happens in `step_cycle` itself (eviction
+    /// pre-pass, bank-outbox flush, core-outbox drain, arbitration
+    /// start), keyed on quantities the determinism contract already
+    /// fixes — so chaos-on runs are equally deterministic across exec
+    /// modes.
+    pub(crate) chaos: Chaos,
+    /// `Running` cores that may issue next cycle (the Phase 4 walk list).
+    /// Cores re-enter by insertion: response deliveries, barrier releases
+    /// and ready-queue re-admissions.
+    pub(crate) runnable: IdSet,
+    /// `Running` cores that cannot issue before `now + 2`, as a min-heap
+    /// of `(ready_at, core)`: each is re-admitted to `runnable` at exactly
+    /// cycle `ready_at`, with `Core::parked_at` holding the cycle it was
+    /// deferred at. Always empty in [`ExecMode::Reference`].
+    pub(crate) ready_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Cores with a non-empty request outbox (Phase 5 of the production
+    /// stepper).
+    pub(crate) dirty_cores: IdSet,
+}
+
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
-            .field("cores", &self.cores.len())
+            .field("cores", &self.state.cores.len())
             .field("banks", &self.num_banks())
-            .field("cycle", &self.cycle)
-            .field("halted", &self.halted)
+            .field("cycle", &self.state.cycle)
+            .field("halted", &self.state.halted)
             .finish()
     }
 }
@@ -431,9 +435,12 @@ impl Machine {
             .exec_mode
             .event_scheduled()
             .then(|| Arc::clone(program.translation()));
-        let mut machine = Machine {
-            topo,
-            program: Arc::clone(&program),
+        let mut runnable = IdSet::new(num_cores);
+        for id in 0..num_cores as u32 {
+            runnable.insert(id);
+        }
+        let state = State {
+            cycle: 0,
             cores: (0..num_cores as u32)
                 .map(|id| Core::new(id, entry))
                 .collect(),
@@ -447,17 +454,21 @@ impl Machine {
             core_outbox: (0..num_cores).map(|_| VecDeque::new()).collect(),
             bank_outbox: (0..num_banks).map(|_| VecDeque::new()).collect(),
             dirty_banks: IdSet::new(num_banks),
-            cycle: 0,
             halted: 0,
             barrier_waiting: 0,
             debug_log: Vec::new(),
-            tracer: Tracer::Off,
-            profiler: Profiler::Off,
-            chaos: Chaos::from_plan(cfg.chaos),
             park_kind: vec![OpKind::Load; num_cores],
-            runnable: IdSet::new(num_cores),
+            chaos: Chaos::from_plan(cfg.chaos),
+            runnable,
             ready_queue: BinaryHeap::with_capacity(num_cores),
             dirty_cores: IdSet::new(num_cores),
+        };
+        let mut machine = Machine {
+            topo,
+            program: Arc::clone(&program),
+            state,
+            tracer: Tracer::Off,
+            profiler: Profiler::Off,
             req_buf: Vec::new(),
             resp_buf: Vec::new(),
             req_order: Vec::new(),
@@ -466,8 +477,6 @@ impl Machine {
             step_limit: 0,
             cfg,
         };
-
-        refill(&mut machine.runnable, 0..num_cores as u32);
         // Load the initialized data image.
         for (i, chunk) in program.data.chunks(4).enumerate() {
             let mut word = [0u8; 4];
@@ -513,9 +522,9 @@ impl Machine {
     ///
     /// Panics when the machine has already been stepped.
     pub fn set_tracer(&mut self, sink: Box<dyn TraceSink>) {
-        assert_eq!(self.cycle, 0, "attach the trace sink before running");
+        assert_eq!(self.state.cycle, 0, "attach the trace sink before running");
         self.tracer = Tracer::sink(sink);
-        let cores = self.cores.len() as u32;
+        let cores = self.state.cores.len() as u32;
         let banks = self.num_banks();
         self.tracer.emit(0, || TraceEvent::Start { cores, banks });
     }
@@ -555,30 +564,30 @@ impl Machine {
     /// Current cycle count.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycle
+        self.state.cycle
     }
 
     /// Values written to the MMIO PRINT register: `(cycle, core, value)`.
     #[must_use]
     pub fn debug_log(&self) -> &[(u64, u32, u32)] {
-        &self.debug_log
+        &self.state.debug_log
     }
 
     /// Cores that have halted (executed `ecall` or wrote the EXIT
     /// register) so far — `cores() - halted_cores()` live cores remain.
     #[must_use]
     pub fn halted_cores(&self) -> usize {
-        self.halted
+        self.state.halted
     }
 
     /// Total cores in the machine.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.cores.len()
+        self.state.cores.len()
     }
 
     pub(crate) fn num_banks(&self) -> u32 {
-        self.adapters.len() as u32
+        self.state.adapters.len() as u32
     }
 
     /// Bank holding the word at `addr`.
@@ -595,8 +604,8 @@ impl Machine {
     /// words.
     #[must_use]
     pub fn read_word(&self, addr: u32) -> u32 {
-        assert!(addr < self.spm.bytes(), "host read outside SPM");
-        self.spm.read(addr / 4)
+        assert!(addr < self.state.spm.bytes(), "host read outside SPM");
+        self.state.spm.read(addr / 4)
     }
 
     /// Host write of an SPM word.
@@ -606,8 +615,8 @@ impl Machine {
     /// Panics when `addr` is outside the SPM's `words_per_bank × banks`
     /// words.
     pub fn write_word(&mut self, addr: u32, value: u32) {
-        assert!(addr < self.spm.bytes(), "host write outside SPM");
-        self.spm.write(addr / 4, value);
+        assert!(addr < self.state.spm.bytes(), "host write outside SPM");
+        self.state.spm.write(addr / 4, value);
     }
 
     /// Host-side store injection between cycles — the write primitive
@@ -632,9 +641,9 @@ impl Machine {
     /// Panics when `addr` is outside the SPM's `words_per_bank × banks`
     /// words or not word-aligned.
     pub fn inject_store(&mut self, addr: u32, value: u32) {
-        assert!(addr < self.spm.bytes(), "host store outside SPM");
+        assert!(addr < self.state.spm.bytes(), "host store outside SPM");
         assert_eq!(addr % 4, 0, "host stores are word-aligned");
-        let now = self.cycle;
+        let now = self.state.cycle;
         let bank = self.bank_of(addr);
         let num_banks = self.num_banks();
         self.tracer.emit(now, || TraceEvent::Inject { addr, value });
@@ -644,12 +653,12 @@ impl Machine {
             mask: !0,
         };
         let mut view = phases::BankView {
-            spm: &mut self.spm,
+            spm: &mut self.state.spm,
             num_banks,
             bank,
         };
         phases::serve(
-            &mut self.adapters[bank as usize],
+            &mut self.state.adapters[bank as usize],
             &mut view,
             HOST_CORE,
             &req,
@@ -663,11 +672,11 @@ impl Machine {
                 debug_assert_eq!(resp, MemResponse::StoreAck);
                 continue;
             }
-            self.bank_outbox[bank as usize].push_back(RespMsg { core, resp });
+            self.state.bank_outbox[bank as usize].push_back(RespMsg { core, resp });
             queued = true;
         }
         if queued {
-            self.dirty_banks.insert(bank);
+            self.state.dirty_banks.insert(bank);
         }
     }
 
@@ -675,7 +684,7 @@ impl Machine {
     #[must_use]
     pub fn stats(&self) -> SimStats {
         let mut adapters = AdapterStats::default();
-        for a in &self.adapters {
+        for a in &self.state.adapters {
             let s = a.stats();
             adapters.requests += s.requests;
             adapters.loads += s.loads;
@@ -692,51 +701,26 @@ impl Machine {
             adapters.reservations_broken += s.reservations_broken;
         }
         SimStats {
-            cores: self.settled_core_stats(),
-            req_network: self.req_net.stats(),
-            resp_network: self.resp_net.stats(),
+            cores: self
+                .state
+                .settled_core_stats(self.cfg.exec_mode.event_scheduled()),
+            req_network: self.state.req_net.stats(),
+            resp_network: self.state.resp_net.stats(),
             adapters,
         }
     }
 
     /// Per-node traffic counters of the request and the response network,
-    /// in that order, each in node id order (see [`NodeTraffic`]). Like an
-    /// attached trace sink, they observe the run: they are not part of
-    /// [`SimStats`] or a snapshot, and [`Machine::restore`] leaves them as
-    /// they are.
+    /// in that order, each in node id order (see [`NodeTraffic`]). They
+    /// are not part of [`SimStats`] or [`Machine::state_bytes`], but a
+    /// [`Machine::snapshot`] holds them, so a restore rolls them back with
+    /// the rest of the state.
     #[must_use]
     pub fn noc_traffic(&self) -> [Vec<NodeTraffic>; 2] {
         [
-            self.req_net.traffic().collect(),
-            self.resp_net.traffic().collect(),
+            self.state.req_net.traffic().collect(),
+            self.state.resp_net.traffic().collect(),
         ]
-    }
-
-    /// Per-core statistics with every lazily-accounted delta settled up
-    /// to the current cycle — what the reference stepper's eager
-    /// one-per-visit counting has added up to by now: parked cycles for
-    /// cores still asleep or at the barrier, stall cycles for cores still
-    /// in the ready queue.
-    pub(crate) fn settled_core_stats(&self) -> Vec<CoreStats> {
-        let mut stats: Vec<CoreStats> = self.cores.iter().map(|c| c.stats).collect();
-        if self.cfg.exec_mode.event_scheduled() {
-            for (core, stats) in self.cores.iter().zip(&mut stats) {
-                match core.state {
-                    CoreState::WaitingMem => stats.sleep_cycles += self.cycle - core.parked_at,
-                    CoreState::Barrier => stats.barrier_cycles += self.cycle - core.parked_at,
-                    CoreState::Running | CoreState::Halted => {}
-                }
-            }
-        }
-        for &Reverse((_, c)) in &self.ready_queue {
-            let core = &self.cores[c as usize];
-            // Saturating: after a run that stopped on a guest fault, a
-            // superblock may already have charged beyond `cycle`.
-            stats[c as usize].stall_cycles += self
-                .cycle
-                .saturating_sub(core.parked_at.max(core.charged_until));
-        }
-        stats
     }
 
     /// Runs until every core halts or the watchdog fires.
@@ -794,26 +778,26 @@ impl Machine {
     }
 
     fn run_inner(&mut self, target: u64) -> Result<RunSummary, SimError> {
-        while self.halted < self.cores.len() {
+        while self.state.halted < self.state.cores.len() {
             if self.cfg.exec_mode.event_scheduled() {
                 self.fast_forward(self.cfg.max_cycles.min(target));
             }
-            if self.cycle >= self.cfg.max_cycles {
+            if self.state.cycle >= self.cfg.max_cycles {
                 return Ok(RunSummary {
-                    cycles: self.cycle,
+                    cycles: self.state.cycle,
                     exit: ExitReason::Watchdog,
                 });
             }
-            if self.cycle >= target {
+            if self.state.cycle >= target {
                 return Ok(RunSummary {
-                    cycles: self.cycle,
+                    cycles: self.state.cycle,
                     exit: ExitReason::TargetReached,
                 });
             }
             self.step_cycle()?;
         }
         Ok(RunSummary {
-            cycles: self.cycle,
+            cycles: self.state.cycle,
             exit: ExitReason::AllHalted,
         })
     }
@@ -831,7 +815,9 @@ impl Machine {
     /// `limit` clamps the jump (watchdog, or a [`Machine::run_until`]
     /// target).
     fn fast_forward(&mut self, limit: u64) {
-        if !self.runnable.is_empty() || !self.dirty_banks.is_empty() || !self.dirty_cores.is_empty()
+        if !self.state.runnable.is_empty()
+            || !self.state.dirty_banks.is_empty()
+            || !self.state.dirty_cores.is_empty()
         {
             return;
         }
@@ -839,18 +825,19 @@ impl Machine {
         // next cycle is known to have work. `u64::MAX` means no event can
         // ever occur (all-parked deadlock): jump straight to the limit
         // (normally the watchdog).
-        let now = self.cycle;
+        let now = self.state.cycle;
         let mut next = self
+            .state
             .ready_queue
             .peek()
             .map_or(u64::MAX, |&Reverse((t, _))| t);
         if next > now + 1 {
-            next = next.min(self.req_net.next_ready_at().unwrap_or(u64::MAX));
+            next = next.min(self.state.req_net.next_ready_at().unwrap_or(u64::MAX));
         }
         if next > now + 1 {
-            next = next.min(self.resp_net.next_ready_at().unwrap_or(u64::MAX));
+            next = next.min(self.state.resp_net.next_ready_at().unwrap_or(u64::MAX));
         }
-        self.cycle = now.max(next.saturating_sub(1).min(limit));
+        self.state.cycle = now.max(next.saturating_sub(1).min(limit));
     }
 
     /// Advances the machine by exactly one cycle (see the module docs for
@@ -861,8 +848,8 @@ impl Machine {
     /// Returns [`SimError`] on kernel bugs: stepping stops at the first
     /// faulting core in id order, and that fault is the one reported.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        self.cycle += 1;
-        let now = self.cycle;
+        self.state.cycle += 1;
+        let now = self.state.cycle;
         let event_scheduled = self.cfg.exec_mode.event_scheduled();
         // Owned clock so the laps below don't borrow `self.profiler`
         // across the `&mut self` phase bodies; committed at the end.
@@ -886,14 +873,14 @@ impl Machine {
         if event_scheduled {
             self.readmit_ready_cores(now);
         }
-        if !(event_scheduled && self.runnable.is_empty()) {
+        if !(event_scheduled && self.state.runnable.is_empty()) {
             let stepped = self.core_step(now);
             clock.lap(Phase::CoreStep);
             stepped?;
         }
         self.barrier_release(now);
         clock.lap(Phase::BarrierRelease);
-        if !(event_scheduled && self.dirty_cores.is_empty()) {
+        if !(event_scheduled && self.state.dirty_cores.is_empty()) {
             self.core_flush(now);
         }
         clock.lap(Phase::CoreFlush);
@@ -904,7 +891,7 @@ impl Machine {
     /// Phase 1a: advance the request network.
     fn req_net_advance(&mut self, now: u64) {
         self.req_buf.clear();
-        self.req_net.advance(now, &mut self.req_buf);
+        self.state.req_net.advance(now, &mut self.req_buf);
     }
 
     /// Phase 1b: service the delivered requests, grouped by destination
@@ -919,10 +906,10 @@ impl Machine {
         self.req_order.sort_unstable();
         self.chaos_evict_before_service(&req_buf, now);
         phases::service_banks(
-            &mut self.spm,
-            &mut self.adapters,
-            &mut self.bank_outbox,
-            &mut self.dirty_banks,
+            &mut self.state.spm,
+            &mut self.state.adapters,
+            &mut self.state.bank_outbox,
+            &mut self.state.dirty_banks,
             &req_buf,
             &self.req_order,
             &mut self.adapter_out,
@@ -935,15 +922,15 @@ impl Machine {
     /// Phase 2: flush bank outboxes into the response network, in bank
     /// id order.
     fn bank_flush(&mut self, now: u64) {
-        let mut next = self.dirty_banks.next_from(0);
+        let mut next = self.state.dirty_banks.next_from(0);
         while let Some(bank) = next {
-            while let Some(&msg) = self.bank_outbox[bank as usize].front() {
+            while let Some(&msg) = self.state.bank_outbox[bank as usize].front() {
                 // Chaos: mutations rewrite/drop the response and wake
                 // delay / jitter add injection latency. Mutation
                 // counters are committed only when the message actually
                 // leaves the outbox, so network backpressure cannot
                 // double-count a candidate.
-                let (send, extra, staged) = match &self.chaos {
+                let (send, extra, staged) = match &self.state.chaos {
                     Chaos::Off => (Some(msg), 0, None),
                     Chaos::On(state) => {
                         let mut staged = *state;
@@ -957,32 +944,36 @@ impl Machine {
                 };
                 let Some(send) = send else {
                     // Mutation dropped the response on the floor.
-                    self.bank_outbox[bank as usize].pop_front();
-                    self.chaos = Chaos::On(staged.expect("drop implies chaos on"));
+                    self.state.bank_outbox[bank as usize].pop_front();
+                    self.state.chaos = Chaos::On(staged.expect("drop implies chaos on"));
                     continue;
                 };
                 let route = self.topo.response_route(bank as usize, send.core as usize);
-                match self.resp_net.try_send(route, send, now + u64::from(extra)) {
+                match self
+                    .state
+                    .resp_net
+                    .try_send(route, send, now + u64::from(extra))
+                {
                     Ok(()) => {
-                        self.bank_outbox[bank as usize].pop_front();
+                        self.state.bank_outbox[bank as usize].pop_front();
                         if let Some(staged) = staged {
-                            self.chaos = Chaos::On(staged);
+                            self.state.chaos = Chaos::On(staged);
                         }
                     }
                     Err(_) => break,
                 }
             }
-            if self.bank_outbox[bank as usize].is_empty() {
-                self.dirty_banks.remove(bank);
+            if self.state.bank_outbox[bank as usize].is_empty() {
+                self.state.dirty_banks.remove(bank);
             }
-            next = self.dirty_banks.next_from(bank + 1);
+            next = self.state.dirty_banks.next_from(bank + 1);
         }
     }
 
     /// Phase 3a: advance the response network.
     fn resp_net_advance(&mut self, now: u64) {
         self.resp_buf.clear();
-        self.resp_net.advance(now, &mut self.resp_buf);
+        self.state.resp_net.advance(now, &mut self.resp_buf);
     }
 
     /// Phase 3b: responses reach cores (through their Qnodes).
@@ -990,7 +981,7 @@ impl Machine {
         let resp_buf = std::mem::take(&mut self.resp_buf);
         for msg in &resp_buf {
             let c = msg.core as usize;
-            let output = self.qnodes[c].on_response(msg.resp);
+            let output = self.state.qnodes[c].on_response(msg.resp);
             if let Some(delivered) = output.deliver {
                 self.complete_response(c, delivered, now);
             }
@@ -1024,26 +1015,26 @@ impl Machine {
         let horizon = self.step_limit.max(now);
         let num_banks = self.num_banks();
         let mut ctx = CorePhase {
-            cores: &mut self.cores,
-            qnodes: &mut self.qnodes,
-            core_outbox: &mut self.core_outbox,
-            park_kind: &mut self.park_kind,
+            cores: &mut self.state.cores,
+            qnodes: &mut self.state.qnodes,
+            core_outbox: &mut self.state.core_outbox,
+            park_kind: &mut self.state.park_kind,
             program: &self.program,
             cfg: &self.cfg,
             num_banks,
-            spm_bytes: self.spm.bytes(),
-            halted: &mut self.halted,
-            barrier_waiting: &mut self.barrier_waiting,
-            debug_log: &mut self.debug_log,
-            dirty_cores: &mut self.dirty_cores,
+            spm_bytes: self.state.spm.bytes(),
+            halted: &mut self.state.halted,
+            barrier_waiting: &mut self.state.barrier_waiting,
+            debug_log: &mut self.state.debug_log,
+            dirty_cores: &mut self.state.dirty_cores,
             tracer: &mut self.tracer,
         };
         let stepped = match self.translation.as_deref() {
             Some(translation) => phases::step_translated_cores(
                 &mut ctx,
                 translation,
-                &mut self.runnable,
-                &mut self.ready_queue,
+                &mut self.state.runnable,
+                &mut self.state.ready_queue,
                 now,
                 horizon,
             ),
@@ -1057,8 +1048,8 @@ impl Machine {
     /// priority (round-robin arbitration, as in the real fabric).
     fn core_flush(&mut self, now: u64) {
         let event_scheduled = self.cfg.exec_mode.event_scheduled();
-        let n = self.cores.len() as u32;
-        let start = match &self.chaos {
+        let n = self.state.cores.len() as u32;
+        let start = match &self.state.chaos {
             Chaos::On(state) if state.plan.perturb_arbitration => {
                 state.plan.arbitration_start(now, u64::from(n)) as u32
             }
@@ -1067,13 +1058,13 @@ impl Machine {
         if event_scheduled {
             // From core `start` upwards, then the cores below it.
             for (lo, hi) in [(start, n), (0, start)] {
-                let mut next = self.dirty_cores.next_from(lo);
+                let mut next = self.state.dirty_cores.next_from(lo);
                 while let Some(c) = next.filter(|&c| c < hi) {
                     self.drain_core_outbox(c as usize, now);
-                    if self.core_outbox[c as usize].is_empty() {
-                        self.dirty_cores.remove(c);
+                    if self.state.core_outbox[c as usize].is_empty() {
+                        self.state.dirty_cores.remove(c);
                     }
-                    next = self.dirty_cores.next_from(c + 1);
+                    next = self.state.dirty_cores.next_from(c + 1);
                 }
             }
         } else {
@@ -1093,7 +1084,7 @@ impl Machine {
     /// hashes of (seed, cycle, bank, delivery index) — identical in
     /// every exec mode.
     fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
-        let Chaos::On(state) = self.chaos else {
+        let Chaos::On(state) = self.state.chaos else {
             return;
         };
         let plan = state.plan;
@@ -1110,7 +1101,7 @@ impl Machine {
                 plan.evict_request(now, bank, idx)
             };
             if evict {
-                self.adapters[bank as usize].chaos_evict(req.addr(), &mut |event| {
+                self.state.adapters[bank as usize].chaos_evict(req.addr(), &mut |event| {
                     tracer.emit(now, || TraceEvent::Sync { bank, event });
                 });
             }
@@ -1122,15 +1113,19 @@ impl Machine {
         // Ordinal of the request within this core's drain this cycle —
         // the chaos request-jitter key (identical across exec modes).
         let mut ordinal = 0u32;
-        while let Some(&msg) = self.core_outbox[c].front() {
-            let extra = match &self.chaos {
+        while let Some(&msg) = self.state.core_outbox[c].front() {
+            let extra = match &self.state.chaos {
                 Chaos::Off => 0,
                 Chaos::On(state) => state.plan.request_jitter(now, c as u32, ordinal),
             };
             let route = self.topo.request_route(c, msg.bank as usize);
-            match self.req_net.try_send(route, msg, now + u64::from(extra)) {
+            match self
+                .state
+                .req_net
+                .try_send(route, msg, now + u64::from(extra))
+            {
                 Ok(()) => {
-                    self.core_outbox[c].pop_front();
+                    self.state.core_outbox[c].pop_front();
                     ordinal += 1;
                 }
                 Err(_) => break,
@@ -1141,8 +1136,8 @@ impl Machine {
     /// Queues a request on a core's outbox (Phase 3 path), tracking
     /// outbox dirtiness for Phase 5.
     fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
-        self.core_outbox[c].push_back(msg);
-        self.dirty_cores.insert(c as u32);
+        self.state.core_outbox[c].push_back(msg);
+        self.state.dirty_cores.insert(c as u32);
     }
 
     /// Moves every deferred core whose issue cycle is `now` from the ready
@@ -1151,15 +1146,15 @@ impl Machine {
     /// (`parked_at + 1 ..= now − 1`, minus those a superblock already
     /// charged in-block).
     fn readmit_ready_cores(&mut self, now: u64) {
-        while let Some(&Reverse((t, c))) = self.ready_queue.peek() {
+        while let Some(&Reverse((t, c))) = self.state.ready_queue.peek() {
             if t > now {
                 break;
             }
             debug_assert_eq!(t, now, "deferred core re-admitted late");
-            self.ready_queue.pop();
-            let core = &mut self.cores[c as usize];
+            self.state.ready_queue.pop();
+            let core = &mut self.state.cores[c as usize];
             core.stats.stall_cycles += (t - 1) - core.parked_at.max(core.charged_until);
-            let fresh = self.runnable.insert(c);
+            let fresh = self.state.runnable.insert(c);
             debug_assert!(fresh, "deferred core was still runnable");
         }
     }
@@ -1167,19 +1162,19 @@ impl Machine {
     fn complete_response(&mut self, c: usize, resp: MemResponse, now: u64) {
         match resp {
             MemResponse::StoreAck => {
-                debug_assert!(self.cores[c].outstanding_stores > 0);
-                self.cores[c].outstanding_stores -= 1;
+                debug_assert!(self.state.cores[c].outstanding_stores > 0);
+                self.state.cores[c].outstanding_stores -= 1;
             }
             MemResponse::Load { value }
             | MemResponse::Amo { old: value }
             | MemResponse::Lr { value }
             | MemResponse::Wait { value, .. } => {
-                self.cores[c].complete(value, now);
+                self.state.cores[c].complete(value, now);
                 self.emit_wake(c, now);
                 self.wake_from_sleep(c, now);
             }
             MemResponse::Sc { success } | MemResponse::ScWait { success } => {
-                self.cores[c].complete(u32::from(!success), now);
+                self.state.cores[c].complete(u32::from(!success), now);
                 self.emit_wake(c, now);
                 self.wake_from_sleep(c, now);
             }
@@ -1193,7 +1188,7 @@ impl Machine {
     /// with the operation the core parked on as the cause.
     fn emit_wake(&mut self, c: usize, now: u64) {
         if !self.tracer.is_off() {
-            let cause = WakeCause::Response(self.park_kind[c]);
+            let cause = WakeCause::Response(self.state.park_kind[c]);
             self.tracer.emit(now, || TraceEvent::Wake {
                 core: c as u32,
                 cause,
@@ -1208,8 +1203,8 @@ impl Machine {
     /// core back in the runnable set.
     fn wake_from_sleep(&mut self, c: usize, now: u64) {
         if self.cfg.exec_mode.event_scheduled() {
-            self.cores[c].stats.sleep_cycles += now - 1 - self.cores[c].parked_at;
-            let fresh = self.runnable.insert(c as u32);
+            self.state.cores[c].stats.sleep_cycles += now - 1 - self.state.cores[c].parked_at;
+            let fresh = self.state.runnable.insert(c as u32);
             debug_assert!(fresh, "core woken while already runnable");
         }
     }
@@ -1223,13 +1218,13 @@ impl Machine {
     /// one-per-Phase-4-visit counting adds up to, and re-enters the
     /// runnable set with `ready_at = now + 1`.
     fn barrier_release(&mut self, now: u64) {
-        let running = self.cores.len() - self.halted;
-        if running > 0 && self.barrier_waiting == running {
+        let running = self.state.cores.len() - self.state.halted;
+        if running > 0 && self.state.barrier_waiting == running {
             let event_driven = self.cfg.exec_mode.event_scheduled();
-            let waiting = self.barrier_waiting as u32;
+            let waiting = self.state.barrier_waiting as u32;
             self.tracer
                 .emit(now, || TraceEvent::BarrierRelease { waiting });
-            for (x, core) in self.cores.iter_mut().enumerate() {
+            for (x, core) in self.state.cores.iter_mut().enumerate() {
                 if core.state == CoreState::Barrier {
                     core.state = CoreState::Running;
                     core.ready_at = now + 1;
@@ -1239,23 +1234,115 @@ impl Machine {
                     });
                     if event_driven {
                         core.stats.barrier_cycles += now - core.parked_at;
-                        self.runnable.insert(x as u32);
+                        self.state.runnable.insert(x as u32);
                     }
                 }
             }
-            self.barrier_waiting = 0;
+            self.state.barrier_waiting = 0;
         }
+    }
+}
+
+/// Field by field, so that [`clone_from`](Clone::clone_from) — a
+/// [`Machine::restore`] — overwrites every buffer in place instead of
+/// reallocating the machine's state: freed copies of it would stay
+/// resident in the allocator's arena.
+impl Clone for State {
+    fn clone(&self) -> State {
+        State {
+            cycle: self.cycle,
+            cores: self.cores.clone(),
+            qnodes: self.qnodes.clone(),
+            adapters: self.adapters.clone(),
+            spm: self.spm.clone(),
+            req_net: self.req_net.clone(),
+            resp_net: self.resp_net.clone(),
+            core_outbox: self.core_outbox.clone(),
+            bank_outbox: self.bank_outbox.clone(),
+            dirty_banks: self.dirty_banks.clone(),
+            halted: self.halted,
+            barrier_waiting: self.barrier_waiting,
+            debug_log: self.debug_log.clone(),
+            park_kind: self.park_kind.clone(),
+            chaos: self.chaos,
+            runnable: self.runnable.clone(),
+            ready_queue: self.ready_queue.clone(),
+            dirty_cores: self.dirty_cores.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &State) {
+        // Destructured, so that a new field cannot be left out.
+        let State {
+            cycle,
+            cores,
+            qnodes,
+            adapters,
+            spm,
+            req_net,
+            resp_net,
+            core_outbox,
+            bank_outbox,
+            dirty_banks,
+            halted,
+            barrier_waiting,
+            debug_log,
+            park_kind,
+            chaos,
+            runnable,
+            ready_queue,
+            dirty_cores,
+        } = source;
+        self.cycle = *cycle;
+        self.cores.clone_from(cores);
+        self.qnodes.clone_from(qnodes);
+        self.adapters.clone_from(adapters);
+        self.spm.clone_from(spm);
+        self.req_net.clone_from(req_net);
+        self.resp_net.clone_from(resp_net);
+        self.core_outbox.clone_from(core_outbox);
+        self.bank_outbox.clone_from(bank_outbox);
+        self.dirty_banks.clone_from(dirty_banks);
+        self.halted = *halted;
+        self.barrier_waiting = *barrier_waiting;
+        self.debug_log.clone_from(debug_log);
+        self.park_kind.clone_from(park_kind);
+        self.chaos = *chaos;
+        self.runnable.clone_from(runnable);
+        self.ready_queue.clone_from(ready_queue);
+        self.dirty_cores.clone_from(dirty_cores);
+    }
+}
+
+impl State {
+    /// Per-core statistics with every lazily-accounted delta settled up
+    /// to the current cycle — what the reference stepper's eager
+    /// one-per-visit counting has added up to by now: parked cycles for
+    /// cores still asleep or at the barrier, stall cycles for cores still
+    /// in the ready queue.
+    pub(crate) fn settled_core_stats(&self, event_scheduled: bool) -> Vec<CoreStats> {
+        let mut stats: Vec<CoreStats> = self.cores.iter().map(|c| c.stats).collect();
+        if event_scheduled {
+            for (core, stats) in self.cores.iter().zip(&mut stats) {
+                match core.state {
+                    CoreState::WaitingMem => stats.sleep_cycles += self.cycle - core.parked_at,
+                    CoreState::Barrier => stats.barrier_cycles += self.cycle - core.parked_at,
+                    CoreState::Running | CoreState::Halted => {}
+                }
+            }
+        }
+        for &Reverse((_, c)) in &self.ready_queue {
+            let core = &self.cores[c as usize];
+            // Saturating: after a run that stopped on a guest fault, a
+            // superblock may already have charged beyond `cycle`.
+            stats[c as usize].stall_cycles += self
+                .cycle
+                .saturating_sub(core.parked_at.max(core.charged_until));
+        }
+        stats
     }
 }
 
 /// Pseudo core id for host-injected requests ([`Machine::inject_store`]);
 /// responses addressed to it are consumed by the host, never routed.
-pub(crate) const HOST_CORE: u32 = u32::MAX;
-
-/// Replaces the members of a worklist set.
-pub(crate) fn refill(set: &mut IdSet, ids: impl Iterator<Item = u32>) {
-    set.clear();
-    for id in ids {
-        set.insert(id);
-    }
-}
+const HOST_CORE: u32 = u32::MAX;

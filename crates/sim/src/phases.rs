@@ -490,8 +490,8 @@ impl CorePhase<'_> {
 
     /// Marks a core parked on a blocking operation, remembering the cause
     /// for the later wake event. The cause is recorded unconditionally so
-    /// that machine state (and hence snapshots) does not depend on whether
-    /// tracing is enabled; only the event emission is gated.
+    /// that machine state (and hence its state bytes) does not depend on
+    /// whether tracing is enabled; only the event emission is gated.
     fn emit_park(&mut self, c: u32, kind: OpKind, now: u64) {
         self.park_kind[c as usize] = kind;
         self.tracer.emit(now, || TraceEvent::Park {

@@ -3,18 +3,18 @@
 //!
 //! The banks are word-interleaved (bank = word mod banks), so storing the
 //! SPM in address order rather than bank by bank makes every access a
-//! shift and a mask instead of a division by the bank count, and a
-//! snapshot of the memory a sequential walk.
+//! shift and a mask instead of a division by the bank count, and the
+//! memory's state bytes a sequential walk.
 //!
 //! A page is allocated the first time a nonzero value is written to it;
 //! until then it reads as zeros and a write of zero leaves it absent. The
 //! benchmark kernels keep their data in the first few KiB of a 1–4 MiB
 //! SPM, and a machine holds only the pages its guest and host touch.
 //! Nothing outside this module sees the pages: reads and writes are those
-//! of one zero-initialized array, and a snapshot carries only the pages
+//! of one zero-initialized array, and the state bytes hold only the pages
 //! that hold a nonzero word.
 
-use lrscwait_core::{StateError, StateReader, StateWriter};
+use lrscwait_core::StateWriter;
 
 /// log2 of the words per page: 64 KiB pages. A page stays below glibc's
 /// default 128 KiB mmap threshold, so the first write to it is an
@@ -25,10 +25,27 @@ const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
 
 /// Zero-initialized SPM words, indexed by word address (`addr / 4`).
+#[derive(Debug)]
 pub(crate) struct Spm {
     /// `None` for a page never written with a nonzero value.
     pages: Vec<Option<Box<[u32]>>>,
     words: u32,
+}
+
+/// Page by page, so that [`clone_from`](Clone::clone_from) overwrites the
+/// pages both sides hold in place.
+impl Clone for Spm {
+    fn clone(&self) -> Spm {
+        Spm {
+            pages: self.pages.clone(),
+            words: self.words,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Spm) {
+        self.pages.clone_from(&source.pages);
+        self.words = source.words;
+    }
 }
 
 impl Spm {
@@ -82,29 +99,6 @@ impl Spm {
                 None => out.put_bool(false),
             }
         }
-    }
-
-    /// Reads back what [`Spm::save`] wrote for an SPM of the same size: a
-    /// page the snapshot holds is overwritten, or allocated at its first
-    /// nonzero word if absent; a page it does not hold is dropped.
-    pub(crate) fn load(&mut self, src: &mut StateReader<'_>) -> Result<(), StateError> {
-        let words = self.words;
-        for (index, slot) in self.pages.iter_mut().enumerate() {
-            if !src.take_bool()? {
-                *slot = None;
-                continue;
-            }
-            let len = page_len(words, index);
-            for offset in 0..len {
-                let w = src.take_u32()?;
-                if let Some(page) = slot {
-                    page[offset] = w;
-                } else if w != 0 {
-                    slot.insert(vec![0; len].into_boxed_slice())[offset] = w;
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -392,7 +392,7 @@ fn step_cycle_equivalence_without_run_loop() {
     // Drive both machines manually through step_cycle (no fast-forward
     // and no superblock run-ahead: the horizon collapses to one
     // instruction per visit) and compare statistics, the debug log and
-    // the snapshot bytes at every cycle boundary — including the
+    // the state bytes at every cycle boundary — including the
     // boundaries where cores sit in the ready queue with their stall
     // cycles still unsettled.
     let amoadd = r#"
@@ -437,9 +437,9 @@ fn step_cycle_equivalence_without_run_loop() {
                 "{what}: at {cycle}"
             );
             assert_eq!(
-                fast.snapshot(),
-                reference.snapshot(),
-                "{what}: snapshot bytes at {cycle}"
+                fast.state_bytes(),
+                reference.state_bytes(),
+                "{what}: state bytes at {cycle}"
             );
         }
         assert_eq!(fast.halted_cores(), 4, "{what}: ran to completion");

@@ -1,20 +1,22 @@
 //! Checkpoint/restore differential suite: running to cycle `N` must be
 //! bit-identical to running to cycle `K`, snapshotting, restoring (into a
-//! fresh machine) and continuing to `N` — on summaries, statistics, the
-//! debug log and trace-event streams — for every execution mode on *both*
-//! sides of the snapshot, and across the synchronization architectures. The interrupt points are deliberately
-//! chosen to land mid-wait (parked cores, armed monitors, populated
-//! reservation queues) and mid-flight (flits in both networks).
+//! fresh machine, or into the one that took the snapshot) and continuing
+//! to `N` — on summaries, statistics, the debug log and trace-event
+//! streams — in every execution mode and across the synchronization
+//! architectures, and the state bytes at `K` must not depend on the mode.
+//! The interrupt points are deliberately chosen to land mid-wait (parked
+//! cores, armed monitors, populated reservation queues) and mid-flight
+//! (flits in both networks).
 
 mod common;
 
 use common::{branch_penalty_rows, COUNTDOWN_FOREVER, STALL_MIX};
 use lrscwait_asm::Assembler;
 use lrscwait_core::SyncArch;
-use lrscwait_sim::{ExecMode, ExitReason, Machine, SimConfig, SimError};
+use lrscwait_sim::{ExecMode, ExitReason, FaultPlan, Machine, Mutation, SimConfig, SimError};
 use lrscwait_trace::{RecordingSink, SharedSink, TraceEvent};
 
-/// Execution modes exercised on each side of a snapshot.
+/// Execution modes every round trip runs in.
 const MODES: [ExecMode; 2] = [ExecMode::Translated, ExecMode::Reference];
 
 fn configured(base: SimConfig, mode: ExecMode) -> SimConfig {
@@ -24,8 +26,8 @@ fn configured(base: SimConfig, mode: ExecMode) -> SimConfig {
 }
 
 /// Asserts `run-to-end` ≡ `run-to-k + snapshot + restore + run-to-end`
-/// for every mode on both sides of the snapshot, and that the snapshot
-/// bytes themselves do not depend on the mode that took them.
+/// in every mode, and that the state bytes at `k` do not depend on the
+/// mode.
 fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str) {
     let program = Assembler::new().assemble(src).expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
@@ -44,41 +46,40 @@ fn assert_snapshot_equivalent(src: &str, base_cfg: SimConfig, k: u64, what: &str
     );
 
     let mut canonical: Option<Vec<u8>> = None;
-    for mode_a in MODES {
-        let cfg_a = configured(base_cfg, mode_a);
-        let mut first = Machine::with_decoded(cfg_a, decoded.clone()).expect("loads");
+    for mode in MODES {
+        let cfg = configured(base_cfg, mode);
+        let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
         let stop = first.run_until(k).expect("run to interrupt");
         assert_eq!(
             stop.exit,
             ExitReason::TargetReached,
-            "{what}: {mode_a:?} stops at the target"
+            "{what}: {mode:?} stops at the target"
         );
-        assert_eq!(stop.cycles, k, "{what}: {mode_a:?} exact stop");
-        let bytes = first.snapshot();
+        assert_eq!(stop.cycles, k, "{what}: {mode:?} exact stop");
+        let bytes = first.state_bytes();
         assert_eq!(
             canonical.get_or_insert_with(|| bytes.clone()),
             &bytes,
-            "{what}: {mode_a:?} snapshot bytes at {k}"
+            "{what}: {mode:?} state bytes at {k}"
         );
+        let snapshot = first.snapshot();
+        assert_eq!(snapshot.len(), bytes.len(), "{what}: snapshot length");
 
-        for mode_b in MODES {
-            let cfg_b = configured(base_cfg, mode_b);
-            let mut second = Machine::with_decoded(cfg_b, decoded.clone()).expect("loads");
-            second.restore(&bytes).expect("restore");
-            assert_eq!(second.cycles(), k, "restored cycle counter");
-            let summary = second.run().expect("resumed run");
-            let ctx = format!("{what}: {mode_a:?} → {mode_b:?}");
-            assert_eq!(base_summary, summary, "{ctx}: run summary");
-            assert_eq!(base_stats, second.stats(), "{ctx}: statistics");
-            assert_eq!(base.debug_log(), second.debug_log(), "{ctx}: debug log");
-        }
+        let mut second = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+        second.restore(&snapshot).expect("restore");
+        assert_eq!(second.cycles(), k, "restored cycle counter");
+        let summary = second.run().expect("resumed run");
+        let ctx = format!("{what}: {mode:?}");
+        assert_eq!(base_summary, summary, "{ctx}: run summary");
+        assert_eq!(base_stats, second.stats(), "{ctx}: statistics");
+        assert_eq!(base.debug_log(), second.debug_log(), "{ctx}: debug log");
 
         // Rewinding the machine that took the snapshot must discard the
         // worklists (runnable set, ready queue) it has built since.
         first.run_until(k + 9).expect("run past the snapshot");
-        first.restore(&bytes).expect("restore in place");
+        first.restore(&snapshot).expect("restore in place");
         let summary = first.run().expect("rewound run");
-        let ctx = format!("{what}: {mode_a:?} rewound");
+        let ctx = format!("{what}: {mode:?} rewound");
         assert_eq!(base_summary, summary, "{ctx}: run summary");
         assert_eq!(base_stats, first.stats(), "{ctx}: statistics");
         assert_eq!(base.debug_log(), first.debug_log(), "{ctx}: debug log");
@@ -322,22 +323,18 @@ fn injected_stores_are_mode_invariant() {
     let results = program.symbol("results");
     let base_cfg = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
 
-    let drive = |mut m: Machine, snapshot_mid: bool| {
-        let mut m = {
-            for (i, at) in [50u64, 120, 121, 400].iter().enumerate() {
-                let stop = m.run_until(*at).expect("run to injection");
-                assert_eq!(stop.exit, ExitReason::TargetReached);
-                m.inject_store(mailbox + 4 * i as u32, 1 + i as u32);
-                if snapshot_mid && i == 1 {
-                    let bytes = m.snapshot();
-                    let mut fresh =
-                        Machine::with_decoded(base_cfg, decoded.clone()).expect("loads");
-                    fresh.restore(&bytes).expect("restore");
-                    m = fresh;
-                }
+    let drive = |cfg: SimConfig, snapshot_mid: bool| {
+        let mut m = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+        for (i, at) in [50u64, 120, 121, 400].iter().enumerate() {
+            let stop = m.run_until(*at).expect("run to injection");
+            assert_eq!(stop.exit, ExitReason::TargetReached);
+            m.inject_store(mailbox + 4 * i as u32, 1 + i as u32);
+            if snapshot_mid && i == 1 {
+                let mut fresh = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+                fresh.restore(&m.snapshot()).expect("restore");
+                m = fresh;
             }
-            m
-        };
+        }
         let summary = m.run().expect("drain");
         assert_eq!(summary.exit, ExitReason::AllHalted);
         let values: Vec<u32> = (0..4).map(|i| m.read_word(results + 4 * i)).collect();
@@ -345,21 +342,11 @@ fn injected_stores_are_mode_invariant() {
         (summary, m.stats(), m.debug_log().to_vec())
     };
 
-    let reference = drive(
-        Machine::with_decoded(base_cfg, decoded.clone()).expect("loads"),
-        false,
-    );
+    let reference = drive(base_cfg, false);
     for mode in MODES {
         let cfg = configured(base_cfg, mode);
-        let same = drive(
-            Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
-            false,
-        );
-        assert_eq!(reference, same, "{mode:?}: injected run");
-        let snapped = drive(
-            Machine::with_decoded(cfg, decoded.clone()).expect("loads"),
-            true,
-        );
+        assert_eq!(reference, drive(cfg, false), "{mode:?}: injected run");
+        let snapped = drive(cfg, true);
         assert_eq!(reference, snapped, "{mode:?}: snapshot mid-injection");
     }
 }
@@ -468,88 +455,86 @@ fn every_spm_word_survives_guest_host_and_snapshot() {
 }
 
 #[test]
-fn restore_rejects_malformed_snapshots() {
-    let program = Assembler::new()
-        .assemble(CONTENDED_COUNTER)
-        .expect("assembles");
-    let decoded = Machine::decode(&program).expect("decodes");
-    let cfg = SimConfig::small(4, SyncArch::Lrsc);
-    let mut m = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
-    m.run_until(20).expect("run");
-    let good = m.snapshot();
-
-    let bad_cases: Vec<(&str, Vec<u8>)> = vec![
-        ("empty", Vec::new()),
-        ("truncated", good[..good.len() / 2].to_vec()),
-        ("bad magic", {
-            let mut b = good.clone();
-            b[0] = b'X';
-            b
-        }),
-        ("bad version", {
-            let mut b = good.clone();
-            b[4] = 0xFF;
-            b
-        }),
-        ("trailing bytes", {
-            let mut b = good.clone();
-            b.push(0);
-            b
-        }),
-    ];
-    for (what, bytes) in bad_cases {
-        let mut target = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
-        let err = target.restore(&bytes).expect_err(what);
-        assert!(
-            matches!(err, SimError::BadSnapshot { .. }),
-            "{what}: typed error, got {err:?}"
-        );
-    }
-
-    // Wrong architecture and wrong geometry are rejected up front.
-    let mut other_arch = Machine::with_decoded(
-        SimConfig::small(4, SyncArch::Colibri { queues: 2 }),
-        decoded.clone(),
-    )
-    .expect("loads");
-    let err = other_arch.restore(&good).expect_err("arch mismatch");
-    assert!(matches!(err, SimError::BadSnapshot { .. }));
-    assert!(err.to_string().contains("architecture"), "{err}");
-
-    let mut other_geom =
-        Machine::with_decoded(SimConfig::small(8, SyncArch::Lrsc), decoded).expect("loads");
-    let err = other_geom.restore(&good).expect_err("geometry mismatch");
-    assert!(matches!(err, SimError::BadSnapshot { .. }));
-    assert!(err.to_string().contains("geometry"), "{err}");
-}
-
-#[test]
-fn restore_rejects_stale_program_image() {
-    // A snapshot must never resume over a different text image: the
-    // translated stepper would execute superblocks lowered from the wrong
-    // program (and the interpreter would silently diverge just the same).
+fn restore_rejects_a_snapshot_of_another_machine() {
+    // A snapshot resumes mid-program on the state of one exec mode,
+    // architecture and geometry: restored anywhere else it would be
+    // silently wrong, and a translated machine would execute superblocks
+    // lowered from the wrong program. The target must stay as it was.
     let program = Assembler::new()
         .assemble(CONTENDED_COUNTER)
         .expect("assembles");
     let decoded = Machine::decode(&program).expect("decodes");
     let cfg = SimConfig::small(4, SyncArch::LrscWaitIdeal);
-    let mut m = Machine::with_decoded(cfg, decoded).expect("loads");
+    let mut m = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
     m.run_until(20).expect("run");
-    let bytes = m.snapshot();
+    let snapshot = m.snapshot();
 
-    // Same geometry and architecture, different program.
     let other = Assembler::new().assemble(MWAIT_MAILBOX).expect("assembles");
     let other = Machine::decode(&other).expect("decodes");
-    for mode in MODES {
-        let mut target =
-            Machine::with_decoded(configured(cfg, mode), other.clone()).expect("loads");
-        let err = target.restore(&bytes).expect_err("stale image");
-        assert!(
-            matches!(err, SimError::BadSnapshot { .. }),
-            "{mode:?}: typed error, got {err:?}"
+    let mut spm = cfg;
+    spm.spm_bytes *= 2;
+    for (what, cfg, image) in [
+        (
+            "execution mode",
+            configured(cfg, ExecMode::Reference),
+            &decoded,
+        ),
+        (
+            "architecture",
+            SimConfig::small(4, SyncArch::Colibri { queues: 2 }),
+            &decoded,
+        ),
+        ("geometry", SimConfig::small(8, cfg.arch), &decoded),
+        ("geometry", spm, &decoded),
+        ("program image", cfg, &other),
+    ] {
+        let mut target = Machine::with_decoded(cfg, image.clone()).expect("loads");
+        target.run_until(7).expect("run");
+        let before = target.state_bytes();
+        assert_eq!(
+            target.restore(&snapshot),
+            Err(SimError::SnapshotMismatch { what }),
+            "{what}"
         );
-        assert!(err.to_string().contains("program image"), "{mode:?}: {err}");
+        assert_eq!(target.state_bytes(), before, "{what}: target unchanged");
     }
+}
+
+#[test]
+fn mutation_counters_survive_a_round_trip() {
+    // The chaos engine counts mutation candidates as the run goes; a
+    // restored machine must carry the counts on, so the mutation fires at
+    // the same response as in the uninterrupted run.
+    let program = Assembler::new()
+        .assemble(CONTENDED_COUNTER)
+        .expect("assembles");
+    let decoded = Machine::decode(&program).expect("decodes");
+    let mut cfg = SimConfig::small(8, SyncArch::Colibri { queues: 2 });
+    cfg.chaos = Some(FaultPlan::quiet(1));
+    let mut quiet = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    cfg.chaos = Some(FaultPlan {
+        mutation: Mutation::LoseScSuccess { nth: 60 },
+        ..FaultPlan::quiet(1)
+    });
+    let mut base = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    let base_summary = base.run().expect("uninterrupted run");
+    let k = base_summary.cycles / 2;
+
+    let mut first = Machine::with_decoded(cfg, decoded.clone()).expect("loads");
+    first.run_until(k).expect("run to interrupt");
+    quiet.run_until(k).expect("run to interrupt");
+    assert_eq!(
+        first.state_bytes(),
+        quiet.state_bytes(),
+        "the mutation fires after the snapshot"
+    );
+    let mut second = Machine::with_decoded(cfg, decoded).expect("loads");
+    second.restore(&first.snapshot()).expect("restore");
+    assert_eq!(base_summary, second.run().expect("resumed run"));
+    assert_eq!(base.stats(), second.stats());
+    assert_eq!(base.debug_log(), second.debug_log());
+    quiet.run().expect("quiet run");
+    assert_ne!(quiet.debug_log(), second.debug_log(), "the mutation fired");
 }
 
 #[test]

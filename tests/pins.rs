@@ -480,10 +480,7 @@ fn states() -> Vec<(String, Vec<u8>)> {
         let mut m = Machine::new(SimConfig::small(8, arch), &program).expect("loads");
         let stop = m.run_until(400).expect("runs to cycle 400");
         assert_eq!(stop.exit, ExitReason::TargetReached, "{arch}: mid-run");
-        (
-            format!("state bytes {arch}, cycle 400"),
-            m.snapshot()[8..].to_vec(),
-        )
+        (format!("state bytes {arch}, cycle 400"), m.state_bytes())
     })
     .collect()
 }
