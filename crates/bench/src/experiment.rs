@@ -1,25 +1,21 @@
 //! One workload run against one machine configuration: [`Experiment`], the
 //! [`Measurement`] it produces and the [`BenchError`] it can fail with.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use lrscwait_asm::Program;
 use lrscwait_kernels::{VerifyError, Workload};
 use lrscwait_sim::{
-    ConfigError, DecodedProgram, ExitReason, Machine, PhaseProfile, ProfilerConfig, RunSummary,
-    SimConfig, SimError, SimStats, NUM_ARGS,
+    ConfigError, ExitReason, Machine, PhaseProfile, ProfilerConfig, RunSummary, SimConfig,
+    SimError, SimStats, NUM_ARGS,
 };
 use lrscwait_trace::{AnalysisSink, FanoutSink, SharedSink, SyncAnalysis, TraceSink};
 
 use crate::args::USAGE;
 use crate::heartbeat::Heartbeat;
 use crate::report::fmt_tp;
-use crate::sweep::lock_ignoring_poison;
 
 /// Everything that can go wrong while producing a benchmark number.
 ///
@@ -131,60 +127,6 @@ impl From<ConfigError> for BenchError {
     fn from(e: ConfigError) -> BenchError {
         BenchError::Config(e)
     }
-}
-
-/// Process-wide decoded-program cache.
-///
-/// Sweep points routinely assemble byte-identical programs (only MMIO
-/// arguments differ across the x-axis), and every [`Machine`] used to
-/// re-decode its own copy. The cache keys on a content fingerprint and
-/// hands every worker the same [`Arc<DecodedProgram>`], so decoding and
-/// the text/raw/source-line buffers are shared across the whole sweep.
-/// Lookups hash the borrowed program (no allocation); the full content is
-/// cloned only once, when a program is first inserted. The cache is
-/// process-lifetime and unbounded, which is fine for the handful of
-/// distinct kernels a bench process assembles.
-fn program_fingerprint(program: &Program) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    program.text.hash(&mut hasher);
-    program.source_lines.hash(&mut hasher);
-    program.entry.hash(&mut hasher);
-    program.data_base.hash(&mut hasher);
-    program.data.hash(&mut hasher);
-    program.bss_base.hash(&mut hasher);
-    program.bss_size.hash(&mut hasher);
-    hasher.finish()
-}
-
-fn program_matches(decoded: &DecodedProgram, program: &Program) -> bool {
-    decoded.raw == program.text
-        && decoded.source_lines == program.source_lines
-        && decoded.entry == program.entry
-        && decoded.data_base == program.data_base
-        && decoded.data == program.data
-        && decoded.bss_base == program.bss_base
-        && decoded.bss_size == program.bss_size
-}
-
-fn decode_shared(program: &Program) -> Result<Arc<DecodedProgram>, SimError> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<DecodedProgram>>>> = OnceLock::new();
-    let fingerprint = program_fingerprint(program);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(decoded) = lock_ignoring_poison(cache).get(&fingerprint) {
-        if program_matches(decoded, program) {
-            return Ok(Arc::clone(decoded));
-        }
-        // Fingerprint collision between distinct programs (vanishingly
-        // rare): decode fresh without caching rather than evict.
-        return Machine::decode(program);
-    }
-    let decoded = Machine::decode(program)?;
-    Ok(Arc::clone(
-        lock_ignoring_poison(cache)
-            .entry(fingerprint)
-            .or_insert(decoded),
-    ))
 }
 
 /// A measured throughput point.
@@ -420,9 +362,11 @@ impl<'w> Experiment<'w> {
             cfg.args[i] = value;
         }
         let program = self.workload.program();
-        let decoded = decode_shared(&program).map_err(BenchError::Load)?;
         let budget = cfg.max_cycles;
-        let mut machine = Machine::with_decoded(cfg, decoded).map_err(BenchError::Load)?;
+        let mut machine = Machine::new(cfg, &program).map_err(|e| match e {
+            SimError::Config(e) => BenchError::Config(e),
+            e => BenchError::Load(e),
+        })?;
         if let Some(sink) = self.sink {
             machine.set_tracer(sink);
         }

@@ -24,11 +24,12 @@
 //! deliberately-illegal counterpart — the self-test that proves the
 //! checker's teeth.
 
-use lrscwait_chaos::{violated_invariants, InvariantChecker, InvariantReport, RunOutcome};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{LitmusKernel, LitmusScenario, Workload};
 use lrscwait_sim::{FaultPlan, Mutation, SimConfig};
-use lrscwait_trace::SharedSink;
+use lrscwait_trace::{
+    violated_invariants, InvariantChecker, InvariantReport, RunOutcome, SharedSink,
+};
 
 use crate::{BenchError, Experiment, Sweep};
 

@@ -8,7 +8,7 @@ use lrscwait_asm::{Assembler, Program};
 use lrscwait_bench::{fmt_tp, write_csv, BenchError, Experiment, Sweep};
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{HistImpl, HistogramKernel, QueueImpl, QueueKernel, VerifyError, Workload};
-use lrscwait_sim::{Machine, SimConfig};
+use lrscwait_sim::{ConfigError, Machine, SimConfig};
 
 /// A scratch directory unique to this test process.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -220,6 +220,22 @@ fn invalid_config_surfaces_as_typed_error() {
     let cfg = SimConfig::builder().cores(2).build().unwrap();
     let err = Experiment::new(&BadArgs, cfg).run().unwrap_err();
     assert!(matches!(err, BenchError::Config(_)), "{err}");
+}
+
+#[test]
+fn rejected_machine_config_surfaces_as_config_error() {
+    // A configuration the machine rejects at construction is a config
+    // error, not a failure to load the program.
+    let cfg = SimConfig {
+        max_cycles: 0,
+        ..SimConfig::small(4, SyncArch::Lrsc)
+    };
+    let kernel = HistogramKernel::new(HistImpl::AmoAdd, 8, 4, 4);
+    let err = Experiment::new(&kernel, cfg).run().unwrap_err();
+    assert!(
+        matches!(err, BenchError::Config(ConfigError::ZeroMaxCycles)),
+        "{err}"
+    );
 }
 
 #[test]

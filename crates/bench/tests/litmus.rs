@@ -7,10 +7,10 @@
 //! then re-run the identical case mutation-off and require green.
 
 use lrscwait_bench::litmus::{run_litmus_case, LitmusCase};
-use lrscwait_chaos::violated_invariants;
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::LitmusScenario;
 use lrscwait_sim::{FaultPlan, Mutation};
+use lrscwait_trace::violated_invariants;
 
 /// Lost-wakeup victim: Colibri queues with deep parking, a modest cycle
 /// budget so the induced deadlock reaches the watchdog quickly.

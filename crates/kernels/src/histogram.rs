@@ -244,7 +244,15 @@ pub struct HistogramKernel {
     pub bins: u32,
     /// Updates performed by each core.
     pub iters: u32,
-    /// Backoff cycles after a failed attempt (the paper uses 128).
+    /// Backoff after a failed attempt; what it means depends on the
+    /// implementation. For [`HistImpl::LrscWait`] (its fail-fast fallback)
+    /// and [`HistImpl::ColibriLock`] it is a fixed window of that many
+    /// delay-loop iterations (`BACKOFF`; the paper uses 128), 0 meaning a
+    /// tight retry. For [`HistImpl::Lrsc`] it is only a switch: 0 is a
+    /// tight retry, any other value the exponential 8..1024 window
+    /// (`BEXP_MIN`/`BEXP_MAX`). [`HistImpl::TasLock`] always uses that
+    /// window, and [`HistImpl::AmoAdd`], [`HistImpl::TicketLock`] and
+    /// [`HistImpl::McsMwaitLock`] ignore the field.
     pub backoff: u32,
     /// Extra LCG mixing rounds per update (straight-line multiply/add
     /// work between synchronization operations). `0` keeps the classic

@@ -49,7 +49,7 @@
 //! reader-throughput axis.
 //!
 //! [`BarrierKernel`]: crate::BarrierKernel
-//! [`InvariantChecker`]: ../lrscwait_chaos/struct.InvariantChecker.html
+//! [`InvariantChecker`]: ../lrscwait_trace/struct.InvariantChecker.html
 
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;

@@ -1,4 +1,71 @@
-//! The seeded fault plan and the machine-side chaos engine state.
+//! Chaos engine: seeded, deterministic fault injection into the machine.
+//!
+//! The paper's central claim — polling-free, retry-free synchronization
+//! through `lrwait`/`scwait` parking — is only as strong as the substrate's
+//! behavior under adversarial timing. "Implementing and Breaking
+//! Load-Link/Store-Conditional" (Tilley et al.) shows that real LL/SC
+//! implementations break exactly there: lost or delayed wakeups, spurious
+//! SC failures, and reservation eviction. This module injects those hazards
+//! *on purpose*; the trace-stream
+//! [`InvariantChecker`](lrscwait_trace::InvariantChecker) checks that the
+//! substrate's safety and liveness guarantees survive them.
+//!
+//! # Fault model
+//!
+//! A [`FaultPlan`] describes a family of architecturally **legal**
+//! perturbations — every injected fault is something real hardware is
+//! permitted to do, so a correct guest program must tolerate all of them:
+//!
+//! * **Reservation eviction** ([`FaultPlan::evict_per_mille`]): an LR-type
+//!   reservation (classic slot, or an active `lrwait` queue head) is
+//!   invalidated as if by capacity pressure. Armed `mwait` monitors are
+//!   *never* evicted — dropping a monitor would be a genuine lost wakeup,
+//!   i.e. a hardware bug rather than a legal fault.
+//! * **Spurious `sc`/`scwait` failure** ([`FaultPlan::sc_fail_per_mille`]):
+//!   implemented as a reservation eviction immediately before the store
+//!   conditional is serviced. This keeps all protocol state consistent by
+//!   construction: a failed `scwait` still advances the reservation queue
+//!   (both the centralized queue and Colibri dequeue the head either way),
+//!   exactly as the adapters already implement.
+//! * **Delayed wakeups** ([`FaultPlan::wake_delay_per_mille`] /
+//!   [`FaultPlan::wake_delay_max`]): a wait-serving response (`Wait` or
+//!   `ScWait`) enters the response network with up to `wake_delay_max`
+//!   extra cycles of latency.
+//! * **NoC latency jitter** ([`FaultPlan::jitter_per_mille`] /
+//!   [`FaultPlan::jitter_max`]): any request/response flit may carry a few
+//!   extra cycles of injection latency, within legal in-order bounds (a
+//!   delayed flit delays everything behind it in its FIFO, never
+//!   reorders).
+//! * **Perturbed arbitration** ([`FaultPlan::perturb_arbitration`]): the
+//!   round-robin rotation starts of the core-outbox flush are drawn from
+//!   the seeded hash instead of the cycle counter — a different but
+//!   equally legal arbiter.
+//!
+//! # Determinism
+//!
+//! Every fault decision is a **stateless hash** of `(seed, cycle, site,
+//! ids)` — there is no RNG state to advance, so decisions do not depend on
+//! evaluation order. All injection sites sit in the machine's cycle loop,
+//! keyed on quantities the simulator's determinism contract already
+//! guarantees identical across execution modes and tracing
+//! (per-cycle delivery schedules, bank/core ids). A chaos run with a given
+//! plan is therefore exactly as reproducible as a chaos-off run: same
+//! seed, same trace, bit for bit — which is what makes a failing fuzz seed
+//! a *repro*, not an anecdote.
+//!
+//! Chaos **off** (the default) follows the `Tracer`/`Profiler` discipline:
+//! one predictable branch per site, results bit-identical to a build
+//! without the engine (proven by the differential suite). The decisions
+//! `step_cycle` calls directly are `#[inline(never)]`: their cold bodies
+//! stay out of the cycle loop's machine code.
+//!
+//! # Mutations (self-test)
+//!
+//! A checker that never fires is worthless. [`Mutation`] variants are
+//! deliberately **illegal** behaviors — a wakeup genuinely dropped, an
+//! `scwait` success reported as failure — used by the litmus suite's
+//! mutation self-test to prove the checker actually catches broken
+//! hardware with a named invariant violation.
 
 use std::fmt;
 
@@ -9,7 +76,8 @@ use lrscwait_core::MemResponse;
 /// Unlike every [`FaultPlan`] rate — which injects *legal* perturbations a
 /// correct program must tolerate — a mutation is a **bug by construction**.
 /// The litmus suite enables one, runs a scenario that exercises the broken
-/// path, and asserts the [`crate::InvariantChecker`] reports a named
+/// path, and asserts the
+/// [`InvariantChecker`](lrscwait_trace::InvariantChecker) reports a named
 /// violation. A checker that stays green under a mutation is itself broken.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Mutation {
@@ -49,10 +117,10 @@ impl Mutation {
 /// `Copy` and float-free; `0` disables a fault class entirely, and a plan
 /// whose every class is disabled is *quiet* — the simulator treats it like
 /// chaos-off. Decision functions are stateless hashes of `(seed, site,
-/// cycle, ids)`; see the crate docs for the determinism argument.
+/// cycle, ids)`; see the module docs for the determinism argument.
 ///
 /// ```
-/// use lrscwait_chaos::FaultPlan;
+/// use lrscwait_sim::FaultPlan;
 ///
 /// let plan = FaultPlan::standard(42);
 /// assert!(!plan.is_quiet());
@@ -184,6 +252,7 @@ impl FaultPlan {
     /// Whether the reservation behind the request at delivery slot
     /// `(bank, idx)` of `cycle` is evicted before service.
     #[must_use]
+    #[inline(never)]
     pub fn evict_request(&self, cycle: u64, bank: u32, idx: u32) -> bool {
         self.roll(
             SITE_EVICT,
@@ -197,6 +266,7 @@ impl FaultPlan {
     /// Whether the `sc`/`scwait` at delivery slot `(bank, idx)` of `cycle`
     /// spuriously fails.
     #[must_use]
+    #[inline(never)]
     pub fn fail_sc(&self, cycle: u64, bank: u32, idx: u32) -> bool {
         self.roll(
             SITE_SC_FAIL,
@@ -275,6 +345,7 @@ impl FaultPlan {
     /// Seeded round-robin start in `0..n` for the cycle's core-outbox
     /// flush (only consulted when [`FaultPlan::perturb_arbitration`]).
     #[must_use]
+    #[inline(never)]
     pub fn arbitration_start(&self, cycle: u64, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.hash(SITE_ARB, cycle, 0, 0) % n
@@ -311,9 +382,9 @@ impl fmt::Display for FaultPlan {
 /// advanced by the deterministic sequential bank-outbox flush). A machine
 /// snapshot clones it, counters included.
 #[derive(Clone, Copy, Debug)]
-pub struct ChaosState {
+pub(crate) struct ChaosState {
     /// The active plan.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// Wait-serving responses seen so far (candidates for
     /// [`Mutation::DropWakeup`]).
     wait_candidates: u64,
@@ -324,8 +395,7 @@ pub struct ChaosState {
 
 impl ChaosState {
     /// Wraps a plan with zeroed mutation counters.
-    #[must_use]
-    pub fn new(plan: FaultPlan) -> ChaosState {
+    pub(crate) fn new(plan: FaultPlan) -> ChaosState {
         ChaosState {
             plan,
             wait_candidates: 0,
@@ -336,7 +406,7 @@ impl ChaosState {
     /// Applies the active [`Mutation`] to a response about to enter the
     /// response network. Returns `None` when the response must be dropped,
     /// otherwise the (possibly rewritten) response.
-    pub fn mutate_response(&mut self, resp: MemResponse) -> Option<MemResponse> {
+    pub(crate) fn mutate_response(&mut self, resp: MemResponse) -> Option<MemResponse> {
         match self.plan.mutation {
             Mutation::None => Some(resp),
             Mutation::DropWakeup { nth } => {
@@ -360,37 +430,6 @@ impl ChaosState {
                 Some(resp)
             }
         }
-    }
-}
-
-/// The chaos switch a `Machine` holds: statically absent when off, one
-/// predictable branch per site — the `Tracer`/`Profiler` discipline.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum Chaos {
-    /// No fault injection (the default): every site reduces to one
-    /// never-taken branch.
-    #[default]
-    Off,
-    /// Fault injection active with the contained state.
-    On(ChaosState),
-}
-
-impl Chaos {
-    /// Builds the engine from an optional plan; quiet plans still run the
-    /// chaos-on path (they decide "no fault" everywhere), which is what
-    /// the differential suite uses to prove the quiet path bit-identical.
-    #[must_use]
-    pub fn from_plan(plan: Option<FaultPlan>) -> Chaos {
-        match plan {
-            Some(p) => Chaos::On(ChaosState::new(p)),
-            None => Chaos::Off,
-        }
-    }
-
-    /// Whether the engine is off.
-    #[must_use]
-    pub fn is_off(&self) -> bool {
-        matches!(self, Chaos::Off)
     }
 }
 

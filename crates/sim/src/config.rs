@@ -9,9 +9,10 @@
 use std::error::Error;
 use std::fmt;
 
-use lrscwait_chaos::FaultPlan;
 use lrscwait_core::SyncArch;
 use lrscwait_noc::TopologyConfig;
+
+use crate::chaos::FaultPlan;
 
 /// Base address of the instruction ROM.
 pub const ROM_BASE: u32 = 0x0040_0000;
@@ -528,8 +529,7 @@ impl SimConfigBuilder {
     /// (validated at [`build`](Self::build): all rates ≤ 1000 per mille).
     ///
     /// ```
-    /// use lrscwait_chaos::FaultPlan;
-    /// use lrscwait_sim::SimConfig;
+    /// use lrscwait_sim::{FaultPlan, SimConfig};
     ///
     /// # fn main() -> Result<(), lrscwait_sim::ConfigError> {
     /// let cfg = SimConfig::builder()

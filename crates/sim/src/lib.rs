@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 
+mod chaos;
 pub mod config;
 pub mod cpu;
 mod machine;
@@ -67,7 +68,4 @@ pub use snapshot::Snapshot;
 pub use stats::{CoreStats, ExitReason, RunSummary, SimStats};
 pub use translate::Translation;
 
-// Chaos fault-injection types, re-exported so harnesses enabling the
-// engine through `SimConfigBuilder::chaos` need not depend on
-// `lrscwait-chaos` directly.
-pub use lrscwait_chaos::{FaultPlan, Mutation};
+pub use chaos::{FaultPlan, Mutation};

@@ -137,11 +137,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use lrscwait_asm::Program;
-use lrscwait_chaos::Chaos;
 use lrscwait_core::{AdapterStats, Bank, MemRequest, MemResponse, Qnode};
 use lrscwait_noc::{IdSet, MempoolTopology, Network, NodeTraffic};
 use lrscwait_trace::{OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 
+use crate::chaos::ChaosState;
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
@@ -321,15 +321,14 @@ pub(crate) struct State {
     /// snapshot of an untraced machine restores into a traced one.
     pub(crate) park_kind: Vec<OpKind>,
     /// Chaos fault-injection engine, built from [`SimConfig::chaos`] at
-    /// construction. [`Chaos::Off`] (the default) follows the
-    /// `tracer`/`profiler` discipline: one predictable branch per
-    /// injection site, results bit-identical to a build without the
-    /// engine. All injection happens in `step_cycle` itself (eviction
-    /// pre-pass, bank-outbox flush, core-outbox drain, arbitration
-    /// start), keyed on quantities the determinism contract already
-    /// fixes — so chaos-on runs are equally deterministic across exec
-    /// modes.
-    pub(crate) chaos: Chaos,
+    /// construction. `None` (the default) follows the `tracer`/`profiler`
+    /// discipline: one predictable branch per injection site, results
+    /// bit-identical to a build without the engine. All injection happens
+    /// in `step_cycle` itself (eviction pre-pass, bank-outbox flush,
+    /// core-outbox drain, arbitration start), keyed on quantities the
+    /// determinism contract already fixes — so chaos-on runs are equally
+    /// deterministic across exec modes.
+    pub(crate) chaos: Option<ChaosState>,
     /// `Running` cores that may issue next cycle (the Phase 4 walk list).
     /// Cores re-enter by insertion: response deliveries, barrier releases
     /// and ready-queue re-admissions.
@@ -458,7 +457,7 @@ impl Machine {
             barrier_waiting: 0,
             debug_log: Vec::new(),
             park_kind: vec![OpKind::Load; num_cores],
-            chaos: Chaos::from_plan(cfg.chaos),
+            chaos: cfg.chaos.map(ChaosState::new),
             runnable,
             ready_queue: BinaryHeap::with_capacity(num_cores),
             dirty_cores: IdSet::new(num_cores),
@@ -931,8 +930,8 @@ impl Machine {
                 // leaves the outbox, so network backpressure cannot
                 // double-count a candidate.
                 let (send, extra, staged) = match &self.state.chaos {
-                    Chaos::Off => (Some(msg), 0, None),
-                    Chaos::On(state) => {
+                    None => (Some(msg), 0, None),
+                    Some(state) => {
                         let mut staged = *state;
                         let send = staged.mutate_response(msg.resp).map(|resp| RespMsg {
                             core: msg.core,
@@ -945,7 +944,7 @@ impl Machine {
                 let Some(send) = send else {
                     // Mutation dropped the response on the floor.
                     self.state.bank_outbox[bank as usize].pop_front();
-                    self.state.chaos = Chaos::On(staged.expect("drop implies chaos on"));
+                    self.state.chaos = staged;
                     continue;
                 };
                 let route = self.topo.response_route(bank as usize, send.core as usize);
@@ -957,7 +956,7 @@ impl Machine {
                     Ok(()) => {
                         self.state.bank_outbox[bank as usize].pop_front();
                         if let Some(staged) = staged {
-                            self.state.chaos = Chaos::On(staged);
+                            self.state.chaos = Some(staged);
                         }
                     }
                     Err(_) => break,
@@ -1050,7 +1049,7 @@ impl Machine {
         let event_scheduled = self.cfg.exec_mode.event_scheduled();
         let n = self.state.cores.len() as u32;
         let start = match &self.state.chaos {
-            Chaos::On(state) if state.plan.perturb_arbitration => {
+            Some(state) if state.plan.perturb_arbitration => {
                 state.plan.arbitration_start(now, u64::from(n)) as u32
             }
             _ => (now % u64::from(n)) as u32,
@@ -1084,7 +1083,7 @@ impl Machine {
     /// hashes of (seed, cycle, bank, delivery index) — identical in
     /// every exec mode.
     fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
-        let Chaos::On(state) = self.state.chaos else {
+        let Some(state) = self.state.chaos else {
             return;
         };
         let plan = state.plan;
@@ -1115,8 +1114,8 @@ impl Machine {
         let mut ordinal = 0u32;
         while let Some(&msg) = self.state.core_outbox[c].front() {
             let extra = match &self.state.chaos {
-                Chaos::Off => 0,
-                Chaos::On(state) => state.plan.request_jitter(now, c as u32, ordinal),
+                None => 0,
+                Some(state) => state.plan.request_jitter(now, c as u32, ordinal),
             };
             let route = self.topo.request_route(c, msg.bank as usize);
             match self

@@ -16,8 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use lrscwait_core::SyncEvent;
-use lrscwait_trace::{OpKind, TraceEvent, TraceSink, WakeCause};
+use crate::{OpKind, SyncEvent, TraceEvent, TraceSink, WakeCause};
 
 /// Core ids at or above this value are host-side actors (the traffic
 /// harness injects stores as core `u32::MAX`); they never park or wake.

@@ -34,6 +34,8 @@
 //!   SC-failure / retry-abort causes. Sample vectors are bounded by
 //!   seeded reservoir sampling, so arbitrarily long runs analyze at
 //!   constant memory.
+//! * [`InvariantChecker`] — the litmus runner's safety and liveness
+//!   invariants over the stream, reported as an [`InvariantReport`].
 //! * [`RecordingSink`] (raw event log), [`FanoutSink`] (tee to several
 //!   sinks), and [`SharedSink`] (hand a sink to a `Machine` and read it
 //!   back after the run).
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
+mod checker;
 pub mod json;
 mod perfetto;
 
@@ -48,6 +51,10 @@ use std::sync::{Arc, Mutex};
 
 pub use analysis::{
     AnalysisSink, HandoffStats, OccupancyStats, SyncAnalysis, SyncCounters, ANALYSIS_RESERVOIR_CAP,
+};
+pub use checker::{
+    violated_invariants, Invariant, InvariantChecker, InvariantReport, RunOutcome, Violation,
+    WaitGraphEntry,
 };
 pub use lrscwait_core::SyncEvent;
 pub use perfetto::PerfettoSink;

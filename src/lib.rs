@@ -22,9 +22,8 @@
 //! | [`isa`] | RV32IMA + Xlrscwait instruction set |
 //! | [`asm`] | Assembler for benchmark kernels |
 //! | [`noc`] | Backpressured hierarchical interconnect |
-//! | [`sim`] | Cycle-accurate MemPool-like manycore simulator and its host-side phase profiler |
-//! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis; the JSON parser and writer |
-//! | [`chaos`] | Seeded fault injection and the trace-stream invariant checker |
+//! | [`sim`] | Cycle-accurate MemPool-like manycore simulator, its host-side phase profiler and seeded fault injection |
+//! | [`trace`] | Zero-overhead tracing: structured events, Perfetto export, handoff/occupancy analysis, the invariant checker; the JSON parser and writer |
 //! | [`kernels`] | The paper's benchmarks as real assembly, behind the `Workload` trait |
 //! | `lrscwait-bench` | `Experiment`/`Sweep` runners regenerating every figure and table; the open-loop traffic harness and the area and energy models they need |
 //!
@@ -95,7 +94,6 @@
 #![forbid(unsafe_code)]
 
 pub use lrscwait_asm as asm;
-pub use lrscwait_chaos as chaos;
 pub use lrscwait_core as core;
 pub use lrscwait_isa as isa;
 pub use lrscwait_kernels as kernels;

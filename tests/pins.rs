@@ -14,13 +14,12 @@
 use std::path::Path;
 
 use lrscwait::asm::Program;
-use lrscwait::chaos::FaultPlan;
 use lrscwait::core::SyncArch;
 use lrscwait::kernels::{
     BarrierImpl, BarrierKernel, HistImpl, HistogramKernel, LitmusKernel, LitmusScenario,
     MatmulKernel, PollerKind, QueueImpl, QueueKernel, RcuKernel, Workload,
 };
-use lrscwait::sim::{ExecMode, ExitReason, Machine, SimConfig, SimStats};
+use lrscwait::sim::{ExecMode, ExitReason, FaultPlan, Machine, SimConfig, SimStats};
 use lrscwait_bench::{run_figure, Experiment};
 
 /// FNV-1a-64 of a byte string.
