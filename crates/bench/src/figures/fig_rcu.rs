@@ -17,7 +17,7 @@
 //! drain are where the substrates part ways:
 //!
 //! * plain LR/SC — the wait primitives fail fast, so writers dispense
-//!   their ticket through an lr/sc retry loop with seeded exponential
+//!   their ticket through an lr/sc retry loop with exponential
 //!   backoff, then *poll* the owner word (each handoff overshoots by up
 //!   to a backoff interval, and the overshoot accumulates along the
 //!   ticket queue) and poll each straggling reader's counter in a
@@ -56,6 +56,21 @@
 //! so the `rcu-grace` litmus scenario arms the chaos engine's
 //! `InvariantChecker::check_mutual_exclusion`, under eviction storms on
 //! every architecture and with a `lose-sc:0` mutation self-test.
+//!
+//! # CSV schema
+//!
+//! `fig_rcu.csv` has one row per series × core count:
+//!
+//! | column | meaning |
+//! |---|---|
+//! | `series` | `LRSC`, `LRSCwait_ideal` or `Colibri4` |
+//! | `cores`, `readers`, `syncs` | geometry: total cores, reader cores, completed grace periods |
+//! | `grace_p50`, `grace_p99`, `grace_max` | grace-period latency percentiles in cycles (nearest-rank, over per-writer MMIO stamps) |
+//! | `reader_ops_per_cycle` | aggregate read-side section throughput |
+//! | `cycles`, `stall_cycles` | run length and total core-stall cycles |
+//! | `parks` | all `Park` trace events (any blocking memory operation) |
+//! | `wait_parks` | parks whose cause is `lrwait`/`scwait`/`mwait` — the wait path engaging |
+//! | `polls_while_parked` | memory requests issued by cores between their own park and wake — **identically 0** on wait substrates; that zero *is* the paper's polling-free claim, and the figure fails if it is ever nonzero |
 
 use std::collections::HashMap;
 

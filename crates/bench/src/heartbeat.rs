@@ -10,6 +10,15 @@
 //! [`Heartbeat::due`], writes the text line to stderr and appends the
 //! NDJSON line to the optional log file, so everything here is testable
 //! without clocks or I/O.
+//!
+//! A figure run with `--heartbeat SECS` prints, every interval, the
+//! current sweep point, cycles simulated against the budget, live and
+//! average cycles per second and the ETA. `--heartbeat-file FILE` appends
+//! the same record as one compact NDJSON object per line, with the fields
+//! `label`, `beat`, `cycles`, `budget`, `elapsed_secs`,
+//! `live_cycles_per_sec`, `avg_cycles_per_sec` and `eta_secs`, so a
+//! dashboard or a `tail -f | jq` can watch a multi-hour sweep without
+//! scraping stderr.
 
 use std::time::{Duration, Instant};
 

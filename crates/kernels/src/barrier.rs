@@ -40,7 +40,12 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
+use crate::backoff::Backoff;
 use crate::workload::{VerifyError, Workload};
+
+/// The retry window of the central LR/SC arrival and of the LRSCwait
+/// arrival's LR/SC fallback.
+const WINDOW: Backoff = Backoff("s10", "t3", "BEXP_MIN", "BEXP_MAX");
 
 /// Barrier arrival/release strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,33 +83,23 @@ impl BarrierImpl {
     /// The per-episode barrier body. Register contract (set up by the
     /// common frame): `s2` = &count, `s3` = &sense, `s5` = my sense this
     /// episode (already flipped), `s6` = 1, `s7` = NACTIVE, `s10` =
-    /// exponential backoff window; `t0..t6`, `a0..a4` scratch. Falls
+    /// the LR/SC retry [`WINDOW`]; `t0..t6`, `a0..a4` scratch. Falls
     /// through when the episode's barrier is complete.
-    fn barrier_snippet(self) -> &'static str {
+    fn barrier_snippet(self) -> String {
         match self {
             // Sense-reversal central barrier: the last arriver (old count
             // == NACTIVE - 1) resets the counter and flips the sense; the
             // rest poll. The LR/SC arrival needs *exponential* backoff to
             // stay livelock-free at 256+ cores on a single-slot-per-bank
             // reservation (same result as the histogram kernel).
-            BarrierImpl::CentralLrsc => {
+            BarrierImpl::CentralLrsc => format!(
                 r#"cb_arr:
     lr.w   t1, (s2)
     addi   t1, t1, 1
     sc.w   t2, t1, (s2)
     beqz   t2, cb_ok
-    mv     t3, s10
-cb_bk:
-    addi   t3, t3, -1
-    bnez   t3, cb_bk
-    slli   s10, s10, 1
-    li     t3, BEXP_MAX
-    bltu   s10, t3, cb_arr
-    mv     s10, t3
-    j      cb_arr
-cb_ok:
-    li     s10, BEXP_MIN
-    bne    t1, s7, cb_wait
+{}cb_ok:
+{}    bne    t1, s7, cb_wait
     sw     zero, (s2)          # last core: reset for the next episode
     fence
     sw     s5, (s3)            # ... then flip the sense (release)
@@ -118,14 +113,16 @@ cb_pbk:
     bnez   t3, cb_pbk
     j      cb_wait
 cb_done:
-"#
-            }
+"#,
+                WINDOW.retry("cb_bk", "cb_arr"),
+                WINDOW.reset()
+            ),
             // Retry-free arrival: lrwait serializes counter owners, so the
             // scwait commits without contention on wait hardware. Waiters
             // park on the sense word with mwait (a store by the releaser
             // fires the monitor). On plain LRSC both fail fast: the beq
             // loops below turn into software retry/poll with backoff.
-            BarrierImpl::CentralLrscWait => {
+            BarrierImpl::CentralLrscWait => format!(
                 r#"    lrwait.w t1, (s2)
     addi     t1, t1, 1
     scwait.w t2, t1, (s2)
@@ -135,18 +132,8 @@ wb_fb:
     addi     t1, t1, 1         # scwait, so retry with the classic pair
     sc.w     t2, t1, (s2)
     beqz     t2, wb_ok
-    mv       t3, s10
-wb_bk:
-    addi     t3, t3, -1
-    bnez     t3, wb_bk
-    slli     s10, s10, 1
-    li       t3, BEXP_MAX
-    bltu     s10, t3, wb_fb
-    mv       s10, t3
-    j        wb_fb
-wb_ok:
-    li       s10, BEXP_MIN
-    bne      t1, s7, wb_wait
+{}wb_ok:
+{}    bne      t1, s7, wb_wait
     sw       zero, (s2)
     fence
     sw       s5, (s3)
@@ -162,8 +149,10 @@ wb_pbk:
     bnez     t3, wb_pbk
     j        wb_park
 wb_done:
-"#
-            }
+"#,
+                WINDOW.retry("wb_bk", "wb_fb"),
+                WINDOW.reset()
+            ),
             // Combining tree with a tournament-style release wave: core i
             // arrives at node i/2 of level 0 with an amoadd; the *second*
             // arriver at each node resets the counter, records the node on
@@ -176,8 +165,7 @@ wb_done:
             // release word), so release is O(log n) store hops instead of
             // an n-core polling storm on one location. NACTIVE == 1
             // short-circuits (no partner ever comes).
-            BarrierImpl::TreeAmo => {
-                r#"    beq  s7, s6, tb_done
+            BarrierImpl::TreeAmo => r#"    beq  s7, s6, tb_done
     mv   a0, s1                # index within the current level
     la   a1, tree              # current level's node array
     mv   a2, s7                # participants at the current level
@@ -216,10 +204,10 @@ tb_down:
     j    tb_down
 tb_done:
 "#
-            }
+            .to_string(),
             // One posted MMIO store; the simulator parks the core until
             // every running core has arrived.
-            BarrierImpl::HwMmio => "    sw   zero, 0x0C(s0)\n",
+            BarrierImpl::HwMmio => "    sw   zero, 0x0C(s0)\n".to_string(),
         }
     }
 }
@@ -296,8 +284,7 @@ participate:
     li   s5, 0                 # local sense (flipped per episode)
     li   s7, NACTIVE
     li   s9, 0                 # safety floor: NACTIVE * episode
-    li   s10, BEXP_MIN
-    la   s11, errs
+{reset}    la   s11, errs
     slli t0, s1, 2
     add  s11, s11, t0          # &errs[hart]
     li   s8, EPISODES
@@ -340,6 +327,7 @@ errs:   .space ERR_BYTES
 .align 6
 checks: .space CHECK_BYTES
 "#,
+            reset = WINDOW.reset(),
             barrier = self.impl_.barrier_snippet(),
         );
         let asm = Assembler::new()

@@ -10,7 +10,11 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
+use crate::backoff::{fixed_wait, Backoff, FIXED_WINDOW};
 use crate::workload::{VerifyError, Workload};
+
+/// The LR/SC retry window of [`HistImpl::Lrsc`] and [`HistImpl::TasLock`].
+const WINDOW: Backoff = Backoff("s10", "t6", "BEXP_MIN", "BEXP_MAX");
 
 /// How a histogram bin is incremented.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -77,87 +81,59 @@ impl HistImpl {
     }
 
     /// The increment snippet. Register contract: `a0` = &bin, `a1` = &lock,
-    /// `s6` = 1, `s8` = my MCS node, `s9` = &my MCS node's locked flag;
-    /// `t3..t6` and `a2..a4` are scratch. Must fall through when done.
-    fn increment_snippet(self, backoff: u32) -> String {
-        let backoff_loop = |prefix: &str, retry: &str| -> String {
-            if backoff == 0 {
-                format!("    j      {retry}\n")
-            } else {
-                format!(
-                    "    li     t6, BACKOFF\n{prefix}_bk:\n    addi   t6, t6, -1\n    bnez   t6, {prefix}_bk\n    j      {retry}\n"
-                )
-            }
-        };
+    /// `s6` = 1, `s8` = my MCS node, `s9` = &my MCS node's locked flag,
+    /// `s10` = the [`WINDOW`]; `t3..t6` and `a2..a4` are scratch. Must
+    /// fall through when done.
+    fn increment_snippet(self) -> String {
         match self {
             HistImpl::AmoAdd => "    amoadd.w t4, s6, (a0)\n".to_string(),
-            // LR/SC needs *exponential* backoff (16..2048) to stay
-            // livelock-free at 256 cores on a single-slot-per-bank
-            // reservation — with a fixed window the SC is always displaced
-            // before it lands (Anderson's classic result; the paper's
-            // related-work section discusses exactly this).
-            HistImpl::Lrsc if backoff > 0 => r#"h_rmw:
+            // LR/SC needs *exponential* backoff to stay livelock-free at
+            // 256 cores on a single-slot-per-bank reservation — with a
+            // fixed window the SC is always displaced before it lands
+            // (Anderson's classic result; the paper's related-work section
+            // discusses exactly this).
+            HistImpl::Lrsc => format!(
+                r#"h_rmw:
     lr.w   t4, (a0)
     addi   t4, t4, 1
     sc.w   t5, t4, (a0)
     beqz   t5, h_rmw_ok
-    mv     t6, s10
-h_rmw_bk:
-    addi   t6, t6, -1
-    bnez   t6, h_rmw_bk
-    slli   s10, s10, 1
-    li     t6, BEXP_MAX
-    bltu   s10, t6, h_rmw
-    mv     s10, t6
-    j      h_rmw
-h_rmw_ok:
-    li     s10, BEXP_MIN
-"#
-            .to_string(),
-            HistImpl::Lrsc => r#"h_rmw:
-    lr.w   t4, (a0)
-    addi   t4, t4, 1
-    sc.w   t5, t4, (a0)
-    bnez   t5, h_rmw
-"#
-            .to_string(),
+{}h_rmw_ok:
+{}"#,
+                WINDOW.retry("h_rmw_bk", "h_rmw"),
+                WINDOW.reset()
+            ),
             HistImpl::LrscWait => format!(
                 r#"h_wrmw:
     lrwait.w t4, (a0)
     addi     t4, t4, 1
     scwait.w t5, t4, (a0)
     beqz     t5, h_wrmw_done
-{}h_wrmw_done:
+{}    j        h_wrmw
+h_wrmw_done:
 "#,
-                backoff_loop("h_wrmw", "h_wrmw")
+                fixed_wait("h_wrmw_bk", "t6")
             ),
             // Test-and-set lock with exponential backoff (same substitution
             // as the raw LR/SC path: a fixed window livelocks on the
             // single-slot reservation at 256 cores).
-            HistImpl::TasLock => r#"tas_acq:
+            HistImpl::TasLock => format!(
+                r#"tas_acq:
     lr.w   t4, (a1)
     bnez   t4, tas_bko
     sc.w   t5, s6, (a1)
     beqz   t5, tas_ok
 tas_bko:
-    mv     t6, s10
-tas_bk:
-    addi   t6, t6, -1
-    bnez   t6, tas_bk
-    slli   s10, s10, 1
-    li     t6, BEXP_MAX
-    bltu   s10, t6, tas_acq
-    mv     s10, t6
-    j      tas_acq
-tas_ok:
-    li     s10, BEXP_MIN
-    lw     t4, (a0)
+{}tas_ok:
+{}    lw     t4, (a0)
     addi   t4, t4, 1
     sw     t4, (a0)
     fence
     sw     zero, (a1)
-"#
-            .to_string(),
+"#,
+                WINDOW.retry("tas_bk", "tas_acq"),
+                WINDOW.reset()
+            ),
             // Ticket lock with *proportional* backoff (Mellor-Crummey &
             // Scott): waiting time scales with the number of tickets ahead,
             // which avoids the poll convoy that synchronized fixed windows
@@ -191,14 +167,15 @@ tk_cs:
 cl_held:
     scwait.w t5, t4, (a1)
 cl_bko:
-{}cl_cs:
+{}    j        cl_acq
+cl_cs:
     lw     t4, (a0)
     addi   t4, t4, 1
     sw     t4, (a0)
     fence
     sw     zero, (a1)
 "#,
-                backoff_loop("cl", "cl_acq")
+                fixed_wait("cl_bk", "t6")
             ),
             HistImpl::McsMwaitLock => r#"mcs_acq:
     sw     zero, 0(s8)
@@ -244,16 +221,6 @@ pub struct HistogramKernel {
     pub bins: u32,
     /// Updates performed by each core.
     pub iters: u32,
-    /// Backoff after a failed attempt; what it means depends on the
-    /// implementation. For [`HistImpl::LrscWait`] (its fail-fast fallback)
-    /// and [`HistImpl::ColibriLock`] it is a fixed window of that many
-    /// delay-loop iterations (`BACKOFF`; the paper uses 128), 0 meaning a
-    /// tight retry. For [`HistImpl::Lrsc`] it is only a switch: 0 is a
-    /// tight retry, any other value the exponential 8..1024 window
-    /// (`BEXP_MIN`/`BEXP_MAX`). [`HistImpl::TasLock`] always uses that
-    /// window, and [`HistImpl::AmoAdd`], [`HistImpl::TicketLock`] and
-    /// [`HistImpl::McsMwaitLock`] ignore the field.
-    pub backoff: u32,
     /// Extra LCG mixing rounds per update (straight-line multiply/add
     /// work between synchronization operations). `0` keeps the classic
     /// single-round kernel; larger values model workloads that compute
@@ -276,17 +243,9 @@ impl HistogramKernel {
             impl_,
             bins,
             iters,
-            backoff: 128,
             compute: 0,
             num_cores,
         }
-    }
-
-    /// Overrides the backoff (builder style).
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: u32) -> HistogramKernel {
-        self.backoff = backoff;
-        self
     }
 
     /// Adds `rounds` extra LCG mixing rounds of straight-line compute
@@ -352,8 +311,7 @@ _start:
     slli t0, s1, 3
     add  s8, s8, t0
     addi s9, s8, 4
-    li   s10, BEXP_MIN         # current (exponential) backoff window
-    # LCG seed: golden-ratio hash of the hart id, forced odd.
+{reset}    # LCG seed: golden-ratio hash of the hart id, forced odd.
     li   t0, 0x9E3779B1
     mul  s4, s1, t0
     ori  s4, s4, 1
@@ -385,12 +343,13 @@ mcs_nodes: .space MCS_BYTES
 "#,
             mix = self.mix_snippet(),
             prep = self.impl_.prep_snippet(),
-            increment = self.impl_.increment_snippet(self.backoff),
+            reset = WINDOW.reset(),
+            increment = self.impl_.increment_snippet(),
         );
         let asm = Assembler::new()
             .define("MASK", self.bins - 1)
             .define("ITERS", self.iters)
-            .define("BACKOFF", self.backoff.max(1))
+            .define("BACKOFF", FIXED_WINDOW)
             .define("BEXP_MIN", 8)
             .define("BEXP_MAX", 1024)
             .define("BINS_BYTES", 4 * self.bins)
@@ -446,7 +405,7 @@ mod tests {
     use lrscwait_sim::{ExitReason, SimConfig};
 
     fn run(impl_: HistImpl, bins: u32, arch: SyncArch, cores: u32) -> (Machine, Program) {
-        let kernel = HistogramKernel::new(impl_, bins, 16, cores).with_backoff(16);
+        let kernel = HistogramKernel::new(impl_, bins, 16, cores);
         let program = kernel.program();
         let mut m = Machine::new(SimConfig::small(cores as usize, arch), &program).unwrap();
         let summary = m.run().expect("kernel runs");

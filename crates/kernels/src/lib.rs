@@ -14,6 +14,10 @@
 //! so measured regions exclude setup, exactly as bare-metal MemPool
 //! benchmarks do.
 //!
+//! Every LR/SC retry loop backs off through the `backoff` module: a
+//! register-held window that restarts at its minimum after each success,
+//! doubles after each failure and saturates at its cap.
+//!
 //! Every kernel implements the [`Workload`] trait — program assembly, MMIO
 //! arguments, and post-run functional verification behind one interface —
 //! so the `lrscwait-bench` `Experiment`/`Sweep` runners can execute any
@@ -39,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 
+mod backoff;
 mod barrier;
 mod histogram;
 mod litmus;

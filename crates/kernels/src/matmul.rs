@@ -11,6 +11,7 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
+use crate::backoff::{fixed_wait, FIXED_WINDOW};
 use crate::workload::{VerifyError, Workload};
 
 /// What the non-worker cores do.
@@ -38,33 +39,29 @@ impl PollerKind {
         }
     }
 
-    fn increment_snippet(self) -> &'static str {
+    fn increment_snippet(self) -> String {
         match self {
-            PollerKind::Idle => "",
+            PollerKind::Idle => String::new(),
             // One LR/SC attempt per outer-loop pass (so the done flag is
             // still checked while the lock-free update keeps failing), with
             // the paper's 128-cycle backoff after a failure.
-            PollerKind::Lrsc => {
+            PollerKind::Lrsc => format!(
                 r#"    lr.w   t4, (a0)
     addi   t4, t4, 1
     sc.w   t5, t4, (a0)
     beqz   t5, p_rmw_done
-    li     t6, BACKOFF
-p_rmw_bk:
-    addi   t6, t6, -1
-    bnez   t6, p_rmw_bk
-p_rmw_done:
-"#
-            }
+{}p_rmw_done:
+"#,
+                fixed_wait("p_rmw_bk", "t6")
+            ),
             // Success or fail-fast, fall through so the done flag is
             // rechecked every pass.
-            PollerKind::LrscWait => {
-                r#"    lrwait.w t4, (a0)
+            PollerKind::LrscWait => r#"    lrwait.w t4, (a0)
     addi     t4, t4, 1
     scwait.w t5, t4, (a0)
 "#
-            }
-            PollerKind::AmoAdd => "    amoadd.w t4, s6, (a0)\n",
+            .to_string(),
+            PollerKind::AmoAdd => "    amoadd.w t4, s6, (a0)\n".to_string(),
         }
     }
 }
@@ -82,8 +79,6 @@ pub struct MatmulKernel {
     pub pollers: PollerKind,
     /// Histogram bins the pollers contend on (any count ≥ 1).
     pub poll_bins: u32,
-    /// Poller backoff cycles after failed attempts.
-    pub backoff: u32,
 }
 
 impl MatmulKernel {
@@ -102,7 +97,6 @@ impl MatmulKernel {
             num_cores,
             pollers,
             poll_bins: 1,
-            backoff: 128,
         }
     }
 
@@ -234,7 +228,7 @@ done_ctr: .space 4
             .define("ROWS", self.n / self.workers)
             .define("WORKERS", self.workers)
             .define("POLL_BINS", self.poll_bins)
-            .define("BACKOFF", self.backoff.max(1));
+            .define("BACKOFF", FIXED_WINDOW);
         (asm, src)
     }
 }

@@ -18,7 +18,12 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
+use crate::backoff::{Backoff, FIXED_WINDOW};
 use crate::workload::{VerifyError, Workload};
+
+/// The retry window of the Michael–Scott queue's CAS loops. It restarts
+/// at the start of every enqueue and every dequeue.
+const WINDOW: Backoff = Backoff("a5", "a4", "8", "1024");
 
 /// Queue implementation selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,10 +54,9 @@ impl QueueImpl {
         matches!(self, QueueImpl::LrscWaitDirect)
     }
 
-    fn enqueue_snippet(self) -> &'static str {
+    fn enqueue_snippet(self) -> String {
         match self {
-            QueueImpl::LrscWaitDirect => {
-                r#"    mv   s8, s5
+            QueueImpl::LrscWaitDirect => r#"    mv   s8, s5
     lw   s5, 0(s8)             # pop a node from my freelist
     sw   zero, 0(s8)
     sw   s10, 4(s8)
@@ -64,9 +68,9 @@ d_enq:
     scwait.w t5, s8, (s3)      # tail = node
     bnez t5, d_enq
 "#
-            }
-            QueueImpl::LrscMs => {
-                r#"    mv   s8, s5
+            .to_string(),
+            QueueImpl::LrscMs => format!(
+                r#"{}    mv   s8, s5
     lw   s5, 0(s8)
     sw   zero, 0(s8)
     sw   s10, 4(s8)
@@ -90,21 +94,12 @@ m_enq_help:
     sc.w a2, t5, (s3)
     j    m_enq
 m_enq_bko:
-    li   a4, 2048              # exponential backoff (s11 doubles, wraps to 8)
-    bltu s11, a4, m_enq_sane   # first failure: s11 still holds an address
-    li   s11, 8
-m_enq_sane:
-    mv   a4, s11
-m_enq_bk:
-    addi a4, a4, -1
-    bnez a4, m_enq_bk
-    slli s11, s11, 1
-    j    m_enq
-m_enq_end:
-"#
-            }
-            QueueImpl::TicketRing => {
-                r#"    amoadd.w t4, s6, (s11)     # take a ticket
+{}m_enq_end:
+"#,
+                WINDOW.reset(),
+                WINDOW.retry("m_enq_bk", "m_enq")
+            ),
+            QueueImpl::TicketRing => r#"    amoadd.w t4, s6, (s11)     # take a ticket
 r_enq_wait:
     lw   t5, 4(s11)
     beq  t5, t4, r_enq_cs
@@ -126,14 +121,13 @@ r_enq_cs:
     addi t4, t4, 1
     sw   t4, 4(s11)            # serving++
 "#
-            }
+            .to_string(),
         }
     }
 
-    fn dequeue_snippet(self) -> &'static str {
+    fn dequeue_snippet(self) -> String {
         match self {
-            QueueImpl::LrscWaitDirect => {
-                r#"d_deq:
+            QueueImpl::LrscWaitDirect => r#"d_deq:
     lrwait.w t4, (s2)          # own the head pointer; t4 = dummy
     lw   t5, (s3)
     beq  t4, t5, d_deq_empty
@@ -150,9 +144,9 @@ d_deq_empty:
     j    d_deq
 d_deq_done:
 "#
-            }
-            QueueImpl::LrscMs => {
-                r#"m_deq:
+            .to_string(),
+            QueueImpl::LrscMs => format!(
+                r#"{}m_deq:
     lw   t4, (s2)              # h
     lw   t5, (s3)              # t
     lw   t6, 0(t4)             # next
@@ -175,21 +169,12 @@ m_deq_ht:
     sc.w a2, t6, (s3)
     j    m_deq
 m_deq_bko:
-    li   a4, 2048              # exponential backoff (s11 doubles, wraps to 8)
-    bltu s11, a4, m_deq_sane
-    li   s11, 8
-m_deq_sane:
-    mv   a4, s11
-m_deq_bk:
-    addi a4, a4, -1
-    bnez a4, m_deq_bk
-    slli s11, s11, 1
-    j    m_deq
-m_deq_done:
-"#
-            }
-            QueueImpl::TicketRing => {
-                r#"r_deq:
+{}m_deq_done:
+"#,
+                WINDOW.reset(),
+                WINDOW.retry("m_deq_bk", "m_deq")
+            ),
+            QueueImpl::TicketRing => r#"r_deq:
     amoadd.w t4, s6, (s11)
 r_deq_wait:
     lw   t5, 4(s11)
@@ -222,7 +207,7 @@ r_deq_empty:
     j    r_deq
 r_deq_done:
 "#
-            }
+            .to_string(),
         }
     }
 }
@@ -236,8 +221,6 @@ pub struct QueueKernel {
     pub iters: u32,
     /// Number of participating cores.
     pub num_cores: u32,
-    /// Lock backoff cycles (ring variant).
-    pub backoff: u32,
 }
 
 impl QueueKernel {
@@ -251,7 +234,6 @@ impl QueueKernel {
             impl_,
             iters,
             num_cores,
-            backoff: 128,
         }
     }
 
@@ -372,7 +354,8 @@ checks: .space CHECK_BYTES
             .define("ITERS", self.iters)
             .define("NACTIVE", self.num_cores)
             .define("POOL", QueueKernel::POOL)
-            .define("BACKOFF", self.backoff.max(1))
+            // Unread, but in the symbol table the image pins cover.
+            .define("BACKOFF", FIXED_WINDOW)
             .define("RMASK", ring_entries - 1)
             .define("RING_BYTES", 4 * ring_entries)
             .define("NODE_BYTES", 8 * (1 + self.num_cores * QueueKernel::POOL))
@@ -502,6 +485,25 @@ mod tests {
             8,
         );
         run(QueueImpl::LrscMs, SyncArch::Lrsc, 8, 8);
+    }
+
+    /// Fig. 6's 256-core LR/SC point on the MemPool geometry completes
+    /// (in about 0.54 M cycles). A retry window that wraps back to its
+    /// minimum instead of saturating livelocks here.
+    #[test]
+    fn ms_queue_completes_at_256_cores() {
+        let kernel = QueueKernel::new(QueueImpl::LrscMs, 16, 256);
+        let cfg = SimConfig::builder()
+            .mempool()
+            .arch(SyncArch::Lrsc)
+            .max_cycles(5_000_000)
+            .build()
+            .unwrap();
+        let mut m = Machine::new(cfg, &kernel.program()).unwrap();
+        let summary = m.run().expect("queue kernel runs");
+        assert_eq!(summary.exit, ExitReason::AllHalted, "livelock");
+        kernel.verify(&m).unwrap();
+        assert_eq!(m.stats().total_ops(), kernel.expected_ops());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   straggler's own counter word*, so a sleeping writer costs zero memory
 //!   requests until the reader's exit store fires the monitor;
 //! * on a plain-LRSC machine every wait primitive fails fast and the same
-//!   binary degrades to classic `lr.w`/`sc.w` with seeded exponential
+//!   binary degrades to classic `lr.w`/`sc.w` with exponential
 //!   backoff plus bounded poll loops (the [`BarrierKernel`] pattern, also
 //!   used by the bench crate's open-loop service fleet), so the
 //!   cross-architecture sweep compares like against like.
@@ -54,7 +54,13 @@
 use lrscwait_asm::{Assembler, Program};
 use lrscwait_sim::Machine;
 
+use crate::backoff::Backoff;
 use crate::workload::{VerifyError, Workload};
+
+/// A writer's retry window while it dispenses its ticket over plain LR/SC.
+const DISPENSE: Backoff = Backoff("s10", "t4", "BEXP_MIN", "FB_MAX");
+/// Its window while it polls the owner word; restarts after each handoff.
+const POLL: Backoff = Backoff("s10", "t4", "BEXP_MIN", "BEXP_MAX");
 
 /// Generation value planted in the live buffer before the first sync;
 /// sync `i` publishes `GEN_BASE + i`.
@@ -149,7 +155,8 @@ impl RcuKernel {
     /// The assembler, with this kernel's constants defined, and the
     /// source [`program`](Self::program) assembles.
     pub(crate) fn assembly(&self) -> (Assembler, String) {
-        let src = r#"
+        let src = format!(
+            r#"
 .equ MMIO, 0xFFFF0000
 
 _start:
@@ -165,8 +172,7 @@ participate:
     la   s4, cur
     la   s5, data
     la   a0, cnts
-    li   s10, BEXP_MIN
-    la   s11, errs
+{reset}    la   s11, errs
     slli t0, s1, 2
     add  s11, s11, t0          # &errs[hart]
     bnez s1, seeded
@@ -213,10 +219,10 @@ wr_sync:
     # increment owned through lrwait/scwait — on wait hardware the
     # word's reservation queue serializes dispensers retry-free and in
     # FIFO order; on plain LRSC it degrades to the classic lr/sc retry
-    # loop with seeded exponential backoff. A dispensed writer then
+    # loop with exponential backoff. A dispensed writer then
     # waits for `owner` to reach its ticket: parked on the owner word
     # with mwait (the release store is an exact wakeup), degrading to
-    # seeded exponential-backoff polling — where every handoff pays up
+    # exponential-backoff polling — where every handoff pays up
     # to a full backoff interval of overshoot, the polling-granularity
     # cost the wait primitives exist to delete.
 wl_acq:
@@ -229,18 +235,8 @@ wl_fb:
     addi     t2, t1, 1
     sc.w     t3, t2, (s3)
     beqz     t3, wl_got
-    mv       t4, s10           # lost the race: seeded backoff, retry
-wl_bk:
-    addi     t4, t4, -1
-    bnez     t4, wl_bk
-    slli     s10, s10, 1
-    li       t4, FB_MAX
-    bltu     s10, t4, wl_fb
-    mv       s10, t4
-    j        wl_fb
-wl_got:
-    li       s10, BEXP_MIN     # backoff clock restarts for the wait
-    lw       t3, (a7)          # owner ticket as last observed
+{dispense_retry}wl_got:
+{reset}    lw       t3, (a7)          # owner ticket as last observed
 wl_chk:
     beq      t3, t1, wl_ok     # my turn
     mwait.w  t4, t3, (a7)      # park until the owner ticket advances
@@ -248,23 +244,12 @@ wl_chk:
     mv       t3, t4
     j        wl_chk
 wl_poll:
-    mv       t4, s10           # seeded exponential backoff ...
-wl_pbk:
-    addi     t4, t4, -1
-    bnez     t4, wl_pbk
-    slli     s10, s10, 1
-    li       t4, BEXP_MAX
-    bltu     s10, t4, wl_re
-    mv       s10, t4
-wl_re:
-    lw       t4, (a7)
-    beq      t4, t3, wl_poll   # ... while the owner word is quiet
-    li       s10, BEXP_MIN     # a handoff landed: reset the clock
-    mv       t3, t4
+{poll_wait}    lw       t4, (a7)
+    beq      t4, t3, wl_poll   # back off while the owner word is quiet
+{reset}    mv       t3, t4            # a handoff landed
     j        wl_chk
 wl_ok:
-    li   s10, BEXP_MIN
-    sw   s6, 0x08(s0)          # region enter: write-side critical section
+{reset}    sw   s6, 0x08(s0)          # region enter: write-side critical section
     lw   a2, (s4)              # index of the live buffer
     lw   t3, (a6)
     addi t3, t3, 1
@@ -441,7 +426,11 @@ lat:    .space LAT_BYTES
 errs:   .space ERR_BYTES
 .align 6
 checks: .space CHECK_BYTES
-"#;
+"#,
+            reset = DISPENSE.reset(),
+            dispense_retry = DISPENSE.retry("wl_bk", "wl_fb"),
+            poll_wait = POLL.wait("wl_pbk", "wl_re"),
+        );
         let asm = Assembler::new()
             .define("NACTIVE", self.active)
             .define("WRITERS", self.writers)
@@ -474,7 +463,7 @@ checks: .space CHECK_BYTES
             .define("LAT_BYTES", 4 * self.writers * self.syncs)
             .define("ERR_BYTES", 4 * self.active)
             .define("CHECK_BYTES", 4 * self.active);
-        (asm, src.to_string())
+        (asm, src)
     }
 }
 

@@ -19,6 +19,16 @@
 //! What a run yields is a [`PhaseProfile`] (`Machine::profile`): wall time
 //! plus sampled nanoseconds per [`Phase`]. `lrscwait-bench` writes it as
 //! the `lrscwait.profile.v2` JSON artifact.
+//!
+//! # The profile artifact
+//!
+//! A figure run with `--profile` samples one cycle in every 128 and writes
+//! `<fig>.profile.json` next to its CSVs, schema
+//! `lrscwait.profile-set.v2`: one point per sweep configuration plus a
+//! merged `aggregate`. Each is an embedded `lrscwait.profile.v2` object
+//! with `wall_ns`, the stepped and sampled cycle counts, and one
+//! `{phase, ns, share}` row per [`Phase`]; the shares sum to 1 over
+//! sampled time.
 
 use std::time::Instant;
 

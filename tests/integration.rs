@@ -127,7 +127,7 @@ fn sleeping_vs_polling_traffic() {
     let colibri_reqs =
         machine.stats().adapters.requests as f64 / machine.stats().total_ops() as f64;
 
-    let kernel = HistogramKernel::new(HistImpl::Lrsc, 1, 8, 32).with_backoff(8);
+    let kernel = HistogramKernel::new(HistImpl::Lrsc, 1, 8, 32);
     let mut machine =
         Machine::new(SimConfig::small(32, SyncArch::Lrsc), &kernel.program()).unwrap();
     machine.run().unwrap();
@@ -191,7 +191,7 @@ fn fairness_band_tighter_on_colibri() {
     let (lo, hi) = machine.stats().throughput_range().unwrap();
     let colibri_spread = hi / lo;
 
-    let kernel = HistogramKernel::new(HistImpl::Lrsc, 1, 16, 16).with_backoff(64);
+    let kernel = HistogramKernel::new(HistImpl::Lrsc, 1, 16, 16);
     let mut machine =
         Machine::new(SimConfig::small(16, SyncArch::Lrsc), &kernel.program()).unwrap();
     machine.run().unwrap();
