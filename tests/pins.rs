@@ -60,9 +60,9 @@ const PINS: &[(&str, usize, u64)] = &[
     ("queue LrscWaitDirect cores=1", 932, 0xcd3c003b4a55909a),
     ("queue LrscWaitDirect cores=8", 932, 0x802c705d01d7cd8f),
     ("queue LrscWaitDirect cores=64", 932, 0x3b493b26b6005b5a),
-    ("queue LrscMs cores=1", 1330, 0x5d141944a3ef9c30),
-    ("queue LrscMs cores=8", 1330, 0xffa3f55503da0309),
-    ("queue LrscMs cores=64", 1330, 0x5add796f2135b4d4),
+    ("queue LrscMs cores=1", 1300, 0xa976a430611e01b2),
+    ("queue LrscMs cores=8", 1300, 0x9293bf77e595cd37),
+    ("queue LrscMs cores=64", 1300, 0xc7b41603111f4d8a),
     ("queue TicketRing cores=1", 1172, 0x728c058110aab3a9),
     ("queue TicketRing cores=8", 1172, 0x12fd89c625822b58),
     ("queue TicketRing cores=64", 1172, 0xee7e12852accf20f),
