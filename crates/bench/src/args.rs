@@ -1,102 +1,179 @@
-//! The command line every figure shares: [`BenchArgs`], its [`USAGE`] text
-//! and the [`FLAGS`] table behind the unknown-flag listing.
+//! The command lines of `fig`, `trace` and `litmus`: one [`Cli`] table of
+//! `(flag, value placeholder, one-line help, setter)` rows each, walked by
+//! the [`Argv`] cursor, plus one [`Names`] table per enumerated value. The
+//! parser, `--help`, the unknown-flag listing and every usage error are
+//! rendered from these tables, so no flag or name is spelled twice.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
+use std::str::FromStr;
 
-use lrscwait_sim::ExecMode;
+use lrscwait_core::SyncArch;
+use lrscwait_kernels::{BarrierImpl, HistImpl, LitmusScenario, QueueImpl};
+use lrscwait_sim::{ExecMode, Mutation};
 
 use crate::experiment::BenchError;
+use crate::figures::{figure_listing, FIGURES};
 
-/// Usage text of the `fig` driver.
-pub const USAGE: &str = "\
-usage: fig <name> [--quick] [--threads N] [--out DIR] [--trace] [--exec MODE]
-       fig --help      (also lists the figure names)
-  --quick          reduced sweep for CI / smoke testing
-  --threads N      sweep worker threads (default: all cores, min 2)
-  --exec MODE      execution mode for every experiment: translated (default)
-                   or reference — results are bit-identical, only
-                   simulator speed differs
-  --out DIR        results directory (default: results)
-  --trace          also attach an analysis sink per sweep point and write
-                   <fig>.trace.csv (handoff latency p50/p99/max per point)
-  --profile        enable the host-side phase profiler: every experiment
-                   collects per-phase step timings, and the figure writes
-                   <fig>.profile.json (results stay bit-identical; host
-                   overhead is a few percent)
-  --heartbeat SECS  emit a progress line to stderr every SECS seconds
-                   per experiment: cycles vs budget, live Mcycles/s,
-                   ETA
-  --heartbeat-file FILE  also append each heartbeat as an NDJSON record
-                   to FILE
-  -h, --help       show this help
-A flag the named figure cannot honour is a usage error:
-  table1           evaluates the area model without simulating; takes only
-                   --quick and --out (no --threads, --exec, --trace,
-                   --profile, --heartbeat, --heartbeat-file)
-  fig_latency      measures through its own traffic harness; takes no
-                   --trace, --heartbeat, --heartbeat-file";
+/// `(name, value)` rows: the spellings an enumerated flag value accepts.
+pub type Names<T> = &'static [(&'static str, T)];
 
-/// `(flag, value placeholder, one-line help)` for every flag
-/// [`BenchArgs::parse`] accepts — the single source of the unknown-flag
-/// error's listing (a test pins every entry to [`USAGE`]).
-pub const FLAGS: &[(&str, &str, &str)] = &[
-    ("--quick", "", "reduced sweep for CI / smoke testing"),
-    (
-        "--threads",
-        "N",
-        "sweep worker threads (default: all cores, min 2)",
-    ),
-    (
-        "--exec",
-        "MODE",
-        "execution mode: translated (default) or reference",
-    ),
-    ("--out", "DIR", "results directory (default: results)"),
-    (
-        "--trace",
-        "",
-        "per-point synchronization analysis; writes <fig>.trace.csv",
-    ),
-    (
-        "--profile",
-        "",
-        "host-side phase profiler; writes <fig>.profile.json",
-    ),
-    (
-        "--heartbeat",
-        "SECS",
-        "stderr progress line every SECS seconds per experiment",
-    ),
-    (
-        "--heartbeat-file",
-        "FILE",
-        "also append heartbeat NDJSON records to FILE",
-    ),
-    ("--help", "", "show this help"),
-];
+/// What a flag does to the arguments parsed so far; `Err` is the usage
+/// error's message.
+pub type Setter<A> = fn(&mut A, &mut Argv<'_>) -> Result<(), String>;
 
-/// One line per valid flag with its one-line help — what the
-/// unknown-flag error prints so a typo never costs a doc lookup.
-#[must_use]
-pub fn flag_listing() -> String {
-    let mut out = String::from("valid flags:");
-    for (flag, value, help) in FLAGS {
-        let head = if value.is_empty() {
-            (*flag).to_string()
-        } else {
-            format!("{flag} {value}")
-        };
-        let _ = write!(out, "\n  {head:<22} {help}");
-    }
-    out
+/// A binary's command line.
+pub struct Cli<A: 'static> {
+    /// The `usage:` line.
+    pub synopsis: &'static str,
+    /// `(flag, value placeholder, one-line help, setter)` per accepted
+    /// flag; `-h`/`--help` is implicit.
+    pub flags: &'static [(&'static str, &'static str, &'static str, Setter<A>)],
+    /// The `--help` lines after the flag listing.
+    pub notes: fn() -> String,
 }
 
-/// `--exec` values and the modes they select.
-const EXEC_MODES: [(&str, ExecMode); 2] = [
-    ("translated", ExecMode::Translated),
-    ("reference", ExecMode::Reference),
-];
+/// The cursor a [`Setter`] reads its flag's value from. Each method's
+/// `Err` is the usage error's message: the value is missing, or is not
+/// what the method reads.
+pub struct Argv<'a> {
+    args: &'a mut dyn Iterator<Item = String>,
+    flag: &'static str,
+    placeholder: &'static str,
+}
+
+impl Argv<'_> {
+    /// The value after the flag.
+    pub fn value(&mut self) -> Result<String, String> {
+        let missing = || format!("{} needs {}", self.flag, self.placeholder);
+        self.args.next().ok_or_else(missing)
+    }
+
+    /// The value as a number.
+    pub fn number<T: FromStr>(&mut self) -> Result<T, String> {
+        let value = self.value()?;
+        value
+            .parse()
+            .map_err(|_| format!("{}: `{value}` is not a number", self.flag))
+    }
+
+    /// The value as a count of at least 1.
+    pub fn count<T: FromStr + Default + PartialEq>(&mut self) -> Result<T, String> {
+        let n = self.number()?;
+        if n == T::default() {
+            return Err(format!("{} must be at least 1", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// The row of `names` the value spells.
+    pub fn one_of<T: Copy>(
+        &mut self,
+        names: &[(&'static str, T)],
+    ) -> Result<(&'static str, T), String> {
+        let value = self.value()?;
+        pick(self.flag, &value, names)
+    }
+}
+
+/// Whether `arg` asks for the help text.
+pub(crate) fn is_help(arg: &str) -> bool {
+    arg == "-h" || arg == "--help"
+}
+
+impl<A: 'static> Cli<A> {
+    /// Parses `args` onto `parsed`, running each flag's setter in order.
+    /// `refuse` returns the usage error's message for a flag this
+    /// invocation cannot honour.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Help`] on `-h`/`--help`; [`BenchError::Usage`], with
+    /// the help text, on an unknown or refused flag and a missing or
+    /// malformed value.
+    pub fn parse(
+        &self,
+        args: impl IntoIterator<Item = String>,
+        mut parsed: A,
+        refuse: impl Fn(&str) -> Option<String>,
+    ) -> Result<A, BenchError> {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if is_help(&arg) {
+                return Err(BenchError::Help);
+            }
+            let Some(&(flag, placeholder, _, set)) = self.flags.iter().find(|row| row.0 == arg)
+            else {
+                let hint = did_you_mean(&arg, self.flags.iter().map(|row| row.0));
+                return Err(self.usage(format!("unknown flag `{arg}`{hint}")));
+            };
+            if let Some(msg) = refuse(flag) {
+                return Err(self.usage(msg));
+            }
+            let mut argv = Argv {
+                args: &mut args,
+                flag,
+                placeholder,
+            };
+            set(&mut parsed, &mut argv).map_err(|msg| self.usage(msg))?;
+        }
+        Ok(parsed)
+    }
+
+    /// One line per flag with its one-line help.
+    #[must_use]
+    pub fn flag_listing(&self) -> String {
+        let mut out = String::from("valid flags:");
+        for &(flag, placeholder, help, _) in self.flags {
+            line(&mut out, &format!("{flag} {placeholder}"), help);
+        }
+        line(&mut out, "-h, --help", "show this help");
+        out
+    }
+
+    /// The `--help` text: the synopsis, the flag listing and the notes.
+    #[must_use]
+    pub fn help(&self) -> String {
+        let (synopsis, notes) = (self.synopsis, (self.notes)());
+        format!("usage: {synopsis}\n{}\n{notes}", self.flag_listing())
+    }
+
+    /// A usage error: `msg`, then the help text.
+    pub fn usage(&self, msg: impl Display) -> BenchError {
+        BenchError::Usage(format!("{msg}\n{}", self.help()))
+    }
+}
+
+/// Appends one aligned `head  text` line to a listing.
+fn line(out: &mut String, head: &str, text: impl Display) {
+    let _ = write!(out, "\n  {:<22} {text}", head.trim_end());
+}
+
+/// `a | b | c`: the names of `names`, the first marked as the default
+/// when `first_is_default`.
+fn listing<T>(names: &[(&'static str, T)], first_is_default: bool) -> String {
+    let mut out: Vec<&str> = names.iter().map(|(name, _)| *name).collect();
+    let first = format!("{} (default)", out[0]);
+    if first_is_default {
+        out[0] = &first;
+    }
+    out.join(" | ")
+}
+
+/// The row of `names` spelled `value`; the error message names the
+/// nearest spelling and lists them all.
+pub(crate) fn pick<T: Copy>(
+    flag: &str,
+    value: &str,
+    names: &[(&'static str, T)],
+) -> Result<(&'static str, T), String> {
+    let row = names.iter().copied().find(|(name, _)| *name == value);
+    row.ok_or_else(|| {
+        let hint = did_you_mean(value, names.iter().map(|(name, _)| *name));
+        let expected = listing(names, false);
+        format!("{flag}: unknown value `{value}`{hint}; expected {expected}")
+    })
+}
 
 /// A ` (did you mean `x`?)` hint naming the closest candidate by edit
 /// distance (≤ 3), or nothing when the input resembles none of them.
@@ -127,50 +204,83 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// A usage error carrying the usage text.
-fn usage(msg: impl std::fmt::Display) -> BenchError {
-    BenchError::Usage(format!("{msg}\n{USAGE}"))
+/// An architecture's count name (empty: it takes none) and the
+/// architecture a count selects.
+type ArchRow = (&'static str, fn(usize) -> SyncArch);
+
+/// `--arch` names.
+const ARCHES: Names<ArchRow> = &[
+    ("lrsc", ("", |_| SyncArch::Lrsc)),
+    ("ideal", ("", |_| SyncArch::LrscWaitIdeal)),
+    ("lrscwait", ("slots", |slots| SyncArch::LrscWait { slots })),
+    ("colibri", ("queues", |queues| SyncArch::Colibri { queues })),
+];
+
+/// `lrsc | ideal | lrscwait:<slots> | colibri:<queues>`.
+fn arch_listing() -> String {
+    let names: Vec<String> = ARCHES
+        .iter()
+        .map(|(name, (count, _))| match *count {
+            "" => (*name).to_string(),
+            count => format!("{name}:<{count}>"),
+        })
+        .collect();
+    names.join(" | ")
 }
 
-/// The value following `flag` on the command line.
-fn value(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<String, BenchError> {
-    it.next()
-        .ok_or_else(|| usage(format!("{flag} needs {what}")))
-}
-
-/// The value following `flag`, as a count of at least 1.
-fn positive(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<u64, BenchError> {
-    let value = value(it, flag, &format!("a {what}"))?;
-    match value.parse() {
-        Ok(0) => Err(usage(format!("{flag} must be at least 1"))),
-        Ok(n) => Ok(n),
-        Err(_) => Err(usage(format!("{flag}: `{value}` is not a {what}"))),
+/// The `--arch` spelling of `arch`, which [`parse_arch`] reads back (so
+/// repro lines are copy-pastable).
+pub(crate) fn arch_slug(arch: SyncArch) -> String {
+    let count = match arch {
+        SyncArch::LrscWait { slots: n } | SyncArch::Colibri { queues: n } => n,
+        SyncArch::Lrsc | SyncArch::LrscWaitIdeal => 0,
+    };
+    let (name, (what, _)) = ARCHES
+        .iter()
+        .find(|(_, (_, make))| make(count) == arch)
+        .expect("ARCHES names every architecture");
+    match *what {
+        "" => (*name).to_string(),
+        _ => format!("{name}:{count}"),
     }
 }
 
-/// Parsed harness CLI flags.
+/// Parses the `--arch` syntax of `trace` and `litmus`: a name of `ARCHES`,
+/// with `:<count>` (at least 1) where it takes one. The error is the usage
+/// error's message.
+pub(crate) fn parse_arch(text: &str) -> Result<SyncArch, String> {
+    let (name, count) = text
+        .split_once(':')
+        .map_or((text, None), |(name, count)| (name, Some(count)));
+    let (_, (what, arch)) = pick("--arch", name, ARCHES)?;
+    if what.is_empty() {
+        return Ok(arch(0));
+    }
+    let count = count.ok_or_else(|| format!("--arch {name} needs `:{what}`"))?;
+    match count.parse() {
+        Ok(0) => Err(format!("--arch {name}: {what} must be at least 1")),
+        Ok(n) => Ok(arch(n)),
+        Err(_) => Err(format!("--arch {name}: bad {what} `{count}`")),
+    }
+}
+
+/// `--exec` names, the default first.
+pub const EXEC_MODES: Names<ExecMode> = &[
+    ("translated", ExecMode::Translated),
+    ("reference", ExecMode::Reference),
+];
+
+/// Parsed `fig` flags.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
     /// Reduced sweep for CI / smoke testing.
     pub quick: bool,
-    /// Sweep parallelism override (`None`: [`default_threads`]).
-    ///
-    /// [`default_threads`]: crate::default_threads
+    /// Sweep parallelism override (`None`: [`crate::default_threads`]).
     pub threads: Option<usize>,
     /// Results directory.
     pub out: PathBuf,
-    /// Attach an [`AnalysisSink`] per sweep point and emit the
-    /// figure-level `<fig>.trace.csv` artifact.
-    ///
-    /// [`AnalysisSink`]: lrscwait_trace::AnalysisSink
+    /// Attach an [`AnalysisSink`](lrscwait_trace::AnalysisSink) per sweep
+    /// point and emit the figure-level `<fig>.trace.csv` artifact.
     pub trace: bool,
     /// Execution-mode override for every experiment the figure runs
     /// (`None`: keep each config's own mode, normally translated).
@@ -200,76 +310,282 @@ impl Default for BenchArgs {
     }
 }
 
+/// The `fig <name>` command line.
+#[rustfmt::skip]
+pub const FIG: Cli<BenchArgs> = Cli {
+    synopsis: "fig <name> [flags]",
+    flags: &[
+        ("--quick", "", "reduced sweep for CI / smoke testing", |a, _| { a.quick = true; Ok(()) }),
+        ("--threads", "N", "sweep worker threads (default: all cores, min 2)", |a, v| v.count().map(|n| a.threads = Some(n))),
+        ("--exec", "MODE", "execution mode of every experiment; results are bit-identical", |a, v| v.one_of(EXEC_MODES).map(|(_, mode)| a.exec = Some(mode))),
+        ("--out", "DIR", "results directory (default: results)", |a, v| v.value().map(|dir| a.out = dir.into())),
+        ("--trace", "", "per-point synchronization analysis; writes <fig>.trace.csv", |a, _| { a.trace = true; Ok(()) }),
+        ("--profile", "", "host-side phase profiler; writes <fig>.profile.json", |a, _| { a.profile = true; Ok(()) }),
+        ("--heartbeat", "SECS", "stderr progress line every SECS seconds per experiment", |a, v| v.count().map(|secs| a.heartbeat = Some(secs))),
+        ("--heartbeat-file", "FILE", "also append heartbeat NDJSON records to FILE", |a, v| v.value().map(|file| a.heartbeat_file = Some(file.into()))),
+    ],
+    notes: || {
+        let mut out = String::from("values:");
+        line(&mut out, "MODE", listing(EXEC_MODES, true));
+        out.push_str("\nflags a figure cannot honour (a usage error before anything runs):");
+        for (name, _, refused, _) in FIGURES.iter().filter(|row| !row.2.is_empty()) {
+            line(&mut out, name, refused.join(" "));
+        }
+        format!("{out}\n{}", figure_listing())
+    },
+};
+
 impl BenchArgs {
-    /// Parses the flags of `figure`, rejecting anything unknown and every
-    /// flag in `refused` (the ones `figure` cannot honour).
+    /// Parses the flags of `figure`, rejecting every flag in `refused`
+    /// (the ones `figure` cannot honour) by name.
     ///
     /// # Errors
     ///
-    /// Returns [`BenchError::Usage`] (including the usage text) on unknown
-    /// or refused flags and missing or malformed values, and
-    /// [`BenchError::Help`] on `--help`.
+    /// As [`Cli::parse`].
     pub fn parse<I>(args: I, figure: &str, refused: &[&str]) -> Result<BenchArgs, BenchError>
     where
         I: IntoIterator<Item = String>,
     {
-        let mut parsed = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            if refused.contains(&arg.as_str()) {
-                return Err(usage(format!("`{figure}` cannot honour `{arg}`")));
-            }
-            match arg.as_str() {
-                "--quick" => parsed.quick = true,
-                "--threads" => {
-                    let threads = positive(&mut it, "--threads", "count")?;
-                    parsed.threads = Some(usize::try_from(threads).unwrap_or(usize::MAX));
-                }
-                "--out" => parsed.out = value(&mut it, "--out", "a directory")?.into(),
-                "--trace" => parsed.trace = true,
-                "--exec" => {
-                    let value = value(&mut it, "--exec", "a mode")?;
-                    let Some(&(_, mode)) = EXEC_MODES.iter().find(|(name, _)| *name == value)
-                    else {
-                        let names = EXEC_MODES.iter().map(|(name, _)| *name);
-                        return Err(usage(format!(
-                            "--exec: unknown mode `{value}`{} \
-                             (expected translated or reference)",
-                            did_you_mean(&value, names)
-                        )));
-                    };
-                    parsed.exec = Some(mode);
-                }
-                "--profile" => parsed.profile = true,
-                "--heartbeat" => {
-                    parsed.heartbeat = Some(positive(&mut it, "--heartbeat", "seconds count")?);
-                }
-                "--heartbeat-file" => {
-                    parsed.heartbeat_file =
-                        Some(value(&mut it, "--heartbeat-file", "a file")?.into());
-                }
-                "-h" | "--help" => return Err(BenchError::Help),
-                other => {
-                    let hint = did_you_mean(other, FLAGS.iter().map(|(flag, _, _)| *flag));
-                    return Err(BenchError::Usage(format!(
-                        "unknown flag `{other}`{hint}\n{}",
-                        flag_listing()
-                    )));
-                }
-            }
+        FIG.parse(args, BenchArgs::default(), |flag| {
+            refused
+                .contains(&flag)
+                .then(|| format!("`{figure}` cannot honour `{flag}`"))
+        })
+    }
+}
+
+/// The kernels `trace` runs, one per [`KERNELS`] row. Each but `Matmul`
+/// (idle pollers, no `--impl`) has an implementation table:
+/// [`HIST_IMPLS`], [`QUEUE_IMPLS`], [`BARRIER_IMPLS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceKernel {
+    Histogram,
+    Queue,
+    Matmul,
+    Barrier,
+}
+
+/// `trace --kernel` names, the default first.
+pub const KERNELS: Names<TraceKernel> = &[
+    ("histogram", TraceKernel::Histogram),
+    ("queue", TraceKernel::Queue),
+    ("matmul", TraceKernel::Matmul),
+    ("barrier", TraceKernel::Barrier),
+];
+
+/// `trace --impl` names of `--kernel histogram`, the default first.
+pub const HIST_IMPLS: Names<HistImpl> = &[
+    ("lrscwait", HistImpl::LrscWait),
+    ("amoadd", HistImpl::AmoAdd),
+    ("lrsc", HistImpl::Lrsc),
+    ("ticket", HistImpl::TicketLock),
+    ("tas", HistImpl::TasLock),
+    ("colibri-lock", HistImpl::ColibriLock),
+    ("mcs", HistImpl::McsMwaitLock),
+];
+
+/// `trace --impl` names of `--kernel queue`, the default first.
+pub const QUEUE_IMPLS: Names<QueueImpl> = &[
+    ("direct", QueueImpl::LrscWaitDirect),
+    ("ms", QueueImpl::LrscMs),
+    ("ring", QueueImpl::TicketRing),
+];
+
+/// `trace --impl` names of `--kernel barrier`, the default first.
+pub const BARRIER_IMPLS: Names<BarrierImpl> = &[
+    ("central-lrscwait", BarrierImpl::CentralLrscWait),
+    ("central-lrsc", BarrierImpl::CentralLrsc),
+    ("tree", BarrierImpl::TreeAmo),
+    ("hw", BarrierImpl::HwMmio),
+];
+
+/// `trace`'s architecture without `--arch`.
+const TRACE_ARCH: SyncArch = SyncArch::Colibri { queues: 4 };
+
+/// Parsed `trace` flags: each field is the flag of its name in [`TRACE`],
+/// whose help column documents it.
+#[derive(Clone, Debug)]
+pub struct TraceArgs {
+    pub kernel: (&'static str, TraceKernel),
+    pub impl_: Option<String>,
+    pub arch: SyncArch,
+    pub cores: u32,
+    pub iters: u32,
+    pub max_cycles: u64,
+    pub out: PathBuf,
+    pub profile: bool,
+}
+
+/// The `trace` command line.
+#[rustfmt::skip]
+pub const TRACE: Cli<TraceArgs> = Cli {
+    synopsis: "trace [flags]",
+    flags: &[
+        ("--kernel", "K", "kernel to run", |a, v| v.one_of(KERNELS).map(|kernel| a.kernel = kernel)),
+        ("--impl", "I", "the kernel's implementation", |a, v| v.value().map(|name| a.impl_ = Some(name))),
+        ("--arch", "A", "architecture", |a, v| v.value().and_then(|t| parse_arch(&t)).map(|arch| a.arch = arch)),
+        ("--cores", "N", "number of cores (default 16)", |a, v| v.number().map(|n| a.cores = n)),
+        ("--iters", "N", "per-core iterations or barrier episodes (default 16)", |a, v| v.count().map(|n| a.iters = n)),
+        ("--max-cycles", "N", "watchdog limit (default 2000000)", |a, v| v.number().map(|n| a.max_cycles = n)),
+        ("--out", "DIR", "output directory for the Perfetto JSON (default results)", |a, v| v.value().map(|dir| a.out = dir.into())),
+        ("--profile", "", "also write <trace>.profile.json, the host-side phase profile", |a, _| { a.profile = true; Ok(()) }),
+    ],
+    notes: || {
+        let mut out = String::from("values:");
+        line(&mut out, "K", listing(KERNELS, true));
+        for &(name, kernel) in KERNELS {
+            let impls = match kernel {
+                TraceKernel::Histogram => listing(HIST_IMPLS, true),
+                TraceKernel::Queue => listing(QUEUE_IMPLS, true),
+                TraceKernel::Barrier => listing(BARRIER_IMPLS, true),
+                TraceKernel::Matmul => "none".to_string(),
+            };
+            line(&mut out, &format!("I of {name}"), impls);
         }
-        Ok(parsed)
+        line(&mut out, "A", format!("{} (default {})", arch_listing(), arch_slug(TRACE_ARCH)));
+        out
+    },
+};
+
+impl TraceArgs {
+    /// Parses the `trace` command line.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cli::parse`].
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<TraceArgs, BenchError> {
+        let defaults = TraceArgs {
+            kernel: KERNELS[0],
+            impl_: None,
+            arch: TRACE_ARCH,
+            cores: 16,
+            iters: 16,
+            max_cycles: 2_000_000,
+            out: PathBuf::from("results"),
+            profile: false,
+        };
+        TRACE.parse(args, defaults, |_| None)
+    }
+
+    /// The row of `names`, the kernel's implementation table, that
+    /// `--impl` spells (the first row without `--impl`).
+    ///
+    /// # Errors
+    ///
+    /// A usage error when it spells none of them.
+    pub fn implementation<T: Copy>(
+        &self,
+        names: &[(&'static str, T)],
+    ) -> Result<(&'static str, T), BenchError> {
+        match &self.impl_ {
+            None => Ok(names[0]),
+            Some(name) => pick("--impl", name, names).map_err(|msg| TRACE.usage(msg)),
+        }
+    }
+}
+
+/// `litmus --scenario` names: each scenario's own.
+fn scenarios() -> [(&'static str, LitmusScenario); 6] {
+    LitmusScenario::all().map(|scenario| (scenario.name(), scenario))
+}
+
+/// `litmus --mutation` names and the mutation an `nth` arms.
+const MUTATIONS: Names<fn(u32) -> Mutation> = &[
+    ("drop-wakeup", |nth| Mutation::DropWakeup { nth }),
+    ("lose-sc", |nth| Mutation::LoseScSuccess { nth }),
+];
+
+/// Parses `--mutation`: a name of `MUTATIONS`, with `:<nth>` (default 0).
+fn parse_mutation(text: &str) -> Result<Mutation, String> {
+    let (name, nth) = text.split_once(':').unwrap_or((text, "0"));
+    let (_, mutation) = pick("--mutation", name, MUTATIONS)?;
+    let nth = nth
+        .parse()
+        .map_err(|_| format!("--mutation {name}: bad nth `{nth}`"))?;
+    Ok(mutation(nth))
+}
+
+/// Parsed `litmus` flags: each field is the flag of its name in
+/// [`LITMUS`], whose help column documents it (`single_seed` is `--seed`,
+/// `wait_only` is `--wait`).
+#[derive(Clone, Debug)]
+pub struct LitmusArgs {
+    pub seeds: u64,
+    pub seed_start: u64,
+    pub single_seed: Option<u64>,
+    pub scenario: Option<LitmusScenario>,
+    pub arch: Option<SyncArch>,
+    pub wait_only: bool,
+    pub threads: usize,
+    pub out: PathBuf,
+    pub mutation: Mutation,
+}
+
+/// The `litmus` command line.
+#[rustfmt::skip]
+pub const LITMUS: Cli<LitmusArgs> = Cli {
+    synopsis: "litmus [flags]",
+    flags: &[
+        ("--seeds", "N", "seeds to fuzz per case (default 8)", |a, v| v.count().map(|n| a.seeds = n)),
+        ("--seed-start", "S", "first seed of the fuzz range (default 1)", |a, v| v.number().map(|seed| a.seed_start = seed)),
+        ("--seed", "S", "run exactly one seed (repro mode; overrides --seeds)", |a, v| v.number().map(|seed| a.single_seed = Some(seed))),
+        ("--scenario", "NAME", "restrict to one scenario", |a, v| v.one_of(&scenarios()).map(|(_, s)| a.scenario = Some(s))),
+        ("--arch", "A", "restrict to one architecture", |a, v| v.value().and_then(|t| parse_arch(&t)).map(|arch| a.arch = Some(arch))),
+        ("--wait", "", "restrict to wait-primitive flavors", |a, _| { a.wait_only = true; Ok(()) }),
+        ("--threads", "N", "sweep worker threads (default: all cores, min 2)", |a, v| v.count().map(|n| a.threads = n)),
+        ("--out", "DIR", "artifact directory (default results)", |a, v| v.value().map(|dir| a.out = dir.into())),
+        ("--mutation", "M", "arm an illegal fault: the suite is then EXPECTED to fail", |a, v| v.value().and_then(|text| parse_mutation(&text)).map(|m| a.mutation = m)),
+    ],
+    notes: || {
+        let mut out = String::from("values:");
+        line(&mut out, "NAME", listing(&scenarios(), false));
+        line(&mut out, "A", arch_listing());
+        let mutations: Vec<String> = MUTATIONS.iter().map(|(name, _)| format!("{name}:<nth>")).collect();
+        line(&mut out, "M", mutations.join(" | "));
+        out
+    },
+};
+
+impl LitmusArgs {
+    /// Parses the `litmus` command line.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cli::parse`].
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<LitmusArgs, BenchError> {
+        let defaults = LitmusArgs {
+            seeds: 8,
+            seed_start: 1,
+            single_seed: None,
+            scenario: None,
+            arch: None,
+            wait_only: false,
+            threads: crate::default_threads(),
+            out: PathBuf::from("results"),
+            mutation: Mutation::None,
+        };
+        LITMUS.parse(args, defaults, |_| None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::FIGURES;
 
     /// Parses `args` for a figure that takes every flag.
     fn parse(args: &[&str]) -> Result<BenchArgs, BenchError> {
         BenchArgs::parse(args.iter().map(ToString::to_string), "figX", &[])
+    }
+
+    /// The usage error's message for `args`, parsed by `parse`.
+    fn usage<T: std::fmt::Debug>(
+        parse: impl Fn(Vec<String>) -> Result<T, BenchError>,
+        args: &[&str],
+    ) -> String {
+        match parse(args.iter().map(ToString::to_string).collect()) {
+            Err(BenchError::Usage(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -302,52 +618,128 @@ mod tests {
         }
     }
 
+    /// For each binary, an unknown flag suggests the nearest one and
+    /// lists the whole table with its help; a typo nothing like any flag
+    /// gets the listing but no guess.
     #[test]
-    fn unknown_flag_error_lists_every_flag_and_suggests() {
-        let msg = parse(&["--profil"]).unwrap_err().to_string();
-        assert!(msg.contains("unknown flag `--profil`"), "{msg}");
-        assert!(msg.contains("did you mean `--profile`?"), "{msg}");
-        for (flag, _, help) in FLAGS {
-            assert!(msg.contains(flag), "listing must include {flag}:\n{msg}");
-            assert!(
-                msg.contains(help),
-                "listing must include help for {flag}:\n{msg}"
-            );
+    fn unknown_flags_suggest_the_nearest_and_list_the_table() {
+        fn check<A: std::fmt::Debug>(
+            cli: &Cli<A>,
+            parse: impl Fn(Vec<String>) -> Result<A, BenchError>,
+            typo: &str,
+            meant: &str,
+        ) {
+            let msg = usage(&parse, &[typo]);
+            assert!(msg.contains(&format!("unknown flag `{typo}`")), "{msg}");
+            assert!(msg.contains(&format!("did you mean `{meant}`?")), "{msg}");
+            assert!(msg.contains(&cli.flag_listing()), "{msg}");
+            for (flag, _, help, _) in cli.flags {
+                assert!(msg.contains(flag) && msg.contains(help), "{flag}:\n{msg}");
+            }
+            let msg = usage(&parse, &["--zzzzzzzzzzzzzzzz"]);
+            assert!(!msg.contains("did you mean"), "{msg}");
+            assert!(msg.contains("valid flags:"), "{msg}");
         }
-        // A typo nothing like any flag gets the listing but no guess.
-        let msg = parse(&["--zzzzzzzzzzzzzzzz"]).unwrap_err().to_string();
-        assert!(!msg.contains("did you mean"), "{msg}");
-        assert!(msg.contains("valid flags:"), "{msg}");
+        check(
+            &FIG,
+            |a| BenchArgs::parse(a, "figX", &[]),
+            "--profil",
+            "--profile",
+        );
+        check(&TRACE, TraceArgs::parse, "--kernl", "--kernel");
+        check(&LITMUS, LitmusArgs::parse, "--sedes", "--seeds");
+    }
+
+    /// For each binary, `--help` names every flag and every value an
+    /// enumerated flag accepts.
+    #[test]
+    fn help_names_every_flag_and_value() {
+        fn check<A>(cli: &Cli<A>, names: &[&str]) {
+            let help = cli.help();
+            for (flag, placeholder, text, _) in cli.flags {
+                let head = format!("{flag} {placeholder}");
+                assert!(help.contains(head.trim_end()), "{flag}:\n{help}");
+                assert!(help.contains(text), "{flag}:\n{help}");
+            }
+            assert!(help.contains("-h, --help"), "{help}");
+            for name in names {
+                assert!(help.contains(name), "{name}:\n{help}");
+            }
+        }
+        let fig: Vec<&str> = EXEC_MODES
+            .iter()
+            .map(|(name, _)| *name)
+            .chain(FIGURES.iter().map(|(name, ..)| *name))
+            .collect();
+        check(&FIG, &fig);
+        let trace: Vec<&str> = KERNELS
+            .iter()
+            .map(|(name, _)| *name)
+            .chain(HIST_IMPLS.iter().map(|(name, _)| *name))
+            .chain(QUEUE_IMPLS.iter().map(|(name, _)| *name))
+            .chain(BARRIER_IMPLS.iter().map(|(name, _)| *name))
+            .chain(ARCHES.iter().map(|(name, _)| *name))
+            .collect();
+        check(&TRACE, &trace);
+        let litmus: Vec<&str> = scenarios()
+            .iter()
+            .map(|(name, _)| *name)
+            .chain(ARCHES.iter().map(|(name, _)| *name))
+            .chain(MUTATIONS.iter().map(|(name, _)| *name))
+            .collect();
+        check(&LITMUS, &litmus);
+        // CI reads the figure names from the lines after `figures:`.
+        let help = FIG.help();
+        let (_, figures) = help.split_once("\nfigures:\n").unwrap();
+        let listed: Vec<&str> = figures
+            .lines()
+            .map(|line| line.split_whitespace().next().unwrap())
+            .collect();
+        let names: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(listed, names);
     }
 
     #[test]
-    fn every_flag_is_documented_in_usage() {
-        for (flag, _, _) in FLAGS {
-            assert!(USAGE.contains(flag), "USAGE must document {flag}");
+    fn zero_arch_counts_are_usage_errors() {
+        for arch in ["lrscwait:0", "colibri:0"] {
+            let msg = usage(TraceArgs::parse, &["--arch", arch]);
+            assert!(msg.contains("must be at least 1"), "{msg}");
+            assert!(msg.contains("usage: trace"), "{msg}");
+            let msg = usage(LitmusArgs::parse, &["--arch", arch, "--seeds", "1"]);
+            assert!(msg.contains("must be at least 1"), "{msg}");
+            assert!(msg.contains("usage: litmus"), "{msg}");
         }
-        // USAGE's per-figure paragraph names exactly the refusals of the
-        // figure table.
-        let (_, per_figure) = USAGE.split_once("usage error:\n").unwrap();
-        let mut paragraphs: Vec<String> = Vec::new();
-        for line in per_figure.lines() {
-            match paragraphs.last_mut() {
-                Some(open) if line.starts_with("   ") => open.push_str(line),
-                _ => paragraphs.push(line.to_string()),
-            }
+        assert_eq!(parse_arch("colibri:1"), Ok(SyncArch::Colibri { queues: 1 }));
+    }
+
+    #[test]
+    fn value_errors_suggest_and_list_the_names() {
+        let msg = usage(TraceArgs::parse, &["--kernel", "histgram"]);
+        assert!(msg.contains("did you mean `histogram`?"), "{msg}");
+        assert!(
+            msg.contains("expected histogram | queue | matmul | barrier"),
+            "{msg}"
+        );
+        for (name, scenario) in scenarios() {
+            let args = LitmusArgs::parse(["--scenario".to_string(), name.to_string()]);
+            assert_eq!(args.unwrap().scenario, Some(scenario), "{name}");
         }
-        for &(figure, _, refused, _) in FIGURES {
-            let paragraph = paragraphs
-                .iter()
-                .find(|p| p.trim_start().split(' ').next() == Some(figure));
-            assert_eq!(paragraph.is_some(), !refused.is_empty(), "{figure}");
-            let Some(paragraph) = paragraph else { continue };
-            let (_, no) = paragraph.rsplit_once("no ").unwrap();
-            let named: Vec<&str> = no
-                .split(|c: char| !(c.is_alphanumeric() || c == '-'))
-                .filter(|w| w.starts_with("--"))
-                .collect();
-            assert_eq!(named, refused, "USAGE vs FIGURES for {figure}");
-        }
+        let msg = usage(LitmusArgs::parse, &["--scenario", "lost-wakup"]);
+        assert!(msg.contains("did you mean `lost-wakeup`?"), "{msg}");
+        let msg = usage(LitmusArgs::parse, &["--mutation", "drop-wakeup:x"]);
+        assert!(msg.contains("bad nth `x`"), "{msg}");
+        let args = LitmusArgs::parse(["--mutation".to_string(), "lose-sc".to_string()]);
+        assert_eq!(args.unwrap().mutation, Mutation::LoseScSuccess { nth: 0 });
+        let args = TraceArgs::parse(["--impl".to_string(), "tikcet".to_string()]).unwrap();
+        let msg = args.implementation(HIST_IMPLS).unwrap_err().to_string();
+        assert!(msg.contains("did you mean `ticket`?"), "{msg}");
+        assert_eq!(
+            TraceArgs::parse([])
+                .unwrap()
+                .implementation(QUEUE_IMPLS)
+                .unwrap(),
+            QUEUE_IMPLS[0]
+        );
     }
 
     #[test]
@@ -393,12 +785,12 @@ mod tests {
         // `event` named the deleted third mode: rejected like any other
         // unknown value; a near-miss of a live mode gets a suggestion.
         let msg = parse(&["--exec", "event"]).unwrap_err().to_string();
-        assert!(msg.contains("--exec: unknown mode `event`"), "{msg}");
-        assert!(msg.contains("expected translated or reference"), "{msg}");
+        assert!(msg.contains("--exec: unknown value `event`"), "{msg}");
+        assert!(msg.contains("expected translated | reference"), "{msg}");
         assert!(!msg.contains("did you mean"), "{msg}");
         let msg = parse(&["--exec", "translate"]).unwrap_err().to_string();
         assert!(msg.contains("did you mean `translated`?"), "{msg}");
-        for (name, mode) in EXEC_MODES {
+        for &(name, mode) in EXEC_MODES {
             assert_eq!(parse(&["--exec", name]).unwrap().exec, Some(mode));
         }
         assert!(

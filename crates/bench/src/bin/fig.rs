@@ -4,10 +4,10 @@
 
 use std::process::ExitCode;
 
-use lrscwait_bench::{exit_code, figure_listing, run_figure, USAGE};
+use lrscwait_bench::{exit_code, run_figure, FIG};
 
 fn main() -> ExitCode {
     let who = format!("fig {}", std::env::args().nth(1).unwrap_or_default());
-    let help = format!("{USAGE}\n{}", figure_listing());
+    let help = FIG.help();
     exit_code(who.trim_end(), &help, run_figure(std::env::args().skip(1)))
 }

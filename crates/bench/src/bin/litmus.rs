@@ -24,136 +24,18 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lrscwait_bench::litmus::{fuzz_litmus, litmus_matrix, parse_arch, LitmusCase, LitmusSummary};
-use lrscwait_bench::{default_threads, BenchError};
-use lrscwait_core::SyncArch;
-use lrscwait_kernels::LitmusScenario;
+use lrscwait_bench::litmus::{fuzz_litmus, litmus_matrix, LitmusCase, LitmusSummary};
+use lrscwait_bench::{BenchError, LitmusArgs, LITMUS};
 use lrscwait_sim::Mutation;
 
-const USAGE: &str = "\
-usage: litmus [--seeds N] [--seed-start S] [--seed S] [--scenario NAME]
-              [--arch A] [--wait] [--threads N] [--out DIR] [--mutation M]
-  --seeds N       seeds to fuzz per case (default 8)
-  --seed-start S  first seed of the fuzz range (default 1)
-  --seed S        run exactly one seed (repro mode; overrides --seeds)
-  --scenario NAME restrict to one scenario: aba | spurious-retry |
-                  lost-wakeup | wakeup-race | eviction-storm | rcu-grace
-  --arch A        restrict to one architecture: lrsc | ideal |
-                  lrscwait:<slots> | colibri:<queues>
-  --wait          restrict to wait-primitive flavors
-  --threads N     sweep worker threads (default: all cores, min 2)
-  --out DIR       artifact directory (default results)
-  --mutation M    arm a deliberately-illegal fault for the checker
-                  self-test: drop-wakeup:<nth> | lose-sc:<nth>
-                  (the suite is then EXPECTED to fail)
-  -h, --help      show this help";
-
 fn main() -> ExitCode {
-    lrscwait_bench::exit_code("litmus", USAGE, run())
-}
-
-struct Args {
-    seeds: u64,
-    seed_start: u64,
-    single_seed: Option<u64>,
-    scenario: Option<LitmusScenario>,
-    arch: Option<SyncArch>,
-    wait_only: bool,
-    threads: usize,
-    out: PathBuf,
-    mutation: Mutation,
-}
-
-fn usage_err(msg: impl std::fmt::Display) -> BenchError {
-    BenchError::Usage(format!("{msg}\n{USAGE}"))
-}
-
-fn parse_mutation(text: &str) -> Result<Mutation, BenchError> {
-    let (name, nth) = match text.split_once(':') {
-        Some((name, nth)) => (
-            name,
-            nth.parse::<u32>()
-                .map_err(|_| usage_err(format!("--mutation {name}: bad nth `{nth}`")))?,
-        ),
-        None => (text, 0),
-    };
-    match name {
-        "drop-wakeup" => Ok(Mutation::DropWakeup { nth }),
-        "lose-sc" => Ok(Mutation::LoseScSuccess { nth }),
-        other => Err(usage_err(format!("unknown --mutation `{other}`"))),
-    }
-}
-
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, BenchError> {
-    let mut parsed = Args {
-        seeds: 8,
-        seed_start: 1,
-        single_seed: None,
-        scenario: None,
-        arch: None,
-        wait_only: false,
-        threads: default_threads(),
-        out: PathBuf::from("results"),
-        mutation: Mutation::None,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| usage_err(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--seeds" => {
-                parsed.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| usage_err("--seeds: not a count"))?;
-            }
-            "--seed-start" => {
-                parsed.seed_start = value("--seed-start")?
-                    .parse()
-                    .map_err(|_| usage_err("--seed-start: not a number"))?;
-            }
-            "--seed" => {
-                parsed.single_seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|_| usage_err("--seed: not a number"))?,
-                );
-            }
-            "--scenario" => {
-                let name = value("--scenario")?;
-                parsed.scenario = Some(
-                    LitmusScenario::parse(&name)
-                        .ok_or_else(|| usage_err(format!("unknown --scenario `{name}`")))?,
-                );
-            }
-            "--arch" => parsed.arch = Some(parse_arch(&value("--arch")?)?),
-            "--wait" => parsed.wait_only = true,
-            "--threads" => {
-                parsed.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| usage_err("--threads: not a count"))?;
-            }
-            "--out" => parsed.out = PathBuf::from(value("--out")?),
-            "--mutation" => parsed.mutation = parse_mutation(&value("--mutation")?)?,
-            "-h" | "--help" => return Err(BenchError::Help),
-            other => return Err(usage_err(format!("unknown flag `{other}`"))),
-        }
-    }
-    if parsed.seeds == 0 {
-        return Err(usage_err("--seeds must be at least 1"));
-    }
-    if parsed.threads == 0 {
-        return Err(usage_err("--threads must be at least 1"));
-    }
-    Ok(parsed)
+    lrscwait_bench::exit_code("litmus", &LITMUS.help(), run())
 }
 
 /// The matrix cases the filters select.
-fn selected_cases(args: &Args) -> Vec<LitmusCase> {
+fn selected_cases(args: &LitmusArgs) -> Vec<LitmusCase> {
     litmus_matrix()
         .into_iter()
         .filter(|c| args.scenario.is_none_or(|s| c.scenario == s))
@@ -198,10 +80,10 @@ fn render_summary(summary: &LitmusSummary, seeds: u64, mutation: Mutation) -> St
 }
 
 fn run() -> Result<(), BenchError> {
-    let args = parse_args(std::env::args().skip(1))?;
+    let args = LitmusArgs::parse(std::env::args().skip(1))?;
     let mut cases = selected_cases(&args);
     if cases.is_empty() {
-        return Err(usage_err(
+        return Err(LITMUS.usage(
             "the case filter matched nothing (scenario/arch/flavor combination unsupported)",
         ));
     }
@@ -227,15 +109,9 @@ fn run() -> Result<(), BenchError> {
     let summary = fuzz_litmus(&cases, seed_start, seeds, args.threads, args.mutation)?;
     let rendered = render_summary(&summary, seeds, args.mutation);
     println!("{rendered}");
-    std::fs::create_dir_all(&args.out).map_err(|source| BenchError::Io {
-        path: args.out.display().to_string(),
-        source,
-    })?;
+    std::fs::create_dir_all(&args.out).map_err(BenchError::io(&args.out))?;
     let summary_path = args.out.join("litmus_summary.md");
-    std::fs::write(&summary_path, &rendered).map_err(|source| BenchError::Io {
-        path: summary_path.display().to_string(),
-        source,
-    })?;
+    std::fs::write(&summary_path, &rendered).map_err(BenchError::io(&summary_path))?;
 
     if summary.ok() {
         eprintln!("litmus: all invariants held");
@@ -262,10 +138,7 @@ fn run() -> Result<(), BenchError> {
     }
     eprint!("{report}");
     let failures_path = args.out.join("litmus_failures.txt");
-    std::fs::write(&failures_path, &report).map_err(|source| BenchError::Io {
-        path: failures_path.display().to_string(),
-        source,
-    })?;
+    std::fs::write(&failures_path, &report).map_err(BenchError::io(&failures_path))?;
     eprintln!("litmus: wrote {}", failures_path.display());
     Err(BenchError::ClaimFailed(format!(
         "{} of {} litmus runs violated invariants (see {})",
@@ -282,7 +155,7 @@ mod tests {
     #[test]
     fn zero_counts_are_usage_errors() {
         for flag in ["--seeds", "--threads"] {
-            match parse_args([flag, "0"].map(String::from)) {
+            match LitmusArgs::parse([flag, "0"].map(String::from)) {
                 Err(BenchError::Usage(msg)) => {
                     assert!(msg.contains(&format!("{flag} must be at least 1")), "{msg}");
                 }
@@ -292,6 +165,6 @@ mod tests {
                 ),
             }
         }
-        assert!(parse_args(["--threads", "1"].map(String::from)).is_ok());
+        assert!(LitmusArgs::parse(["--threads", "1"].map(String::from)).is_ok());
     }
 }

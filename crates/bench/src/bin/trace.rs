@@ -16,39 +16,17 @@
 //!     --kernel histogram --impl lrscwait --arch colibri:4 --cores 16
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lrscwait_bench::litmus::parse_arch;
-use lrscwait_bench::{check_claim, write_profile_json, BenchError, Experiment};
-use lrscwait_core::SyncArch;
+use lrscwait_bench::{
+    check_claim, write_profile_json, BenchError, Experiment, TraceArgs, TraceKernel, BARRIER_IMPLS,
+    HIST_IMPLS, QUEUE_IMPLS, TRACE,
+};
 use lrscwait_kernels::{
-    BarrierImpl, BarrierKernel, HistImpl, HistogramKernel, MatmulKernel, PollerKind, QueueImpl,
-    QueueKernel, Workload,
+    BarrierKernel, HistogramKernel, MatmulKernel, PollerKind, QueueKernel, Workload,
 };
 use lrscwait_sim::SimConfig;
 use lrscwait_trace::{json, PerfettoSink, SharedSink};
-
-const USAGE: &str = "\
-usage: trace [--kernel K] [--impl I] [--arch A] [--cores N] [--iters N]
-             [--max-cycles N] [--out DIR] [--profile]
-  --kernel K      histogram (default) | queue | matmul | barrier
-  --impl I        histogram: amoadd | lrsc | lrscwait (default) | ticket | tas
-                             | colibri-lock | mcs
-                  queue:     direct (default) | ms | ring
-                  barrier:   central-lrsc | central-lrscwait (default) | tree
-                             | hw  (--iters = barrier episodes; --cores must
-                             be a power of two)
-                  (matmul takes no --impl)
-  --arch A        lrsc | lrscwait:<slots> | ideal | colibri:<queues>
-                  (default colibri:4)
-  --cores N       number of cores (default 16)
-  --iters N       per-core iterations, at least 1 (default 16)
-  --max-cycles N  watchdog limit (default 2000000)
-  --out DIR       output directory for the Perfetto JSON (default results)
-  --profile       attach the host-side phase profiler and write
-                  <trace>.profile.json next to the Perfetto export
-  -h, --help      show this help";
 
 /// Largest export (in trace-event objects) the JSON self-check reads
 /// back: parsing holds the whole document in memory, which is exactly
@@ -60,171 +38,63 @@ const VALIDATE_EVENT_LIMIT: u64 = 2_000_000;
 const MATMUL_N: u32 = 8;
 
 fn main() -> ExitCode {
-    lrscwait_bench::exit_code("trace", USAGE, run())
-}
-
-struct TraceArgs {
-    kernel: String,
-    impl_: Option<String>,
-    arch: SyncArch,
-    cores: u32,
-    iters: u32,
-    max_cycles: u64,
-    out: PathBuf,
-    profile: bool,
-}
-
-fn usage_err(msg: impl std::fmt::Display) -> BenchError {
-    BenchError::Usage(format!("{msg}\n{USAGE}"))
-}
-
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<TraceArgs, BenchError> {
-    let mut parsed = TraceArgs {
-        kernel: "histogram".to_string(),
-        impl_: None,
-        arch: SyncArch::Colibri { queues: 4 },
-        cores: 16,
-        iters: 16,
-        max_cycles: 2_000_000,
-        out: PathBuf::from("results"),
-        profile: false,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| usage_err(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--kernel" => parsed.kernel = value("--kernel")?,
-            "--impl" => parsed.impl_ = Some(value("--impl")?),
-            "--arch" => parsed.arch = parse_arch(&value("--arch")?).map_err(usage_err)?,
-            "--cores" => {
-                parsed.cores = value("--cores")?
-                    .parse()
-                    .map_err(|_| usage_err("--cores: not a count"))?;
-            }
-            "--iters" => {
-                parsed.iters = value("--iters")?
-                    .parse()
-                    .map_err(|_| usage_err("--iters: not a count"))?;
-                // Every kernel's loop runs at least once.
-                if parsed.iters == 0 {
-                    return Err(usage_err("--iters must be at least 1"));
-                }
-            }
-            "--max-cycles" => {
-                parsed.max_cycles = value("--max-cycles")?
-                    .parse()
-                    .map_err(|_| usage_err("--max-cycles: not a count"))?;
-            }
-            "--out" => parsed.out = PathBuf::from(value("--out")?),
-            "--profile" => parsed.profile = true,
-            "-h" | "--help" => return Err(BenchError::Help),
-            other => return Err(usage_err(format!("unknown flag `{other}`"))),
-        }
-    }
-    Ok(parsed)
+    lrscwait_bench::exit_code("trace", &TRACE.help(), run())
 }
 
 /// Builds the workload plus the canonical implementation name (the
 /// default made explicit), used in the output filename.
-fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, String), BenchError> {
-    match args.kernel.as_str() {
-        "histogram" => {
-            let impl_name = args.impl_.as_deref().unwrap_or("lrscwait").to_string();
-            let impl_ = match impl_name.as_str() {
-                "amoadd" => HistImpl::AmoAdd,
-                "lrsc" => HistImpl::Lrsc,
-                "lrscwait" => HistImpl::LrscWait,
-                "ticket" => HistImpl::TicketLock,
-                "tas" => HistImpl::TasLock,
-                "colibri-lock" => HistImpl::ColibriLock,
-                "mcs" => HistImpl::McsMwaitLock,
-                other => return Err(usage_err(format!("unknown histogram impl `{other}`"))),
-            };
+fn build_kernel(args: &TraceArgs) -> Result<(Box<dyn Workload>, &'static str), BenchError> {
+    let ((kernel, which), cores, iters) = (args.kernel, args.cores, args.iters);
+    let bad_cores =
+        |rule: &str| TRACE.usage(format!("--kernel {kernel} {rule} (got --cores {cores})"));
+    let built: (Box<dyn Workload>, _) = match which {
+        TraceKernel::Histogram => {
+            let (name, impl_) = args.implementation(HIST_IMPLS)?;
             // Few bins on purpose: contention is what makes traces worth
             // looking at.
-            let bins = (args.cores / 4).max(1);
+            let bins = (cores / 4).max(1);
             if !bins.is_power_of_two() {
-                return Err(usage_err(format!(
-                    "--kernel histogram uses --cores / 4 bins, which must be a power of two \
-                     (got --cores {})",
-                    args.cores
-                )));
+                return Err(bad_cores(
+                    "uses --cores / 4 bins, which must be a power of two",
+                ));
             }
-            Ok((
-                Box::new(HistogramKernel::new(impl_, bins, args.iters, args.cores)),
-                impl_name,
-            ))
+            (
+                Box::new(HistogramKernel::new(impl_, bins, iters, cores)),
+                name,
+            )
         }
-        "queue" => {
-            let impl_name = args.impl_.as_deref().unwrap_or("direct").to_string();
-            let impl_ = match impl_name.as_str() {
-                "direct" => QueueImpl::LrscWaitDirect,
-                "ms" => QueueImpl::LrscMs,
-                "ring" => QueueImpl::TicketRing,
-                other => return Err(usage_err(format!("unknown queue impl `{other}`"))),
-            };
-            Ok((
-                Box::new(QueueKernel::new(impl_, args.iters, args.cores)),
-                impl_name,
-            ))
+        TraceKernel::Queue => {
+            let (name, impl_) = args.implementation(QUEUE_IMPLS)?;
+            (Box::new(QueueKernel::new(impl_, iters, cores)), name)
         }
-        "barrier" => {
-            let impl_name = args
-                .impl_
-                .as_deref()
-                .unwrap_or("central-lrscwait")
-                .to_string();
-            let impl_ = match impl_name.as_str() {
-                "central-lrsc" => BarrierImpl::CentralLrsc,
-                "central-lrscwait" => BarrierImpl::CentralLrscWait,
-                "tree" => BarrierImpl::TreeAmo,
-                "hw" => BarrierImpl::HwMmio,
-                other => return Err(usage_err(format!("unknown barrier impl `{other}`"))),
-            };
-            if !args.cores.is_power_of_two() {
-                return Err(usage_err(format!(
-                    "--kernel barrier needs a power-of-two --cores (got {})",
-                    args.cores
-                )));
+        TraceKernel::Barrier => {
+            let (name, impl_) = args.implementation(BARRIER_IMPLS)?;
+            if !cores.is_power_of_two() {
+                return Err(bad_cores("needs a power-of-two --cores"));
             }
-            Ok((
-                Box::new(BarrierKernel::new(impl_, args.iters, args.cores)),
-                impl_name,
-            ))
+            (Box::new(BarrierKernel::new(impl_, iters, cores)), name)
         }
-        "matmul" => {
+        TraceKernel::Matmul => {
             if let Some(impl_) = &args.impl_ {
-                return Err(usage_err(format!(
-                    "--kernel matmul takes no --impl (got `{impl_}`)"
+                let msg = format!("--kernel {kernel} takes no --impl (got `{impl_}`)");
+                return Err(TRACE.usage(msg));
+            }
+            let workers = (cores / 2).max(1);
+            if workers > cores || MATMUL_N % workers != 0 {
+                return Err(bad_cores(&format!(
+                    "splits an {MATMUL_N}x{MATMUL_N} matrix over --cores / 2 workers, \
+                     which must divide {MATMUL_N}"
                 )));
             }
-            let workers = (args.cores / 2).max(1);
-            if workers > args.cores || MATMUL_N % workers != 0 {
-                return Err(usage_err(format!(
-                    "--kernel matmul splits an {MATMUL_N}x{MATMUL_N} matrix over --cores / 2 \
-                     workers, which must divide {MATMUL_N} (got --cores {})",
-                    args.cores
-                )));
-            }
-            Ok((
-                Box::new(MatmulKernel::new(
-                    MATMUL_N,
-                    workers,
-                    args.cores,
-                    PollerKind::Idle,
-                )),
-                "idle-pollers".to_string(),
-            ))
+            let matmul = MatmulKernel::new(MATMUL_N, workers, cores, PollerKind::Idle);
+            (Box::new(matmul), "idle-pollers")
         }
-        other => Err(usage_err(format!("unknown kernel `{other}`"))),
-    }
+    };
+    Ok(built)
 }
 
 fn run() -> Result<(), BenchError> {
-    let args = parse_args(std::env::args().skip(1))?;
+    let args = TraceArgs::parse(std::env::args().skip(1))?;
     let (kernel, impl_name) = build_kernel(&args)?;
     let cfg = SimConfig::builder()
         .cores(args.cores as usize)
@@ -236,7 +106,7 @@ fn run() -> Result<(), BenchError> {
     // that differ only in impl/cores/iters never overwrite each other.
     let name = format!(
         "trace_{}_{}_{}_c{}_i{}",
-        args.kernel,
+        args.kernel.0,
         impl_name,
         args.arch.to_string().to_lowercase(),
         args.cores,
@@ -248,10 +118,7 @@ fn run() -> Result<(), BenchError> {
     // file, the analysis rides on the measurement. The document is closed
     // before the run's outcome is looked at, so a watchdogged run still
     // leaves a loadable trace.
-    let io_error = |source| BenchError::Io {
-        path: path.display().to_string(),
-        source,
-    };
+    let io_error = BenchError::io(&path);
     let perfetto = SharedSink::new(PerfettoSink::create(&path).map_err(io_error)?);
     let mut exp = Experiment::new(kernel.as_ref(), cfg)
         .traced()
@@ -338,7 +205,7 @@ mod tests {
     fn build_kernel_rejects_core_counts_the_kernel_cannot_take() {
         let build = |kernel: &str, cores: &str| {
             let flags = ["--kernel", kernel, "--cores", cores].map(String::from);
-            build_kernel(&parse_args(flags).expect("flags parse")).map(|(_, name)| name)
+            build_kernel(&TraceArgs::parse(flags).expect("flags parse")).map(|(_, name)| name)
         };
         for (kernel, cores) in [
             ("histogram", "12"),
@@ -363,7 +230,7 @@ mod tests {
     /// error whatever the kernel.
     #[test]
     fn zero_iters_is_a_usage_error() {
-        match parse_args(["--kernel", "queue", "--iters", "0"].map(String::from)) {
+        match TraceArgs::parse(["--kernel", "queue", "--iters", "0"].map(String::from)) {
             Err(BenchError::Usage(msg)) => {
                 assert!(msg.contains("--iters must be at least 1"), "{msg}");
             }

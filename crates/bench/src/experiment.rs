@@ -13,7 +13,6 @@ use lrscwait_sim::{
 };
 use lrscwait_trace::{AnalysisSink, FanoutSink, SharedSink, SyncAnalysis, TraceSink};
 
-use crate::args::USAGE;
 use crate::heartbeat::Heartbeat;
 use crate::report::fmt_tp;
 
@@ -106,7 +105,17 @@ impl fmt::Display for BenchError {
             BenchError::ClaimFailed(msg) => write!(f, "claim failed: {msg}"),
             BenchError::Io { path, source } => write!(f, "{path}: {source}"),
             BenchError::RaggedRow(msg) | BenchError::Usage(msg) => write!(f, "{msg}"),
-            BenchError::Help => write!(f, "{USAGE}"),
+            BenchError::Help => write!(f, "help requested"),
+        }
+    }
+}
+
+impl BenchError {
+    /// A `map_err` adapter: an I/O error on `path` as [`BenchError::Io`].
+    pub fn io(path: &Path) -> impl Fn(std::io::Error) -> BenchError + Copy + '_ {
+        move |source| BenchError::Io {
+            path: path.display().to_string(),
+            source,
         }
     }
 }
@@ -472,14 +481,8 @@ fn run_with_heartbeat(
                     .create(true)
                     .append(true)
                     .open(path)
-                    .map_err(|source| BenchError::Io {
-                        path: path.display().to_string(),
-                        source,
-                    })?;
-                writeln!(file, "{}", line.render_ndjson()).map_err(|source| BenchError::Io {
-                    path: path.display().to_string(),
-                    source,
-                })?;
+                    .map_err(BenchError::io(path))?;
+                writeln!(file, "{}", line.render_ndjson()).map_err(BenchError::io(path))?;
             }
         }
     }

@@ -45,11 +45,9 @@
 //! complete within the 20 M-cycle watchdog (20x the costliest completing
 //! point ever observed) is run to the watchdog, reported as **DNF** and
 //! dropped from the CSV; the summary line counts its cycles and host
-//! seconds apart.
-//! (fig6 instead skips its CAS-livelock points without running them.) A
-//! retry barrier collapsing at kilocore scale is the finding, not a
-//! harness failure. The headline claims compare at the largest core count
-//! where every compared series completed.
+//! seconds apart. A retry barrier collapsing at kilocore scale is the
+//! finding, not a harness failure. The headline claims compare at the
+//! largest core count where every compared series completed.
 
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};

@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::args::{did_you_mean, BenchArgs, USAGE};
+use crate::args::{did_you_mean, is_help, BenchArgs, FIG};
 use crate::figure::Figure;
 use crate::BenchError;
 
@@ -123,18 +123,13 @@ pub fn figure_listing() -> String {
 /// then the figure's own errors.
 pub fn run_figure(argv: impl IntoIterator<Item = String>) -> Result<(), BenchError> {
     let mut argv = argv.into_iter();
-    let name = argv.next().ok_or_else(|| {
-        BenchError::Usage(format!("which figure?\n{USAGE}\n{}", figure_listing()))
-    })?;
-    if name == "-h" || name == "--help" {
+    let name = argv.next().ok_or_else(|| FIG.usage("which figure?"))?;
+    if is_help(&name) {
         return Err(BenchError::Help);
     }
     let Some(&(name, _, refused, run)) = FIGURES.iter().find(|(n, ..)| *n == name) else {
         let hint = did_you_mean(&name, FIGURES.iter().map(|(n, ..)| *n));
-        return Err(BenchError::Usage(format!(
-            "unknown figure `{name}`{hint}\n{}",
-            figure_listing()
-        )));
+        return Err(FIG.usage(format!("unknown figure `{name}`{hint}")));
     };
     let args = BenchArgs::parse(argv, name, refused)?;
     run(&Figure {

@@ -11,8 +11,9 @@
 //! directory, default `results/`), writes `<DIR>/<name>.csv` and prints a
 //! markdown rendering to stdout; a simulating figure also takes `--threads
 //! N` (sweep parallelism) and prints a one-line simulator-throughput
-//! report to stderr ([`log_throughput`]). [`USAGE`] has the full flag list
-//! and which figures cannot honour which flags.
+//! report to stderr ([`log_throughput`]). [`FIG`] is the flag table, and
+//! `fig --help` lists the flags, which figures cannot honour which, and
+//! the figures; [`TRACE`] and [`LITMUS`] are the other two binaries'.
 //!
 //! # The experiment API
 //!
@@ -59,7 +60,10 @@ mod report;
 mod sweep;
 mod traffic;
 
-pub use args::{flag_listing, BenchArgs, FLAGS, USAGE};
+pub use args::{
+    Argv, BenchArgs, Cli, LitmusArgs, Names, Setter, TraceArgs, TraceKernel, BARRIER_IMPLS,
+    EXEC_MODES, FIG, HIST_IMPLS, KERNELS, LITMUS, QUEUE_IMPLS, TRACE,
+};
 pub use experiment::{BenchError, Experiment, Measurement};
 pub use figure::Figure;
 pub use figures::{figure_listing, run_figure, FigureFn, FIGURES};

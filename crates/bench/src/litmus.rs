@@ -31,6 +31,7 @@ use lrscwait_trace::{
     violated_invariants, InvariantChecker, InvariantReport, RunOutcome, SharedSink,
 };
 
+use crate::args::arch_slug;
 use crate::{BenchError, Experiment, Sweep};
 
 /// One fuzzable point of the litmus matrix.
@@ -63,53 +64,6 @@ impl LitmusCase {
     #[must_use]
     pub fn label(&self) -> String {
         format!("{}@{}", self.kernel().label(), arch_slug(self.arch))
-    }
-}
-
-/// Canonical `--arch` spelling of an architecture (round-trips through
-/// [`parse_arch`], so repro lines are copy-pastable).
-#[must_use]
-pub fn arch_slug(arch: SyncArch) -> String {
-    match arch {
-        SyncArch::Lrsc => "lrsc".to_string(),
-        SyncArch::LrscWaitIdeal => "ideal".to_string(),
-        SyncArch::LrscWait { slots } => format!("lrscwait:{slots}"),
-        SyncArch::Colibri { queues } => format!("colibri:{queues}"),
-    }
-}
-
-/// Parses the `--arch` syntax shared by the trace and litmus binaries:
-/// `lrsc | ideal | lrscwait:<slots> | colibri:<queues>`.
-///
-/// # Errors
-///
-/// Returns [`BenchError::Usage`] on unknown names or malformed counts.
-pub fn parse_arch(text: &str) -> Result<SyncArch, BenchError> {
-    let (name, param) = match text.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
-        None => (text, None),
-    };
-    let number = |what: &str| -> Result<usize, BenchError> {
-        param
-            .ok_or_else(|| BenchError::Usage(format!("--arch {name} needs `:{what}`")))?
-            .parse::<usize>()
-            .map_err(|_| {
-                BenchError::Usage(format!(
-                    "--arch {name}: bad {what} `{}`",
-                    param.unwrap_or("")
-                ))
-            })
-    };
-    match name {
-        "lrsc" => Ok(SyncArch::Lrsc),
-        "ideal" => Ok(SyncArch::LrscWaitIdeal),
-        "lrscwait" => Ok(SyncArch::LrscWait {
-            slots: number("slots")?,
-        }),
-        "colibri" => Ok(SyncArch::Colibri {
-            queues: number("queues")?,
-        }),
-        other => Err(BenchError::Usage(format!("unknown --arch `{other}`"))),
     }
 }
 
@@ -420,6 +374,7 @@ pub fn fuzz_litmus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::parse_arch;
 
     #[test]
     fn arch_slugs_round_trip() {

@@ -91,15 +91,9 @@ pub fn write_profile_json<'a>(
         ("aggregate", profile_json(&aggregate)),
     ]);
 
-    std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
-        path: dir.display().to_string(),
-        source,
-    })?;
+    std::fs::create_dir_all(dir).map_err(BenchError::io(dir))?;
     let path = dir.join(format!("{name}.profile.json"));
-    std::fs::write(&path, format!("{doc}\n")).map_err(|source| BenchError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
+    std::fs::write(&path, format!("{doc}\n")).map_err(BenchError::io(&path))?;
     eprintln!("wrote {}", path.display());
     Ok(Some(path))
 }
@@ -166,12 +160,13 @@ pub fn check_claim(condition: bool, message: impl Into<String>) -> Result<(), Be
     }
 }
 
-/// Writes the figure-level trace artifact `<dir>/<fig>.trace.csv`: one
-/// row per [`traced`](crate::Experiment::traced) sweep point with the
-/// lock-handoff latency distribution (count, p50, p99, max) and
-/// wait-queue occupancy (max, mean) derived from the point's event
-/// stream — per-handoff evidence to sit next to the throughput figure
-/// CSV.
+/// Writes the figure-level trace artifact `<dir>/<fig>.trace.csv`, which
+/// `fig <name> --trace` adds next to the figure's CSV: one row per
+/// [`traced`](crate::Experiment::traced) sweep point (its [`Measurement`]
+/// carries the analysis) with the lock-handoff latency distribution
+/// (count, p50, p99, max) and wait-queue occupancy (max, mean) derived
+/// from the point's event stream. Every figure that runs `Experiment`s
+/// takes `--trace`; the others refuse it (`fig --help` names them).
 ///
 /// # Errors
 ///
@@ -243,19 +238,13 @@ pub fn write_csv(
             header.len()
         )));
     }
-    std::fs::create_dir_all(dir).map_err(|source| BenchError::Io {
-        path: dir.display().to_string(),
-        source,
-    })?;
+    std::fs::create_dir_all(dir).map_err(BenchError::io(dir))?;
     let mut text = csv_line(header.iter().copied());
     for row in rows {
         text.push_str(&csv_line(row.iter().map(String::as_str)));
     }
     let path = dir.join(format!("{name}.csv"));
-    let io_error = |source| BenchError::Io {
-        path: path.display().to_string(),
-        source,
-    };
+    let io_error = BenchError::io(&path);
     std::fs::write(&path, &text).map_err(io_error)?;
     check_claim(
         std::fs::read_to_string(&path).map_err(io_error)? == text,

@@ -2,7 +2,7 @@
 //! itself calls. What the figures write is pinned by the root package's
 //! `tests/pins.rs`.
 
-use lrscwait_bench::{figure_listing, flag_listing, run_figure, BenchError, FIGURES};
+use lrscwait_bench::{figure_listing, run_figure, BenchError, FIG, FIGURES};
 
 fn fig(argv: &[&str]) -> Result<(), BenchError> {
     run_figure(argv.iter().map(ToString::to_string))
@@ -26,7 +26,7 @@ fn bad_invocations_are_usage_errors_before_anything_runs() {
     // An unknown flag: the flag listing.
     let msg = usage(&["fig4", "--bogus"]);
     assert!(msg.contains("unknown flag `--bogus`"), "{msg}");
-    assert!(msg.contains(&flag_listing()), "{msg}");
+    assert!(msg.contains(&FIG.flag_listing()), "{msg}");
     // A flag the figure cannot honour names both, and nothing is written.
     let dir = std::env::temp_dir().join(format!("lrscwait-refused-{}", std::process::id()));
     let out = dir.to_str().unwrap();

@@ -89,12 +89,6 @@ impl LitmusScenario {
             LitmusScenario::RcuGrace => "rcu-grace",
         }
     }
-
-    /// Parses a CLI scenario name.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<LitmusScenario> {
-        LitmusScenario::all().into_iter().find(|l| l.name() == s)
-    }
 }
 
 /// A litmus workload description.
@@ -657,13 +651,5 @@ mod tests {
         assert!(!LitmusKernel::new(LitmusScenario::EvictionStorm, 4, 3).checks_mutual_exclusion());
         // 2 writers + 2 readers at 8 sections per sync.
         assert_eq!(k.expected_ops(), Some(2 * 3 * 8));
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for s in LitmusScenario::all() {
-            assert_eq!(LitmusScenario::parse(s.name()), Some(s));
-        }
-        assert_eq!(LitmusScenario::parse("nope"), None);
     }
 }
