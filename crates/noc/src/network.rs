@@ -320,6 +320,13 @@ impl<P> Network<P> {
         self.traffic.iter().copied()
     }
 
+    /// Nodes holding at least one message: the nodes the next
+    /// [`advance`](Network::advance) visits.
+    #[must_use]
+    pub fn active_nodes(&self) -> usize {
+        self.active.len()
+    }
+
     /// Total messages currently in flight.
     #[must_use]
     pub fn in_flight(&self) -> usize {

@@ -65,7 +65,7 @@ pub use cpu::DecodedProgram;
 pub use machine::{Machine, SimError};
 pub use profiler::{Phase, PhaseProfile, PhaseStat, ProfilerConfig};
 pub use snapshot::Snapshot;
-pub use stats::{CoreStats, ExitReason, RunSummary, SimStats};
+pub use stats::{CoreStats, ExitReason, RunSummary, SimStats, WorkStats};
 pub use translate::Translation;
 
 pub use chaos::{FaultPlan, Mutation};

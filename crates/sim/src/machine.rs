@@ -147,7 +147,7 @@ use crate::cpu::{Core, CoreState, DecodedProgram};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
 use crate::profiler::{Phase, PhaseProfile, Profiler, ProfilerConfig};
 use crate::spm::Spm;
-use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats};
+use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats, WorkStats};
 use crate::translate::Translation;
 
 /// Fatal simulation error (software bug in a kernel or harness misuse).
@@ -293,6 +293,8 @@ pub struct Machine {
     /// [`Machine::step_cycle`] callers execute exactly one instruction
     /// per core per visit in both modes.
     step_limit: u64,
+    /// Host work done so far (see [`Machine::work`]).
+    work: WorkStats,
 }
 
 /// Everything a run changes, and nothing that only configures or
@@ -474,6 +476,7 @@ impl Machine {
             adapter_out: Vec::new(),
             translation,
             step_limit: 0,
+            work: WorkStats::default(),
             cfg,
         };
         // Load the initialized data image.
@@ -709,6 +712,14 @@ impl Machine {
         }
     }
 
+    /// The host work this machine has done so far: core visits,
+    /// interpreted steps, superblock entries, ready-queue deferrals and
+    /// NoC node visits (see [`WorkStats`]).
+    #[must_use]
+    pub fn work(&self) -> WorkStats {
+        self.work
+    }
+
     /// Per-node traffic counters of the request and the response network,
     /// in that order, each in node id order (see [`NodeTraffic`]). They
     /// are not part of [`SimStats`] or [`Machine::state_bytes`], but a
@@ -890,6 +901,7 @@ impl Machine {
     /// Phase 1a: advance the request network.
     fn req_net_advance(&mut self, now: u64) {
         self.req_buf.clear();
+        self.work.noc_node_visits[0] += self.state.req_net.active_nodes() as u64;
         self.state.req_net.advance(now, &mut self.req_buf);
     }
 
@@ -972,6 +984,7 @@ impl Machine {
     /// Phase 3a: advance the response network.
     fn resp_net_advance(&mut self, now: u64) {
         self.resp_buf.clear();
+        self.work.noc_node_visits[1] += self.state.resp_net.active_nodes() as u64;
         self.state.resp_net.advance(now, &mut self.resp_buf);
     }
 
@@ -1027,6 +1040,7 @@ impl Machine {
             debug_log: &mut self.state.debug_log,
             dirty_cores: &mut self.state.dirty_cores,
             tracer: &mut self.tracer,
+            work: &mut self.work,
         };
         let stepped = match self.translation.as_deref() {
             Some(translation) => phases::step_translated_cores(

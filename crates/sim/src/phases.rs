@@ -32,6 +32,7 @@ use crate::cpu::{
 };
 use crate::machine::SimError;
 use crate::spm::Spm;
+use crate::stats::WorkStats;
 use crate::translate::{run_block, Translation};
 
 /// Request-network payload.
@@ -174,6 +175,7 @@ pub(crate) struct CorePhase<'a> {
     pub debug_log: &'a mut Vec<(u64, u32, u32)>,
     pub dirty_cores: &'a mut IdSet,
     pub tracer: &'a mut Tracer,
+    pub work: &'a mut WorkStats,
 }
 
 /// Steps the runnable set in ascending core id (the production stepper):
@@ -198,6 +200,7 @@ pub(crate) fn step_translated_cores(
 ) -> Result<(), SimError> {
     let mut next = runnable.next_from(0);
     while let Some(c) = next {
+        ctx.work.core_visits += 1;
         let result = ctx.step_core_translated(c, translation, now, horizon);
         // The state check runs even for a faulting core: a core that is
         // still `Running` after its fatal error (e.g. a breakpoint)
@@ -213,6 +216,7 @@ pub(crate) fn step_translated_cores(
             core.parked_at = now;
             runnable.remove(c);
             ready_queue.push(Reverse((core.ready_at, c)));
+            ctx.work.deferrals += 1;
         }
         result?;
         next = runnable.next_from(c + 1);
@@ -233,7 +237,10 @@ pub(crate) fn step_all_cores(ctx: &mut CorePhase<'_>, now: u64) -> Result<(), Si
             CoreState::Halted => {}
             CoreState::Barrier => core.stats.barrier_cycles += 1,
             CoreState::WaitingMem => core.stats.sleep_cycles += 1,
-            CoreState::Running => ctx.step_running_core(c, now)?,
+            CoreState::Running => {
+                ctx.work.core_visits += 1;
+                ctx.step_running_core(c, now)?;
+            }
         }
     }
     Ok(())
@@ -283,6 +290,7 @@ impl CorePhase<'_> {
             return Ok(());
         }
         if let Some(entry) = translation.entry(self.cores[i].pc) {
+            self.work.superblock_entries += 1;
             run_block(
                 &mut self.cores[i],
                 translation,
@@ -302,6 +310,7 @@ impl CorePhase<'_> {
     /// [`Self::step_running_core`] and [`Self::step_core_translated`].
     fn interp_step(&mut self, c: u32, now: u64) -> Result<(), SimError> {
         let i = c as usize;
+        self.work.interpreted_steps += 1;
         let action = {
             let program = self.program;
             let timing = self.cfg.timing;

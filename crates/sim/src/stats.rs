@@ -195,6 +195,33 @@ pub enum ExitReason {
     TargetReached,
 }
 
+/// Host work a machine has done so far ([`crate::Machine::work`]): exact
+/// counts of the stepper's units of work, the terms a layer cost model
+/// multiplies by unit costs.
+///
+/// They describe the host, not the simulated machine, so they are not
+/// part of [`SimStats`], the state bytes or a snapshot (a restore keeps
+/// them), and they differ between execution modes. They are a pure
+/// function of the run, though: the same run counts the same work on any
+/// host.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkStats {
+    /// Visits of the core-stepping phase: one per core it looked at in a
+    /// cycle (the runnable set; every `Running` core in
+    /// [`ExecMode::Reference`](crate::ExecMode::Reference)).
+    pub core_visits: u64,
+    /// Instructions executed one at a time by the interpreter.
+    pub interpreted_steps: u64,
+    /// Superblocks entered (`run_block` calls).
+    pub superblock_entries: u64,
+    /// Running cores moved from the runnable set to the ready queue.
+    pub deferrals: u64,
+    /// Node visits of `Network::advance` on the request and the response
+    /// network, in that order: the nodes holding a flit when each call
+    /// began.
+    pub noc_node_visits: [u64; 2],
+}
+
 /// Result of [`crate::Machine::run`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunSummary {
