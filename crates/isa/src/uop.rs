@@ -26,6 +26,7 @@
 //! | `Jalr` | link (may be `x0`) | base | | offset | one at a time: run-time target |
 //! | `Beq` … `Bgeu` / `BeqOut` … `BgeuOut` | | lhs | rhs | taken-target index / pc | one at a time: penalty when taken |
 //! | `Countdown` | the counter `r` | lhs | rhs | own index − 1 | a `Bne`, see below |
+//! | `StoreWord` | | base | value | offset | a `sw`, see below |
 //!
 //! *Run* kinds take one cycle and fall through, so everything about
 //! their timing is known when the image is translated: the executor
@@ -58,6 +59,15 @@
 //! charging identical to the interpreter, so statistics and traces stay
 //! bit-identical.
 //!
+//! The one store the timing model need not observe is a word store to a
+//! device register that only counts, such as the simulator's MMIO op
+//! counter: it takes one cycle, falls through, and touches neither the
+//! store buffer nor the NoC. Which address that is, only the executor
+//! knows, so [`MicroOp::lower`] keeps every store a boundary and
+//! [`MicroOp::mark_word_stores`] rewrites a lowered image's `sw`s into
+//! [`UopKind::StoreWord`], which the executor runs in-block for that one
+//! address and treats as a boundary for every other.
+//!
 //! # Enterable at any index
 //!
 //! Micro-ops are 1:1 with instructions (index `i` covers `base + 4*i`)
@@ -73,7 +83,7 @@
 //! licenses starts from the branch itself *being taken* — whichever way
 //! control got there.
 
-use crate::{AluOp, BranchOp, Instr, Reg};
+use crate::{AluOp, BranchOp, Instr, MemWidth, Reg};
 
 /// What a [`MicroOp`] does; see the module docs for the field table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -176,6 +186,10 @@ pub enum UopKind {
     /// names `r`. Never produced by [`MicroOp::lower`], which sees one
     /// instruction; [`MicroOp::mark_countdowns`] rewrites a lowered image.
     Countdown,
+    /// `sw rs2, imm(rs1)`: a boundary unless the executor runs it in-block
+    /// (see the module docs). Never produced by [`MicroOp::lower`];
+    /// [`MicroOp::mark_word_stores`] rewrites a lowered image.
+    StoreWord,
 }
 
 impl UopKind {
@@ -357,6 +371,24 @@ impl MicroOp {
         self.kind == UopKind::Boundary
     }
 
+    /// Turns every micro-op of a lowered image (`uops[i]` lowered from
+    /// `instrs[i]`) whose instruction is a word store into a
+    /// [`UopKind::StoreWord`] with the store's base, value register and
+    /// offset.
+    pub fn mark_word_stores(instrs: &[Instr], uops: &mut [MicroOp]) {
+        for (instr, uop) in instrs.iter().zip(uops) {
+            if let Instr::Store {
+                width: MemWidth::Word,
+                rs2,
+                rs1,
+                offset,
+            } = *instr
+            {
+                *uop = MicroOp::new(UopKind::StoreWord, Reg::ZERO, rs1, rs2, offset as u32);
+            }
+        }
+    }
+
     /// Turns every `Bne` of a lowered image (`uops[i]` lowered from the
     /// instruction at index `i`) that closes the delay loop
     /// `addi r, r, -1 ; bne r, x0, .-4` — either operand order — into a
@@ -518,6 +550,41 @@ mod tests {
     }
 
     #[test]
+    fn only_word_stores_are_marked() {
+        let store = |width| Instr::Store {
+            width,
+            rs2: Reg::A0,
+            rs1: Reg::S0,
+            offset: -4,
+        };
+        let instrs = [
+            store(MemWidth::Word),
+            store(MemWidth::Half),
+            store(MemWidth::Byte),
+            Instr::nop(),
+        ];
+        let mut uops: Vec<MicroOp> = instrs
+            .iter()
+            .enumerate()
+            .map(|(i, instr)| MicroOp::lower(instr, BASE + 4 * i as u32, BASE, LEN))
+            .collect();
+        MicroOp::mark_word_stores(&instrs, &mut uops);
+        assert_eq!(
+            uops[0],
+            uop(
+                UopKind::StoreWord,
+                Reg::ZERO,
+                Reg::S0,
+                Reg::A0,
+                -4i32 as u32
+            )
+        );
+        assert!(!uops[0].is_boundary() && !uops[0].kind.is_run());
+        assert!(uops[1].is_boundary() && uops[2].is_boundary());
+        assert_eq!(uops[3].kind, UopKind::Nop);
+    }
+
+    #[test]
     fn negative_opimm_immediate_sign_extends() {
         let instr = Instr::OpImm {
             op: AluOp::Add,
@@ -573,6 +640,7 @@ mod tests {
             UopKind::Bne,
             UopKind::BgeuOut,
             UopKind::Countdown,
+            UopKind::StoreWord,
         ] {
             assert!(!kind.is_run(), "{kind:?}");
         }

@@ -79,6 +79,24 @@ impl IdSet {
         present
     }
 
+    /// Makes `id` a member exactly when `member` holds, with no branch on
+    /// either the argument or the current membership.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` lies outside the universe.
+    pub fn set(&mut self, id: u32, member: bool) {
+        let w = id as usize / 64;
+        let shift = id % 64;
+        let old = self.words[w];
+        let word = (old & !(1 << shift)) | (u64::from(member) << shift);
+        self.words[w] = word;
+        let summary = &mut self.summary[w / 64];
+        let bit = w % 64;
+        *summary = (*summary & !(1 << bit)) | (u64::from(word != 0) << bit);
+        self.len = self.len + usize::from(member) - ((old >> shift) & 1) as usize;
+    }
+
     /// Removes every member.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -94,6 +112,23 @@ impl IdSet {
             return None; // the common case for a worklist, kept cheap
         }
         self.iter_from(from).next()
+    }
+
+    /// Smallest member, if any: two trailing-zero counts behind the first
+    /// non-zero summary word.
+    #[must_use]
+    pub fn first(&self) -> Option<u32> {
+        let s = self.summary.iter().position(|&bits| bits != 0)?;
+        let w = s * 64 + self.summary[s].trailing_zeros() as usize;
+        Some((w * 64) as u32 + self.words[w].trailing_zeros())
+    }
+
+    /// Largest member, if any: [`first`](IdSet::first) from the top.
+    #[must_use]
+    pub fn last(&self) -> Option<u32> {
+        let s = self.summary.iter().rposition(|&bits| bits != 0)?;
+        let w = s * 64 + 63 - self.summary[s].leading_zeros() as usize;
+        Some((w * 64) as u32 + 63 - self.words[w].leading_zeros())
     }
 
     /// The members `>= from`, ascending.
@@ -201,6 +236,24 @@ mod tests {
     }
 
     #[test]
+    fn set_matches_insert_and_remove() {
+        let mut set = filled();
+        let mut model = filled();
+        for (step, &id) in IDS.iter().chain(&[2, 4096, 8999, 2]).enumerate() {
+            let member = step % 3 != 0;
+            set.set(id, member);
+            if member {
+                model.insert(id);
+            } else {
+                model.remove(id);
+            }
+            assert_eq!(set.len(), model.len(), "step {step}");
+            assert!(set.iter().eq(model.iter()), "step {step}");
+            assert_eq!(set.summary, model.summary, "step {step}");
+        }
+    }
+
+    #[test]
     fn iterates_ascending_across_word_and_summary_boundaries() {
         let mut set = filled();
         assert_eq!(set.iter().collect::<Vec<_>>(), IDS);
@@ -209,12 +262,20 @@ mod tests {
         assert_eq!(set.next_from(4098), Some(8999));
         assert_eq!(set.next_from(9000), None);
         assert_eq!(set.next_from(u32::MAX), None, "past the universe");
+        assert_eq!((set.first(), set.last()), (Some(0), Some(8999)));
         // Emptying the only word under a summary bit clears that bit.
         for id in [4096, 4097, 8999] {
             set.remove(id);
         }
         assert_eq!(set.next_from(66), Some(4095));
         assert_eq!(set.next_from(4096), None);
+        assert_eq!(set.last(), Some(4095));
+        for id in [0, 1, 63, 64] {
+            set.remove(id);
+        }
+        assert_eq!((set.first(), set.last()), (Some(65), Some(4095)));
+        set.clear();
+        assert_eq!((set.first(), set.last()), (None, None));
     }
 
     #[test]

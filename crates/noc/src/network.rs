@@ -206,7 +206,11 @@ pub struct NetworkStats {
 /// [`advance`](Network::advance) visits the nodes that hold a message in
 /// ascending node id rotated by `now % active_count` — the determinism
 /// contract. The active set is an [`IdSet`], whose iteration order *is*
-/// ascending id, so the order needs no sorting.
+/// ascending id, so the order needs no sorting. A set of one or two nodes,
+/// the common case of an uncongested fabric, is visited straight from the
+/// set: one node needs no rotation, and two swap on odd cycles. Larger
+/// sets are copied, rotated, into a reused visit list first, because a
+/// visit inserts the downstream node into the set it walks.
 #[derive(Debug)]
 pub struct Network<P> {
     nodes: Vec<Node>,
@@ -437,60 +441,86 @@ impl<P> Network<P> {
     /// round-robin arbiters. Without it, a retry storm can starve one
     /// producer forever.
     pub fn advance(&mut self, now: u64, out: &mut Vec<P>) {
-        if self.active.is_empty() {
-            return;
-        }
         // The cycle's visit list is fixed up front: a node that receives
-        // its first flit during this call joins `active` but not `order`
-        // (its flit is not ready before `now + latency` anyway).
-        let mut order = std::mem::take(&mut self.scratch);
-        let rotation = (now % self.active.len() as u64) as usize;
-        self.active.rotated_into(rotation, &mut order);
-        for &id in &order {
-            // `nodes[id]` is re-read through the index at every use: a
-            // route may revisit `id`, so `nodes[next]` can alias it. (A
-            // local copy written back after the loop also costs a
-            // store-forwarding stall per visit.)
-            let at = id as usize;
-            let mut moved = 0;
-            while moved < self.nodes[at].rate && self.nodes[at].len > 0 {
-                let handle = self.ring[self.nodes[at].front()];
-                let flit = &mut self.slab[handle as usize];
-                if flit.ready_at > now {
-                    break; // strict FIFO: later flits wait behind it
-                }
-                let next_hop = usize::from(flit.hop) + 1;
-                if next_hop == flit.route.len() {
-                    let payload = flit.payload.take();
-                    flit.ready_at = u64::from(self.free);
-                    self.free = handle;
-                    self.stats.delivered += 1;
-                    count(&mut self.traffic[at].delivered);
-                    out.push(payload.expect("queued flit holds a payload"));
-                } else {
-                    let next = flit.route.hops[next_hop];
-                    let next_node = &mut self.nodes[next as usize];
-                    if next_node.len >= next_node.capacity {
-                        self.stats.hol_blocks += 1;
-                        count(&mut self.traffic[at].hol_blocked);
-                        break; // head-of-line blocking
-                    }
-                    flit.hop = next_hop as u8;
-                    flit.ready_at = now + u64::from(next_node.latency);
-                    if next_node.len == 0 {
-                        self.active.insert(next);
-                    }
-                    self.ring[next_node.push()] = handle;
-                    self.stats.hops += 1;
-                }
-                self.nodes[at].pop();
-                moved += 1;
+        // its first flit during this call joins `active` but is not
+        // visited (its flit is not ready before `now + latency` anyway).
+        match self.active.len() {
+            0 => {}
+            // One or two active nodes (the common case of a quiet fabric):
+            // rotation by `now % len` is the identity or `now`'s low bit.
+            1 => {
+                let id = self.active.first().expect("one active node");
+                self.visit(id, now, out);
             }
-            if self.nodes[at].len == 0 {
-                self.active.remove(id);
+            2 => {
+                let low = self.active.first().expect("two active nodes");
+                let high = self.active.last().expect("two active nodes");
+                let (first, second) = if now % 2 == 0 {
+                    (low, high)
+                } else {
+                    (high, low)
+                };
+                self.visit(first, now, out);
+                self.visit(second, now, out);
+            }
+            len => {
+                let mut order = std::mem::take(&mut self.scratch);
+                self.active
+                    .rotated_into((now % len as u64) as usize, &mut order);
+                for &id in &order {
+                    self.visit(id, now, out);
+                }
+                self.scratch = order;
             }
         }
-        self.scratch = order;
+    }
+
+    /// Forwards up to `rate` ready flits from the front of node `id`'s
+    /// queue, then settles its membership of `active`.
+    ///
+    /// A visit pops one flit per move and nothing else pops this node, so
+    /// the moves are bounded by `min(rate, len)` up front. (A route that
+    /// revisits `id` pushes behind the front, and that flit is not ready
+    /// before `now + latency`.)
+    #[inline(always)]
+    fn visit(&mut self, id: NodeId, now: u64, out: &mut Vec<P>) {
+        // `nodes[id]` is re-read through the index at every use: a route
+        // may revisit `id`, so `nodes[next]` can alias it. (A local copy
+        // written back after the loop also costs a store-forwarding stall
+        // per visit.)
+        let at = id as usize;
+        let moves = self.nodes[at].rate.min(self.nodes[at].len);
+        for _ in 0..moves {
+            let handle = self.ring[self.nodes[at].front()];
+            let flit = &mut self.slab[handle as usize];
+            if flit.ready_at > now {
+                break; // strict FIFO: later flits wait behind it
+            }
+            let next_hop = usize::from(flit.hop) + 1;
+            if next_hop == flit.route.len() {
+                let payload = flit.payload.take();
+                flit.ready_at = u64::from(self.free);
+                self.free = handle;
+                self.stats.delivered += 1;
+                count(&mut self.traffic[at].delivered);
+                out.push(payload.expect("queued flit holds a payload"));
+            } else {
+                let next = flit.route.hops[next_hop];
+                let next_node = &mut self.nodes[next as usize];
+                if next_node.len >= next_node.capacity {
+                    self.stats.hol_blocks += 1;
+                    count(&mut self.traffic[at].hol_blocked);
+                    break; // head-of-line blocking
+                }
+                flit.hop = next_hop as u8;
+                flit.ready_at = now + u64::from(next_node.latency);
+                self.active.insert(next);
+                self.ring[next_node.push()] = handle;
+                self.stats.hops += 1;
+            }
+            self.nodes[at].pop();
+        }
+        self.active.set(id, self.nodes[at].len != 0);
     }
 }
 

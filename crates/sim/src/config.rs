@@ -73,7 +73,7 @@ pub enum ExecMode {
     /// loop charging the same per-instruction cycle accounting,
     /// re-entering the interpreter at every load/store/AMO/CSR/fence/ecall
     /// boundary where the NoC, adapters, or timing model must observe the
-    /// core.
+    /// core (a store to the MMIO op counter runs in-block).
     #[default]
     Translated,
     /// Naive stepper: every core visited every cycle with eager per-cycle

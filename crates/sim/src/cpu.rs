@@ -249,6 +249,10 @@ pub struct Core {
     pub pending: Option<PendingMem>,
     /// Posted stores awaiting acknowledgement.
     pub outstanding_stores: u32,
+    /// While the core waits in the ready queue's wheel, the next core in
+    /// its slot (see `crate::ready`); stale otherwise. Host scheduling
+    /// state like `charged_until`, left out of the state bytes.
+    pub(crate) ready_link: u32,
     /// Per-core statistics.
     pub stats: CoreStats,
 }
@@ -267,6 +271,7 @@ impl Core {
             parked_at: 0,
             pending: None,
             outstanding_stores: 0,
+            ready_link: u32::MAX,
             stats: CoreStats::default(),
         }
     }

@@ -52,6 +52,7 @@ pub mod cpu;
 mod machine;
 mod phases;
 mod profiler;
+mod ready;
 mod snapshot;
 mod spm;
 mod stats;

@@ -54,10 +54,16 @@
 //! * **Ready queue.** A `Running` core whose `ready_at` lies beyond the
 //!   next cycle after its visit (branch penalty, divide latency, a
 //!   superblock that ran ahead) also leaves the runnable set and waits in
-//!   a min-heap keyed by `(ready_at, core)`; it is re-admitted, like a
-//!   woken core, by insertion at exactly cycle `ready_at`. Cores
-//!   blocked by a full outbox, a full store buffer or an undrained fence
-//!   retry every cycle (`ready_at ≤ now + 1`) and stay in the set.
+//!   the ready queue; it is re-admitted, like a woken core, by insertion
+//!   at exactly cycle `ready_at`. The queue is a 64-slot timing wheel of
+//!   one-cycle slots, each a list threaded through the cores, plus a
+//!   min-heap for the rare core due 64 or more cycles ahead (a long
+//!   `Countdown` run-ahead); an occupancy bitmap gives fast-forwarding its
+//!   earliest time. The order in which one cycle's due cores come out is
+//!   unobservable: each re-admission is a set insert and that core's own
+//!   stall credit. Cores blocked by a full outbox, a full store buffer or
+//!   an undrained fence retry every cycle (`ready_at ≤ now + 1`) and stay
+//!   in the set.
 //! * **Lazy accounting.** Sleep/barrier cycle counters are settled as one
 //!   `now − parked_at` delta on wake, and the stall cycles of a deferred
 //!   core as one `(ready_at − 1) − max(parked_at, charged_until)` delta on
@@ -65,7 +71,7 @@
 //!   [`Machine::state_bytes`]), instead of one increment per skipped visit.
 //! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] skips
 //!   straight to the next event when the runnable set and the outboxes
-//!   are empty: the earlier of the ready queue's head and both networks'
+//!   are empty: the earlier of the ready queue's earliest core and both networks'
 //!   [`next_ready_at`](Network::next_ready_at). Long all-asleep phases —
 //!   the common case under LRSCwait — cost O(events), and an all-parked
 //!   deadlock jumps directly to the watchdog.
@@ -86,7 +92,9 @@
 //! tight loop (`crate::translate::run_block`), re-entering the
 //! interpreter at every load/store/AMO/CSR/fence/ecall boundary — i.e.
 //! exactly where the NoC, the adapters, or the timing model must observe
-//! the core. Inside a superblock timing does not depend on data, so a
+//! the core. (A `sw` to the MMIO op counter is the one store nothing
+//! observes but the core's own `ops` count, so a superblock runs it.)
+//! Inside a superblock timing does not depend on data, so a
 //! run of single-cycle micro-ops is accounted once and a taken
 //! `addi`/`bnez` delay loop is retired arithmetically (formulas in
 //! `crate::translate`). Superblocks run *ahead* of the machine clock up
@@ -130,8 +138,7 @@
 //! of returning events, the bank's `handle_traced`, is called as
 //! [`Bank::handle`] while the tracer is off.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -146,6 +153,7 @@ use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram};
 use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
 use crate::profiler::{Phase, PhaseProfile, Profiler, ProfilerConfig};
+use crate::ready::ReadyQueue;
 use crate::spm::Spm;
 use crate::stats::{CoreStats, ExitReason, RunSummary, SimStats, WorkStats};
 use crate::translate::Translation;
@@ -335,11 +343,12 @@ pub(crate) struct State {
     /// Cores re-enter by insertion: response deliveries, barrier releases
     /// and ready-queue re-admissions.
     pub(crate) runnable: IdSet,
-    /// `Running` cores that cannot issue before `now + 2`, as a min-heap
-    /// of `(ready_at, core)`: each is re-admitted to `runnable` at exactly
-    /// cycle `ready_at`, with `Core::parked_at` holding the cycle it was
-    /// deferred at. Always empty in [`ExecMode::Reference`].
-    pub(crate) ready_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `Running` cores that cannot issue before `now + 2`, by
+    /// `ready_at` (a timing wheel, see `crate::ready`): each is re-admitted
+    /// to `runnable` at exactly cycle `ready_at`, with `Core::parked_at`
+    /// holding the cycle it was deferred at. Always empty in
+    /// [`ExecMode::Reference`].
+    pub(crate) ready_queue: ReadyQueue,
     /// Cores with a non-empty request outbox (Phase 5 of the production
     /// stepper).
     pub(crate) dirty_cores: IdSet,
@@ -461,7 +470,7 @@ impl Machine {
             park_kind: vec![OpKind::Load; num_cores],
             chaos: cfg.chaos.map(ChaosState::new),
             runnable,
-            ready_queue: BinaryHeap::with_capacity(num_cores),
+            ready_queue: ReadyQueue::with_capacity(num_cores),
             dirty_cores: IdSet::new(num_cores),
         };
         let mut machine = Machine {
@@ -836,11 +845,7 @@ impl Machine {
         // ever occur (all-parked deadlock): jump straight to the limit
         // (normally the watchdog).
         let now = self.state.cycle;
-        let mut next = self
-            .state
-            .ready_queue
-            .peek()
-            .map_or(u64::MAX, |&Reverse((t, _))| t);
+        let mut next = self.state.ready_queue.earliest(now).unwrap_or(u64::MAX);
         if next > now + 1 {
             next = next.min(self.state.req_net.next_ready_at().unwrap_or(u64::MAX));
         }
@@ -1159,17 +1164,17 @@ impl Machine {
     /// (`parked_at + 1 ..= now − 1`, minus those a superblock already
     /// charged in-block).
     fn readmit_ready_cores(&mut self, now: u64) {
-        while let Some(&Reverse((t, c))) = self.state.ready_queue.peek() {
-            if t > now {
-                break;
-            }
-            debug_assert_eq!(t, now, "deferred core re-admitted late");
-            self.state.ready_queue.pop();
-            let core = &mut self.state.cores[c as usize];
-            core.stats.stall_cycles += (t - 1) - core.parked_at.max(core.charged_until);
-            let fresh = self.state.runnable.insert(c);
+        let State {
+            cores,
+            ready_queue,
+            runnable,
+            ..
+        } = &mut self.state;
+        ready_queue.pop_due(cores, now, |core, c| {
+            core.stats.stall_cycles += (now - 1) - core.parked_at.max(core.charged_until);
+            let fresh = runnable.insert(c);
             debug_assert!(fresh, "deferred core was still runnable");
-        }
+        });
     }
 
     fn complete_response(&mut self, c: usize, resp: MemResponse, now: u64) {
@@ -1344,14 +1349,14 @@ impl State {
                 }
             }
         }
-        for &Reverse((_, c)) in &self.ready_queue {
+        self.ready_queue.for_each(&self.cores, |c| {
             let core = &self.cores[c as usize];
             // Saturating: after a run that stopped on a guest fault, a
             // superblock may already have charged beyond `cycle`.
             stats[c as usize].stall_cycles += self
                 .cycle
                 .saturating_sub(core.parked_at.max(core.charged_until));
-        }
+        });
         stats
     }
 }

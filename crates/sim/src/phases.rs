@@ -17,8 +17,7 @@
 //! [`Bank::handle`] over `handle_traced` when the tracer is off, so an
 //! untraced bank is never handed an observer at all.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use lrscwait_core::{Bank, MemRequest, MemResponse, Qnode, WordStorage};
 use lrscwait_isa::AmoOp;
@@ -31,6 +30,7 @@ use crate::cpu::{
     MemIntent, PendingKind, PendingMem,
 };
 use crate::machine::SimError;
+use crate::ready::ReadyQueue;
 use crate::spm::Spm;
 use crate::stats::WorkStats;
 use crate::translate::{run_block, Translation};
@@ -182,9 +182,10 @@ pub(crate) struct CorePhase<'a> {
 /// a runnable core whose pc enters a superblock executes the whole block
 /// (up to `horizon`) in one call, any other pc takes one interpreter
 /// step. A visited core that stopped `Running` leaves `runnable`; one that
-/// cannot issue before `now + 2` leaves it for `ready_queue` (the machine
-/// re-admits it at exactly `ready_at`, crediting the skipped stall cycles
-/// as one delta).
+/// cannot issue before `now + 2` leaves it for `ready_queue`, on the
+/// wheel slot of its `ready_at` or, 64 or more cycles ahead, on the heap
+/// (the machine re-admits it at exactly `ready_at`, crediting the skipped
+/// stall cycles as one delta).
 ///
 /// # Errors
 ///
@@ -194,7 +195,7 @@ pub(crate) fn step_translated_cores(
     ctx: &mut CorePhase<'_>,
     translation: &Translation,
     runnable: &mut IdSet,
-    ready_queue: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    ready_queue: &mut ReadyQueue,
     now: u64,
     horizon: u64,
 ) -> Result<(), SimError> {
@@ -215,7 +216,7 @@ pub(crate) fn step_translated_cores(
             // visit until then would be a no-op stall.
             core.parked_at = now;
             runnable.remove(c);
-            ready_queue.push(Reverse((core.ready_at, c)));
+            ready_queue.push(ctx.cores, c, now);
             ctx.work.deferrals += 1;
         }
         result?;
@@ -290,16 +291,11 @@ impl CorePhase<'_> {
             return Ok(());
         }
         if let Some(entry) = translation.entry(self.cores[i].pc) {
-            self.work.superblock_entries += 1;
-            run_block(
-                &mut self.cores[i],
-                translation,
-                entry,
-                now,
-                horizon,
-                &self.cfg.timing,
-            );
-            return Ok(());
+            let timing = &self.cfg.timing;
+            if run_block(&mut self.cores[i], translation, entry, now, horizon, timing) {
+                self.work.superblock_entries += 1;
+                return Ok(());
+            }
         }
         self.cores[i].stats.active_cycles += 1;
         self.interp_step(c, now)

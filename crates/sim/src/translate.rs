@@ -53,10 +53,20 @@
 //! events — in both modes those instructions are trace-silent — so
 //! statistics, trace streams, and snapshots stay bit-identical with the
 //! reference interpreter.
+//!
+//! The one exception is the op-counter store: a `sw` (`UopKind::StoreWord`)
+//! whose address, computed from the registers when it is next, is
+//! `MMIO_BASE + mmio_reg::OP_COUNT`. The interpreter's MMIO write does
+//! nothing else with it — one cycle, `ops += value`, no memory access, no
+//! trace event, no store buffer — so the block does the same, charging
+//! `ops` at the store's issue cycle, which like every in-block issue is at
+//! or before the horizon. Any other store ends the block before it, and a
+//! block entered at one returns without progress, so the interpreter
+//! executes it at its own cycle.
 
 use lrscwait_isa::{AluOp, MicroOp, Reg, UopKind};
 
-use crate::config::CoreTiming;
+use crate::config::{mmio_reg, CoreTiming, MMIO_BASE};
 use crate::cpu::{Core, DecodedProgram};
 
 /// A fully lowered program image: one [`MicroOp`] per instruction.
@@ -93,6 +103,7 @@ impl Translation {
             .chain([MicroOp::BOUNDARY])
             .collect();
         MicroOp::mark_countdowns(&mut uops);
+        MicroOp::mark_word_stores(&program.instrs, &mut uops);
         let mut runs = vec![0u8; uops.len()];
         for i in (0..len as usize).rev() {
             if uops[i].kind.is_run() {
@@ -118,7 +129,9 @@ impl Translation {
     /// an in-text, aligned, *non-boundary* micro-op. Boundary
     /// instructions and out-of-text pcs return `None` — the caller runs
     /// one interpreter step instead, which performs the architectural
-    /// action (or raises the fault) at the correct cycle.
+    /// action (or raises the fault) at the correct cycle. A word store is
+    /// an entry, but a superblock runs it only when it writes the op
+    /// counter.
     #[must_use]
     pub fn entry(&self, pc: u32) -> Option<usize> {
         let rel = pc.wrapping_sub(self.base);
@@ -128,9 +141,28 @@ impl Translation {
     }
 }
 
+/// The address of the MMIO op counter, the one store a superblock runs.
+const OP_COUNTER: u32 = MMIO_BASE + mmio_reg::OP_COUNT;
+
+/// Whether `u` ends a superblock when it is next, given the registers it
+/// would read: a boundary always, a word store unless it writes the op
+/// counter.
+fn stops(u: MicroOp, regs: &[u32; 32]) -> bool {
+    match u.kind {
+        UopKind::Boundary => true,
+        UopKind::StoreWord => {
+            regs[usize::from(u.rs1.index() & 31)].wrapping_add(u.imm) != OP_COUNTER
+        }
+        _ => false,
+    }
+}
+
 /// Executes one superblock: issues micro-ops starting at `entry` until
-/// the next instruction is a boundary, control flow leaves the text
-/// image, or the next issue cycle would pass `horizon`.
+/// the next instruction is a boundary (or a store the block does not
+/// run), control flow leaves the text image, or the next issue cycle
+/// would pass `horizon`. Returns whether anything issued: a block entered
+/// at a store other than the op counter's returns `false` untouched, and
+/// the caller interprets the store.
 ///
 /// Entry invariants (checked by the caller): `now >= core.ready_at`, the
 /// request outbox has room, and `uops[entry]` is not a boundary.
@@ -141,6 +173,7 @@ impl Translation {
 /// at the last cycle already accounted into `core.stats` — later
 /// per-cycle visits and the deferred-stall credit must only charge
 /// cycles beyond it.
+#[must_use]
 pub(crate) fn run_block(
     core: &mut Core,
     trans: &Translation,
@@ -148,12 +181,15 @@ pub(crate) fn run_block(
     now: u64,
     horizon: u64,
     timing: &CoreTiming,
-) {
+) -> bool {
     use UopKind as K;
     // `Reg` is an index below 32; the mask lets the compiler see it.
     let x = |r: Reg| usize::from(r.index() & 31);
     let base = trans.base;
     let uops = &trans.uops[..];
+    if stops(uops[entry], &core.regs) {
+        return false;
+    }
     let penalty = u64::from(timing.branch_penalty);
     let mut idx = entry;
     // Issue cycle of `uops[idx]`; `t <= horizon` at the top of the loop.
@@ -233,6 +269,12 @@ pub(crate) fn run_block(
                     K::BgeOut => branch_out!((a as i32) >= (b as i32)),
                     K::BltuOut => branch_out!(a < b),
                     K::BgeuOut => branch_out!(a >= b),
+                    // The op counter: one cycle, no memory access, no
+                    // trace event — what the interpreter's MMIO write does.
+                    K::StoreWord => {
+                        core.stats.ops += u64::from(b);
+                        fall_through
+                    }
                     K::Countdown => match core.regs[x(u.rd)] {
                         0 => fall_through,
                         // Taken, and so are the next `v - 1`: retire as
@@ -295,7 +337,7 @@ pub(crate) fn run_block(
                 (idx + n, t + n as u64 - 1, t + n as u64)
             }
         };
-        if uops[next].is_boundary() || ready > horizon {
+        if stops(uops[next], &core.regs) || ready > horizon {
             break (base.wrapping_add(4 * next as u32), ready, issued);
         }
         // In-block pipeline gap (branch penalty, divide latency): the
@@ -310,6 +352,7 @@ pub(crate) fn run_block(
     core.stats.instret += instret;
     core.stats.active_cycles += instret;
     core.stats.stall_cycles += stall;
+    true
 }
 
 #[cfg(test)]
@@ -336,7 +379,14 @@ mod tests {
         assert_eq!(trans.entry(prog.base + 2), None, "misaligned");
 
         let mut core = Core::new(0, prog.base);
-        run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default());
+        assert!(run_block(
+            &mut core,
+            &trans,
+            0,
+            0,
+            u64::MAX,
+            &CoreTiming::default()
+        ));
         assert_eq!(core.reg(lrscwait_isa::Reg::A2), 12);
         assert_eq!(core.pc, prog.base + 12, "stopped at the ecall");
         assert_eq!(core.ready_at, 3);
@@ -353,7 +403,7 @@ mod tests {
         let trans = Translation::new(&prog);
         let timing = CoreTiming::default();
         let mut core = Core::new(0, prog.base);
-        run_block(&mut core, &trans, 0, 0, u64::MAX, &timing);
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing));
         assert_eq!(core.reg(lrscwait_isa::Reg::T0), 0);
         assert_eq!(core.pc, prog.base + 12);
         // 9 instructions issue (li + 4×(addi, bnez)); each of the 3
@@ -373,7 +423,7 @@ mod tests {
         let timing = CoreTiming::default();
         fn run(core: &mut Core, trans: &Translation, now: u64, horizon: u64, timing: &CoreTiming) {
             let entry = trans.entry(core.pc).expect("re-enterable");
-            run_block(core, trans, entry, now, horizon, timing);
+            assert!(run_block(core, trans, entry, now, horizon, timing));
         }
         // Horizon 1 → issues at cycles 0 and 1, then must stop.
         let mut split = Core::new(0, prog.base);
@@ -398,7 +448,7 @@ mod tests {
         let trans = Translation::new(&prog);
         let timing = CoreTiming::default();
         let mut core = Core::new(0, prog.base);
-        run_block(&mut core, &trans, 0, 0, u64::MAX, &timing);
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing));
         assert_eq!(core.reg(lrscwait_isa::Reg::A2), 14);
         assert_eq!(core.reg(lrscwait_isa::Reg::A3), 2);
         // Issues at 0, 1, 2 (div → ready 2 + div_latency), then the rem
@@ -417,7 +467,14 @@ mod tests {
         let prog = decoded("li t0, 0x9000\njalr ra, 0(t0)\necall\n");
         let trans = Translation::new(&prog);
         let mut core = Core::new(0, prog.base);
-        run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default());
+        assert!(run_block(
+            &mut core,
+            &trans,
+            0,
+            0,
+            u64::MAX,
+            &CoreTiming::default()
+        ));
         assert_eq!(core.pc, 0x9000, "interpreter will raise IllegalPc here");
         // `li t0, 0x9000` expands to lui+addi, so the jalr sits at
         // base + 8 and links base + 12.
@@ -470,7 +527,7 @@ mod tests {
             let now = core.ready_at;
             if let Some(entry) = trans.entry(core.pc).filter(|_| now <= horizon) {
                 core.stats.stall_cycles += (now - core.charged_until).saturating_sub(1);
-                run_block(core, trans, entry, now, horizon, timing);
+                assert!(run_block(core, trans, entry, now, horizon, timing));
             }
         }
     }
@@ -605,7 +662,7 @@ mod tests {
                         oracle.stats.instret = 17;
                         let mut block = oracle.clone();
                         // Horizon `now`: exactly one instruction issues.
-                        run_block(&mut block, &trans, entry, now, now, timing);
+                        assert!(run_block(&mut block, &trans, entry, now, now, timing));
                         oracle.stats.active_cycles += 1;
                         oracle.charged_until = now;
                         assert_eq!(oracle.execute(&prog, now, timing), Ok(Action::Done));
@@ -721,6 +778,60 @@ mod tests {
     }
 
     #[test]
+    fn op_counter_stores_run_in_block_and_other_stores_stop_it() {
+        let prog = decoded(
+            "li s0, 0xFFFF0000\nli t0, 3\nsw t0, 4(s0)\naddi a0, a0, 1\nsw t0, 4(s0)\n\
+             sw t0, 8(s0)\necall\n",
+        );
+        let trans = Translation::new(&prog);
+        let region = 4 * (prog.instrs.len() as u32 - 2);
+        let issued = u64::from(region / 4);
+        let mut core = Core::new(0, prog.base);
+        assert!(run_block(
+            &mut core,
+            &trans,
+            0,
+            0,
+            u64::MAX,
+            &CoreTiming::default()
+        ));
+        assert_eq!(core.stats.ops, 6, "both op-counter stores ran");
+        assert_eq!(core.pc, prog.base + region, "stopped at the region marker");
+        assert_eq!((core.ready_at, core.charged_until), (issued, issued - 1));
+        assert_eq!(core.stats.instret, issued);
+        assert_eq!(core.stats.active_cycles, issued);
+        assert_eq!(core.stats.stall_cycles, 0);
+
+        // Entered at a store the block does not run: no progress at all.
+        let entry = trans.entry(core.pc).expect("a store is an entry");
+        let before = core.clone();
+        assert!(!run_block(
+            &mut core,
+            &trans,
+            entry,
+            issued,
+            u64::MAX,
+            &CoreTiming::default()
+        ));
+        assert_same_core(&core, &before, &"entered at the region marker");
+
+        // Entered at an op-counter store, with the horizon at its issue.
+        let mut core = Core::new(0, prog.base + region - 4);
+        core.regs = before.regs;
+        let entry = trans.entry(core.pc).expect("a store is an entry");
+        assert!(run_block(
+            &mut core,
+            &trans,
+            entry,
+            10,
+            10,
+            &CoreTiming::default()
+        ));
+        assert_eq!(core.stats.ops, 3);
+        assert_eq!((core.pc, core.ready_at), (prog.base + region, 11));
+    }
+
+    #[test]
     fn falling_off_the_text_exits_at_the_end_pc() {
         let prog = decoded("li a0, 1\nli a1, 2\n");
         let trans = Translation::new(&prog);
@@ -728,7 +839,14 @@ mod tests {
         assert!(!trans.is_empty());
         assert_eq!(trans.entry(prog.base + 8), None, "one past the end");
         let mut core = Core::new(0, prog.base);
-        run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default());
+        assert!(run_block(
+            &mut core,
+            &trans,
+            0,
+            0,
+            u64::MAX,
+            &CoreTiming::default()
+        ));
         assert_eq!(core.pc, prog.base + 8, "the interpreter faults here");
         assert_eq!((core.ready_at, core.charged_until), (2, 1));
         assert_eq!(core.stats.instret, 2);

@@ -17,9 +17,9 @@ use lrscwait_bench::Experiment;
 /// deferrals, request-network node visits, response-network node visits)`.
 #[rustfmt::skip]
 const WORK: &[(&str, [u64; 6])] = &[
-    ("busy_loop_256", [8448, 5632, 2816, 2816, 7349, 6791]),
-    ("hist_spread_256", [100608, 67072, 33536, 33536, 130398, 123587]),
-    ("queue_sleep_256", [130503, 114630, 15873, 7937, 167022, 165204]),
+    ("busy_loop_256", [6400, 3584, 2816, 2816, 7349, 6791]),
+    ("hist_spread_256", [67840, 34304, 33536, 33536, 130398, 123586]),
+    ("queue_sleep_256", [122823, 109510, 13313, 7937, 167020, 165203]),
 ];
 
 fn row(work: WorkStats) -> [u64; 6] {
