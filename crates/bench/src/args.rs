@@ -14,6 +14,7 @@ use lrscwait_sim::{ExecMode, Mutation};
 
 use crate::experiment::BenchError;
 use crate::figures::{figure_listing, FIGURES};
+use crate::litmus::seeds_fit;
 
 /// `(name, value)` rows: the spellings an enumerated flag value accepts.
 pub type Names<T> = &'static [(&'static str, T)];
@@ -246,15 +247,18 @@ pub(crate) fn arch_slug(arch: SyncArch) -> String {
 }
 
 /// Parses the `--arch` syntax of `trace` and `litmus`: a name of `ARCHES`,
-/// with `:<count>` (at least 1) where it takes one. The error is the usage
-/// error's message.
+/// with `:<count>` (at least 1) exactly where it takes one. The error is
+/// the usage error's message.
 pub(crate) fn parse_arch(text: &str) -> Result<SyncArch, String> {
     let (name, count) = text
         .split_once(':')
         .map_or((text, None), |(name, count)| (name, Some(count)));
     let (_, (what, arch)) = pick("--arch", name, ARCHES)?;
     if what.is_empty() {
-        return Ok(arch(0));
+        return match count {
+            None => Ok(arch(0)),
+            Some(count) => Err(format!("--arch {name} takes no count (got `:{count}`)")),
+        };
     }
     let count = count.ok_or_else(|| format!("--arch {name} needs `:{what}`"))?;
     match count.parse() {
@@ -564,7 +568,14 @@ impl LitmusArgs {
             out: PathBuf::from("results"),
             mutation: Mutation::None,
         };
-        LITMUS.parse(args, defaults, |_| None)
+        let args = LITMUS.parse(args, defaults, |_| None)?;
+        if args.single_seed.is_none() && !seeds_fit(args.seed_start, args.seeds) {
+            return Err(LITMUS.usage(format!(
+                "--seed-start {} --seeds {}: the seed range overflows u64",
+                args.seed_start, args.seeds
+            )));
+        }
+        Ok(args)
     }
 }
 
@@ -710,6 +721,42 @@ mod tests {
             assert!(msg.contains("usage: litmus"), "{msg}");
         }
         assert_eq!(parse_arch("colibri:1"), Ok(SyncArch::Colibri { queues: 1 }));
+    }
+
+    #[test]
+    fn counts_on_count_less_arches_are_usage_errors() {
+        for (arch, name) in [("lrsc:3", "lrsc"), ("ideal:7", "ideal"), ("lrsc:", "lrsc")] {
+            let msg = usage(TraceArgs::parse, &["--arch", arch]);
+            assert!(
+                msg.contains(&format!("--arch {name} takes no count")),
+                "{msg}"
+            );
+            assert!(msg.contains("usage: trace"), "{msg}");
+            let msg = usage(LitmusArgs::parse, &["--arch", arch]);
+            assert!(
+                msg.contains(&format!("--arch {name} takes no count")),
+                "{msg}"
+            );
+        }
+        assert_eq!(parse_arch("lrsc"), Ok(SyncArch::Lrsc));
+        assert_eq!(parse_arch("ideal"), Ok(SyncArch::LrscWaitIdeal));
+    }
+
+    #[test]
+    fn a_seed_range_past_u64_max_is_a_usage_error() {
+        let max = u64::MAX.to_string();
+        let msg = usage(LitmusArgs::parse, &["--seed-start", &max, "--seeds", "2"]);
+        assert!(msg.contains("overflows"), "{msg}");
+        assert!(msg.contains("usage: litmus"), "{msg}");
+        // The last seed itself may be u64::MAX, and `--seed` ignores the
+        // range.
+        let last = LitmusArgs::parse(["--seed-start", &max, "--seeds", "1"].map(String::from));
+        assert_eq!(last.map(|a| a.seed_start).ok(), Some(u64::MAX));
+        let repro = ["--seed-start", &max, "--seeds", "2", "--seed", "3"].map(String::from);
+        assert_eq!(
+            LitmusArgs::parse(repro).map(|a| a.single_seed).ok(),
+            Some(Some(3))
+        );
     }
 
     #[test]

@@ -50,6 +50,8 @@ fn render_summary(summary: &LitmusSummary, seeds: u64, mutation: Mutation) -> St
     let _ = writeln!(out);
     let verdict = if summary.ok() {
         "✅ green"
+    } else if summary.runs == 0 {
+        "❌ nothing ran"
     } else {
         "❌ FAILED"
     };

@@ -12,8 +12,11 @@ use crate::report::print_table;
 use crate::{check_claim, BenchError, Measurement};
 
 pub(super) fn run(fig: &Figure) -> Result<(), BenchError> {
-    // (label, impl, arch, paper pJ/op, paper mW); the LR/SC loop and the
-    // lock back off 128 cycles, the kernel's default.
+    // (label, impl, arch, paper pJ/op, paper mW). The LR/SC loop backs
+    // off in the histogram's exponential window: 8 delay-loop iterations,
+    // doubled after each failure up to 1024 and reset after each success
+    // (crates/kernels/src/backoff.rs). The ticket lock waits 32 iterations
+    // per ticket ahead of its own.
     let configs = [
         ("Atomic Add", HistImpl::AmoAdd, SyncArch::Lrsc, 29.0, 175.0),
         (

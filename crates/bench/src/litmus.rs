@@ -313,11 +313,18 @@ pub struct LitmusSummary {
 }
 
 impl LitmusSummary {
-    /// Whether the whole sweep was green.
+    /// Whether the whole sweep was green: it ran something, and nothing
+    /// failed. A sweep of no runs checked nothing, so it is not green.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.failures.is_empty()
+        self.runs > 0 && self.failures.is_empty()
     }
+}
+
+/// Whether `seeds` consecutive seeds from `seed_start` all fit in a `u64`.
+#[must_use]
+pub fn seeds_fit(seed_start: u64, seeds: u64) -> bool {
+    seeds == 0 || seed_start.checked_add(seeds - 1).is_some()
 }
 
 /// Fuzzes `seeds` seeds over every case: run the full matrix per seed on
@@ -328,7 +335,9 @@ impl LitmusSummary {
 ///
 /// # Errors
 ///
-/// Propagates harness-level errors from [`run_litmus_case`].
+/// [`BenchError::Usage`] when the seeds `seed_start ..` run past
+/// `u64::MAX` (see [`seeds_fit`]); otherwise propagates harness-level
+/// errors from [`run_litmus_case`].
 pub fn fuzz_litmus(
     cases: &[LitmusCase],
     seed_start: u64,
@@ -336,8 +345,13 @@ pub fn fuzz_litmus(
     threads: usize,
     mutation: Mutation,
 ) -> Result<LitmusSummary, BenchError> {
+    if !seeds_fit(seed_start, seeds) {
+        return Err(BenchError::Usage(format!(
+            "{seeds} seeds from {seed_start} run past u64::MAX"
+        )));
+    }
     let points: Vec<(usize, u64)> = (0..cases.len())
-        .flat_map(|c| (seed_start..seed_start + seeds).map(move |s| (c, s)))
+        .flat_map(|c| (0..seeds).map(move |i| (c, seed_start + i)))
         .collect();
     let runs = points.len();
     let verdicts = Sweep::new("litmus")
@@ -404,6 +418,22 @@ mod tests {
                 scenario.name()
             );
         }
+    }
+
+    #[test]
+    fn a_sweep_that_runs_nothing_is_not_green() {
+        let summary = fuzz_litmus(&[], 1, 4, 1, Mutation::None).unwrap();
+        assert_eq!((summary.runs, summary.failures.len()), (0, 0));
+        assert!(!summary.ok(), "no run is no evidence");
+        let case = litmus_matrix()[0];
+        let summary = fuzz_litmus(&[case], 1, 0, 1, Mutation::None).unwrap();
+        assert!(!summary.ok());
+        // The range may end at u64::MAX, but not run past it.
+        let summary = fuzz_litmus(&[case], u64::MAX, 1, 1, Mutation::None).unwrap();
+        assert_eq!(summary.runs, 1);
+        assert!(summary.ok());
+        let past = fuzz_litmus(&[case], u64::MAX, 2, 1, Mutation::None);
+        assert!(matches!(past, Err(BenchError::Usage(_))), "{past:?}");
     }
 
     #[test]
