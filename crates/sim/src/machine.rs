@@ -71,10 +71,11 @@
 //!   [`Machine::state_bytes`]), instead of one increment per skipped visit.
 //! * **Cycle fast-forwarding.** Between cycles, [`Machine::run`] skips
 //!   straight to the next event when the runnable set and the outboxes
-//!   are empty: the earlier of the ready queue's earliest core and both networks'
-//!   [`next_ready_at`](Network::next_ready_at). Long all-asleep phases —
-//!   the common case under LRSCwait — cost O(events), and an all-parked
-//!   deadlock jumps directly to the watchdog.
+//!   are empty: the earlier of the ready queue's earliest due cycle and
+//!   both networks' [`next_ready_at`](Network::next_ready_at). Long
+//!   all-asleep phases — the common case under LRSCwait — cost
+//!   O(events), and an all-parked deadlock jumps directly to the
+//!   watchdog.
 //! * **Allocation-free hot loops.** Every per-cycle scratch buffer
 //!   (message buffers, the dirty-bank/dirty-core/runnable sets, the ready
 //!   queue, the networks' rings and visit lists) is reused; steady-state
