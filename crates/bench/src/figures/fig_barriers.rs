@@ -48,6 +48,20 @@
 //! seconds apart. A retry barrier collapsing at kilocore scale is the
 //! finding, not a harness failure. The headline claims compare at the
 //! largest core count where every compared series completed.
+//!
+//! # Output
+//!
+//! `fig_barriers.csv` has the columns
+//! `series,arch,cores,episodes,cycles_per_episode,cycles,stall_cycles,hol_blocks`.
+//! Each completed point also writes
+//! `fig_barriers.heatmap.<impl>_<arch>_c<cores>.csv` (10 under `--quick`;
+//! 13 at full size, where 2 of the 15 points are DNF) with the columns
+//! `net,node,injected,inject_stalled,delivered,hol_blocked`: `net` is
+//! `request` or `response`, `node` the network node id (banks first, then
+//! tile ingress, cross-group links, group routers and tile egress ports in
+//! id order), and the four counters are that node's traffic as the
+//! network counts it itself — per-node evidence of *where* a polling storm
+//! saturates the fabric. Untouched nodes are omitted.
 
 use lrscwait_core::SyncArch;
 use lrscwait_kernels::{BarrierImpl, BarrierKernel};

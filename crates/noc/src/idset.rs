@@ -114,23 +114,6 @@ impl IdSet {
         self.iter_from(from).next()
     }
 
-    /// Smallest member, if any: two trailing-zero counts behind the first
-    /// non-zero summary word.
-    #[must_use]
-    pub fn first(&self) -> Option<u32> {
-        let s = self.summary.iter().position(|&bits| bits != 0)?;
-        let w = s * 64 + self.summary[s].trailing_zeros() as usize;
-        Some((w * 64) as u32 + self.words[w].trailing_zeros())
-    }
-
-    /// Largest member, if any: [`first`](IdSet::first) from the top.
-    #[must_use]
-    pub fn last(&self) -> Option<u32> {
-        let s = self.summary.iter().rposition(|&bits| bits != 0)?;
-        let w = s * 64 + 63 - self.summary[s].leading_zeros() as usize;
-        Some((w * 64) as u32 + 63 - self.words[w].leading_zeros())
-    }
-
     /// The members `>= from`, ascending.
     #[must_use]
     pub fn iter_from(&self, from: u32) -> Iter<'_> {
@@ -262,20 +245,18 @@ mod tests {
         assert_eq!(set.next_from(4098), Some(8999));
         assert_eq!(set.next_from(9000), None);
         assert_eq!(set.next_from(u32::MAX), None, "past the universe");
-        assert_eq!((set.first(), set.last()), (Some(0), Some(8999)));
         // Emptying the only word under a summary bit clears that bit.
         for id in [4096, 4097, 8999] {
             set.remove(id);
         }
         assert_eq!(set.next_from(66), Some(4095));
         assert_eq!(set.next_from(4096), None);
-        assert_eq!(set.last(), Some(4095));
         for id in [0, 1, 63, 64] {
             set.remove(id);
         }
-        assert_eq!((set.first(), set.last()), (Some(65), Some(4095)));
+        assert_eq!(set.next_from(0), Some(65));
         set.clear();
-        assert_eq!((set.first(), set.last()), (None, None));
+        assert_eq!(set.next_from(0), None);
     }
 
     #[test]

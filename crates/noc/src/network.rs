@@ -206,11 +206,9 @@ pub struct NetworkStats {
 /// [`advance`](Network::advance) visits the nodes that hold a message in
 /// ascending node id rotated by `now % active_count` — the determinism
 /// contract. The active set is an [`IdSet`], whose iteration order *is*
-/// ascending id, so the order needs no sorting. A set of one or two nodes,
-/// the common case of an uncongested fabric, is visited straight from the
-/// set: one node needs no rotation, and two swap on odd cycles. Larger
-/// sets are copied, rotated, into a reused visit list first, because a
-/// visit inserts the downstream node into the set it walks.
+/// ascending id, so the order needs no sorting. The set is copied,
+/// rotated, into a reused visit list first, because a visit inserts the
+/// downstream node into the set it walks.
 #[derive(Debug)]
 pub struct Network<P> {
     nodes: Vec<Node>,
@@ -444,35 +442,16 @@ impl<P> Network<P> {
         // The cycle's visit list is fixed up front: a node that receives
         // its first flit during this call joins `active` but is not
         // visited (its flit is not ready before `now + latency` anyway).
-        match self.active.len() {
-            0 => {}
-            // One or two active nodes (the common case of a quiet fabric):
-            // rotation by `now % len` is the identity or `now`'s low bit.
-            1 => {
-                let id = self.active.first().expect("one active node");
-                self.visit(id, now, out);
-            }
-            2 => {
-                let low = self.active.first().expect("two active nodes");
-                let high = self.active.last().expect("two active nodes");
-                let (first, second) = if now % 2 == 0 {
-                    (low, high)
-                } else {
-                    (high, low)
-                };
-                self.visit(first, now, out);
-                self.visit(second, now, out);
-            }
-            len => {
-                let mut order = std::mem::take(&mut self.scratch);
-                self.active
-                    .rotated_into((now % len as u64) as usize, &mut order);
-                for &id in &order {
-                    self.visit(id, now, out);
-                }
-                self.scratch = order;
-            }
+        let len = self.active.len() as u64;
+        if len == 0 {
+            return;
         }
+        let mut order = std::mem::take(&mut self.scratch);
+        self.active.rotated_into((now % len) as usize, &mut order);
+        for &id in &order {
+            self.visit(id, now, out);
+        }
+        self.scratch = order;
     }
 
     /// Forwards up to `rate` ready flits from the front of node `id`'s

@@ -7,14 +7,11 @@
 //! and consumes no network bandwidth — the property the LRSCwait extension
 //! exploits.
 
-use std::sync::{Arc, OnceLock};
-
 use lrscwait_isa::{AluOp, AmoOp, Csr, CsrOp, Instr, MemWidth, Reg};
 use lrscwait_trace::OpKind;
 
 use crate::config::CoreTiming;
 use crate::stats::CoreStats;
-use crate::translate::Translation;
 
 /// The trace [`OpKind`] a blocking atomic parks a core under — the
 /// "cause" attached to the simulator's park/wake trace events and the
@@ -31,11 +28,10 @@ pub fn amo_op_kind(op: AmoOp) -> OpKind {
     }
 }
 
-/// A decoded program image shared by all cores — and, behind an
-/// [`std::sync::Arc`], by all machines of a sweep: decoding (and the
-/// text/raw/source-line buffers) happens once per distinct program, not
-/// once per [`crate::Machine`].
-#[derive(Debug)]
+/// A decoded program image shared by all cores of a machine — and,
+/// behind an [`std::sync::Arc`], by every [`crate::Machine`] built from it
+/// with `Machine::with_decoded`.
+#[derive(Clone, Debug)]
 pub struct DecodedProgram {
     /// ROM base address.
     pub base: u32,
@@ -55,34 +51,6 @@ pub struct DecodedProgram {
     pub bss_base: u32,
     /// Size in bytes of the zero-initialized segment.
     pub bss_size: u32,
-    /// Lazily-built superblock translation for `ExecMode::Translated`
-    /// (see [`Translation`]). Built at most once per program image and
-    /// shared by every machine (and every snapshot restore) holding this
-    /// `DecodedProgram` — sweeps that share the image behind an `Arc`
-    /// translate once.
-    translation: OnceLock<Arc<Translation>>,
-}
-
-impl Clone for DecodedProgram {
-    fn clone(&self) -> DecodedProgram {
-        DecodedProgram {
-            base: self.base,
-            instrs: self.instrs.clone(),
-            raw: self.raw.clone(),
-            source_lines: self.source_lines.clone(),
-            entry: self.entry,
-            data_base: self.data_base,
-            data: self.data.clone(),
-            bss_base: self.bss_base,
-            bss_size: self.bss_size,
-            // A clone is the same program image, so the translation (if
-            // already built) stays valid and is shared, not rebuilt.
-            translation: self
-                .translation
-                .get()
-                .map_or_else(OnceLock::new, |t| OnceLock::from(Arc::clone(t))),
-        }
-    }
 }
 
 impl DecodedProgram {
@@ -110,7 +78,6 @@ impl DecodedProgram {
             data: program.data.clone(),
             bss_base: program.bss_base,
             bss_size: program.bss_size,
-            translation: OnceLock::new(),
         })
     }
 
@@ -122,15 +89,6 @@ impl DecodedProgram {
         }
         let idx = ((pc - self.base) / 4) as usize;
         (idx < self.instrs.len()).then_some(idx)
-    }
-
-    /// The superblock translation of this image, built on first use and
-    /// cached for the lifetime of the `DecodedProgram` (machines,
-    /// restores, and sweep workers all share the same `Arc`).
-    #[must_use]
-    pub fn translation(&self) -> &Arc<Translation> {
-        self.translation
-            .get_or_init(|| Arc::new(Translation::new(self)))
     }
 }
 

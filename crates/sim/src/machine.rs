@@ -20,6 +20,11 @@
 //! 5. Flush core outboxes into the request network (backpressure stalls
 //!    the core), with the per-cycle rotated round-robin start.
 //!
+//! Every phase is a `Machine` method that borrows the fields it touches
+//! one by one. The bodies of Phases 1 and 4 — serving one request at its
+//! bank (`serve`, which a host [`Machine::inject_store`] takes too) and
+//! stepping the cores — live in `phases.rs`, the rest here.
+//!
 //! One host thread steps one machine, start to finish. A `Machine` is
 //! `Send` (as is every [`Bank`]), so the way to use more CPUs is to
 //! build independent machines on independent threads — which is what the
@@ -88,7 +93,7 @@
 //!
 //! Instead of dispatching one instruction per visit, the production
 //! stepper pre-lowers the program image into micro-ops (once per
-//! [`DecodedProgram`], shared across machines and restores), and a
+//! machine, at construction; a restore keeps them), and a
 //! runnable core executes a whole straight-line-plus-branches run in one
 //! tight loop (`crate::translate::run_block`), re-entering the
 //! interpreter at every load/store/AMO/CSR/fence/ecall boundary — i.e.
@@ -152,7 +157,7 @@ use lrscwait_trace::{OpKind, TraceEvent, TraceSink, Tracer, WakeCause};
 use crate::chaos::ChaosState;
 use crate::config::{ConfigError, ExecMode, SimConfig, ROM_BASE};
 use crate::cpu::{Core, CoreState, DecodedProgram};
-use crate::phases::{self, CorePhase, ReqMsg, RespMsg};
+use crate::phases::{ReqMsg, RespMsg, HOST_CORE};
 use crate::profiler::{Phase, PhaseProfile, Profiler, ProfilerConfig};
 use crate::ready::ReadyQueue;
 use crate::spm::Spm;
@@ -277,7 +282,7 @@ pub struct Machine {
     pub(crate) state: State,
     /// Tracing switch: [`Tracer::Off`] by default (tracing observes, it
     /// never steers).
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// Host-side phase profiler: [`Profiler::Off`] by default, following
     /// the same discipline as `tracer` — off is one predictable branch
     /// per site, and profiling never perturbs simulated results (it only
@@ -289,13 +294,12 @@ pub struct Machine {
     /// Delivered requests of this cycle as (bank, delivery index), sorted —
     /// the bank-id-ordered service schedule.
     req_order: Vec<(u32, u32)>,
-    /// Response buffer handed to [`Bank::handle`] during bank service.
-    adapter_out: Vec<(u32, MemResponse)>,
+    /// Response buffer handed to [`Bank::handle`] by `Machine::serve`.
+    pub(crate) adapter_out: Vec<(u32, MemResponse)>,
     /// Superblock translation of the program image, built at
     /// construction unless `cfg.exec_mode == ExecMode::Reference` (kept
-    /// `None` there) and shared with the `DecodedProgram`'s cache —
-    /// sweeps and snapshot restores reuse it, never rebuild it.
-    translation: Option<Arc<Translation>>,
+    /// `None` there); a snapshot restore keeps it.
+    pub(crate) translation: Option<Translation>,
     /// Cycle horizon superblocks may run ahead to. Set by
     /// [`Machine::run_until`] for the duration of the run loop (clamped
     /// to the watchdog and the target) and reset to 0 on exit, so direct
@@ -303,7 +307,7 @@ pub struct Machine {
     /// per core per visit in both modes.
     step_limit: u64,
     /// Host work done so far (see [`Machine::work`]).
-    work: WorkStats,
+    pub(crate) work: WorkStats,
 }
 
 /// Everything a run changes, and nothing that only configures or
@@ -384,10 +388,9 @@ impl Machine {
         Machine::with_decoded(cfg, Machine::decode(program)?)
     }
 
-    /// Decodes a program into an image shareable across machines.
-    ///
-    /// Sweep runners decode each distinct program once and hand the same
-    /// [`Arc`] to every worker via [`Machine::with_decoded`].
+    /// Decodes a program into an image that machines built with
+    /// [`Machine::with_decoded`] can share behind one [`Arc`]. Each of them
+    /// still translates it for itself.
     ///
     /// # Errors
     ///
@@ -440,12 +443,11 @@ impl Machine {
 
         let entry = program.entry;
         // Translate at construction (not lazily in the run loop) so the
-        // steady-state cycle stays allocation-free and sweep workers
-        // sharing the image behind an `Arc` translate exactly once.
+        // steady-state cycle stays allocation-free.
         let translation = cfg
             .exec_mode
             .event_scheduled()
-            .then(|| Arc::clone(program.translation()));
+            .then(|| Translation::new(&program));
         let mut runnable = IdSet::new(num_cores);
         for id in 0..num_cores as u32 {
             runnable.insert(id);
@@ -504,16 +506,6 @@ impl Machine {
     #[must_use]
     pub fn mode(&self) -> ExecMode {
         self.cfg.exec_mode
-    }
-
-    /// The superblock translation this machine executes with — `None`
-    /// exactly in [`ExecMode::Reference`]. The `Arc` is shared with the
-    /// program image's cache (`DecodedProgram::translation`), so two
-    /// machines on the same image — or one machine across a
-    /// [`Machine::restore`] — return pointer-identical translations.
-    #[must_use]
-    pub fn translation(&self) -> Option<&Arc<Translation>> {
-        self.translation.as_ref()
     }
 
     /// Attaches a trace sink. Must be called before the first cycle so
@@ -656,40 +648,13 @@ impl Machine {
         assert!(addr < self.state.spm.bytes(), "host store outside SPM");
         assert_eq!(addr % 4, 0, "host stores are word-aligned");
         let now = self.state.cycle;
-        let bank = self.bank_of(addr);
-        let num_banks = self.num_banks();
         self.tracer.emit(now, || TraceEvent::Inject { addr, value });
         let req = MemRequest::Store {
             addr,
             value,
             mask: !0,
         };
-        let mut view = phases::BankView {
-            spm: &mut self.state.spm,
-            num_banks,
-            bank,
-        };
-        phases::serve(
-            &mut self.state.adapters[bank as usize],
-            &mut view,
-            HOST_CORE,
-            &req,
-            &mut self.adapter_out,
-            &mut self.tracer,
-            now,
-        );
-        let mut queued = false;
-        for (core, resp) in self.adapter_out.drain(..) {
-            if core == HOST_CORE {
-                debug_assert_eq!(resp, MemResponse::StoreAck);
-                continue;
-            }
-            self.state.bank_outbox[bank as usize].push_back(RespMsg { core, resp });
-            queued = true;
-        }
-        if queued {
-            self.state.dirty_banks.insert(bank);
-        }
+        self.serve(self.bank_of(addr), HOST_CORE, &req, now);
     }
 
     /// Gathers current statistics.
@@ -917,22 +882,17 @@ impl Machine {
     /// Colibri relies on).
     fn bank_service(&mut self, now: u64) {
         let req_buf = std::mem::take(&mut self.req_buf);
-        self.req_order.clear();
-        self.req_order
-            .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
-        self.req_order.sort_unstable();
-        self.chaos_evict_before_service(&req_buf, now);
-        phases::service_banks(
-            &mut self.state.spm,
-            &mut self.state.adapters,
-            &mut self.state.bank_outbox,
-            &mut self.state.dirty_banks,
-            &req_buf,
-            &self.req_order,
-            &mut self.adapter_out,
-            &mut self.tracer,
-            now,
-        );
+        let mut req_order = std::mem::take(&mut self.req_order);
+        req_order.clear();
+        req_order.extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
+        req_order.sort_unstable();
+        self.chaos_evict_before_service(&req_buf, &req_order, now);
+        for &(bank, idx) in &req_order {
+            let msg = &req_buf[idx as usize];
+            debug_assert_eq!(msg.bank, bank);
+            self.serve(bank, msg.src, &msg.req, now);
+        }
+        self.req_order = req_order;
         self.req_buf = req_buf;
     }
 
@@ -1031,35 +991,11 @@ impl Machine {
         // `run`/`run_until` the horizon collapses to `now` (exactly one
         // instruction per visit, like the reference stepper).
         let horizon = self.step_limit.max(now);
-        let num_banks = self.num_banks();
-        let mut ctx = CorePhase {
-            cores: &mut self.state.cores,
-            qnodes: &mut self.state.qnodes,
-            core_outbox: &mut self.state.core_outbox,
-            park_kind: &mut self.state.park_kind,
-            program: &self.program,
-            cfg: &self.cfg,
-            num_banks,
-            spm_bytes: self.state.spm.bytes(),
-            halted: &mut self.state.halted,
-            barrier_waiting: &mut self.state.barrier_waiting,
-            debug_log: &mut self.state.debug_log,
-            dirty_cores: &mut self.state.dirty_cores,
-            tracer: &mut self.tracer,
-            work: &mut self.work,
-        };
-        let stepped = match self.translation.as_deref() {
-            Some(translation) => phases::step_translated_cores(
-                &mut ctx,
-                translation,
-                &mut self.state.runnable,
-                &mut self.state.ready_queue,
-                now,
-                horizon,
-            ),
-            None => phases::step_all_cores(&mut ctx, now),
-        };
-        stepped
+        if self.translation.is_some() {
+            self.step_translated_cores(now, horizon)
+        } else {
+            self.step_all_cores(now)
+        }
     }
 
     /// Phase 5: flush core outboxes into the request network. The start
@@ -1102,7 +1038,12 @@ impl Machine {
     /// state stays consistent by construction. Decisions are stateless
     /// hashes of (seed, cycle, bank, delivery index) — identical in
     /// every exec mode.
-    fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
+    fn chaos_evict_before_service(
+        &mut self,
+        req_buf: &[ReqMsg],
+        req_order: &[(u32, u32)],
+        now: u64,
+    ) {
         let Some(state) = self.state.chaos else {
             return;
         };
@@ -1111,7 +1052,7 @@ impl Machine {
             return;
         }
         let tracer = &mut self.tracer;
-        for &(bank, idx) in &self.req_order {
+        for &(bank, idx) in req_order {
             let req = &req_buf[idx as usize].req;
             let is_sc = matches!(req, MemRequest::Sc { .. } | MemRequest::ScWait { .. });
             let evict = if is_sc {
@@ -1152,9 +1093,9 @@ impl Machine {
         }
     }
 
-    /// Queues a request on a core's outbox (Phase 3 path), tracking
+    /// Queues a request on a core's outbox (Phases 3 and 4), tracking
     /// outbox dirtiness for Phase 5.
-    fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
+    pub(crate) fn push_outbox(&mut self, c: usize, msg: ReqMsg) {
         self.state.core_outbox[c].push_back(msg);
         self.state.dirty_cores.insert(c as u32);
     }
@@ -1361,7 +1302,3 @@ impl State {
         stats
     }
 }
-
-/// Pseudo core id for host-injected requests ([`Machine::inject_store`]);
-/// responses addressed to it are consumed by the host, never routed.
-const HOST_CORE: u32 = u32::MAX;

@@ -1,39 +1,37 @@
-//! The bodies of `Machine::step_cycle`'s two largest phases — per-bank
-//! request service and per-core stepping — kept apart from the machine so
-//! that each borrows exactly the machine fields it touches.
+//! The two largest phases of `Machine::step_cycle` as `Machine` methods:
+//! serving a request at its bank (`Machine::serve`, which a host store
+//! takes too) and stepping the cores, with the message types they pass.
 //!
-//! Both bodies update the machine's worklists as they go: bank service
-//! marks a bank dirty the moment its outbox fills, the core walk takes a
-//! parked, halted or deferred core out of the runnable set (and files a
-//! deferred one in the ready queue) right after visiting it. The order
-//! contracts are the simulated machine's own: requests are serviced in
-//! `(bank, delivery index)` order, cores step in ascending id.
+//! Both update the machine's worklists as they go: serving a request
+//! marks its bank dirty once the bank's outbox holds a response, the core
+//! walk takes a parked, halted or deferred core out of the runnable set
+//! (and files a deferred one in the ready queue) right after visiting it.
+//! The order contracts are the simulated machine's own: requests are
+//! serviced in `(bank, delivery index)` order, cores step in ascending id.
 //!
 //! # Tracing
 //!
 //! Every emit site is `tracer.emit(now, || TraceEvent::…)`, the same idiom
-//! `Machine` uses at its own sites: with [`Tracer::Off`] that is one
-//! predictable branch and the event is never built. Bank service picks
-//! [`Bank::handle`] over `handle_traced` when the tracer is off, so an
-//! untraced bank is never handed an observer at all.
+//! as the other phases: with [`Tracer::Off`] that is one predictable
+//! branch and the event is never built. `serve` picks [`Bank::handle`]
+//! over `handle_traced` when the tracer is off, so an untraced bank is
+//! never handed an observer at all.
+//!
+//! [`Tracer::Off`]: lrscwait_trace::Tracer::Off
+//! [`Bank::handle`]: lrscwait_core::Bank::handle
 
-use std::collections::VecDeque;
-
-use lrscwait_core::{Bank, MemRequest, MemResponse, Qnode, WordStorage};
+use lrscwait_core::{MemRequest, MemResponse, WordStorage};
 use lrscwait_isa::AmoOp;
-use lrscwait_noc::IdSet;
-use lrscwait_trace::{OpKind, TraceEvent, Tracer};
+use lrscwait_trace::{OpKind, TraceEvent};
 
-use crate::config::{mmio_reg, SimConfig, MMIO_BASE, MMIO_SIZE, NUM_ARGS, ROM_BASE};
+use crate::config::{mmio_reg, MMIO_BASE, MMIO_SIZE, NUM_ARGS, ROM_BASE};
 use crate::cpu::{
-    amo_op_kind, extract, store_lanes, Action, Core, CoreState, DecodedProgram, ExecError,
-    MemIntent, PendingKind, PendingMem,
+    amo_op_kind, extract, store_lanes, Action, CoreState, ExecError, MemIntent, PendingKind,
+    PendingMem,
 };
-use crate::machine::SimError;
-use crate::ready::ReadyQueue;
+use crate::machine::{Machine, SimError, State};
 use crate::spm::Spm;
-use crate::stats::WorkStats;
-use crate::translate::{run_block, Translation};
+use crate::translate::run_block;
 
 /// Request-network payload.
 #[derive(Clone, Copy, Debug)]
@@ -51,10 +49,10 @@ pub(crate) struct RespMsg {
 }
 
 /// Adapter-facing view of one bank's words with global addressing.
-pub(crate) struct BankView<'a> {
-    pub spm: &'a mut Spm,
-    pub num_banks: u32,
-    pub bank: u32,
+struct BankView<'a> {
+    spm: &'a mut Spm,
+    num_banks: u32,
+    bank: u32,
 }
 
 impl WordStorage for BankView<'_> {
@@ -79,178 +77,114 @@ impl WordStorage for BankView<'_> {
     }
 }
 
-/// Services every delivered request in bank-id order (and, within one
-/// bank, in delivery order): the [`Bank`] performs its side effects on
-/// its SPM words and appends responses to its outbox, which joins
-/// `dirty_banks` when it goes empty → non-empty.
-///
-/// `order` is the cycle's delivery list sorted by `(bank, delivery
-/// index)`; `adapter_out` is the reusable response buffer [`serve`]
-/// fills.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn service_banks(
-    spm: &mut Spm,
-    adapters: &mut [Box<Bank>],
-    bank_outbox: &mut [VecDeque<RespMsg>],
-    dirty_banks: &mut IdSet,
-    reqs: &[ReqMsg],
-    order: &[(u32, u32)],
-    adapter_out: &mut Vec<(u32, MemResponse)>,
-    tracer: &mut Tracer,
-    now: u64,
-) {
-    let num_banks = adapters.len() as u32;
-    for &(bank, idx) in order {
-        let msg = &reqs[idx as usize];
-        debug_assert_eq!(msg.bank, bank);
-        let b = bank as usize;
+/// Pseudo core id for host-injected requests ([`Machine::inject_store`]);
+/// responses addressed to it are consumed by the host, never routed.
+pub(crate) const HOST_CORE: u32 = u32::MAX;
+
+impl Machine {
+    /// Hands one request from `src` to `bank`, queues the bank's
+    /// responses on its outbox and marks the bank dirty while the outbox
+    /// holds any. The one response dropped is the acknowledgement of a
+    /// host store (`src == HOST_CORE`). The bank's synchronization events
+    /// reach the tracer; with the tracer off it gets
+    /// [`Bank::handle`](lrscwait_core::Bank::handle) and no observer at
+    /// all.
+    pub(crate) fn serve(&mut self, bank: u32, src: u32, req: &MemRequest, now: u64) {
         let mut view = BankView {
-            spm: &mut *spm,
-            num_banks,
+            num_banks: self.num_banks(),
+            spm: &mut self.state.spm,
             bank,
         };
-        serve(
-            &mut adapters[b],
-            &mut view,
-            msg.src,
-            &msg.req,
-            adapter_out,
-            tracer,
-            now,
-        );
-        let outbox = &mut bank_outbox[b];
-        if outbox.is_empty() && !adapter_out.is_empty() {
-            dirty_banks.insert(bank);
+        let adapter = &mut self.state.adapters[bank as usize];
+        let out = &mut self.adapter_out;
+        out.clear();
+        if self.tracer.is_off() {
+            adapter.handle(src, req, &mut view, out);
+        } else {
+            let tracer = &mut self.tracer;
+            adapter.handle_traced(src, req, &mut view, out, &mut |event| {
+                tracer.emit(now, || TraceEvent::Sync { bank, event });
+            });
         }
-        for (core, resp) in adapter_out.drain(..) {
+        let outbox = &mut self.state.bank_outbox[bank as usize];
+        for (core, resp) in out.drain(..) {
+            if core == HOST_CORE {
+                debug_assert_eq!(resp, MemResponse::StoreAck);
+                continue;
+            }
             outbox.push_back(RespMsg { core, resp });
         }
-    }
-}
-
-/// Hands one request from `src` to the bank, leaving its responses in
-/// `adapter_out` (cleared first). The bank's synchronization events
-/// reach `tracer`; with the tracer off it gets
-/// [`Bank::handle`] and no observer at all.
-pub(crate) fn serve(
-    adapter: &mut Bank,
-    view: &mut BankView<'_>,
-    src: u32,
-    req: &MemRequest,
-    adapter_out: &mut Vec<(u32, MemResponse)>,
-    tracer: &mut Tracer,
-    now: u64,
-) {
-    adapter_out.clear();
-    if tracer.is_off() {
-        adapter.handle(src, req, view, adapter_out);
-    } else {
-        let bank = view.bank;
-        adapter.handle_traced(src, req, view, adapter_out, &mut |event| {
-            tracer.emit(now, || TraceEvent::Sync { bank, event });
-        });
-    }
-}
-
-/// The per-core stepping phase.
-///
-/// Borrows the machine fields a stepping core touches — its registers,
-/// Qnode, request outbox and park cause — plus the machine-wide tallies a
-/// step can move (halt and barrier counts, the debug log, the dirty-core
-/// set) and the shared read-only program and configuration. Barrier
-/// *release* is not here: it runs in the machine's sequential sub-phase
-/// after the walk, so its accounting never depends on visit order.
-pub(crate) struct CorePhase<'a> {
-    pub cores: &'a mut [Core],
-    pub qnodes: &'a mut [Qnode],
-    pub core_outbox: &'a mut [VecDeque<ReqMsg>],
-    pub park_kind: &'a mut [OpKind],
-    pub program: &'a DecodedProgram,
-    pub cfg: &'a SimConfig,
-    pub num_banks: u32,
-    /// The SPM bound guest accesses fault at (`Spm::bytes`).
-    pub spm_bytes: u32,
-    pub halted: &'a mut usize,
-    pub barrier_waiting: &'a mut usize,
-    pub debug_log: &'a mut Vec<(u64, u32, u32)>,
-    pub dirty_cores: &'a mut IdSet,
-    pub tracer: &'a mut Tracer,
-    pub work: &'a mut WorkStats,
-}
-
-/// Steps the runnable set in ascending core id (the production stepper):
-/// a runnable core whose pc enters a superblock executes the whole block
-/// (up to `horizon`) in one call, any other pc takes one interpreter
-/// step. A visited core that stopped `Running` leaves `runnable`; one that
-/// cannot issue before `now + 2` leaves it for `ready_queue`, on the
-/// wheel slot of its `ready_at` or, 64 or more cycles ahead, on the heap
-/// (the machine re-admits it at exactly `ready_at`, crediting the skipped
-/// stall cycles as one delta).
-///
-/// # Errors
-///
-/// Returns the first fatal error in core order and stops stepping; the
-/// unstepped tail simply stays in the set (post-mortem state).
-pub(crate) fn step_translated_cores(
-    ctx: &mut CorePhase<'_>,
-    translation: &Translation,
-    runnable: &mut IdSet,
-    ready_queue: &mut ReadyQueue,
-    now: u64,
-    horizon: u64,
-) -> Result<(), SimError> {
-    let mut next = runnable.next_from(0);
-    while let Some(c) = next {
-        ctx.work.core_visits += 1;
-        let result = ctx.step_core_translated(c, translation, now, horizon);
-        // The state check runs even for a faulting core: a core that is
-        // still `Running` after its fatal error (e.g. a breakpoint)
-        // stays in the set, like every other observable of the
-        // post-mortem state.
-        let core = &mut ctx.cores[c as usize];
-        if core.state != CoreState::Running {
-            runnable.remove(c);
-        } else if core.ready_at > now + 1 {
-            // Nothing can change this core before `ready_at` (only
-            // parked cores are woken from outside the walk), so every
-            // visit until then would be a no-op stall.
-            core.parked_at = now;
-            runnable.remove(c);
-            ready_queue.push(ctx.cores, c, now);
-            ctx.work.deferrals += 1;
+        if !outbox.is_empty() {
+            self.state.dirty_banks.insert(bank);
         }
-        result?;
-        next = runnable.next_from(c + 1);
     }
-    Ok(())
-}
 
-/// Visits every core in ascending id (reference mode): eager accounting
-/// for parked states, then the shared running-core step.
-///
-/// # Errors
-///
-/// Returns the first fatal error in core order and stops stepping.
-pub(crate) fn step_all_cores(ctx: &mut CorePhase<'_>, now: u64) -> Result<(), SimError> {
-    for c in 0..ctx.cores.len() as u32 {
-        let core = &mut ctx.cores[c as usize];
-        match core.state {
-            CoreState::Halted => {}
-            CoreState::Barrier => core.stats.barrier_cycles += 1,
-            CoreState::WaitingMem => core.stats.sleep_cycles += 1,
-            CoreState::Running => {
-                ctx.work.core_visits += 1;
-                ctx.step_running_core(c, now)?;
+    /// Steps the runnable set in ascending core id (the production
+    /// stepper): a runnable core whose pc enters a superblock executes the
+    /// whole block (up to `horizon`) in one call, any other pc takes one
+    /// interpreter step. A visited core that stopped `Running` leaves
+    /// `runnable`; one that cannot issue before `now + 2` leaves it for
+    /// `ready_queue`, on the wheel slot of its `ready_at` or, 64 or more
+    /// cycles ahead, on the heap (the machine re-admits it at exactly
+    /// `ready_at`, crediting the skipped stall cycles as one delta).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first fatal error in core order and stops stepping; the
+    /// unstepped tail simply stays in the set (post-mortem state).
+    pub(crate) fn step_translated_cores(&mut self, now: u64, horizon: u64) -> Result<(), SimError> {
+        let mut next = self.state.runnable.next_from(0);
+        while let Some(c) = next {
+            self.work.core_visits += 1;
+            let result = self.step_core_translated(c, now, horizon);
+            // The state check runs even for a faulting core: a core that is
+            // still `Running` after its fatal error (e.g. a breakpoint)
+            // stays in the set, like every other observable of the
+            // post-mortem state.
+            let State {
+                cores,
+                runnable,
+                ready_queue,
+                ..
+            } = &mut self.state;
+            let core = &mut cores[c as usize];
+            if core.state != CoreState::Running {
+                runnable.remove(c);
+            } else if core.ready_at > now + 1 {
+                // Nothing can change this core before `ready_at` (only
+                // parked cores are woken from outside the walk), so every
+                // visit until then would be a no-op stall.
+                core.parked_at = now;
+                runnable.remove(c);
+                ready_queue.push(cores, c, now);
+                self.work.deferrals += 1;
+            }
+            result?;
+            next = runnable.next_from(c + 1);
+        }
+        Ok(())
+    }
+
+    /// Visits every core in ascending id (reference mode): eager accounting
+    /// for parked states, then the shared running-core step.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first fatal error in core order and stops stepping.
+    pub(crate) fn step_all_cores(&mut self, now: u64) -> Result<(), SimError> {
+        for c in 0..self.state.cores.len() as u32 {
+            let core = &mut self.state.cores[c as usize];
+            match core.state {
+                CoreState::Halted => {}
+                CoreState::Barrier => core.stats.barrier_cycles += 1,
+                CoreState::WaitingMem => core.stats.sleep_cycles += 1,
+                CoreState::Running => {
+                    self.work.core_visits += 1;
+                    self.step_running_core(c, now)?;
+                }
             }
         }
-    }
-    Ok(())
-}
-
-impl CorePhase<'_> {
-    /// Bank holding the word at `addr`.
-    fn bank_of(&self, addr: u32) -> u32 {
-        (addr / 4) % self.num_banks
+        Ok(())
     }
 
     fn line_of(&self, pc: u32) -> Option<u32> {
@@ -262,11 +196,11 @@ impl CorePhase<'_> {
     /// Steps one core known to be in [`CoreState::Running`].
     fn step_running_core(&mut self, c: u32, now: u64) -> Result<(), SimError> {
         let i = c as usize;
-        if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
-            self.cores[i].stats.stall_cycles += 1;
+        if now < self.state.cores[i].ready_at || self.state.core_outbox[i].len() >= 4 {
+            self.state.cores[i].stats.stall_cycles += 1;
             return Ok(());
         }
-        self.cores[i].stats.active_cycles += 1;
+        self.state.cores[i].stats.active_cycles += 1;
         self.interp_step(c, now)
     }
 
@@ -276,28 +210,25 @@ impl CorePhase<'_> {
     /// re-charged as per-visit stalls. A pc with a superblock entry runs
     /// the block; boundary instructions (and out-of-text pcs, which must
     /// fault exactly like the interpreter) take the interpreter path.
-    fn step_core_translated(
-        &mut self,
-        c: u32,
-        translation: &Translation,
-        now: u64,
-        horizon: u64,
-    ) -> Result<(), SimError> {
+    fn step_core_translated(&mut self, c: u32, now: u64, horizon: u64) -> Result<(), SimError> {
         let i = c as usize;
-        if now < self.cores[i].ready_at || self.core_outbox[i].len() >= 4 {
-            if now > self.cores[i].charged_until {
-                self.cores[i].stats.stall_cycles += 1;
+        let core = &mut self.state.cores[i];
+        if now < core.ready_at || self.state.core_outbox[i].len() >= 4 {
+            if now > core.charged_until {
+                core.stats.stall_cycles += 1;
             }
             return Ok(());
         }
-        if let Some(entry) = translation.entry(self.cores[i].pc) {
-            let timing = &self.cfg.timing;
-            if run_block(&mut self.cores[i], translation, entry, now, horizon, timing) {
-                self.work.superblock_entries += 1;
-                return Ok(());
+        if let Some(translation) = &self.translation {
+            if let Some(entry) = translation.entry(core.pc) {
+                let timing = &self.cfg.timing;
+                if run_block(core, translation, entry, now, horizon, timing) {
+                    self.work.superblock_entries += 1;
+                    return Ok(());
+                }
             }
         }
-        self.cores[i].stats.active_cycles += 1;
+        core.stats.active_cycles += 1;
         self.interp_step(c, now)
     }
 
@@ -305,13 +236,8 @@ impl CorePhase<'_> {
     /// instruction interpreter and applies its action. Shared tail of
     /// [`Self::step_running_core`] and [`Self::step_core_translated`].
     fn interp_step(&mut self, c: u32, now: u64) -> Result<(), SimError> {
-        let i = c as usize;
         self.work.interpreted_steps += 1;
-        let action = {
-            let program = self.program;
-            let timing = self.cfg.timing;
-            self.cores[i].execute(program, now, &timing)
-        };
+        let action = self.state.cores[c as usize].execute(&self.program, now, &self.cfg.timing);
         let action = match action {
             Ok(a) => a,
             Err(ExecError::IllegalPc(pc)) => return Err(SimError::IllegalPc { core: c, pc }),
@@ -344,10 +270,10 @@ impl CorePhase<'_> {
     /// Marks a core halted. The barrier-release check this may enable runs
     /// in the machine's sequential sub-phase after the stepping walk.
     fn halt_core(&mut self, c: u32, now: u64) {
-        let i = c as usize;
-        if self.cores[i].state != CoreState::Halted {
-            self.cores[i].state = CoreState::Halted;
-            *self.halted += 1;
+        let core = &mut self.state.cores[c as usize];
+        if core.state != CoreState::Halted {
+            core.state = CoreState::Halted;
+            self.state.halted += 1;
             self.tracer.emit(now, || TraceEvent::Halt { core: c });
         }
     }
@@ -356,8 +282,10 @@ impl CorePhase<'_> {
         let i = c as usize;
         match intent {
             MemIntent::Fence => {
-                if self.cores[i].outstanding_stores == 0 && self.core_outbox[i].is_empty() {
-                    self.cores[i].pc += 4;
+                if self.state.cores[i].outstanding_stores == 0
+                    && self.state.core_outbox[i].is_empty()
+                {
+                    self.state.cores[i].pc += 4;
                 }
                 // Otherwise: retry next cycle (fence stalls the pipeline).
                 Ok(())
@@ -370,8 +298,8 @@ impl CorePhase<'_> {
             } => {
                 if (MMIO_BASE..MMIO_BASE + MMIO_SIZE).contains(&addr) {
                     let value = self.mmio_read(c, addr - MMIO_BASE, now);
-                    self.cores[i].set_reg(rd, extract(value, addr, width, signed));
-                    self.cores[i].pc += 4;
+                    self.state.cores[i].set_reg(rd, extract(value, addr, width, signed));
+                    self.state.cores[i].pc += 4;
                     return Ok(());
                 }
                 if addr >= ROM_BASE {
@@ -383,48 +311,48 @@ impl CorePhase<'_> {
                             what: "load beyond ROM",
                         });
                     };
-                    self.cores[i].set_reg(rd, extract(word, addr, width, signed));
-                    self.cores[i].pc += 4;
+                    self.state.cores[i].set_reg(rd, extract(word, addr, width, signed));
+                    self.state.cores[i].pc += 4;
                     return Ok(());
                 }
-                if addr >= self.spm_bytes {
+                if addr >= self.state.spm.bytes() {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
                         what: "load outside SPM",
                     });
                 }
-                self.cores[i].pending = Some(PendingMem {
+                self.state.cores[i].pending = Some(PendingMem {
                     rd,
                     addr,
                     kind: PendingKind::Load { width, signed },
                 });
-                self.cores[i].state = CoreState::WaitingMem;
-                self.cores[i].parked_at = now;
-                self.cores[i].pc += 4;
+                self.state.cores[i].state = CoreState::WaitingMem;
+                self.state.cores[i].parked_at = now;
+                self.state.cores[i].pc += 4;
                 self.emit_park(c, OpKind::Load, now);
                 self.push_request(c, MemRequest::Load { addr: addr & !3 }, now);
                 Ok(())
             }
             MemIntent::Store { addr, value, width } => {
                 if (MMIO_BASE..MMIO_BASE + MMIO_SIZE).contains(&addr) {
-                    self.cores[i].pc += 4;
+                    self.state.cores[i].pc += 4;
                     self.mmio_write(c, addr - MMIO_BASE, value, now);
                     return Ok(());
                 }
-                if addr >= self.spm_bytes {
+                if addr >= self.state.spm.bytes() {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
                         what: "store outside SPM (ROM is read-only)",
                     });
                 }
-                if self.cores[i].outstanding_stores >= self.cfg.timing.store_buffer {
+                if self.state.cores[i].outstanding_stores >= self.cfg.timing.store_buffer {
                     return Ok(()); // buffer full: stall, retry next cycle
                 }
                 let (aligned, lane_value, mask) = store_lanes(addr, value, width);
-                self.cores[i].outstanding_stores += 1;
-                self.cores[i].pc += 4;
+                self.state.cores[i].outstanding_stores += 1;
+                self.state.cores[i].pc += 4;
                 self.push_request(
                     c,
                     MemRequest::Store {
@@ -442,7 +370,7 @@ impl CorePhase<'_> {
                 op,
                 operand,
             } => {
-                if addr >= self.spm_bytes {
+                if addr >= self.state.spm.bytes() {
                     return Err(SimError::Fault {
                         core: c,
                         addr,
@@ -482,10 +410,10 @@ impl CorePhase<'_> {
                         PendingKind::Value,
                     ),
                 };
-                self.cores[i].pending = Some(PendingMem { rd, addr, kind });
-                self.cores[i].state = CoreState::WaitingMem;
-                self.cores[i].parked_at = now;
-                self.cores[i].pc += 4;
+                self.state.cores[i].pending = Some(PendingMem { rd, addr, kind });
+                self.state.cores[i].state = CoreState::WaitingMem;
+                self.state.cores[i].parked_at = now;
+                self.state.cores[i].pc += 4;
                 self.emit_park(c, amo_op_kind(op), now);
                 self.push_request(c, req, now);
                 Ok(())
@@ -498,7 +426,7 @@ impl CorePhase<'_> {
     /// that machine state (and hence its state bytes) does not depend on
     /// whether tracing is enabled; only the event emission is gated.
     fn emit_park(&mut self, c: u32, kind: OpKind, now: u64) {
-        self.park_kind[c as usize] = kind;
+        self.state.park_kind[c as usize] = kind;
         self.tracer.emit(now, || TraceEvent::Park {
             core: c,
             cause: kind,
@@ -506,14 +434,14 @@ impl CorePhase<'_> {
     }
 
     fn push_request(&mut self, c: u32, req: MemRequest, now: u64) {
-        let wakeup = self.qnodes[c as usize].on_core_request(&req);
+        let wakeup = self.state.qnodes[c as usize].on_core_request(&req);
         let bank = self.bank_of(req.addr());
         self.tracer.emit(now, || TraceEvent::ReqSent {
             core: c,
             bank,
             kind: req_kind(&req),
         });
-        self.push_outbox(c, ReqMsg { src: c, bank, req });
+        self.push_outbox(c as usize, ReqMsg { src: c, bank, req });
         if let Some(wk) = wakeup {
             let wk_bank = self.bank_of(wk.addr());
             self.tracer.emit(now, || TraceEvent::ReqSent {
@@ -522,7 +450,7 @@ impl CorePhase<'_> {
                 kind: OpKind::WakeUp,
             });
             self.push_outbox(
-                c,
+                c as usize,
                 ReqMsg {
                     src: c,
                     bank: wk_bank,
@@ -530,13 +458,6 @@ impl CorePhase<'_> {
                 },
             );
         }
-    }
-
-    /// Queues a request on the core's own outbox, marking it dirty for
-    /// Phase 5.
-    fn push_outbox(&mut self, c: u32, msg: ReqMsg) {
-        self.core_outbox[c as usize].push_back(msg);
-        self.dirty_cores.insert(c);
     }
 
     fn mmio_read(&self, c: u32, offset: u32, now: u64) -> u32 {
@@ -557,16 +478,16 @@ impl CorePhase<'_> {
         let i = c as usize;
         match offset {
             mmio_reg::EXIT => self.halt_core(c, now),
-            mmio_reg::OP_COUNT => self.cores[i].stats.ops += u64::from(value),
+            mmio_reg::OP_COUNT => self.state.cores[i].stats.ops += u64::from(value),
             mmio_reg::REGION => {
                 if value != 0 {
-                    if self.cores[i].stats.region_start.is_none() {
-                        self.cores[i].stats.region_start = Some(now);
+                    if self.state.cores[i].stats.region_start.is_none() {
+                        self.state.cores[i].stats.region_start = Some(now);
                     }
                     self.tracer
                         .emit(now, || TraceEvent::RegionEnter { core: c });
                 } else {
-                    self.cores[i].stats.region_end = Some(now);
+                    self.state.cores[i].stats.region_end = Some(now);
                     self.tracer.emit(now, || TraceEvent::RegionExit { core: c });
                 }
             }
@@ -575,13 +496,13 @@ impl CorePhase<'_> {
                 // once per cycle in the machine's sequential sub-phase, so
                 // it charges every released core identically regardless
                 // of visit order.
-                self.cores[i].state = CoreState::Barrier;
-                self.cores[i].parked_at = now;
-                *self.barrier_waiting += 1;
+                self.state.cores[i].state = CoreState::Barrier;
+                self.state.cores[i].parked_at = now;
+                self.state.barrier_waiting += 1;
                 self.tracer
                     .emit(now, || TraceEvent::BarrierArrive { core: c });
             }
-            mmio_reg::PRINT => self.debug_log.push((now, c, value)),
+            mmio_reg::PRINT => self.state.debug_log.push((now, c, value)),
             _ => {}
         }
     }

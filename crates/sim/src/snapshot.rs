@@ -1,6 +1,14 @@
-//! Checkpoint / restore: [`Machine::snapshot`] clones the simulated state,
-//! [`Machine::restore`] assigns it back, and [`Machine::state_bytes`]
-//! encodes it canonically for comparisons.
+//! Checkpoint / restore: [`Machine::snapshot`] clones the simulated state
+//! in memory, [`Machine::restore`] assigns it back, and
+//! [`Machine::state_bytes`] encodes it canonically for comparisons.
+//!
+//! A restore takes a snapshot of the same machine or of one built with the
+//! same execution mode, architecture, geometry and program image; any
+//! other is refused with [`SimError::SnapshotMismatch`] and leaves the
+//! target unchanged. Continuing from a restore is bit-identical to never
+//! having stopped (`crates/sim/tests/snapshot.rs`). A snapshot is not
+//! serializable: to compare or hash machine states, use
+//! [`Machine::state_bytes`], which is identical in both execution modes.
 
 use lrscwait_core::{StateWriter, SyncArch};
 use lrscwait_isa::MemWidth;

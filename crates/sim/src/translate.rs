@@ -71,9 +71,8 @@ use crate::cpu::{Core, DecodedProgram};
 
 /// A fully lowered program image: one [`MicroOp`] per instruction.
 ///
-/// Built once per [`DecodedProgram`](crate::cpu::DecodedProgram) (see
-/// `DecodedProgram::translation`) and shared behind an `Arc` by every
-/// machine, sweep worker, and snapshot restore using that image.
+/// Built once per translated [`Machine`](crate::Machine), at
+/// construction; a snapshot restore keeps it.
 #[derive(Debug)]
 pub struct Translation {
     /// Text base address (micro-op `i` covers `base + 4*i`).

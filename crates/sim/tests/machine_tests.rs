@@ -510,3 +510,71 @@ fn fault_on_every_core_surfaces_the_lowest_core() {
         }
     }
 }
+
+#[test]
+fn host_store_breaks_an_lr_reservation() {
+    // Core 0 reserves `word`, counts down, then tries `sc.w`; the host
+    // stores to `word` while the countdown runs. The store must break the
+    // reservation exactly as a core's store would, and its own
+    // acknowledgement must never reach a core.
+    let src = r#"
+        _start:
+            rdhartid t0
+            bnez t0, done
+            la   a0, word
+            lr.w t1, (a0)
+            li   t0, 500
+        spin:
+            addi t0, t0, -1
+            bnez t0, spin
+            addi t1, t1, 1
+            sc.w t2, t1, (a0)
+            la   a1, result
+            sw   t2, (a1)
+            fence
+        done:
+            ecall
+        .data
+        word:   .word 7
+        result: .word 0
+    "#;
+    let program = Assembler::new().assemble(src).unwrap();
+    let word = program.symbol("word");
+    for arch in [SyncArch::Lrsc, SyncArch::Colibri { queues: 2 }] {
+        let run = |mode: ExecMode| {
+            let mut cfg = SimConfig::small(2, arch);
+            cfg.exec_mode = mode;
+            let mut m = Machine::new(cfg, &program).unwrap();
+            // The LR has long returned by cycle 100; the countdown has not.
+            let stop = m.run_until(100).unwrap();
+            assert_eq!(stop.exit, ExitReason::TargetReached);
+            m.inject_store(word, 42);
+            let summary = m.run().unwrap();
+            assert_eq!(summary.exit, ExitReason::AllHalted, "{arch} {mode:?}");
+            let stats = m.stats();
+            assert_eq!(
+                m.read_word(program.symbol("result")),
+                1,
+                "{arch} {mode:?}: sc.w fails"
+            );
+            assert_eq!(
+                m.read_word(word),
+                42,
+                "{arch} {mode:?}: the host store stands"
+            );
+            assert_eq!(stats.adapters.sc_failure, 1, "{arch} {mode:?}");
+            assert_eq!(stats.adapters.reservations_broken, 1, "{arch} {mode:?}");
+            // lr.w, sc.w and sw from the core, each answered once; the
+            // host store reaches the bank but sends nothing back.
+            assert_eq!(stats.req_network.delivered, 3, "{arch} {mode:?}");
+            assert_eq!(stats.resp_network.injected, 3, "{arch} {mode:?}");
+            assert_eq!(stats.adapters.requests, 4, "{arch} {mode:?}");
+            (summary, stats)
+        };
+        assert_eq!(
+            run(ExecMode::Translated),
+            run(ExecMode::Reference),
+            "{arch}"
+        );
+    }
+}
