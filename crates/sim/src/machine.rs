@@ -882,11 +882,12 @@ impl Machine {
     /// Colibri relies on).
     fn bank_service(&mut self, now: u64) {
         let req_buf = std::mem::take(&mut self.req_buf);
-        let mut req_order = std::mem::take(&mut self.req_order);
-        req_order.clear();
-        req_order.extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
-        req_order.sort_unstable();
-        self.chaos_evict_before_service(&req_buf, &req_order, now);
+        self.req_order.clear();
+        self.req_order
+            .extend(req_buf.iter().enumerate().map(|(i, m)| (m.bank, i as u32)));
+        self.req_order.sort_unstable();
+        self.chaos_evict_before_service(&req_buf, now);
+        let req_order = std::mem::take(&mut self.req_order);
         for &(bank, idx) in &req_order {
             let msg = &req_buf[idx as usize];
             debug_assert_eq!(msg.bank, bank);
@@ -1038,12 +1039,7 @@ impl Machine {
     /// state stays consistent by construction. Decisions are stateless
     /// hashes of (seed, cycle, bank, delivery index) — identical in
     /// every exec mode.
-    fn chaos_evict_before_service(
-        &mut self,
-        req_buf: &[ReqMsg],
-        req_order: &[(u32, u32)],
-        now: u64,
-    ) {
+    fn chaos_evict_before_service(&mut self, req_buf: &[ReqMsg], now: u64) {
         let Some(state) = self.state.chaos else {
             return;
         };
@@ -1052,7 +1048,7 @@ impl Machine {
             return;
         }
         let tracer = &mut self.tracer;
-        for &(bank, idx) in req_order {
+        for &(bank, idx) in &self.req_order {
             let req = &req_buf[idx as usize].req;
             let is_sc = matches!(req, MemRequest::Sc { .. } | MemRequest::ScWait { .. });
             let evict = if is_sc {
