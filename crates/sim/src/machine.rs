@@ -688,8 +688,8 @@ impl Machine {
     }
 
     /// The host work this machine has done so far: core visits,
-    /// interpreted steps, superblock entries, ready-queue deferrals and
-    /// NoC node visits (see [`WorkStats`]).
+    /// interpreted steps, superblock entries, ready-queue deferrals, NoC
+    /// node visits and loop iterations (see [`WorkStats`]).
     #[must_use]
     pub fn work(&self) -> WorkStats {
         self.work
@@ -965,20 +965,7 @@ impl Machine {
                 self.complete_response(c, delivered, now);
             }
             if let Some(wakeup) = output.wakeup {
-                let bank = self.bank_of(wakeup.addr());
-                self.tracer.emit(now, || TraceEvent::ReqSent {
-                    core: msg.core,
-                    bank,
-                    kind: OpKind::WakeUp,
-                });
-                self.push_outbox(
-                    c,
-                    ReqMsg {
-                        src: msg.core,
-                        bank,
-                        req: wakeup,
-                    },
-                );
+                self.send_wakeup(msg.core, wakeup, now);
             }
         }
         self.resp_buf = resp_buf;

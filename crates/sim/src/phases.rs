@@ -222,8 +222,10 @@ impl Machine {
         if let Some(translation) = &self.translation {
             if let Some(entry) = translation.entry(core.pc) {
                 let timing = &self.cfg.timing;
-                if run_block(core, translation, entry, now, horizon, timing) {
+                if let Some(iterations) = run_block(core, translation, entry, now, horizon, timing)
+                {
                     self.work.superblock_entries += 1;
+                    self.work.loop_iterations += iterations;
                     return Ok(());
                 }
             }
@@ -442,22 +444,28 @@ impl Machine {
             kind: req_kind(&req),
         });
         self.push_outbox(c as usize, ReqMsg { src: c, bank, req });
-        if let Some(wk) = wakeup {
-            let wk_bank = self.bank_of(wk.addr());
-            self.tracer.emit(now, || TraceEvent::ReqSent {
-                core: c,
-                bank: wk_bank,
-                kind: OpKind::WakeUp,
-            });
-            self.push_outbox(
-                c as usize,
-                ReqMsg {
-                    src: c,
-                    bank: wk_bank,
-                    req: wk,
-                },
-            );
+        if let Some(wakeup) = wakeup {
+            self.send_wakeup(c, wakeup, now);
         }
+    }
+
+    /// Sends a `WakeUp` a Qnode emitted on behalf of core `c` to the bank
+    /// that owns its address, behind whatever the core already queued.
+    pub(crate) fn send_wakeup(&mut self, c: u32, wakeup: MemRequest, now: u64) {
+        let bank = self.bank_of(wakeup.addr());
+        self.tracer.emit(now, || TraceEvent::ReqSent {
+            core: c,
+            bank,
+            kind: OpKind::WakeUp,
+        });
+        self.push_outbox(
+            c as usize,
+            ReqMsg {
+                src: c,
+                bank,
+                req: wakeup,
+            },
+        );
     }
 
     fn mmio_read(&self, c: u32, offset: u32, now: u64) -> u32 {

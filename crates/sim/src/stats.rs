@@ -220,6 +220,10 @@ pub struct WorkStats {
     /// network, in that order: the nodes holding a flit when each call
     /// began.
     pub noc_node_visits: [u64; 2],
+    /// Whole loop iterations superblocks retired in their loop step, each
+    /// a pass over a compacted loop body (see `translate`'s "Loop"): the
+    /// iterations after a taken back-edge that fit the horizon.
+    pub loop_iterations: u64,
 }
 
 /// Result of [`crate::Machine::run`].

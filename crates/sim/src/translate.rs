@@ -20,8 +20,8 @@
 //! latency for `div`/`rem`, the branch penalty on every jump and taken
 //! branch), and one `stall_cycles` per cycle the pipeline waits between
 //! in-block issues. An instruction issues only at a cycle `<= horizon`.
-//! Two shortcuts reach that state without visiting every instruction;
-//! both are exact because, inside them, timing does not depend on data:
+//! Three shortcuts reach that state without visiting every instruction;
+//! all are exact because, inside them, timing does not depend on data:
 //!
 //! * **Run.** At index `i` and issue cycle `t` with `runs[i] = r > 0`,
 //!   the next `n = min(r, horizon − t + 1)` micro-ops issue at `t, t+1,
@@ -40,14 +40,37 @@
 //!   iteration (or the one the horizon cuts) runs the ordinary way. A
 //!   counter that starts at `0` wraps, so it enters this as `v = 2³² − 1`
 //!   after one ordinary iteration.
+//! * **Loop.** A conditional branch at index `i` (`Beq` … `Bgeu`: not an
+//!   `Out` form, not a `Countdown`) whose target is a head `h < i` with
+//!   `runs[h] == i − h` closes a loop whose body is all run kinds. When
+//!   it is taken at `t` with `k = i − h` and `p = branch_penalty`, the
+//!   next iteration issues its body at `T … T+k−1` and its branch at
+//!   `T+k`, where `T = t + 1 + p`, whatever the registers hold — only
+//!   whether that branch is taken again depends on data. So while `T + k
+//!   <= horizon` a whole iteration retires as `instret += k + 1`, `stall
+//!   += p`, one pass over the body and one test of the branch; a taken
+//!   branch moves `T` on by `k + 1 + p`. A branch that falls through
+//!   leaves the loop at `i + 1`, issued at `T + k` and ready at `T + k +
+//!   1`; an iteration the horizon would cut is left to the run step at
+//!   `h`, ready at `T`, as if the loop step had not been there. Because
+//!   only whole bodies execute here, they execute *compacted*, built once
+//!   per image: `Nop`s dropped, and each `Const rd` directly followed by
+//!   `AddRI rd, rd, imm` (a `li`) folded into one `Const` — its first
+//!   value is overwritten before anything reads it. A `Const` whose
+//!   register no other micro-op of the body writes, and none before it
+//!   reads, holds the same value wherever the body reads it, so it is
+//!   *hoisted*: written once before the first iteration the loop step
+//!   runs (not at all when none fits), not once per iteration. Runs that
+//!   stop part-way through a body execute the original micro-ops.
 //!
 //! Either count may come out short — `runs` saturates at 255, `k`
 //! rounds down — and the remainder simply takes another step of the
-//! loop; only an overcount would be wrong.
+//! loop; only an overcount would be wrong. (A loop body longer than 255
+//! is never a loop: its head's `runs` entry cannot equal its length.)
 //!
 //! `run_block` runs *ahead* of the machine clock; on exit
 //! `Core::charged_until` is the last issue cycle (as defined above for
-//! either shortcut), i.e. the last cycle already accounted, so the
+//! every shortcut), i.e. the last cycle already accounted, so the
 //! per-cycle scheduler and the ready queue's lazy stall credit never
 //! double-charge. Internal micro-ops touch no memory and emit no trace
 //! events — in both modes those instructions are trace-silent — so
@@ -86,6 +109,22 @@ pub struct Translation {
     /// kinds (`UopKind::is_run`), saturating at 255; `0` for every other
     /// kind. Same length as `uops`.
     runs: Vec<u8>,
+    /// The compacted bodies of the image's loops (module docs, "Loop"),
+    /// back to back. Empty, and so unallocated, in an image without one.
+    bodies: Vec<MicroOp>,
+    /// Where each loop's body is in `bodies`, in branch index order.
+    loops: Vec<Loop>,
+}
+
+/// One loop of a [`Translation`]: the branch that closes it, and its
+/// compacted body `bodies[start..end]`, whose first `hoisted` micro-ops are
+/// the constants written once before the first iteration.
+#[derive(Debug)]
+struct Loop {
+    branch: usize,
+    start: usize,
+    hoisted: usize,
+    end: usize,
 }
 
 impl Translation {
@@ -109,7 +148,54 @@ impl Translation {
                 runs[i] = runs[i + 1].saturating_add(1);
             }
         }
-        Translation { base, uops, runs }
+        let (mut bodies, mut loops) = (Vec::<MicroOp>::new(), Vec::new());
+        for (i, u) in uops.iter().enumerate() {
+            let h = u.imm as usize;
+            if is_in_text_branch(u.kind) && h < i && usize::from(runs[h]) == i - h {
+                let start = bodies.len();
+                for &op in &uops[h..i] {
+                    match (op.kind, bodies[start..].last_mut()) {
+                        (UopKind::Nop, _) => {}
+                        (UopKind::AddRI, Some(li))
+                            if li.kind == UopKind::Const && li.rd == op.rd && op.rs1 == op.rd =>
+                        {
+                            li.imm = li.imm.wrapping_add(op.imm);
+                        }
+                        _ => bodies.push(op),
+                    }
+                }
+                loops.push(Loop {
+                    branch: i,
+                    start,
+                    hoisted: hoist(&mut bodies[start..]),
+                    end: bodies.len(),
+                });
+            }
+        }
+        Translation {
+            base,
+            uops,
+            runs,
+            bodies,
+            loops,
+        }
+    }
+
+    /// The hoisted constants and the rest of the compacted body of the
+    /// loop the branch at index `branch` closes, if it closes one (module
+    /// docs, "Loop").
+    fn loop_body(&self, branch: usize) -> Option<(&[MicroOp], &[MicroOp])> {
+        let at = self
+            .loops
+            .binary_search_by_key(&branch, |l| l.branch)
+            .ok()?;
+        let Loop {
+            start,
+            hoisted,
+            end,
+            ..
+        } = self.loops[at];
+        Some(self.bodies[start..end].split_at(hoisted))
     }
 
     /// Number of micro-ops (== instructions) in the image.
@@ -149,19 +235,127 @@ const OP_COUNTER: u32 = MMIO_BASE + mmio_reg::OP_COUNT;
 fn stops(u: MicroOp, regs: &[u32; 32]) -> bool {
     match u.kind {
         UopKind::Boundary => true,
-        UopKind::StoreWord => {
-            regs[usize::from(u.rs1.index() & 31)].wrapping_add(u.imm) != OP_COUNTER
-        }
+        UopKind::StoreWord => regs[x(u.rs1)].wrapping_add(u.imm) != OP_COUNTER,
         _ => false,
+    }
+}
+
+/// Moves each `Const` of a compacted loop body that no other micro-op of
+/// the body writes, and none before it reads, to the front, keeping the
+/// order of the rest, and returns how many it moved. Every iteration
+/// writes such a register with the same value before reading it, so
+/// writing it once before the first iteration leaves every later state
+/// the same.
+fn hoist(body: &mut [MicroOp]) -> usize {
+    let mut hoisted = 0;
+    for j in 0..body.len() {
+        let op = body[j];
+        // Moving earlier constants to the front keeps the set of micro-ops
+        // before `j`, so the test holds as on the original order. Fields a
+        // kind does not use are `x0`, which no run kind writes.
+        let (before, after) = body.split_at(j);
+        let invariant = op.kind == UopKind::Const
+            && before.iter().chain(&after[1..]).all(|o| o.rd != op.rd)
+            && before.iter().all(|o| o.rs1 != op.rd && o.rs2 != op.rd);
+        if invariant {
+            body[hoisted..=j].rotate_right(1);
+            hoisted += 1;
+        }
+    }
+    hoisted
+}
+
+/// Whether `kind` is a conditional branch to an in-text index, the one
+/// kind that can close a loop.
+fn is_in_text_branch(kind: UopKind) -> bool {
+    use UopKind as K;
+    matches!(kind, K::Beq | K::Bne | K::Blt | K::Bge | K::Bltu | K::Bgeu)
+}
+
+/// The register file index of `r`: `Reg` is an index below 32, and the
+/// mask lets the compiler see it.
+fn x(r: Reg) -> usize {
+    usize::from(r.index() & 31)
+}
+
+/// Executes one run-kind micro-op.
+#[inline(always)]
+fn exec(u: MicroOp, regs: &mut [u32; 32]) {
+    use UopKind as K;
+    let (a, b) = (regs[x(u.rs1)], regs[x(u.rs2)]);
+    // Lowering turned every `rd = x0` form into `Nop`, so the write
+    // below is unconditional.
+    regs[x(u.rd)] = match u.kind {
+        K::Nop => return,
+        K::Const => u.imm,
+        K::AddRR => a.wrapping_add(b),
+        K::SubRR => a.wrapping_sub(b),
+        K::SllRR => a.wrapping_shl(b),
+        K::SltRR => u32::from((a as i32) < (b as i32)),
+        K::SltuRR => u32::from(a < b),
+        K::XorRR => a ^ b,
+        K::SrlRR => a.wrapping_shr(b),
+        K::SraRR => (a as i32).wrapping_shr(b) as u32,
+        K::OrRR => a | b,
+        K::AndRR => a & b,
+        K::MulRR => a.wrapping_mul(b),
+        K::MulhRR => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
+        K::MulhsuRR => ((i64::from(a as i32) * i64::from(b)) >> 32) as u32,
+        K::MulhuRR => ((u64::from(a) * u64::from(b)) >> 32) as u32,
+        K::AddRI => a.wrapping_add(u.imm),
+        K::SllRI => a.wrapping_shl(u.imm),
+        K::SltRI => u32::from((a as i32) < (u.imm as i32)),
+        K::SltuRI => u32::from(a < u.imm),
+        K::XorRI => a ^ u.imm,
+        K::SrlRI => a.wrapping_shr(u.imm),
+        K::SraRI => (a as i32).wrapping_shr(u.imm) as u32,
+        K::OrRI => a | u.imm,
+        K::AndRI => a & u.imm,
+        _ => unreachable!("{:?} in a run", u.kind),
+    };
+}
+
+/// The loop step's iterations (module docs, "Loop"): unless `fits` is 0,
+/// writes the `hoisted` constants, then runs `body` and tests `branch`
+/// with `taken`, at most `fits` times. Returns how many iterations ran and
+/// whether the last one fell through.
+#[inline(always)]
+fn iterate(
+    regs: &mut [u32; 32],
+    (hoisted, body): (&[MicroOp], &[MicroOp]),
+    branch: MicroOp,
+    taken: impl Fn(u32, u32) -> bool,
+    fits: u64,
+) -> (u64, bool) {
+    if fits == 0 {
+        return (0, false);
+    }
+    for &u in hoisted {
+        exec(u, regs);
+    }
+    let (rs1, rs2) = (x(branch.rs1), x(branch.rs2));
+    let mut n = 0;
+    loop {
+        for &u in body {
+            exec(u, regs);
+        }
+        n += 1;
+        if !taken(regs[rs1], regs[rs2]) {
+            return (n, true);
+        }
+        if n == fits {
+            return (n, false);
+        }
     }
 }
 
 /// Executes one superblock: issues micro-ops starting at `entry` until
 /// the next instruction is a boundary (or a store the block does not
 /// run), control flow leaves the text image, or the next issue cycle
-/// would pass `horizon`. Returns whether anything issued: a block entered
-/// at a store other than the op counter's returns `false` untouched, and
-/// the caller interprets the store.
+/// would pass `horizon`. Returns `None` when nothing issued — a block
+/// entered at a store other than the op counter's returns untouched, and
+/// the caller interprets the store — and otherwise the number of loop
+/// iterations the loop step retired (module docs, "Loop").
 ///
 /// Entry invariants (checked by the caller): `now >= core.ready_at`, the
 /// request outbox has room, and `uops[entry]` is not a boundary.
@@ -180,14 +374,12 @@ pub(crate) fn run_block(
     now: u64,
     horizon: u64,
     timing: &CoreTiming,
-) -> bool {
+) -> Option<u64> {
     use UopKind as K;
-    // `Reg` is an index below 32; the mask lets the compiler see it.
-    let x = |r: Reg| usize::from(r.index() & 31);
     let base = trans.base;
     let uops = &trans.uops[..];
     if stops(uops[entry], &core.regs) {
-        return false;
+        return None;
     }
     let penalty = u64::from(timing.branch_penalty);
     let mut idx = entry;
@@ -196,10 +388,11 @@ pub(crate) fn run_block(
     // Doubles as `active_cycles`: both are charged once per issue.
     let mut instret = 0u64;
     let mut stall = 0u64;
+    let mut iterations = 0u64;
     let (exit_pc, ready, issued) = loop {
-        // One step — a run, or one micro-op of any other kind — yields
-        // the index control continues at, the cycle the step's last
-        // instruction issued at, and the cycle the next one may issue.
+        // One step — a run, a loop, or one micro-op of any other kind —
+        // yields the index control continues at, the cycle the step's
+        // last instruction issued at, and the cycle the next one may issue.
         let (next, issued, ready) = match trans.runs[idx] {
             0 => {
                 let u = uops[idx];
@@ -207,15 +400,36 @@ pub(crate) fn run_block(
                 let link = base.wrapping_add(4 * (idx as u32 + 1));
                 let fall_through = (idx + 1, t, t + 1);
                 let taken_at = t + 1 + penalty;
-                // A conditional branch to an in-text index …
+                // A conditional branch to an in-text index; a taken one
+                // that closes a loop goes on into the loop step …
                 macro_rules! branch {
-                    ($taken:expr) => {
-                        if $taken {
-                            (u.imm as usize, t, taken_at)
-                        } else {
+                    (|$a:ident, $b:ident| $taken:expr) => {{
+                        let taken = |$a: u32, $b: u32| $taken;
+                        let head = u.imm as usize;
+                        if !taken(a, b) {
                             fall_through
+                        } else if let Some(body) = trans.loop_body(idx) {
+                            let k = (idx - head) as u64;
+                            let period = k + 1 + penalty;
+                            // Iteration `j` (from 0) issues its branch
+                            // at `taken_at + j·period + k`.
+                            let fits = horizon
+                                .checked_sub(taken_at + k)
+                                .map_or(0, |room| room / period + 1);
+                            let (n, out) = iterate(&mut core.regs, body, u, taken, fits);
+                            iterations += n;
+                            instret += n * (k + 1);
+                            stall += n * penalty;
+                            let next_at = taken_at + n * period;
+                            if out {
+                                (idx + 1, next_at - period + k, next_at - period + k + 1)
+                            } else {
+                                (head, next_at - 1 - penalty, next_at)
+                            }
+                        } else {
+                            (head, t, taken_at)
                         }
-                    };
+                    }};
                 }
                 // … and to a pc the interpreter will fault on.
                 macro_rules! branch_out {
@@ -256,12 +470,12 @@ pub(crate) fn run_block(
                         }
                         ((rel / 4) as usize, t, taken_at)
                     }
-                    K::Beq => branch!(a == b),
-                    K::Bne => branch!(a != b),
-                    K::Blt => branch!((a as i32) < (b as i32)),
-                    K::Bge => branch!((a as i32) >= (b as i32)),
-                    K::Bltu => branch!(a < b),
-                    K::Bgeu => branch!(a >= b),
+                    K::Beq => branch!(|a, b| a == b),
+                    K::Bne => branch!(|a, b| a != b),
+                    K::Blt => branch!(|a, b| (a as i32) < (b as i32)),
+                    K::Bge => branch!(|a, b| (a as i32) >= (b as i32)),
+                    K::Bltu => branch!(|a, b| a < b),
+                    K::Bgeu => branch!(|a, b| a >= b),
                     K::BeqOut => branch_out!(a == b),
                     K::BneOut => branch_out!(a != b),
                     K::BltOut => branch_out!((a as i32) < (b as i32)),
@@ -298,39 +512,8 @@ pub(crate) fn run_block(
             }
             run => {
                 let n = (u64::from(run) - 1).min(horizon - t) as usize + 1;
-                let regs = &mut core.regs;
-                for u in &uops[idx..idx + n] {
-                    let (a, b) = (regs[x(u.rs1)], regs[x(u.rs2)]);
-                    // Lowering turned every `rd = x0` form into `Nop`,
-                    // so the write below is unconditional.
-                    regs[x(u.rd)] = match u.kind {
-                        K::Nop => continue,
-                        K::Const => u.imm,
-                        K::AddRR => a.wrapping_add(b),
-                        K::SubRR => a.wrapping_sub(b),
-                        K::SllRR => a.wrapping_shl(b),
-                        K::SltRR => u32::from((a as i32) < (b as i32)),
-                        K::SltuRR => u32::from(a < b),
-                        K::XorRR => a ^ b,
-                        K::SrlRR => a.wrapping_shr(b),
-                        K::SraRR => (a as i32).wrapping_shr(b) as u32,
-                        K::OrRR => a | b,
-                        K::AndRR => a & b,
-                        K::MulRR => a.wrapping_mul(b),
-                        K::MulhRR => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
-                        K::MulhsuRR => ((i64::from(a as i32) * i64::from(b)) >> 32) as u32,
-                        K::MulhuRR => ((u64::from(a) * u64::from(b)) >> 32) as u32,
-                        K::AddRI => a.wrapping_add(u.imm),
-                        K::SllRI => a.wrapping_shl(u.imm),
-                        K::SltRI => u32::from((a as i32) < (u.imm as i32)),
-                        K::SltuRI => u32::from(a < u.imm),
-                        K::XorRI => a ^ u.imm,
-                        K::SrlRI => a.wrapping_shr(u.imm),
-                        K::SraRI => (a as i32).wrapping_shr(u.imm) as u32,
-                        K::OrRI => a | u.imm,
-                        K::AndRI => a & u.imm,
-                        _ => unreachable!("{:?} in a run", u.kind),
-                    };
+                for &u in &uops[idx..idx + n] {
+                    exec(u, &mut core.regs);
                 }
                 instret += n as u64;
                 (idx + n, t + n as u64 - 1, t + n as u64)
@@ -351,7 +534,7 @@ pub(crate) fn run_block(
     core.stats.instret += instret;
     core.stats.active_cycles += instret;
     core.stats.stall_cycles += stall;
-    true
+    Some(iterations)
 }
 
 #[cfg(test)]
@@ -359,6 +542,7 @@ mod tests {
     use super::*;
     use crate::cpu::Action;
     use lrscwait_asm::Assembler;
+    use lrscwait_core::harness::SplitMix64;
     use lrscwait_isa::{BranchOp, Instr};
 
     fn decoded(src: &str) -> DecodedProgram {
@@ -378,14 +562,7 @@ mod tests {
         assert_eq!(trans.entry(prog.base + 2), None, "misaligned");
 
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(
-            &mut core,
-            &trans,
-            0,
-            0,
-            u64::MAX,
-            &CoreTiming::default()
-        ));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default()).is_some());
         assert_eq!(core.reg(lrscwait_isa::Reg::A2), 12);
         assert_eq!(core.pc, prog.base + 12, "stopped at the ecall");
         assert_eq!(core.ready_at, 3);
@@ -402,7 +579,7 @@ mod tests {
         let trans = Translation::new(&prog);
         let timing = CoreTiming::default();
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing).is_some());
         assert_eq!(core.reg(lrscwait_isa::Reg::T0), 0);
         assert_eq!(core.pc, prog.base + 12);
         // 9 instructions issue (li + 4×(addi, bnez)); each of the 3
@@ -422,7 +599,7 @@ mod tests {
         let timing = CoreTiming::default();
         fn run(core: &mut Core, trans: &Translation, now: u64, horizon: u64, timing: &CoreTiming) {
             let entry = trans.entry(core.pc).expect("re-enterable");
-            assert!(run_block(core, trans, entry, now, horizon, timing));
+            assert!(run_block(core, trans, entry, now, horizon, timing).is_some());
         }
         // Horizon 1 → issues at cycles 0 and 1, then must stop.
         let mut split = Core::new(0, prog.base);
@@ -447,7 +624,7 @@ mod tests {
         let trans = Translation::new(&prog);
         let timing = CoreTiming::default();
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &timing).is_some());
         assert_eq!(core.reg(lrscwait_isa::Reg::A2), 14);
         assert_eq!(core.reg(lrscwait_isa::Reg::A3), 2);
         // Issues at 0, 1, 2 (div → ready 2 + div_latency), then the rem
@@ -466,14 +643,7 @@ mod tests {
         let prog = decoded("li t0, 0x9000\njalr ra, 0(t0)\necall\n");
         let trans = Translation::new(&prog);
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(
-            &mut core,
-            &trans,
-            0,
-            0,
-            u64::MAX,
-            &CoreTiming::default()
-        ));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default()).is_some());
         assert_eq!(core.pc, 0x9000, "interpreter will raise IllegalPc here");
         // `li t0, 0x9000` expands to lui+addi, so the jalr sits at
         // base + 8 and links base + 12.
@@ -521,14 +691,17 @@ mod tests {
 
     /// Runs superblocks back to back, one per horizon, charging the gap
     /// between two calls as a stall like the per-cycle scheduler does.
-    fn drive(core: &mut Core, trans: &Translation, horizons: &[u64], timing: &CoreTiming) {
+    /// Returns the loop iterations they retired.
+    fn drive(core: &mut Core, trans: &Translation, horizons: &[u64], timing: &CoreTiming) -> u64 {
+        let mut iterations = 0;
         for &horizon in horizons {
             let now = core.ready_at;
             if let Some(entry) = trans.entry(core.pc).filter(|_| now <= horizon) {
                 core.stats.stall_cycles += (now - core.charged_until).saturating_sub(1);
-                assert!(run_block(core, trans, entry, now, horizon, timing));
+                iterations += run_block(core, trans, entry, now, horizon, timing).expect("issued");
             }
         }
+        iterations
     }
 
     #[track_caller]
@@ -661,7 +834,7 @@ mod tests {
                         oracle.stats.instret = 17;
                         let mut block = oracle.clone();
                         // Horizon `now`: exactly one instruction issues.
-                        assert!(run_block(&mut block, &trans, entry, now, now, timing));
+                        assert!(run_block(&mut block, &trans, entry, now, now, timing).is_some());
                         oracle.stats.active_cycles += 1;
                         oracle.charged_until = now;
                         assert_eq!(oracle.execute(&prog, now, timing), Ok(Action::Done));
@@ -786,14 +959,7 @@ mod tests {
         let region = 4 * (prog.instrs.len() as u32 - 2);
         let issued = u64::from(region / 4);
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(
-            &mut core,
-            &trans,
-            0,
-            0,
-            u64::MAX,
-            &CoreTiming::default()
-        ));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default()).is_some());
         assert_eq!(core.stats.ops, 6, "both op-counter stores ran");
         assert_eq!(core.pc, prog.base + region, "stopped at the region marker");
         assert_eq!((core.ready_at, core.charged_until), (issued, issued - 1));
@@ -804,28 +970,22 @@ mod tests {
         // Entered at a store the block does not run: no progress at all.
         let entry = trans.entry(core.pc).expect("a store is an entry");
         let before = core.clone();
-        assert!(!run_block(
+        assert!(run_block(
             &mut core,
             &trans,
             entry,
             issued,
             u64::MAX,
             &CoreTiming::default()
-        ));
+        )
+        .is_none());
         assert_same_core(&core, &before, &"entered at the region marker");
 
         // Entered at an op-counter store, with the horizon at its issue.
         let mut core = Core::new(0, prog.base + region - 4);
         core.regs = before.regs;
         let entry = trans.entry(core.pc).expect("a store is an entry");
-        assert!(run_block(
-            &mut core,
-            &trans,
-            entry,
-            10,
-            10,
-            &CoreTiming::default()
-        ));
+        assert!(run_block(&mut core, &trans, entry, 10, 10, &CoreTiming::default()).is_some());
         assert_eq!(core.stats.ops, 3);
         assert_eq!((core.pc, core.ready_at), (prog.base + region, 11));
     }
@@ -838,16 +998,298 @@ mod tests {
         assert!(!trans.is_empty());
         assert_eq!(trans.entry(prog.base + 8), None, "one past the end");
         let mut core = Core::new(0, prog.base);
-        assert!(run_block(
-            &mut core,
-            &trans,
-            0,
-            0,
-            u64::MAX,
-            &CoreTiming::default()
-        ));
+        assert!(run_block(&mut core, &trans, 0, 0, u64::MAX, &CoreTiming::default()).is_some());
         assert_eq!(core.pc, prog.base + 8, "the interpreter faults here");
         assert_eq!((core.ready_at, core.charged_until), (2, 1));
         assert_eq!(core.stats.instret, 2);
+    }
+
+    /// Checks a program against the interpreter from cycle 0: stopped at
+    /// every horizon up to `end`, and split at every such cycle and then
+    /// resumed to `end`. Returns the loop iterations of the whole run to
+    /// `end`.
+    fn loop_matches_the_interpreter(src: &str, end: u64, timing: &CoreTiming) -> u64 {
+        let prog = decoded(src);
+        let trans = Translation::new(&prog);
+        let mut whole = Core::new(0, prog.base);
+        interpret(&mut whole, &prog, 0, end, timing);
+        for cut in 0..=end {
+            let mut oracle = Core::new(0, prog.base);
+            interpret(&mut oracle, &prog, 0, cut, timing);
+            let mut block = Core::new(0, prog.base);
+            drive(&mut block, &trans, &[cut], timing);
+            assert_same_core(&block, &oracle, &(src, "stopped at", cut, timing));
+            drive(&mut block, &trans, &[end], timing);
+            assert_same_core(&block, &whole, &(src, "split at", cut, timing));
+        }
+        let mut block = Core::new(0, prog.base);
+        drive(&mut block, &trans, &[end], timing)
+    }
+
+    /// One seeded run-kind instruction writing one of `dests`, reading the
+    /// loop's registers; a large `li` is two micro-ops. Returns the line
+    /// and how many micro-ops it lowers to.
+    fn random_run_instr(rng: &mut SplitMix64, dests: &[&str]) -> (String, usize) {
+        const SOURCES: [&str; 6] = ["a0", "a1", "a2", "t2", "t4", "zero"];
+        const RR: [&str; 14] = [
+            "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and", "mul", "mulh",
+            "mulhsu", "mulhu",
+        ];
+        const RI: [&str; 6] = ["addi", "slti", "sltiu", "xori", "ori", "andi"];
+        const SHIFTS: [&str; 3] = ["slli", "srli", "srai"];
+        let rd = dests[rng.below(dests.len())];
+        let rs1 = SOURCES[rng.below(SOURCES.len())];
+        let rs2 = SOURCES[rng.below(SOURCES.len())];
+        match rng.below(7) {
+            0 => (format!("li {rd}, {}", rng.next_u64() as u32 | 0x1000), 2),
+            1 => (format!("lui {rd}, {}", rng.below(1 << 20)), 1),
+            2 => ("nop".into(), 1),
+            3 => (
+                format!(
+                    "{} {rd}, {rs1}, {}",
+                    RI[rng.below(RI.len())],
+                    rng.below(4096) as i32 - 2048
+                ),
+                1,
+            ),
+            4 => (
+                format!("{} {rd}, {rs1}, {}", SHIFTS[rng.below(3)], rng.below(32)),
+                1,
+            ),
+            _ => (format!("{} {rd}, {rs1}, {rs2}", RR[rng.below(RR.len())]), 1),
+        }
+    }
+
+    /// A seeded loop body of at most `uops` micro-ops (at least one).
+    fn random_body(rng: &mut SplitMix64, uops: usize, dests: &[&str]) -> Vec<String> {
+        let mut body = Vec::new();
+        let mut len = 0;
+        while len < uops {
+            let (line, n) = random_run_instr(rng, dests);
+            if len + n > uops {
+                continue;
+            }
+            body.push(line);
+            len += n;
+        }
+        body
+    }
+
+    /// `t2` counts down from `n` (up to `n` where the exit is `blt t2,
+    /// t4`), and each of the six in-text branch kinds closes the loop on
+    /// it; the seeded rest of the body writes neither `t2` nor `t4`.
+    /// Returns the loop's lines after the body, and whether the counter
+    /// counts up.
+    fn counter_exit(kind: usize) -> (&'static str, bool) {
+        [
+            ("seqz t3, t2\nbeq t3, zero, loop", false),
+            ("bne t2, zero, loop", false),
+            ("blt zero, t2, loop", false),
+            ("bge t2, t4, loop", false),
+            ("bltu zero, t2, loop", false),
+            ("bgeu t2, t4, loop", false),
+            ("blt t2, t4, loop", true),
+            ("bltu t2, t4, loop", true),
+        ][kind]
+    }
+
+    #[test]
+    fn loops_cut_at_every_cycle_match_the_interpreter() {
+        const END: u64 = 150;
+        let mut rng = SplitMix64::new(0x100b);
+        let timings = timings(&[0, 3]);
+        let mut fired = 0;
+        // Counters that exit (or wrap from 0 and run to the horizon), for
+        // every branch kind, with the counter step anywhere in the body.
+        for kind in 0..8 {
+            for n in [0u32, 1, 2, 3, 5] {
+                let (exit, up) = counter_exit(kind);
+                let len = 1 + rng.below(9);
+                let mut body = random_body(&mut rng, len, &["a0", "a1", "zero"]);
+                let step = if up {
+                    "addi t2, t2, 1"
+                } else {
+                    "addi t2, t2, -1"
+                };
+                body.insert(rng.below(body.len() + 1), step.into());
+                let (start, bound) = if up { (0, n) } else { (n, 1) };
+                let src = format!(
+                    "li t2, {start}\nli t4, {bound}\nloop:\n{}\n{exit}\nli a0, 7\necall\n",
+                    body.join("\n")
+                );
+                let timing = &timings[rng.below(timings.len())];
+                let iterations = loop_matches_the_interpreter(&src, END, timing);
+                // Entered from the top, the loop step takes over after the
+                // first taken back-edge and retires every later iteration.
+                // A down-counter from 0 wraps past every exit but `blt` and
+                // `bge`, and runs to the horizon.
+                let wraps = !up && n == 0 && ![2, 3].contains(&kind);
+                if !wraps {
+                    assert_eq!(u64::from(n.max(1) - 1), iterations, "{src}");
+                }
+                fired += iterations;
+            }
+        }
+        // Exits that depend on data, with bodies that write the branch's
+        // own operands, entered from the top and in the middle.
+        let branches = ["beq", "bne", "blt", "bge", "bltu", "bgeu"];
+        let operands = ["a0", "a1", "t2", "t4", "zero"];
+        for round in 0..48 {
+            let dests = ["a0", "a1", "a2", "t2", "t4", "zero"];
+            let mut body = random_body(&mut rng, 1 + round % 12, &dests);
+            let enter = if round % 3 == 0 {
+                let at = rng.below(body.len() + 1);
+                body.insert(at, "enter:".into());
+                "j enter\n"
+            } else {
+                ""
+            };
+            let branch = format!(
+                "{} {}, {}, loop",
+                branches[round % 6],
+                operands[rng.below(operands.len())],
+                operands[rng.below(operands.len())]
+            );
+            let inits: String = ["a0", "a1", "a2", "t2", "t4"]
+                .iter()
+                .map(|r| {
+                    format!(
+                        "li {r}, {}\n",
+                        [0, 1, 5, rng.next_u64() as u32][rng.below(4)]
+                    )
+                })
+                .collect();
+            let src = format!(
+                "{inits}{enter}loop:\n{}\n{branch}\nli a0, 7\necall\n",
+                body.join("\n")
+            );
+            let timing = &timings[round % timings.len()];
+            fired += loop_matches_the_interpreter(&src, END, timing);
+        }
+        // The compaction's edge cases: a constant read before its write,
+        // entered past the write; a `lui` whose `addi` reads another
+        // register; a constant written twice.
+        for src in [
+            "li a1, 5\nli t2, 4\nj enter\nloop: add a0, a0, a1\nli a1, 0x12345\n\
+             enter: addi t2, t2, -1\nbnez t2, loop\necall\n",
+            "li t1, 9\nli t2, 4\nloop: lui t5, 1\naddi t5, t1, 1\nadd a0, a0, t5\n\
+             addi t2, t2, -1\nbnez t2, loop\necall\n",
+            "li t2, 4\nloop: li a1, 0x5000\nadd a0, a0, a1\nli a1, 3\naddi t2, t2, -1\n\
+             bnez t2, loop\necall\n",
+        ] {
+            for timing in &timings {
+                fired += loop_matches_the_interpreter(src, END, timing);
+            }
+        }
+        assert!(fired > 0, "the loop step never fired");
+    }
+
+    #[test]
+    fn the_loop_step_takes_only_pure_run_back_edges() {
+        for (src, what) in [
+            (
+                "li t2, 6\nli t4, 3\nloop: div a0, a1, t4\naddi t2, t2, -1\nbnez t2, loop\n\
+                 li a0, 7\necall\n",
+                "a divide in the body",
+            ),
+            (
+                "li t2, 6\nloop: addi a0, a0, 1\naddi t2, t2, -1\nbnez t2, back\nj out\n\
+                 back: j loop\nout: li a0, 7\necall\n",
+                "a forward branch",
+            ),
+            (
+                "li t2, 6\nloop: addi a0, a0, 1\nj next\nnext: addi t2, t2, -1\nbnez t2, loop\n\
+                 li a0, 7\necall\n",
+                "a head whose run ends inside the body",
+            ),
+            (
+                "li t2, 9\nloop: addi t2, t2, -1\nbnez t2, loop\nli a0, 7\necall\n",
+                "a countdown",
+            ),
+        ] {
+            for timing in timings(&[0, 3]) {
+                assert_eq!(loop_matches_the_interpreter(src, 90, &timing), 0, "{what}");
+            }
+        }
+        // An op-counter store (which the interpreter oracle cannot take).
+        let prog = decoded(
+            "li s0, 0xFFFF0000\nli t2, 6\nloop: sw t2, 4(s0)\naddi t2, t2, -1\nbnez t2, loop\n\
+             li a0, 7\necall\n",
+        );
+        let trans = Translation::new(&prog);
+        assert!(trans.loops.is_empty());
+        let mut block = Core::new(0, prog.base);
+        let timing = CoreTiming::default();
+        assert_eq!(drive(&mut block, &trans, &[u64::MAX], &timing), 0);
+        assert_eq!((block.stats.ops, block.reg(Reg::A0)), (21, 7));
+        // A body longer than `runs` counts: the head's entry saturates.
+        let src = format!(
+            "li t2, 3\nloop:\n{}addi t2, t2, -1\nbnez t2, loop\nli a0, 7\necall\n",
+            "addi a0, a0, 1\n".repeat(300)
+        );
+        let prog = decoded(&src);
+        let trans = Translation::new(&prog);
+        assert!(trans.loops.is_empty());
+        let mut oracle = Core::new(0, prog.base);
+        interpret(&mut oracle, &prog, 0, u64::MAX, &timing);
+        let mut block = Core::new(0, prog.base);
+        assert_eq!(drive(&mut block, &trans, &[u64::MAX], &timing), 0);
+        assert_same_core(&block, &oracle, &"a body of 301");
+    }
+
+    #[test]
+    fn loop_bodies_are_compacted() {
+        let body = |src: &str| -> (Vec<MicroOp>, Vec<MicroOp>) {
+            let trans = Translation::new(&decoded(src));
+            assert_eq!(trans.loops.len(), 1, "{src}");
+            let (hoisted, rest) = trans.loop_body(trans.loops[0].branch).expect("a loop");
+            (hoisted.to_vec(), rest.to_vec())
+        };
+        let uop = |kind, rd, rs1, rs2, imm| MicroOp {
+            kind,
+            rd,
+            rs1,
+            rs2,
+            imm,
+        };
+        use UopKind::{AddRI, AddRR, Const, MulRR};
+        let (t0, t1, t5, s4, z) = (Reg::T0, Reg::T1, Reg::T5, Reg::S4, Reg::ZERO);
+        // The busy-loop kernel's compute loop: both `li`s fold and hoist.
+        assert_eq!(
+            body(
+                "li t5, 64\nloop: li t0, 1664525\nmul s4, s4, t0\nli t1, 1013904223\n\
+                 add s4, s4, t1\naddi t5, t5, -1\nbnez t5, loop\necall\n"
+            ),
+            (
+                vec![
+                    uop(Const, t0, z, z, 1_664_525),
+                    uop(Const, t1, z, z, 1_013_904_223)
+                ],
+                vec![
+                    uop(MulRR, s4, s4, t0, 0),
+                    uop(AddRR, s4, s4, t1, 0),
+                    uop(AddRI, t5, t5, z, u32::MAX),
+                ]
+            )
+        );
+        // Nops go; a constant read before its write, or written twice,
+        // stays in place; an `addi` from another register does not fold.
+        assert_eq!(
+            body(
+                "loop: nop\nadd s4, s4, t0\nli t0, 0x12345\naddi t1, t1, 1\nli t1, 0x5000\n\
+                 lui t5, 1\naddi t5, t1, 1\nbnez t0, loop\necall\n"
+            ),
+            (
+                vec![],
+                vec![
+                    uop(AddRR, s4, s4, t0, 0),
+                    uop(Const, t0, z, z, 0x12345),
+                    uop(AddRI, t1, t1, z, 1),
+                    uop(Const, t1, z, z, 0x5000),
+                    uop(Const, t5, z, z, 0x1000),
+                    uop(AddRI, t5, t1, z, 1),
+                ]
+            )
+        );
     }
 }

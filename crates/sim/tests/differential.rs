@@ -387,6 +387,107 @@ fn deferred_only_watchdog_is_equivalent() {
     }
 }
 
+/// The six in-text branch kinds, each closing the compute loop of
+/// [`compute_kernel`] on its hart-dependent counter `t2` (`t4` is 1).
+const LOOP_EXITS: [&str; 6] = [
+    "seqz t3, t2\n beq  t3, zero, mix",
+    "bnez t2, mix",
+    "blt  zero, t2, mix",
+    "bge  t2, t4, mix",
+    "bltu zero, t2, mix",
+    "bgeu t2, t4, mix",
+];
+
+/// A histogram with compute between its updates, the shape of the
+/// benchmark's busy loop: each of four `amoadd`s is followed by a
+/// pure-ALU loop (two `li`s, a `mul`, an `add` and the counter step)
+/// closed by `exit`, with a hart-dependent trip count; the mixed value is
+/// printed at the end.
+fn compute_kernel(exit: &str) -> String {
+    format!(
+        r#"
+        .equ MMIO, 0xFFFF0000
+        _start:
+            li   s0, MMIO
+            la   a0, counter
+            li   a1, 1
+            rdhartid s1
+            mv   s4, s1
+            li   s2, 4
+        update:
+            amoadd.w zero, a1, (a0)
+            addi t2, s1, 5
+            li   t4, 1
+        mix:
+            li   t0, 1664525
+            mul  s4, s4, t0
+            li   t1, 1013904223
+            add  s4, s4, t1
+            addi t2, t2, -1
+            {exit}
+            addi s2, s2, -1
+            bnez s2, update
+            sw   s4, 0x38(s0)
+            ecall
+        .data
+        counter: .word 0
+    "#
+    )
+}
+
+#[test]
+fn compute_loops_are_equivalent() {
+    for exit in LOOP_EXITS {
+        let src = compute_kernel(exit);
+        for arch in all_archs() {
+            for cfg in branch_penalty_rows(SimConfig::small(8, arch)) {
+                let (summary, _) = assert_equivalent(&src, cfg, exit);
+                assert_eq!(summary.exit, ExitReason::AllHalted);
+                // Core `c` loops `c + 5` times per update; the loop step
+                // retires every iteration after the first back-edge.
+                let program = Assembler::new().assemble(&src).unwrap();
+                let mut machine = Machine::new(cfg, &program).unwrap();
+                machine.run().unwrap();
+                let iterations: u64 = (0..8).map(|c| 4 * (c + 4)).sum();
+                assert_eq!(machine.work().loop_iterations, iterations, "{exit}");
+            }
+        }
+    }
+}
+
+#[test]
+fn run_until_inside_a_compute_loop_then_resumed_is_equivalent() {
+    // Each target stops the run with some cores part-way through a
+    // compute loop; the resumed run must then retire the rest exactly.
+    for exit in LOOP_EXITS {
+        let program = Assembler::new().assemble(&compute_kernel(exit)).unwrap();
+        let decoded = Machine::decode(&program).unwrap();
+        for arch in all_archs() {
+            for target in [23, 61, 140] {
+                let cfg = SimConfig::small(8, arch);
+                let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();
+                let mut ref_cfg = cfg;
+                ref_cfg.exec_mode = ExecMode::Reference;
+                let mut reference = Machine::with_decoded(ref_cfg, decoded.clone()).unwrap();
+                let what = format!("{exit} on {arch}, stopped at {target}");
+                assert_eq!(
+                    fast.run_until(target).unwrap(),
+                    reference.run_until(target).unwrap(),
+                    "{what}"
+                );
+                assert_eq!(fast.stats(), reference.stats(), "{what}");
+                assert_eq!(fast.state_bytes(), reference.state_bytes(), "{what}");
+                // Stopped with loops part-way through (of 240 iterations).
+                let retired = fast.work().loop_iterations;
+                assert!(retired < 240 && (retired > 0 || target < 40), "{what}");
+                assert_eq!(fast.run().unwrap(), reference.run().unwrap(), "{what}");
+                assert_eq!(fast.stats(), reference.stats(), "{what}: resumed");
+                assert_eq!(fast.debug_log(), reference.debug_log(), "{what}");
+            }
+        }
+    }
+}
+
 #[test]
 fn step_cycle_equivalence_without_run_loop() {
     // Drive both machines manually through step_cycle (no fast-forward
@@ -410,12 +511,18 @@ fn step_cycle_equivalence_without_run_loop() {
     "#;
     let base = SimConfig::small(4, SyncArch::Colibri { queues: 2 });
     let [default, no_penalty, long_penalty] = branch_penalty_rows(base);
-    for (src, cfg, what) in [
+    let compute = LOOP_EXITS.map(compute_kernel);
+    let rows = [
         (amoadd, default, "amoadd"),
         (STALL_MIX, default, "stall mix"),
         (STALL_MIX, no_penalty, "stall mix, branch penalty 0"),
         (STALL_MIX, long_penalty, "stall mix, branch penalty 3"),
-    ] {
+    ];
+    let compute_rows = compute
+        .iter()
+        .zip(LOOP_EXITS)
+        .map(|(src, exit)| (src.as_str(), default, exit));
+    for (src, cfg, what) in rows.into_iter().chain(compute_rows) {
         let program = Assembler::new().assemble(src).unwrap();
         let decoded = Machine::decode(&program).unwrap();
         let mut fast = Machine::with_decoded(cfg, decoded.clone()).unwrap();

@@ -59,6 +59,31 @@ fn histogram_matrix_is_equivalent() {
 }
 
 #[test]
+fn compute_histogram_is_equivalent_on_every_architecture() {
+    // The benchmark's busy-loop shape: pure-ALU compute loops, which
+    // superblocks retire whole iterations at a time, between the updates.
+    for (impl_, arch) in [
+        (HistImpl::AmoAdd, SyncArch::Lrsc),
+        (HistImpl::AmoAdd, SyncArch::LrscWaitIdeal),
+        (HistImpl::LrscWait, SyncArch::LrscWait { slots: 2 }),
+        (HistImpl::LrscWait, SyncArch::Colibri { queues: 4 }),
+    ] {
+        let kernel = HistogramKernel::new(impl_, 2, 8, 8).with_compute(16);
+        let cfg = SimConfig::builder()
+            .cores(8)
+            .arch(arch)
+            .max_cycles(50_000_000)
+            .build()
+            .unwrap();
+        assert_equivalent(
+            &kernel,
+            cfg,
+            &format!("compute histogram {impl_:?} on {arch}"),
+        );
+    }
+}
+
+#[test]
 fn queue_matrix_is_equivalent() {
     let small = || SimConfig::builder().cores(8).max_cycles(50_000_000);
     let colibri = SyncArch::Colibri { queues: 4 };
