@@ -315,20 +315,49 @@ fn exec(u: MicroOp, regs: &mut [u32; 32]) {
     };
 }
 
-/// The loop step's iterations (module docs, "Loop"): unless `fits` is 0,
-/// writes the `hoisted` constants, then runs `body` and tests `branch`
-/// with `taken`, at most `fits` times. Returns how many iterations ran and
-/// whether the last one fell through.
-#[inline(always)]
-fn iterate(
+/// Whether a conditional branch of `kind` (in-text or `Out`) is taken on
+/// operands `a` and `b`.
+fn taken(kind: UopKind, a: u32, b: u32) -> bool {
+    use UopKind as K;
+    match kind {
+        K::Beq | K::BeqOut => a == b,
+        K::Bne | K::BneOut => a != b,
+        K::Blt | K::BltOut => (a as i32) < (b as i32),
+        K::Bge | K::BgeOut => (a as i32) >= (b as i32),
+        K::Bltu | K::BltuOut => a < b,
+        K::Bgeu | K::BgeuOut => a >= b,
+        _ => unreachable!("{kind:?} is not a conditional branch"),
+    }
+}
+
+/// The loop step (module docs, "Loop"): the branch `branch` at index
+/// `idx`, closing a loop of compacted body `(hoisted, body)`, was taken,
+/// so the next iteration issues from `first`. Unless none fits, writes
+/// the hoisted constants, then runs the body and tests the branch while
+/// the iteration fits under `horizon` and the branch stays taken. Returns
+/// the iterations it retired and, like every step of [`run_block`], the
+/// index control continues at, the last issue cycle and the next ready
+/// cycle. Kept out of line: `run_block` stays as small as it was for
+/// blocks without loops.
+#[inline(never)]
+fn loop_step(
     regs: &mut [u32; 32],
     (hoisted, body): (&[MicroOp], &[MicroOp]),
     branch: MicroOp,
-    taken: impl Fn(u32, u32) -> bool,
-    fits: u64,
-) -> (u64, bool) {
+    idx: usize,
+    first: u64,
+    penalty: u64,
+    horizon: u64,
+) -> (u64, (usize, u64, u64)) {
+    let head = branch.imm as usize;
+    let k = (idx - head) as u64;
+    let period = k + 1 + penalty;
+    // Iteration `j` (from 0) issues its branch at `first + j·period + k`.
+    let fits = horizon
+        .checked_sub(first + k)
+        .map_or(0, |room| room / period + 1);
     if fits == 0 {
-        return (0, false);
+        return (0, (head, first - 1 - penalty, first));
     }
     for &u in hoisted {
         exec(u, regs);
@@ -340,11 +369,12 @@ fn iterate(
             exec(u, regs);
         }
         n += 1;
-        if !taken(regs[rs1], regs[rs2]) {
-            return (n, true);
+        let at = first + (n - 1) * period + k;
+        if !taken(branch.kind, regs[rs1], regs[rs2]) {
+            return (n, (idx + 1, at, at + 1));
         }
         if n == fits {
-            return (n, false);
+            return (n, (head, at, at + 1 + penalty));
         }
     }
 }
@@ -400,47 +430,6 @@ pub(crate) fn run_block(
                 let link = base.wrapping_add(4 * (idx as u32 + 1));
                 let fall_through = (idx + 1, t, t + 1);
                 let taken_at = t + 1 + penalty;
-                // A conditional branch to an in-text index; a taken one
-                // that closes a loop goes on into the loop step …
-                macro_rules! branch {
-                    (|$a:ident, $b:ident| $taken:expr) => {{
-                        let taken = |$a: u32, $b: u32| $taken;
-                        let head = u.imm as usize;
-                        if !taken(a, b) {
-                            fall_through
-                        } else if let Some(body) = trans.loop_body(idx) {
-                            let k = (idx - head) as u64;
-                            let period = k + 1 + penalty;
-                            // Iteration `j` (from 0) issues its branch
-                            // at `taken_at + j·period + k`.
-                            let fits = horizon
-                                .checked_sub(taken_at + k)
-                                .map_or(0, |room| room / period + 1);
-                            let (n, out) = iterate(&mut core.regs, body, u, taken, fits);
-                            iterations += n;
-                            instret += n * (k + 1);
-                            stall += n * penalty;
-                            let next_at = taken_at + n * period;
-                            if out {
-                                (idx + 1, next_at - period + k, next_at - period + k + 1)
-                            } else {
-                                (head, next_at - 1 - penalty, next_at)
-                            }
-                        } else {
-                            (head, t, taken_at)
-                        }
-                    }};
-                }
-                // … and to a pc the interpreter will fault on.
-                macro_rules! branch_out {
-                    ($taken:expr) => {
-                        if $taken {
-                            break (u.imm, taken_at, t);
-                        } else {
-                            fall_through
-                        }
-                    };
-                }
                 instret += 1;
                 macro_rules! divide {
                     ($op:expr) => {{
@@ -470,18 +459,30 @@ pub(crate) fn run_block(
                         }
                         ((rel / 4) as usize, t, taken_at)
                     }
-                    K::Beq => branch!(|a, b| a == b),
-                    K::Bne => branch!(|a, b| a != b),
-                    K::Blt => branch!(|a, b| (a as i32) < (b as i32)),
-                    K::Bge => branch!(|a, b| (a as i32) >= (b as i32)),
-                    K::Bltu => branch!(|a, b| a < b),
-                    K::Bgeu => branch!(|a, b| a >= b),
-                    K::BeqOut => branch_out!(a == b),
-                    K::BneOut => branch_out!(a != b),
-                    K::BltOut => branch_out!((a as i32) < (b as i32)),
-                    K::BgeOut => branch_out!((a as i32) >= (b as i32)),
-                    K::BltuOut => branch_out!(a < b),
-                    K::BgeuOut => branch_out!(a >= b),
+                    // A conditional branch to an in-text index; a taken
+                    // one that closes a loop goes on into the loop step …
+                    K::Beq | K::Bne | K::Blt | K::Bge | K::Bltu | K::Bgeu => {
+                        if !taken(u.kind, a, b) {
+                            fall_through
+                        } else if let Some(body) = trans.loop_body(idx) {
+                            let (n, step) =
+                                loop_step(&mut core.regs, body, u, idx, taken_at, penalty, horizon);
+                            let k = idx as u64 - u64::from(u.imm);
+                            iterations += n;
+                            instret += n * (k + 1);
+                            stall += n * penalty;
+                            step
+                        } else {
+                            (u.imm as usize, t, taken_at)
+                        }
+                    }
+                    // … and to a pc the interpreter will fault on.
+                    K::BeqOut | K::BneOut | K::BltOut | K::BgeOut | K::BltuOut | K::BgeuOut => {
+                        if taken(u.kind, a, b) {
+                            break (u.imm, taken_at, t);
+                        }
+                        fall_through
+                    }
                     // The op counter: one cycle, no memory access, no
                     // trace event — what the interpreter's MMIO write does.
                     K::StoreWord => {
