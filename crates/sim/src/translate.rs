@@ -337,8 +337,8 @@ fn taken(kind: UopKind, a: u32, b: u32) -> bool {
 /// the iteration fits under `horizon` and the branch stays taken. Returns
 /// the iterations it retired and, like every step of [`run_block`], the
 /// index control continues at, the last issue cycle and the next ready
-/// cycle. Kept out of line: `run_block` stays as small as it was for
-/// blocks without loops.
+/// cycle. Kept out of line, so that `run_block`, which every superblock
+/// runs, grows by little more than the call.
 #[inline(never)]
 fn loop_step(
     regs: &mut [u32; 32],
